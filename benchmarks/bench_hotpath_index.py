@@ -74,6 +74,21 @@ class _SeedLabelIndex:
     def copy_label(self, label):
         return list(self._by_label.get(label, []))
 
+    # The probe entry points LabelIndex has grown since, answered the
+    # seed's way: a pass over the whole row.
+
+    def descendants(self, label, ancestor_id):
+        return [
+            n for n in self._by_label.get(label, ()) if ancestor_id.is_ancestor_of(n.id)
+        ]
+
+    def spliced(self, label, cut_ids, merge_nodes=()):
+        cut = set(cut_ids)
+        row = [n for n in self._by_label.get(label, ()) if n.id not in cut]
+        row.extend(merge_nodes)
+        row.sort(key=lambda n: n.id)
+        return row
+
 
 def _statements():
     return [

@@ -16,7 +16,10 @@ operators (:mod:`repro.algebra.operators`,
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from itertools import filterfalse
+from typing import Iterable, Iterator, List, Sequence, Set, Tuple
+
+from repro.xmldom.model import Node
 
 
 class Relation:
@@ -34,6 +37,18 @@ class Relation:
                 raise ValueError(
                     "row width %d does not match schema %r" % (len(row), self.schema)
                 )
+
+    @classmethod
+    def _trusted(cls, schema: Tuple[str, ...], rows: List[tuple]) -> "Relation":
+        """Internal: adopt ``rows`` as is.  For operator outputs, whose
+        rows are tuples of the right width by construction -- copying
+        and re-checking every intermediate join result is pure
+        overhead.  The public constructor keeps validating."""
+        self = object.__new__(cls)
+        self.schema = schema
+        self.rows = rows
+        self._indexes = {}
+        return self
 
     # -- schema helpers ------------------------------------------------
 
@@ -75,7 +90,7 @@ class Relation:
 
     @classmethod
     def single_column(cls, name: str, values: Iterable[object]) -> "Relation":
-        return cls((name,), [(value,) for value in values])
+        return cls._trusted((name,), [(value,) for value in values])
 
     def extend(self, other: "Relation") -> None:
         """Append the rows of a union-compatible relation."""
@@ -84,34 +99,63 @@ class Relation:
                 "union-incompatible schemas: %r vs %r" % (self.schema, other.schema)
             )
         self.rows.extend(other.rows)
-        self._indexes.clear()
+        self._index_rows(other.rows)
 
-    def replace_rows(self, rows: List[tuple]) -> None:
-        """Swap the row list in place, invalidating cached indexes."""
+    # -- bag upkeep (materialized relations) --------------------------------
+
+    def apply_delta(self, doomed: Set[tuple], fresh: Sequence[tuple]) -> int:
+        """Drop the ``doomed`` rows (collected from :meth:`index_by`
+        probes) and append ``fresh`` ones, keeping cached indexes in
+        step instead of discarding them.  Returns the rows dropped.
+
+        Survivors keep their relative order, fresh rows go to the end,
+        and :attr:`rows` is a *new* list after every call -- the durable
+        backend tracks changes by the list's identity, so callers skip
+        the call when there is nothing to drop or append.
+        """
+        # C-level compaction; a binding row hashes by cell identity.
+        rows = (
+            list(filterfalse(doomed.__contains__, self.rows))
+            if doomed
+            else list(self.rows)
+        )
+        dropped = len(self.rows) - len(rows)
+        rows.extend(fresh)
         self.rows = rows
-        self._indexes.clear()
+        for column, index in self._indexes.items():
+            position = self.column_index(column)
+            for key in {_cell_key(row[position]) for row in doomed}:
+                bucket = list(filterfalse(doomed.__contains__, index[key]))
+                if bucket:
+                    index[key] = bucket
+                else:
+                    del index[key]
+        self._index_rows(fresh)
+        return dropped
+
+    def _index_rows(self, rows: Sequence[tuple]) -> None:
+        for column, index in self._indexes.items():
+            position = self.column_index(column)
+            for row in rows:
+                index.setdefault(_cell_key(row[position]), []).append(row)
 
     def index_by(self, column: str) -> dict:
         """A cached hash index ``node ID -> rows`` on one column.
 
         Materialized relations (snowcaps) are probed repeatedly by the
-        structural join; the index plays the role of the B-tree a
-        disk-resident store would keep.  Invalidated by :meth:`extend`
-        and :meth:`replace_rows`; reordering rows does not invalidate
-        it (the mapping targets row tuples, not positions).
+        structural join and by the deletion upkeep; the index plays the
+        role of the B-tree a disk-resident store would keep.  Built on
+        first use, then kept in step by :meth:`extend` and
+        :meth:`apply_delta` (the only mutators).  Reordering rows does
+        not invalidate it (the mapping targets row tuples, not
+        positions).
         """
         index = self._indexes.get(column)
         if index is None:
-            from repro.xmldom.dewey import DeweyID
-            from repro.xmldom.model import Node
-
+            index = self._indexes[column] = {}
             position = self.column_index(column)
-            index = {}
             for row in self.rows:
-                cell = row[position]
-                key = cell.id if isinstance(cell, Node) else cell
-                index.setdefault(key, []).append(row)
-            self._indexes[column] = index
+                index.setdefault(_cell_key(row[position]), []).append(row)
         return index
 
     def reordered(self, schema: Sequence[str]) -> "Relation":
@@ -120,4 +164,11 @@ class Relation:
         if schema == self.schema:
             return self  # column order already matches; skip the row copy
         indices = [self.column_index(name) for name in schema]
-        return Relation(schema, [tuple(row[i] for i in indices) for row in self.rows])
+        return Relation._trusted(
+            schema, [tuple(row[i] for i in indices) for row in self.rows]
+        )
+
+
+def _cell_key(cell: object) -> object:
+    """Index key of a cell: a node's ID, or the cell itself (an ID)."""
+    return cell.id if isinstance(cell, Node) else cell

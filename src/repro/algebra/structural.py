@@ -61,17 +61,16 @@ def structural_join(
     by_id = left.index_by(left_column)
     schema = left.schema + right.schema
     out: List[tuple] = []
-    for row in right.rows:
-        node_id = _row_id(row, right_index)
-        if axis == "parent":
-            parent = node_id.parent()
-            candidates = [parent] if parent is not None else []
-        else:
-            candidates = list(node_id.ancestor_ids())
-        for ancestor_id in candidates:
-            for left_row in by_id.get(ancestor_id, ()):
+    if axis == "parent":
+        for row in right.rows:
+            for left_row in by_id.get(_row_id(row, right_index).parent(), ()):
                 out.append(left_row + row)
-    return Relation(schema, out)
+    else:
+        for row in right.rows:
+            for ancestor_id in _row_id(row, right_index).ancestor_ids():
+                for left_row in by_id.get(ancestor_id, ()):
+                    out.append(left_row + row)
+    return Relation._trusted(schema, out)
 
 
 def structural_semijoin(
@@ -95,7 +94,7 @@ def structural_semijoin(
         else:
             if any(ancestor in ids for ancestor in node_id.ancestor_ids()):
                 out.append(row)
-    return Relation(right.schema, out)
+    return Relation._trusted(right.schema, out)
 
 
 def stack_tree_pairs(

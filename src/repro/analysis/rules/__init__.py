@@ -1,6 +1,6 @@
 """Rule modules; importing this package registers every rule.
 
-Five families, one module each:
+Six families, one module each:
 
 * :mod:`~repro.analysis.rules.determinism` -- hash-seed / wall-clock /
   randomness hazards in packages whose iteration feeds ordered output,
@@ -13,13 +13,16 @@ Five families, one module each:
 * :mod:`~repro.analysis.rules.fragments` -- fragment/stats classes
   carry only pickle-lean allowlisted field types;
 * :mod:`~repro.analysis.rules.layering` -- the import DAG
-  (xmldom -> algebra/pattern -> ... -> sharding) admits no upward edge.
+  (xmldom -> algebra/pattern -> ... -> sharding) admits no upward edge;
+* :mod:`~repro.analysis.rules.hotpath` -- document-order sorts key by
+  ``DeweyID.sort_key`` (C comparisons), never by the ID object.
 """
 
 from repro.analysis.rules import (  # noqa: F401 (registration side effects)
     determinism,
     forksafety,
     fragments,
+    hotpath,
     layering,
     purity,
 )

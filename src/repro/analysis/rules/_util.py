@@ -46,3 +46,19 @@ def walk_shallow(scope: ast.AST) -> Iterator[ast.AST]:
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
+
+
+def sort_key_exprs(tree: ast.Module) -> Iterator[ast.AST]:
+    """The ``key=`` expressions of sorted()/min()/max()/.sort() calls."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        is_sort = (
+            isinstance(func, ast.Name) and func.id in ("sorted", "min", "max")
+        ) or (isinstance(func, ast.Attribute) and func.attr == "sort")
+        if not is_sort:
+            continue
+        for keyword in node.keywords:
+            if keyword.arg == "key":
+                yield keyword.value

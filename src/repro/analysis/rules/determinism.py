@@ -17,7 +17,12 @@ import ast
 from typing import Dict, Iterator, Optional, Set
 
 from repro.analysis.core import ORDERED_OUTPUT_PACKAGES, Finding, ModuleInfo, Rule, register
-from repro.analysis.rules._util import dotted_name, func_scopes, walk_shallow
+from repro.analysis.rules._util import (
+    dotted_name,
+    func_scopes,
+    sort_key_exprs,
+    walk_shallow,
+)
 
 _SET_CONSTRUCTORS = {"set", "frozenset"}
 _SET_METHODS = {
@@ -382,22 +387,6 @@ class ObsClockRule(Rule):
                 )
 
 
-def _sort_key_exprs(tree: ast.Module) -> Iterator[ast.AST]:
-    """The ``key=`` expressions of sorted()/min()/max()/.sort() calls."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        is_sort = (
-            isinstance(func, ast.Name) and func.id in ("sorted", "min", "max")
-        ) or (isinstance(func, ast.Attribute) and func.attr == "sort")
-        if not is_sort:
-            continue
-        for keyword in node.keywords:
-            if keyword.arg == "key":
-                yield keyword.value
-
-
 def _calls_to(expr: ast.AST, builtin: str) -> Iterator[ast.Call]:
     for node in ast.walk(expr):
         if (
@@ -420,7 +409,7 @@ class IdOrderRule(Rule):
     description = "ordering by id(); object addresses are not reproducible"
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for key_expr in _sort_key_exprs(module.tree):
+        for key_expr in sort_key_exprs(module.tree):
             if isinstance(key_expr, ast.Name) and key_expr.id == "id":
                 yield self.finding(
                     module, key_expr, "sorting by the id() builtin orders by "
@@ -459,7 +448,7 @@ class HashOrderRule(Rule):
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         flagged = set()
-        for key_expr in _sort_key_exprs(module.tree):
+        for key_expr in sort_key_exprs(module.tree):
             for call in _calls_to(key_expr, "hash"):
                 flagged.add(id(call))
                 yield self.finding(

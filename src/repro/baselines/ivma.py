@@ -47,7 +47,7 @@ class IVMAMaintainer:
         for node in pattern.nodes():
             if node.label == "*":
                 candidates: List[Node] = sorted(
-                    self.document.all_elements(), key=lambda n: n.id
+                    self.document.all_elements(), key=lambda n: n.id.sort_key
                 )
             else:
                 candidates = self.document.nodes_with_label(node.label)
@@ -86,7 +86,7 @@ class IVMAMaintainer:
         new_nodes: List[Node] = []
         for root in inserted_roots:
             new_nodes.extend(root.self_and_descendants())
-        new_nodes.sort(key=lambda n: n.id)
+        new_nodes.sort(key=lambda n: n.id.sort_key)
         pending: Set[DeweyID] = {n.id for n in new_nodes}
         started = time.perf_counter()
         for node in new_nodes:
@@ -112,7 +112,7 @@ class IVMAMaintainer:
         removed exactly once.
         """
         pattern = self.view.pattern
-        nodes = sorted(doomed, key=lambda n: n.id, reverse=True)
+        nodes = sorted(doomed, key=lambda n: n.id.sort_key, reverse=True)
         hidden: Set[DeweyID] = set()
         started = time.perf_counter()
         for node in nodes:

@@ -159,5 +159,5 @@ def doomed_nodes(targets: Sequence[Node]) -> List[Node]:
             if node.id not in seen:
                 seen.add(node.id)
                 out.append(node)
-    out.sort(key=lambda n: n.id)
+    out.sort(key=lambda n: n.id.sort_key)
     return out

@@ -654,31 +654,36 @@ class MaintenanceEngine:
         pattern: Pattern,
         excluded_ids: set,
         cache: Optional[Dict[str, List[Node]]] = None,
-        excluded_labels: Optional[set] = None,
+        excluded_by_label: Optional[Dict[str, List[DeweyID]]] = None,
     ) -> Sources:
         """σ-filtered canonical relations, minus the given node IDs.
 
         After an insert has been applied, R_old = R_new − Δ+.  Labels
         untouched by the update and free of value predicates reference
         the live canonical relation directly (no copy): term evaluation
-        never mutates its sources, so copying is pure overhead.
+        never mutates its sources, so copying is pure overhead.  A
+        touched label's Δ+ nodes are cut out at their bisected
+        positions (``Document.spliced_label``), so the cost follows the
+        excluded IDs of that label, not ``|R_label|``.
 
         ``cache`` (optional, label-keyed) shares the unpredicated
         post-exclusion rows across calls with the same ``excluded_ids``
         -- the batch pipeline passes one per batch so multi-view
-        maintenance filters each label once.  ``excluded_labels`` lets
-        callers that already know the excluded IDs' label set skip its
-        recomputation (it is O(|excluded_ids|)).
+        maintenance filters each label once.  ``excluded_by_label`` is
+        ``excluded_ids`` bucketed by label; callers that bucket once per
+        batch pass it so it is not rebuilt per call (O(|excluded_ids|)).
         """
-        if excluded_labels is None:
-            excluded_labels = {node_id.label for node_id in excluded_ids}
+        if excluded_by_label is None:
+            excluded_by_label = {}
+            for node_id in sorted(excluded_ids, key=lambda i: i.sort_key):
+                excluded_by_label.setdefault(node_id.label, []).append(node_id)
         sources: Sources = {}
         for node in pattern.nodes():
             if node.label == "*" and node.value_pred is None:
                 rows = None if cache is None else cache.get("*")
                 if rows is None:
                     candidates: List[Node] = sorted(
-                        self.document.all_elements(), key=lambda n: n.id
+                        self.document.all_elements(), key=lambda n: n.id.sort_key
                     )
                     rows = filter_by_predicate(candidates, node)
                     if excluded_ids:
@@ -695,12 +700,14 @@ class MaintenanceEngine:
                 rows = self.document.nodes_with_value(node.label, node.value_pred)
             else:
                 candidates = self.document.nodes_with_label(node.label)
-                if node.label not in excluded_labels:
+                if node.label not in excluded_by_label:
                     sources[node.name] = candidates
                     continue
                 rows = None if cache is None else cache.get(node.label)
                 if rows is None:
-                    rows = [n for n in candidates if n.id not in excluded_ids]
+                    rows = self.document.spliced_label(
+                        node.label, excluded_by_label[node.label]
+                    )
                     if cache is not None:
                         cache[node.label] = rows
                 sources[node.name] = rows
@@ -1124,7 +1131,7 @@ class MaintenanceEngine:
                     seen.add(walk.dewey)
                     chain.append(walk)
                     walk = walk.parent
-            chain.sort(key=lambda n: n.id)
+            chain.sort(key=lambda n: n.id.sort_key)
             for name, sigma_nodes in sigma_by_view.items():
                 if not sigma_nodes:
                     continue
@@ -1186,9 +1193,13 @@ class MaintenanceEngine:
         # Same float as the report field: trace and report stay equal.
         self.obs.tracer.record("net_effects", report.net_effects_seconds)
 
-        # Label-keyed source rows shared by every view this batch (the
+        # Δ+ IDs bucketed by label once (document order), and the
+        # label-keyed source rows shared by every view this batch (the
         # per-view σ push-down happens on top of them).
-        inserted_labels = set(inserted_candidates.by_label)
+        inserted_by_label = {
+            label: [node.id for node in nodes]
+            for label, nodes in inserted_candidates.by_label.items()
+        }
         survivor_cache: Dict[str, List[Node]] = {}
         pre_batch_cache: Dict[str, List[Node]] = {}
 
@@ -1199,7 +1210,7 @@ class MaintenanceEngine:
                 watch=watch,
                 inserted_candidates=inserted_candidates,
                 inserted_ids=inserted_ids,
-                inserted_labels=inserted_labels,
+                inserted_by_label=inserted_by_label,
                 removed_candidates=removed_candidates,
                 removed_ids=removed_ids,
                 dirty_nodes=dirty_nodes,
@@ -1228,7 +1239,7 @@ class MaintenanceEngine:
         watch: Dict[str, Dict[Tuple[DeweyID, str], bool]],
         inserted_candidates: BatchCandidates,
         inserted_ids: set,
-        inserted_labels: set,
+        inserted_by_label: Dict[str, List[DeweyID]],
         removed_candidates: BatchCandidates,
         removed_ids: set,
         dirty_nodes: Sequence[Node],
@@ -1350,7 +1361,7 @@ class MaintenanceEngine:
                         registered=ctx.registered,
                         removed_candidates=removed_candidates,
                         inserted_ids=inserted_ids,
-                        inserted_labels=inserted_labels,
+                        inserted_by_label=inserted_by_label,
                         source_cache=pre_batch_cache,
                         flips=set(ctx.flips) if ctx.flips else None,
                     )
@@ -1372,7 +1383,7 @@ class MaintenanceEngine:
                         registered=ctx.registered,
                         inserted_candidates=inserted_candidates,
                         inserted_ids=inserted_ids,
-                        inserted_labels=inserted_labels,
+                        inserted_by_label=inserted_by_label,
                         insert_target_ids=insert_target_ids,
                         source_cache=survivor_cache,
                     )
@@ -1397,7 +1408,7 @@ class MaintenanceEngine:
                         minus_sets=ctx.minus_sets,
                         plus_sets=ctx.plus_sets,
                         inserted_ids=inserted_ids,
-                        inserted_labels=inserted_labels,
+                        inserted_by_label=inserted_by_label,
                         source_cache=survivor_cache,
                     )
                 )
@@ -1419,7 +1430,7 @@ class MaintenanceEngine:
                             self._sources_pre_batch(
                                 ctx.registered.pattern,
                                 inserted_ids,
-                                inserted_labels,
+                                inserted_by_label,
                                 removed_candidates,
                                 pre_batch_cache,
                                 flips=set(ctx.flips) if ctx.flips else None,
@@ -1434,7 +1445,7 @@ class MaintenanceEngine:
                                 ctx.registered.pattern,
                                 inserted_ids,
                                 cache=survivor_cache,
-                                excluded_labels=inserted_labels,
+                                excluded_by_label=inserted_by_label,
                             )
 
         # -- execute: one round when the batch is insert-only, two when
@@ -1473,7 +1484,7 @@ class MaintenanceEngine:
                     ctx.registered.pattern,
                     inserted_ids,
                     cache=survivor_cache,
-                    excluded_labels=inserted_labels,
+                    excluded_by_label=inserted_by_label,
                 )
                 drops, flip_additions = flip_lattice_repair(
                     ctx.registered.pattern,
@@ -1783,7 +1794,7 @@ class MaintenanceEngine:
         self,
         pattern: Pattern,
         inserted_ids: set,
-        inserted_labels: set,
+        inserted_by_label: Dict[str, List[DeweyID]],
         removed_candidates: BatchCandidates,
         cache: Optional[Dict[str, List[Node]]] = None,
         flips: Optional[set] = None,
@@ -1824,7 +1835,7 @@ class MaintenanceEngine:
             )
             if (
                 label != "*"
-                and label not in inserted_labels
+                and label not in inserted_by_label
                 and label not in removed_candidates.by_label
                 and not sigma_flipped
             ):
@@ -1849,14 +1860,16 @@ class MaintenanceEngine:
                         for candidate in removed_candidates.nodes
                         if candidate.kind == "element"
                     )
+                    base.sort(key=lambda n: n.id.sort_key)
                 else:
-                    base = [
-                        candidate
-                        for candidate in self.document.nodes_with_label(label)
-                        if candidate.id not in inserted_ids
-                    ]
-                    base.extend(removed_candidates.by_label.get(label, ()))
-                base.sort(key=lambda n: n.id)
+                    # Δ+ cut out of / Δ− merged into the live relation
+                    # at bisected positions: O(|Δ_label| log |R_label|)
+                    # plus C-level slice copies.
+                    base = self.document.spliced_label(
+                        label,
+                        inserted_by_label.get(label, ()),
+                        removed_candidates.by_label.get(label, ()),
+                    )
                 cache[label] = base
             if node.value_pred is not None and sigma_flipped:
                 # Removed candidates are never flip keys (flips track
@@ -1890,7 +1903,7 @@ class MaintenanceEngine:
         self,
         pattern: Pattern,
         inserted_ids: set,
-        inserted_labels: set,
+        inserted_by_label: Dict[str, List[DeweyID]],
         cache: Optional[Dict[str, List[Node]]],
         minus_sets: Dict[str, List[Node]],
         plus_sets: Dict[str, List[Node]],
@@ -1907,7 +1920,7 @@ class MaintenanceEngine:
         doomed-embedding sets disjoint.
         """
         sources = self._sources_excluding(
-            pattern, inserted_ids, cache=cache, excluded_labels=inserted_labels
+            pattern, inserted_ids, cache=cache, excluded_by_label=inserted_by_label
         )
         for name in sorted(set(minus_sets) | set(plus_sets)):
             rows = sources.get(name)
@@ -1920,7 +1933,7 @@ class MaintenanceEngine:
                 else list(rows)
             )
             adjusted.extend(minus_sets.get(name, ()))
-            adjusted.sort(key=lambda n: n.id)
+            adjusted.sort(key=lambda n: n.id.sort_key)
             sources[name] = adjusted
         return sources
 
@@ -1958,7 +1971,7 @@ class MaintenanceEngine:
                 candidate = self.document.node_by_id(candidate_id)
                 if candidate is not None:
                     chain.append(candidate)
-        chain.sort(key=lambda n: n.id)
+        chain.sort(key=lambda n: n.id.sort_key)
         return _watch_entries(sigma_nodes, chain)
 
     def _watch_changed(self, watch: List[Tuple[DeweyID, str, bool]]) -> bool:

@@ -36,11 +36,7 @@ from repro.pattern.evaluate import Sources, project_bindings
 from repro.pattern.tree_pattern import Pattern
 from repro.views.lattice import SnowcapLattice
 from repro.views.view import MaterializedView
-from repro.xmldom.dewey import (
-    DeweyID,
-    has_descendant_or_self,
-    has_strict_descendant,
-)
+from repro.xmldom.dewey import DeweyID
 from repro.xmldom.model import Document, Node
 
 
@@ -127,39 +123,53 @@ def collect_attribute_refreshes(
 ) -> List[Tuple[tuple, tuple]]:
     """The read-only half of the PIMT/PDMT rewrite loop.
 
-    Scans the extent snapshot and returns the ``(old row, new row)``
-    rewrite pairs without touching the view -- the sharded pipeline
-    computes these on workers (the pairs are plain picklable tuples)
-    and applies them on the owning process.
+    A surviving stored node's attributes changed iff it is an
+    ancestor-or-self of an insertion target or a proper ancestor of a
+    deletion target.  The test is inverted into a probe: the Dewey
+    chains of the targets give the set of affected IDs once per batch
+    (O(|targets| x depth), shared ID objects, no allocation), and each
+    stored content-node ID is one hash membership test against it while
+    the extent is read lazily in place.
+
+    Returns the ``(old row, new row)`` rewrite pairs without touching
+    the view -- the sharded pipeline computes these on workers (the
+    pairs are plain picklable tuples) and applies them on the owning
+    process.
     """
     pattern = view.pattern
     cvn = pattern.content_nodes()
     if not cvn or (not insert_target_ids and not delete_target_ids):
         return []
-    sorted_insert_targets = sorted(set(insert_target_ids))
-    sorted_delete_targets = sorted(set(delete_target_ids))
-    columns = pattern.return_columns()
-    column_index = {pair: i for i, pair in enumerate(columns)}
+    affected: set = set(insert_target_ids)
+    for target_ids in (insert_target_ids, delete_target_ids):
+        for target_id in target_ids:
+            affected.update(target_id.ancestor_ids())
+    column_index = {pair: i for i, pair in enumerate(pattern.return_columns())}
+    # (ID column, val column or None, cont column or None) per content node.
+    probes = [
+        (
+            column_index[(node.name, "ID")],
+            column_index[(node.name, "val")] if node.store_val else None,
+            column_index[(node.name, "cont")] if node.store_cont else None,
+        )
+        for node in cvn
+    ]
     replacements: List[Tuple[tuple, tuple]] = []
-    for row, _count in view.content():
+    for row, _count in view.iter_content():
         new_row = None
-        for node in cvn:
-            id_index = column_index[(node.name, "ID")]
-            stored_id: DeweyID = row[id_index]
-            touched = has_descendant_or_self(
-                sorted_insert_targets, stored_id
-            ) or has_strict_descendant(sorted_delete_targets, stored_id)
-            if not touched:
+        for id_index, val_index, cont_index in probes:
+            stored_id = row[id_index]
+            if stored_id not in affected:
                 continue
             doc_node = document.node_by_id(stored_id)
             if doc_node is None:
                 continue  # removed with its subtree; Δ− handles the tuple
             if new_row is None:
                 new_row = list(row)
-            if node.store_val:
-                new_row[column_index[(node.name, "val")]] = doc_node.val
-            if node.store_cont:
-                new_row[column_index[(node.name, "cont")]] = doc_node.cont
+            if val_index is not None:
+                new_row[val_index] = doc_node.val
+            if cont_index is not None:
+                new_row[cont_index] = doc_node.cont
         if new_row is not None and tuple(new_row) != row:
             replacements.append((row, tuple(new_row)))
     return replacements
@@ -180,15 +190,11 @@ def refresh_stored_attributes(
     insert_target_ids: Sequence[DeweyID],
     delete_target_ids: Sequence[DeweyID],
 ) -> int:
-    """The shared PIMT/PDMT rewrite loop: one snapshot pass.
+    """The shared PIMT/PDMT rewrite loop: collect, then apply.
 
-    A surviving stored node's attributes changed iff it is an
-    ancestor-or-self of an insertion target or a proper ancestor of a
-    deletion target -- ID-only tests, merged over however many
-    statements contributed targets (the batch pipeline passes both
-    lists at once so the view extent is scanned a single time); target
-    lists are deduplicated and sorted up front so each stored node is
-    probed with one bisect per kind, not one comparison per target.
+    The ID-only tests are merged over however many statements
+    contributed targets (the batch pipeline passes both lists at once
+    so the view extent is read a single time).
     Rewrites read the *final* document state, so candidate overshoot
     (e.g. targets whose effect was later cancelled) degrades to a no-op
     rewrite.  Returns the number of rewritten tuples.

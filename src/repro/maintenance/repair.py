@@ -79,7 +79,8 @@ def _restrict_to_flip_ancestors(
     if not path_names:
         return r_sources
     chain_ids = sorted(
-        {ancestor_id for node in nodes for ancestor_id in node.id.ancestor_ids()}
+        {ancestor_id for node in nodes for ancestor_id in node.id.ancestor_ids()},
+        key=lambda ancestor_id: ancestor_id.sort_key,
     )
     restricted = dict(r_sources)
     for path_name in path_names:

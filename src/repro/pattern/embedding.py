@@ -83,7 +83,7 @@ def evaluate_embeddings(pattern: Pattern, document: Document) -> Relation:
             for node in document.root.self_and_descendants()
             if _matches(root, node)
         ]
-        roots.sort(key=lambda n: n.id)
+        roots.sort(key=lambda n: n.id.sort_key)
     rows: List[tuple] = []
     for start in roots:
         rows.extend(_match_subtree(root, start, memo))

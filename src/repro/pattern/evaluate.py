@@ -37,7 +37,7 @@ def _node_source(document: Document, node: PatternNode) -> List[Node]:
             # Wildcard σ-constant selection: the all-labels value index,
             # not an all_elements() scan.
             return document.nodes_with_value("*", node.value_pred)
-        return sorted(document.all_elements(), key=lambda n: n.id)
+        return sorted(document.all_elements(), key=lambda n: n.id.sort_key)
     if node.value_pred is not None:
         # σ-constant selection: an index lookup, not a relation scan.
         return document.nodes_with_value(node.label, node.value_pred)

@@ -30,10 +30,17 @@ Saxon -- finding target nodes -- which we replace here).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.pattern.tree_pattern import Pattern, PatternNode
-from repro.xmldom.model import AttributeNode, Document, ElementNode, Node, TextNode
+from repro.xmldom.model import (
+    TEXT_LABEL,
+    AttributeNode,
+    Document,
+    ElementNode,
+    Node,
+    TextNode,
+)
 
 
 class XPathSyntaxError(ValueError):
@@ -64,7 +71,7 @@ class Step:
 class FilterExpr:
     """Base class of predicate expressions."""
 
-    def evaluate(self, node: Node) -> bool:
+    def evaluate(self, node: Node, document: Document) -> bool:
         raise NotImplementedError
 
     def is_conjunctive(self) -> bool:
@@ -77,8 +84,8 @@ class ExistsFilter(FilterExpr):
     def __init__(self, path: "PathExpr"):
         self.path = path
 
-    def evaluate(self, node: Node) -> bool:
-        return any(True for _ in self.path.match_from(node))
+    def evaluate(self, node: Node, document: Document) -> bool:
+        return bool(self.path.match_from(node, document))
 
     def is_conjunctive(self) -> bool:
         return all(
@@ -101,10 +108,13 @@ class ValueFilter(FilterExpr):
         self.path = path
         self.constant = constant
 
-    def evaluate(self, node: Node) -> bool:
+    def evaluate(self, node: Node, document: Document) -> bool:
         if self.path is None:
             return node.val == self.constant
-        return any(match.val == self.constant for match in self.path.match_from(node))
+        return any(
+            match.val == self.constant
+            for match in self.path.match_from(node, document)
+        )
 
     def is_conjunctive(self) -> bool:
         return True
@@ -117,8 +127,8 @@ class AndFilter(FilterExpr):
     def __init__(self, parts: Sequence[FilterExpr]):
         self.parts = list(parts)
 
-    def evaluate(self, node: Node) -> bool:
-        return all(part.evaluate(node) for part in self.parts)
+    def evaluate(self, node: Node, document: Document) -> bool:
+        return all(part.evaluate(node, document) for part in self.parts)
 
     def is_conjunctive(self) -> bool:
         return all(part.is_conjunctive() for part in self.parts)
@@ -131,8 +141,8 @@ class OrFilter(FilterExpr):
     def __init__(self, parts: Sequence[FilterExpr]):
         self.parts = list(parts)
 
-    def evaluate(self, node: Node) -> bool:
-        return any(part.evaluate(node) for part in self.parts)
+    def evaluate(self, node: Node, document: Document) -> bool:
+        return any(part.evaluate(node, document) for part in self.parts)
 
     def is_conjunctive(self) -> bool:
         return False
@@ -142,7 +152,14 @@ class OrFilter(FilterExpr):
 
 
 class PathExpr:
-    """A parsed path: absolute (anchored at the document root) or relative."""
+    """A parsed path: absolute (anchored at the document root) or relative.
+
+    Evaluation never walks a subtree for a name test: a ``//label``
+    step reads the label's document-ordered canonical relation -- all
+    of it for the first step of an absolute path, the bisected run
+    under each context node otherwise (Dewey order keeps a subtree
+    contiguous).  Only ``//*`` has no relation to read and walks.
+    """
 
     def __init__(self, steps: Sequence[Step], absolute: bool):
         if not steps:
@@ -152,65 +169,34 @@ class PathExpr:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _step_matches(self, step: Step, context: Node) -> Iterator[Node]:
-        """Nodes reachable from ``context`` through one step."""
-        if not isinstance(context, ElementNode):
-            return
-        if step.axis == "child":
-            candidates: Iterator[Node] = iter(context.children)
-        else:
-            candidates = context.descendants()
-        for node in candidates:
-            if _test_matches(step.test, node) and all(
-                pred.evaluate(node) for pred in step.predicates
-            ):
-                yield node
-
-    def match_from(self, context: Node) -> Iterator[Node]:
-        """All nodes reached from ``context`` (relative semantics)."""
+    def match_from(self, context: Node, document: Document) -> List[Node]:
+        """All nodes reached from ``context`` (relative semantics), in
+        document order."""
         frontier: List[Node] = [context]
         for step in self.steps:
-            seen = set()
-            next_frontier: List[Node] = []
-            for node in frontier:
-                for match in self._step_matches(step, node):
-                    if match.id not in seen:
-                        seen.add(match.id)
-                        next_frontier.append(match)
-            next_frontier.sort(key=lambda n: n.id)
-            frontier = next_frontier
-            if not frontier:
-                break
-        return iter(frontier)
+            frontier = _advance(step, frontier, document)
+        return frontier
 
     def evaluate(self, document: Document) -> List[Node]:
         """Absolute evaluation: target nodes in document order."""
-        first, rest = self.steps[0], self.steps[1:]
-        roots: List[Node] = []
+        first = self.steps[0]
         root = document.root
         if first.axis == "child":
-            if _test_matches(first.test, root) and all(
-                pred.evaluate(root) for pred in first.predicates
-            ):
-                roots.append(root)
+            frontier: List[Node] = [root] if _test_matches(first.test, root) else []
         else:
-            for node in [root, *root.descendants()]:
-                if _test_matches(first.test, node) and all(
-                    pred.evaluate(node) for pred in first.predicates
-                ):
-                    roots.append(node)
-        if not rest:
-            return roots
-        tail = PathExpr(rest, absolute=False)
-        out: List[Node] = []
-        seen = set()
-        for start in roots:
-            for match in tail.match_from(start):
-                if match.id not in seen:
-                    seen.add(match.id)
-                    out.append(match)
-        out.sort(key=lambda n: n.id)
-        return out
+            label = _relation_label(first.test)
+            if label is None:
+                frontier = [
+                    node
+                    for node in root.self_and_descendants()
+                    if _test_matches(first.test, node)
+                ]
+            else:
+                frontier = list(document.nodes_with_label(label))
+        frontier = _filtered(first, frontier, document)
+        for step in self.steps[1:]:
+            frontier = _advance(step, frontier, document)
+        return frontier
 
     # -- properties ------------------------------------------------------------
 
@@ -229,6 +215,65 @@ def _test_matches(test: str, node: Node) -> bool:
     if test.startswith("@"):
         return isinstance(node, AttributeNode) and node.label == test
     return isinstance(node, ElementNode) and node.label == test
+
+
+def _relation_label(test: str) -> Optional[str]:
+    """The canonical relation holding exactly the nodes a name test
+    accepts (labels partition node kinds: ``@name`` attributes,
+    ``#text`` text nodes, bare element names); None for ``*``."""
+    if test == "*":
+        return None
+    return TEXT_LABEL if test == "text()" else test
+
+
+def _filtered(step: Step, nodes: List[Node], document: Document) -> List[Node]:
+    if not step.predicates:
+        return nodes
+    return [
+        node
+        for node in nodes
+        if all(pred.evaluate(node, document) for pred in step.predicates)
+    ]
+
+
+def _advance(step: Step, frontier: List[Node], document: Document) -> List[Node]:
+    """One location step from a document-ordered, duplicate-free
+    frontier to the next one."""
+    if step.axis == "child":
+        # Distinct parents have disjoint child lists; only their
+        # interleaving (nested contexts) can break document order.
+        reached = [
+            child
+            for context in frontier
+            if isinstance(context, ElementNode)
+            for child in context.children
+            if _test_matches(step.test, child)
+        ]
+        if len(frontier) > 1:
+            reached.sort(key=lambda n: n.id.sort_key)
+    else:
+        # A context nested under an earlier one contributes nothing new
+        # (an ID-only test); the remaining subtrees are disjoint and in
+        # document order, so their runs simply concatenate.
+        contexts: List[Node] = []
+        for context in frontier:
+            if not (contexts and contexts[-1].id.is_ancestor_of(context.id)):
+                contexts.append(context)
+        label = _relation_label(step.test)
+        if label is None:
+            reached = [
+                node
+                for context in contexts
+                for node in context.descendants()
+                if _test_matches(step.test, node)
+            ]
+        else:
+            reached = [
+                node
+                for context in contexts
+                for node in document.descendants_with_label(context, label)
+            ]
+    return _filtered(step, reached, document)
 
 
 # ---------------------------------------------------------------------------

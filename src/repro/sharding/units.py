@@ -161,7 +161,7 @@ class DeleteSideUnit(ShardWorkUnit):
         registered,
         removed_candidates: BatchCandidates,
         inserted_ids: set,
-        inserted_labels: set,
+        inserted_by_label: Dict[str, list],
         source_cache: Optional[dict],
         flips: Optional[set] = None,
     ):
@@ -170,7 +170,7 @@ class DeleteSideUnit(ShardWorkUnit):
         self.registered = registered
         self.removed_candidates = removed_candidates
         self.inserted_ids = inserted_ids
-        self.inserted_labels = inserted_labels
+        self.inserted_by_label = inserted_by_label
         self.source_cache = source_cache
         #: ``(node ID, constant)`` keys of σ flips in this batch; the
         #: pre-batch relation reconstruction XOR-corrects against them.
@@ -202,7 +202,7 @@ class DeleteSideUnit(ShardWorkUnit):
         old_sources = self.engine._sources_pre_batch(
             pattern,
             self.inserted_ids,
-            self.inserted_labels,
+            self.inserted_by_label,
             self.removed_candidates,
             self.source_cache,
             flips=self.flips,
@@ -229,7 +229,7 @@ class InsertSideUnit(ShardWorkUnit):
         registered,
         inserted_candidates: BatchCandidates,
         inserted_ids: set,
-        inserted_labels: set,
+        inserted_by_label: Dict[str, list],
         insert_target_ids,
         source_cache: Optional[dict],
         ship_ids: bool = True,
@@ -239,7 +239,7 @@ class InsertSideUnit(ShardWorkUnit):
         self.registered = registered
         self.inserted_candidates = inserted_candidates
         self.inserted_ids = inserted_ids
-        self.inserted_labels = inserted_labels
+        self.inserted_by_label = inserted_by_label
         self.insert_target_ids = insert_target_ids
         self.source_cache = source_cache
         #: True when the fragment crosses a process boundary: binding
@@ -275,7 +275,7 @@ class InsertSideUnit(ShardWorkUnit):
             pattern,
             self.inserted_ids,
             cache=self.source_cache,
-            excluded_labels=self.inserted_labels,
+            excluded_by_label=self.inserted_by_label,
         )
         additions, stats.eval_seconds = collect_insert_additions(
             pattern, terms, r_sources, delta_plus, self.registered.lattice
@@ -335,7 +335,7 @@ class SigmaRepairUnit(ShardWorkUnit):
         minus_sets: Dict[str, list],
         plus_sets: Dict[str, list],
         inserted_ids: set,
-        inserted_labels: set,
+        inserted_by_label: Dict[str, list],
         source_cache: Optional[dict],
     ):
         super().__init__(view_name, shard, labels, estimate)
@@ -344,7 +344,7 @@ class SigmaRepairUnit(ShardWorkUnit):
         self.minus_sets = minus_sets
         self.plus_sets = plus_sets
         self.inserted_ids = inserted_ids
-        self.inserted_labels = inserted_labels
+        self.inserted_by_label = inserted_by_label
         self.source_cache = source_cache
 
     def execute(self) -> Tuple[Dict[tuple, tuple], Dict[tuple, int], UnitStats]:
@@ -361,7 +361,7 @@ class SigmaRepairUnit(ShardWorkUnit):
             pre_sources = self.engine._sources_flip_pre(
                 pattern,
                 self.inserted_ids,
-                self.inserted_labels,
+                self.inserted_by_label,
                 self.source_cache,
                 self.minus_sets,
                 self.plus_sets,
@@ -376,7 +376,7 @@ class SigmaRepairUnit(ShardWorkUnit):
                 pattern,
                 self.inserted_ids,
                 cache=self.source_cache,
-                excluded_labels=self.inserted_labels,
+                excluded_by_label=self.inserted_by_label,
             )
             embeddings, seconds = collect_flip_embeddings(
                 pattern, self.plus_sets, r_sources, "+"

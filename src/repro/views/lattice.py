@@ -35,6 +35,14 @@ from repro.xmldom.model import Document, Node
 NodeSet = FrozenSet[str]
 
 
+def _probe(index: dict, ids: Iterable[DeweyID], doomed: Set[tuple]) -> None:
+    """Collect the rows an ``ID -> rows`` index holds for ``ids``."""
+    for node_id in ids:
+        rows = index.get(node_id)
+        if rows:
+            doomed.update(rows)
+
+
 def _parent_map(pattern: Pattern) -> Dict[str, Optional[str]]:
     return {node.name: pattern.parent_of(node.name) for node in pattern.nodes()}
 
@@ -187,6 +195,18 @@ class SnowcapLattice:
             snowcap_chain(pattern, self.update_profile) if strategy == "snowcaps" else []
         )
         self._materialized: Dict[NodeSet, Relation] = {}
+        # Per snowcap, the (name, label) of its leaves: the names with
+        # no pattern child inside it -- the only columns the deletion
+        # upkeep has to probe (see apply_batch).
+        self._leaf_columns: Dict[NodeSet, List[Tuple[str, str]]] = {}
+        edges = pattern.edges()
+        for subset in self.selected:
+            inner = {parent.name for parent, child in edges if child.name in subset}
+            self._leaf_columns[subset] = [
+                (node.name, node.label)
+                for node in pattern.nodes()
+                if node.name in subset and node.name not in inner
+            ]
 
     # -- materialization ------------------------------------------------------
 
@@ -230,41 +250,35 @@ class SnowcapLattice:
     ) -> int:
         """Merged upkeep: drop doomed rows and append fresh ones.
 
-        One filter + extend pass per touched relation, however many
-        statements contributed to ``deleted_ids``/``additions``;
-        returns the number of rows removed.  Untouched relations are
-        left as-is (no copy).
+        Doomed rows are *found by probe*, not by filtering every stored
+        row: deletes take whole subtrees, so a row binding a deleted
+        node anywhere also binds one at a leaf column of its snowcap,
+        and the deleted IDs of a leaf's label are looked up in the
+        relation's ``ID -> rows`` index on that column.  A relation no
+        deleted label reaches is skipped without reading its rows; one
+        that loses or gains rows is rewritten once, however many
+        statements contributed to ``deleted_ids``/``additions``.
+        Returns the number of rows removed.
 
         Stored relations are *bags*: materialization produces them in
         document order, but incremental upkeep appends fresh rows at
         the end instead of re-sorting ``O(n)`` rows per batch -- every
         consumer is order-free (hash-indexed structural joins, ID-keyed
-        deletion filters, multiset comparisons), so only the multiset
+        deletion probes, multiset comparisons), so only the multiset
         of rows is part of the contract.
         """
+        deleted_by_label: Dict[str, List[DeweyID]] = {}
+        for node_id in sorted(deleted_ids, key=lambda i: i.sort_key):
+            deleted_by_label.setdefault(node_id.label, []).append(node_id)
         removed = 0
         for subset, relation in self._materialized.items():
-            extra = additions.get(subset)
-            has_extra = extra is not None and bool(extra.rows)
-            kept = relation.rows
-            if deleted_ids:
-                kept = [
-                    row
-                    for row in relation.rows
-                    if not any(cell.id in deleted_ids for cell in row)
-                ]
-                removed += len(relation.rows) - len(kept)
-                if not has_extra and len(kept) == len(relation.rows):
-                    continue  # nothing actually dropped
-            elif not has_extra:
-                continue
-            if kept is relation.rows:
-                kept = list(kept)
-            if has_extra:
-                kept.extend(extra.reordered(relation.schema).rows)
-            # Appending/filtering changes positions only; cached indexes
-            # map IDs to row tuples and are invalidated by replace_rows.
-            relation.replace_rows(kept)
+            doomed: Set[tuple] = set()
+            if deleted_by_label:
+                for name, label in self._leaf_columns[subset]:
+                    ids = deleted_ids if label == "*" else deleted_by_label.get(label)
+                    if ids:
+                        _probe(relation.index_by(name), ids, doomed)
+            removed += self._apply_delta(subset, relation, doomed, additions)
         return removed
 
     def apply_flip_repair(
@@ -277,39 +291,35 @@ class SnowcapLattice:
         ``drops_by_name`` maps a σ pattern-node name to the IDs whose
         value predicate flipped false: a stored row dies only when the
         flipped node is bound *at that name's column* (unlike
-        :meth:`apply_batch`, whose deletion filter is column-blind --
+        :meth:`apply_batch`, whose deletion probe is label-driven --
         a node removed from the document can bind nowhere, but a
-        flipped node may still bind other, non-σ columns).
+        flipped node may still bind other, non-σ columns), so each
+        name's IDs are probed into the index on exactly that column.
         ``additions`` carries the flipped-true rows per snowcap, as in
         :meth:`apply_batch`.  Returns the number of rows dropped.
         """
         removed = 0
         for subset, relation in self._materialized.items():
-            columns = [
-                (index, drops_by_name[name])
-                for index, name in enumerate(relation.schema)
-                if name in drops_by_name and drops_by_name[name]
-            ]
-            extra = additions.get(subset)
-            has_extra = extra is not None and bool(extra.rows)
-            kept = relation.rows
-            if columns:
-                kept = [
-                    row
-                    for row in relation.rows
-                    if not any(row[index].id in doomed for index, doomed in columns)
-                ]
-                removed += len(relation.rows) - len(kept)
-                if not has_extra and len(kept) == len(relation.rows):
-                    continue
-            elif not has_extra:
-                continue
-            if kept is relation.rows:
-                kept = list(kept)
-            if has_extra:
-                kept.extend(extra.reordered(relation.schema).rows)
-            relation.replace_rows(kept)
+            doomed: Set[tuple] = set()
+            for name in relation.schema:
+                ids = drops_by_name.get(name)
+                if ids:
+                    _probe(relation.index_by(name), ids, doomed)
+            removed += self._apply_delta(subset, relation, doomed, additions)
         return removed
+
+    def _apply_delta(
+        self,
+        subset: NodeSet,
+        relation: Relation,
+        doomed: Set[tuple],
+        additions: Dict[NodeSet, Relation],
+    ) -> int:
+        extra = additions.get(subset)
+        fresh = extra.reordered(relation.schema).rows if extra else ()
+        if not doomed and not fresh:
+            return 0  # untouched: the row list keeps its identity
+        return relation.apply_delta(doomed, fresh)
 
     def apply_insert_additions(self, additions: Dict[NodeSet, Relation]) -> None:
         """Append freshly derived rows to materialized snowcaps.

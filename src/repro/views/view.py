@@ -9,7 +9,7 @@ only when its count reaches zero (Example 4.8).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.pattern.evaluate import evaluate_view, view_columns
 from repro.pattern.tree_pattern import Pattern
@@ -113,6 +113,11 @@ class MaterializedView:
         rewrite tuples mid-scan).
         """
         return self._store.snapshot()
+
+    def iter_content(self) -> Iterator[Tuple[ViewTuple, int]]:
+        """:meth:`content` read lazily off the live store (no copy);
+        the caller must not mutate the view while consuming it."""
+        return self._store.items()
 
     def rows(self) -> List[ViewTuple]:
         return self._store.keys()

@@ -176,6 +176,41 @@ class _PaddedKey:
         return self._cmp(other) == 0
 
 
+def _in_band(ordinal) -> bool:
+    """No negative component past the first: all the ordinal generators
+    ever produce."""
+    return len(ordinal) == 1 or min(ordinal[1:]) >= 0
+
+
+def _order_key(steps):
+    """Document-order key of a step tuple: plain ``(ordinal, label)``
+    pairs compare like the padded ordinal comparison of ``_compare``
+    because normalized ordinals carry no trailing zeros and in-band
+    ordinals are negative in their *first* component only (so a proper
+    prefix always zero-pads to something <= its extensions).
+    Out-of-band ordinals get a padded-semantics key object."""
+    pairs = tuple([(ordinal, label) for label, ordinal in steps])
+    for ordinal, _label in pairs:
+        if not _in_band(ordinal):
+            return _PaddedKey(pairs)
+    return pairs
+
+
+def _extend_key(key, ordinal, label):
+    """``_order_key`` of a step tuple, from the key of its proper
+    prefix and its last step -- without rebuilding the prefix's pairs."""
+    padded = type(key) is not tuple
+    pairs = (key.pairs if padded else key) + ((ordinal, label),)
+    if padded or not _in_band(ordinal):
+        return _PaddedKey(pairs)
+    return pairs
+
+
+#: (ordinal, label) sorting after every child step: closes a subtree's
+#: key range.
+_SUBTREE_END = ((float("inf"),), "")
+
+
 class DeweyID:
     """A structural node identifier: a tuple of ``(label, ordinal)`` steps.
 
@@ -184,7 +219,7 @@ class DeweyID:
     dynamic ordinals).
     """
 
-    __slots__ = ("steps", "_hash", "_key", "_ancestors")
+    __slots__ = ("steps", "_hash", "_key", "_parent")
 
     def __init__(self, steps: Sequence[Tuple[str, Sequence[int]]]):
         if not steps:
@@ -192,22 +227,14 @@ class DeweyID:
         self.steps: Tuple[Tuple[str, Ordinal], ...] = tuple(
             (label, _normalize(ordinal)) for label, ordinal in steps
         )
-        # Precomputed document-order key: plain tuple comparison over
-        # (ordinal, label) pairs matches the padded ordinal comparison
-        # of _compare because normalized ordinals carry no trailing
-        # zeros and the ordinal generators only ever produce negative
-        # values in an ordinal's *first* component (so a proper prefix
-        # always zero-pads to something <= its extensions).  Comparing
-        # via this key keeps the hot sorts/bisects in C.  IDs built
-        # from out-of-band ordinals violating that invariant fall back
-        # to a padded-semantics key object.
-        pairs = tuple((ordinal, label) for label, ordinal in self.steps)
-        if any(part < 0 for ordinal, _ in pairs for part in ordinal[1:]):
-            self._key = _PaddedKey(pairs)
-        else:
-            self._key = pairs
+        # Precomputed document-order key: comparing via it keeps the
+        # hot sorts/bisects in C.
+        self._key = _order_key(self.steps)
         self._hash = hash(self.steps)
-        self._ancestors: "Tuple[DeweyID, ...] | None" = None
+        # The parent's ID *object*: set by child() (shared with the
+        # parent node, no allocation), linked lazily for IDs built from
+        # bare steps.  Never pickled (see __reduce__).
+        self._parent: "DeweyID | None" = None
 
     # -- construction -------------------------------------------------
 
@@ -217,29 +244,38 @@ class DeweyID:
         return cls(((label, (1,)),))
 
     @classmethod
-    def _from_steps(cls, steps: Tuple[Tuple[str, Ordinal], ...]) -> "DeweyID":
-        """Internal: build from *already-normalized* steps.
+    def _from_steps(
+        cls, steps: Tuple[Tuple[str, Ordinal], ...], key=None
+    ) -> "DeweyID":
+        """Internal: build from *already-normalized* steps (and their
+        order key, when the caller derived it already).
 
-        ``child`` / ``parent`` / ``ancestor_ids`` derive IDs whose steps
-        are prefixes (or one-step extensions) of an existing ID, so the
-        per-step normalization of ``__init__`` would be pure overhead on
-        the hottest construction paths (Dewey assignment during
-        document writes, ancestor probing inside structural joins).
+        ``child``, unpickling and lazy parent linking derive IDs whose
+        steps come from a live ID, so the per-step normalization of
+        ``__init__`` would be pure overhead.
         """
         self = object.__new__(cls)
         self.steps = steps
-        pairs = tuple((ordinal, label) for label, ordinal in steps)
-        if any(part < 0 for ordinal, _ in pairs for part in ordinal[1:]):
-            self._key = _PaddedKey(pairs)
-        else:
-            self._key = pairs
+        self._key = _order_key(steps) if key is None else key
         self._hash = hash(steps)
-        self._ancestors = None
+        self._parent = None
         return self
 
     def child(self, label: str, ordinal: Sequence[int]) -> "DeweyID":
-        """The ID of a child of this node with the given label/ordinal."""
-        return DeweyID._from_steps(self.steps + ((label, _normalize(ordinal)),))
+        """The ID of a child of this node with the given label/ordinal.
+
+        The new ID points at ``self`` as its parent, so ``parent()`` is
+        a shared pointer and ``ancestor_ids()`` a chain walk: a document
+        holds one ID object per node, never a second copy of a prefix.
+        The order key extends the parent's instead of being rebuilt
+        from all steps.
+        """
+        ordinal = _normalize(ordinal)
+        new = DeweyID._from_steps(
+            self.steps + ((label, ordinal),), _extend_key(self._key, ordinal, label)
+        )
+        new._parent = self
+        return new
 
     # -- basic accessors ----------------------------------------------
 
@@ -258,29 +294,28 @@ class DeweyID:
 
     def parent(self) -> "DeweyID | None":
         """ID of the parent node, or None for the root."""
-        if len(self.steps) == 1:
-            return None
-        cached = self._ancestors
-        if cached is not None:
-            return cached[-1]
-        return DeweyID._from_steps(self.steps[:-1])
+        parent = self._parent
+        if parent is None and len(self.steps) > 1:
+            parent = self._parent = DeweyID._from_steps(self.steps[:-1])
+        return parent
 
     def ancestor_ids(self) -> Iterator["DeweyID"]:
         """IDs of all proper ancestors, outermost first.
 
         This is property (2) of the scheme: ancestor IDs are extracted
-        from the node's own ID without touching the document.  The
-        tuple is memoized: structural joins probe the same Δ rows once
-        per term and view, and rebuilding the chain dominated the join.
+        from the node's own ID without touching the document.  IDs
+        assigned by a document share their ancestors' ID objects, so
+        this walks the parent chain and allocates no ID.
         """
-        cached = self._ancestors
-        if cached is None:
-            cached = tuple(
-                DeweyID._from_steps(self.steps[:i])
-                for i in range(1, len(self.steps))
-            )
-            self._ancestors = cached
-        return iter(cached)
+        chain = []
+        walk = self
+        while len(walk.steps) > 1:
+            parent = walk._parent
+            if parent is None:
+                parent = walk.parent()  # links an ID built from bare steps
+            chain.append(parent)
+            walk = parent
+        return reversed(chain)
 
     def ancestor_labels(self) -> Tuple[str, ...]:
         """Labels of all proper ancestors, outermost first."""
@@ -315,6 +350,14 @@ class DeweyID:
         :class:`DeweyID` objects whose rich comparisons are Python
         calls; equal keys imply equal IDs."""
         return self._key
+
+    @property
+    def subtree_end_key(self):
+        """A key greater than every descendant's ``sort_key`` and
+        smaller than that of any node following the subtree: in a
+        document-ordered key list the proper descendants are exactly
+        the run ``bisect_right(sort_key) : bisect_left(subtree_end_key)``."""
+        return _extend_key(self._key, *_SUBTREE_END)
 
     # -- ordering ------------------------------------------------------
 
@@ -353,8 +396,9 @@ class DeweyID:
 
     def __reduce__(self):
         # Ship only the steps across process boundaries (the sharded
-        # maintenance pipeline pickles IDs inside Δ fragments); key,
-        # hash and the ancestor cache are rebuilt on the other side.
+        # maintenance pipeline pickles IDs inside Δ fragments); key and
+        # hash are rebuilt and the parent chain re-linked on demand on
+        # the other side.
         # A live ID's steps are already normalized, so reconstruction
         # takes the fast path -- fragment unpickling is on the critical
         # merge path of every parallel round.
@@ -420,11 +464,3 @@ def has_strict_descendant(sorted_ids: Sequence["DeweyID"], ancestor: "DeweyID") 
     """Does the sorted ID list hold a proper descendant of ``ancestor``?"""
     position = bisect.bisect_right(sorted_ids, ancestor)
     return position < len(sorted_ids) and ancestor.is_ancestor_of(sorted_ids[position])
-
-
-def has_descendant_or_self(sorted_ids: Sequence["DeweyID"], ancestor: "DeweyID") -> bool:
-    """Does the sorted ID list hold ``ancestor`` or a proper descendant?"""
-    position = bisect.bisect_left(sorted_ids, ancestor)
-    return position < len(sorted_ids) and ancestor.is_ancestor_or_self(
-        sorted_ids[position]
-    )

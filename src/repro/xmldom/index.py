@@ -21,10 +21,12 @@ Invariants
 
 :class:`LabelIndex`
     For every label, ``_nodes[label]`` and ``_keys[label]`` are
-    parallel lists sorted by :class:`~repro.xmldom.dewey.DeweyID`;
-    ``_keys[label][i] is _nodes[label][i].id``-equal at all times.
-    ``add``/``remove`` are one bisect over the maintained key list
-    plus one list shift -- never a full key-list rebuild.
+    parallel lists in document order; ``_keys[label][i]`` is the
+    ``sort_key`` of ``_nodes[label][i].id`` at all times (plain nested
+    tuples, so every bisect compares in C and never calls
+    ``DeweyID.__lt__``).  ``add``/``remove`` are one bisect over the
+    maintained key list plus one list shift -- never a full key-list
+    rebuild.
 
 :class:`ValueIndex`
     Entries exist only for labels that have been queried at least once
@@ -50,7 +52,7 @@ Invariants
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Sequence
 
 _ABSENT = object()
 
@@ -83,14 +85,15 @@ class LabelIndex:
         the two in sync when touching either.
         """
         label = node.label
+        key = node.id.sort_key
         row = self._nodes.get(label)
         if row is None:
             self._nodes[label] = [node]
-            self._keys[label] = [node.id]
+            self._keys[label] = [key]
             return
         keys = self._keys[label]
-        position = bisect.bisect(keys, node.id)
-        keys.insert(position, node.id)
+        position = bisect.bisect(keys, key)
+        keys.insert(position, key)
         row.insert(position, node)
 
     def remove(self, node: Any) -> None:
@@ -98,7 +101,7 @@ class LabelIndex:
         if not row:
             return
         keys = self._keys[node.label]
-        position = bisect.bisect_left(keys, node.id)
+        position = bisect.bisect_left(keys, node.id.sort_key)
         if position < len(row) and row[position] is node:
             keys.pop(position)
             row.pop(position)
@@ -111,8 +114,56 @@ class LabelIndex:
             touched.add(node.label)
         for label in touched:
             row = self._nodes[label]
-            row.sort(key=lambda n: n.id)
-            self._keys[label] = [n.id for n in row]
+            row.sort(key=lambda n: n.id.sort_key)
+            self._keys[label] = [n.id.sort_key for n in row]
+
+    def descendants(self, label: str, ancestor_id: Any) -> List[Any]:
+        """The ``label`` nodes properly below ``ancestor_id``: Dewey
+        order keeps a subtree in one contiguous run, so two bisects
+        bound it and the answer is a slice."""
+        keys = self._keys.get(label)
+        if not keys:
+            return []
+        start = bisect.bisect_right(keys, ancestor_id.sort_key)
+        stop = bisect.bisect_left(keys, ancestor_id.subtree_end_key, start)
+        return self._nodes[label][start:stop]
+
+    def spliced(
+        self, label: str, cut_ids: Iterable[Any], merge_nodes: Sequence[Any] = ()
+    ) -> List[Any]:
+        """A copy of the row without the nodes identified by ``cut_ids``
+        (IDs of this label; absent ones are ignored) and with
+        ``merge_nodes`` (document-ordered, not in the row) merged in:
+        the row as it stood before a batch inserted the former and
+        removed the latter.
+
+        Costs one bisect per edit plus C-level slice copies between the
+        edit positions -- never a Python-level pass over the row.
+        """
+        row = self._nodes.get(label, [])
+        keys = self._keys.get(label, [])
+        # (position, 0 = merge before it / 1 = cut it, merge rank, node)
+        edits = []
+        for node_id in cut_ids:
+            key = node_id.sort_key
+            position = bisect.bisect_left(keys, key)
+            if position < len(keys) and keys[position] == key:
+                edits.append((position, 1, 0, None))
+        for rank, node in enumerate(merge_nodes):
+            position = bisect.bisect_left(keys, node.id.sort_key)
+            edits.append((position, 0, rank, node))
+        edits.sort()
+        out: List[Any] = []
+        start = 0
+        for position, cut, _rank, node in edits:
+            out.extend(row[start:position])
+            if cut:
+                start = position + 1
+            else:
+                out.append(node)
+                start = position
+        out.extend(row[start:])
+        return out
 
 
 class _ValueEntry:
@@ -129,20 +180,21 @@ class _ValueEntry:
         self._dirty: Dict[Any, None] = {}
         for node in nodes:  # already document-ordered: plain appends
             value = node.val
-            self._keys.setdefault(value, []).append(node.id)
+            self._keys.setdefault(value, []).append(node.id.sort_key)
             self._nodes.setdefault(value, []).append(node)
             self._indexed[node] = value
 
     def _insert(self, node: Any, value: str) -> None:
         # Same parallel keys/nodes discipline as LabelIndex.add/remove
         # (duplicated on purpose -- see the note there).
+        key = node.id.sort_key
         keys = self._keys.get(value)
         if keys is None:
-            self._keys[value] = [node.id]
+            self._keys[value] = [key]
             self._nodes[value] = [node]
         else:
-            position = bisect.bisect(keys, node.id)
-            keys.insert(position, node.id)
+            position = bisect.bisect(keys, key)
+            keys.insert(position, key)
             self._nodes[value].insert(position, node)
         self._indexed[node] = value
 
@@ -151,7 +203,7 @@ class _ValueEntry:
         if value is _ABSENT:
             return
         keys = self._keys[value]
-        position = bisect.bisect_left(keys, node.id)
+        position = bisect.bisect_left(keys, node.id.sort_key)
         row = self._nodes[value]
         if position < len(row) and row[position] is node:
             keys.pop(position)
@@ -212,7 +264,9 @@ class ValueIndex:
             if label == WILDCARD_LABEL:
                 if self._elements is None:
                     raise ValueError("no element provider for wildcard lookups")
-                entry = _ValueEntry(sorted(self._elements(), key=lambda n: n.id))
+                entry = _ValueEntry(
+                    sorted(self._elements(), key=lambda n: n.id.sort_key)
+                )
             else:
                 entry = _ValueEntry(self._label_index.nodes(label))
             self._entries[label] = entry

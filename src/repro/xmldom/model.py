@@ -37,7 +37,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.xmldom.index import LabelIndex, ValueIndex
 from repro.xmldom.dewey import (
@@ -339,6 +339,20 @@ class Document:
         """The canonical relation ``R_label`` (document-ordered, live view)."""
         return self._index.nodes(label)
 
+    def descendants_with_label(self, node: Node, label: str) -> List[Node]:
+        """``R_label`` restricted to the proper descendants of ``node``
+        (document-ordered): two bisects and a slice, no subtree walk."""
+        return self._index.descendants(label, node.id)
+
+    def spliced_label(
+        self, label: str, cut_ids: Iterable[DeweyID], merge_nodes: Sequence[Node] = ()
+    ) -> List[Node]:
+        """``R_label`` minus the nodes with ``cut_ids`` (IDs of that
+        label) plus ``merge_nodes`` (document-ordered, currently not in
+        the relation), edited at bisected positions: how the relation
+        stood before those nodes were inserted resp. removed."""
+        return self._index.spliced(label, cut_ids, merge_nodes)
+
     def snapshot_label(self, label: str) -> List[Node]:
         """A copy of ``R_label``, immune to subsequent updates."""
         return self._index.copy_label(label)
@@ -448,7 +462,7 @@ class Document:
         if node.parent is None:
             raise ValueError("cannot delete the document root")
         removed = list(node.self_and_descendants())
-        removed.sort(key=lambda n: n.id)
+        removed.sort(key=lambda n: n.id.sort_key)
         text_changed = False
         for gone in removed:
             self._index.remove(gone)

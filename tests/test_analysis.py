@@ -144,6 +144,12 @@ def test_layering_fixture_fires():
     assert [f.line for f in findings] == [9, 14, 20]
 
 
+def test_sort_by_dewey_object_fixture_fires():
+    path = fixture("maintenance", "sort_key_bad.py")
+    assert lines_for(path, "sort-by-dewey-object") == [5, 6, 7]
+    assert len(findings_for(path)) == 3  # the .id.sort_key forms are clean
+
+
 def test_clean_fixture_is_clean():
     assert findings_for(fixture("sharding", "clean_ok.py")) == []
 
@@ -179,7 +185,7 @@ def test_source_tree_is_clean():
     assert report.files_checked > 60
 
 
-def test_rule_registry_covers_five_families():
+def test_rule_registry_covers_six_families():
     families = {rule.family for rule in all_rules()}
     assert {
         "determinism",
@@ -187,6 +193,7 @@ def test_rule_registry_covers_five_families():
         "purity",
         "picklability",
         "layering",
+        "hot-path",
     } <= families
 
 

@@ -1,5 +1,7 @@
 """Compact Dynamic Dewey IDs: the four properties of Section 2.1."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -125,6 +127,98 @@ class TestStructure:
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
             DeweyID(())
+
+
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c"]),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _linked(steps):
+    """The ID of ``steps`` built step by step through ``child()``."""
+    walk = DeweyID([steps[0]])
+    for label, ordinal in steps[1:]:
+        walk = walk.child(label, ordinal)
+    return walk
+
+
+class TestParentChain:
+    """child() links each ID to its parent's ID *object*: parent() is a
+    shared pointer, ancestor_ids() a chain walk, and nothing about
+    identity, order or the pickled form depends on how an ID was built."""
+
+    def test_child_shares_the_parent_object(self):
+        x = make_id(("a", (1,)), ("b", (2,)))
+        child = x.child("c", (1,))
+        assert child.parent() is x
+        chain = list(child.child("d", (1,)).ancestor_ids())
+        assert chain[-2] is x and chain[-1] is child
+
+    def test_unlinked_ids_link_lazily_and_equal(self):
+        flat = DeweyID._from_steps((("a", (1,)), ("b", (2,)), ("c", (3,))))
+        first = flat.parent()
+        assert first == make_id(("a", (1,)), ("b", (2,)))
+        assert flat.parent() is first  # linked on first use, then shared
+        assert [str(i) for i in flat.ancestor_ids()] == ["a1", "a1.b2"]
+        assert make_id(("a", (1,))).parent() is None
+
+    @given(_STEPS, _STEPS)
+    def test_linked_and_flat_ids_are_indistinguishable(self, left, right):
+        for steps in (left, right):
+            linked, flat = _linked(steps), DeweyID(steps)
+            assert linked == flat and hash(linked) == hash(flat)
+            assert linked.steps == flat.steps
+            assert type(linked.sort_key) is type(flat.sort_key)
+            assert linked.sort_key == flat.sort_key
+            assert [str(i) for i in linked.ancestor_ids()] == [
+                str(i) for i in flat.ancestor_ids()
+            ]
+        a, b = _linked(left), DeweyID(right)
+        reference = DeweyID(left)._compare(b)
+        assert (a < b) == (reference < 0)
+        assert (a > b) == (reference > 0)
+        assert (a == b) == (reference == 0)
+
+    def test_pickle_ships_steps_only(self):
+        # A depth-8 ID pickled to 196 bytes before IDs were linked; the
+        # parent chain must never ride along (session replicas ship
+        # IDs in every extent delta).
+        deep = _linked(
+            [("site", (1,))]
+            + [
+                (label, (position,))
+                for position, label in enumerate(
+                    ["regions", "africa", "item", "description", "parlist",
+                     "listitem", "text"],
+                    start=1,
+                )
+            ]
+        )
+        list(deep.ancestor_ids())
+        payload = pickle.dumps(deep)
+        assert len(payload) == 196
+        assert payload == pickle.dumps(DeweyID(deep.steps))
+        clone = pickle.loads(payload)
+        assert clone == deep and clone._parent is None
+        assert clone.sort_key == deep.sort_key
+
+    def test_subtree_end_key_closes_the_descendant_run(self):
+        a = make_id(("a", (1,)))
+        ab = a.child("b", (1,))
+        abz = ab.child("z", (9, 9))
+        ac = a.child("c", (2,))
+        keys = sorted(i.sort_key for i in (a, ab, abz, ac))
+        assert ab.sort_key < abz.sort_key < ab.subtree_end_key < ac.sort_key
+        assert keys.index(ac.sort_key) == 3
+        exotic = DeweyID([("a", (1,)), ("b", (1, -1))])
+        below = exotic.child("c", (1,))
+        assert exotic.sort_key < below.sort_key
+        assert below.sort_key < exotic.subtree_end_key
 
 
 class TestEncoding:

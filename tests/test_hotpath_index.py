@@ -25,12 +25,21 @@ from repro.xmldom.parser import parse_document
 from repro.xmldom.serializer import serialize_fragment
 
 
+class _FakeID:
+    """The one thing LabelIndex reads off an ID: its C-comparable key."""
+
+    __slots__ = ("sort_key",)
+
+    def __init__(self, key):
+        self.sort_key = key
+
+
 class _FakeNode:
     __slots__ = ("label", "id")
 
     def __init__(self, label, key):
         self.label = label
-        self.id = key
+        self.id = _FakeID(key)
 
 
 class TestLabelIndex:
@@ -48,7 +57,8 @@ class TestLabelIndex:
                 index.add(node)
             for label in "abc":
                 expected = sorted(
-                    (n for n in live if n.label == label), key=lambda n: n.id
+                    (n for n in live if n.label == label),
+                    key=lambda n: n.id.sort_key,
                 )
                 assert index.nodes(label) == expected
 
@@ -62,15 +72,15 @@ class TestLabelIndex:
     def test_add_bulk_sorts_only_touched_labels(self):
         index = LabelIndex()
         index.add_bulk([_FakeNode("a", 2), _FakeNode("a", 1), _FakeNode("b", 5)])
-        assert [n.id for n in index.nodes("a")] == [1, 2]
+        assert [n.id.sort_key for n in index.nodes("a")] == [1, 2]
         untouched_row = index.nodes("b")
         index.add_bulk([_FakeNode("a", 0)])
-        assert [n.id for n in index.nodes("a")] == [0, 1, 2]
+        assert [n.id.sort_key for n in index.nodes("a")] == [0, 1, 2]
         # The 'b' row was not rebuilt or re-sorted.
         assert index.nodes("b") is untouched_row
         # Incremental adds still land correctly after a bulk load.
         index.add(_FakeNode("b", 3))
-        assert [n.id for n in index.nodes("b")] == [3, 5]
+        assert [n.id.sort_key for n in index.nodes("b")] == [3, 5]
 
     def test_copy_label_is_detached(self):
         index = LabelIndex()
