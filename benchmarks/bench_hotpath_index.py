@@ -18,6 +18,7 @@ from repro.maintenance.engine import MaintenanceEngine
 from repro.workloads.queries import view_pattern
 from repro.workloads.updates import delete_variant, insert_update
 from repro.workloads.xmark import generate_document
+from repro.xmldom.index import KeyedRows
 from repro.xmldom.model import set_hot_path_caches
 
 SCALE = 6  # ~10.8k nodes, comfortably past the 10k floor
@@ -75,19 +76,16 @@ class _SeedLabelIndex:
         return list(self._by_label.get(label, []))
 
     # The probe entry points LabelIndex has grown since, answered the
-    # seed's way: a pass over the whole row.
+    # seed's way: a pass over the whole row (and a key list rebuilt
+    # per call).
+
+    def keyed(self, label):
+        return KeyedRows.of(self._by_label.get(label, ()))
 
     def descendants(self, label, ancestor_id):
         return [
             n for n in self._by_label.get(label, ()) if ancestor_id.is_ancestor_of(n.id)
         ]
-
-    def spliced(self, label, cut_ids, merge_nodes=()):
-        cut = set(cut_ids)
-        row = [n for n in self._by_label.get(label, ()) if n.id not in cut]
-        row.extend(merge_nodes)
-        row.sort(key=lambda n: n.id)
-        return row
 
 
 def _statements():

@@ -34,6 +34,8 @@ from repro.algebra.operators import (
 from repro.algebra.structural import (
     path_filter,
     path_navigate,
+    probe_ancestors,
+    probe_descendants,
     structural_join,
     structural_semijoin,
 )
@@ -48,6 +50,8 @@ __all__ = [
     "duplicate_eliminate",
     "path_filter",
     "path_navigate",
+    "probe_ancestors",
+    "probe_descendants",
     "project",
     "select",
     "sort_rows",

@@ -9,13 +9,35 @@ underlying XML engine, all of which exploit Compact Dynamic Dewey IDs:
   satisfying a label condition;
 * **PathNavigate**: obtain from node IDs the IDs of their parents.
 
-Two structural-join implementations are provided:
+Structural joins come in three physical forms, chosen by what the
+caller holds on the two sides of a pattern edge:
 
 :func:`structural_join`
-    the workhorse, used by pattern evaluation and term evaluation.  It
-    exploits Dewey property (2): the ancestors of a node are readable
-    off its own ID, so the join is a hash lookup per candidate ancestor
-    prefix -- no sorting or stack needed.
+    the hash join: both sides are relations that will be read in full
+    -- full pattern evaluation, and term evaluation when the new side
+    is a Δ table.  It exploits Dewey property (2): the ancestors of a
+    node are readable off its own ID, so the join is a hash lookup per
+    candidate ancestor prefix -- no sorting or stack needed.
+
+:func:`probe_ancestors`
+    the upward probe: the lower end of the edge is bound in a (Δ-sized)
+    relation and the upper end is a keyed canonical relation.  Each
+    bound ID's parent chain is walked and only its same-label ancestors
+    are bisected into the source -- O(depth · log|R|) per row.
+
+:func:`probe_descendants`
+    the downward probe: the upper end is bound, the lower end is a
+    keyed canonical relation.  Each bound ID's subtree is one
+    contiguous key run of the source, bounded by two bisects and read
+    as a slice -- O(log|R| + matches) per distinct bound ID on the
+    descendant axis.  The child axis reads the same run and keeps the
+    nodes one level down, so it costs O(log|R| + that label's subtree
+    run): nested same-label nodes (the deeper ``b``'s of ``//*/b``) are
+    read and dropped.
+
+    Neither probe reads a source row outside the ancestor chains and
+    subtree runs of the rows it extends, which is what keeps a term's
+    cost on its Δ rather than on |R|.
 
 :func:`stack_tree_pairs`
     the classic sort-merge Stack-Tree-Desc algorithm, kept as an
@@ -30,6 +52,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.algebra.relation import Relation
 from repro.xmldom.dewey import DeweyID
+from repro.xmldom.index import KeyedRows
 from repro.xmldom.model import Node
 
 
@@ -40,6 +63,11 @@ def _row_id(row: tuple, index: int) -> DeweyID:
     if isinstance(cell, DeweyID):
         return cell
     raise TypeError("structural join column holds %r, need node or ID" % (cell,))
+
+
+def _check_axis(axis: str) -> None:
+    if axis not in ("parent", "ancestor"):
+        raise ValueError("axis must be 'parent' or 'ancestor', got %r" % (axis,))
 
 
 def structural_join(
@@ -55,8 +83,7 @@ def structural_join(
     schema is the concatenation of both schemas; output order follows
     the right input (then the left input within one right row).
     """
-    if axis not in ("parent", "ancestor"):
-        raise ValueError("axis must be 'parent' or 'ancestor', got %r" % (axis,))
+    _check_axis(axis)
     right_index = right.column_index(right_column)
     by_id = left.index_by(left_column)
     schema = left.schema + right.schema
@@ -71,6 +98,75 @@ def structural_join(
                 for left_row in by_id.get(ancestor_id, ()):
                     out.append(left_row + row)
     return Relation._trusted(schema, out)
+
+
+def probe_ancestors(
+    relation: Relation,
+    column: str,
+    source: KeyedRows,
+    name: str,
+    label: str,
+    axis: str = "ancestor",
+) -> Relation:
+    """Extend each binding row by the ``source`` nodes that are the
+    parent (≺) / the proper ancestors (≺≺) of its ``column`` node.
+
+    ``label`` is the label every ``source`` node carries (``"*"``: any);
+    ancestors labeled otherwise are skipped without a bisect.  The
+    output schema is ``relation.schema + (name,)``.
+    """
+    _check_axis(axis)
+    index = relation.column_index(column)
+    find = source.find
+    any_label = label == "*"
+    parent_only = axis == "parent"
+    out: List[tuple] = []
+    for row in relation.rows:
+        walk = row[index].id.parent()
+        while walk is not None:
+            if any_label or walk.label == label:
+                node = find(walk.sort_key)
+                if node is not None:
+                    out.append(row + (node,))
+            if parent_only:
+                break
+            walk = walk.parent()
+    return Relation._trusted(relation.schema + (name,), out)
+
+
+def probe_descendants(
+    relation: Relation,
+    column: str,
+    source: KeyedRows,
+    name: str,
+    axis: str = "ancestor",
+) -> Relation:
+    """Extend each binding row by the ``source`` nodes that are
+    children (≺) / proper descendants (≺≺) of its ``column`` node.
+
+    The child axis reads the same subtree run and keeps the nodes one
+    level down, so it reads (and drops) the deeper same-label nodes of
+    the run: its cost is the run, not the matches.  The output schema
+    is ``relation.schema + (name,)``.
+    """
+    _check_axis(axis)
+    index = relation.column_index(column)
+    # Rows fanned out by earlier joins share their bound node: bisect
+    # its run once.
+    runs: Dict[DeweyID, List[Node]] = {}
+    out: List[tuple] = []
+    for row in relation.rows:
+        node_id = row[index].id
+        run = runs.get(node_id)
+        if run is None:
+            run = source.below(node_id)
+            if axis == "parent":
+                depth = node_id.depth + 1
+                run = [node for node in run if node.id.depth == depth]
+            runs[node_id] = run
+        for node in run:
+            out.append(row + (node,))
+    return Relation._trusted(relation.schema + (name,), out)
 
 
 def structural_semijoin(
@@ -107,8 +203,7 @@ def stack_tree_pairs(
     Both inputs must be sorted in document order (canonical relations
     are).  Returns (ancestor, descendant) pairs sorted by descendant.
     """
-    if axis not in ("parent", "ancestor"):
-        raise ValueError("axis must be 'parent' or 'ancestor', got %r" % (axis,))
+    _check_axis(axis)
     out: List[Tuple[Node, Node]] = []
     stack: List[Node] = []
     a_iter = iter(ancestors)

@@ -15,7 +15,8 @@ Six families, one module each:
 * :mod:`~repro.analysis.rules.layering` -- the import DAG
   (xmldom -> algebra/pattern -> ... -> sharding) admits no upward edge;
 * :mod:`~repro.analysis.rules.hotpath` -- document-order sorts key by
-  ``DeweyID.sort_key`` (C comparisons), never by the ID object.
+  and bisects probe with ``DeweyID.sort_key`` (C comparisons), never
+  the ID object.
 """
 
 from repro.analysis.rules import (  # noqa: F401 (registration side effects)

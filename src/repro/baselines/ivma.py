@@ -29,6 +29,7 @@ from repro.pattern.evaluate import Sources, filter_by_predicate, project_binding
 from repro.pattern.tree_pattern import Pattern
 from repro.views.view import MaterializedView
 from repro.xmldom.dewey import DeweyID
+from repro.xmldom.index import KeyedRows
 from repro.xmldom.model import Document, Node
 
 
@@ -54,7 +55,7 @@ class IVMAMaintainer:
             rows = filter_by_predicate(candidates, node)
             if hidden_ids:
                 rows = [n for n in rows if n.id not in hidden_ids]
-            sources[node.name] = rows
+            sources[node.name] = KeyedRows.of(rows)
         return sources
 
     def _bindings_through(

@@ -27,12 +27,13 @@ from repro.maintenance.delta import DeltaTables
 from repro.maintenance.insert import refresh_stored_attributes
 from repro.maintenance.terms import (
     Term,
+    absorb_embeddings,
     evaluate_term,
     expand_delete_terms,
     prune_by_empty_delta,
     prune_delete_by_ids,
 )
-from repro.pattern.evaluate import Sources, project_bindings
+from repro.pattern.evaluate import Sources
 from repro.pattern.tree_pattern import Pattern
 from repro.views.lattice import SnowcapLattice
 from repro.views.view import MaterializedView
@@ -82,24 +83,7 @@ def collect_delete_embeddings(
         started = time.perf_counter()
         bindings = evaluate_term(pattern, term, r_sources, deltas, lattice)
         eval_seconds += time.perf_counter() - started
-        if not bindings.rows:
-            continue
-        fresh_rows = []
-        fresh_keys = []
-        for row in bindings.rows:
-            key = tuple(cell.id for cell in row)
-            if key in embeddings:
-                continue
-            embeddings[key] = ()  # reserve; projected below
-            fresh_keys.append(key)
-            fresh_rows.append(row)
-        if not fresh_rows:
-            continue
-        projected = project_bindings(
-            pattern, type(bindings)(bindings.schema, fresh_rows)
-        )
-        for key, row in zip(fresh_keys, projected.rows):
-            embeddings[key] = row
+        absorb_embeddings(pattern, bindings, embeddings)
     return embeddings, eval_seconds
 
 

@@ -65,7 +65,7 @@ from repro.maintenance.repair import (
 from repro.obs import NULL_OBS, Observability
 from repro.storage.recovery import register_engine_factory
 from repro.storage.sqlite import SqliteExtentBackend
-from repro.pattern.evaluate import Sources, filter_by_predicate
+from repro.pattern.evaluate import Sources
 from repro.pattern.tree_pattern import Pattern
 from repro.pattern.xquery import ViewDefinition
 from repro.updates.language import (
@@ -78,6 +78,7 @@ from repro.updates.pul import BatchApplication, apply_pul, compute_pul
 from repro.views.lattice import SnowcapLattice
 from repro.views.view import MaterializedView
 from repro.xmldom.dewey import DeweyID
+from repro.xmldom.index import KeyedRows
 from repro.xmldom.model import Document, Node, hot_path_caches_enabled
 
 PHASES = (
@@ -653,18 +654,18 @@ class MaintenanceEngine:
         self,
         pattern: Pattern,
         excluded_ids: set,
-        cache: Optional[Dict[str, List[Node]]] = None,
+        cache: Optional[Dict[str, KeyedRows]] = None,
         excluded_by_label: Optional[Dict[str, List[DeweyID]]] = None,
     ) -> Sources:
         """σ-filtered canonical relations, minus the given node IDs.
 
         After an insert has been applied, R_old = R_new − Δ+.  Labels
-        untouched by the update and free of value predicates reference
-        the live canonical relation directly (no copy): term evaluation
-        never mutates its sources, so copying is pure overhead.  A
-        touched label's Δ+ nodes are cut out at their bisected
-        positions (``Document.spliced_label``), so the cost follows the
-        excluded IDs of that label, not ``|R_label|``.
+        untouched by the update reference the label index's (or the
+        value index's) own keyed rows directly (no copy): term
+        evaluation never mutates its sources, so copying is pure
+        overhead.  A touched label's Δ+ nodes are cut out at their
+        bisected positions (``KeyedRows.spliced``), so the cost follows
+        the excluded IDs of that label, not ``|R_label|``.
 
         ``cache`` (optional, label-keyed) shares the unpredicated
         post-exclusion rows across calls with the same ``excluded_ids``
@@ -679,41 +680,39 @@ class MaintenanceEngine:
                 excluded_by_label.setdefault(node_id.label, []).append(node_id)
         sources: Sources = {}
         for node in pattern.nodes():
-            if node.label == "*" and node.value_pred is None:
-                rows = None if cache is None else cache.get("*")
-                if rows is None:
-                    candidates: List[Node] = sorted(
-                        self.document.all_elements(), key=lambda n: n.id.sort_key
-                    )
-                    rows = filter_by_predicate(candidates, node)
-                    if excluded_ids:
-                        rows = [n for n in rows if n.id not in excluded_ids]
-                    if cache is not None:
-                        cache["*"] = rows
+            label = node.label
+            if node.value_pred is not None:
+                # σ-constant selection via the document's value index
+                # (wildcards through its all-labels entry); the
+                # excluded IDs are cut out of the bucket by bisect.
+                rows = self.document.keyed_value(label, node.value_pred)
+                cut = excluded_ids if label == "*" else excluded_by_label.get(label)
+                if cut:
+                    rows = rows.spliced([node_id.sort_key for node_id in cut])
                 sources[node.name] = rows
                 continue
-            if node.label == "*":
-                # Wildcard σ via the all-labels value index.
-                rows = self.document.nodes_with_value("*", node.value_pred)
-            elif node.value_pred is not None:
-                # σ-constant selection via the document's value index.
-                rows = self.document.nodes_with_value(node.label, node.value_pred)
-            else:
-                candidates = self.document.nodes_with_label(node.label)
-                if node.label not in excluded_by_label:
-                    sources[node.name] = candidates
-                    continue
-                rows = None if cache is None else cache.get(node.label)
-                if rows is None:
-                    rows = self.document.spliced_label(
-                        node.label, excluded_by_label[node.label]
-                    )
-                    if cache is not None:
-                        cache[node.label] = rows
-                sources[node.name] = rows
+            if label != "*" and label not in excluded_by_label:
+                sources[node.name] = self.document.keyed_label(label)
                 continue
-            if excluded_ids:
-                rows = [n for n in rows if n.id not in excluded_ids]
+            rows = None if cache is None else cache.get(label)
+            if rows is None:
+                if label == "*":
+                    rows = KeyedRows.of(
+                        sorted(
+                            (
+                                n
+                                for n in self.document.all_elements()
+                                if n.id not in excluded_ids
+                            ),
+                            key=lambda n: n.id.sort_key,
+                        )
+                    )
+                else:
+                    rows = self.document.keyed_label(label).spliced(
+                        [node_id.sort_key for node_id in excluded_by_label[label]]
+                    )
+                if cache is not None:
+                    cache[label] = rows
             sources[node.name] = rows
         return sources
 
@@ -1200,8 +1199,8 @@ class MaintenanceEngine:
             label: [node.id for node in nodes]
             for label, nodes in inserted_candidates.by_label.items()
         }
-        survivor_cache: Dict[str, List[Node]] = {}
-        pre_batch_cache: Dict[str, List[Node]] = {}
+        survivor_cache: Dict[str, KeyedRows] = {}
+        pre_batch_cache: Dict[str, KeyedRows] = {}
 
         try:
             self._propagate_batch_to_views(
@@ -1245,8 +1244,8 @@ class MaintenanceEngine:
         dirty_nodes: Sequence[Node],
         insert_target_ids: Sequence[DeweyID],
         delete_target_ids: Sequence[DeweyID],
-        survivor_cache: Dict[str, List[Node]],
-        pre_batch_cache: Dict[str, List[Node]],
+        survivor_cache: Dict[str, KeyedRows],
+        pre_batch_cache: Dict[str, KeyedRows],
         planner: "ShardPlanner",
         executor: "ShardExecutor",
     ) -> None:
@@ -1796,7 +1795,7 @@ class MaintenanceEngine:
         inserted_ids: set,
         inserted_by_label: Dict[str, List[DeweyID]],
         removed_candidates: BatchCandidates,
-        cache: Optional[Dict[str, List[Node]]] = None,
+        cache: Optional[Dict[str, KeyedRows]] = None,
         flips: Optional[set] = None,
     ) -> Sources:
         """Reconstructed pre-batch σ-filtered canonical relations.
@@ -1841,61 +1840,48 @@ class MaintenanceEngine:
             ):
                 # Untouched label: R_old == R_new.
                 if node.value_pred is not None:
-                    sources[node.name] = self.document.nodes_with_value(
+                    sources[node.name] = self.document.keyed_value(
                         label, node.value_pred
                     )
                 else:
-                    sources[node.name] = self.document.nodes_with_label(label)
+                    sources[node.name] = self.document.keyed_label(label)
                 continue
             base = cache.get(label)
             if base is None:
                 if label == "*":
-                    base = [
+                    elements = [
                         candidate
                         for candidate in self.document.all_elements()
                         if candidate.id not in inserted_ids
                     ]
-                    base.extend(
+                    elements.extend(
                         candidate
                         for candidate in removed_candidates.nodes
                         if candidate.kind == "element"
                     )
-                    base.sort(key=lambda n: n.id.sort_key)
+                    elements.sort(key=lambda n: n.id.sort_key)
+                    base = KeyedRows.of(elements)
                 else:
                     # Δ+ cut out of / Δ− merged into the live relation
                     # at bisected positions: O(|Δ_label| log |R_label|)
                     # plus C-level slice copies.
-                    base = self.document.spliced_label(
-                        label,
-                        inserted_by_label.get(label, ()),
+                    base = self.document.keyed_label(label).spliced(
+                        [i.sort_key for i in inserted_by_label.get(label, ())],
                         removed_candidates.by_label.get(label, ()),
                     )
                 cache[label] = base
-            if node.value_pred is not None and sigma_flipped:
+            constant = node.value_pred
+            if constant is None:
+                rows = base
+            elif sigma_flipped:
                 # Removed candidates are never flip keys (flips track
                 # only live survivors), so their XOR term is False and
                 # the test reads their detached pre-batch value as-is.
-                constant = node.value_pred
-                if label == "*":
-                    rows = [
-                        n
-                        for n in base
-                        if n.kind == "element"
-                        and (n.val == constant) != ((n.id, constant) in flips)
-                    ]
-                else:
-                    rows = [
-                        n
-                        for n in base
-                        if (n.val == constant) != ((n.id, constant) in flips)
-                    ]
-            elif label == "*":
-                rows = filter_by_predicate(base, node)
-            elif node.value_pred is not None:
-                constant = node.value_pred
-                rows = [n for n in base if n.val == constant]
+                rows = base.select(
+                    [(n.val == constant) != ((n.id, constant) in flips) for n in base]
+                )
             else:
-                rows = base
+                rows = base.select([n.val == constant for n in base])
             sources[node.name] = rows
         return sources
 
@@ -1904,7 +1890,7 @@ class MaintenanceEngine:
         pattern: Pattern,
         inserted_ids: set,
         inserted_by_label: Dict[str, List[DeweyID]],
-        cache: Optional[Dict[str, List[Node]]],
+        cache: Optional[Dict[str, KeyedRows]],
         minus_sets: Dict[str, List[Node]],
         plus_sets: Dict[str, List[Node]],
     ) -> Sources:
@@ -1926,15 +1912,10 @@ class MaintenanceEngine:
             rows = sources.get(name)
             if rows is None:
                 continue
-            plus_ids = {node.id for node in plus_sets.get(name, ())}
-            adjusted = (
-                [n for n in rows if n.id not in plus_ids]
-                if plus_ids
-                else list(rows)
+            sources[name] = rows.spliced(
+                [node.id.sort_key for node in plus_sets.get(name, ())],
+                sorted(minus_sets.get(name, ()), key=lambda n: n.id.sort_key),
             )
-            adjusted.extend(minus_sets.get(name, ()))
-            adjusted.sort(key=lambda n: n.id.sort_key)
-            sources[name] = adjusted
         return sources
 
     # -- helpers -----------------------------------------------------------------

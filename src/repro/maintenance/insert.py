@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.relation import Relation
+from repro.algebra.structural import probe_descendants, structural_join
 from repro.maintenance.delta import DeltaTables
 from repro.maintenance.terms import (
     NodeSet,
@@ -127,9 +128,11 @@ def collect_attribute_refreshes(
     ancestor-or-self of an insertion target or a proper ancestor of a
     deletion target.  The test is inverted into a probe: the Dewey
     chains of the targets give the set of affected IDs once per batch
-    (O(|targets| x depth), shared ID objects, no allocation), and each
-    stored content-node ID is one hash membership test against it while
-    the extent is read lazily in place.
+    (O(|targets| x depth), shared ID objects, no allocation), cut down
+    to the labels the view's content nodes can store; each stored
+    content-node ID is one hash membership test against it while the
+    extent is read lazily in place -- and not at all when no affected
+    ID carries such a label.
 
     Returns the ``(old row, new row)`` rewrite pairs without touching
     the view -- the sharded pipeline computes these on workers (the
@@ -144,6 +147,13 @@ def collect_attribute_refreshes(
     for target_ids in (insert_target_ids, delete_target_ids):
         for target_id in target_ids:
             affected.update(target_id.ancestor_ids())
+    labels = {node.label for node in cvn}
+    if "*" not in labels:
+        # A stored content node carries its pattern node's label, so an
+        # affected ID labeled otherwise is stored nowhere in this view.
+        affected = {node_id for node_id in affected if node_id.label in labels}
+    if not affected:
+        return []  # no stored node can have changed: the extent is not read
     column_index = {pair: i for i, pair in enumerate(pattern.return_columns())}
     # (ID column, val column or None, cont column or None) per content node.
     probes = [
@@ -239,12 +249,10 @@ def snowcap_additions(
         added(s_i) = added(s_{i-1}) ⋈ (R ∪ Δ+)_{n_i}
                    ∪ old(s_{i-1})   ⋈ Δ+_{n_i}
 
-    -- two structural joins per snowcap instead of re-deriving each
+    -- three Δ-sized joins per snowcap instead of re-deriving each
     snowcap's own union terms.  ``old`` is the pre-update materialized
     content, so this must run before the lattice is extended.
     """
-    from repro.algebra.structural import structural_join
-
     additions: Dict[NodeSet, Relation] = {}
     chain = sorted(lattice.materialized_sets(), key=len)
     if not chain:
@@ -274,19 +282,27 @@ def snowcap_additions(
             added = Relation((new_name,), [(n,) for n in rows])
         else:
             axis = "parent" if node.axis == "child" else "ancestor"
+            parent_name = node.parent.name
+            delta_rel = Relation.single_column(new_name, delta_rows)
             pieces: List[Relation] = []
             if previous_added is not None and previous_added.rows:
-                both = Relation.single_column(
-                    new_name, list(r_sources[new_name]) + list(delta_rows)
-                )
+                # added(s_{i-1}) ⋈ (R ∪ Δ+), R and Δ+ being disjoint:
+                # R is probed below the few added rows, Δ+ hash-joined.
                 pieces.append(
-                    structural_join(previous_added, both, node.parent.name, new_name, axis)
+                    probe_descendants(
+                        previous_added, parent_name, r_sources[new_name], new_name, axis
+                    )
                 )
+                if delta_rows:
+                    pieces.append(
+                        structural_join(
+                            previous_added, delta_rel, parent_name, new_name, axis
+                        )
+                    )
             old = lattice.relation_for(previous_set)
             if old is not None and old.rows and delta_rows:
-                delta_rel = Relation.single_column(new_name, delta_rows)
                 pieces.append(
-                    structural_join(old, delta_rel, node.parent.name, new_name, axis)
+                    structural_join(old, delta_rel, parent_name, new_name, axis)
                 )
             order = [name for name in names if name in subset]
             added = Relation(order)

@@ -36,12 +36,17 @@ alongside the ordinary batch Δ±.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.algebra.relation import Relation
 from repro.maintenance.delta import flip_delta
-from repro.maintenance.terms import NodeSet, flip_repair_term, evaluate_term
-from repro.pattern.evaluate import Sources, project_bindings
+from repro.maintenance.terms import (
+    NodeSet,
+    absorb_embeddings,
+    evaluate_term,
+    flip_repair_term,
+)
+from repro.pattern.evaluate import Sources
 from repro.pattern.tree_pattern import Pattern
 from repro.views.lattice import SnowcapLattice
 from repro.xmldom.dewey import DeweyID
@@ -49,47 +54,6 @@ from repro.xmldom.model import Node
 
 #: σ pattern-node name -> flipped candidates bound to repair there.
 FlipSets = Dict[str, List[Node]]
-
-
-def _restrict_to_flip_ancestors(
-    pattern: Pattern,
-    name: str,
-    nodes: Sequence[Node],
-    r_sources: Sources,
-) -> Sources:
-    """Shrink ancestor-name sources to the flipped nodes' Dewey chains.
-
-    Every binding a flip term produces places ``name`` at a flipped
-    node, so each pattern node *above* ``name`` necessarily binds a
-    Dewey ancestor of a flipped candidate -- the term's join work drops
-    from O(document) to O(flipped × depth).  Membership is checked
-    against the original source rows, so σ filters and exclusions baked
-    into ``r_sources`` are preserved; names off the Δ node's root path
-    (branches, descendants) stay unrestricted and are pruned by the
-    join itself.
-    """
-    parents: Dict[str, str] = {
-        child.name: parent.name for parent, child in pattern.edges()
-    }
-    path_names = []
-    cursor = parents.get(name)
-    while cursor is not None:
-        path_names.append(cursor)
-        cursor = parents.get(cursor)
-    if not path_names:
-        return r_sources
-    chain_ids = sorted(
-        {ancestor_id for node in nodes for ancestor_id in node.id.ancestor_ids()},
-        key=lambda ancestor_id: ancestor_id.sort_key,
-    )
-    restricted = dict(r_sources)
-    for path_name in path_names:
-        rows = r_sources[path_name]
-        index = {row.id: row for row in rows}
-        restricted[path_name] = [
-            index[ancestor_id] for ancestor_id in chain_ids if ancestor_id in index
-        ]
-    return restricted
 
 
 def collect_flip_embeddings(
@@ -115,27 +79,9 @@ def collect_flip_embeddings(
             continue
         deltas = flip_delta(pattern, name, nodes, sign)
         started = time.perf_counter()
-        sources = _restrict_to_flip_ancestors(pattern, name, nodes, r_sources)
-        bindings = evaluate_term(pattern, flip_repair_term(name), sources, deltas)
+        bindings = evaluate_term(pattern, flip_repair_term(name), r_sources, deltas)
         eval_seconds += time.perf_counter() - started
-        if not bindings.rows:
-            continue
-        fresh_rows = []
-        fresh_keys = []
-        for row in bindings.rows:
-            key = tuple(cell.id for cell in row)
-            if key in embeddings:
-                continue
-            embeddings[key] = ()  # reserve; projected below
-            fresh_keys.append(key)
-            fresh_rows.append(row)
-        if not fresh_rows:
-            continue
-        projected = project_bindings(
-            pattern, type(bindings)(bindings.schema, fresh_rows)
-        )
-        for key, row in zip(fresh_keys, projected.rows):
-            embeddings[key] = row
+        absorb_embeddings(pattern, bindings, embeddings)
     return embeddings, eval_seconds
 
 
@@ -175,10 +121,7 @@ def flip_lattice_repair(
         rows: List[tuple] = []
         for name in relevant:
             deltas = flip_delta(sub, name, plus_sets[name], "+")
-            sources = _restrict_to_flip_ancestors(
-                sub, name, plus_sets[name], r_sources
-            )
-            relation = evaluate_term(sub, flip_repair_term(name), sources, deltas)
+            relation = evaluate_term(sub, flip_repair_term(name), r_sources, deltas)
             if not relation.rows:
                 continue
             for row in relation.reordered(order).rows:
@@ -188,7 +131,7 @@ def flip_lattice_repair(
                 seen.add(key)
                 rows.append(row)
         if rows:
-            additions[subset] = Relation(order, rows)
+            additions[subset] = Relation._trusted(tuple(order), rows)
     return drops, additions
 
 

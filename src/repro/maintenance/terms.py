@@ -23,20 +23,26 @@ Pruning:
   collecting doomed embeddings as a set makes the even (add-back) terms
   redundant, which is why dropping them -- Prop. 4.3(ii) -- is exact.
 
-Term evaluation (the body of ET-INS / ET-DEL) reuses the structural
-join machinery: the ``R``-part comes from a materialized snowcap when
-one matches (Snowcaps strategy) and is recomputed from canonical
-relations otherwise (Leaves strategy).
+Term evaluation (the body of ET-INS / ET-DEL) is Δ-driven: the
+``R``-part comes from a materialized snowcap when one matches (Snowcaps
+strategy); otherwise (Leaves strategy) the join pipeline starts at the
+term's smallest Δ table and reaches the canonical relations by Dewey
+probes -- an ID names its ancestors, a subtree is one contiguous key
+run -- so no canonical relation is read beyond the rows the term emits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.relation import Relation
-from repro.algebra.structural import structural_join
+from repro.algebra.structural import (
+    probe_ancestors,
+    probe_descendants,
+    structural_join,
+)
 from repro.maintenance.delta import DeltaTables
-from repro.pattern.evaluate import Sources
+from repro.pattern.evaluate import Sources, project_bindings
 from repro.pattern.tree_pattern import Pattern, PatternNode
 from repro.views.lattice import SnowcapLattice
 from repro.xmldom.dewey import DeweyID
@@ -236,6 +242,38 @@ def prune_delete_by_ids(
     return surviving
 
 
+def _next_neighbor(
+    pending: Sequence[PatternNode], bound: Sequence[str], delta_set: NodeSet
+) -> Tuple[PatternNode, Optional[PatternNode]]:
+    """The next pattern node to join in, with its bound child when it
+    is reached upward (None: it hangs below its bound parent).
+
+    Δ neighbours go first (small tables, hash-joined), then canonical
+    relations reached upward (at most one match per ancestor), then
+    those reached downward (the only step that can fan out); preorder
+    breaks ties, so the order is a function of the pattern and the
+    term alone.
+    """
+    best = None
+    for node in pending:
+        if node.parent is not None and node.parent.name in bound:
+            below: Optional[PatternNode] = None
+        else:
+            below = next((c for c in node.children if c.name in bound), None)
+            if below is None:
+                continue  # not adjacent to the bound part yet
+        if node.name in delta_set:
+            rank = 0
+        elif below is not None:
+            rank = 1
+        else:
+            rank = 2
+        if best is None or rank < best[0]:
+            best = (rank, node, below)
+    assert best is not None  # a pattern is connected
+    return best[1], best[2]
+
+
 def evaluate_term(
     pattern: Pattern,
     term: Term,
@@ -246,37 +284,98 @@ def evaluate_term(
     """Evaluate one term into a binding relation over all view nodes.
 
     Per-node inputs: Δ tables for the term's Δ-set, canonical relations
-    (``r_sources``, σ already applied) elsewhere.  When the R-part
-    coincides with a materialized snowcap, its stored relation is the
-    join seed (the Snowcaps strategy); otherwise the R-part is built
-    from the leaves on the fly (the Leaves strategy).
+    (``r_sources``, σ already applied) elsewhere.  The pipeline is
+    Δ-driven: it starts at the materialized snowcap matching the R-part
+    when there is one (the Snowcaps strategy) and at the term's
+    smallest Δ table otherwise, then grows over one adjacent pattern
+    node at a time.  A Δ neighbour is hash-joined; a canonical relation
+    is never read whole, only probed from the IDs already bound --
+    upward along their ancestor chains, downward into their subtree
+    runs -- so the term costs O(|Δ| · depth · log|R| + |output|) over
+    descendant edges; a child edge probed downward reads the bound
+    node's whole same-label subtree run to keep its one-level-down
+    nodes, so there ``|output|`` reads "runs sliced".
+
+    ``term.delta_set`` must be non-empty (every Δ+, Δ− and flip term's
+    is): without a snowcap seed the pipeline has nowhere else to start.
+    Row order is not part of the contract (lattices are bags, extents
+    sorted stores).
     """
     nodes = pattern.nodes()
+    names = tuple(node.name for node in nodes)
+    delta_set = term.delta_set
     relation: Optional[Relation] = None
     r_set = term.r_set(pattern)
     if lattice is not None and r_set:
         # Joins never mutate their inputs, so the stored relation can
         # seed the pipeline directly.
         relation = lattice.relation_for(r_set)
-    for node in nodes:
-        if relation is not None and node.name in relation.schema:
+    seeded = relation is not None
+    if relation is None:
+        start = min(
+            (node for node in nodes if node.name in delta_set),
+            key=lambda node: len(deltas.nodes(node.name)),
+        )
+        relation = Relation.single_column(start.name, deltas.nodes(start.name))
+    pending = [node for node in nodes if node.name not in relation.schema]
+    while pending and relation.rows:
+        node, below = _next_neighbor(pending, relation.schema, delta_set)
+        pending.remove(node)
+        lower = node if below is None else below
+        axis = "parent" if lower.axis == "child" else "ancestor"
+        if node.name in delta_set:
+            table = Relation.single_column(node.name, deltas.nodes(node.name))
+            if below is None:
+                relation = structural_join(
+                    relation, table, node.parent.name, node.name, axis
+                )
+            else:
+                relation = structural_join(table, relation, node.name, below.name, axis)
+        elif below is None:
+            relation = probe_descendants(
+                relation, node.parent.name, r_sources[node.name], node.name, axis
+            )
+        else:
+            relation = probe_ancestors(
+                relation, below.name, r_sources[node.name], node.name, node.label, axis
+            )
+    root = nodes[0]
+    if root.axis == "child" and not seeded and relation.rows:
+        # A child-axis root must sit at the document root (a stored
+        # snowcap already holds only such rows); inserted nodes never
+        # can (inserts add children).
+        index = relation.column_index(root.name)
+        relation = Relation._trusted(
+            relation.schema,
+            [row for row in relation.rows if row[index].id.depth == 1],
+        )
+    if not relation.rows:
+        return Relation._trusted(names, [])
+    return relation.reordered(names)
+
+
+def absorb_embeddings(
+    pattern: Pattern, bindings: Relation, embeddings: Dict[tuple, tuple]
+) -> None:
+    """Add the not yet seen embeddings of ``bindings`` to ``embeddings``
+    (``{binding ID key: projected row}``).
+
+    The same embedding surfaces in several terms; it is keyed by its
+    binding IDs, and only first occurrences are projected.
+    """
+    fresh_rows = []
+    fresh_keys = []
+    for row in bindings.rows:
+        key = tuple(cell.id for cell in row)
+        if key in embeddings:
             continue
-        if node.name in term.delta_set:
-            source = deltas.nodes(node.name)
-        else:
-            source = r_sources[node.name]
-        if node.parent is None:
-            # Pattern root.  A child-axis root must sit at the document
-            # root; inserted nodes never can (inserts add children).
-            if node.axis == "child":
-                source = [n for n in source if n.id.depth == 1]
-            relation = Relation.single_column(node.name, source)
-        else:
-            right = Relation.single_column(node.name, source)
-            axis = "parent" if node.axis == "child" else "ancestor"
-            assert relation is not None and node.parent.name in relation.schema
-            relation = structural_join(relation, right, node.parent.name, node.name, axis)
-        if not relation.rows:
-            return Relation([n.name for n in nodes])
-    assert relation is not None
-    return relation.reordered([n.name for n in nodes])
+        embeddings[key] = ()  # reserve; projected below
+        fresh_keys.append(key)
+        fresh_rows.append(row)
+    if not fresh_rows:
+        return
+    projected = project_bindings(
+        pattern, Relation._trusted(bindings.schema, fresh_rows)
+    )
+    for key, row in zip(fresh_keys, projected.rows):
+        embeddings[key] = row

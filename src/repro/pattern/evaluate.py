@@ -9,7 +9,11 @@ evaluation strategy the maintenance algorithms reuse: term evaluation in
 ET-INS / ET-DEL calls :func:`evaluate_bindings` with some sources bound
 to canonical relations ``R`` and others to Δ tables.
 
-Sources are plain document-ordered node lists per pattern-node name.
+Sources are document-ordered node lists per pattern-node name, each
+paired with its parallel ``sort_key`` list
+(:class:`~repro.xmldom.index.KeyedRows`): full evaluation below reads
+them whole, term evaluation probes them by key.  They are the indexes'
+own lists, handed out rather than copied -- read, never mutate.
 Value predicates (σ) are applied when sources are drawn
 (:func:`sources_from_document`), mirroring the paper's
 ``σ_a(R_a ∪ Δ+_a)`` selection push-down; σ-constant selections over
@@ -26,22 +30,22 @@ from repro.algebra.operators import duplicate_eliminate, project, sort_rows
 from repro.algebra.relation import Relation
 from repro.algebra.structural import structural_join
 from repro.pattern.tree_pattern import Pattern, PatternNode
+from repro.xmldom.index import KeyedRows
 from repro.xmldom.model import Document, ElementNode, Node
 
-Sources = Dict[str, List[Node]]
+Sources = Dict[str, KeyedRows]
 
 
-def _node_source(document: Document, node: PatternNode) -> List[Node]:
-    if node.label == "*":
-        if node.value_pred is not None:
-            # Wildcard σ-constant selection: the all-labels value index,
-            # not an all_elements() scan.
-            return document.nodes_with_value("*", node.value_pred)
-        return sorted(document.all_elements(), key=lambda n: n.id.sort_key)
+def _node_source(document: Document, node: PatternNode) -> KeyedRows:
     if node.value_pred is not None:
-        # σ-constant selection: an index lookup, not a relation scan.
-        return document.nodes_with_value(node.label, node.value_pred)
-    return list(document.nodes_with_label(node.label))
+        # σ-constant selection: an index lookup, not a relation scan
+        # (wildcards resolve through the all-labels value index).
+        return document.keyed_value(node.label, node.value_pred)
+    if node.label == "*":
+        return KeyedRows.of(
+            sorted(document.all_elements(), key=lambda n: n.id.sort_key)
+        )
+    return document.keyed_label(node.label)
 
 
 def filter_by_predicate(nodes: Sequence[Node], node: PatternNode) -> List[Node]:
@@ -125,7 +129,7 @@ def project_bindings(pattern: Pattern, bindings: Relation) -> Relation:
         tuple(_extract(row[i], attr) for i, (_, attr) in zip(indices, columns))
         for row in bindings.rows
     ]
-    return Relation(schema, rows)
+    return Relation._trusted(tuple(schema), rows)
 
 
 def evaluate_view(

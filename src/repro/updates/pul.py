@@ -300,22 +300,24 @@ class BatchApplication:
         invalidate Δ−-side exactness and force the engine's recompute
         fallback.
 
-        Descendant probes bisect sorted ID lists: a Dewey subtree is a
-        contiguous key range, so each probe is O(log n) instead of a
-        scan over every inserted/removed record.
+        Descendant probes bisect sorted ``sort_key`` lists (plain
+        tuples, compared in C): a Dewey subtree is a contiguous key
+        range, so each probe is O(log n) instead of a scan over every
+        inserted/removed record.
         """
-        inserted_sorted = sorted(self.inserted_ids)
+        inserted_keys = sorted(node_id.sort_key for node_id in self.inserted_ids)
         removed_by_statement: dict = {}
         for node, index in self.removed_records:
-            removed_by_statement.setdefault(index, []).append(node.id)
-        for ids in removed_by_statement.values():
-            ids.sort()
+            removed_by_statement.setdefault(index, []).append(node.id.sort_key)
+        for keys in removed_by_statement.values():
+            keys.sort()
         earlier_statements = sorted(removed_by_statement)
         dirty: List[Node] = []
         for node, index in self.net_removed_records():
-            node_id = node.id
-            if has_strict_descendant(inserted_sorted, node_id) or any(
-                has_strict_descendant(removed_by_statement[earlier], node_id)
+            key = node.id.sort_key
+            end_key = node.id.subtree_end_key
+            if has_strict_descendant(inserted_keys, key, end_key) or any(
+                has_strict_descendant(removed_by_statement[earlier], key, end_key)
                 for earlier in earlier_statements
                 if earlier < index
             ):

@@ -460,7 +460,8 @@ def _dewey_from_normalized_steps(steps) -> "DeweyID":
 # run right after its root, so one bisect answers containment) ---------
 
 
-def has_strict_descendant(sorted_ids: Sequence["DeweyID"], ancestor: "DeweyID") -> bool:
-    """Does the sorted ID list hold a proper descendant of ``ancestor``?"""
-    position = bisect.bisect_right(sorted_ids, ancestor)
-    return position < len(sorted_ids) and ancestor.is_ancestor_of(sorted_ids[position])
+def has_strict_descendant(sorted_keys: Sequence, sort_key, subtree_end_key) -> bool:
+    """Does the sorted ``sort_key`` list hold a key of a proper
+    descendant of the ID with ``sort_key`` / ``subtree_end_key``?"""
+    position = bisect.bisect_right(sorted_keys, sort_key)
+    return position < len(sorted_keys) and sorted_keys[position] < subtree_end_key

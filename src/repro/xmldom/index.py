@@ -19,6 +19,15 @@ the memoized ``val``/``cont`` cache on the node classes
 Invariants
 ----------
 
+:class:`KeyedRows`
+    A document-ordered node list paired with the parallel list of its
+    ``sort_key`` s: what both indexes hand out (their own live lists,
+    nothing rebuilt) and what term evaluation probes.  An ID names its
+    ancestors and a subtree is one contiguous key run, so ``find`` (one
+    bisect) and ``below`` (two bisects and a slice) reach the rows a Δ
+    touches without reading the others; ``spliced`` applies one edit
+    list to both lists.
+
 :class:`LabelIndex`
     For every label, ``_nodes[label]`` and ``_keys[label]`` are
     parallel lists in document order; ``_keys[label][i]`` is the
@@ -52,9 +61,105 @@ Invariants
 from __future__ import annotations
 
 import bisect
+from itertools import compress
 from typing import Any, Dict, Iterable, Iterator, List, Sequence
 
 _ABSENT = object()
+
+
+class KeyedRows:
+    """Document-ordered ``nodes`` with their parallel ``sort_key`` list.
+
+    Iterates, slices and measures as its node list.  Rows handed out by
+    an index are its live lists: read them before the document changes
+    again and never mutate them.
+    """
+
+    __slots__ = ("nodes", "keys")
+
+    def __init__(self, nodes: List[Any], keys: List[Any]):
+        self.nodes = nodes
+        self.keys = keys
+
+    @classmethod
+    def of(cls, nodes: Iterable[Any]) -> "KeyedRows":
+        """Key an already document-ordered node sequence."""
+        nodes = list(nodes)
+        return cls(nodes, [node.id.sort_key for node in nodes])
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.nodes)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return KeyedRows(self.nodes[item], self.keys[item])
+        return self.nodes[item]
+
+    def __repr__(self) -> str:
+        return "KeyedRows(%d nodes)" % len(self.nodes)
+
+    def find(self, key: Any) -> Any:
+        """The node whose ``sort_key`` is ``key``, or None."""
+        keys = self.keys
+        position = bisect.bisect_left(keys, key)
+        if position < len(keys) and keys[position] == key:
+            return self.nodes[position]
+        return None
+
+    def below(self, ancestor_id: Any) -> List[Any]:
+        """The nodes properly below ``ancestor_id``: Dewey order keeps
+        a subtree in one contiguous run, so two bisects bound it and
+        the answer is a slice."""
+        keys = self.keys
+        start = bisect.bisect_right(keys, ancestor_id.sort_key)
+        stop = bisect.bisect_left(keys, ancestor_id.subtree_end_key, start)
+        return self.nodes[start:stop]
+
+    def select(self, mask: Sequence[bool]) -> "KeyedRows":
+        """The rows whose ``mask`` entry (parallel to the rows) holds."""
+        return KeyedRows(
+            list(compress(self.nodes, mask)), list(compress(self.keys, mask))
+        )
+
+    def spliced(
+        self, cut_keys: Iterable[Any], merge_nodes: Sequence[Any] = ()
+    ) -> "KeyedRows":
+        """A copy without the rows keyed by ``cut_keys`` (absent ones
+        are ignored) and with ``merge_nodes`` (document-ordered, not
+        among the rows) merged in.
+
+        Costs one bisect per edit plus C-level slice copies between the
+        edit positions -- never a Python-level pass over the rows.
+        """
+        nodes, keys = self.nodes, self.keys
+        # (position, 0 = merge before it / 1 = cut it, merge rank, node)
+        edits = []
+        for key in cut_keys:
+            position = bisect.bisect_left(keys, key)
+            if position < len(keys) and keys[position] == key:
+                edits.append((position, 1, 0, None))
+        for rank, node in enumerate(merge_nodes):
+            position = bisect.bisect_left(keys, node.id.sort_key)
+            edits.append((position, 0, rank, node))
+        edits.sort()
+        out_nodes: List[Any] = []
+        out_keys: List[Any] = []
+        start = 0
+        for position, cut, _rank, node in edits:
+            out_nodes.extend(nodes[start:position])
+            out_keys.extend(keys[start:position])
+            if cut:
+                start = position + 1
+            else:
+                out_nodes.append(node)
+                out_keys.append(node.id.sort_key)
+                start = position
+        out_nodes.extend(nodes[start:])
+        out_keys.extend(keys[start:])
+        return KeyedRows(out_nodes, out_keys)
 
 
 class LabelIndex:
@@ -117,53 +222,13 @@ class LabelIndex:
             row.sort(key=lambda n: n.id.sort_key)
             self._keys[label] = [n.id.sort_key for n in row]
 
+    def keyed(self, label: str) -> KeyedRows:
+        """The live row of ``label`` with its key list (do not mutate)."""
+        return KeyedRows(self._nodes.get(label, []), self._keys.get(label, []))
+
     def descendants(self, label: str, ancestor_id: Any) -> List[Any]:
-        """The ``label`` nodes properly below ``ancestor_id``: Dewey
-        order keeps a subtree in one contiguous run, so two bisects
-        bound it and the answer is a slice."""
-        keys = self._keys.get(label)
-        if not keys:
-            return []
-        start = bisect.bisect_right(keys, ancestor_id.sort_key)
-        stop = bisect.bisect_left(keys, ancestor_id.subtree_end_key, start)
-        return self._nodes[label][start:stop]
-
-    def spliced(
-        self, label: str, cut_ids: Iterable[Any], merge_nodes: Sequence[Any] = ()
-    ) -> List[Any]:
-        """A copy of the row without the nodes identified by ``cut_ids``
-        (IDs of this label; absent ones are ignored) and with
-        ``merge_nodes`` (document-ordered, not in the row) merged in:
-        the row as it stood before a batch inserted the former and
-        removed the latter.
-
-        Costs one bisect per edit plus C-level slice copies between the
-        edit positions -- never a Python-level pass over the row.
-        """
-        row = self._nodes.get(label, [])
-        keys = self._keys.get(label, [])
-        # (position, 0 = merge before it / 1 = cut it, merge rank, node)
-        edits = []
-        for node_id in cut_ids:
-            key = node_id.sort_key
-            position = bisect.bisect_left(keys, key)
-            if position < len(keys) and keys[position] == key:
-                edits.append((position, 1, 0, None))
-        for rank, node in enumerate(merge_nodes):
-            position = bisect.bisect_left(keys, node.id.sort_key)
-            edits.append((position, 0, rank, node))
-        edits.sort()
-        out: List[Any] = []
-        start = 0
-        for position, cut, _rank, node in edits:
-            out.extend(row[start:position])
-            if cut:
-                start = position + 1
-            else:
-                out.append(node)
-                start = position
-        out.extend(row[start:])
-        return out
+        """The ``label`` nodes properly below ``ancestor_id``."""
+        return self.keyed(label).below(ancestor_id)
 
 
 class _ValueEntry:
@@ -221,7 +286,8 @@ class _ValueEntry:
         self._dirty.pop(node, None)
         self._unbucket(node)
 
-    def lookup(self, value: str) -> List[Any]:
+    def lookup(self, value: str) -> KeyedRows:
+        """The live bucket of ``value`` (do not mutate)."""
         if self._dirty:
             for node in self._dirty:
                 current = node.val
@@ -230,7 +296,7 @@ class _ValueEntry:
                 self._unbucket(node)
                 self._insert(node, current)
             self._dirty.clear()
-        return list(self._nodes.get(value, ()))
+        return KeyedRows(self._nodes.get(value, []), self._keys.get(value, []))
 
 
 WILDCARD_LABEL = "*"
@@ -258,7 +324,7 @@ class ValueIndex:
         #: document-ordered element provider backing the "*" entry.
         self._elements = elements
 
-    def lookup(self, label: str, value: str) -> List[Any]:
+    def lookup(self, label: str, value: str) -> KeyedRows:
         entry = self._entries.get(label)
         if entry is None:
             if label == WILDCARD_LABEL:

@@ -37,9 +37,9 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.xmldom.index import LabelIndex, ValueIndex
+from repro.xmldom.index import KeyedRows, LabelIndex, ValueIndex
 from repro.xmldom.dewey import (
     DeweyID,
     Ordinal,
@@ -344,14 +344,9 @@ class Document:
         (document-ordered): two bisects and a slice, no subtree walk."""
         return self._index.descendants(label, node.id)
 
-    def spliced_label(
-        self, label: str, cut_ids: Iterable[DeweyID], merge_nodes: Sequence[Node] = ()
-    ) -> List[Node]:
-        """``R_label`` minus the nodes with ``cut_ids`` (IDs of that
-        label) plus ``merge_nodes`` (document-ordered, currently not in
-        the relation), edited at bisected positions: how the relation
-        stood before those nodes were inserted resp. removed."""
-        return self._index.spliced(label, cut_ids, merge_nodes)
+    def keyed_label(self, label: str) -> KeyedRows:
+        """``R_label`` with its parallel ``sort_key`` list (live view)."""
+        return self._index.keyed(label)
 
     def snapshot_label(self, label: str) -> List[Node]:
         """A copy of ``R_label``, immune to subsequent updates."""
@@ -365,10 +360,17 @@ class Document:
         element via the lazily built all-labels entry, so wildcard σ
         pattern nodes avoid the ``all_elements()`` scan.
         """
+        return list(self.keyed_value(label, constant).nodes)
+
+    def keyed_value(self, label: str, constant: str) -> KeyedRows:
+        """:meth:`nodes_with_value` as the value index's own bucket
+        with its key list (live view; nothing is copied)."""
         if not _USE_HOT_PATH_CACHES:
             if label == "*":
-                return [n for n in self.all_elements() if n.val == constant]
-            return [n for n in self._index.nodes(label) if n.val == constant]
+                candidates = sorted(self.all_elements(), key=lambda n: n.id.sort_key)
+            else:
+                candidates = self._index.nodes(label)
+            return KeyedRows.of(n for n in candidates if n.val == constant)
         return self._values.lookup(label, constant)
 
     def all_elements(self) -> Iterator[ElementNode]:

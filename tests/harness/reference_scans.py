@@ -25,7 +25,7 @@ from repro.pattern.xpath_parser import (
     ValueFilter,
     _test_matches,
 )
-from repro.xmldom.dewey import DeweyID, has_strict_descendant
+from repro.xmldom.dewey import DeweyID
 from repro.xmldom.model import Document, ElementNode, Node
 
 # -- XPath: walk every node for a descendant step ------------------------------
@@ -110,6 +110,11 @@ def has_descendant_or_self(sorted_ids: Sequence[DeweyID], ancestor: DeweyID) -> 
     return position < len(sorted_ids) and ancestor.is_ancestor_or_self(
         sorted_ids[position]
     )
+
+
+def has_strict_descendant(sorted_ids: Sequence[DeweyID], ancestor: DeweyID) -> bool:
+    position = bisect.bisect_right(sorted_ids, ancestor)
+    return position < len(sorted_ids) and ancestor.is_ancestor_of(sorted_ids[position])
 
 
 def scan_attribute_refreshes(

@@ -150,6 +150,14 @@ def test_sort_by_dewey_object_fixture_fires():
     assert len(findings_for(path)) == 3  # the .id.sort_key forms are clean
 
 
+def test_bisect_by_dewey_object_fixture_fires():
+    path = fixture("maintenance", "bisect_key_bad.py")
+    assert lines_for(path, "bisect-by-dewey-object") == [7, 8, 9]
+    assert len(findings_for(path)) == 3
+    # The same probes over a sort_key list are clean.
+    assert findings_for(fixture("maintenance", "bisect_key_ok.py")) == []
+
+
 def test_clean_fixture_is_clean():
     assert findings_for(fixture("sharding", "clean_ok.py")) == []
 

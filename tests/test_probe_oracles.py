@@ -18,6 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.relation import Relation
+from repro.algebra.structural import structural_join
+from repro.maintenance import insert as insert_module
+from repro.maintenance import terms as terms_module
 from repro.maintenance.delta import BatchCandidates
 from repro.maintenance.engine import BatchEngine
 from repro.maintenance.insert import collect_attribute_refreshes
@@ -30,6 +33,7 @@ from repro.views.view import MaterializedView
 from repro.workloads.churn import churn_batches
 from repro.workloads.queries import VIEW_TEXTS, view_pattern
 from repro.workloads.updates import statement_stream
+from repro.xmldom.index import KeyedRows
 from repro.xmldom.model import ElementNode, TextNode, build_document
 from repro.xmldom.parser import parse_fragment
 from repro.workloads.xmark import generate_document
@@ -350,13 +354,16 @@ def test_spliced_label_reconstructs_the_pre_batch_relation(seed):
     touched = set(inserted) | set(removed)
     assert touched
     for label in sorted(touched | {"nosuchlabel"}):
-        spliced = document.spliced_label(
-            label, inserted.get(label, ()), removed.get(label, ())
+        spliced = document.keyed_label(label).spliced(
+            [node_id.sort_key for node_id in inserted.get(label, ())],
+            removed.get(label, ()),
         )
-        assert spliced == scan_spliced(
+        assert spliced.nodes == scan_spliced(
             document.nodes_with_label(label), inserted_ids, removed.get(label, ())
         ), label
-        assert spliced == before.get(label, []), label
+        assert spliced.nodes == before.get(label, []), label
+        # ... and the one edit list kept the key list parallel.
+        assert spliced.keys == [node.id.sort_key for node in spliced.nodes], label
 
 
 # -- the cost model, counted: a fixed batch costs the same at any scale -------------
@@ -368,6 +375,10 @@ class _Counters:
         self.probed_ids = 0
         self.rows_hit = 0
         self.rows_rewritten = 0
+        #: source rows read by the join operators of term evaluation:
+        #: the whole right input of a hash join, the ancestors found
+        #: and the subtree runs sliced by the two probes.
+        self.join_rows_examined = 0
 
 
 @contextmanager
@@ -395,10 +406,29 @@ def _counting(counters):
         counters.rows_rewritten += len(doomed) + len(fresh)
         return delta(self, doomed, fresh)
 
+    hash_join, find, below = structural_join, KeyedRows.find, KeyedRows.below
+
+    def counted_hash_join(left, right, *args):
+        counters.join_rows_examined += len(right.rows)
+        return hash_join(left, right, *args)
+
+    def counted_find(self, key):
+        node = find(self, key)
+        counters.join_rows_examined += node is not None
+        return node
+
+    def counted_below(self, ancestor_id):
+        run = below(self, ancestor_id)
+        counters.join_rows_examined += len(run)
+        return run
+
     ElementNode.self_and_descendants = counted_walk
     ElementNode.descendants = counted_descend
     lattice_module._probe = counted_probe
     Relation.apply_delta = counted_delta
+    terms_module.structural_join = insert_module.structural_join = counted_hash_join
+    KeyedRows.find = counted_find
+    KeyedRows.below = counted_below
     try:
         yield
     finally:
@@ -406,6 +436,9 @@ def _counting(counters):
         ElementNode.descendants = descend
         lattice_module._probe = probe
         Relation.apply_delta = delta
+        terms_module.structural_join = insert_module.structural_join = hash_join
+        KeyedRows.find = find
+        KeyedRows.below = below
 
 
 _PROBE_PERSON = (
@@ -463,9 +496,15 @@ def test_fixed_batch_examines_the_same_rows_at_any_scale():
     small, small_persons = _fixed_batch_counts(8)
     large, large_persons = _fixed_batch_counts(32)
     assert large_persons > 3 * small_persons  # the state really grew
-    assert small.rows_hit > 0
-    assert (small.probed_ids, small.rows_hit, small.rows_rewritten) == (
+    assert small.rows_hit > 0 and small.join_rows_examined > 0
+    assert (
+        small.probed_ids,
+        small.rows_hit,
+        small.rows_rewritten,
+        small.join_rows_examined,
+    ) == (
         large.probed_ids,
         large.rows_hit,
         large.rows_rewritten,
+        large.join_rows_examined,
     )

@@ -9,10 +9,13 @@ from repro.algebra.relation import Relation
 from repro.algebra.structural import (
     path_filter,
     path_navigate,
+    probe_ancestors,
+    probe_descendants,
     stack_tree_pairs,
     structural_join,
     structural_semijoin,
 )
+from repro.xmldom.index import KeyedRows
 from repro.xmldom.parser import parse_document
 
 
@@ -56,6 +59,42 @@ class TestStructuralJoin:
         assert len(out) == 3
         out = structural_semijoin(rel(doc, "f"), rel(doc, "b"), "f", "b", "parent")
         assert len(out) == 1
+
+
+class TestProbes:
+    """The two Dewey probes against the hash join, edge by edge."""
+
+    @pytest.mark.parametrize("axis", ["parent", "ancestor"])
+    @pytest.mark.parametrize("upper,lower", [("c", "b"), ("f", "b"), ("a", "c"), ("b", "c")])
+    def test_both_probes_match_the_hash_join(self, doc, upper, lower, axis):
+        joined = structural_join(rel(doc, upper), rel(doc, lower), upper, lower, axis)
+        expected = sorted((str(u.id), str(l.id)) for u, l in joined.rows)
+        up = probe_ancestors(
+            rel(doc, lower), lower, doc.keyed_label(upper), upper, upper, axis
+        )
+        assert up.schema == (lower, upper)
+        assert sorted((str(u.id), str(l.id)) for l, u in up.rows) == expected
+        down = probe_descendants(
+            rel(doc, upper), upper, doc.keyed_label(lower), lower, axis
+        )
+        assert down.schema == (upper, lower)
+        assert sorted((str(u.id), str(l.id)) for u, l in down.rows) == expected
+
+    def test_wildcard_label_probes_every_ancestor(self, doc):
+        elements = sorted(doc.all_elements(), key=lambda n: n.id.sort_key)
+        source = KeyedRows.of(elements)
+        out = probe_ancestors(rel(doc, "b"), "b", source, "any", "*", "ancestor")
+        assert sorted(str(up.id) for b, up in out.rows if str(b.id) == "a1.f2.c1.b1") == [
+            "a1",
+            "a1.f2",
+            "a1.f2.c1",
+        ]
+
+    def test_bad_axis_rejected(self, doc):
+        with pytest.raises(ValueError):
+            probe_ancestors(rel(doc, "b"), "b", doc.keyed_label("c"), "c", "c", "cousin")
+        with pytest.raises(ValueError):
+            probe_descendants(rel(doc, "c"), "c", doc.keyed_label("b"), "b", "cousin")
 
 
 class TestStackTreeReference:
