@@ -4,8 +4,9 @@ Propagates a 64-statement single-target XMark insert stream (the
 write-stream shape the async queue produces) to the Fig-18 views at the
 figure's document scale (``SCALE_MEDIUM``), twice from the same
 starting document: once statement-at-a-time through
-``MaintenanceEngine.apply_update`` and once as a single ``UpdateBatch``
-through ``BatchEngine.apply``.  The batch side must
+``MaintenanceEngine.apply_update`` (a batch of one per statement) and
+once as a single ``UpdateBatch`` through ``apply_batch``.  The batch
+side must
 
 * leave final view extents **byte-identical** to sequential
   application (the updated documents are identical by construction --
@@ -28,7 +29,7 @@ import time
 
 from conftest import traced_propagation
 
-from repro.maintenance.engine import BatchEngine, MaintenanceEngine
+from repro.maintenance.engine import MaintenanceEngine
 from repro.obs import Observability
 from repro.updates.language import UpdateBatch
 from repro.workloads.queries import view_pattern
@@ -61,10 +62,10 @@ def _run_sequential(stream):
 def _run_batched(stream):
     document = generate_document(scale=SCALE)
     obs = Observability()
-    engine = BatchEngine(document, obs=obs)
+    engine = MaintenanceEngine(document, obs=obs)
     registered = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
     started = time.perf_counter()
-    report = engine.apply(UpdateBatch(stream))
+    report = engine.apply_batch(UpdateBatch(stream))
     wall = time.perf_counter() - started
     return document, registered, traced_propagation(obs), wall, report
 

@@ -23,7 +23,7 @@ Run directly (exit 1 on failure) or via
 
 from __future__ import annotations
 
-from repro.maintenance.engine import BatchEngine
+from repro.maintenance.engine import MaintenanceEngine
 from repro.obs import Observability
 from repro.obs.export import propagation_from_records, span_records
 from repro.updates.language import UpdateBatch
@@ -43,9 +43,9 @@ STREAM_NAMES = ("X1_L", "X2_L", "X3_A", "A6_A", "B3_LB", "E6_L")
 def _run_once(stream, obs=None, workers=None):
     document = generate_document(scale=SCALE)
     options = {} if obs is None else {"obs": obs}
-    engine = BatchEngine(document, **options)
+    engine = MaintenanceEngine(document, **options)
     views = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
-    report = engine.apply(UpdateBatch(stream), workers=workers)
+    report = engine.apply_batch(UpdateBatch(stream), workers=workers)
     return document, views, report
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 
-from repro.maintenance.engine import BatchEngine
+from repro.maintenance.engine import MaintenanceEngine
 from repro.workloads.churn import churn_batches
 from repro.workloads.queries import view_pattern
 from repro.workloads.xmark import generate_document
@@ -62,7 +62,7 @@ def _sigma_views():
 
 def _run(sigma_repair: bool, batches):
     document = generate_document(scale=SCALE)
-    engine = BatchEngine(document, sigma_repair=sigma_repair)
+    engine = MaintenanceEngine(document, sigma_repair=sigma_repair)
     registered = {
         name: engine.register_view(pattern, name)
         for name, pattern in _sigma_views().items()
@@ -73,7 +73,7 @@ def _run(sigma_repair: bool, batches):
     flip_batches = []
     for batch in batches:
         started = time.perf_counter()
-        report = engine.apply(list(batch))
+        report = engine.apply_batch(list(batch))
         wall += time.perf_counter() - started
         propagation += report.propagation_seconds()
         fallback_batches.append(bool(report.fallbacks))

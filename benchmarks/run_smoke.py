@@ -45,7 +45,7 @@ import subprocess
 import sys
 
 from repro.baselines.recompute import full_recompute
-from repro.maintenance.engine import BatchEngine, MaintenanceEngine
+from repro.maintenance.engine import MaintenanceEngine
 from repro.updates.language import ResolvedDeleteUpdate, ResolvedInsertUpdate, UpdateBatch
 from repro.updates.pul import compute_pul
 from repro.views.lattice import SnowcapLattice
@@ -154,11 +154,11 @@ def _check_batch_equivalence() -> dict:
     for statement in stream:
         sequential.apply_update(statement)
     batch_doc = generate_document(scale=SCALE)
-    batched = BatchEngine(batch_doc)
+    batched = MaintenanceEngine(batch_doc)
     batched_views = {
         name: batched.register_view(view_pattern(name), name) for name in views
     }
-    report = batched.apply(UpdateBatch(stream))
+    report = batched.apply_batch(UpdateBatch(stream))
     equal = all(
         sequential_views[name].view.content() == batched_views[name].view.content()
         and batched_views[name].view.equals_fresh_evaluation(batch_doc)
@@ -190,14 +190,14 @@ def _measure_fallback_rate() -> dict:
         generate_document(scale=SCALE), CHURN_BATCHES, seed=17
     )
     document = generate_document(scale=SCALE)
-    engine = BatchEngine(document)
+    engine = MaintenanceEngine(document)
     registered = {
         name: engine.register_view(view_pattern(name), name) for name in views
     }
     flip_bearing = 0
     fallback_bearing = 0
     for batch in batches:
-        report = engine.apply(list(batch))
+        report = engine.apply_batch(list(batch))
         flipped = bool(report.repairs) or any(
             entry.get("reason") == "predicate_flip"
             for entry in report.fallbacks.values()
@@ -285,7 +285,7 @@ def _collect_obs_metrics() -> dict:
 
     os.makedirs(os.path.dirname(TRACE_PATH), exist_ok=True)
     obs = Observability(trace_path=TRACE_PATH)
-    engine = BatchEngine(generate_document(scale=SCALE), obs=obs)
+    engine = MaintenanceEngine(generate_document(scale=SCALE), obs=obs)
     for name in ("Q1", "Q3"):
         engine.register_view(view_pattern(name), name)
     stream = statement_stream(

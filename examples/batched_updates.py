@@ -18,7 +18,8 @@ statement-at-a-time and compares propagation time.
 
 import time
 
-from repro.maintenance.engine import BatchEngine, MaintenanceEngine
+from repro.maintenance.engine import MaintenanceEngine
+from repro.maintenance.queue import ApplyQueue
 from repro.workloads.queries import view_pattern
 from repro.workloads.updates import statement_stream
 from repro.workloads.xmark import generate_document, size_of
@@ -40,13 +41,13 @@ def main():
     print("stream: %d single-target statements (80%% inserts)\n" % len(stream))
 
     # -- async batched application -----------------------------------------
-    engine = BatchEngine(document)
+    engine = MaintenanceEngine(document)
     registered = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
     for name, view in registered.items():
         print("  %-4s %-60s %4d tuples" % (name, view.pattern.to_string(), len(view.view)))
 
     started = time.perf_counter()
-    with engine.queue(max_batch_size=16, flush_interval=0.002) as queue:
+    with ApplyQueue(engine, max_batch_size=16, flush_interval=0.002) as queue:
         tickets = [queue.apply_async(statement) for statement in stream]
         submit_ms = (time.perf_counter() - started) * 1000
         queue.flush()

@@ -16,7 +16,7 @@
   Delta Tables, Get Update Expression, Execute Update, Update Lattice).
 """
 
-from repro.maintenance.delta import DeltaTables, compute_delta_minus, compute_delta_plus
+from repro.maintenance.delta import DeltaTables
 from repro.maintenance.terms import (
     Term,
     evaluate_term,
@@ -29,7 +29,6 @@ from repro.maintenance.terms import (
 from repro.maintenance.engine import (
     MaintenanceEngine,
     PhaseTimes,
-    PropagationReport,
     RegisteredView,
 )
 
@@ -37,11 +36,8 @@ __all__ = [
     "DeltaTables",
     "MaintenanceEngine",
     "PhaseTimes",
-    "PropagationReport",
     "RegisteredView",
     "Term",
-    "compute_delta_minus",
-    "compute_delta_plus",
     "evaluate_term",
     "expand_delete_terms",
     "expand_insert_terms",

@@ -55,11 +55,9 @@ class DeltaTables:
 class BatchCandidates:
     """Label-bucketed Δ candidates, built once and shared across views.
 
-    The per-statement pipeline bucketed the inserted/doomed node set by
-    label once *per view*; batching lifts the bucketing out so one
-    sorted, label-indexed candidate set serves every registered view's
-    σ-filtering (the candidates are view-independent -- only the σ
-    push-down is per view).
+    One sorted, label-indexed candidate set serves every registered
+    view's σ-filtering (the candidates are view-independent -- only
+    the σ push-down is per view).
     """
 
     __slots__ = ("nodes", "by_label")
@@ -121,28 +119,6 @@ def flip_delta(
     """
     ordered = sorted(nodes, key=BatchCandidates._order)
     return DeltaTables(pattern, {name: ordered}, sign)
-
-
-def insert_candidates(inserted_roots: Sequence[Node]) -> BatchCandidates:
-    """Candidate set of freshly inserted subtrees (document order)."""
-    nodes: List[Node] = []
-    for root in inserted_roots:
-        nodes.extend(root.self_and_descendants())
-    return BatchCandidates(nodes)
-
-
-def compute_delta_plus(pattern: Pattern, inserted_roots: Sequence[Node]) -> DeltaTables:
-    """CD+ (Algorithm 2): Δ+ tables from freshly inserted subtrees.
-
-    ``inserted_roots`` are the copies produced by *apply-insert*, so
-    their nodes already carry the Dewey IDs assigned in the document.
-    """
-    return delta_from_candidates(pattern, insert_candidates(inserted_roots), "+")
-
-
-def compute_delta_minus(pattern: Pattern, removed_nodes: Sequence[Node]) -> DeltaTables:
-    """CD−: Δ− tables from the doomed node set (targets + descendants)."""
-    return delta_from_candidates(pattern, BatchCandidates(removed_nodes), "-")
 
 
 def doomed_nodes(targets: Sequence[Node]) -> List[Node]:

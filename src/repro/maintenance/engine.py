@@ -2,9 +2,9 @@
 
 The engine owns a document plus any number of registered views (each
 with its materialized extent and snowcap lattice) and propagates
-statement-level updates through the combined PINT/MT and PDDT/MT
-pipelines (Figures 8 and 9), timing the five phases reported throughout
-Section 6:
+statement batches through the combined PINT/MT and PDDT/MT pipelines
+(Figures 8 and 9) -- a single statement is a batch of one -- timing the
+five phases reported throughout Section 6:
 
 * **Find Target Nodes** -- evaluating the update's target path
   (the job the paper delegates to Saxon);
@@ -39,25 +39,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.maintenance.delta import (
-    BatchCandidates,
-    compute_delta_minus,
-    compute_delta_plus,
-    doomed_nodes,
-)
-from repro.maintenance.delete import (
-    et_del,
-    pddt_apply,
-    pdmt,
-    surviving_delete_terms,
-)
-from repro.maintenance.insert import (
-    apply_attribute_refreshes,
-    et_ins,
-    pimt,
-    snowcap_additions,
-    surviving_insert_terms,
-)
+from repro.maintenance.delta import BatchCandidates
+from repro.maintenance.insert import apply_attribute_refreshes
 from repro.maintenance.repair import (
     flip_lattice_repair,
     match_flips_to_pattern,
@@ -70,11 +53,10 @@ from repro.pattern.tree_pattern import Pattern
 from repro.pattern.xquery import ViewDefinition
 from repro.updates.language import (
     DeleteUpdate,
-    InsertUpdate,
     UpdateBatch,
     UpdateStatement,
 )
-from repro.updates.pul import BatchApplication, apply_pul, compute_pul
+from repro.updates.pul import BatchApplication
 from repro.views.lattice import SnowcapLattice
 from repro.views.view import MaterializedView
 from repro.xmldom.dewey import DeweyID
@@ -162,9 +144,8 @@ def aggregate_phase_seconds(phase_sets, base=0.0, exclude_find_targets=False):
     carries the report-level once-per-batch costs (net Δ construction,
     parallel shard-round walls); ``exclude_find_targets`` drops the
     shared target-resolution time, which the propagation metrics leave
-    out.  :class:`PropagationReport`, :class:`BatchReport` and
-    ``repro.bench.harness.BreakdownRow`` all sum through here, so their
-    totals cannot drift apart -- and because every phase credit also
+    out.  :class:`BatchReport` and ``repro.bench.harness.BreakdownRow``
+    both sum through here, so their totals cannot drift apart -- and because every phase credit also
     lands in a trace span (see :class:`_PhaseTimer`), the summed spans
     equal these totals too (pinned by a regression test).
     """
@@ -220,7 +201,7 @@ def _credit(tracer, phases: PhaseTimes, phase: str, seconds: float, view: str) -
 
 
 class ViewReport:
-    """Outcome of propagating one update to one view."""
+    """Outcome of propagating one batch to one view."""
 
     def __init__(self, name: str):
         self.name = name
@@ -248,39 +229,6 @@ class ViewReport:
                 self.terms_developed,
                 self.phases.total(),
             )
-        )
-
-
-class PropagationReport:
-    """Outcome of one statement across all registered views."""
-
-    def __init__(self, statement: UpdateStatement):
-        self.statement = statement
-        self.view_reports: Dict[str, ViewReport] = {}
-        self.apply_document_seconds = 0.0
-        self.pul_size = 0
-
-    def report_for(self, name: str) -> ViewReport:
-        return self.view_reports[name]
-
-    def total_maintenance_seconds(self) -> float:
-        return aggregate_phase_seconds(
-            report.phases for report in self.view_reports.values()
-        )
-
-    def propagation_seconds(self) -> float:
-        """Maintenance-phase seconds with the shared find-targets time
-        excluded -- the metric the benchmarks compare across pipelines."""
-        return aggregate_phase_seconds(
-            (report.phases for report in self.view_reports.values()),
-            exclude_find_targets=True,
-        )
-
-    def __repr__(self) -> str:
-        return "PropagationReport(%s, %d views, %.4fs)" % (
-            self.statement.name,
-            len(self.view_reports),
-            self.total_maintenance_seconds(),
         )
 
 
@@ -428,11 +376,10 @@ def _watch_entries(
 ) -> List[Tuple[DeweyID, str, bool]]:
     """(node, constant, satisfied) snapshots for flippable σ candidates.
 
-    ``chain`` is the self-and-ancestor candidate set of an update's
+    ``chain`` is the self-and-ancestor candidate set of a statement's
     targets (sorted by ID); only label-compatible candidates are
-    watched.  Shared by the per-statement watchlists and the batch
-    pipeline's merged first-seen snapshots so the two paths cannot
-    drift apart.
+    watched.  The batch pipeline merges these into first-seen
+    snapshots per view.
     """
     entries: List[Tuple[DeweyID, str, bool]] = []
     for node in sigma_nodes:
@@ -449,7 +396,7 @@ def _watch_entries(
 
 
 class MaintenanceEngine:
-    """Propagates statement-level updates to registered views."""
+    """Propagates statement batches to registered views."""
 
     def __init__(
         self,
@@ -654,8 +601,8 @@ class MaintenanceEngine:
         self,
         pattern: Pattern,
         excluded_ids: set,
-        cache: Optional[Dict[str, KeyedRows]] = None,
-        excluded_by_label: Optional[Dict[str, List[DeweyID]]] = None,
+        cache: Dict[str, KeyedRows],
+        excluded_by_label: Dict[str, List[DeweyID]],
     ) -> Sources:
         """σ-filtered canonical relations, minus the given node IDs.
 
@@ -667,17 +614,12 @@ class MaintenanceEngine:
         bisected positions (``KeyedRows.spliced``), so the cost follows
         the excluded IDs of that label, not ``|R_label|``.
 
-        ``cache`` (optional, label-keyed) shares the unpredicated
+        ``cache`` (label-keyed, one per batch) shares the unpredicated
         post-exclusion rows across calls with the same ``excluded_ids``
-        -- the batch pipeline passes one per batch so multi-view
-        maintenance filters each label once.  ``excluded_by_label`` is
-        ``excluded_ids`` bucketed by label; callers that bucket once per
-        batch pass it so it is not rebuilt per call (O(|excluded_ids|)).
+        so multi-view maintenance filters each label once.
+        ``excluded_by_label`` is ``excluded_ids`` bucketed by label in
+        document order, built once per batch.
         """
-        if excluded_by_label is None:
-            excluded_by_label = {}
-            for node_id in sorted(excluded_ids, key=lambda i: i.sort_key):
-                excluded_by_label.setdefault(node_id.label, []).append(node_id)
         sources: Sources = {}
         for node in pattern.nodes():
             label = node.label
@@ -694,7 +636,7 @@ class MaintenanceEngine:
             if label != "*" and label not in excluded_by_label:
                 sources[node.name] = self.document.keyed_label(label)
                 continue
-            rows = None if cache is None else cache.get(label)
+            rows = cache.get(label)
             if rows is None:
                 if label == "*":
                     rows = KeyedRows.of(
@@ -711,13 +653,9 @@ class MaintenanceEngine:
                     rows = self.document.keyed_label(label).spliced(
                         [node_id.sort_key for node_id in excluded_by_label[label]]
                     )
-                if cache is not None:
-                    cache[label] = rows
+                cache[label] = rows
             sources[node.name] = rows
         return sources
-
-    def _sources_current(self, pattern: Pattern) -> Sources:
-        return self._sources_excluding(pattern, set())
 
     # -- propagation ------------------------------------------------------------
 
@@ -742,22 +680,9 @@ class MaintenanceEngine:
             rebalance=rebalance,
         )
 
-    def apply_update(self, statement: UpdateStatement) -> PropagationReport:
-        """Propagate one statement: document update + all views."""
-        self._check_no_active_session()
-        batch_id = self._durability_begin([statement])
-        try:
-            with self.obs.span("statement", name=statement.name):
-                if isinstance(statement, InsertUpdate):
-                    report = self._apply_insert(statement)
-                elif isinstance(statement, DeleteUpdate):
-                    report = self._apply_delete(statement)
-                else:
-                    raise TypeError("unknown statement %r" % (statement,))
-        finally:
-            self._durability_commit(batch_id)
-        self._statements_counter.inc()
-        return report
+    def apply_update(self, statement: UpdateStatement) -> BatchReport:
+        """Propagate one statement: a batch of one (see :meth:`apply_batch`)."""
+        return self.apply_batch([statement])
 
     def _durability_begin(self, statements: Sequence[UpdateStatement]):
         """WAL the batch ahead of any application; None without a
@@ -779,194 +704,17 @@ class MaintenanceEngine:
                 batch_id, self.views, include_lattices=include_lattices
             )
 
-    def _predicate_guard(
-        self,
-        registered: RegisteredView,
-        view_report: ViewReport,
-        watchlist: List[Tuple[DeweyID, str, bool]],
-    ) -> bool:
-        """Single recompute guard of the per-statement paths.
-
-        The per-statement pipeline (the paper's comparison baseline)
-        keeps the whole-view recompute on a σ flip; the batch pipeline
-        repairs instead.  Returns True when the fallback fired, so the
-        caller skips term propagation for this view.
-        """
-        if not self._watch_changed(watchlist):
-            return False
-        self._recompute(registered)
-        view_report.predicate_fallback = True
-        return True
-
-    # .. insertions ............................................................
-
-    def _apply_insert(self, statement: InsertUpdate) -> PropagationReport:
-        report = PropagationReport(statement)
-
-        started = time.perf_counter()
-        pul = compute_pul(self.document, statement)
-        find_targets_seconds = time.perf_counter() - started
-        report.pul_size = len(pul)
-        target_ids = [op.target.id for op in pul.inserts()]
-
-        watchlists = {
-            name: self._watch_predicates(registered.pattern, target_ids)
-            for name, registered in self.views.items()
-        }
-
-        applied = apply_pul(self.document, pul)
-        report.apply_document_seconds = applied.apply_seconds
-        inserted_ids = {
-            node.id
-            for root in applied.inserted_roots
-            for node in root.self_and_descendants()
-        }
-
-        tracer = self.obs.tracer
-        for name, registered in self.views.items():
-            view_report = ViewReport(name)
-            view_report.targets = len(target_ids)
-            _credit(
-                tracer, view_report.phases, "find_target_nodes",
-                find_targets_seconds, name,
-            )
-            pattern = registered.pattern
-
-            if self._predicate_guard(registered, view_report, watchlists[name]):
-                report.view_reports[name] = view_report
-                continue
-
-            with _PhaseTimer(tracer, view_report.phases, "compute_delta_tables", name):
-                deltas = compute_delta_plus(pattern, applied.inserted_roots)
-            view_report.delta_sizes = {
-                node_name: len(rows) for node_name, rows in deltas.tables.items()
-            }
-
-            with _PhaseTimer(tracer, view_report.phases, "get_update_expression", name):
-                terms, developed = surviving_insert_terms(
-                    pattern,
-                    deltas,
-                    target_ids,
-                    self.use_data_pruning,
-                    self.use_id_pruning,
-                )
-            view_report.terms_developed = developed
-            view_report.terms_surviving = len(terms)
-
-            with _PhaseTimer(tracer, view_report.phases, "execute_update", name):
-                view_report.tuples_modified = pimt(
-                    registered.view, self.document, target_ids
-                )
-                r_sources = self._sources_excluding(pattern, inserted_ids)
-                view_report.derivations_added, view_report.term_eval_seconds = et_ins(
-                    registered.view, terms, r_sources, deltas, registered.lattice
-                )
-
-            with _PhaseTimer(tracer, view_report.phases, "update_lattice", name):
-                additions = snowcap_additions(
-                    pattern,
-                    registered.lattice,
-                    r_sources,
-                    deltas,
-                    target_ids,
-                    self.use_data_pruning,
-                    self.use_id_pruning,
-                )
-                registered.lattice.apply_insert_additions(additions)
-
-            report.view_reports[name] = view_report
-        return report
-
-    # .. deletions ..............................................................
-
-    def _apply_delete(self, statement: DeleteUpdate) -> PropagationReport:
-        report = PropagationReport(statement)
-
-        started = time.perf_counter()
-        pul = compute_pul(self.document, statement)
-        find_targets_seconds = time.perf_counter() - started
-        report.pul_size = len(pul)
-        targets = [op.target for op in pul.deletes()]
-        target_ids = [node.id for node in targets]
-        doomed = doomed_nodes(targets)
-        doomed_ids = {node.id for node in doomed}
-
-        watchlists = {
-            name: self._watch_predicates(
-                registered.pattern, target_ids, excluded_ids=doomed_ids
-            )
-            for name, registered in self.views.items()
-        }
-
-        # Per-view term evaluation happens against the *old* document.
-        tracer = self.obs.tracer
-        removals_by_view: Dict[str, Dict[tuple, int]] = {}
-        for name, registered in self.views.items():
-            view_report = ViewReport(name)
-            view_report.targets = len(target_ids)
-            _credit(
-                tracer, view_report.phases, "find_target_nodes",
-                find_targets_seconds, name,
-            )
-            pattern = registered.pattern
-
-            with _PhaseTimer(tracer, view_report.phases, "compute_delta_tables", name):
-                deltas = compute_delta_minus(pattern, doomed)
-            view_report.delta_sizes = {
-                node_name: len(rows) for node_name, rows in deltas.tables.items()
-            }
-
-            with _PhaseTimer(tracer, view_report.phases, "get_update_expression", name):
-                terms, developed = surviving_delete_terms(
-                    pattern,
-                    deltas,
-                    self.prune_even_terms,
-                    self.use_data_pruning,
-                    self.use_id_pruning,
-                )
-            view_report.terms_developed = developed
-            view_report.terms_surviving = len(terms)
-
-            with _PhaseTimer(tracer, view_report.phases, "execute_update", name):
-                r_sources = self._sources_current(pattern)
-                removals, view_report.term_eval_seconds = et_del(
-                    registered.view, terms, r_sources, deltas, registered.lattice
-                )
-                tuples_removed, derivations_removed = pddt_apply(
-                    registered.view, removals
-                )
-            view_report.tuples_removed = tuples_removed
-            view_report.derivations_removed = derivations_removed
-
-            removals_by_view[name] = removals
-            report.view_reports[name] = view_report
-
-        applied = apply_pul(self.document, pul)
-        report.apply_document_seconds = applied.apply_seconds
-
-        for name, registered in self.views.items():
-            view_report = report.view_reports[name]
-            if self._predicate_guard(registered, view_report, watchlists[name]):
-                continue
-            with _PhaseTimer(tracer, view_report.phases, "execute_update", name):
-                view_report.tuples_modified = pdmt(
-                    registered.view, self.document, target_ids
-                )
-
-            with _PhaseTimer(tracer, view_report.phases, "update_lattice", name):
-                registered.lattice.apply_delete(doomed_ids)
-        return report
-
     # -- sequences (Section 5) ------------------------------------------------
 
     def apply_sequence(
         self, statements: Sequence[UpdateStatement], optimize: bool = False
-    ) -> List[PropagationReport]:
+    ) -> List[BatchReport]:
         """Propagate a sequence of statements, optionally PUL-optimized.
 
         With ``optimize=True`` the statements' atomic operations are
         first reduced by the rules of Section 5 (O1, O3, I5); the
-        reduced sequence is then applied to document and views.
+        reduced sequence is then applied to document and views, one
+        batch-of-one report per statement.
         """
         if not optimize:
             return [self.apply_update(statement) for statement in statements]
@@ -1007,10 +755,11 @@ class MaintenanceEngine:
 
         Exactness: embeddings built purely from surviving pre-batch
         nodes are state-independent unless a σ predicate flipped
-        (caught by the merged watchlists, per-view recompute fallback)
-        or a net-removed node's stored attributes drifted before its
-        removal (caught by the dirty-subtree guard, same fallback), so
-        the final extents always equal sequential application.
+        (caught by the merged watchlists, repaired in place) or a
+        net-removed node's stored attributes drifted before its removal
+        (caught by the dirty-subtree guard, restored from snapshots);
+        only what neither can repair falls back to recomputing the
+        view, so the final extents always equal sequential application.
         """
         self._check_no_active_session()
         batch_id = None
@@ -1920,49 +1669,6 @@ class MaintenanceEngine:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _watch_predicates(
-        self,
-        pattern: Pattern,
-        target_ids: Sequence[DeweyID],
-        excluded_ids: Optional[set] = None,
-    ) -> List[Tuple[DeweyID, str, bool]]:
-        """Snapshot (node, constant, satisfied) for flippable σ nodes.
-
-        Only ancestors-or-self of the update targets can have their
-        ``val`` flipped by the update, and the Dewey scheme encodes the
-        whole ancestor chain in each target's ID -- so the watchlist is
-        built from O(#targets × depth) ID-derived candidates instead of
-        scanning every node of every σ label.
-        """
-        watch: List[Tuple[DeweyID, str, bool]] = []
-        if not target_ids:
-            return watch
-        sigma_nodes = [node for node in pattern.nodes() if node.value_pred is not None]
-        if not sigma_nodes:
-            return watch
-        seen: set = set()
-        chain: List[Node] = []
-        for target in target_ids:
-            for candidate_id in list(target.ancestor_ids()) + [target]:
-                if candidate_id in seen:
-                    continue
-                seen.add(candidate_id)
-                if excluded_ids and candidate_id in excluded_ids:
-                    continue
-                candidate = self.document.node_by_id(candidate_id)
-                if candidate is not None:
-                    chain.append(candidate)
-        chain.sort(key=lambda n: n.id.sort_key)
-        return _watch_entries(sigma_nodes, chain)
-
-    def _watch_changed(self, watch: List[Tuple[DeweyID, str, bool]]) -> bool:
-        for node_id, constant, satisfied in watch:
-            node = self.document.node_by_id(node_id)
-            now = node is not None and node.val == constant
-            if now != satisfied:
-                return True
-        return False
-
     def _recompute(self, registered: RegisteredView) -> None:
         """Whole-view fallback: rebuild extent and lattice in-process."""
         fresh = MaterializedView.materialize(
@@ -2054,95 +1760,6 @@ class MaintenanceEngine:
                 relations = backend.resolve_snowcap_fragment(rows, self.document)
                 for subset, relation in relations.items():
                     registered.lattice.load_materialized(subset, relation)
-
-
-class BatchEngine:
-    """Batch-first facade over :class:`MaintenanceEngine`.
-
-    The primary API is :meth:`apply`, which takes an
-    :class:`~repro.updates.language.UpdateBatch` (or any statement
-    sequence) and propagates it in one maintenance round; the
-    per-statement :meth:`apply_update` is kept as a batch-of-one shim.
-    Pair with :class:`repro.maintenance.queue.ApplyQueue` (see
-    :meth:`queue`) for asynchronous application.
-    """
-
-    def __init__(self, engine_or_document: Union[MaintenanceEngine, Document], **options):
-        if isinstance(engine_or_document, MaintenanceEngine):
-            if options:
-                raise ValueError("engine options only apply when passing a document")
-            self.engine = engine_or_document
-        else:
-            self.engine = MaintenanceEngine(engine_or_document, **options)
-
-    @property
-    def workers(self) -> int:
-        return self.engine.workers
-
-    @property
-    def obs(self) -> Observability:
-        return self.engine.obs
-
-    @property
-    def document(self) -> Document:
-        return self.engine.document
-
-    @property
-    def views(self) -> Dict[str, RegisteredView]:
-        return self.engine.views
-
-    @property
-    def backend(self):
-        return self.engine.backend
-
-    def sync_durability(self) -> None:
-        self.engine.sync_durability()
-
-    def register_view(self, *args, **kwargs) -> RegisteredView:
-        return self.engine.register_view(*args, **kwargs)
-
-    def unregister_view(self, name: str) -> None:
-        self.engine.unregister_view(name)
-
-    def apply(
-        self,
-        batch: Union[UpdateBatch, Sequence[UpdateStatement]],
-        workers: Optional[int] = None,
-        shard_plan: "Union[None, int, ShardPlanner]" = None,
-    ) -> BatchReport:
-        """Propagate a batch: one Δ extraction, one round per view.
-
-        ``workers`` / ``shard_plan`` override the engine defaults for
-        this batch (see :meth:`MaintenanceEngine.apply_batch`).
-        """
-        return self.engine.apply_batch(batch, workers=workers, shard_plan=shard_plan)
-
-    def apply_update(self, statement: UpdateStatement) -> BatchReport:
-        """Per-statement entry point, implemented as a batch of one.
-
-        Note the return type: a :class:`BatchReport` (``.statements``,
-        ``.fallbacks``), not the :class:`PropagationReport` of
-        :meth:`MaintenanceEngine.apply_update` -- callers needing the
-        per-statement report shape should use the inner engine
-        directly.
-        """
-        return self.engine.apply_batch([statement])
-
-    def queue(self, **options) -> "ApplyQueue":  # noqa: F821 (runtime import)
-        """A started :class:`ApplyQueue` draining into this engine."""
-        from repro.maintenance.queue import ApplyQueue
-
-        return ApplyQueue(self, **options)
-
-    def session(self, workers: int = 4, planner=None, weights=None, rebalance=None):
-        """A resident :class:`~repro.sharding.ShardSession` over the
-        wrapped engine (see :meth:`MaintenanceEngine.session`)."""
-        return self.engine.session(
-            workers=workers, planner=planner, weights=weights, rebalance=rebalance
-        )
-
-    def __repr__(self) -> str:
-        return "BatchEngine(%d views)" % len(self.engine.views)
 
 
 # Dependency inversion for crash recovery: ``repro.storage`` sits below

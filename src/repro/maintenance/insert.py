@@ -1,21 +1,19 @@
 """Insertion propagation: PINT (Alg. 1), ET-INS (Alg. 3), PIMT (Alg. 4).
 
-The driver (:mod:`repro.maintenance.engine`) computes the PUL, applies
-the document insert (obtaining the inserted subtrees' fresh Dewey IDs)
-and calls CD+; this module contains the view-side work:
+The driver (:mod:`repro.maintenance.engine`) applies the batch's
+statements to the document (obtaining the inserted subtrees' fresh
+Dewey IDs) and runs CD+ over the net inserted nodes; this module
+contains the view-side work:
 
-* :func:`et_ins` -- evaluate the surviving union terms and merge their
-  projected tuples into the view with derivation counts (the two loops
-  of Algorithm 3);
-* :func:`pimt` -- rewrite the ``val`` / ``cont`` attributes of existing
-  view tuples whose stored nodes gained new descendants (Algorithm 4);
+* :func:`collect_insert_additions` -- evaluate the surviving union
+  terms into projected tuples with derivation counts (the two loops of
+  Algorithm 3); the engine merges them into the view in one store pass;
+* :func:`collect_attribute_refreshes` -- the PIMT/PDMT rewrites of the
+  ``val`` / ``cont`` attributes of existing view tuples whose stored
+  nodes gained or lost descendants (Algorithm 4);
 * :func:`snowcap_additions` -- incremental upkeep of the materialized
   snowcaps (Prop. 3.13): each snowcap is itself a view whose surviving
   terms are evaluated from smaller snowcaps, the leaves, and Δ+.
-
-As in the paper's implementation, the engine runs the combined PINT/MT:
-one PUL computation, PIMT's rewrites, then ET-INS additions, then one
-lattice update.
 """
 
 from __future__ import annotations
@@ -90,30 +88,6 @@ def collect_insert_additions(
         for row in projected.rows:
             accumulated[row] = accumulated.get(row, 0) + 1
     return accumulated, eval_seconds
-
-
-def et_ins(
-    view: MaterializedView,
-    terms: Sequence[Term],
-    r_sources: Sources,
-    deltas: DeltaTables,
-    lattice: Optional[SnowcapLattice] = None,
-) -> Tuple[int, float]:
-    """Algorithm 3: evaluate terms, add results to the view.
-
-    Returns ``(derivations added, term-evaluation seconds)``; the
-    latter isolates the (R) measurement of Section 6.7.  Tuples already
-    present have their derivation count increased; new tuples enter
-    with the count of their fresh derivations.
-    """
-    accumulated, eval_seconds = collect_insert_additions(
-        view.pattern, terms, r_sources, deltas, lattice
-    )
-    added = 0
-    for row, count in accumulated.items():
-        view.add(row, count)
-        added += count
-    return added, eval_seconds
 
 
 def collect_attribute_refreshes(
@@ -192,43 +166,6 @@ def apply_attribute_refreshes(
     for old_row, fresh_row in replacements:
         view.replace(old_row, fresh_row)
     return len(replacements)
-
-
-def refresh_stored_attributes(
-    view: MaterializedView,
-    document: Document,
-    insert_target_ids: Sequence[DeweyID],
-    delete_target_ids: Sequence[DeweyID],
-) -> int:
-    """The shared PIMT/PDMT rewrite loop: collect, then apply.
-
-    The ID-only tests are merged over however many statements
-    contributed targets (the batch pipeline passes both lists at once
-    so the view extent is read a single time).
-    Rewrites read the *final* document state, so candidate overshoot
-    (e.g. targets whose effect was later cancelled) degrades to a no-op
-    rewrite.  Returns the number of rewritten tuples.
-    """
-    return apply_attribute_refreshes(
-        view,
-        collect_attribute_refreshes(
-            view, document, insert_target_ids, delete_target_ids
-        ),
-    )
-
-
-def pimt(
-    view: MaterializedView,
-    document: Document,
-    target_ids: Sequence[DeweyID],
-) -> int:
-    """Algorithm 4: rewrite stored val/cont affected by the insertion.
-
-    A stored node's value or content changes iff the node is the target
-    of an insert or an ancestor of one -- an ID-only test (``t.n = n_i``
-    or ``t.n ≺≺ n_i``).  Returns the number of rewritten tuples.
-    """
-    return refresh_stored_attributes(view, document, target_ids, ())
 
 
 def snowcap_additions(

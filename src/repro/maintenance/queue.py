@@ -74,9 +74,9 @@ class ApplyTicket:
 class ApplyQueue:
     """Background batch applier over a maintenance engine.
 
-    ``engine`` is anything exposing ``apply_batch`` (a
-    :class:`~repro.maintenance.engine.MaintenanceEngine`) or ``apply``
-    (a :class:`~repro.maintenance.engine.BatchEngine`).
+    ``engine`` is anything exposing ``apply_batch``: a
+    :class:`~repro.maintenance.engine.MaintenanceEngine` or a
+    :class:`~repro.sharding.ShardSession`.
 
     * ``max_batch_size`` caps how many statements one maintenance round
       merges;
@@ -105,9 +105,9 @@ class ApplyQueue:
             raise ValueError("max_batch_size must be >= 1")
         if flush_interval < 0:
             raise ValueError("flush_interval must be >= 0")
-        apply_batch = getattr(engine, "apply_batch", None) or getattr(engine, "apply", None)
+        apply_batch = getattr(engine, "apply_batch", None)
         if apply_batch is None:
-            raise TypeError("engine %r has no apply_batch/apply" % (engine,))
+            raise TypeError("engine %r has no apply_batch" % (engine,))
         self._apply_batch = apply_batch
         #: telemetry facade: explicit ``obs`` wins, else the engine's
         #: own (so a queue over an instrumented engine shares one

@@ -278,15 +278,13 @@ class ShardSession:
     ):
         import multiprocessing
 
-        from repro.maintenance.engine import BatchEngine, MaintenanceEngine
+        from repro.maintenance.engine import MaintenanceEngine
         from repro.obs import NULL_OBS
         from repro.sharding.planner import ShardPlanner
         from repro.sharding.rebalance import RebalancePolicy
 
-        if isinstance(engine, BatchEngine):
-            engine = engine.engine
         if not isinstance(engine, MaintenanceEngine):
-            raise TypeError("ShardSession needs a MaintenanceEngine/BatchEngine")
+            raise TypeError("ShardSession needs a MaintenanceEngine")
         if workers < 1:
             raise ValueError("a session needs at least one worker")
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -675,9 +673,6 @@ class ShardSession:
             }
         )
         return report
-
-    def apply(self, batch, **kwargs):
-        return self.apply_batch(batch, **kwargs)
 
     # -- view migration ---------------------------------------------------
 

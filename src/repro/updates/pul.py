@@ -18,10 +18,10 @@ sets -- precisely the inputs of CD+ / CD−.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.updates.language import DeleteUpdate, InsertUpdate, UpdateStatement
-from repro.xmldom.dewey import has_strict_descendant
+from repro.xmldom.dewey import DeweyID
 from repro.xmldom.model import Document, ElementNode, Node
 
 
@@ -296,36 +296,37 @@ class BatchApplication:
         touched *before* its own removal: a batch-inserted node ever
         lived below it, or a strictly-descendant node was removed by an
         earlier statement (same-statement removals take whole subtrees
-        atomically and never nest, so they cannot drift).  Such nodes
-        invalidate Δ−-side exactness and force the engine's recompute
-        fallback.
+        atomically and never nest, so they cannot drift).  The engine
+        restores such nodes from first-seen snapshots, or falls back to
+        recomputing the views they reach.
 
-        Descendant probes bisect sorted ``sort_key`` lists (plain
-        tuples, compared in C): a Dewey subtree is a contiguous key
-        range, so each probe is O(log n) instead of a scan over every
-        inserted/removed record.
+        The test is probed from the touch points up: a drifted node is
+        a strict ancestor of an inserted root or of an earlier
+        statement's delete target, and the Dewey scheme encodes those
+        ancestor chains in the IDs.  One pass over the chains maps each
+        ancestor to the earliest statement that touched below it
+        (inserts count whatever their statement: nothing is inserted
+        under a detached node), and each removed node costs one dict
+        lookup -- O((roots + targets) x depth + |Δ−|).  The removed
+        records are walked once, the probe first: only its hits pay the
+        net-removal (not batch-inserted) test.
         """
-        inserted_keys = sorted(node_id.sort_key for node_id in self.inserted_ids)
-        removed_by_statement: dict = {}
-        for node, index in self.removed_records:
-            removed_by_statement.setdefault(index, []).append(node.id.sort_key)
-        for keys in removed_by_statement.values():
-            keys.sort()
-        earlier_statements = sorted(removed_by_statement)
-        dirty: List[Node] = []
-        for node, index in self.net_removed_records():
-            key = node.id.sort_key
-            end_key = node.id.subtree_end_key
-            if has_strict_descendant(inserted_keys, key, end_key) or any(
-                has_strict_descendant(removed_by_statement[earlier], key, end_key)
-                for earlier in earlier_statements
-                if earlier < index
-            ):
-                dirty.append(node)
-        return dirty
-
-    def has_dirty_removals(self) -> bool:
-        return bool(self.dirty_removed_nodes())
+        touched: Dict[DeweyID, int] = {}
+        for index, (pul, applied) in enumerate(zip(self.puls, self.applied)):
+            for root in applied.inserted_roots:
+                for ancestor_id in root.id.ancestor_ids():
+                    touched[ancestor_id] = -1
+            for op in pul.deletes():
+                for ancestor_id in op.target.id.ancestor_ids():
+                    touched.setdefault(ancestor_id, index)
+        if not touched:
+            return []
+        inserted_ids = self.inserted_ids
+        return [
+            node
+            for node, index in self.removed_records
+            if touched.get(node.dewey, index) < index and node.dewey not in inserted_ids
+        ]
 
     def __repr__(self) -> str:
         return "BatchApplication(%d statements, +%d ids, -%d records)" % (

@@ -320,21 +320,3 @@ class SnowcapLattice:
         if not doomed and not fresh:
             return 0  # untouched: the row list keeps its identity
         return relation.apply_delta(doomed, fresh)
-
-    def apply_insert_additions(self, additions: Dict[NodeSet, Relation]) -> None:
-        """Append freshly derived rows to materialized snowcaps.
-
-        ``additions`` maps snowcap sets to binding relations computed by
-        the term evaluator (Prop. 3.13: each snowcap is maintainable
-        from smaller snowcaps, the leaves and the Δ+ tables).
-        """
-        self.apply_batch(set(), additions)
-
-    def apply_delete(self, deleted_ids: Set[DeweyID]) -> int:
-        """Drop rows binding any deleted node; returns rows removed.
-
-        This is the "searching the lattice for the tuples to be
-        removed" step that makes Update-Lattice costlier for deletions
-        than for insertions (Section 6.2).
-        """
-        return self.apply_batch(deleted_ids, {})

@@ -40,7 +40,6 @@ much more compact".
 
 from __future__ import annotations
 
-import bisect
 from typing import Iterator, Sequence, Tuple
 
 Ordinal = Tuple[int, ...]
@@ -454,14 +453,3 @@ class DeweyID:
 def _dewey_from_normalized_steps(steps) -> "DeweyID":
     """Module-level unpickle hook for :meth:`DeweyID.__reduce__`."""
     return DeweyID._from_steps(steps)
-
-
-# -- sorted-list probes (Dewey order puts a subtree in one contiguous
-# run right after its root, so one bisect answers containment) ---------
-
-
-def has_strict_descendant(sorted_keys: Sequence, sort_key, subtree_end_key) -> bool:
-    """Does the sorted ``sort_key`` list hold a key of a proper
-    descendant of the ID with ``sort_key`` / ``subtree_end_key``?"""
-    position = bisect.bisect_right(sorted_keys, sort_key)
-    return position < len(sorted_keys) and sorted_keys[position] < subtree_end_key

@@ -5,7 +5,9 @@ grows with the document, not with the batch: XPath ``//label`` steps
 walked every node, the PIMT/PDMT refresh bisected sorted target lists
 once per stored row, the lattice upkeep filtered every stored row, and
 the source reconstruction filtered (and re-sorted) whole canonical
-relations.  The probe versions must compute *exactly* what these did;
+relations.  Dirty-subtree detection likewise bisected two key lists
+per net-removed node before it probed the touch points' ancestor
+chains instead.  The probe versions must compute *exactly* what these did;
 ``tests/test_probe_oracles.py`` holds them to it on random documents
 and batches.  Nothing under ``src/`` imports this module.
 """
@@ -195,3 +197,37 @@ def scan_spliced(
     base.extend(merge_nodes)
     base.sort(key=lambda n: n.id)
     return base
+
+
+# -- dirty-subtree detection: one bisect per net-removed node and statement -----------
+
+
+def scan_dirty_removed_nodes(application) -> List[Node]:
+    """Net-removed nodes with a batch-inserted node, or a node removed
+    by an earlier statement, strictly below them: every net-removed
+    node's subtree key range is bisected into the sorted inserted keys
+    and into each earlier statement's sorted removed keys."""
+
+    def strictly_below(sorted_keys, node_id) -> bool:
+        position = bisect.bisect_right(sorted_keys, node_id.sort_key)
+        return (
+            position < len(sorted_keys)
+            and sorted_keys[position] < node_id.subtree_end_key
+        )
+
+    inserted_keys = sorted(node_id.sort_key for node_id in application.inserted_ids)
+    removed_by_statement: Dict[int, list] = {}
+    for node, index in application.removed_records:
+        removed_by_statement.setdefault(index, []).append(node.id.sort_key)
+    for keys in removed_by_statement.values():
+        keys.sort()
+    return [
+        node
+        for node, index in application.net_removed_records()
+        if strictly_below(inserted_keys, node.id)
+        or any(
+            strictly_below(keys, node.id)
+            for earlier, keys in removed_by_statement.items()
+            if earlier < index
+        )
+    ]

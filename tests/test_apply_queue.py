@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.maintenance.engine import BatchEngine, MaintenanceEngine
+from repro.maintenance.engine import MaintenanceEngine
 from repro.maintenance.queue import ApplyQueue
 from repro.updates.language import InsertUpdate
 from repro.workloads.queries import view_pattern
@@ -27,7 +27,7 @@ def _stream(count, seed=5, insert_ratio=0.8):
 
 
 def _fresh_engine():
-    engine = BatchEngine(generate_document(scale=1))
+    engine = MaintenanceEngine(generate_document(scale=1))
     registered = engine.register_view(view_pattern("Q1"), "Q1")
     return engine, registered
 

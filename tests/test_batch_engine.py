@@ -1,8 +1,9 @@
 """The batch pipeline's grand invariant, property-based:
 
-``BatchEngine.apply(batch)`` must leave the document *and* every
-maintained view (extent, derivation counts, snowcap lattice)
-byte-identical to sequential per-statement application -- for random
+``MaintenanceEngine.apply_batch(batch)`` must leave the document *and*
+every maintained view (extent, derivation counts, snowcap lattice)
+byte-identical to sequential application through the per-statement
+pipeline (``tests/harness/reference_statement_path.py``) -- for random
 documents/views/statement streams, for XMark streams drawn from the
 Appendix-A update set, and for coalescing-cancellation shapes (inserts
 merged into one statement, insert-then-delete round-trips that cancel
@@ -14,7 +15,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.maintenance.engine import BatchEngine, MaintenanceEngine
+from repro.maintenance.engine import MaintenanceEngine
+from repro.maintenance.queue import ApplyQueue
 from repro.updates.language import (
     DeleteUpdate,
     InsertUpdate,
@@ -29,6 +31,7 @@ from repro.workloads.updates import delete_variant, insert_update, statement_str
 from repro.workloads.xmark import generate_document
 from repro.xmldom.parser import parse_document
 from repro.xmldom.serializer import serialize_fragment
+from tests.harness.reference_statement_path import apply_statement
 from tests.test_property_maintenance import (
     _random_document,
     _random_update,
@@ -73,12 +76,12 @@ def test_batch_equals_sequential_random_streams(seed):
         ):
             continue  # skip inserts into attribute/text targets
         applied.append(statement)
-        sequential.apply_update(statement)
+        apply_statement(sequential, statement)
 
     batch_doc = parse_document(text)
-    batched = BatchEngine(batch_doc)
+    batched = MaintenanceEngine(batch_doc)
     batch_view = batched.register_view(view, "v", strategy=strategy)
-    batched.apply(UpdateBatch(applied))
+    batched.apply_batch(UpdateBatch(applied))
     _assert_equivalent(
         {"v": sequential_view}, {"v": batch_view}, sequential_doc, batch_doc
     )
@@ -118,14 +121,14 @@ def test_batch_equals_sequential_xmark_streams(seed):
         name: sequential.register_view(view_pattern(name), name) for name in views
     }
     for statement in statements:
-        sequential.apply_update(statement)
+        apply_statement(sequential, statement)
 
     batch_doc = generate_document(scale=1)
-    batched = BatchEngine(batch_doc)
+    batched = MaintenanceEngine(batch_doc)
     batch_views = {
         name: batched.register_view(view_pattern(name), name) for name in views
     }
-    batched.apply(UpdateBatch(statements))
+    batched.apply_batch(UpdateBatch(statements))
     _assert_equivalent(sequential_views, batch_views, sequential_doc, batch_doc)
 
 
@@ -138,11 +141,11 @@ def test_batch_equals_sequential_resolved_stream():
     sequential = MaintenanceEngine(sequential_doc)
     sequential_view = sequential.register_view(view_pattern("Q1"), "Q1")
     for statement in stream:
-        sequential.apply_update(statement)
+        apply_statement(sequential, statement)
     batch_doc = generate_document(scale=1)
-    batched = BatchEngine(batch_doc)
+    batched = MaintenanceEngine(batch_doc)
     batch_view = batched.register_view(view_pattern("Q1"), "Q1")
-    batched.apply(UpdateBatch(stream))
+    batched.apply_batch(UpdateBatch(stream))
     _assert_equivalent(
         {"Q1": sequential_view}, {"Q1": batch_view}, sequential_doc, batch_doc
     )
@@ -191,11 +194,11 @@ class TestCoalescing:
         sequential = MaintenanceEngine(sequential_doc)
         sequential_view = sequential.register_view(view_pattern("Q1"), "Q1")
         for statement in statements:
-            sequential.apply_update(statement)
+            apply_statement(sequential, statement)
         batch_doc = generate_document(scale=1)
-        batched = BatchEngine(batch_doc)
+        batched = MaintenanceEngine(batch_doc)
         batch_view = batched.register_view(view_pattern("Q1"), "Q1")
-        report = batched.apply(UpdateBatch(statements))
+        report = batched.apply_batch(UpdateBatch(statements))
         assert report.statements_submitted == 3
         assert report.statements_applied == 2  # X1_L pair merged
         _assert_equivalent(
@@ -204,10 +207,10 @@ class TestCoalescing:
 
     def test_insert_then_delete_cancels(self):
         document = generate_document(scale=1)
-        engine = BatchEngine(document)
+        engine = MaintenanceEngine(document)
         registered = engine.register_view(view_pattern("Q1"), "Q1")
         before = registered.view.content()
-        report = engine.apply(
+        report = engine.apply_batch(
             UpdateBatch(
                 [
                     InsertUpdate("/site/people/person", "<zzz><zzz>x</zzz></zzz>"),
@@ -279,11 +282,11 @@ class TestReductionRules:
         sequential = MaintenanceEngine(sequential_doc)
         sequential_view = sequential.register_view(view_pattern("Q1"), "Q1")
         for statement in statements:
-            sequential.apply_update(statement)
+            apply_statement(sequential, statement)
         batch_doc = generate_document(scale=1)
-        batched = BatchEngine(batch_doc)
+        batched = MaintenanceEngine(batch_doc)
         batch_view = batched.register_view(view_pattern("Q1"), "Q1")
-        batched.apply(UpdateBatch(statements))
+        batched.apply_batch(UpdateBatch(statements))
         _assert_equivalent(
             {"Q1": sequential_view}, {"Q1": batch_view}, sequential_doc, batch_doc
         )
@@ -346,11 +349,11 @@ class TestReductionRules:
         sequential = MaintenanceEngine(sequential_doc)
         sequential_view = sequential.register_view(view_pattern("Q1"), "Q1")
         for statement in statements:
-            sequential.apply_update(statement)
+            apply_statement(sequential, statement)
         batch_doc = generate_document(scale=1)
-        batched = BatchEngine(batch_doc)
+        batched = MaintenanceEngine(batch_doc)
         batch_view = batched.register_view(view_pattern("Q1"), "Q1")
-        report = batched.apply(UpdateBatch(statements))
+        report = batched.apply_batch(UpdateBatch(statements))
         assert report.statements_applied == 2  # i0 voided by d0
         _assert_equivalent(
             {"Q1": sequential_view}, {"Q1": batch_view}, sequential_doc, batch_doc
@@ -370,9 +373,9 @@ class TestFallbackReasons:
 
     def test_predicate_flip_repairs_in_place(self):
         document = self._flip_document()
-        engine = BatchEngine(document)
+        engine = MaintenanceEngine(document)
         registered = engine.register_view(view_pattern("Q3"), "Q3")
-        report = engine.apply(
+        report = engine.apply_batch(
             UpdateBatch([parse_update("for $i in //increase insert flip", name="flip")])
         )
         assert report.fallbacks == {}
@@ -384,9 +387,9 @@ class TestFallbackReasons:
 
     def test_predicate_flip_fallback_when_repair_disabled(self):
         document = self._flip_document()
-        engine = BatchEngine(document, sigma_repair=False)
+        engine = MaintenanceEngine(document, sigma_repair=False)
         registered = engine.register_view(view_pattern("Q3"), "Q3")
-        report = engine.apply(
+        report = engine.apply_batch(
             UpdateBatch([parse_update("for $i in //increase insert flip", name="flip")])
         )
         assert report.fallbacks == {
@@ -417,18 +420,18 @@ class TestFallbackReasons:
 
     def test_dirty_removed_subtree_restores_snapshots(self):
         document = generate_document(scale=1)
-        engine = BatchEngine(document)
+        engine = MaintenanceEngine(document)
         registered = engine.register_view(view_pattern("Q1"), "Q1")
-        report = engine.apply(self._dirty_batch(document))
+        report = engine.apply_batch(self._dirty_batch(document))
         assert report.fallbacks == {}
         assert report.dirty_restored >= 1
         assert registered.view.equals_fresh_evaluation(document)
 
     def test_dirty_removed_subtree_fallback_when_repair_disabled(self):
         document = generate_document(scale=1)
-        engine = BatchEngine(document, sigma_repair=False)
+        engine = MaintenanceEngine(document, sigma_repair=False)
         registered = engine.register_view(view_pattern("Q1"), "Q1")
-        report = engine.apply(self._dirty_batch(document))
+        report = engine.apply_batch(self._dirty_batch(document))
         fallback = report.fallbacks["Q1"]
         assert fallback["reason"] == "dirty_removed_subtree"
         assert fallback["candidates"] >= 1
@@ -437,9 +440,9 @@ class TestFallbackReasons:
 
     def test_clean_batches_report_no_fallbacks(self):
         document = generate_document(scale=1)
-        engine = BatchEngine(document)
+        engine = MaintenanceEngine(document)
         engine.register_view(view_pattern("Q1"), "Q1")
-        report = engine.apply(UpdateBatch([insert_update("X1_L")]))
+        report = engine.apply_batch(UpdateBatch([insert_update("X1_L")]))
         assert report.fallbacks == {}
         assert report.repairs == {}
         assert report.dirty_restored == 0
@@ -451,9 +454,9 @@ class TestBatchEngineApi:
         sequential_doc = generate_document(scale=1)
         sequential = MaintenanceEngine(sequential_doc)
         sequential_view = sequential.register_view(view_pattern("Q1"), "Q1")
-        sequential.apply_update(statement)
+        apply_statement(sequential, statement)
         batch_doc = generate_document(scale=1)
-        batched = BatchEngine(batch_doc)
+        batched = MaintenanceEngine(batch_doc)
         batch_view = batched.register_view(view_pattern("Q1"), "Q1")
         report = batched.apply_update(statement)
         assert report.statements_applied == 1
@@ -463,38 +466,42 @@ class TestBatchEngineApi:
 
     def test_empty_batch_is_a_noop(self):
         document = generate_document(scale=1)
-        engine = BatchEngine(document)
+        engine = MaintenanceEngine(document)
         registered = engine.register_view(view_pattern("Q1"), "Q1")
         before = registered.view.content()
-        report = engine.apply(UpdateBatch())
+        report = engine.apply_batch(UpdateBatch())
         assert report.statements_applied == 0
         assert registered.view.content() == before
 
     def test_wraps_existing_engine_and_shares_views(self):
+        # The async write path wraps the engine itself: what the queue
+        # applies lands in the engine's own views.
         document = generate_document(scale=1)
-        inner = MaintenanceEngine(document)
-        inner.register_view(view_pattern("Q1"), "Q1")
-        facade = BatchEngine(inner)
-        assert facade.views is inner.views
-        with pytest.raises(ValueError):
-            BatchEngine(inner, prune_even_terms=False)
+        engine = MaintenanceEngine(document)
+        registered = engine.register_view(view_pattern("Q1"), "Q1")
+        before = registered.view.content()
+        with ApplyQueue(engine) as queue:
+            queue.apply_async(insert_update("X1_L")).result(timeout=30)
+        assert engine.views["Q1"] is registered
+        assert registered.view.content() != before
+        assert registered.view.equals_fresh_evaluation(document)
 
     def test_failed_statement_restores_consistency(self):
         document = generate_document(scale=1)
-        engine = BatchEngine(document)
+        engine = MaintenanceEngine(document)
         registered = engine.register_view(view_pattern("Q1"), "Q1")
         bad = InsertUpdate("/site/people/person/@id", "<x/>", name="bad")
         with pytest.raises(ValueError):
-            engine.apply(UpdateBatch([insert_update("X1_L"), bad]))
+            engine.apply_batch(UpdateBatch([insert_update("X1_L"), bad]))
         # The first statement reached the document; the views were
         # recomputed to match before the error surfaced.
         assert registered.view.equals_fresh_evaluation(document)
 
     def test_report_phase_times_populated(self):
         document = generate_document(scale=1)
-        engine = BatchEngine(document)
+        engine = MaintenanceEngine(document)
         engine.register_view(view_pattern("Q1"), "Q1")
-        report = engine.apply(UpdateBatch([insert_update("X1_L")]))
+        report = engine.apply_batch(UpdateBatch([insert_update("X1_L")]))
         phases = report.report_for("Q1").phases
         assert phases.find_target_nodes >= 0.0
         assert phases.total() > 0.0

@@ -115,14 +115,15 @@ class TestModifiedTuples:
         for row in registered.view.rows():
             assert not any(cell in doomed for cell in row)
 
-    def test_delete_flipping_predicate_recomputes(self):
+    def test_delete_flipping_predicate_repairs_in_place(self):
         # Removing a text-bearing child may make a σ node newly satisfy
-        # its predicate -- detected, recomputed, flagged.
+        # its predicate -- detected and repaired in place, no recompute.
         pattern = chain_pattern("a", "b")
         pattern.node("a#1").value_pred = "x"
         doc, engine, registered = engine_with("<r><a>x<t>y</t><b/></a></r>", pattern)
         assert len(registered.view) == 0
         report = engine.apply_update(DeleteUpdate("//t"))
-        assert report.report_for("v").predicate_fallback
+        assert report.repairs["v"]
+        assert report.fallbacks == {}
         assert len(registered.view) == 1
         assert registered.view.equals_fresh_evaluation(doc)

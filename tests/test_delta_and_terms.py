@@ -4,7 +4,7 @@ examples, re-enacted literally.
 
 import pytest
 
-from repro.maintenance.delta import compute_delta_minus, compute_delta_plus, doomed_nodes
+from repro.maintenance.delta import doomed_nodes
 from repro.maintenance.terms import (
     Term,
     expand_delete_terms,
@@ -18,6 +18,10 @@ from repro.updates.language import DeleteUpdate, InsertUpdate
 from repro.updates.pul import apply_pul, compute_pul
 from repro.xmldom.parser import parse_document
 from tests.conftest import branch_pattern, chain_pattern, v2_pattern
+from tests.harness.reference_statement_path import (
+    compute_delta_minus,
+    compute_delta_plus,
+)
 
 
 def delta_labels(terms, pattern):

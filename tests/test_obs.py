@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.maintenance.engine import BatchEngine, MaintenanceEngine
+from repro.maintenance.engine import BatchReport, MaintenanceEngine
 from repro.maintenance.queue import ApplyQueue
 from repro.obs import (
     NULL_OBS,
@@ -63,7 +63,7 @@ def _stream(count, seed=5, insert_ratio=1.0):
 
 def _engine(obs=None, views=VIEWS):
     options = {} if obs is None else {"obs": obs}
-    engine = BatchEngine(generate_document(scale=1), **options)
+    engine = MaintenanceEngine(generate_document(scale=1), **options)
     registered = {name: engine.register_view(view_pattern(name), name) for name in views}
     return engine, registered
 
@@ -353,7 +353,7 @@ class TestReportTraceIdentity:
     def test_batch_report_equals_summed_phase_spans(self):
         obs = Observability()
         engine, registered = _engine(obs=obs)
-        report = engine.apply(UpdateBatch(_stream(8)))
+        report = engine.apply_batch(UpdateBatch(_stream(8)))
         records = span_records(obs.flush())
         assert propagation_from_records(records) == pytest.approx(
             report.propagation_seconds(), rel=1e-9, abs=1e-12
@@ -367,6 +367,7 @@ class TestReportTraceIdentity:
         engine = MaintenanceEngine(generate_document(scale=1), obs=obs)
         engine.register_view(view_pattern("Q1"), "Q1")
         reports = [engine.apply_update(statement) for statement in _stream(4)]
+        assert all(isinstance(report, BatchReport) for report in reports)
         traced = propagation_from_records(span_records(obs.flush()))
         assert traced == pytest.approx(
             sum(report.propagation_seconds() for report in reports),
@@ -377,10 +378,10 @@ class TestReportTraceIdentity:
     def test_sharded_run_identical_extents_and_stitched_spans(self):
         stream = _stream(8, seed=9)
         serial_engine, serial_views = _engine(obs=Observability())
-        serial_engine.apply(UpdateBatch(stream))
+        serial_engine.apply_batch(UpdateBatch(stream))
         obs = Observability()
         shard_engine, shard_views = _engine(obs=obs)
-        report = shard_engine.apply(UpdateBatch(stream), workers=2)
+        report = shard_engine.apply_batch(UpdateBatch(stream), workers=2)
         for name in VIEWS:
             assert (
                 serial_views[name].view.content() == shard_views[name].view.content()
@@ -403,7 +404,7 @@ class TestReportTraceIdentity:
 
     def test_disabled_engine_records_nothing(self):
         engine, _registered = _engine()  # default NULL_OBS
-        engine.apply(UpdateBatch(_stream(3)))
+        engine.apply_batch(UpdateBatch(_stream(3)))
         assert engine.obs is NULL_OBS
         assert engine.obs.flush() == []
 

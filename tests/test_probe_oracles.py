@@ -22,10 +22,10 @@ from repro.algebra.structural import structural_join
 from repro.maintenance import insert as insert_module
 from repro.maintenance import terms as terms_module
 from repro.maintenance.delta import BatchCandidates
-from repro.maintenance.engine import BatchEngine
+from repro.maintenance.engine import MaintenanceEngine
 from repro.maintenance.insert import collect_attribute_refreshes
 from repro.pattern.xpath_parser import parse_xpath
-from repro.updates.language import ResolvedDeleteUpdate, ResolvedInsertUpdate
+from repro.updates.language import DeleteUpdate, ResolvedDeleteUpdate, ResolvedInsertUpdate
 from repro.updates.pul import BatchApplication
 from repro.views import lattice as lattice_module
 from repro.views.lattice import SnowcapLattice
@@ -40,6 +40,7 @@ from repro.workloads.xmark import generate_document
 from tests.harness.reference_scans import (
     scan_attribute_refreshes,
     scan_drop_deleted,
+    scan_dirty_removed_nodes,
     scan_drop_flipped,
     scan_evaluate,
     scan_spliced,
@@ -297,7 +298,7 @@ def _lattice_upkeep_checked(seen):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_lattice_probe_matches_filter_on_mixed_batches(seed):
     document = generate_document(scale=1)
-    engine = BatchEngine(document)
+    engine = MaintenanceEngine(document)
     registered = {
         name: engine.register_view(view_pattern(name), name)
         for name in sorted(VIEW_TEXTS)
@@ -308,7 +309,7 @@ def test_lattice_probe_matches_filter_on_mixed_batches(seed):
             stream = statement_stream(
                 document, 12, seed=seed * 7 + round_index, insert_ratio=0.5
             )
-            engine.apply(stream)
+            engine.apply_batch(stream)
     assert seen.get("delete") and seen.get("append"), seen
     for name, view in registered.items():
         assert view.view.equals_fresh_evaluation(document), name
@@ -322,7 +323,7 @@ def test_lattice_probe_matches_filter_on_sigma_flips(seed):
     batches = churn_batches(
         document, 6, batch_size=5, seed=seed, sigma_values=sigma_values
     )
-    engine = BatchEngine(document)
+    engine = MaintenanceEngine(document)
     for amount in sigma_values:
         pattern = view_pattern("Q3")
         for node in pattern.nodes():
@@ -332,7 +333,7 @@ def test_lattice_probe_matches_filter_on_sigma_flips(seed):
     seen = {}
     with _lattice_upkeep_checked(seen):
         for batch in batches:
-            engine.apply(batch)
+            engine.apply_batch(batch)
     assert "flip" in seen, seen
 
 
@@ -364,6 +365,52 @@ def test_spliced_label_reconstructs_the_pre_batch_relation(seed):
         assert spliced.nodes == before.get(label, []), label
         # ... and the one edit list kept the key list parallel.
         assert spliced.keys == [node.id.sort_key for node in spliced.nodes], label
+
+
+# -- (f) dirty detection: ancestor-chain probe ≡ bisect per removed node --------------
+
+_ANCESTOR_DELETES = (
+    "/site/people/person",
+    "/site/people",
+    "/site/open_auctions/open_auction",
+    "/site/regions",
+)
+
+
+def _dirty_stream(seed: int):
+    """Single-target statements with path deletes of whole ancestor
+    subtrees mixed in, so earlier inserts and removals sit below later
+    removals."""
+    import random
+
+    rng = random.Random(seed)
+    document = generate_document(scale=1)
+    stream = statement_stream(document, 16, seed=seed, insert_ratio=0.6)
+    for _ in range(rng.randint(1, 3)):
+        stream.insert(
+            rng.randint(len(stream) // 2, len(stream)),
+            DeleteUpdate(rng.choice(_ANCESTOR_DELETES)),
+        )
+    return document, stream
+
+
+@PROPERTY
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_dirty_probe_matches_bisect_scan(seed):
+    document, stream = _dirty_stream(seed)
+    application = BatchApplication(document, stream).apply()
+    assert _ids(application.dirty_removed_nodes()) == _ids(
+        scan_dirty_removed_nodes(application)
+    )
+
+
+def test_dirty_probe_oracle_is_not_vacuous():
+    document, stream = _dirty_stream(3)
+    application = BatchApplication(document, stream).apply()
+    assert scan_dirty_removed_nodes(application)
+    assert _ids(application.dirty_removed_nodes()) == _ids(
+        scan_dirty_removed_nodes(application)
+    )
 
 
 # -- the cost model, counted: a fixed batch costs the same at any scale -------------
@@ -451,7 +498,7 @@ def _fixed_batch_counts(scale: int):
     persons a warm-up batch inserted) and for resolving
     ``//increase/<marker>`` on an XMark document of ``scale``."""
     document = generate_document(scale=scale)
-    engine = BatchEngine(document)
+    engine = MaintenanceEngine(document)
     for name in ("Q1", "Q2", "Q3", "Q17"):
         engine.register_view(view_pattern(name), name)
     (people,) = parse_xpath("/site/people").evaluate(document)
@@ -459,7 +506,7 @@ def _fixed_batch_counts(scale: int):
     # Two warm-up rounds: the second builds the deletion indexes, so
     # the measured batch sees them maintained, not built.
     for round_index in range(2):
-        engine.apply(
+        engine.apply_batch(
             [
                 ResolvedInsertUpdate(
                     [people.id],
@@ -481,13 +528,13 @@ def _fixed_batch_counts(scale: int):
             and node.attribute("id").val.startswith("probe")
         ]
         if round_index == 0:
-            engine.apply([ResolvedDeleteUpdate([node.id]) for node in probes])
+            engine.apply_batch([ResolvedDeleteUpdate([node.id]) for node in probes])
     assert len(probes) == 32
     counters = _Counters()
     with _counting(counters):
         assert len(parse_xpath("//increase/marker").evaluate(document)) == 2
         assert counters.walks == 0  # name-test steps never walk a subtree
-        report = engine.apply([ResolvedDeleteUpdate([node.id]) for node in probes])
+        report = engine.apply_batch([ResolvedDeleteUpdate([node.id]) for node in probes])
     assert report.net_removed == 32 * 6  # person, @id, name, homepage, two texts
     return counters, len(document.nodes_with_label("person"))
 

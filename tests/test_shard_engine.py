@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.relation import Relation
-from repro.maintenance.engine import BatchEngine, MaintenanceEngine
+from repro.maintenance.engine import MaintenanceEngine
 from repro.maintenance.queue import ApplyQueue
 from repro.sharding import (
     ShardExecutor,
@@ -37,14 +37,14 @@ VIEWS = ("Q1", "Q3", "Q6")
 
 def _engines(scale=1, workers=0, views=VIEWS):
     document = generate_document(scale=scale)
-    engine = BatchEngine(document, workers=workers)
+    engine = MaintenanceEngine(document, workers=workers)
     registered = {name: engine.register_view(view_pattern(name), name) for name in views}
     return document, engine, registered
 
 
 def _apply_stream(workers, stream, scale=1, views=VIEWS, **apply_options):
     document, engine, registered = _engines(scale=scale, views=views)
-    report = engine.apply(UpdateBatch(stream), workers=workers, **apply_options)
+    report = engine.apply_batch(UpdateBatch(stream), workers=workers, **apply_options)
     return document, registered, report
 
 
@@ -270,9 +270,9 @@ class TestShardedPropagation:
             generate_document(scale=1), 8, seed=4, insert_ratio=1.0
         )
         document = generate_document(scale=1)
-        engine = BatchEngine(document, workers=2, shard_plan=8)
+        engine = MaintenanceEngine(document, workers=2, shard_plan=8)
         views = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
-        report = engine.apply(UpdateBatch(stream))
+        report = engine.apply_batch(UpdateBatch(stream))
         assert report.workers == 2
         for name in VIEWS:
             assert views[name].view.equals_fresh_evaluation(document), name
@@ -341,9 +341,9 @@ class TestShardedPropagation:
         batches = [stream[i : i + 12] for i in range(0, len(stream), 12)]
         _, serial_engine, serial_views = _engines()
         for batch in batches:
-            serial_engine.apply(UpdateBatch(batch))
+            serial_engine.apply_batch(UpdateBatch(batch))
         document, engine, views = _engines()
-        with engine.engine.session(workers=2) as session:
+        with engine.session(workers=2) as session:
             reports = [session.apply_batch(UpdateBatch(b)) for b in batches]
         assert all(report.workers == 2 for report in reports)
         assert all(
@@ -362,13 +362,13 @@ class TestShardedPropagation:
             generate_document(scale=1), 8, seed=2, insert_ratio=1.0
         )
         document, engine, views = _engines()
-        session = engine.engine.session(workers=2)
+        session = engine.session(workers=2)
         try:
             session.apply_batch(UpdateBatch(stream))
             with pytest.raises(RuntimeError, match="ShardSession"):
-                engine.apply(UpdateBatch(stream))
+                engine.apply_batch(UpdateBatch(stream))
             with pytest.raises(RuntimeError, match="ShardSession"):
-                engine.engine.session(workers=2)
+                engine.session(workers=2)
             with pytest.raises(RuntimeError, match="ShardSession"):
                 engine.register_view(view_pattern("Q2"), "Q2")
             with pytest.raises(RuntimeError, match="ShardSession"):
@@ -376,7 +376,7 @@ class TestShardedPropagation:
         finally:
             session.close()
         # Post-close: lattices resynced, serial propagation is exact again.
-        engine.apply(
+        engine.apply_batch(
             UpdateBatch(
                 statement_stream(document, 6, seed=3, insert_ratio=1.0)
             )
@@ -399,9 +399,9 @@ class TestShardedPropagation:
             generate_document(scale=1), 16, seed=21, insert_ratio=0.8
         )
         _, serial_engine, serial_views = _engines()
-        serial_engine.apply(UpdateBatch(stream))
+        serial_engine.apply_batch(UpdateBatch(stream))
         document, engine, views = _engines()
-        with engine.engine.session(workers=2) as session:
+        with engine.session(workers=2) as session:
             session.sequential_send = True
             session.apply_batch(UpdateBatch(stream))
         for name in VIEWS:
@@ -413,7 +413,7 @@ class TestShardedPropagation:
         from repro.updates.language import InsertUpdate
 
         document, engine, views = _engines()
-        session = engine.engine.session(workers=2)
+        session = engine.session(workers=2)
         try:
             session.apply_batch(
                 UpdateBatch(statement_stream(document, 4, seed=1, insert_ratio=1.0))
@@ -440,7 +440,7 @@ class TestShardedPropagation:
             generate_document(scale=1), 8, seed=4, insert_ratio=1.0
         )
         document, engine, views = _engines()
-        session = engine.engine.session(workers=2)
+        session = engine.session(workers=2)
         session.apply_batch(UpdateBatch(stream))
         session._processes[0].terminate()
         session._processes[0].join()
@@ -452,7 +452,7 @@ class TestShardedPropagation:
             assert views[name].view.equals_fresh_evaluation(document), name
         assert session._closed
         # Engine is usable again (session closed itself).
-        engine.apply(UpdateBatch(statement_stream(document, 4, seed=6)))
+        engine.apply_batch(UpdateBatch(statement_stream(document, 4, seed=6)))
         for name in VIEWS:
             assert views[name].view.equals_fresh_evaluation(document), name
 
@@ -462,9 +462,9 @@ class TestShardedPropagation:
         )
         _, serial_engine, serial_views = _engines()
         for i in range(0, len(stream), 8):
-            serial_engine.apply(UpdateBatch(stream[i : i + 8]))
+            serial_engine.apply_batch(UpdateBatch(stream[i : i + 8]))
         document, engine, views = _engines()
-        session = engine.engine.session(workers=2)
+        session = engine.session(workers=2)
         try:
             with ApplyQueue(session, max_batch_size=8) as queue:
                 queue.extend_async(stream)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.maintenance.engine import BatchEngine
+from repro.maintenance.engine import MaintenanceEngine
 from repro.sharding import ShardSession
 from repro.updates.language import UpdateBatch
 from repro.workloads.churn import churn_batches
@@ -72,14 +72,14 @@ class TestChurnEquivalence:
         )
         repair_doc = generate_document(scale=1)
         forced_doc = generate_document(scale=1)
-        repair = BatchEngine(repair_doc)
-        forced = BatchEngine(forced_doc, sigma_repair=False)
+        repair = MaintenanceEngine(repair_doc)
+        forced = MaintenanceEngine(forced_doc, sigma_repair=False)
         repair_views = _register(repair)
         forced_views = _register(forced)
         repaired = 0
         for index, batch in enumerate(batches):
-            repair_report = repair.apply(list(batch))
-            forced.apply(list(batch))
+            repair_report = repair.apply_batch(list(batch))
+            forced.apply_batch(list(batch))
             assert repair_report.fallbacks == {}, index
             repaired += sum(
                 entry.get("sigma_flips", 0)
@@ -97,14 +97,14 @@ class TestChurnEquivalence:
         batches = churn_batches(generate_document(scale=1), 6, seed=11)
         session_doc = generate_document(scale=1)
         forced_doc = generate_document(scale=1)
-        session_engine = BatchEngine(session_doc)
-        forced = BatchEngine(forced_doc, sigma_repair=False)
+        session_engine = MaintenanceEngine(session_doc)
+        forced = MaintenanceEngine(forced_doc, sigma_repair=False)
         session_views = _register(session_engine)
         forced_views = _register(forced)
         with ShardSession(session_engine, workers=2) as session:
             for index, batch in enumerate(batches):
                 report = session.apply_batch(list(batch))
-                forced.apply(list(batch))
+                forced.apply_batch(list(batch))
                 assert report.fallbacks == {}, index
                 for name in VIEWS:
                     assert (
@@ -118,13 +118,13 @@ class TestChurnEquivalence:
         batches = churn_batches(generate_document(scale=1), 5, seed=7)
         serial_doc = generate_document(scale=1)
         sharded_doc = generate_document(scale=1)
-        serial = BatchEngine(serial_doc)
-        sharded = BatchEngine(sharded_doc, workers=2)
+        serial = MaintenanceEngine(serial_doc)
+        sharded = MaintenanceEngine(sharded_doc, workers=2)
         serial_views = _register(serial)
         sharded_views = _register(sharded)
         for index, batch in enumerate(batches):
-            serial.apply(list(batch))
-            report = sharded.apply(list(batch))
+            serial.apply_batch(list(batch))
+            report = sharded.apply_batch(list(batch))
             assert report.fallbacks == {}, index
             _assert_engines_agree(serial_views, sharded_views, index)
 
@@ -134,28 +134,28 @@ class TestRepairPathScoping:
         # Structurally clean insert streams must not pay for snapshots,
         # repairs or fallbacks -- the fast path stays the fast path.
         document = generate_document(scale=1)
-        engine = BatchEngine(document)
+        engine = MaintenanceEngine(document)
         _register(engine)
         stream = statement_stream(document, 12, seed=3, insert_ratio=1.0)
         for start in range(0, len(stream), 4):
-            report = engine.apply(UpdateBatch(stream[start : start + 4]))
+            report = engine.apply_batch(UpdateBatch(stream[start : start + 4]))
             assert report.repairs == {}
             assert report.fallbacks == {}
             assert report.dirty_restored == 0
 
     def test_flip_bearing_batch_repairs_without_fallback(self):
         document = generate_document(scale=1)
-        engine = BatchEngine(document)
+        engine = MaintenanceEngine(document)
         views = _register(engine)
         first, second = churn_batches(
             document, 2, batch_size=2, seed=0, flip_gap=1, dirty_every=0
         )
-        report = engine.apply(list(first))
+        report = engine.apply_batch(list(first))
         assert report.fallbacks == {}
         assert any(
             entry.get("evicted", 0) for entry in report.repairs.values()
         )
-        report = engine.apply(list(second))
+        report = engine.apply_batch(list(second))
         assert report.fallbacks == {}
         assert any(
             entry.get("admitted", 0) for entry in report.repairs.values()

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.maintenance import delete as delete_module
 from repro.maintenance import insert as insert_module
 from repro.maintenance import repair as repair_module
-from repro.maintenance.engine import BatchEngine
+from repro.maintenance.engine import MaintenanceEngine
 from repro.maintenance.terms import evaluate_term
 from repro.pattern.tree_pattern import Pattern, PatternNode
 from repro.updates.language import DeleteUpdate, InsertUpdate, ResolvedInsertUpdate
@@ -92,7 +92,7 @@ def _xmark_terms_seen(seed: int) -> Counter:
     document = generate_document(scale=1)
     warmup = statement_stream(document, 16, seed=seed, insert_ratio=0.6)
     BatchApplication(document, warmup).apply()  # dynamic ordinals, retired IDs
-    engine = BatchEngine(document)
+    engine = MaintenanceEngine(document)
     registered = {
         name: engine.register_view(view_pattern(name), name)
         for name in sorted(VIEW_TEXTS)
@@ -107,7 +107,7 @@ def _xmark_terms_seen(seed: int) -> Counter:
     seen: Counter = Counter()
     with _terms_checked(seen):
         for round_index in range(3):
-            engine.apply(
+            engine.apply_batch(
                 statement_stream(
                     document, 16, seed=seed * 7 + round_index, insert_ratio=0.5
                 )
@@ -115,7 +115,7 @@ def _xmark_terms_seen(seed: int) -> Counter:
         for batch in churn_batches(
             document, 4, batch_size=5, seed=seed, sigma_values=SIGMA_VALUES
         ):
-            engine.apply(batch)
+            engine.apply_batch(batch)
     for name, view in registered.items():
         assert view.view.equals_fresh_evaluation(document), name
     return seen
@@ -199,7 +199,7 @@ def test_delta_first_terms_match_top_down_on_random_trees(seed):
     document = parse_document(
         "<r>%s</r>" % "".join(_tree_text(rng) for _ in range(rng.randint(1, 3)))
     )
-    engine = BatchEngine(document)
+    engine = MaintenanceEngine(document)
     views = [
         engine.register_view(_branching_pattern(), "branching"),
         engine.register_view(_random_pattern(rng), "random", strategy="snowcaps"),
@@ -207,7 +207,7 @@ def test_delta_first_terms_match_top_down_on_random_trees(seed):
     ]
     with _terms_checked(Counter()):
         for _ in range(3):
-            engine.apply(
+            engine.apply_batch(
                 [_random_statement(rng, document) for _ in range(rng.randint(1, 4))]
             )
     for registered in views:
