@@ -10,12 +10,13 @@ gate:
 * enabled-vs-disabled *propagation* time (min over interleaved
   repeats) must stay within ``OVERHEAD_CEILING`` (1.05x);
 * the trace must reproduce ``BatchReport.propagation_seconds()``
-  exactly -- phase/net-effects/shard-round spans carry the *same*
-  floats the report accumulated (the single-timing-source contract);
-* with ``workers=2`` the instrumented run must leave extents
-  byte-identical to the instrumented serial run (telemetry must never
-  perturb propagation), and the trace must contain the shard-round
-  spans with their stitched per-unit children.
+  exactly -- phase/net-effects spans carry the *same* floats the
+  report accumulated (the single-timing-source contract);
+* under ``engine.session(workers=2)`` the instrumented run must leave
+  extents byte-identical to the instrumented serial run (telemetry
+  must never perturb propagation), and the trace must contain one
+  ``replica_apply`` span per worker with the worker's stitched
+  ``batch`` tree under it.
 
 Run directly (exit 1 on failure) or via
 ``PYTHONPATH=../src python -m pytest bench_observability.py``.
@@ -40,12 +41,15 @@ OVERHEAD_CEILING = 1.05
 STREAM_NAMES = ("X1_L", "X2_L", "X3_A", "A6_A", "B3_LB", "E6_L")
 
 
-def _run_once(stream, obs=None, workers=None):
+def _run_once(stream, obs=None, workers=0):
     document = generate_document(scale=SCALE)
     options = {} if obs is None else {"obs": obs}
     engine = MaintenanceEngine(document, **options)
     views = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
-    report = engine.apply_batch(UpdateBatch(stream), workers=workers)
+    if not workers:
+        return document, views, engine.apply_batch(UpdateBatch(stream))
+    with engine.session(workers=workers) as session:
+        report = session.apply_batch(UpdateBatch(stream))
     return document, views, report
 
 
@@ -88,8 +92,9 @@ def run_gate() -> dict:
 
 
 def check_sharded_identity() -> dict:
-    """Instrumented serial vs instrumented workers=2: byte-identical
-    extents, and shard-round spans present with stitched unit children."""
+    """Instrumented serial vs an instrumented 2-worker session:
+    byte-identical extents, and per-worker replica_apply spans with the
+    workers' batch trees stitched under them."""
     stream = statement_stream(
         generate_document(scale=SCALE),
         STREAM_LENGTH,
@@ -108,22 +113,21 @@ def check_sharded_identity() -> dict:
             raise AssertionError("view %s extents diverge under telemetry" % name)
         if not shard_views[name].view.equals_fresh_evaluation(shard_doc):
             raise AssertionError("sharded view %s != fresh evaluation" % name)
-    round_rows = [row for row in records if row["name"] == "shard_round"]
-    if not round_rows:
-        raise AssertionError("no shard_round spans in the workers=2 trace")
-    round_ids = {row["id"] for row in round_rows}
-    stitched_units = [
+    replica_rows = [row for row in records if row["name"] == "replica_apply"]
+    if len(replica_rows) != shard_report.workers:
+        raise AssertionError(
+            "%d replica_apply span(s) for %d session workers"
+            % (len(replica_rows), shard_report.workers)
+        )
+    replica_ids = {row["id"] for row in replica_rows}
+    stitched = [
         row
         for row in records
-        if row["name"] == "unit" and row["parent"] in round_ids
+        if row["name"] == "batch" and row["parent"] in replica_ids
     ]
-    if not stitched_units:
-        raise AssertionError("no stitched unit spans under shard_round")
-    return {
-        "shard_rounds": len(round_rows),
-        "stitched_units": len(stitched_units),
-        "modes": sorted({str(row["attrs"].get("mode")) for row in round_rows}),
-    }
+    if len(stitched) != len(replica_rows):
+        raise AssertionError("worker batch spans not stitched under replica_apply")
+    return {"replica_spans": len(replica_rows), "stitched_batches": len(stitched)}
 
 
 def _summary(row: dict, sharded: dict) -> str:
@@ -131,8 +135,8 @@ def _summary(row: dict, sharded: dict) -> str:
         "observability overhead on batch-of-%d (%s):\n"
         "  propagation %8.2fms disabled vs %8.2fms enabled -> %.4fx "
         "(ceiling %.2fx)\n"
-        "  workers=2 extents identical; %d shard_round span(s), %d "
-        "stitched unit span(s), modes %s"
+        "  2-worker session extents identical; %d replica_apply span(s), "
+        "%d stitched worker batch tree(s)"
         % (
             row["statements"],
             "+".join(row["views"]),
@@ -140,9 +144,8 @@ def _summary(row: dict, sharded: dict) -> str:
             row["enabled_propagation_s"] * 1000,
             row["overhead"],
             row["ceiling"],
-            sharded["shard_rounds"],
-            sharded["stitched_units"],
-            ",".join(sharded["modes"]),
+            sharded["replica_spans"],
+            sharded["stitched_batches"],
         )
     )
 

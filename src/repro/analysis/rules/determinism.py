@@ -462,8 +462,8 @@ class HashOrderRule(Rule):
                         flagged.add(id(call))
                         yield self.finding(
                             module, call, "hash(x) % n bucketing varies with "
-                            "PYTHONHASHSEED; use zlib.crc32 like the shard "
-                            "planner"
+                            "PYTHONHASHSEED; use a stable hash such as "
+                            "zlib.crc32"
                         )
             elif isinstance(node, ast.Compare) and any(
                 isinstance(op, _ORDERING_OPS) for op in node.ops

@@ -1,14 +1,14 @@
-"""Fork-safety rules for the shard executor / session worker model.
+"""Fork-safety rules for the session worker model.
 
-Workers are forked (COW) and talk to the parent over pipes or pickled
-fragments.  Two contracts keep that sound:
+Session workers are forked (COW) and talk to the parent over pipes or
+pickled fragments.  Two contracts keep that sound:
 
 * worker entry points -- functions handed to ``Process(target=...)``
   or a pool ``map``/``apply_async``, and the ``execute`` methods of
   shard work units -- must treat module globals as read-only.  The
-  parent publishes state *before* forking (``_FORK_STATE``,
-  ``_ACTIVE_ROUND``); a worker-side write would silently diverge from
-  the parent and from sibling workers.
+  parent publishes state *before* forking (``_FORK_STATE``); a
+  worker-side write would silently diverge from the parent and from
+  sibling workers.
 * objects that cross the fork/pickle boundary must not capture
   fork-hostile resources: held locks deadlock in the child, shared
   file descriptors interleave writes, generators don't pickle at all.

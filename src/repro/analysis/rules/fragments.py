@@ -1,7 +1,7 @@
 """Fragment-picklability rule.
 
-Whatever a shard work unit returns is pickled through a pipe in fork
-mode, so fragment/stats classes in ``sharding/`` and ``obs/`` (span
+Whatever a shard work unit returns is pickled through a session
+worker's pipe, so fragment/stats classes in ``sharding/`` and ``obs/`` (span
 fragments ride the same pipe) may only carry lean,
 pickle-friendly fields: scalars, strings, containers of them, and
 ``DeweyID`` (whose ``__reduce__`` ships just the step tuple).  A raw

@@ -1,12 +1,13 @@
 """Unit-purity rule: shard work units compute, the parent applies.
 
-``ShardWorkUnit.execute`` runs either in-process or inside a forked
-worker; the contract (ROADMAP "Engine architecture") is that it *reads*
-the engine/document/lattice state it captured and *returns* fragments
--- all application happens in the parent after the deterministic merge.
-A ``self``-rooted write inside ``execute`` would be applied once in
-serial mode but only in a worker's throwaway address space in fork
-mode, breaking byte-identity exactly when parallelism is on.
+``ShardWorkUnit.execute`` runs on a session replica worker during a
+view migration; the contract is that it *reads* the document/view/
+lattice state it captured and *returns* a fragment -- installation
+happens afterwards, on whichever replica adopts the view.  A
+``self``-rooted write inside ``execute`` would change the source
+replica's state behind the migration protocol's back, so the two
+routes of a migration (ship vs. recompute) would stop yielding the
+same bytes.
 """
 
 from __future__ import annotations

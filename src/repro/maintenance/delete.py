@@ -20,9 +20,15 @@ merely redundant with larger-Δ ones.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import time
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.maintenance.delta import DeltaTables
+from repro.maintenance.delta import (
+    BatchCandidates,
+    DeltaTables,
+    SideStats,
+    delta_from_candidates,
+)
 from repro.maintenance.terms import (
     Term,
     absorb_embeddings,
@@ -34,6 +40,7 @@ from repro.maintenance.terms import (
 from repro.pattern.evaluate import Sources
 from repro.pattern.tree_pattern import Pattern
 from repro.views.lattice import SnowcapLattice
+from repro.views.view import row_sort_key
 
 
 def surviving_delete_terms(
@@ -63,13 +70,12 @@ def collect_delete_embeddings(
     """Evaluate deletion terms into ``{binding ID key: projected row}``.
 
     The map keeps one entry per distinct doomed embedding, keyed by the
-    embedding's binding IDs -- the representation the sharded pipeline
-    merges across workers (cross-term duplicates collapse under dict
-    union because projection is a function of the binding alone).
-    Returns the map plus term-evaluation seconds.
+    embedding's binding IDs -- the representation
+    :func:`merge_embedding_fragments` unions with the σ-repair
+    evictions (cross-term duplicates collapse under dict union because
+    projection is a function of the binding alone).  Returns the map
+    plus term-evaluation seconds.
     """
-    import time
-
     embeddings: Dict[tuple, tuple] = {}
     eval_seconds = 0.0
     for term in terms:
@@ -82,11 +88,50 @@ def collect_delete_embeddings(
     return embeddings, eval_seconds
 
 
+def delete_side(
+    pattern: Pattern,
+    candidates: BatchCandidates,
+    lattice: SnowcapLattice,
+    old_sources: Callable[[], Sources],
+    prune_even_terms: bool,
+    use_data_pruning: bool,
+    use_id_pruning: bool,
+) -> Tuple[Dict[tuple, tuple], SideStats]:
+    """Δ− extraction + ET-DEL for one view.
+
+    ``old_sources`` builds the reconstructed pre-batch relations; it is
+    only called when a Δ− table is non-empty.  Returns the doomed-
+    embedding map of :func:`collect_delete_embeddings` plus the side's
+    stats (``live`` is False when every Δ− table is empty).
+    """
+    stats = SideStats()
+    started = time.perf_counter()
+    delta_minus = delta_from_candidates(pattern, candidates, "-")
+    stats.delta_seconds = time.perf_counter() - started
+    stats.delta_sizes = {
+        name: len(delta_minus.nodes(name)) for name in pattern.node_names()
+    }
+    if not delta_minus.nonempty_names():
+        return {}, stats
+    stats.live = True
+    started = time.perf_counter()
+    terms, developed = surviving_delete_terms(
+        pattern, delta_minus, prune_even_terms, use_data_pruning, use_id_pruning
+    )
+    stats.develop_seconds = time.perf_counter() - started
+    stats.terms_developed = developed
+    stats.terms_surviving = len(terms)
+    embeddings, stats.eval_seconds = collect_delete_embeddings(
+        pattern, terms, old_sources(), delta_minus, lattice
+    )
+    return embeddings, stats
+
+
 def removals_from_embeddings(embeddings: Dict[tuple, tuple]) -> Dict[tuple, int]:
     """Count distinct doomed embeddings per projected view tuple.
 
-    Iterates binding keys in Dewey order so the resulting dict is
-    deterministic regardless of which worker produced which fragment.
+    Iterates binding keys in Dewey order so the resulting dict does
+    not depend on the order the embeddings were collected in.
     """
     removals: Dict[tuple, int] = {}
     for key in sorted(
@@ -95,3 +140,50 @@ def removals_from_embeddings(embeddings: Dict[tuple, tuple]) -> Dict[tuple, int]
         row = embeddings[key]
         removals[row] = removals.get(row, 0) + 1
     return removals
+
+
+def merge_embedding_fragments(
+    fragments: Iterable[Dict[tuple, tuple]]
+) -> Dict[tuple, int]:
+    """Union doomed-embedding maps, then count per projected tuple.
+
+    One embedding surfacing in several fragments (the same binding
+    reached through different terms) collapses under dict union; the
+    projected row is a function of the binding, so whichever fragment
+    contributed it carries the same row.
+
+    A single fragment is counted in its own (deterministic) insertion
+    order -- both consumers are order-independent, so the Dewey sort of
+    :func:`removals_from_embeddings` is only needed to canonicalize a
+    genuine multi-fragment union.
+    """
+    fragments = list(fragments)
+    if len(fragments) == 1:
+        removals: Dict[tuple, int] = {}
+        for row in fragments[0].values():
+            removals[row] = removals.get(row, 0) + 1
+        return removals
+    merged: Dict[tuple, tuple] = {}
+    for fragment in fragments:
+        merged.update(fragment)
+    return removals_from_embeddings(merged)
+
+
+def merge_addition_fragments(
+    fragments: Iterable[Dict[tuple, int]]
+) -> Dict[tuple, int]:
+    """Sum per-tuple derivation counts across Δ+ fragments, keys in
+    Dewey order.
+
+    A single fragment passes through untouched: its insertion order is
+    already deterministic (the term loop), and the store pass sorts
+    keys itself.
+    """
+    fragments = list(fragments)
+    if len(fragments) == 1:
+        return fragments[0]
+    accumulated: Dict[tuple, int] = {}
+    for fragment in fragments:
+        for row, count in fragment.items():
+            accumulated[row] = accumulated.get(row, 0) + count
+    return {row: accumulated[row] for row in sorted(accumulated, key=row_sort_key)}

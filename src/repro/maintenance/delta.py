@@ -87,6 +87,44 @@ class BatchCandidates:
         )
 
 
+class SideStats:
+    """Sub-timings and counters of one view's Δ−, Δ+ or σ-repair side,
+    folded into its :class:`~repro.maintenance.engine.ViewReport`."""
+
+    __slots__ = (
+        "live",
+        "delta_sizes",
+        "terms_developed",
+        "terms_surviving",
+        "delta_seconds",
+        "develop_seconds",
+        "eval_seconds",
+        "snowcap_seconds",
+    )
+
+    def __init__(self) -> None:
+        self.live = False
+        self.delta_sizes: Dict[str, int] = {}
+        self.terms_developed = 0
+        self.terms_surviving = 0
+        self.delta_seconds = 0.0
+        self.develop_seconds = 0.0
+        self.eval_seconds = 0.0
+        self.snowcap_seconds = 0.0
+
+
+def touched_labels(pattern: Pattern, candidates: BatchCandidates) -> List[str]:
+    """Candidate labels this pattern's Δ tables can see (label-level
+    liveness check: an empty result proves every Δ table empty, so the
+    whole side can be skipped without σ-filtering anything)."""
+    if not candidates.by_label:
+        return []
+    if any(node.label == "*" for node in pattern.nodes()):
+        return sorted(candidates.by_label)
+    pattern_labels = {node.label for node in pattern.nodes()}
+    return sorted(label for label in candidates.by_label if label in pattern_labels)
+
+
 def _extract_for_pattern(pattern: Pattern, candidates: BatchCandidates) -> Dict[str, List[Node]]:
     # Each pattern node σ-filters its own label's bucket instead of
     # re-walking the whole candidate list (patterns share labels across

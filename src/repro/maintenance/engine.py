@@ -29,9 +29,13 @@ drifted before its removal (*dirty subtree*) is restored from the
 first-seen snapshots instead of invalidating the whole view.  Only
 genuinely unrepairable cases -- drift with hot-path caches disabled,
 or ``sigma_repair=False`` forcing the historical behaviour -- fall
-back to recomputing the affected view, and those recomputations run as
-shard work units when a parallel executor is available
-(``BatchReport.fallbacks`` records structured reasons).
+back to recomputing the affected view (``BatchReport.fallbacks``
+records structured reasons).
+
+The batch round always runs in-process, view by view; the only other
+execution mode is a resident :class:`~repro.sharding.ShardSession`
+(``engine.session(...)``), whose replica workers each run this same
+in-process round over the views they own.
 """
 
 from __future__ import annotations
@@ -39,10 +43,20 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.maintenance.delta import BatchCandidates
-from repro.maintenance.insert import apply_attribute_refreshes
+from repro.maintenance.delete import (
+    delete_side,
+    merge_addition_fragments,
+    merge_embedding_fragments,
+)
+from repro.maintenance.delta import BatchCandidates, SideStats, touched_labels
+from repro.maintenance.insert import (
+    apply_attribute_refreshes,
+    collect_attribute_refreshes,
+    insert_side,
+)
 from repro.maintenance.repair import (
     flip_lattice_repair,
+    flip_repair,
     match_flips_to_pattern,
 )
 from repro.obs import NULL_OBS, Observability
@@ -76,11 +90,11 @@ PHASES = (
 #: repro-lint ``layer-upward-import`` rule), so this module never
 #: imports the sharding packages.  Instead ``repro.sharding`` calls
 #: :func:`register_shard_backend` with its own module object when it is
-#: imported, and the engine dispatches planner/executor/unit/merge
-#: lookups through the registered backend.  The ``repro`` package
-#: ``__init__`` (the exempt aggregator) imports the sharding layer, so
-#: any ``import repro.<anything>`` wires the seam before engine code
-#: can run.
+#: imported, and :meth:`MaintenanceEngine.session` -- the one caller --
+#: looks ``ShardSession`` up through it.  The batch path never needs
+#: it.  The ``repro`` package ``__init__`` (the exempt aggregator)
+#: imports the sharding layer, so any ``import repro.<anything>`` wires
+#: the seam.
 _SHARD_BACKEND = None
 
 
@@ -100,7 +114,7 @@ def shard_backend():
     if _SHARD_BACKEND is None:
         raise RuntimeError(
             "no sharding backend registered: import the 'repro' package "
-            "(or 'repro.sharding') before driving the engine so the "
+            "(or 'repro.sharding') before opening a session so the "
             "sharding layer can register itself"
         )
     return _SHARD_BACKEND
@@ -142,7 +156,7 @@ def aggregate_phase_seconds(phase_sets, base=0.0, exclude_find_targets=False):
     ``phase_sets`` yields :class:`PhaseTimes` instances or plain
     ``phase -> seconds`` mappings (the bench harness rows).  ``base``
     carries the report-level once-per-batch costs (net Δ construction,
-    parallel shard-round walls); ``exclude_find_targets`` drops the
+    a session's wait + replay); ``exclude_find_targets`` drops the
     shared target-resolution time, which the propagation metrics leave
     out.  :class:`BatchReport` and ``repro.bench.harness.BreakdownRow``
     both sum through here, so their totals cannot drift apart -- and because every phase credit also
@@ -262,18 +276,20 @@ class BatchReport:
         #: net-removed dirty nodes whose pre-batch val/cont snapshots
         #: were restored onto the detached subtree (no fallback needed).
         self.dirty_restored = 0
-        #: worker count the propagation round actually fanned out to
-        #: (0 = serial execution of the shard plan).
+        #: resident session workers that maintained the views (0 when
+        #: the engine ran the round in-process).
         self.workers = 0
         #: view name -> {"refresh", "additions", "removals"} extent
         #: deltas, recorded only when the engine's ``record_deltas`` is
         #: set (shard-session replica workers ship these to the owner).
         self.view_deltas: Optional[Dict[str, Dict]] = None
-        #: wall-clock seconds spent inside parallel shard rounds
-        #: (0 in serial mode, where unit time lands in per-view phases).
+        #: owner-side seconds a session spent waiting for and replaying
+        #: worker deltas (0 in-process, where time lands in per-view
+        #: phases).
         self.shard_seconds = 0.0
-        #: one entry per executed shard round: mode, wall/worker
-        #: seconds and per-unit timing (see RoundResult.describe).
+        #: one entry per round that ran any work: in-process rounds as
+        #: ``{"mode": "serial", "units": n, "wall_s": s}``, session
+        #: batches with per-worker timing (``"mode": "session"``).
         self.shard_rounds: List[Dict] = []
 
     def report_for(self, name: str) -> ViewReport:
@@ -287,8 +303,8 @@ class BatchReport:
 
     def propagation_seconds(self) -> float:
         """Maintenance-phase seconds with the shared find-targets time
-        excluded; the once-per-batch net Δ construction and the wall
-        time of parallel shard rounds are each counted once."""
+        excluded; the once-per-batch net Δ construction and a
+        session's ``shard_seconds`` are each counted once."""
         return aggregate_phase_seconds(
             (report.phases for report in self.view_reports.values()),
             base=self.net_effects_seconds + self.shard_seconds,
@@ -328,15 +344,15 @@ class RegisteredView:
 
 
 class _ViewRound:
-    """Mutable per-view state threaded through one batch shard round."""
+    """Mutable per-view state threaded through one batch round."""
 
     __slots__ = (
         "name",
         "registered",
         "report",
-        "has_minus_unit",
-        "has_plus_unit",
-        "has_repair_unit",
+        "refresh_due",
+        "minus_due",
+        "plus_due",
         "minus_live",
         "removals",
         "additions",
@@ -352,9 +368,10 @@ class _ViewRound:
         self.name = name
         self.registered = registered
         self.report = report
-        self.has_minus_unit = False
-        self.has_plus_unit = False
-        self.has_repair_unit = False
+        #: which sides this view runs this batch (refresh scan, Δ−, Δ+).
+        self.refresh_due = False
+        self.minus_due = False
+        self.plus_due = False
         self.minus_live = False
         self.removals: Dict[tuple, int] = {}
         self.additions: Dict[tuple, int] = {}
@@ -364,8 +381,8 @@ class _ViewRound:
         self.flips: Dict[Tuple[DeweyID, str], Tuple[Node, bool]] = {}
         self.minus_sets: Dict[str, List[Node]] = {}
         self.plus_sets: Dict[str, List[Node]] = {}
-        #: doomed-embedding maps (Δ− units + repair evictions) unioned
-        #: once into ``removals``; counted row dicts (Δ+ units + repair
+        #: doomed-embedding maps (Δ− side + repair evictions) unioned
+        #: once into ``removals``; counted row dicts (Δ+ side + repair
         #: admissions) summed once into ``additions``.
         self.embedding_fragments: List[Dict[tuple, tuple]] = []
         self.addition_fragments: List[Dict[tuple, int]] = []
@@ -404,8 +421,6 @@ class MaintenanceEngine:
         prune_even_terms: bool = True,
         use_data_pruning: bool = True,
         use_id_pruning: bool = True,
-        workers: int = 0,
-        shard_plan: "Union[None, int, ShardPlanner]" = None,
         sigma_repair: bool = True,
         obs: Optional[Observability] = None,
         backend: "Union[None, str, SqliteExtentBackend]" = None,
@@ -452,10 +467,6 @@ class MaintenanceEngine:
         #: whole-view recompute fallback for both situations -- kept as
         #: a baseline for the repair benchmarks and regression tests.
         self.sigma_repair = sigma_repair
-        #: default worker count for ``apply_batch`` (0 = in-process).
-        self.workers = workers
-        #: default shard planner (or shard count) for ``apply_batch``.
-        self.shard_plan = shard_plan
         #: when True, ``apply_batch`` reports carry ``view_deltas`` --
         #: the exact extent-delta inputs of every view's store pass
         #: (used by shard-session replica workers).
@@ -666,7 +677,7 @@ class MaintenanceEngine:
                 "the session (or close it) instead"
             )
 
-    def session(self, workers: int = 4, planner=None, weights=None, rebalance=None):
+    def session(self, workers: int = 4, weights=None, rebalance=None):
         """A resident :class:`~repro.sharding.ShardSession` over this
         engine: fork-once replica workers maintaining the views batch
         by batch (pair with ``ApplyQueue(engine.session(...))`` for a
@@ -676,8 +687,7 @@ class MaintenanceEngine:
         lets the session migrate view ownership between workers when
         the recorded per-view timings drift out of balance."""
         return shard_backend().ShardSession(
-            self, workers=workers, planner=planner, weights=weights,
-            rebalance=rebalance,
+            self, workers=workers, weights=weights, rebalance=rebalance
         )
 
     def apply_update(self, statement: UpdateStatement) -> BatchReport:
@@ -726,10 +736,7 @@ class MaintenanceEngine:
     # -- batches (one propagation round per statement group) --------------------
 
     def apply_batch(
-        self,
-        batch: Union[UpdateBatch, Sequence[UpdateStatement]],
-        workers: Optional[int] = None,
-        shard_plan: "Union[None, int, ShardPlanner]" = None,
+        self, batch: Union[UpdateBatch, Sequence[UpdateStatement]]
     ) -> BatchReport:
         """Propagate a whole batch: k statements, one maintenance round.
 
@@ -742,16 +749,9 @@ class MaintenanceEngine:
         and one lattice pass per view.  Nodes inserted and deleted
         within the batch cancel out of both Δ sets.
 
-        The view-side round is organized as a shard plan (see
-        :mod:`repro.sharding`): the planner hashes the batch's Δ labels
-        into shard groups and cuts the per-view propagation work into
-        independent units.  With ``workers=0`` (the default) the units
-        run in-process; with ``workers=N`` they fan out on a worker
-        pool (fork process pool where available) and the returned
-        fragments are merged deterministically, so the resulting
-        extents are byte-identical either way.  ``workers`` /
-        ``shard_plan`` (a :class:`~repro.sharding.ShardPlanner` or a
-        shard count) override the engine-level defaults per call.
+        The view-side round runs in-process, view by view in
+        registration order; to spread views over resident worker
+        processes, apply through ``engine.session(...)`` instead.
 
         Exactness: embeddings built purely from surviving pre-batch
         nodes are state-independent unless a σ predicate flipped
@@ -774,12 +774,11 @@ class MaintenanceEngine:
             batch_id = self.backend.begin_batch(payload)
         try:
             with self.obs.span("batch") as span:
-                report = self._apply_batch_impl(batch, workers, shard_plan)
+                report = self._apply_batch_impl(batch)
         finally:
             self._durability_commit(batch_id)
         if self.obs.enabled:
             span.attrs["statements"] = report.statements_applied
-            span.attrs["workers"] = report.workers
             self._batches_counter.inc()
             self._statements_counter.inc(report.statements_applied)
             self._coalesced_counter.inc(
@@ -793,18 +792,8 @@ class MaintenanceEngine:
         return report
 
     def _apply_batch_impl(
-        self,
-        batch: "Union[UpdateBatch, Sequence[UpdateStatement]]",
-        workers: Optional[int],
-        shard_plan: "Union[None, int, ShardPlanner]",
+        self, batch: "Union[UpdateBatch, Sequence[UpdateStatement]]"
     ) -> BatchReport:
-        backend = shard_backend()
-        effective_workers = self.workers if workers is None else workers
-        planner = backend.ShardPlanner.coerce(
-            shard_plan if shard_plan is not None else self.shard_plan,
-            effective_workers,
-        )
-        executor = backend.ShardExecutor(effective_workers, obs=self.obs)
         if isinstance(batch, UpdateBatch):
             submitted = len(batch)
             statements = batch.coalesced().statements
@@ -966,8 +955,6 @@ class MaintenanceEngine:
                 delete_target_ids=delete_target_ids,
                 survivor_cache=survivor_cache,
                 pre_batch_cache=pre_batch_cache,
-                planner=planner,
-                executor=executor,
             )
         except BaseException:
             # A failure mid-propagation leaves the failing view (and
@@ -995,31 +982,24 @@ class MaintenanceEngine:
         delete_target_ids: Sequence[DeweyID],
         survivor_cache: Dict[str, KeyedRows],
         pre_batch_cache: Dict[str, KeyedRows],
-        planner: "ShardPlanner",
-        executor: "ShardExecutor",
     ) -> None:
-        """The batch's view-side round: plan, execute shards, merge.
+        """The batch's view-side round, run in-process.
 
-        The round runs in stages shared by the serial and parallel
-        paths (so there is exactly one propagation code body):
-
-        1. per view, the recompute-fallback guards, then the pure work
-           is cut into shard units (refresh scan, Δ− side, Δ+ side);
-        2. if any view has a live Δ− side, a first shard round runs the
+        1. per view, the recompute-fallback guards;
+        2. if any view has a live Δ− side, a first round runs the
            refresh scans and the Δ− evaluations -- both read pre-batch
            state -- and the doomed lattice rows are dropped;
         3. a second round (the only one for insert-only batches) runs
-           the Δ+ evaluations and snowcap additions over survivor
-           relations;
-        4. fragments are merged deterministically and applied: one
-           store pass and one lattice extend per view.
+           the Δ+ evaluations, snowcap additions and σ repairs over
+           survivor relations;
+        4. each view's collected Δ± is merged and applied: one store
+           pass and one lattice extend per view.
 
-        Mutation happens only between rounds, on the owning process;
-        units are pure, which is what makes the fan-out exact.
+        Within a round the views run in registration order; the merge
+        and the store pass sort, so the order cannot change a result.
         """
-        serial = not executor.parallel
-        report.workers = executor.workers if executor.parallel else 0
         tracer = self.obs.tracer
+        any_targets = bool(insert_target_ids or delete_target_ids)
 
         contexts: List[_ViewRound] = []
         fallback_views: List[RegisteredView] = []
@@ -1057,6 +1037,9 @@ class MaintenanceEngine:
                 node_name: 0 for node_name in pattern.node_names()
             }
             ctx = _ViewRound(name, registered, view_report)
+            ctx.refresh_due = any_targets and bool(pattern.content_nodes())
+            ctx.minus_due = bool(touched_labels(pattern, removed_candidates))
+            ctx.plus_due = bool(touched_labels(pattern, inserted_candidates))
             if flips:
                 minus_sets, plus_sets = match_flips_to_pattern(pattern, flips)
                 if minus_sets or plus_sets:
@@ -1065,158 +1048,144 @@ class MaintenanceEngine:
                     ctx.plus_sets = plus_sets
                     report.repairs[name] = {"sigma_flips": len(flips)}
             contexts.append(ctx)
-        if fallback_views:
-            self._recompute_views(
-                fallback_views, planner=planner, executor=executor, report=report
-            )
+        for registered in fallback_views:
+            with _PhaseTimer(
+                tracer,
+                report.view_reports[registered.name].phases,
+                "execute_update",
+                registered.name,
+            ):
+                self._recompute(registered)
         if not contexts:
             return
 
-        # -- plan: cut per-view work into shard units ------------------
-        backend = shard_backend()
-        refresh_units: List[RefreshUnit] = []
-        minus_units: List[DeleteSideUnit] = []
-        plus_units: List[InsertSideUnit] = []
-        repair_units: List["SigmaRepairUnit"] = []
-        by_name = {ctx.name: ctx for ctx in contexts}
-        any_targets = bool(insert_target_ids or delete_target_ids)
-        for ctx in contexts:
-            pattern = ctx.registered.pattern
-            if any_targets and pattern.content_nodes():
-                refresh_units.append(
-                    backend.RefreshUnit(
-                        ctx.name,
-                        planner.anchor_shard(()),
-                        view=ctx.registered.view,
-                        document=self.document,
-                        insert_target_ids=insert_target_ids,
-                        delete_target_ids=delete_target_ids,
-                    )
-                )
-            minus_labels = planner.touched_labels(pattern, removed_candidates)
-            if minus_labels:
-                estimate = sum(
-                    len(removed_candidates.by_label.get(label, ()))
-                    for label in minus_labels
-                )
-                minus_units.append(
-                    backend.DeleteSideUnit(
-                        ctx.name,
-                        planner.anchor_shard(minus_labels),
-                        minus_labels,
-                        estimate,
-                        engine=self,
-                        registered=ctx.registered,
-                        removed_candidates=removed_candidates,
-                        inserted_ids=inserted_ids,
-                        inserted_by_label=inserted_by_label,
-                        source_cache=pre_batch_cache,
-                        flips=set(ctx.flips) if ctx.flips else None,
-                    )
-                )
-                ctx.has_minus_unit = True
-            plus_labels = planner.touched_labels(pattern, inserted_candidates)
-            if plus_labels:
-                estimate = sum(
-                    len(inserted_candidates.by_label.get(label, ()))
-                    for label in plus_labels
-                )
-                plus_units.append(
-                    backend.InsertSideUnit(
-                        ctx.name,
-                        planner.anchor_shard(plus_labels),
-                        plus_labels,
-                        estimate,
-                        engine=self,
-                        registered=ctx.registered,
-                        inserted_candidates=inserted_candidates,
-                        inserted_ids=inserted_ids,
-                        inserted_by_label=inserted_by_label,
-                        insert_target_ids=insert_target_ids,
-                        source_cache=survivor_cache,
-                    )
-                )
-                ctx.has_plus_unit = True
-            if ctx.minus_sets or ctx.plus_sets:
-                flip_nodes = [
-                    node
-                    for sets in (ctx.minus_sets, ctx.plus_sets)
-                    for nodes in sets.values()
-                    for node in nodes
-                ]
-                flip_labels = sorted({node.label for node in flip_nodes})
-                repair_units.append(
-                    backend.SigmaRepairUnit(
-                        ctx.name,
-                        planner.anchor_shard(flip_labels),
-                        flip_labels,
-                        len(flip_nodes),
-                        engine=self,
-                        registered=ctx.registered,
-                        minus_sets=ctx.minus_sets,
-                        plus_sets=ctx.plus_sets,
-                        inserted_ids=inserted_ids,
-                        inserted_by_label=inserted_by_label,
-                        source_cache=survivor_cache,
-                    )
-                )
-                ctx.has_repair_unit = True
-        if executor.parallel:
-            self._prewarm_value_index(contexts)
-            # Fill the shared per-label source rows in the parent so
-            # every worker inherits them read-only (fork: copy-on-write
-            # pages; thread: plain reads).  Without this each child
-            # would re-filter the touched canonical relations -- once
-            # per view per worker -- and the threaded fallback would
-            # race on the shared cache dicts.
-            if minus_units:
-                for ctx in contexts:
-                    if ctx.has_minus_unit:
-                        with _PhaseTimer(
-                            tracer, ctx.report.phases, "execute_update", ctx.name
-                        ):
-                            self._sources_pre_batch(
-                                ctx.registered.pattern,
-                                inserted_ids,
-                                inserted_by_label,
-                                removed_candidates,
-                                pre_batch_cache,
-                                flips=set(ctx.flips) if ctx.flips else None,
-                            )
-            if plus_units or repair_units:
-                for ctx in contexts:
-                    if ctx.has_plus_unit or ctx.has_repair_unit:
-                        with _PhaseTimer(
-                            tracer, ctx.report.phases, "execute_update", ctx.name
-                        ):
-                            self._sources_excluding(
-                                ctx.registered.pattern,
-                                inserted_ids,
-                                cache=survivor_cache,
-                                excluded_by_label=inserted_by_label,
-                            )
+        def survivor_sources(ctx: _ViewRound) -> Sources:
+            return self._sources_excluding(
+                ctx.registered.pattern,
+                inserted_ids,
+                cache=survivor_cache,
+                excluded_by_label=inserted_by_label,
+            )
 
-        # -- execute: one round when the batch is insert-only, two when
-        # a Δ− side must read the lattice before its doomed rows drop --
-        two_rounds = bool(minus_units)
-        if two_rounds:
-            result = executor.run(planner.order_units(refresh_units + minus_units))
-            self._absorb_round(report, result, serial)
-            self._apply_round_fragments(result, by_name, serial, report)
+        def refresh(ctx: _ViewRound) -> int:
+            if not ctx.refresh_due:
+                return 0
+            view = ctx.registered.view
+            with _PhaseTimer(tracer, ctx.report.phases, "execute_update", ctx.name):
+                pairs = collect_attribute_refreshes(
+                    view, self.document, insert_target_ids, delete_target_ids
+                )
+                ctx.report.tuples_modified = apply_attribute_refreshes(view, pairs)
+            if report.view_deltas is not None:
+                report.view_deltas.setdefault(ctx.name, {})["refresh"] = pairs
+            return 1
+
+        def minus(ctx: _ViewRound) -> int:
+            if not ctx.minus_due:
+                return 0
+            pattern = ctx.registered.pattern
+            flip_keys = set(ctx.flips) if ctx.flips else None
+            started = time.perf_counter()
+            embeddings, stats = delete_side(
+                pattern,
+                removed_candidates,
+                ctx.registered.lattice,
+                lambda: self._sources_pre_batch(
+                    pattern,
+                    inserted_ids,
+                    inserted_by_label,
+                    removed_candidates,
+                    pre_batch_cache,
+                    flips=flip_keys,
+                ),
+                self.prune_even_terms,
+                self.use_data_pruning,
+                self.use_id_pruning,
+            )
+            self._absorb_stats(ctx.report, stats, time.perf_counter() - started)
+            ctx.minus_live = stats.live
+            if embeddings:
+                ctx.embedding_fragments.append(embeddings)
+            return 1
+
+        def plus(ctx: _ViewRound) -> int:
+            if not ctx.plus_due:
+                return 0
+            started = time.perf_counter()
+            additions, ctx.snowcap, stats = insert_side(
+                ctx.registered.pattern,
+                inserted_candidates,
+                ctx.registered.lattice,
+                lambda: survivor_sources(ctx),
+                insert_target_ids,
+                self.use_data_pruning,
+                self.use_id_pruning,
+            )
+            self._absorb_stats(ctx.report, stats, time.perf_counter() - started)
+            if additions:
+                ctx.addition_fragments.append(additions)
+            return 1
+
+        def repair(ctx: _ViewRound) -> int:
+            if not (ctx.minus_sets or ctx.plus_sets):
+                return 0
+            pattern = ctx.registered.pattern
+            started = time.perf_counter()
+            evictions, admissions, stats = flip_repair(
+                pattern,
+                ctx.minus_sets,
+                ctx.plus_sets,
+                lambda: self._sources_flip_pre(
+                    pattern,
+                    inserted_ids,
+                    inserted_by_label,
+                    survivor_cache,
+                    ctx.minus_sets,
+                    ctx.plus_sets,
+                ),
+                lambda: survivor_sources(ctx),
+            )
+            self._absorb_stats(ctx.report, stats, time.perf_counter() - started)
+            if evictions:
+                # Disjoint from the Δ− embeddings by construction (evict
+                # sources hold only survivors), so the final union never
+                # collapses a genuine removal.
+                ctx.embedding_fragments.append(evictions)
+            if admissions:
+                ctx.addition_fragments.append(admissions)
+            entry = report.repairs.setdefault(ctx.name, {})
+            entry["evicted"] = entry.get("evicted", 0) + len(evictions)
+            entry["admitted"] = entry.get("admitted", 0) + sum(admissions.values())
+            return 1
+
+        def run_round(*sides) -> None:
+            started = time.perf_counter()
+            ran = sum(side(ctx) for ctx in contexts for side in sides)
+            if ran:
+                report.shard_rounds.append(
+                    {
+                        "mode": "serial",
+                        "units": ran,
+                        "wall_s": round(time.perf_counter() - started, 6),
+                    }
+                )
+
+        # -- one round when the batch is insert-only, two when a Δ−
+        # side must read the lattice before its doomed rows drop --
+        if any(ctx.minus_due for ctx in contexts):
+            run_round(refresh, minus)
             for ctx in contexts:
                 if ctx.minus_live:
                     with _PhaseTimer(
                         tracer, ctx.report.phases, "update_lattice", ctx.name
                     ):
                         ctx.registered.lattice.apply_batch(removed_ids, {})
-            round2_units = planner.order_units(plus_units + repair_units)
+            second_round = (plus, repair)
         else:
-            round2_units = planner.order_units(
-                refresh_units + plus_units + repair_units
-            )
-        # σ-flip lattice upkeep sits between the rounds: the Δ− units
+            second_round = (refresh, plus, repair)
+        # σ-flip lattice upkeep sits between the rounds: the Δ− sides
         # must read the *pre-batch* lattice (their R-part seeds), while
-        # the Δ+ units' ET-INS and snowcap recurrences seed from the
+        # the Δ+ sides' ET-INS and snowcap recurrences seed from the
         # current-survivor lattice -- which only the column-aware flip
         # pass (drop flipped-false rows, append flipped-true ones)
         # makes exact.  In the single-round case there is no Δ− reader,
@@ -1228,18 +1197,12 @@ class MaintenanceEngine:
             if not lattice.materialized_sets():
                 continue
             with _PhaseTimer(tracer, ctx.report.phases, "update_lattice", ctx.name):
-                r_sources = self._sources_excluding(
-                    ctx.registered.pattern,
-                    inserted_ids,
-                    cache=survivor_cache,
-                    excluded_by_label=inserted_by_label,
-                )
                 drops, flip_additions = flip_lattice_repair(
                     ctx.registered.pattern,
                     lattice,
                     ctx.minus_sets,
                     ctx.plus_sets,
-                    r_sources,
+                    survivor_sources(ctx),
                 )
                 dropped = lattice.apply_flip_repair(drops, flip_additions)
                 entry = report.repairs.setdefault(ctx.name, {})
@@ -1247,28 +1210,14 @@ class MaintenanceEngine:
                 entry["lattice_added"] = sum(
                     len(relation.rows) for relation in flip_additions.values()
                 )
-        # Snowcap rows are shipped as ID tuples only when the round will
-        # really cross a process boundary; single-unit rounds run inline
-        # (and thread rounds share memory), where the conversion plus
-        # owner-side re-resolution would be pure overhead.
-        crosses_process = executor.mode == "fork" and len(round2_units) >= 2
-        for unit in round2_units:
-            if unit.kind == "plus":
-                unit.ship_ids = crosses_process
-        result = executor.run(round2_units)
-        self._absorb_round(report, result, serial)
-        self._apply_round_fragments(result, by_name, serial, report)
+        run_round(*second_round)
 
         # -- merge + apply: one store pass and one lattice extend ------
         for ctx in contexts:
             if ctx.embedding_fragments:
-                ctx.removals = backend.merge_embedding_fragments(
-                    ctx.embedding_fragments
-                )
+                ctx.removals = merge_embedding_fragments(ctx.embedding_fragments)
             if ctx.addition_fragments:
-                ctx.additions = backend.merge_addition_fragments(
-                    ctx.addition_fragments
-                )
+                ctx.additions = merge_addition_fragments(ctx.addition_fragments)
             if report.view_deltas is not None:
                 deltas = report.view_deltas.setdefault(ctx.name, {})
                 deltas["additions"] = ctx.additions
@@ -1284,78 +1233,14 @@ class MaintenanceEngine:
                 with _PhaseTimer(
                     tracer, ctx.report.phases, "update_lattice", ctx.name
                 ):
-                    lattice_additions = backend.resolve_snowcap_fragment(
-                        ctx.snowcap, self.document
-                    )
-                    if lattice_additions:
-                        ctx.registered.lattice.apply_batch(set(), lattice_additions)
+                    ctx.registered.lattice.apply_batch(set(), ctx.snowcap)
 
-    def _apply_round_fragments(
-        self,
-        result: "RoundResult",
-        by_name: Dict[str, "_ViewRound"],
-        serial: bool,
-        report: BatchReport,
+    def _absorb_stats(
+        self, view_report: ViewReport, stats: SideStats, seconds: float
     ) -> None:
-        """Merge one round's fragments into the per-view contexts."""
-        backend = shard_backend()
-        tracer = self.obs.tracer
-        for unit, fragment, seconds in zip(
-            result.units, result.fragments, result.unit_seconds
-        ):
-            ctx = by_name[unit.view_name]
-            if unit.kind == "refresh":
-                if report.view_deltas is not None:
-                    report.view_deltas.setdefault(ctx.name, {})["refresh"] = fragment
-                started = time.perf_counter()
-                ctx.report.tuples_modified = apply_attribute_refreshes(
-                    ctx.registered.view, fragment
-                )
-                applied = time.perf_counter() - started
-                _credit(
-                    tracer,
-                    ctx.report.phases,
-                    "execute_update",
-                    applied + (seconds if serial else 0.0),
-                    ctx.name,
-                )
-                continue
-            if unit.kind == "minus":
-                embeddings, stats = fragment
-                ctx.minus_live = stats.live
-                if embeddings:
-                    ctx.embedding_fragments.append(embeddings)
-            elif unit.kind == "repair":
-                evictions, admissions, stats = fragment
-                if evictions:
-                    # Disjoint from the Δ− embeddings by construction
-                    # (evict sources hold only survivors), so the final
-                    # union never collapses a genuine removal.
-                    ctx.embedding_fragments.append(evictions)
-                if admissions:
-                    ctx.addition_fragments.append(admissions)
-                entry = report.repairs.setdefault(ctx.name, {})
-                entry["evicted"] = entry.get("evicted", 0) + len(evictions)
-                entry["admitted"] = entry.get("admitted", 0) + sum(
-                    admissions.values()
-                )
-            else:
-                additions, snowcap_rows, stats = fragment
-                if additions:
-                    ctx.addition_fragments.append(additions)
-                ctx.snowcap = snowcap_rows
-            self._absorb_unit_stats(ctx.report, stats, seconds, serial)
-
-    def _absorb_unit_stats(
-        self, view_report: ViewReport, stats: "UnitStats", seconds: float, serial: bool
-    ) -> None:
-        """Fold a unit's counters (and, serially, its time) into the report.
-
-        In parallel mode per-unit compute happens on workers whose wall
-        time is already counted once at report level
-        (``BatchReport.shard_seconds``); adding it to per-view phases
-        too would double-count, so only the counters are absorbed.
-        """
+        """Fold one side's counters and ``seconds`` into the view's
+        report: its sub-timings go to their phases, the rest of
+        ``seconds`` to ``execute_update``."""
         for node_name, size in stats.delta_sizes.items():
             view_report.delta_sizes[node_name] = (
                 view_report.delta_sizes.get(node_name, 0) + size
@@ -1363,68 +1248,25 @@ class MaintenanceEngine:
         view_report.terms_developed += stats.terms_developed
         view_report.terms_surviving += stats.terms_surviving
         view_report.term_eval_seconds += stats.eval_seconds
-        if serial:
-            tracer = self.obs.tracer
-            phases = view_report.phases
-            name = view_report.name
-            _credit(tracer, phases, "compute_delta_tables", stats.delta_seconds, name)
-            _credit(tracer, phases, "get_update_expression", stats.develop_seconds, name)
-            _credit(tracer, phases, "update_lattice", stats.snowcap_seconds, name)
-            _credit(
-                tracer,
-                phases,
-                "execute_update",
-                max(
-                    0.0,
-                    seconds
-                    - stats.delta_seconds
-                    - stats.develop_seconds
-                    - stats.snowcap_seconds,
-                ),
-                name,
-            )
-
-    def _absorb_round(
-        self, report: BatchReport, result: "RoundResult", serial: bool
-    ) -> None:
-        if not result.units:
-            return
-        report.shard_rounds.append(result.describe())
-        if not serial:
-            report.shard_seconds += result.wall_seconds
-            # Same float as the shard_seconds increment; worker-side
-            # span trees (shipped as picklable fragments) are stitched
-            # back under the round span in unit order.
-            span = self.obs.tracer.record(
-                "shard_round",
-                result.wall_seconds,
-                mode=result.mode,
-                units=len(result.units),
-            )
-            fragments = getattr(result, "span_fragments", None)
-            if fragments and any(fragments):
-                self.obs.tracer.adopt(
-                    span, shard_backend().merge_span_fragments(fragments)
-                )
-
-    def _prewarm_value_index(self, contexts: Sequence["_ViewRound"]) -> None:
-        """Flush value-index dirty sets before fanning out.
-
-        Worker processes inherit state by fork, so a lazy re-bucketing
-        would otherwise be repeated in every child (and would race in
-        the thread fallback); one parent-side lookup per σ predicate
-        makes the subsequent unit-side lookups read-only.
-        """
-        seen = set()
-        for ctx in contexts:
-            for node in ctx.registered.pattern.nodes():
-                if node.value_pred is None:
-                    continue
-                key = (node.label, node.value_pred)
-                if key in seen:
-                    continue
-                seen.add(key)
-                self.document.nodes_with_value(node.label, node.value_pred)
+        tracer = self.obs.tracer
+        phases = view_report.phases
+        name = view_report.name
+        _credit(tracer, phases, "compute_delta_tables", stats.delta_seconds, name)
+        _credit(tracer, phases, "get_update_expression", stats.develop_seconds, name)
+        _credit(tracer, phases, "update_lattice", stats.snowcap_seconds, name)
+        _credit(
+            tracer,
+            phases,
+            "execute_update",
+            max(
+                0.0,
+                seconds
+                - stats.delta_seconds
+                - stats.develop_seconds
+                - stats.snowcap_seconds,
+            ),
+            name,
+        )
 
     def _dirty_affects(self, pattern: Pattern, dirty_nodes: Sequence[Node]) -> int:
         """How many drifted removed nodes reach this view's values?
@@ -1678,88 +1520,6 @@ class MaintenanceEngine:
         # object (and, with a durable backend, its table binding).
         registered.view.reload_content(fresh.content())
         registered.lattice.materialize(self.document)
-
-    def _recompute_views(
-        self,
-        registered_views: Sequence[RegisteredView],
-        planner=None,
-        executor=None,
-        report: Optional[BatchReport] = None,
-    ) -> None:
-        """Rebuild fallback views, as shard work when a pool is up.
-
-        Materialization is pure (evaluate extent pairs, evaluate
-        snowcap relations), so true fallbacks need not serialize on the
-        owner: each view becomes an extent unit plus -- when snowcaps
-        are materialized -- a lattice unit, executed through the same
-        executor as the batch rounds and installed from the returned
-        fragments.  With no parallel executor (or a single unit) the
-        plain in-process rebuild is cheaper and byte-identical.
-        """
-        if not registered_views:
-            return
-        units: List = []
-        parallel = executor is not None and executor.parallel
-        if parallel and planner is not None:
-            backend = shard_backend()
-            for registered in registered_views:
-                pattern = registered.pattern
-                labels = sorted(
-                    {
-                        node.label
-                        for node in pattern.nodes()
-                        if node.label != "*"
-                    }
-                )
-                shard = planner.anchor_shard(labels)
-                units.append(
-                    backend.ExtentRecomputeUnit(
-                        registered.name,
-                        shard,
-                        pattern=pattern,
-                        document=self.document,
-                        estimate=max(len(registered.view), 1),
-                    )
-                )
-                if registered.lattice.selected:
-                    units.append(
-                        backend.LatticeRecomputeUnit(
-                            registered.name,
-                            shard,
-                            pattern=pattern,
-                            document=self.document,
-                            selected=registered.lattice.selected,
-                            estimate=max(registered.lattice.stored_tuples(), 1),
-                        )
-                    )
-        if len(units) < 2:
-            for registered in registered_views:
-                started = time.perf_counter()
-                self._recompute(registered)
-                if report is not None and registered.name in report.view_reports:
-                    _credit(
-                        self.obs.tracer,
-                        report.view_reports[registered.name].phases,
-                        "execute_update",
-                        time.perf_counter() - started,
-                        registered.name,
-                    )
-            return
-        backend = shard_backend()
-        by_name = {registered.name: registered for registered in registered_views}
-        result = executor.run(planner.order_units(units))
-        if report is not None:
-            self._absorb_round(report, result, serial=False)
-        for unit, fragment in zip(result.units, result.fragments):
-            registered = by_name[unit.view_name]
-            if unit.kind == "recompute_extent":
-                pairs, _stats = fragment
-                registered.view.reload_content(pairs)
-            else:
-                rows, _stats = fragment
-                relations = backend.resolve_snowcap_fragment(rows, self.document)
-                for subset, relation in relations.items():
-                    registered.lattice.load_materialized(subset, relation)
 
 
 # Dependency inversion for crash recovery: ``repro.storage`` sits below

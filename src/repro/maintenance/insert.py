@@ -18,11 +18,17 @@ contains the view-side work:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import time
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.relation import Relation
 from repro.algebra.structural import probe_descendants, structural_join
-from repro.maintenance.delta import DeltaTables
+from repro.maintenance.delta import (
+    BatchCandidates,
+    DeltaTables,
+    SideStats,
+    delta_from_candidates,
+)
 from repro.maintenance.terms import (
     NodeSet,
     Term,
@@ -74,8 +80,6 @@ def collect_insert_additions(
     touching any view -- the batch pipeline merges these Δ+ tuples with
     the deletion side and applies both in one store pass.
     """
-    import time
-
     accumulated: Dict[tuple, int] = {}
     eval_seconds = 0.0
     for term in terms:
@@ -88,6 +92,59 @@ def collect_insert_additions(
         for row in projected.rows:
             accumulated[row] = accumulated.get(row, 0) + 1
     return accumulated, eval_seconds
+
+
+def insert_side(
+    pattern: Pattern,
+    candidates: BatchCandidates,
+    lattice: SnowcapLattice,
+    r_sources: Callable[[], Sources],
+    target_ids: Sequence[DeweyID],
+    use_data_pruning: bool,
+    use_id_pruning: bool,
+) -> Tuple[Dict[tuple, int], Optional[Dict[NodeSet, Relation]], SideStats]:
+    """Δ+ extraction + ET-INS + snowcap additions for one view.
+
+    ``r_sources`` builds the survivor relations (R = current − Δ+); it
+    is only called when a Δ+ table is non-empty.  Returns the counted
+    Δ+ rows, the snowcap-addition relations (None without materialized
+    snowcaps) and the side's stats.
+    """
+    stats = SideStats()
+    started = time.perf_counter()
+    delta_plus = delta_from_candidates(pattern, candidates, "+")
+    stats.delta_seconds = time.perf_counter() - started
+    stats.delta_sizes = {
+        name: len(delta_plus.nodes(name)) for name in pattern.node_names()
+    }
+    if not delta_plus.nonempty_names():
+        return {}, None, stats
+    stats.live = True
+    started = time.perf_counter()
+    terms, developed = surviving_insert_terms(
+        pattern, delta_plus, target_ids, use_data_pruning, use_id_pruning
+    )
+    stats.develop_seconds = time.perf_counter() - started
+    stats.terms_developed = developed
+    stats.terms_surviving = len(terms)
+    sources = r_sources()
+    additions, stats.eval_seconds = collect_insert_additions(
+        pattern, terms, sources, delta_plus, lattice
+    )
+    snowcap = None
+    if lattice.materialized_sets():
+        started = time.perf_counter()
+        snowcap = snowcap_additions(
+            pattern,
+            lattice,
+            sources,
+            delta_plus,
+            target_ids,
+            use_data_pruning,
+            use_id_pruning,
+        )
+        stats.snowcap_seconds = time.perf_counter() - started
+    return additions, snowcap, stats
 
 
 def collect_attribute_refreshes(
@@ -109,9 +166,8 @@ def collect_attribute_refreshes(
     ID carries such a label.
 
     Returns the ``(old row, new row)`` rewrite pairs without touching
-    the view -- the sharded pipeline computes these on workers (the
-    pairs are plain picklable tuples) and applies them on the owning
-    process.
+    the view; :func:`apply_attribute_refreshes` applies them, and
+    session replicas ship them (plain picklable tuples) to the owner.
     """
     pattern = view.pattern
     cvn = pattern.content_nodes()

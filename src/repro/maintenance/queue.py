@@ -82,11 +82,7 @@ class ApplyQueue:
       merges;
     * ``flush_interval`` is how long the worker lingers for more
       arrivals before applying a non-full batch (seconds; ``0`` applies
-      as soon as the queue is non-empty);
-    * ``workers`` / ``shard_plan`` fan each maintenance round out
-      through the sharded pipeline (passed through to
-      :meth:`~repro.maintenance.engine.MaintenanceEngine.apply_batch`;
-      ``None`` keeps the engine's own defaults).
+      as soon as the queue is non-empty).
 
     Usable as a context manager: leaving the block closes the queue
     (draining everything still pending).
@@ -97,8 +93,6 @@ class ApplyQueue:
         engine,
         max_batch_size: int = 64,
         flush_interval: float = 0.01,
-        workers: Optional[int] = None,
-        shard_plan=None,
         obs=None,
     ):
         if max_batch_size < 1:
@@ -131,13 +125,6 @@ class ApplyQueue:
         self._queue_batches_counter = metrics.counter(
             "repro_queue_batches_total", "batches drained by the queue worker"
         )
-        #: kwargs forwarded to every apply_batch call; only populated
-        #: when given, so engines without sharding options keep working.
-        self._apply_options = {}
-        if workers is not None:
-            self._apply_options["workers"] = workers
-        if shard_plan is not None:
-            self._apply_options["shard_plan"] = shard_plan
         self.engine = engine
         self.max_batch_size = max_batch_size
         self.flush_interval = flush_interval
@@ -275,7 +262,7 @@ class ApplyQueue:
             report = None
             error: Optional[BaseException] = None
             try:
-                report = self._apply_batch(batch, **self._apply_options)
+                report = self._apply_batch(batch)
             except BaseException as exc:  # poison batch, keep worker alive
                 error = exc
             if error is not None:

@@ -28,18 +28,19 @@ This module synthesizes that repair Δ±:
 Evictions are evaluated against *pre-batch membership* survivor
 relations and admissions against *current membership* ones; both read
 live nodes, so projected rows carry final val/cont and line up with
-the refreshed extent.  The fragments are plain picklable containers
-(binding-ID-keyed rows, row counts), merged by ``sharding.merge``
+the refreshed extent.  :func:`flip_repair` returns both as plain
+containers (binding-ID-keyed rows, row counts) that the engine merges
 alongside the ordinary batch Δ±.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.algebra.relation import Relation
-from repro.maintenance.delta import flip_delta
+from repro.maintenance.delete import removals_from_embeddings
+from repro.maintenance.delta import SideStats, flip_delta
 from repro.maintenance.terms import (
     NodeSet,
     absorb_embeddings,
@@ -83,6 +84,48 @@ def collect_flip_embeddings(
         eval_seconds += time.perf_counter() - started
         absorb_embeddings(pattern, bindings, embeddings)
     return embeddings, eval_seconds
+
+
+def flip_repair(
+    pattern: Pattern,
+    minus_sets: FlipSets,
+    plus_sets: FlipSets,
+    pre_sources: Callable[[], Sources],
+    r_sources: Callable[[], Sources],
+) -> Tuple[Dict[tuple, tuple], Dict[tuple, int], SideStats]:
+    """σ-flip repair Δ± for one view: evict + admit embeddings.
+
+    The evict side reads *pre-batch membership* survivor relations
+    (``pre_sources``: flipped-true candidates removed, flipped-false
+    restored) so the repair terms reproduce exactly the stored
+    embeddings of the flipped-false candidates; the admit side reads
+    current-membership survivor relations (``r_sources``) and projects
+    with live vals, so admitted rows match a fresh evaluation byte for
+    byte.  Returns ``(evictions, admissions, stats)`` -- an embedding
+    map keyed by binding IDs (merged with the batch Δ− embeddings) and a
+    counted row dict (merged with the batch Δ+ rows).
+    """
+    stats = SideStats()
+    stats.live = True
+    stats.delta_sizes = {
+        name: len(nodes)
+        for sets in (minus_sets, plus_sets)
+        for name, nodes in sets.items()
+    }
+    evictions: Dict[tuple, tuple] = {}
+    if minus_sets:
+        evictions, seconds = collect_flip_embeddings(
+            pattern, minus_sets, pre_sources(), "-"
+        )
+        stats.eval_seconds += seconds
+    admissions: Dict[tuple, int] = {}
+    if plus_sets:
+        embeddings, seconds = collect_flip_embeddings(
+            pattern, plus_sets, r_sources(), "+"
+        )
+        stats.eval_seconds += seconds
+        admissions = removals_from_embeddings(embeddings)
+    return evictions, admissions, stats
 
 
 def flip_lattice_repair(

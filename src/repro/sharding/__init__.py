@@ -1,51 +1,36 @@
-"""Sharded batch maintenance: label-hash planning, worker pools, merge.
+"""Resident view-sharded workers: the engine's second execution mode.
 
-The subsystem splits one batch maintenance round into independent
-per-shard work units (:mod:`repro.sharding.units`), planned by a stable
-label hash (:mod:`repro.sharding.planner`), executed serially or on a
-process/thread pool (:mod:`repro.sharding.executor`) and reassembled
-deterministically (:mod:`repro.sharding.merge`) so sharded extents stay
-byte-identical to serial propagation.  Entry point:
-``MaintenanceEngine.apply_batch(batch, workers=..., shard_plan=...)``.
-Resident view-sharded workers live in :mod:`repro.sharding.session`;
-their timing-driven adaptive rebalancing (EWMA cost model, hysteretic
-migration policy) in :mod:`repro.sharding.rebalance`.
+``engine.session(workers=N)`` starts a :class:`ShardSession`
+(:mod:`repro.sharding.session`): N forked replica workers, each running
+the engine's in-process batch round over the views it owns and shipping
+extent deltas back, so extents stay byte-identical to in-process
+propagation.  View ownership is planned by :mod:`repro.sharding.planner`
+(LPT) and adapted by :mod:`repro.sharding.rebalance` (EWMA cost model,
+hysteretic migration policy); migrations move views through the pure
+units of :mod:`repro.sharding.units` and install them via
+:mod:`repro.sharding.merge`.
 """
 
-from repro.sharding.executor import RoundResult, ShardExecutor
 from repro.sharding.merge import (
     install_view_snapshot,
-    merge_addition_fragments,
-    merge_embedding_fragments,
     merge_span_fragments,
     resolve_snowcap_fragment,
 )
-from repro.sharding.planner import (
-    ShardPlanner,
-    imbalance_ratio,
-    lpt_assignment,
-    shard_of_label,
-)
+from repro.sharding.planner import imbalance_ratio, lpt_assignment
 from repro.sharding.rebalance import RebalancePolicy, ViewCostModel
 from repro.sharding.session import ShardSession
 from repro.sharding.units import (
-    DeleteSideUnit,
     ExtentRecomputeUnit,
-    InsertSideUnit,
     LatticeRecomputeUnit,
-    RefreshUnit,
     ShardWorkUnit,
-    SigmaRepairUnit,
-    UnitStats,
     ViewSnapshotUnit,
 )
 
 # Dependency inversion: maintenance sits below sharding in the layer
-# DAG and must not import this package, so the engine looks planners,
-# executors, units and merges up through a registered backend instead.
-# Registering this package's own namespace (which re-exports every name
-# the engine dispatches on) closes the loop; repro/__init__ imports us
-# so the seam is wired before any engine code runs.
+# DAG and must not import this package, so ``engine.session()`` looks
+# ``ShardSession`` up through a registered backend instead.  Registering
+# this package's own namespace closes the loop; repro/__init__ imports
+# us so the seam is wired before any engine code runs.
 import sys as _sys
 
 from repro.maintenance.engine import register_shard_backend as _register_shard_backend
@@ -53,27 +38,16 @@ from repro.maintenance.engine import register_shard_backend as _register_shard_b
 _register_shard_backend(_sys.modules[__name__])
 
 __all__ = [
-    "DeleteSideUnit",
     "ExtentRecomputeUnit",
-    "InsertSideUnit",
     "LatticeRecomputeUnit",
     "RebalancePolicy",
-    "RefreshUnit",
-    "RoundResult",
-    "ShardExecutor",
-    "ShardPlanner",
     "ShardSession",
     "ShardWorkUnit",
-    "SigmaRepairUnit",
-    "UnitStats",
     "ViewCostModel",
     "ViewSnapshotUnit",
     "imbalance_ratio",
     "install_view_snapshot",
     "lpt_assignment",
-    "merge_addition_fragments",
-    "merge_embedding_fragments",
     "merge_span_fragments",
     "resolve_snowcap_fragment",
-    "shard_of_label",
 ]

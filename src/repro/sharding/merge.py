@@ -1,31 +1,19 @@
-"""Deterministic reassembly of per-shard fragments.
+"""Installing what crosses a worker pipe: snowcap rows, view
+snapshots, span fragments.
 
-Workers return fragments in whatever order the pool finishes them; the
-merge layer rebuilds the exact inputs the serial pipeline would have
-produced, so :meth:`~repro.views.view.MaterializedView.apply_batch_delta`
-and the lattice upkeep see byte-identical data regardless of worker
-count, shard count or scheduling:
+Fragments that crossed a process boundary carry Dewey IDs, never
+nodes; the receiving side rebuilds them against its own document:
 
-* Δ+ fragments sum derivation counts per projected tuple; Δ− fragments
-  union doomed-embedding maps (cross-term duplicates collapse by
-  binding key).  Both merged dicts are built in Dewey (sorted-key)
-  order.
-* Snowcap fragments carry binding rows as ID tuples; the owner
-  re-resolves them against the live document into node rows.
-
-σ-flip repair fragments ride the same mergers: an evict fragment is an
-embedding map unioned with the batch Δ− fragments before the single
-``removals_from_embeddings`` count, an admit fragment is a counted row
-dict summed with the batch Δ+ fragments.  Sharded-recompute lattice
-fragments reuse :func:`resolve_snowcap_fragment` (identical
-``(schema, ID rows)`` shape); extent-recompute fragments are already
-sorted pairs and install without a merge step (one unit per view).
-
-View-migration payloads -- ``{"pairs": ..., "lattice": ...}`` from a
-:class:`~repro.sharding.units.ViewSnapshotUnit` or the recompute-unit
-pair -- install through :func:`install_view_snapshot`, which rebuilds
-the extent from the pairs and re-resolves the snowcap rows against the
-adopting replica's document.
+* snowcap fragments carry binding rows as ID tuples, re-resolved into
+  node rows by :func:`resolve_snowcap_fragment`;
+* view-migration payloads -- ``{"pairs": ..., "lattice": ...}`` from a
+  :class:`~repro.sharding.units.ViewSnapshotUnit` or the recompute-unit
+  pair -- install through :func:`install_view_snapshot`, which rebuilds
+  the extent from the pairs and re-resolves the snowcap rows against
+  the adopting replica's document;
+* session workers' span trees come home as
+  :class:`~repro.obs.SpanFragment` rows and are stitched back by
+  :func:`merge_span_fragments`.
 """
 
 from __future__ import annotations
@@ -33,71 +21,21 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from repro.algebra.relation import Relation
-from repro.maintenance.delete import removals_from_embeddings
-from repro.views.view import row_sort_key
 from repro.xmldom.model import Document
-
-
-def merge_addition_fragments(
-    fragments: Iterable[Dict[tuple, int]]
-) -> Dict[tuple, int]:
-    """Sum per-tuple derivation counts across Δ+ fragments, keys in
-    Dewey order.
-
-    A single fragment passes through untouched: its insertion order is
-    already deterministic (the unit's term loop), and the store pass
-    sorts keys itself.
-    """
-    fragments = list(fragments)
-    if len(fragments) == 1:
-        return fragments[0]
-    accumulated: Dict[tuple, int] = {}
-    for fragment in fragments:
-        for row, count in fragment.items():
-            accumulated[row] = accumulated.get(row, 0) + count
-    return {row: accumulated[row] for row in sorted(accumulated, key=row_sort_key)}
-
-
-def merge_embedding_fragments(
-    fragments: Iterable[Dict[tuple, tuple]]
-) -> Dict[tuple, int]:
-    """Union doomed-embedding maps, then count per projected tuple.
-
-    One embedding surfacing in several fragments (the same binding
-    reached through different terms) collapses under dict union; the
-    projected row is a function of the binding, so whichever fragment
-    contributed it carries the same row.
-
-    A single fragment is counted in its own (deterministic) insertion
-    order -- both consumers are order-independent, so the Dewey sort of
-    :func:`removals_from_embeddings` is only needed to canonicalize a
-    genuine multi-fragment union.
-    """
-    fragments = list(fragments)
-    if len(fragments) == 1:
-        removals: Dict[tuple, int] = {}
-        for row in fragments[0].values():
-            removals[row] = removals.get(row, 0) + 1
-        return removals
-    merged: Dict[tuple, tuple] = {}
-    for fragment in fragments:
-        merged.update(fragment)
-    return removals_from_embeddings(merged)
 
 
 def resolve_snowcap_fragment(
     fragment: Optional[Dict[frozenset, object]],
     document: Document,
 ) -> Dict[frozenset, Relation]:
-    """Rebuild snowcap-addition relations from a unit fragment.
+    """Rebuild snowcap relations from a unit fragment.
 
-    In-process units hand their node-row relations over directly
-    (pass-through); fragments that crossed a process boundary carry
-    ``(schema, ID rows)`` pairs whose IDs are re-resolved against the
-    live document.  Every ID must resolve: snowcap additions bind only
-    live nodes (survivors and batch-inserted nodes), so a miss means
-    the fragment and the document disagree -- fail loudly rather than
-    corrupt the lattice.
+    Live node-row relations pass through; fragments that crossed a
+    process boundary carry ``(schema, ID rows)`` pairs whose IDs are
+    re-resolved against the live document.  Every ID must resolve:
+    snowcap rows bind only live nodes, so a miss means the fragment and
+    the document disagree -- fail loudly rather than corrupt the
+    lattice.
     """
     relations: Dict[frozenset, Relation] = {}
     if not fragment:
@@ -151,12 +89,10 @@ def merge_span_fragments(fragment_lists: Iterable) -> list:
     """Stitch worker span fragments back into span trees.
 
     ``fragment_lists`` yields per-source sequences of
-    :class:`~repro.obs.SpanFragment` (one per executed unit or session
-    worker, in the caller's deterministic order -- unit index resp.
-    worker index); ``None`` entries (telemetry off for that source) are
+    :class:`~repro.obs.SpanFragment` (one per session worker, in worker
+    index order); ``None`` entries (telemetry off for that source) are
     skipped.  Within each source the rebuild sorts by fragment ``path``,
-    so the stitched trees are independent of shipment order -- exactly
-    the property the extent mergers guarantee via their Dewey sort.
+    so the stitched trees are independent of shipment order.
     """
     from repro.obs import fragments_to_spans
 

@@ -1,10 +1,9 @@
 """Resident shard workers: fork once, maintain view replicas per batch.
 
-:class:`ShardSession` is the streaming counterpart of the per-batch
-fork pool in :mod:`repro.sharding.executor`.  A pool forked per round
-pays the copy-on-write warm-up on every batch; a session forks its
-workers **once** and keeps them resident, so the warm-up amortizes over
-a whole statement stream -- the shape
+:class:`ShardSession` is the engine's one parallel execution mode (the
+other being the engine's own in-process batch round).  It forks its
+workers **once** and keeps them resident, so the copy-on-write warm-up
+amortizes over a whole statement stream -- the shape
 :class:`~repro.maintenance.queue.ApplyQueue` produces.
 
 Design (replicated state machines):
@@ -26,7 +25,7 @@ Design (replicated state machines):
   applied the same statements to its authoritative document
   concurrently, replays those deltas into its authoritative extents.
   The deltas are exactly what a serial engine would have computed, so
-  owner extents stay byte-identical to ``workers=0`` propagation.
+  owner extents stay byte-identical to in-process propagation.
 * σ-flip repair runs on the workers (their replicas hold the lattices
   and survivor relations); the repair Δ± folds into the ordinary
   shipped delta rows, so the owner replays flips without ever seeing
@@ -53,8 +52,8 @@ boundary *without re-forking*.  Every worker holds a byte-identical
 document replica (idle views stay registered, just unmaintained), so
 the target can rematerialize an adopted view against its own replica
 -- or install the source's shipped extent pairs + snowcap rows when
-the view is small -- through the same unit/merge machinery the
-fallback path uses; the source drops the view, and the owner's
+the view is small -- through the pure units of
+:mod:`repro.sharding.units`; the source drops the view, and the owner's
 assignment map flips only after both sides acked.  Extents stay
 byte-identical to serial propagation throughout, and a failure
 mid-migration degrades exactly like a dead worker.
@@ -62,6 +61,7 @@ mid-migration degrades exactly like a dead worker.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -101,8 +101,8 @@ def _serve_migration(engine, idle_views: Dict, message: tuple):
         for name in names:
             registered = engine.views.pop(name)
             idle_views[name] = registered
-            unit = ViewSnapshotUnit(name, 0, registered=registered)
-            shipped[name] = unit.execute()[0] if unit.size() <= ship_rows else None
+            unit = ViewSnapshotUnit(name, registered=registered)
+            shipped[name] = unit.execute() if unit.size() <= ship_rows else None
         return shipped
     if message[0] == "migrate_in":
         _tag, payloads = message
@@ -110,20 +110,14 @@ def _serve_migration(engine, idle_views: Dict, message: tuple):
             registered = idle_views.pop(name)
             payload = payloads[name]
             if payload is None:
-                pairs, _stats = ExtentRecomputeUnit(
-                    name,
-                    0,
-                    pattern=registered.pattern,
-                    document=engine.document,
-                    estimate=0,
+                pairs = ExtentRecomputeUnit(
+                    name, pattern=registered.pattern, document=engine.document
                 ).execute()
-                fragment, _stats = LatticeRecomputeUnit(
+                fragment = LatticeRecomputeUnit(
                     name,
-                    0,
                     pattern=registered.pattern,
                     document=engine.document,
                     selected=registered.lattice.selected,
-                    estimate=0,
                 ).execute()
                 payload = {"pairs": pairs, "lattice": fragment}
             install_view_snapshot(registered, payload, engine.document)
@@ -150,7 +144,6 @@ def _session_worker_main(conn, owned_names: List[str]) -> None:
     }
     engine.views = {name: engine.views[name] for name in owned_names}
     engine.record_deltas = True
-    engine.workers = 0
     # The inherited obs is the owner's copy-on-write twin: spans drained
     # here would never reach the owner.  Trace into a fresh worker-local
     # tracer instead and ship each batch's tree home as picklable
@@ -256,6 +249,10 @@ def _session_worker_main(conn, owned_names: List[str]) -> None:
 
 #: fork hand-off slot read by the child right after Process.start().
 _FORK_STATE: Dict = {}
+#: serializes forks across sessions: ``_FORK_STATE`` is a module global
+#: (that is what the children inherit), so two sessions starting
+#: concurrently must take turns publishing into it.
+_FORK_LOCK = threading.Lock()
 
 
 class ShardSession:
@@ -271,7 +268,6 @@ class ShardSession:
         self,
         engine,
         workers: int = 4,
-        planner=None,
         weights=None,
         obs=None,
         rebalance=None,
@@ -280,7 +276,6 @@ class ShardSession:
 
         from repro.maintenance.engine import MaintenanceEngine
         from repro.obs import NULL_OBS
-        from repro.sharding.planner import ShardPlanner
         from repro.sharding.rebalance import RebalancePolicy
 
         if not isinstance(engine, MaintenanceEngine):
@@ -289,13 +284,12 @@ class ShardSession:
             raise ValueError("a session needs at least one worker")
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
-                "ShardSession requires the fork start method; use "
-                "apply_batch(workers=N) for the per-batch thread fallback"
+                "ShardSession requires the fork start method; without it, "
+                "apply batches through the engine itself (in-process)"
             )
         if getattr(engine, "_shard_session_active", False):
             raise RuntimeError("engine already has an active ShardSession")
         self.engine = engine
-        self.planner = ShardPlanner.coerce(planner, workers)
         self.workers = min(workers, max(1, len(engine.views)))
         #: calibration knob (used by the bench on single-CPU hosts):
         #: apply the owner's document update *before* broadcasting, so
@@ -346,9 +340,7 @@ class ShardSession:
         context = multiprocessing.get_context("fork")
         self._processes = []
         self._connections = []
-        from repro.sharding.executor import _ROUND_LOCK
-
-        with _ROUND_LOCK:  # _FORK_STATE is shared with any sibling session
+        with _FORK_LOCK:
             for owned in self._assignment:
                 parent_conn, child_conn = context.Pipe()
                 _FORK_STATE["engine"] = engine
@@ -410,9 +402,7 @@ class ShardSession:
 
     # -- batch application ----------------------------------------------
 
-    def apply_batch(
-        self, batch: Union[UpdateBatch, Sequence[UpdateStatement]], **_ignored
-    ):
+    def apply_batch(self, batch: Union[UpdateBatch, Sequence[UpdateStatement]]):
         """Apply one batch through the resident workers.
 
         The owner's document is updated locally (concurrently with the

@@ -224,11 +224,12 @@ class SnowcapLattice:
     def load_materialized(self, subset: NodeSet, relation: Relation) -> None:
         """Install a precomputed binding relation for one snowcap.
 
-        The sharded-recompute path evaluates snowcaps inside workers and
-        ships the rows back; this replaces the stored relation without
-        re-evaluating the sub-pattern.  The subset must be one of the
-        selected snowcaps (loading arbitrary sets would desynchronize
-        the maintenance terms that consult :meth:`relation_for`)."""
+        Session view migration and durable recovery hand over snowcap
+        rows evaluated (or stored) elsewhere; this replaces the stored
+        relation without re-evaluating the sub-pattern.  The subset
+        must be one of the selected snowcaps (loading arbitrary sets
+        would desynchronize the maintenance terms that consult
+        :meth:`relation_for`)."""
         if subset not in self.selected:
             raise ValueError("subset %r is not a selected snowcap" % (sorted(subset),))
         self._materialized[subset] = relation.reordered(

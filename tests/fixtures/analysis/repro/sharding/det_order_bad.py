@@ -27,5 +27,5 @@ def by_hash(labels):
 
 
 def bucket_ok(label, shard_count):
-    # crc32 is the sanctioned stable label hash (the shard planner's).
+    # crc32 is a sanctioned stable label hash.
     return zlib.crc32(label.encode("utf-8")) % shard_count

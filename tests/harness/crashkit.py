@@ -39,7 +39,7 @@ SEED = 13
 BATCHES = 4
 BATCH_SIZE = 6
 INSERT_RATIO = 0.7
-MODES = ("serial", "workers", "session")
+MODES = ("serial", "session")
 
 
 def build_document():
@@ -111,9 +111,9 @@ def lattice_digest(views) -> str:
 def run_workload(db_path: str, mode: str, seed: int = SEED):
     """Build a durable engine and push the whole workload through it.
 
-    ``mode`` is ``serial`` (in-process), ``workers`` (fork-pool shard
-    rounds) or ``session`` (resident ShardSession replicas).  Returns
-    the engine (the crash runners never get this far).
+    ``mode`` is ``serial`` (in-process) or ``session`` (resident
+    ShardSession replicas).  Returns the engine (the crash runners
+    never get this far).
     """
     from repro.maintenance.engine import MaintenanceEngine
     from repro.updates.language import UpdateBatch
@@ -128,9 +128,8 @@ def run_workload(db_path: str, mode: str, seed: int = SEED):
             for batch in batches:
                 session.apply_batch(UpdateBatch(batch))
     else:
-        workers = 2 if mode == "workers" else 0
         for batch in batches:
-            engine.apply_batch(UpdateBatch(batch), workers=workers)
+            engine.apply_batch(UpdateBatch(batch))
     engine.sync_durability()
     return engine
 
@@ -169,7 +168,7 @@ def spawn_workload(db_path: str, mode: str, crash_spec=None):
     else:
         env.pop("REPRO_CRASH_POINT", None)
     # ``start_new_session`` + killpg: a SIGKILLed workload orphans its
-    # fork-pool / session replicas, and those inherit this process's
+    # session replicas, and those inherit this process's
     # stdout -- left alive they hold the pipe open forever (a piped
     # pytest run would hang at exit).  Killing the whole group reaps
     # them the moment the child is done.
@@ -214,7 +213,7 @@ def run_crashing_fork(db_path: str, mode: str, point: str, nth: int, seed: int =
         finally:
             os._exit(status)
     _, wait_status = os.waitpid(pid, 0)
-    # The child's pool workers / session replicas survive its SIGKILL
+    # The child's session replicas survive its SIGKILL
     # (they share its process group, set above) and hold inherited
     # pipes open; kill the group so a piped test run can terminate.
     _kill_group(pid)

@@ -26,6 +26,8 @@ from repro.updates.language import (
     parse_update,
 )
 from repro.updates.pul import compute_pul
+from repro.views.lattice import SnowcapLattice
+from repro.workloads.churn import churn_batches
 from repro.workloads.queries import view_pattern
 from repro.workloads.updates import delete_variant, insert_update, statement_stream
 from repro.workloads.xmark import generate_document
@@ -496,6 +498,59 @@ class TestBatchEngineApi:
         # The first statement reached the document; the views were
         # recomputed to match before the error surfaced.
         assert registered.view.equals_fresh_evaluation(document)
+
+    def test_batch_path_needs_no_sharding_backend(self, monkeypatch):
+        # Only engine.session() reaches the sharding layer: with the
+        # backend seam unwired, every batch shape still propagates
+        # exactly, and session() fails with the pointed error.
+        from repro.maintenance import engine as engine_module
+
+        monkeypatch.setattr(engine_module, "_SHARD_BACKEND", None)
+        document = generate_document(scale=1)
+        engine = MaintenanceEngine(document)
+        views = {
+            name: engine.register_view(view_pattern(name), name)
+            for name in ("Q1", "Q2", "Q3", "Q4", "Q17")
+        }
+        flip_batch, _ = churn_batches(
+            document, 2, batch_size=2, seed=0, flip_gap=1, dirty_every=0
+        )
+        report = engine.apply_batch(list(flip_batch))
+        assert report.repairs and report.fallbacks == {}
+        self._assert_fresh(document, views)
+        report = engine.apply_batch(statement_stream(document, 8, seed=3))
+        assert report.net_removed == 0 and report.net_inserted > 0
+        self._assert_fresh(document, views)
+        report = engine.apply_batch(
+            statement_stream(document, 12, seed=5, insert_ratio=0.5)
+        )
+        assert report.net_removed > 0 and report.net_inserted > 0
+        self._assert_fresh(document, views)
+        engine.sigma_repair = False
+        report = engine.apply_batch(
+            [parse_update("for $i in //increase insert flip", name="flip")]
+        )
+        assert report.fallbacks["Q3"]["reason"] == "predicate_flip"
+        self._assert_fresh(document, views)
+        with pytest.raises(RuntimeError, match="no sharding backend"):
+            engine.session(workers=2)
+
+    @staticmethod
+    def _assert_fresh(document, views):
+        """Extents and lattices equal fresh evaluation."""
+        for name, registered in views.items():
+            assert registered.view.equals_fresh_evaluation(document), name
+            fresh = SnowcapLattice(registered.pattern)
+            fresh.materialize(document)
+            assert fresh.materialized_sets() == registered.lattice.materialized_sets()
+            for subset in fresh.materialized_sets():
+                assert sorted(
+                    tuple(cell.id for cell in row)
+                    for row in registered.lattice.relation_for(subset).rows
+                ) == sorted(
+                    tuple(cell.id for cell in row)
+                    for row in fresh.relation_for(subset).rows
+                ), (name, sorted(subset))
 
     def test_report_phase_times_populated(self):
         document = generate_document(scale=1)

@@ -4,7 +4,7 @@ examples, re-enacted literally.
 
 import pytest
 
-from repro.maintenance.delta import doomed_nodes
+from repro.maintenance.delta import BatchCandidates, doomed_nodes, touched_labels
 from repro.maintenance.terms import (
     Term,
     expand_delete_terms,
@@ -16,6 +16,7 @@ from repro.maintenance.terms import (
 from repro.pattern.tree_pattern import Pattern, PatternNode
 from repro.updates.language import DeleteUpdate, InsertUpdate
 from repro.updates.pul import apply_pul, compute_pul
+from repro.workloads.queries import view_pattern
 from repro.xmldom.parser import parse_document
 from tests.conftest import branch_pattern, chain_pattern, v2_pattern
 from tests.harness.reference_statement_path import (
@@ -78,6 +79,16 @@ class TestDeltaTables:
         star = Pattern(PatternNode("*", axis="desc", store_id=True))
         deltas = compute_delta_plus(star, applied.inserted_roots)
         assert len(deltas.nodes("*#1")) == 2  # elements only
+
+    def test_touched_labels_is_a_liveness_certificate(self, people_document):
+        pattern = view_pattern("Q1")  # site/people/person[@id]/name
+        candidates = BatchCandidates(people_document.nodes_with_label("phone"))
+        assert touched_labels(pattern, candidates) == []
+        candidates = BatchCandidates(people_document.nodes_with_label("name"))
+        assert touched_labels(pattern, candidates) == ["name"]
+        star = Pattern(PatternNode("*", axis="desc", store_id=True))
+        assert touched_labels(star, candidates) == ["name"]
+        assert touched_labels(star, BatchCandidates([])) == []
 
 
 class TestInsertTermExpansion:

@@ -70,9 +70,9 @@ class TestCrashMatrix:
             % (point, nth, status)
         )
         engine, report = _assert_recovered(db_path, reference)
-        if mode in ("serial", "workers"):
-            # Lattice snapshots are committed with every batch in these
-            # modes, so recovery adopts them verbatim -- zero
+        if mode == "serial":
+            # Lattice snapshots are committed with every in-process
+            # batch, so recovery adopts them verbatim -- zero
             # rematerialization when the WAL tail suffices.
             assert report.lattices_rematerialized == 0
         assert engine.backend.version == crashkit.BATCHES
@@ -130,5 +130,5 @@ def test_random_crash_cells_recover_identically(seed, mode, point, nth):
         status = crashkit.run_crashing_fork(db_path, mode, point, nth, seed=seed)
         assert crashkit.died_by_sigkill(status)
         engine, report = _assert_recovered(db_path, expected, seed=seed)
-        if mode in ("serial", "workers"):
+        if mode == "serial":
             assert report.lattices_rematerialized == 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.relation import Relation
@@ -32,7 +32,7 @@ from repro.views.lattice import SnowcapLattice
 from repro.views.view import MaterializedView
 from repro.workloads.churn import churn_batches
 from repro.workloads.queries import VIEW_TEXTS, view_pattern
-from repro.workloads.updates import statement_stream
+from repro.workloads.updates import UPDATE_TEXTS, statement_stream
 from repro.xmldom.index import KeyedRows
 from repro.xmldom.model import ElementNode, TextNode, build_document
 from repro.xmldom.parser import parse_fragment
@@ -294,8 +294,31 @@ def _lattice_upkeep_checked(seen):
         SnowcapLattice.apply_flip_repair = original_flip
 
 
+#: The Appendix-A inserts that grow a snowcap of the XMark views (an
+#: increase under a bidder extends Q4's bidder/increase chain).
+_SNOWCAP_INSERTS = sorted(
+    name for name, (_target, xml) in UPDATE_TEXTS.items() if xml.startswith("<increase>")
+)
+
+
+def _pinned(*seeds):
+    """One hypothesis ``@example`` per seed."""
+
+    def decorate(test):
+        for seed in seeds:
+            test = example(seed=seed)(test)
+        return test
+
+    return decorate
+
+
 @PROPERTY
 @given(seed=st.integers(min_value=0, max_value=10_000))
+# Seeds whose four mixed rounds alone append to no snowcap.
+@_pinned(
+    1708, 2003, 2258, 2809, 2999, 3956, 4592,
+    5258, 5521, 5691, 7092, 8182, 8430, 9878,
+)
 def test_lattice_probe_matches_filter_on_mixed_batches(seed):
     document = generate_document(scale=1)
     engine = MaintenanceEngine(document)
@@ -310,6 +333,12 @@ def test_lattice_probe_matches_filter_on_mixed_batches(seed):
                 document, 12, seed=seed * 7 + round_index, insert_ratio=0.5
             )
             engine.apply_batch(stream)
+        # A mixed round can draw no surviving snowcap-growing insert, so
+        # a closing insert-only batch drawn from those names makes every
+        # example append.
+        engine.apply_batch(
+            statement_stream(document, 4, seed=seed, names=_SNOWCAP_INSERTS)
+        )
     assert seen.get("delete") and seen.get("append"), seen
     for name, view in registered.items():
         assert view.view.equals_fresh_evaluation(document), name

@@ -1,9 +1,10 @@
-"""The sharded maintenance subsystem: planner, executor, merge, engine.
+"""The sharded maintenance subsystem: merge helpers and the session.
 
 The central property (also enforced by ``benchmarks/
-bench_shard_pipeline.py``): propagating a batch with any worker count
-leaves every view extent *byte-identical* to serial propagation and to
-fresh re-evaluation.
+bench_shard_pipeline.py``): maintaining the views through a resident
+:class:`~repro.sharding.ShardSession`, at any worker count, leaves every
+view extent *byte-identical* to in-process propagation and to fresh
+re-evaluation.
 """
 
 from __future__ import annotations
@@ -13,18 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.relation import Relation
-from repro.maintenance.engine import MaintenanceEngine
-from repro.maintenance.queue import ApplyQueue
-from repro.sharding import (
-    ShardExecutor,
-    ShardPlanner,
-    ShardSession,
+from repro.maintenance.delete import (
     merge_addition_fragments,
     merge_embedding_fragments,
-    resolve_snowcap_fragment,
-    shard_of_label,
 )
-from repro.maintenance.delta import BatchCandidates
+from repro.maintenance.engine import MaintenanceEngine
+from repro.maintenance.queue import ApplyQueue
+from repro.sharding import ShardSession, resolve_snowcap_fragment
 from repro.updates.language import UpdateBatch
 from repro.workloads.queries import view_pattern
 from repro.workloads.updates import statement_stream
@@ -35,138 +31,24 @@ from repro.xmldom.parser import parse_document
 VIEWS = ("Q1", "Q3", "Q6")
 
 
-def _engines(scale=1, workers=0, views=VIEWS):
+def _engines(scale=1, views=VIEWS):
     document = generate_document(scale=scale)
-    engine = MaintenanceEngine(document, workers=workers)
+    engine = MaintenanceEngine(document)
     registered = {name: engine.register_view(view_pattern(name), name) for name in views}
     return document, engine, registered
 
 
-def _apply_stream(workers, stream, scale=1, views=VIEWS, **apply_options):
-    document, engine, registered = _engines(scale=scale, views=views)
-    report = engine.apply_batch(UpdateBatch(stream), workers=workers, **apply_options)
+def _apply_serial(stream):
+    document, engine, registered = _engines()
+    report = engine.apply_batch(UpdateBatch(stream))
     return document, registered, report
 
 
-# -- planner ----------------------------------------------------------------
-
-
-class TestShardPlanner:
-    def test_shard_of_label_is_stable_and_bounded(self):
-        planner = ShardPlanner(4)
-        for label in ("person", "name", "increase", "item", "#text", "@id"):
-            shard = planner.shard_of(label)
-            assert 0 <= shard < 4
-            assert shard == shard_of_label(label, 4)  # hash is stable
-
-    def test_single_shard_maps_everything_to_zero(self):
-        planner = ShardPlanner(1)
-        assert {planner.shard_of(l) for l in ("a", "b", "c")} == {0}
-
-    def test_partition_candidates_partitions_exactly(self, people_document):
-        nodes = [
-            node
-            for label in ("person", "name", "phone", "#text")
-            for node in people_document.nodes_with_label(label)
-        ]
-        candidates = BatchCandidates(nodes)
-        planner = ShardPlanner(3)
-        fragments = planner.partition_candidates(candidates)
-        rebuilt = sorted(
-            (node.id for fragment in fragments.values() for node in fragment.nodes)
-        )
-        assert rebuilt == [node.id for node in candidates.nodes]
-        for shard, fragment in fragments.items():
-            assert all(
-                planner.shard_of(label) == shard for label in fragment.by_label
-            )
-
-    def test_touched_labels_is_a_liveness_certificate(self, people_document):
-        planner = ShardPlanner(4)
-        pattern = view_pattern("Q1")  # site/people/person[@id]/name
-        candidates = BatchCandidates(people_document.nodes_with_label("phone"))
-        assert planner.touched_labels(pattern, candidates) == []
-        candidates = BatchCandidates(people_document.nodes_with_label("name"))
-        assert planner.touched_labels(pattern, candidates) == ["name"]
-
-    def test_coerce(self):
-        planner = ShardPlanner(2)
-        assert ShardPlanner.coerce(planner, 4) is planner
-        assert ShardPlanner.coerce(8, 4).shards == 8
-        assert ShardPlanner.coerce(None, 6).shards == 6
-        assert ShardPlanner.coerce(None, 0).shards == 4
-        with pytest.raises(TypeError):
-            ShardPlanner.coerce("many", 4)
-        with pytest.raises(ValueError):
-            ShardPlanner(0)
-
-    def test_order_units_is_deterministic_lpt(self):
-        class Unit:
-            def __init__(self, estimate, shard, kind, view_name):
-                self.estimate = estimate
-                self.shard = shard
-                self.kind = kind
-                self.view_name = view_name
-
-        units = [Unit(1, 0, "plus", "a"), Unit(9, 1, "plus", "b"), Unit(9, 0, "minus", "c")]
-        ordered = ShardPlanner(4).order_units(units)
-        assert [u.view_name for u in ordered] == ["c", "b", "a"]
-
-
-# -- executor ---------------------------------------------------------------
-
-
-class _SquareUnit:
-    kind = "square"
-    labels = ()
-
-    def __init__(self, value):
-        self.view_name = "v%d" % value
-        self.shard = value % 4
-        self.estimate = value
-        self.value = value
-
-    def execute(self):
-        return self.value * self.value
-
-
-class _FailingUnit(_SquareUnit):
-    def execute(self):
-        raise RuntimeError("unit exploded")
-
-
-class TestShardExecutor:
-    def test_serial_mode(self):
-        executor = ShardExecutor(0)
-        assert not executor.parallel
-        result = executor.run([_SquareUnit(v) for v in range(5)])
-        assert result.fragments == [0, 1, 4, 9, 16]
-        assert result.mode == "serial"
-        assert len(result.unit_seconds) == 5
-
-    @pytest.mark.parametrize("mode", ["fork", "thread"])
-    def test_pool_modes_match_serial(self, mode):
-        executor = ShardExecutor(2, mode=mode)
-        result = executor.run([_SquareUnit(v) for v in range(6)])
-        assert result.fragments == [0, 1, 4, 9, 16, 25]
-
-    def test_single_unit_runs_inline_even_when_parallel(self):
-        result = ShardExecutor(4).run([_SquareUnit(3)])
-        assert result.fragments == [9]
-
-    def test_empty_round(self):
-        result = ShardExecutor(4).run([])
-        assert result.fragments == [] and result.wall_seconds == 0.0
-
-    def test_worker_failure_propagates(self):
-        with pytest.raises(RuntimeError, match="unit exploded"):
-            ShardExecutor(2).run([_SquareUnit(1), _FailingUnit(2)])
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            ShardExecutor(-1)
-        with pytest.raises(ValueError):
-            ShardExecutor(2, mode="rayon")
+def _apply_session(workers, stream):
+    document, engine, registered = _engines()
+    with engine.session(workers=workers) as session:
+        report = session.apply_batch(UpdateBatch(stream))
+    return document, registered, report
 
 
 # -- merge ------------------------------------------------------------------
@@ -229,25 +111,28 @@ class TestShardedPropagation:
         stream = statement_stream(
             generate_document(scale=1), 24, seed=3, insert_ratio=1.0
         )
-        _, serial_views, serial_report = _apply_stream(0, stream)
-        document, sharded_views, report = _apply_stream(workers, stream)
+        _, serial_views, serial_report = _apply_serial(stream)
+        document, sharded_views, report = _apply_session(workers, stream)
         for name in VIEWS:
             assert (
                 serial_views[name].view.content() == sharded_views[name].view.content()
             ), name
             assert sharded_views[name].view.equals_fresh_evaluation(document), name
-        assert report.workers == workers
-        assert report.shard_rounds and report.shard_seconds >= 0.0
+        assert report.workers == min(workers, len(VIEWS))
+        assert [r["mode"] for r in report.shard_rounds] == ["session"]
+        assert report.shard_seconds >= 0.0
         assert serial_report.workers == 0 and serial_report.shard_seconds == 0.0
 
     def test_mixed_stream_two_rounds_identical(self):
-        # Deletions force the two-round structure (Δ− before the
-        # lattice drops doomed rows, Δ+ after).
+        # Deletions force the in-process two-round structure (Δ− before
+        # the lattice drops doomed rows, Δ+ after); session replicas run
+        # the same rounds over their own views.
         stream = statement_stream(
             generate_document(scale=1), 24, seed=5, insert_ratio=0.5
         )
-        _, serial_views, serial_report = _apply_stream(0, stream)
-        document, sharded_views, report = _apply_stream(2, stream)
+        _, serial_views, serial_report = _apply_serial(stream)
+        assert [r["mode"] for r in serial_report.shard_rounds] == ["serial", "serial"]
+        document, sharded_views, report = _apply_session(2, stream)
         for name in VIEWS:
             assert (
                 serial_views[name].view.content() == sharded_views[name].view.content()
@@ -255,79 +140,45 @@ class TestShardedPropagation:
             assert sharded_views[name].view.equals_fresh_evaluation(document), name
         assert serial_report.fallbacks == report.fallbacks
 
-    def test_shard_plan_override_accepts_counts_and_planners(self):
-        stream = statement_stream(
-            generate_document(scale=1), 8, seed=2, insert_ratio=1.0
-        )
-        _, baseline, _ = _apply_stream(0, stream)
-        for shard_plan in (1, 16, ShardPlanner(3)):
-            document, views, _ = _apply_stream(2, stream, shard_plan=shard_plan)
-            for name in VIEWS:
-                assert views[name].view.content() == baseline[name].view.content()
-
-    def test_engine_level_defaults_apply(self):
-        stream = statement_stream(
-            generate_document(scale=1), 8, seed=4, insert_ratio=1.0
-        )
-        document = generate_document(scale=1)
-        engine = MaintenanceEngine(document, workers=2, shard_plan=8)
-        views = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
-        report = engine.apply_batch(UpdateBatch(stream))
-        assert report.workers == 2
-        for name in VIEWS:
-            assert views[name].view.equals_fresh_evaluation(document), name
-
     def test_sigma_flip_repairs_under_sharding(self):
         # Inserting text under a σ-watched node flips its predicate;
-        # the sharded path must run the same in-place repair as the
-        # serial one (no fallback, identical repaired extent).
+        # the owning replica must run the same in-place repair as the
+        # serial engine (no fallback, identical repaired extent).
         document = parse_document(
             "<site><open_auctions><open_auction><bidder>"
             "<increase>4.50</increase></bidder></open_auction>"
             "</open_auctions></site>"
         )
-        engine = MaintenanceEngine(document, workers=2)
+        engine = MaintenanceEngine(document)
         registered = engine.register_view(view_pattern("Q3"), "Q3")
         from repro.updates.language import parse_update
 
-        report = engine.apply_batch(
-            [parse_update("for $i in //increase insert extra", name="flip")]
-        )
+        with engine.session(workers=2) as session:
+            report = session.apply_batch(
+                [parse_update("for $i in //increase insert extra", name="flip")]
+            )
         assert report.fallbacks == {}
         assert report.repairs["Q3"]["sigma_flips"] == 1
         assert registered.view.equals_fresh_evaluation(document)
 
     def test_sigma_flip_fallback_recomputes_on_shards(self):
-        # With repair disabled, the fallback recompute itself fans out
-        # as shard units -- extents must match the serial recompute.
+        # With repair disabled, the owning replica recomputes the view
+        # and ships the extent -- it must match the serial recompute.
         document = parse_document(
             "<site><open_auctions><open_auction><bidder>"
             "<increase>4.50</increase></bidder>"
             "<bidder><increase>7.25</increase></bidder></open_auction>"
             "</open_auctions></site>"
         )
-        engine = MaintenanceEngine(document, workers=2, sigma_repair=False)
+        engine = MaintenanceEngine(document, sigma_repair=False)
         views = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
         from repro.updates.language import parse_update
 
-        report = engine.apply_batch(
-            [parse_update("for $i in //increase insert extra", name="flip")]
-        )
+        with engine.session(workers=2) as session:
+            report = session.apply_batch(
+                [parse_update("for $i in //increase insert extra", name="flip")]
+            )
         assert report.fallbacks["Q3"]["reason"] == "predicate_flip"
-        for name in VIEWS:
-            assert views[name].view.equals_fresh_evaluation(document), name
-
-    def test_queue_fans_out_maintenance_rounds(self):
-        stream = statement_stream(
-            generate_document(scale=1), 16, seed=9, insert_ratio=0.8
-        )
-        _, baseline, _ = _apply_stream(0, stream)
-        document, engine, views = _engines()
-        with ApplyQueue(engine, max_batch_size=4, workers=2) as queue:
-            tickets = queue.extend_async(stream)
-            queue.flush()
-            report = tickets[0].result(timeout=30)
-        assert report.workers == 2
         for name in VIEWS:
             assert views[name].view.equals_fresh_evaluation(document), name
 
@@ -490,8 +341,8 @@ class TestShardedPropagation:
         stream = statement_stream(
             generate_document(scale=1), 12, seed=seed, insert_ratio=insert_ratio
         )
-        _, serial_views, serial_report = _apply_stream(0, stream)
-        document, sharded_views, report = _apply_stream(workers, stream)
+        _, serial_views, serial_report = _apply_serial(stream)
+        document, sharded_views, report = _apply_session(workers, stream)
         for name in VIEWS:
             assert (
                 serial_views[name].view.content() == sharded_views[name].view.content()

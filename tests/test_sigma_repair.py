@@ -2,8 +2,8 @@
 
 The tentpole invariant: on any update stream, the repair engine's
 extents *and* snowcap lattices are byte-identical to what the
-historical whole-view recompute fallback produced -- serial, sharded
-and under a resident :class:`~repro.sharding.session.ShardSession`.
+historical whole-view recompute fallback produced -- in-process and
+under a resident :class:`~repro.sharding.session.ShardSession`.
 The streams come from :func:`repro.workloads.churn.churn_batches`,
 which is built to hit the old fallback triggers (σ-value rewrites,
 flip round-trips, dirty removed subtrees).
@@ -113,20 +113,6 @@ class TestChurnEquivalence:
                     ), (index, name)
         # close() re-materialized the owner lattices; full agreement now.
         _assert_engines_agree(session_views, forced_views, "closed")
-
-    def test_sharded_workers_agree_with_serial_repair(self):
-        batches = churn_batches(generate_document(scale=1), 5, seed=7)
-        serial_doc = generate_document(scale=1)
-        sharded_doc = generate_document(scale=1)
-        serial = MaintenanceEngine(serial_doc)
-        sharded = MaintenanceEngine(sharded_doc, workers=2)
-        serial_views = _register(serial)
-        sharded_views = _register(sharded)
-        for index, batch in enumerate(batches):
-            serial.apply_batch(list(batch))
-            report = sharded.apply_batch(list(batch))
-            assert report.fallbacks == {}, index
-            _assert_engines_agree(serial_views, sharded_views, index)
 
 
 class TestRepairPathScoping:
