@@ -66,14 +66,19 @@ class _SeedLabelIndex:
         if position < len(row) and row[position] is node:
             row.pop(position)
 
-    def add_bulk(self, nodes):
-        for node in nodes:
-            self._by_label.setdefault(node.label, []).append(node)
-        for row in self._by_label.values():
-            row.sort(key=lambda n: n.id)
-
     def copy_label(self, label):
         return list(self._by_label.get(label, []))
+
+    # The subtree mutators the document calls, answered the seed's
+    # way: one add / remove per node.
+
+    def add_subtree(self, nodes):
+        for node in nodes:
+            self.add(node)
+
+    def remove_subtree(self, nodes):
+        for node in nodes:
+            self.remove(node)
 
     # The probe entry points LabelIndex has grown since, answered the
     # seed's way: a pass over the whole row (and a key list rebuilt

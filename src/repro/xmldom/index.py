@@ -33,9 +33,13 @@ Invariants
     parallel lists in document order; ``_keys[label][i]`` is the
     ``sort_key`` of ``_nodes[label][i].id`` at all times (plain nested
     tuples, so every bisect compares in C and never calls
-    ``DeweyID.__lt__``).  ``add``/``remove`` are one bisect over the
-    maintained key list plus one list shift -- never a full key-list
-    rebuild.
+    ``DeweyID.__lt__``).  The index changes a whole subtree at a time
+    and a subtree is one contiguous key run, so a subtree's nodes of
+    one label are one contiguous run of that label's lists: inserted
+    subtrees carry fresh IDs (no live key falls in their range) and
+    deletes take whole subtrees.  ``add_subtree`` / ``remove_subtree``
+    therefore cost one bisect and one slice insert / delete per
+    *distinct label* of the subtree -- not one list shift per node.
 
 :class:`ValueIndex`
     Entries exist only for labels that have been queried at least once
@@ -181,46 +185,44 @@ class LabelIndex:
     def copy_label(self, label: str) -> List[Any]:
         return list(self._nodes.get(label, ()))
 
-    def add(self, node: Any) -> None:
-        """O(log n) bisect + O(n) shift; no key-list rebuild.
+    def add_subtree(self, nodes: Sequence[Any]) -> None:
+        """Index a subtree entering the document: ``nodes`` are all of
+        its nodes, in document order, under IDs no live node's key
+        range overlaps.  One bisect and one slice insert per label.
 
-        Mirrors _ValueEntry._insert/_unbucket deliberately: this is the
-        hottest call in the system, and a shared sorted-row helper
-        would add a Python-level indirection per inserted node.  Keep
-        the two in sync when touching either.
+        _ValueEntry keeps the same parallel-list discipline but inserts
+        node by node: a value bucket's share of a subtree is not one
+        run of it.
         """
-        label = node.label
-        key = node.id.sort_key
-        row = self._nodes.get(label)
-        if row is None:
-            self._nodes[label] = [node]
-            self._keys[label] = [key]
-            return
-        keys = self._keys[label]
-        position = bisect.bisect(keys, key)
-        keys.insert(position, key)
-        row.insert(position, node)
+        for label, run in _label_runs(nodes).items():
+            run_keys = [node.id.sort_key for node in run]
+            row = self._nodes.get(label)
+            if row is None:
+                self._nodes[label] = run
+                self._keys[label] = run_keys
+                continue
+            keys = self._keys[label]
+            position = bisect.bisect(keys, run_keys[0])
+            keys[position:position] = run_keys
+            row[position:position] = run
 
-    def remove(self, node: Any) -> None:
-        row = self._nodes.get(node.label)
-        if not row:
-            return
-        keys = self._keys[node.label]
-        position = bisect.bisect_left(keys, node.id.sort_key)
-        if position < len(row) and row[position] is node:
-            keys.pop(position)
-            row.pop(position)
-
-    def add_bulk(self, nodes: Sequence[Any]) -> None:
-        """Bulk insertion; only labels that received nodes are re-sorted."""
-        touched = set()
-        for node in nodes:
-            self._nodes.setdefault(node.label, []).append(node)
-            touched.add(node.label)
-        for label in touched:
-            row = self._nodes[label]
-            row.sort(key=lambda n: n.id.sort_key)
-            self._keys[label] = [n.id.sort_key for n in row]
+    def remove_subtree(self, nodes: Sequence[Any]) -> None:
+        """Unindex a whole subtree leaving the document (``nodes`` as
+        for :meth:`add_subtree`).  One bisect and one slice delete per
+        label; raises :class:`LookupError` when a run's two ends are
+        not the indexed nodes, which means the index is corrupt."""
+        for label, run in _label_runs(nodes).items():
+            row = self._nodes.get(label, [])
+            keys = self._keys.get(label, [])
+            start = bisect.bisect_left(keys, run[0].id.sort_key)
+            stop = start + len(run)
+            if stop > len(row) or row[start] is not run[0] or row[stop - 1] is not run[-1]:
+                raise LookupError(
+                    "label index corrupt: the %d %r nodes under %s are not "
+                    "one indexed run" % (len(run), label, run[0].id)
+                )
+            del keys[start:stop]
+            del row[start:stop]
 
     def keyed(self, label: str) -> KeyedRows:
         """The live row of ``label`` with its key list (do not mutate)."""
@@ -229,6 +231,18 @@ class LabelIndex:
     def descendants(self, label: str, ancestor_id: Any) -> List[Any]:
         """The ``label`` nodes properly below ``ancestor_id``."""
         return self.keyed(label).below(ancestor_id)
+
+
+def _label_runs(nodes: Sequence[Any]) -> Dict[str, List[Any]]:
+    """``nodes`` grouped by label, each group kept in input order."""
+    runs: Dict[str, List[Any]] = {}
+    for node in nodes:
+        run = runs.get(node.label)
+        if run is None:
+            runs[node.label] = [node]
+        else:
+            run.append(node)
+    return runs
 
 
 class _ValueEntry:
@@ -250,8 +264,8 @@ class _ValueEntry:
             self._indexed[node] = value
 
     def _insert(self, node: Any, value: str) -> None:
-        # Same parallel keys/nodes discipline as LabelIndex.add/remove
-        # (duplicated on purpose -- see the note there).
+        # Same parallel keys/nodes discipline as LabelIndex, node by
+        # node (see LabelIndex.add_subtree for why).
         key = node.id.sort_key
         keys = self._keys.get(value)
         if keys is None:

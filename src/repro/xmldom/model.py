@@ -8,22 +8,27 @@ A :class:`Document` additionally maintains, for every label ``a``, the
 paper's *virtual canonical relation* ``R_a``: the document-ordered list
 of ``a``-labeled nodes, from which ``(ID, val, cont)`` tuples are drawn
 by the algebra layer.  The index is kept consistent under subtree
-insertion and deletion with O(log n) bisects per node
-(:class:`repro.xmldom.index.LabelIndex`), and a lazily built per-label
-value index (:class:`repro.xmldom.index.ValueIndex`) answers σ-constant
-selections (:meth:`Document.nodes_with_value`) without scanning.
+insertion and deletion with one bisect and one slice per distinct
+label of the moved subtree (:class:`repro.xmldom.index.LabelIndex`),
+and a lazily built per-label value index
+(:class:`repro.xmldom.index.ValueIndex`) answers σ-constant selections
+(:meth:`Document.nodes_with_value`) without scanning.
 
-Elements memoize ``val`` and ``cont``.  The caches are invalidated by
-the document's update choke points (:meth:`Document.insert_subtree` /
+Elements memoize ``val`` and ``cont``, and both compose from their
+children's caches, so re-deriving either after a change costs the
+changed ancestor chain plus whatever was never read (a fresh subtree),
+not the whole stored subtree.  The caches are invalidated by the
+document's update choke points (:meth:`Document.insert_subtree` /
 :meth:`Document.delete_subtree`) walking the target's ancestor chain:
 ``cont`` on every structural change, ``val`` only when the moved
 subtree contains text; the same walk feeds the value index's dirty
-set.  Invariant: a set ``val`` cache implies no un-notified text
-change anywhere in the element's subtree (every change clears the
-whole chain above it).  :func:`set_hot_path_caches` turns the
-memoization and indexed σ lookups off for seed-equivalent baseline
-measurements; invalidation bookkeeping keeps running while disabled,
-so re-enabling is always safe.
+set.  Invariant: a set ``val`` (``cont``) cache implies no
+un-notified text (structural) change anywhere in the element's subtree
+(every change clears the whole chain above it).
+:func:`set_hot_path_caches` turns the memoization and indexed σ
+lookups off for seed-equivalent baseline measurements; invalidation
+bookkeeping keeps running while disabled, so re-enabling is always
+safe.
 
 Conventions:
 
@@ -175,13 +180,15 @@ class AttributeNode(Node):
 class ElementNode(Node):
     """An element with an ordered child list (attributes come first).
 
-    ``val`` and ``cont`` are memoized; the owning document invalidates
-    the caches along the ancestor chain of every subtree change (see
-    the module docstring for the invariant).  Detached construction
-    (:meth:`append` / :meth:`set_attribute`) needs no invalidation:
-    attached-tree mutations must go through the document's
-    ``insert_subtree`` / ``delete_subtree``, which deep-copy their
-    input and therefore never see pre-populated caches.
+    ``val`` and ``cont`` are memoized and each composes from the
+    children's caches (``cont`` is byte-identical to
+    :func:`~repro.xmldom.serializer.serialize_fragment`); the owning
+    document invalidates the caches along the ancestor chain of every
+    subtree change (see the module docstring for the invariant).
+    Detached construction (:meth:`append` / :meth:`set_attribute`)
+    needs no invalidation: attached-tree mutations must go through the
+    document's ``insert_subtree`` / ``delete_subtree``, which deep-copy
+    their input and therefore never see pre-populated caches.
     """
 
     __slots__ = ("children", "_val_cache", "_cont_cache")
@@ -264,14 +271,37 @@ class ElementNode(Node):
 
     @property
     def cont(self) -> str:
-        """Serialized XML image of the subtree, memoized."""
-        from repro.xmldom.serializer import serialize_fragment
+        """Serialized XML image of the subtree, memoized.
 
+        Composed like ``val``: the element's tags (attributes in the
+        open tag, ``<label .../>`` when nothing else is below) around
+        the children's cached ``cont`` and escaped text.
+        """
         if not _USE_HOT_PATH_CACHES:
+            from repro.xmldom.serializer import serialize_fragment
+
             return serialize_fragment(self)
         cached = self._cont_cache
         if cached is None:
-            cached = serialize_fragment(self)
+            from repro.xmldom.serializer import escape_attribute, escape_text
+
+            attributes: List[str] = []
+            pieces: List[str] = []
+            for child in self.children:
+                kind = child.kind
+                if kind == "element":
+                    pieces.append(child.cont)
+                elif kind == "text":
+                    pieces.append(escape_text(child.text))  # type: ignore[attr-defined]
+                else:
+                    attributes.append(
+                        ' %s="%s"' % (child.name, escape_attribute(child.value))  # type: ignore[attr-defined]
+                    )
+            label, attrs = self.label, "".join(attributes)
+            if pieces:
+                cached = "<%s%s>%s</%s>" % (label, attrs, "".join(pieces), label)
+            else:
+                cached = "<%s%s/>" % (label, attrs)
             self._cont_cache = cached
         return cached
 
@@ -296,6 +326,22 @@ def deep_copy(node: Node) -> Node:
     return clone
 
 
+def _number_below(top: Node) -> List[Node]:
+    """Give every proper descendant of ``top`` (already numbered) its
+    initial Dewey ID; returns the subtree's nodes in document order."""
+    nodes: List[Node] = []
+    stack: List[Node] = [top]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, ElementNode):
+            node_id = node.id
+            for position, child in enumerate(node.children, start=1):
+                child.dewey = node_id.child(child.label, ordinal_initial(position))
+            stack.extend(reversed(node.children))
+    return nodes
+
+
 class Document:
     """A rooted XML document with structural IDs and canonical relations."""
 
@@ -316,16 +362,8 @@ class Document:
 
     def _assign_ids(self) -> None:
         self.root.dewey = DeweyID.root(self.root.label)
-        stack: List[ElementNode] = [self.root]
-        all_nodes: List[Node] = [self.root]
-        while stack:
-            element = stack.pop()
-            for position, child in enumerate(element.children, start=1):
-                child.dewey = element.id.child(child.label, ordinal_initial(position))
-                all_nodes.append(child)
-                if isinstance(child, ElementNode):
-                    stack.append(child)
-        self._index.add_bulk(all_nodes)
+        all_nodes = _number_below(self.root)
+        self._index.add_subtree(all_nodes)
         for node in all_nodes:
             self._by_id[node.id] = node
 
@@ -434,19 +472,10 @@ class Document:
         clone.parent = parent
         parent.children.insert(position, clone)
         clone.dewey = parent.id.child(clone.label, ordinal)
-        new_nodes: List[Node] = [clone]
-        if isinstance(clone, ElementNode):
-            stack = [clone]
-            while stack:
-                element = stack.pop()
-                for child_position, child in enumerate(element.children, start=1):
-                    child.dewey = element.id.child(child.label, ordinal_initial(child_position))
-                    new_nodes.append(child)
-                    if isinstance(child, ElementNode):
-                        stack.append(child)
+        new_nodes = _number_below(clone)
+        self._index.add_subtree(new_nodes)
         text_changed = False
         for node in new_nodes:
-            self._index.add(node)
             self._by_id[node.id] = node
             self._values.on_add(node)
             if node.kind == "text":
@@ -465,9 +494,9 @@ class Document:
             raise ValueError("cannot delete the document root")
         removed = list(node.self_and_descendants())
         removed.sort(key=lambda n: n.id.sort_key)
+        self._index.remove_subtree(removed)
         text_changed = False
         for gone in removed:
-            self._index.remove(gone)
             self._by_id.pop(gone.id, None)
             self._retired_ids.add(gone.id)
             self._values.on_remove(gone)

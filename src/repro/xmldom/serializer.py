@@ -1,7 +1,11 @@
 """Serialization of nodes and documents back to XML text.
 
-``serialize_fragment`` is what backs the ``cont`` stored attribute of
-view tuples: the serialized image of the subtree rooted at a node.
+``serialize_fragment`` is the serialized image of the subtree rooted at
+a node -- the ``cont`` stored attribute of view tuples.  Elements
+compose their memoized ``cont`` from their children's
+(:attr:`repro.xmldom.model.ElementNode.cont`), byte-identical to this
+fresh walk, which serves pretty-printing, update forests, the
+caches-off path and the tests as their oracle.
 """
 
 from __future__ import annotations

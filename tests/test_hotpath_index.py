@@ -2,14 +2,16 @@
 
 The invariants under test:
 
-* LabelIndex rows stay document-ordered under interleaved add/remove
-  and equal a brute-force sorted rebuild;
-* add_bulk leaves labels that received no nodes untouched;
+* LabelIndex rows and their parallel key lists stay equal to a sorted
+  rebuild under interleaved add_subtree/remove_subtree, on fake nodes
+  and on parsed documents; a subtree splices only its own labels'
+  rows, in place, and a run whose ends are not indexed raises;
 * ValueIndex lookups (Document.nodes_with_value) always equal the
   brute-force σ-constant scan, across inserts, deletes and text-driven
   val changes;
 * element val/cont memoization is invalidated precisely along the
-  ancestor chain of every subtree change;
+  ancestor chain of every subtree change, and the composed cont is
+  byte-identical to serialize_fragment with caches partly warm;
 * OrderedTupleStore.items() scans lazily while snapshot() is immune to
   subsequent mutation.
 """
@@ -17,10 +19,18 @@ The invariants under test:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.views.store import OrderedTupleStore
 from repro.xmldom.index import LabelIndex
-from repro.xmldom.model import fresh_val, set_hot_path_caches
+from repro.xmldom.model import (
+    ElementNode,
+    TextNode,
+    build_document,
+    fresh_val,
+    set_hot_path_caches,
+)
 from repro.xmldom.parser import parse_document
 from repro.xmldom.serializer import serialize_fragment
 
@@ -42,54 +52,99 @@ class _FakeNode:
         self.id = _FakeID(key)
 
 
+def _assert_rows_are_sorted_rebuild(keyed_label, live_nodes, labels):
+    """Every label's node list equals a sorted rebuild of the live
+    nodes, and its key list stays parallel to it."""
+    for label in labels:
+        expected = sorted(
+            (n for n in live_nodes if n.label == label), key=lambda n: n.id.sort_key
+        )
+        keyed = keyed_label(label)
+        assert keyed.nodes == expected, label
+        assert keyed.keys == [n.id.sort_key for n in expected], label
+
+
+def _fake_subtree(rng, prefix):
+    """A subtree's nodes in document order: one fresh key prefix (no
+    other subtree's keys fall between them), labels repeating."""
+    return [_FakeNode(rng.choice("abc"), (prefix, i)) for i in range(rng.randint(1, 6))]
+
+
 class TestLabelIndex:
     def test_random_add_remove_matches_sorted_rebuild(self):
         rng = random.Random(7)
         index = LabelIndex()
         live = []
-        for step in range(400):
+        for step in range(300):
             if live and rng.random() < 0.4:
-                node = live.pop(rng.randrange(len(live)))
-                index.remove(node)
+                index.remove_subtree(live.pop(rng.randrange(len(live))))
             else:
-                node = _FakeNode(rng.choice("abc"), (rng.random(), step))
-                live.append(node)
-                index.add(node)
-            for label in "abc":
-                expected = sorted(
-                    (n for n in live if n.label == label),
-                    key=lambda n: n.id.sort_key,
-                )
-                assert index.nodes(label) == expected
+                subtree = _fake_subtree(rng, (rng.random(), step))
+                live.append(subtree)
+                index.add_subtree(subtree)
+            _assert_rows_are_sorted_rebuild(
+                index.keyed, [n for subtree in live for n in subtree], "abc"
+            )
 
-    def test_remove_absent_node_is_noop(self):
+    def test_remove_subtree_raises_on_mismatched_run(self):
         index = LabelIndex()
-        index.add(_FakeNode("a", 1))
-        index.remove(_FakeNode("a", 2))
-        index.remove(_FakeNode("z", 1))
-        assert len(index.nodes("a")) == 1
+        first, second = _FakeNode("a", (1, 0)), _FakeNode("a", (1, 1))
+        index.add_subtree([first, second])
+        with pytest.raises(LookupError):
+            index.remove_subtree([_FakeNode("a", (1, 0))])  # same key, other node
+        with pytest.raises(LookupError):
+            index.remove_subtree([first, _FakeNode("a", (1, 1))])  # far end differs
+        with pytest.raises(LookupError):
+            index.remove_subtree([first, second, _FakeNode("a", (1, 2))])  # too long
+        with pytest.raises(LookupError):
+            index.remove_subtree([_FakeNode("z", (1, 0))])  # label never indexed
+        assert index.nodes("a") == [first, second]
 
-    def test_add_bulk_sorts_only_touched_labels(self):
+    def test_add_subtree_splices_only_its_labels(self):
         index = LabelIndex()
-        index.add_bulk([_FakeNode("a", 2), _FakeNode("a", 1), _FakeNode("b", 5)])
-        assert [n.id.sort_key for n in index.nodes("a")] == [1, 2]
-        untouched_row = index.nodes("b")
-        index.add_bulk([_FakeNode("a", 0)])
-        assert [n.id.sort_key for n in index.nodes("a")] == [0, 1, 2]
-        # The 'b' row was not rebuilt or re-sorted.
-        assert index.nodes("b") is untouched_row
-        # Incremental adds still land correctly after a bulk load.
-        index.add(_FakeNode("b", 3))
-        assert [n.id.sort_key for n in index.nodes("b")] == [3, 5]
+        index.add_subtree([_FakeNode("a", (2, 0)), _FakeNode("b", (2, 1)), _FakeNode("a", (2, 2))])
+        row_a, row_b = index.nodes("a"), index.nodes("b")
+        index.add_subtree([_FakeNode("a", (1, 0)), _FakeNode("a", (1, 1))])
+        assert [n.id.sort_key for n in index.nodes("a")] == [(1, 0), (1, 1), (2, 0), (2, 2)]
+        # Rows are spliced in place (the lists handed out stay live);
+        # the 'b' row was not touched at all.
+        assert index.nodes("a") is row_a
+        assert index.nodes("b") is row_b and len(row_b) == 1
 
     def test_copy_label_is_detached(self):
         index = LabelIndex()
         node = _FakeNode("a", 1)
-        index.add(node)
+        index.add_subtree([node])
         copied = index.copy_label("a")
-        index.remove(node)
+        index.remove_subtree([node])
         assert copied == [node]
         assert index.nodes("a") == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_document_splices_match_sorted_rebuild(self, seed):
+        """Random subtree inserts and deletes on a parsed document keep
+        every label's rows equal to a sorted rebuild of the tree."""
+        rng = random.Random(seed)
+        doc = parse_document(
+            '<r><a k="1">x<b/></a><b><a>y</a>z</b><c k="2"><a/><c>w</c></c></r>'
+        )
+        for _ in range(8):
+            nodes = list(doc.root.self_and_descendants())
+            if rng.random() < 0.4 and len(nodes) > 1:
+                doc.delete_subtree(rng.choice(nodes[1:]))
+            else:
+                parent = rng.choice([n for n in nodes if n.kind == "element"])
+                snippet = rng.choice(
+                    ('<a k="3">q<b>r</b></a>', "<b><a/><a>s</a></b>", "<c/>", "<d>t</d>")
+                )
+                doc.insert_subtree(
+                    parent,
+                    parse_document(snippet).root,
+                    rng.randint(0, len(parent.children)),
+                )
+            live = list(doc.root.self_and_descendants())
+            _assert_rows_are_sorted_rebuild(doc.keyed_label, live, set(doc.labels()))
 
 
 def _brute_force_sigma(document, label, constant):
@@ -231,7 +286,89 @@ class TestWildcardValueIndex:
         assert registered.view.equals_fresh_evaluation(doc)
 
 
+#: text and attribute values that need every escape the serializer knows
+_MARKUP_TEXT = st.text(alphabet='x&<>"', max_size=3)
+
+
+def _markup_tree(parts):
+    label, attributes, kids = parts
+    element = ElementNode(label)
+    for name, value in attributes:
+        element.set_attribute(name, value)
+    for kid in kids:
+        element.append(kid)
+    return element
+
+
+def _markup_element(kids):
+    return st.tuples(
+        st.sampled_from("abc"),
+        st.lists(
+            st.tuples(st.sampled_from("km"), _MARKUP_TEXT), max_size=2, unique_by=lambda p: p[0]
+        ),
+        kids,
+    ).map(_markup_tree)
+
+
+#: elements with attributes, mixed content, empty elements (no child
+#: or only attributes) and empty text nodes (``<a></a>``, not ``<a/>``)
+_markup_trees = st.recursive(
+    _markup_element(st.just(())),
+    lambda trees: _markup_element(
+        st.lists(st.one_of(trees, _MARKUP_TEXT.map(TextNode)), max_size=3)
+    ),
+    max_leaves=12,
+)
+
+#: (insert?, target pick, position pick, snippet, nodes to read after)
+_cont_steps = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(0, 2**16),
+        st.integers(0, 2**16),
+        _markup_trees,
+        st.lists(st.integers(0, 2**16), max_size=3),
+    ),
+    max_size=6,
+)
+
+
 class TestValContCaches:
+    @pytest.mark.parametrize("caches", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(root=_markup_trees, warm=st.lists(st.integers(0, 2**16), max_size=4), steps=_cont_steps)
+    def test_composed_cont_equals_fresh_serialization(self, caches, root, warm, steps):
+        """``cont`` composed from child caches is byte-identical to the
+        fresh ``serialize_fragment`` walk under random inserts and
+        deletes, read at random nodes between steps so the caches are
+        only partly warm when the next change invalidates a chain."""
+
+        def read(picks):
+            elements = list(doc.all_elements())
+            for pick in picks:
+                element = elements[pick % len(elements)]
+                assert element.cont == serialize_fragment(element)
+
+        previous = set_hot_path_caches(caches)
+        try:
+            doc = build_document(root)
+            read(warm)
+            for insert, target, position, snippet, picks in steps:
+                nodes = list(doc.root.self_and_descendants())
+                if insert:
+                    parents = [n for n in nodes if n.kind == "element"]
+                    parent = parents[target % len(parents)]
+                    doc.insert_subtree(
+                        parent, snippet, position % (len(parent.children) + 1)
+                    )
+                elif len(nodes) > 1:
+                    doc.delete_subtree(nodes[1 + target % (len(nodes) - 1)])
+                read(picks)
+            for element in doc.all_elements():
+                assert element.cont == serialize_fragment(element)
+        finally:
+            set_hot_path_caches(previous)
+
     def test_val_cached_and_invalidated_along_ancestors(self):
         doc = parse_document("<r><a>x<b>y</b></a><c>z</c></r>")
         root, a = doc.root, doc.nodes_with_label("a")[0]

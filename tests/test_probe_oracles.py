@@ -6,8 +6,9 @@ filter + re-sort of source reconstruction) was replaced by probes
 driven from the IDs the batch touched.  The replaced implementations
 live on in :mod:`tests.harness.reference_scans`; the properties here
 hold each probe to its scan on random documents and mixed batches, and
-one count-based test pins the cost model: the work of a fixed batch
-does not grow with the document.
+two count-based tests pin the cost model: the work of a fixed batch
+does not grow with the document, and neither does the document upkeep
+of one insert (its subtree and ancestor chain).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.workloads.updates import UPDATE_TEXTS, statement_stream
 from repro.xmldom.index import KeyedRows
 from repro.xmldom.model import ElementNode, TextNode, build_document
 from repro.xmldom.parser import parse_fragment
+from repro.xmldom.serializer import serialize_fragment
 from repro.workloads.xmark import generate_document
 from tests.harness.reference_scans import (
     scan_attribute_refreshes,
@@ -566,6 +568,76 @@ def _fixed_batch_counts(scale: int):
         report = engine.apply_batch([ResolvedDeleteUpdate([node.id]) for node in probes])
     assert report.net_removed == 32 * 6  # person, @id, name, homepage, two texts
     return counters, len(document.nodes_with_label("person"))
+
+
+class _SpliceCountingRow(list):
+    """A label-index row that counts how it is edited."""
+
+    def __init__(self, rows, counts):
+        super().__init__(rows)
+        self.counts = counts
+
+    def __setitem__(self, index, value):
+        if isinstance(index, slice):
+            self.counts["slice_inserts"] += 1
+        super().__setitem__(index, value)
+
+    def insert(self, index, value):
+        self.counts["node_inserts"] += 1
+        super().insert(index, value)
+
+
+#: the generator's mail shape, so every label already has a row
+_PROBE_MAIL = (
+    "<mail><from>Probe</from><to>Probe</to><date>01/01/2001</date>"
+    "<text>probe mail</text></mail>"
+)
+
+
+def _mail_insert_counts(scale: int):
+    """Elements composed to re-read a warm item's ``cont`` after one
+    ``mail`` lands in its mailbox, and the label-index edits made."""
+    document = generate_document(scale=scale)
+    mailbox = document.nodes_with_label("mailbox")[0]
+    item = mailbox.parent
+    assert item.label == "item"
+    item.cont  # warm every cache in the item
+    index = document._index
+    counts = {"slice_inserts": 0, "node_inserts": 0, "composed": 0}
+    for label in list(index.labels()):
+        index._nodes[label] = _SpliceCountingRow(index._nodes[label], counts)
+    (mail,) = parse_fragment(_PROBE_MAIL)
+    document.insert_subtree(mailbox, mail)
+    cont = ElementNode.cont
+
+    def counted_cont(self):
+        counts["composed"] += self._cont_cache is None
+        return cont.fget(self)
+
+    ElementNode.cont = property(counted_cont)
+    try:
+        assert item.cont == serialize_fragment(item)
+    finally:
+        ElementNode.cont = cont
+    return counts, len(document.nodes_with_label("item"))
+
+
+def test_insert_recomposes_only_the_chain_and_the_new_subtree():
+    """One inserted subtree costs its own elements plus the ancestor
+    chain to re-derive ``cont``, and one label-index splice per
+    distinct label -- at any document size."""
+    small, small_items = _mail_insert_counts(8)
+    large, large_items = _mail_insert_counts(32)
+    assert large_items > 3 * small_items  # the state really grew
+    mail = parse_fragment(_PROBE_MAIL)[0]
+    new_elements = sum(1 for node in mail.self_and_descendants() if node.kind == "element")
+    new_labels = {node.label for node in mail.self_and_descendants()}
+    chain = 2  # the item and its mailbox
+    assert small == large == {
+        "composed": chain + new_elements,
+        "slice_inserts": len(new_labels),
+        "node_inserts": 0,
+    }
 
 
 def test_fixed_batch_examines_the_same_rows_at_any_scale():
