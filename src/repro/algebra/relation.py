@@ -62,9 +62,6 @@ class Relation:
         index = self.column_index(name)
         return [row[index] for row in self.rows]
 
-    def has_column(self, name: str) -> bool:
-        return name in self.schema
-
     # -- container protocol ---------------------------------------------
 
     def __len__(self) -> int:

@@ -40,13 +40,6 @@ class DeltaTables:
     def nonempty_names(self) -> List[str]:
         return [name for name, rows in self.tables.items() if rows]
 
-    def all_ids(self) -> set:
-        out = set()
-        for rows in self.tables.values():
-            for node in rows:
-                out.add(node.id)
-        return out
-
     def __repr__(self) -> str:
         sizes = {name: len(rows) for name, rows in self.tables.items() if rows}
         return "DeltaTables(Δ%s, %r)" % (self.sign, sizes)

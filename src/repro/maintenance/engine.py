@@ -50,7 +50,7 @@ from repro.maintenance.delete import (
 )
 from repro.maintenance.delta import BatchCandidates, SideStats, touched_labels
 from repro.maintenance.insert import (
-    apply_attribute_refreshes,
+    AffectedIDs,
     collect_attribute_refreshes,
     insert_side,
 )
@@ -356,6 +356,7 @@ class _ViewRound:
         "minus_live",
         "removals",
         "additions",
+        "rewrites",
         "snowcap",
         "flips",
         "minus_sets",
@@ -368,13 +369,15 @@ class _ViewRound:
         self.name = name
         self.registered = registered
         self.report = report
-        #: which sides this view runs this batch (refresh scan, Δ−, Δ+).
+        #: which sides this view runs this batch (refresh, Δ−, Δ+).
         self.refresh_due = False
         self.minus_due = False
         self.plus_due = False
         self.minus_live = False
         self.removals: Dict[tuple, int] = {}
         self.additions: Dict[tuple, int] = {}
+        #: PIMT/PDMT ``(old row, new row)`` pairs for the store pass.
+        self.rewrites: List[Tuple[tuple, tuple]] = []
         self.snowcap: Optional[dict] = None
         #: ``(node ID, constant) -> (node, satisfied now)`` σ flips of
         #: this batch, and their bucketing under the view's σ nodes.
@@ -745,9 +748,10 @@ class MaintenanceEngine:
         sequential application), but the view side runs once on the
         batch's *net* effects: one label-bucketed Δ+/Δ− extraction
         shared across views, one term development + evaluation, one
-        extent snapshot for the merged val/cont refresh, one store pass
-        and one lattice pass per view.  Nodes inserted and deleted
-        within the batch cancel out of both Δ sets.
+        affected-ID bucketing for the val/cont refresh, one store pass
+        (Δ± and refresh rewrites folded) and one lattice pass per view.
+        Nodes inserted and deleted within the batch cancel out of both
+        Δ sets.
 
         The view-side round runs in-process, view by view in
         registration order; to spread views over resident worker
@@ -987,13 +991,14 @@ class MaintenanceEngine:
 
         1. per view, the recompute-fallback guards;
         2. if any view has a live Δ− side, a first round runs the
-           refresh scans and the Δ− evaluations -- both read pre-batch
+           refresh probes and the Δ− evaluations -- both read pre-batch
            state -- and the doomed lattice rows are dropped;
         3. a second round (the only one for insert-only batches) runs
            the Δ+ evaluations, snowcap additions and σ repairs over
            survivor relations;
-        4. each view's collected Δ± is merged and applied: one store
-           pass and one lattice extend per view.
+        4. each view's collected Δ± is merged and applied with its
+           refresh rewrites: one store pass and one lattice extend per
+           view.
 
         Within a round the views run in registration order; the merge
         and the store pass sort, so the order cannot change a result.
@@ -1067,17 +1072,19 @@ class MaintenanceEngine:
                 excluded_by_label=inserted_by_label,
             )
 
+        # Bucketed on the first view whose refresh is due, then shared.
+        affected = AffectedIDs(insert_target_ids, delete_target_ids)
+
         def refresh(ctx: _ViewRound) -> int:
             if not ctx.refresh_due:
                 return 0
-            view = ctx.registered.view
             with _PhaseTimer(tracer, ctx.report.phases, "execute_update", ctx.name):
-                pairs = collect_attribute_refreshes(
-                    view, self.document, insert_target_ids, delete_target_ids
+                ctx.rewrites = collect_attribute_refreshes(
+                    ctx.registered.view, self.document, affected
                 )
-                ctx.report.tuples_modified = apply_attribute_refreshes(view, pairs)
+            ctx.report.tuples_modified = len(ctx.rewrites)
             if report.view_deltas is not None:
-                report.view_deltas.setdefault(ctx.name, {})["refresh"] = pairs
+                report.view_deltas.setdefault(ctx.name, {})["refresh"] = ctx.rewrites
             return 1
 
         def minus(ctx: _ViewRound) -> int:
@@ -1224,7 +1231,9 @@ class MaintenanceEngine:
                 deltas["removals"] = ctx.removals
             with _PhaseTimer(tracer, ctx.report.phases, "execute_update", ctx.name):
                 added, tuples_removed, derivations_removed = (
-                    ctx.registered.view.apply_batch_delta(ctx.additions, ctx.removals)
+                    ctx.registered.view.apply_batch_delta(
+                        ctx.additions, ctx.removals, ctx.rewrites
+                    )
                 )
             ctx.report.derivations_added = added
             ctx.report.tuples_removed = tuples_removed

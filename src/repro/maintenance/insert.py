@@ -10,7 +10,8 @@ contains the view-side work:
   Algorithm 3); the engine merges them into the view in one store pass;
 * :func:`collect_attribute_refreshes` -- the PIMT/PDMT rewrites of the
   ``val`` / ``cont`` attributes of existing view tuples whose stored
-  nodes gained or lost descendants (Algorithm 4);
+  nodes gained or lost descendants (Algorithm 4), reading only the
+  extent runs under each affected node's *anchor* (see there);
 * :func:`snowcap_additions` -- incremental upkeep of the materialized
   snowcaps (Prop. 3.13): each snowcap is itself a view whose surviving
   terms are evaluated from smaller snowcaps, the leaves, and Δ+.
@@ -19,7 +20,8 @@ contains the view-side work:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.relation import Relation
 from repro.algebra.structural import probe_descendants, structural_join
@@ -42,7 +44,7 @@ from repro.pattern.tree_pattern import Pattern
 from repro.views.lattice import SnowcapLattice
 from repro.views.view import MaterializedView
 from repro.xmldom.dewey import DeweyID
-from repro.xmldom.model import Document, Node
+from repro.xmldom.model import Document
 
 
 def surviving_insert_terms(
@@ -147,44 +149,87 @@ def insert_side(
     return additions, snowcap, stats
 
 
+class AffectedIDs:
+    """The nodes whose stored ``val`` / ``cont`` a batch can change: the
+    insertion targets with their ancestors and the deletion targets'
+    proper ancestors (Algorithms 4 / 6).  Read off the targets' Dewey
+    chains and bucketed by label in document order once per batch, on
+    the first view that asks; every other view shares them.
+    """
+
+    def __init__(self, insert_target_ids, delete_target_ids) -> None:
+        self._targets = (insert_target_ids, delete_target_ids)
+
+    @cached_property
+    def ids(self) -> Set[DeweyID]:
+        ids = set(self._targets[0])
+        for target_ids in self._targets:
+            for target_id in target_ids:
+                ids.update(target_id.ancestor_ids())
+        return ids
+
+    @cached_property
+    def by_label(self) -> Dict[str, List[DeweyID]]:
+        buckets: Dict[str, List[DeweyID]] = {}
+        for node_id in sorted(self.ids, key=lambda node_id: node_id.sort_key):
+            buckets.setdefault(node_id.label, []).append(node_id)
+        return buckets
+
+
 def collect_attribute_refreshes(
     view: MaterializedView,
     document: Document,
-    insert_target_ids: Sequence[DeweyID],
-    delete_target_ids: Sequence[DeweyID],
+    affected: AffectedIDs,
 ) -> List[Tuple[tuple, tuple]]:
     """The read-only half of the PIMT/PDMT rewrite loop.
 
-    A surviving stored node's attributes changed iff it is an
-    ancestor-or-self of an insertion target or a proper ancestor of a
-    deletion target.  The test is inverted into a probe: the Dewey
-    chains of the targets give the set of affected IDs once per batch
-    (O(|targets| x depth), shared ID objects, no allocation), cut down
-    to the labels the view's content nodes can store; each stored
-    content-node ID is one hash membership test against it while the
-    extent is read lazily in place -- and not at all when no affected
-    ID carries such a label.
+    Column 0 is always an ID (val/cont nodes store their ID, and ID is
+    a node's first annotation); let ``lead`` own it, and ``meet`` be
+    the lowest common pattern ancestor of ``lead`` and a content node
+    ``n``.  Every embedding binds ``meet`` to an ancestor-or-self of
+    both the leading cell and ``n``'s node, so a row storing an
+    affected ``x`` at ``n`` is led from inside one *anchor* subtree:
+    ``x``'s own when ``meet`` is ``n``, else that of ``x``'s outermost
+    proper ancestor labeled like ``meet`` (none: ``x`` is stored
+    nowhere here).  A subtree is one key run of the extent, so only
+    those bisected runs are read, merged, in store order, under the
+    scan's per-row test: the pairs are the scan's, in the same order,
+    for affected IDs x (depth + log|extent|) plus the rows in the runs.
 
     Returns the ``(old row, new row)`` rewrite pairs without touching
-    the view; :func:`apply_attribute_refreshes` applies them, and
-    session replicas ship them (plain picklable tuples) to the owner.
+    the view; :meth:`MaterializedView.apply_batch_delta` folds them
+    into the store pass, and session replicas ship them to the owner.
     """
     pattern = view.pattern
     cvn = pattern.content_nodes()
-    if not cvn or (not insert_target_ids and not delete_target_ids):
+    if not cvn or not affected.ids:
         return []
-    affected: set = set(insert_target_ids)
-    for target_ids in (insert_target_ids, delete_target_ids):
-        for target_id in target_ids:
-            affected.update(target_id.ancestor_ids())
-    labels = {node.label for node in cvn}
-    if "*" not in labels:
-        # A stored content node carries its pattern node's label, so an
-        # affected ID labeled otherwise is stored nowhere in this view.
-        affected = {node_id for node_id in affected if node_id.label in labels}
-    if not affected:
+    columns = pattern.return_columns()
+    lead_chain = []
+    walk = pattern.node(columns[0][0])
+    while walk is not None:
+        lead_chain.append(walk)
+        walk = walk.parent
+    anchors: Dict[DeweyID, None] = {}
+    for node in cvn:
+        meet = node
+        while meet not in lead_chain:
+            meet = meet.parent
+        if node.label == "*":
+            candidates = affected.ids  # anchor order is immaterial: runs are sorted
+        else:
+            candidates = affected.by_label.get(node.label, ())
+        for node_id in candidates:
+            if meet is node:
+                anchors[node_id] = None
+                continue
+            for ancestor_id in node_id.ancestor_ids():  # outermost first
+                if meet.label in ("*", ancestor_id.label):
+                    anchors[ancestor_id] = None
+                    break
+    if not anchors:
         return []  # no stored node can have changed: the extent is not read
-    column_index = {pair: i for i, pair in enumerate(pattern.return_columns())}
+    column_index = {pair: i for i, pair in enumerate(columns)}
     # (ID column, val column or None, cont column or None) per content node.
     probes = [
         (
@@ -194,12 +239,13 @@ def collect_attribute_refreshes(
         )
         for node in cvn
     ]
+    affected_ids = affected.ids  # a stored ID has its node's label: no cut
     replacements: List[Tuple[tuple, tuple]] = []
-    for row, _count in view.iter_content():
+    for row in view.rows_led_by(anchors):
         new_row = None
         for id_index, val_index, cont_index in probes:
             stored_id = row[id_index]
-            if stored_id not in affected:
+            if stored_id not in affected_ids:
                 continue
             doc_node = document.node_by_id(stored_id)
             if doc_node is None:
@@ -213,15 +259,6 @@ def collect_attribute_refreshes(
         if new_row is not None and tuple(new_row) != row:
             replacements.append((row, tuple(new_row)))
     return replacements
-
-
-def apply_attribute_refreshes(
-    view: MaterializedView, replacements: Sequence[Tuple[tuple, tuple]]
-) -> int:
-    """Apply collected rewrite pairs; returns the number applied."""
-    for old_row, fresh_row in replacements:
-        view.replace(old_row, fresh_row)
-    return len(replacements)
 
 
 def snowcap_additions(

@@ -65,10 +65,6 @@ class Term:
         self.delta_set = delta_set
         self.sign = sign
 
-    @property
-    def r_set_is_snowcap(self) -> bool:
-        return True  # by construction after Prop. 3.3/4.2 pruning
-
     def r_set(self, pattern: Pattern) -> NodeSet:
         return frozenset(pattern.node_names()) - self.delta_set
 

@@ -309,9 +309,6 @@ class DTD:
         self.root = root
         self._nfas: Dict[str, _NFA] = {}
 
-    def model_for(self, label: str) -> Optional[ContentModel]:
-        return self.rules.get(label)
-
     def _nfa_for(self, label: str) -> Optional[_NFA]:
         if label not in self.rules:
             return None

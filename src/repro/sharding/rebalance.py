@@ -260,18 +260,6 @@ class RebalancePolicy:
             moves.append((chosen, source, target))
         return moves
 
-    def describe(self) -> Dict[str, float]:
-        return {
-            "trigger_ratio": self.trigger_ratio,
-            "target_ratio": self.target_ratio,
-            "patience": self.patience,
-            "cooldown": self.cooldown,
-            "budget": self.budget,
-            "alpha": self.model.alpha,
-            "ship_rows": self.ship_rows,
-            "moves_decided": self.moves_decided,
-        }
-
     def __repr__(self) -> str:
         return (
             "RebalancePolicy(trigger=%.2f, target=%.2f, patience=%d, "

@@ -368,7 +368,7 @@ class ShardSession:
         """LPT partition of views across workers by maintenance weight.
 
         The weight proxy is extent size plus materialized lattice rows:
-        per-batch cost is dominated by the refresh scan (O(extent)) and
+        per-batch cost is dominated by the store pass (O(extent)) and
         the term/snowcap work seeded from the lattice relations.  The
         partition itself is the planner module's shared
         :func:`~repro.sharding.planner.lpt_assignment`.
@@ -556,31 +556,15 @@ class ShardSession:
                     view_report.predicate_fallback = True
                     self._replace_extent(registered, entry["content"])
                     continue
-                # Fold the refresh rewrites into the Δ sets so the whole
-                # replay is ONE bulk store pass: a rewrite is exactly
-                # "remove every derivation of the old form, add them
-                # under the new form", and shipped Δ rows already carry
-                # final attribute values, so the three inputs compose.
-                additions = dict(entry["additions"])
-                removals = dict(entry["removals"])
-                refresh_derivations = 0
-                if entry["refresh"]:
-                    view = registered.view
-                    for old_row, new_row in entry["refresh"]:
-                        count = view.count(old_row)
-                        refresh_derivations += count
-                        removals[old_row] = removals.get(old_row, 0) + count
-                        additions[new_row] = additions.get(new_row, 0) + count
+                # ONE bulk store pass replays the Δ rows and the refresh
+                # rewrites together; counters come back net of the churn.
                 view_report.tuples_modified = len(entry["refresh"])
-                added, tuples_removed, derivations_removed = (
-                    registered.view.apply_batch_delta(additions, removals)
-                )
-                # Rewrite churn cancels out of the derivation counters
-                # (tuples_removed still counts dropped old-form rows).
-                view_report.derivations_added = added - refresh_derivations
-                view_report.tuples_removed = tuples_removed
-                view_report.derivations_removed = (
-                    derivations_removed - refresh_derivations
+                (
+                    view_report.derivations_added,
+                    view_report.tuples_removed,
+                    view_report.derivations_removed,
+                ) = registered.view.apply_batch_delta(
+                    entry["additions"], entry["removals"], entry["refresh"]
                 )
             replay_seconds = time.perf_counter() - store_started
             store_seconds += replay_seconds

@@ -68,25 +68,11 @@ class PendingUpdateList:
     def __iter__(self):
         return iter(self.operations)
 
-    def extend(self, operations: Sequence[AtomicOp]) -> None:
-        self.operations.extend(operations)
-
-    @classmethod
-    def merged(cls, puls: Sequence["PendingUpdateList"]) -> "PendingUpdateList":
-        """One PUL concatenating the atomic operations of many."""
-        out = cls()
-        for pul in puls:
-            out.extend(pul.operations)
-        return out
-
     def inserts(self) -> List[AtomicInsert]:
         return [op for op in self.operations if isinstance(op, AtomicInsert)]
 
     def deletes(self) -> List[AtomicDelete]:
         return [op for op in self.operations if isinstance(op, AtomicDelete)]
-
-    def target_ids(self):
-        return [op.target.id for op in self.operations]
 
     def __repr__(self) -> str:
         return "PendingUpdateList(%r)" % (self.operations,)
@@ -219,11 +205,6 @@ class BatchApplication:
             self.puls.append(pul)
             self.applied.append(applied)
         return self
-
-    # -- merged PUL -------------------------------------------------------
-
-    def merged_pul(self) -> PendingUpdateList:
-        return PendingUpdateList.merged(self.puls)
 
     @property
     def pul_size(self) -> int:

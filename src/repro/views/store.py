@@ -99,16 +99,24 @@ class OrderedTupleStore:
     def keys(self) -> List[Any]:
         return list(self._keys)
 
-    def range(self, low: Optional[Any] = None, high: Optional[Any] = None) -> Iterator[Tuple[Any, Any]]:
-        """Items with ``low <= key < high`` (None = unbounded)."""
-        start = 0 if low is None else bisect.bisect_left(self._order, self._mapped(low))
-        stop = (
-            len(self._keys)
-            if high is None
-            else bisect.bisect_left(self._order, self._mapped(high))
+    def keys_in_runs(self, bounds: Iterable[Tuple[Any, Any]]) -> List[Any]:
+        """Range scan: keys whose mapped order key lies in any
+        ``[low, high)`` of ``bounds`` (mapped keys too), in order.  Two
+        bisects per range; the index runs are merged, so overlapping
+        ranges read a key once."""
+        order = self._order
+        runs = sorted(
+            (bisect.bisect_left(order, low), bisect.bisect_left(order, high))
+            for low, high in bounds
         )
-        for index in range(start, stop):
-            yield self._keys[index], self._values[index]
+        keys: List[Any] = []
+        covered = 0
+        for start, stop in runs:
+            start = max(start, covered)
+            if start < stop:
+                keys.extend(self._keys[start:stop])
+                covered = stop
+        return keys
 
     def clear(self) -> None:
         self._keys.clear()

@@ -9,7 +9,7 @@ only when its count reaches zero (Example 4.8).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.pattern.evaluate import evaluate_view, view_columns
 from repro.pattern.tree_pattern import Pattern
@@ -109,15 +109,17 @@ class MaterializedView:
     def content(self) -> List[Tuple[ViewTuple, int]]:
         """Distinct tuples with counts, in key (document) order.
 
-        A snapshot: safe to iterate while mutating the view (PIMT/PDMT
-        rewrite tuples mid-scan).
+        A snapshot: safe to iterate while mutating the view.
         """
         return self._store.snapshot()
 
-    def iter_content(self) -> Iterator[Tuple[ViewTuple, int]]:
-        """:meth:`content` read lazily off the live store (no copy);
-        the caller must not mutate the view while consuming it."""
-        return self._store.items()
+    def rows_led_by(self, anchors: Iterable[DeweyID]) -> List[ViewTuple]:
+        """Stored tuples led by an ID in the subtree of any of
+        ``anchors``, each once, in key order: tuples sort by their
+        leading ID and a Dewey subtree is one key range."""
+        return self._store.keys_in_runs(
+            ((anchor.sort_key,), (anchor.subtree_end_key,)) for anchor in anchors
+        )
 
     def rows(self) -> List[ViewTuple]:
         return self._store.keys()
@@ -160,19 +162,30 @@ class MaterializedView:
         self,
         additions: Dict[ViewTuple, int],
         removals: Dict[ViewTuple, int],
+        rewrites: Sequence[Tuple[ViewTuple, ViewTuple]] = (),
     ) -> Tuple[int, int, int]:
-        """Apply a batch's merged Δ+ / Δ− in one store pass.
+        """Apply a batch's merged Δ+ / Δ− and PIMT/PDMT rewrites in one
+        store pass.
 
         ``additions`` maps tuples to fresh derivations, ``removals`` to
         doomed ones; tuples in both are adjusted by the net, so a
         derivation removed and re-derived within one batch never
-        transits through an absent state.  Returns ``(derivations
-        added, tuples removed, derivations removed)``.  Like
-        :meth:`decrement`, removing underivable tuples is an error.
+        transits through an absent state.  Each ``(old, new)`` rewrite
+        moves every derivation of ``old`` to ``new`` (Δ rows carry final
+        attribute values, so the inputs compose).  Returns
+        ``(derivations added, tuples removed, derivations removed)``,
+        net of the rewrite churn.  Like :meth:`decrement`, removing
+        underivable tuples is an error.
         """
         delta: Dict[ViewTuple, int] = dict(additions)
         for row, count in removals.items():
             delta[row] = delta.get(row, 0) - count
+        for old_row, new_row in rewrites:
+            count = self._store.get(old_row)
+            if count is None:
+                raise KeyError("tuple %r is not in view %s" % (old_row, self.name))
+            delta[old_row] = delta.get(old_row, 0) - count
+            delta[new_row] = delta.get(new_row, 0) + count
         changes = []
         tuples_removed = 0
         for row in sorted(delta, key=row_sort_key):
@@ -197,19 +210,14 @@ class MaterializedView:
             else:
                 changes.append((row, remaining))
         self._store.bulk_apply(changes)
+        for _old_row, new_row in rewrites:
+            # Each old form dropped; the tuple left only if its new did.
+            tuples_removed += (new_row not in self._store) - 1
         return (
             sum(additions.values()),
             tuples_removed,
             sum(removals.values()),
         )
-
-    def replace(self, old_row: ViewTuple, new_row: ViewTuple) -> None:
-        """Rewrite a tuple in place (PIMT/PDMT val-cont refresh)."""
-        count = self._store.get(old_row)
-        if count is None:
-            raise KeyError("tuple %r is not in view %s" % (old_row, self.name))
-        self._store.delete(old_row)
-        self._store.put(new_row, self._store.get(new_row, 0) + count)
 
     # -- verification ----------------------------------------------------------
 

@@ -36,7 +36,7 @@ from repro.maintenance.engine import (
     aggregate_phase_seconds,
 )
 from repro.maintenance.insert import (
-    apply_attribute_refreshes,
+    AffectedIDs,
     collect_attribute_refreshes,
     collect_insert_additions,
     snowcap_additions,
@@ -109,13 +109,16 @@ def refresh_stored_attributes(
     insert_target_ids: Sequence[DeweyID],
     delete_target_ids: Sequence[DeweyID],
 ) -> int:
-    """The shared PIMT/PDMT rewrite loop: collect, then apply."""
-    return apply_attribute_refreshes(
-        view,
-        collect_attribute_refreshes(
-            view, document, insert_target_ids, delete_target_ids
-        ),
+    """The shared PIMT/PDMT rewrite loop: collect, then rewrite each
+    tuple in place, its derivations moving to the new form."""
+    pairs = collect_attribute_refreshes(
+        view, document, AffectedIDs(insert_target_ids, delete_target_ids)
     )
+    for old_row, new_row in pairs:
+        count = view.count(old_row)
+        view.remove(old_row)
+        view.add(new_row, count)
+    return len(pairs)
 
 
 def pimt(

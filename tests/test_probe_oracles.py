@@ -13,6 +13,7 @@ of one insert (its subtree and ancestor chain).
 
 from __future__ import annotations
 
+import tempfile
 from contextlib import contextmanager
 
 from hypothesis import HealthCheck, example, given, settings
@@ -24,8 +25,10 @@ from repro.maintenance import insert as insert_module
 from repro.maintenance import terms as terms_module
 from repro.maintenance.delta import BatchCandidates
 from repro.maintenance.engine import MaintenanceEngine
-from repro.maintenance.insert import collect_attribute_refreshes
+from repro.maintenance.insert import AffectedIDs, collect_attribute_refreshes
+from repro.pattern.tree_pattern import Pattern, PatternNode
 from repro.pattern.xpath_parser import parse_xpath
+from repro.storage.sqlite import SqliteExtentBackend
 from repro.updates.language import DeleteUpdate, ResolvedDeleteUpdate, ResolvedInsertUpdate
 from repro.updates.pul import BatchApplication
 from repro.views import lattice as lattice_module
@@ -39,6 +42,7 @@ from repro.xmldom.model import ElementNode, TextNode, build_document
 from repro.xmldom.parser import parse_fragment
 from repro.xmldom.serializer import serialize_fragment
 from repro.workloads.xmark import generate_document
+from repro.xmldom.dewey import DeweyID
 from tests.harness.reference_scans import (
     scan_attribute_refreshes,
     scan_drop_deleted,
@@ -172,23 +176,29 @@ def test_xpath_probe_matches_walk_on_random_trees(root, text):
 # -- (b) probe refresh ≡ scan refresh, pair for pair ---------------------------------
 
 
-def _refresh_pairs_checked(seed: int, insert_ratio: float) -> int:
-    """Probe and scan refresh over one mixed batch, view by view;
+@contextmanager
+def _store_factories(backend: str):
+    """``view name -> store factory`` for one extent backend."""
+    if backend == "memory":
+        yield lambda _name: None
+        return
+    with tempfile.TemporaryDirectory() as directory:
+        extents = SqliteExtentBackend(directory + "/refresh.db")
+        try:
+            yield extents.store_factory
+        finally:
+            extents.close()
+
+
+def _refresh_checked(views, document, application) -> int:
+    """Probe and scan refresh of each view over one applied batch;
     returns how many rewrite pairs they agreed on."""
-    document = generate_document(scale=1)
-    views = [
-        MaterializedView.materialize(view_pattern(name), document, name=name)
-        for name in sorted(VIEW_TEXTS)
-    ]
-    stream = statement_stream(document, 16, seed=seed, insert_ratio=insert_ratio)
-    application = BatchApplication(document, stream).apply()
     insert_targets = application.insert_target_ids
     delete_targets = application.delete_target_ids
+    affected = AffectedIDs(insert_targets, delete_targets)
     pairs = 0
     for view in views:
-        probed = collect_attribute_refreshes(
-            view, document, insert_targets, delete_targets
-        )
+        probed = collect_attribute_refreshes(view, document, affected)
         assert probed == scan_attribute_refreshes(
             view, document, insert_targets, delete_targets
         ), view.name
@@ -196,13 +206,29 @@ def _refresh_pairs_checked(seed: int, insert_ratio: float) -> int:
     return pairs
 
 
+def _refresh_pairs_checked(seed: int, insert_ratio: float, backend="memory") -> int:
+    """The seven XMark views over one mixed batch on a scale-1 document."""
+    document = generate_document(scale=1)
+    with _store_factories(backend) as factory:
+        views = [
+            MaterializedView.materialize(
+                view_pattern(name), document, name=name, store_factory=factory(name)
+            )
+            for name in sorted(VIEW_TEXTS)
+        ]
+        stream = statement_stream(document, 16, seed=seed, insert_ratio=insert_ratio)
+        application = BatchApplication(document, stream).apply()
+        return _refresh_checked(views, document, application)
+
+
 @PROPERTY
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     insert_ratio=st.sampled_from((0.0, 0.5, 1.0)),
+    backend=st.sampled_from(("memory", "sqlite")),
 )
-def test_refresh_probe_matches_scan(seed, insert_ratio):
-    _refresh_pairs_checked(seed, insert_ratio)
+def test_refresh_probe_matches_scan(seed, insert_ratio, backend):
+    _refresh_pairs_checked(seed, insert_ratio, backend)
 
 
 def test_refresh_oracle_sees_rewrites():
@@ -210,6 +236,159 @@ def test_refresh_oracle_sees_rewrites():
     # stored val/cont, through insert and through delete targets.
     assert _refresh_pairs_checked(seed=3, insert_ratio=1.0) > 0
     assert _refresh_pairs_checked(seed=3, insert_ratio=0.0) > 0
+
+
+# Random trees and patterns: nested same-label elements (so the
+# outermost anchor matters), content nodes beside the leading column
+# (a meet at a branch node or the pattern root), ``*`` content nodes
+# and meets, child- and desc-axis roots.  Both are nested-tuple specs.
+_spec_trees = st.recursive(
+    st.tuples(st.sampled_from(_LABELS), st.sampled_from((None, "x")), st.just(())),
+    lambda kids: st.tuples(
+        st.sampled_from(_LABELS),
+        st.sampled_from((None, "x")),
+        st.lists(kids, min_size=1, max_size=3).map(tuple),
+    ),
+    max_leaves=12,
+)
+_ANNOTATIONS = ((), ("ID",), ("ID", "val"), ("ID", "cont"), ("ID", "val", "cont"))
+# Desc edges and content annotations drawn often, so most examples store
+# the rows a batch rewrites.
+_axes = st.sampled_from(("desc", "desc", "child"))
+_pattern_labels = st.sampled_from(_LABELS + ("*", "*"))
+_annotations = st.sampled_from(_ANNOTATIONS + (("ID", "val"), ("ID", "cont")))
+_spec_patterns = st.recursive(
+    st.tuples(_pattern_labels, _axes, _annotations, st.just(())),
+    lambda kids: st.tuples(
+        _pattern_labels,
+        _axes,
+        _annotations,
+        st.lists(kids, min_size=1, max_size=2).map(tuple),
+    ),
+    max_leaves=3,
+)
+# A lead and a content node on sibling branches: the meet is their
+# parent -- the pattern root, or a branch node one level down.
+_lead_leaf = st.tuples(
+    _pattern_labels, _axes, st.sampled_from((("ID",), ("ID", "val"))), st.just(())
+)
+_content_leaf = st.tuples(
+    _pattern_labels, _axes, st.sampled_from((("ID", "val"), ("ID", "cont"))), st.just(())
+)
+_branch = st.tuples(
+    _pattern_labels,
+    _axes,
+    st.sampled_from(((), ("ID",))),
+    st.tuples(_lead_leaf, _content_leaf),
+)
+_branch_patterns = st.one_of(
+    _branch, st.tuples(_pattern_labels, _axes, st.just(()), st.tuples(_branch))
+)
+_FRAGMENTS = ("<a>t</a>", "<b><c>u</c></b>", "<c/>")
+#: (insert?, element index, fragment) -- indices wrap over the elements.
+_ops = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 30), st.integers(0, len(_FRAGMENTS) - 1)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _tree_from_spec(spec) -> ElementNode:
+    label, text, kids = spec
+    element = ElementNode(label)
+    if text is not None:
+        element.append(TextNode(text))
+    for kid in kids:
+        element.append(_tree_from_spec(kid))
+    return element
+
+
+def _pattern_from_spec(spec) -> Pattern:
+    def build(item) -> PatternNode:
+        label, axis, annotations, kids = item
+        node = PatternNode(
+            label,
+            axis=axis,
+            store_id="ID" in annotations,
+            store_val="val" in annotations,
+            store_cont="cont" in annotations,
+        )
+        for kid in kids:
+            node.add_child(build(kid))
+        return node
+
+    pattern = Pattern(build(spec))
+    if not pattern.content_nodes():
+        last = pattern.nodes()[-1]
+        last.store_id = last.store_val = True
+    return pattern
+
+
+# a1(b, a2(c(a3))) under //a[//b{ID}]//c{ID,val}: b leads, the meet is
+# the root a, and only the *outermost* a above c holds the leading b.
+_NESTED_MEET = (
+    "a", None, (("b", None, ()), ("a", None, (("c", "x", (("a", "y", ()),)),)))
+)
+_ROOT_MEET = (
+    "a", "desc", (), (("b", "desc", ("ID",), ()), ("c", "desc", ("ID", "val"), ()))
+)
+# a1(a2(b)) under //a{ID,cont}: both a's are affected, their runs nest.
+_NESTED_RUNS = ("a", None, (("a", None, (("b", None, ()),)),))
+_PINNED = (
+    (_NESTED_MEET, _ROOT_MEET, [(True, 3, 0)]),
+    (_NESTED_MEET, _ROOT_MEET, [(False, 4, 0)]),
+    (_NESTED_RUNS, ("a", "desc", ("ID", "cont"), ()), [(True, 2, 2)]),
+)
+
+
+def _random_tree_refresh_checked(tree, pattern, ops, backend) -> int:
+    document = build_document(_tree_from_spec(tree))
+    elements = [
+        node for node in document.root.self_and_descendants() if node.kind == "element"
+    ]
+    stream = []
+    for insert, index, fragment in ops:
+        target = elements[index % len(elements)]
+        if insert:
+            forest = parse_fragment(_FRAGMENTS[fragment])
+            stream.append(ResolvedInsertUpdate([target.id], forest))
+        elif target is not document.root:
+            stream.append(ResolvedDeleteUpdate([target.id]))
+    with _store_factories(backend) as factory:
+        view = MaterializedView.materialize(
+            _pattern_from_spec(pattern), document, name="v", store_factory=factory("v")
+        )
+        application = BatchApplication(document, stream).apply()
+        return _refresh_checked([view], document, application)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tree=_spec_trees,
+    pattern=st.one_of(_spec_patterns, _branch_patterns),
+    ops=_ops,
+    backend=st.sampled_from(("memory", "sqlite")),
+)
+@example(tree=_PINNED[0][0], pattern=_PINNED[0][1], ops=_PINNED[0][2], backend="memory")
+@example(tree=_PINNED[1][0], pattern=_PINNED[1][1], ops=_PINNED[1][2], backend="sqlite")
+@example(tree=_PINNED[2][0], pattern=_PINNED[2][1], ops=_PINNED[2][2], backend="memory")
+@example(
+    tree=_NESTED_MEET,
+    pattern=(
+        "*", "desc", (), (("b", "desc", ("ID",), ()), ("*", "desc", ("ID", "val"), ()))
+    ),
+    ops=[(True, 3, 1)],
+    backend="sqlite",
+)
+def test_refresh_probe_matches_scan_on_random_trees(tree, pattern, ops, backend):
+    _random_tree_refresh_checked(tree, pattern, ops, backend)
+
+
+def test_random_tree_refresh_oracle_sees_rewrites():
+    # The pinned examples do rewrite rows, each only through an anchor
+    # above the content node or through nested runs.
+    for tree, pattern, ops in _PINNED:
+        assert _random_tree_refresh_checked(tree, pattern, ops, "memory") > 0
 
 
 # -- (d) indexed lattice upkeep ≡ all-rows filter --------------------------------------
@@ -457,6 +636,10 @@ class _Counters:
         #: the whole right input of a hash join, the ancestors found
         #: and the subtree runs sliced by the two probes.
         self.join_rows_examined = 0
+        #: view name -> extent rows the PIMT/PDMT refresh read.
+        self.extent_rows_read = {}
+        #: Dewey chain walks started at a batch's target IDs.
+        self.target_chain_walks = 0
 
 
 @contextmanager
@@ -638,6 +821,55 @@ def test_insert_recomposes_only_the_chain_and_the_new_subtree():
         "slice_inserts": len(new_labels),
         "node_inserts": 0,
     }
+
+
+def _mail_refresh_counts(scale: int):
+    """Refresh reads and target-chain walks for one ``mail`` inserted
+    under an item's mailbox, with all seven XMark views registered."""
+    document = generate_document(scale=scale)
+    engine = MaintenanceEngine(document)
+    for name in sorted(VIEW_TEXTS):
+        engine.register_view(view_pattern(name), name)
+    mailbox = document.nodes_with_label("mailbox")[0]
+    counters = _Counters()
+    rows_led_by, ancestor_ids = MaterializedView.rows_led_by, DeweyID.ancestor_ids
+
+    def counted_rows(self, anchors):
+        rows = rows_led_by(self, anchors)
+        counters.extent_rows_read[self.name] = (
+            counters.extent_rows_read.get(self.name, 0) + len(rows)
+        )
+        return rows
+
+    def counted_ancestors(self):
+        counters.target_chain_walks += self == mailbox.id
+        return ancestor_ids(self)
+
+    MaterializedView.rows_led_by = counted_rows
+    DeweyID.ancestor_ids = counted_ancestors
+    try:
+        report = engine.apply_batch(
+            [ResolvedInsertUpdate([mailbox.id], parse_fragment(_PROBE_MAIL))]
+        )
+    finally:
+        MaterializedView.rows_led_by = rows_led_by
+        DeweyID.ancestor_ids = ancestor_ids
+    assert report.report_for("Q6").tuples_modified == 1  # the item's cont
+    for name, registered in engine.views.items():
+        assert registered.view.equals_fresh_evaluation(document), name
+    return counters, len(engine.views["Q6"].view)
+
+
+def test_refresh_reads_the_rows_under_affected_nodes_at_any_scale():
+    """The refresh reads the extent runs under the affected nodes, not
+    the extents; the affected IDs are walked once per batch, not once
+    per view."""
+    small, small_items = _mail_refresh_counts(8)
+    large, large_items = _mail_refresh_counts(32)
+    assert large_items > 3 * small_items  # the state really grew
+    assert small.extent_rows_read == large.extent_rows_read
+    assert small.extent_rows_read["Q6"] == 1  # the one item's own row
+    assert small.target_chain_walks == large.target_chain_walks == 1
 
 
 def test_fixed_batch_examines_the_same_rows_at_any_scale():
