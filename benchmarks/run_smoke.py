@@ -178,10 +178,9 @@ def _measure_fallback_rate() -> dict:
     """Fallback rate of the repair engine on a mixed-churn stream.
 
     A batch is *flip-bearing* when it σ-flipped some view candidate
-    (``report.repairs`` non-empty, or a ``predicate_flip`` fallback
-    fired); the rate is fallback-bearing over flip-bearing batches.
-    The historical recompute fallback scored ~1.0 here by construction;
-    the σ-flip repair keeps it at 0.0.
+    (``report.repairs`` non-empty); the rate is fallback-bearing over
+    flip-bearing batches.  The historical recompute fallback scored
+    ~1.0 here by construction; the σ-flip repair keeps it at 0.0.
     """
     from repro.workloads.churn import churn_batches
 
@@ -198,11 +197,7 @@ def _measure_fallback_rate() -> dict:
     fallback_bearing = 0
     for batch in batches:
         report = engine.apply_batch(list(batch))
-        flipped = bool(report.repairs) or any(
-            entry.get("reason") == "predicate_flip"
-            for entry in report.fallbacks.values()
-        )
-        if flipped:
+        if report.repairs:
             flip_bearing += 1
             if report.fallbacks:
                 fallback_bearing += 1

@@ -26,11 +26,16 @@ admissions the Δ+ store pass, and the snowcap lattice gets a
 column-aware flip pass -- all in the same batch round, byte-identical
 to recomputation.  Similarly, a net-removed node whose val/cont
 drifted before its removal (*dirty subtree*) is restored from the
-first-seen snapshots instead of invalidating the whole view.  Only
-genuinely unrepairable cases -- drift with hot-path caches disabled,
-or ``sigma_repair=False`` forcing the historical behaviour -- fall
-back to recomputing the affected view (``BatchReport.fallbacks``
-records structured reasons).
+first-seen snapshots instead of invalidating the whole view.  The one
+unrepairable case -- drift with hot-path caches disabled, where there
+is nowhere to park a snapshot -- falls back to recomputing the affected
+view (``BatchReport.fallbacks`` records the structured reason).
+
+Every term reads its canonical relations from one source builder,
+:meth:`MaintenanceEngine._sources`: the live relation with the batch's
+Δ+ cut out, for R_old its Δ− merged back, and for σ relations the
+view's flips rolled back, each spliced by bisect into the label's row
+or value-index bucket.
 
 The batch round always runs in-process, view by view; the only other
 execution mode is a resident :class:`~repro.sharding.ShardSession`
@@ -55,6 +60,7 @@ from repro.maintenance.insert import (
     insert_side,
 )
 from repro.maintenance.repair import (
+    FlipSets,
     flip_lattice_repair,
     flip_repair,
     match_flips_to_pattern,
@@ -229,7 +235,6 @@ class ViewReport:
         self.tuples_removed = 0
         self.derivations_removed = 0
         self.term_eval_seconds = 0.0
-        self.predicate_fallback = False
 
     def __repr__(self) -> str:
         return (
@@ -267,7 +272,7 @@ class BatchReport:
         self.cancelled = 0
         #: view name -> ``{"reason": str, "candidates": int}`` for each
         #: view whose recompute fallback fired (the candidate count is
-        #: the unrepairable dirty nodes resp. suppressed σ flips).
+        #: the unrepairable dirty nodes it reads).
         self.fallbacks: Dict[str, Dict] = {}
         #: view name -> σ-flip repair counters (``sigma_flips``,
         #: ``evicted``/``admitted`` extent rows, ``lattice_dropped``/
@@ -358,7 +363,6 @@ class _ViewRound:
         "additions",
         "rewrites",
         "snowcap",
-        "flips",
         "minus_sets",
         "plus_sets",
         "embedding_fragments",
@@ -379,11 +383,10 @@ class _ViewRound:
         #: PIMT/PDMT ``(old row, new row)`` pairs for the store pass.
         self.rewrites: List[Tuple[tuple, tuple]] = []
         self.snowcap: Optional[dict] = None
-        #: ``(node ID, constant) -> (node, satisfied now)`` σ flips of
-        #: this batch, and their bucketing under the view's σ nodes.
-        self.flips: Dict[Tuple[DeweyID, str], Tuple[Node, bool]] = {}
-        self.minus_sets: Dict[str, List[Node]] = {}
-        self.plus_sets: Dict[str, List[Node]] = {}
+        #: this batch's σ flips bucketed under the view's σ nodes
+        #: (flipped false resp. true).
+        self.minus_sets: FlipSets = {}
+        self.plus_sets: FlipSets = {}
         #: doomed-embedding maps (Δ− side + repair evictions) unioned
         #: once into ``removals``; counted row dicts (Δ+ side + repair
         #: admissions) summed once into ``additions``.
@@ -424,7 +427,6 @@ class MaintenanceEngine:
         prune_even_terms: bool = True,
         use_data_pruning: bool = True,
         use_id_pruning: bool = True,
-        sigma_repair: bool = True,
         obs: Optional[Observability] = None,
         backend: "Union[None, str, SqliteExtentBackend]" = None,
     ):
@@ -464,12 +466,6 @@ class MaintenanceEngine:
         self.prune_even_terms = prune_even_terms
         self.use_data_pruning = use_data_pruning
         self.use_id_pruning = use_id_pruning
-        #: incremental repair of σ-predicate flips (bounded Δ± terms)
-        #: and dirty removed subtrees (snapshot restoration) in
-        #: ``apply_batch``.  ``False`` restores the historical
-        #: whole-view recompute fallback for both situations -- kept as
-        #: a baseline for the repair benchmarks and regression tests.
-        self.sigma_repair = sigma_repair
         #: when True, ``apply_batch`` reports carry ``view_deltas`` --
         #: the exact extent-delta inputs of every view's store pass
         #: (used by shard-session replica workers).
@@ -611,63 +607,81 @@ class MaintenanceEngine:
 
     # -- source relations ---------------------------------------------------
 
-    def _sources_excluding(
+    def _sources(
         self,
         pattern: Pattern,
-        excluded_ids: set,
+        cut_by_label: Dict[str, List[DeweyID]],
+        merge_by_label: Dict[str, List[Node]],
         cache: Dict[str, KeyedRows],
-        excluded_by_label: Dict[str, List[DeweyID]],
+        rollback: Tuple[FlipSets, FlipSets] = ({}, {}),
     ) -> Sources:
-        """σ-filtered canonical relations, minus the given node IDs.
+        """σ-filtered canonical relations with one batch's edits spliced in.
 
-        After an insert has been applied, R_old = R_new − Δ+.  Labels
-        untouched by the update reference the label index's (or the
-        value index's) own keyed rows directly (no copy): term
-        evaluation never mutates its sources, so copying is pure
-        overhead.  A touched label's Δ+ nodes are cut out at their
-        bisected positions (``KeyedRows.spliced``), so the cost follows
-        the excluded IDs of that label, not ``|R_label|``.
+        Every relation is the live one with the ``cut_by_label`` IDs cut
+        out and the document-ordered ``merge_by_label`` nodes merged in:
+        survivors R − Δ+ pass ``(Δ+ IDs, {})``; the pre-batch R_old adds
+        the net-removed nodes, which -- detached with their subtrees
+        intact and certified clean (or snapshot-restored) by the dirty
+        machinery -- still expose their pre-batch ``val``/``cont``.
+        ``rollback`` is a view's ``(minus_sets, plus_sets)`` σ flips:
+        each flipped σ node's relation returns to pre-batch membership,
+        its flipped-true candidates cut and flipped-false ones merged.
 
-        ``cache`` (label-keyed, one per batch) shares the unpredicated
-        post-exclusion rows across calls with the same ``excluded_ids``
-        so multi-view maintenance filters each label once.
-        ``excluded_by_label`` is ``excluded_ids`` bucketed by label in
-        document order, built once per batch.
+        A non-σ node of a label no edit touches reads the label index's
+        own rows (no copy: term evaluation never mutates its sources); a
+        touched label is spliced once per batch into ``cache`` (one
+        cache per edit set).  A σ node reads its value-index bucket,
+        spliced in one call: the label's cut IDs and flipped-true
+        candidates out, its merge nodes whose detached ``val`` equals
+        the constant and its flipped-false candidates in.  Either way
+        the cost is one bisect per edit of the label, not ``|R_label|``.
+        A ``*`` node takes the edits of every label, and its non-σ
+        relation starts from every element.
         """
+        minus_sets, plus_sets = rollback
         sources: Sources = {}
         for node in pattern.nodes():
             label = node.label
-            if node.value_pred is not None:
-                # σ-constant selection via the document's value index
-                # (wildcards through its all-labels entry); the
-                # excluded IDs are cut out of the bucket by bisect.
-                rows = self.document.keyed_value(label, node.value_pred)
-                cut = excluded_ids if label == "*" else excluded_by_label.get(label)
-                if cut:
-                    rows = rows.spliced([node_id.sort_key for node_id in cut])
+            if label == "*":
+                cut = [node_id for ids in cut_by_label.values() for node_id in ids]
+                merge = sorted(
+                    (
+                        n
+                        for nodes in merge_by_label.values()
+                        for n in nodes
+                        if n.kind == "element"
+                    ),
+                    key=lambda n: n.id.sort_key,
+                )
+            else:
+                cut = cut_by_label.get(label, ())
+                merge = merge_by_label.get(label, ())
+            constant = node.value_pred
+            if constant is not None:
+                cut_keys = [node_id.sort_key for node_id in cut]
+                cut_keys.extend(n.id.sort_key for n in plus_sets.get(node.name, ()))
+                merged = [n for n in merge if n.val == constant]
+                merged.extend(minus_sets.get(node.name, ()))
+                rows = self.document.keyed_value(label, constant)
+                if cut_keys or merged:
+                    merged.sort(key=lambda n: n.id.sort_key)
+                    rows = rows.spliced(cut_keys, merged)
                 sources[node.name] = rows
                 continue
-            if label != "*" and label not in excluded_by_label:
+            if label != "*" and not cut and not merge:
                 sources[node.name] = self.document.keyed_label(label)
                 continue
             rows = cache.get(label)
             if rows is None:
                 if label == "*":
                     rows = KeyedRows.of(
-                        sorted(
-                            (
-                                n
-                                for n in self.document.all_elements()
-                                if n.id not in excluded_ids
-                            ),
-                            key=lambda n: n.id.sort_key,
-                        )
+                        sorted(self.document.all_elements(), key=lambda n: n.id.sort_key)
                     )
                 else:
-                    rows = self.document.keyed_label(label).spliced(
-                        [node_id.sort_key for node_id in excluded_by_label[label]]
-                    )
-                cache[label] = rows
+                    rows = self.document.keyed_label(label)
+                rows = cache[label] = rows.spliced(
+                    [node_id.sort_key for node_id in cut], merge
+                )
             sources[node.name] = rows
         return sources
 
@@ -766,16 +780,14 @@ class MaintenanceEngine:
         view, so the final extents always equal sequential application.
         """
         self._check_no_active_session()
-        batch_id = None
-        if self.backend is not None and self.backend.writable:
-            # The WAL payload is the coalesced statement list -- what
-            # the impl actually applies (coalesced() is idempotent, so
-            # computing it here too costs one cheap pass).
-            if isinstance(batch, UpdateBatch):
-                payload = batch.coalesced().statements
-            else:
-                payload = list(batch)
-            batch_id = self.backend.begin_batch(payload)
+        # The WAL payload is the coalesced statement list -- what the
+        # impl actually applies (coalesced() is idempotent, so computing
+        # it here too costs one cheap pass).
+        if isinstance(batch, UpdateBatch):
+            payload = batch.coalesced().statements
+        else:
+            payload = list(batch)
+        batch_id = self._durability_begin(payload)
         try:
             with self.obs.span("batch") as span:
                 report = self._apply_batch_impl(batch)
@@ -844,9 +856,7 @@ class MaintenanceEngine:
         # Only delete-bearing batches can net-remove a node, so
         # insert-only batches never pay the capture (or repair) cost.
         has_deletes = any(isinstance(s, DeleteUpdate) for s in statements)
-        capture = bool(
-            self.sigma_repair and has_deletes and (val_sensitive or cont_sensitive)
-        )
+        capture = bool(has_deletes and (val_sensitive or cont_sensitive))
         val_snapshots: Dict[DeweyID, Optional[str]] = {}
         cont_snapshots: Dict[DeweyID, Optional[str]] = {}
 
@@ -917,7 +927,7 @@ class MaintenanceEngine:
         report.net_removed = len(removed_ids)
         report.cancelled = application.cancelled_count()
         dirty_nodes = application.dirty_removed_nodes() if removed_ids else []
-        if dirty_nodes and self.sigma_repair:
+        if dirty_nodes:
             # Restore the detached subtrees' pre-batch val/cont from the
             # first-seen snapshots; only genuinely unrestorable drift
             # (caches disabled) is left to trigger a per-view fallback.
@@ -1018,22 +1028,10 @@ class MaintenanceEngine:
             report.view_reports[name] = view_report
             pattern = registered.pattern
 
-            flips = (
-                self._batch_flips(watch[name], inserted_ids) if watch[name] else {}
-            )
-            reason = None
-            candidates = 0
-            if dirty_nodes:
-                candidates = self._dirty_affects(pattern, dirty_nodes)
-                if candidates:
-                    reason = "dirty_removed_subtree"
-            if reason is None and flips and not self.sigma_repair:
-                reason = "predicate_flip"
-                candidates = len(flips)
-            if reason is not None:
-                view_report.predicate_fallback = True
+            candidates = self._dirty_affects(pattern, dirty_nodes) if dirty_nodes else 0
+            if candidates:
                 report.fallbacks[name] = {
-                    "reason": reason,
+                    "reason": "dirty_removed_subtree",
                     "candidates": candidates,
                 }
                 fallback_views.append(registered)
@@ -1045,12 +1043,12 @@ class MaintenanceEngine:
             ctx.refresh_due = any_targets and bool(pattern.content_nodes())
             ctx.minus_due = bool(touched_labels(pattern, removed_candidates))
             ctx.plus_due = bool(touched_labels(pattern, inserted_candidates))
+            flips = (
+                self._batch_flips(watch[name], inserted_ids) if watch[name] else {}
+            )
             if flips:
-                minus_sets, plus_sets = match_flips_to_pattern(pattern, flips)
-                if minus_sets or plus_sets:
-                    ctx.flips = flips
-                    ctx.minus_sets = minus_sets
-                    ctx.plus_sets = plus_sets
+                ctx.minus_sets, ctx.plus_sets = match_flips_to_pattern(pattern, flips)
+                if ctx.minus_sets or ctx.plus_sets:
                     report.repairs[name] = {"sigma_flips": len(flips)}
             contexts.append(ctx)
         for registered in fallback_views:
@@ -1065,11 +1063,8 @@ class MaintenanceEngine:
             return
 
         def survivor_sources(ctx: _ViewRound) -> Sources:
-            return self._sources_excluding(
-                ctx.registered.pattern,
-                inserted_ids,
-                cache=survivor_cache,
-                excluded_by_label=inserted_by_label,
+            return self._sources(
+                ctx.registered.pattern, inserted_by_label, {}, survivor_cache
             )
 
         # Bucketed on the first view whose refresh is due, then shared.
@@ -1091,19 +1086,17 @@ class MaintenanceEngine:
             if not ctx.minus_due:
                 return 0
             pattern = ctx.registered.pattern
-            flip_keys = set(ctx.flips) if ctx.flips else None
             started = time.perf_counter()
             embeddings, stats = delete_side(
                 pattern,
                 removed_candidates,
                 ctx.registered.lattice,
-                lambda: self._sources_pre_batch(
+                lambda: self._sources(
                     pattern,
-                    inserted_ids,
                     inserted_by_label,
-                    removed_candidates,
+                    removed_candidates.by_label,
                     pre_batch_cache,
-                    flips=flip_keys,
+                    (ctx.minus_sets, ctx.plus_sets),
                 ),
                 self.prune_even_terms,
                 self.use_data_pruning,
@@ -1142,13 +1135,12 @@ class MaintenanceEngine:
                 pattern,
                 ctx.minus_sets,
                 ctx.plus_sets,
-                lambda: self._sources_flip_pre(
+                lambda: self._sources(
                     pattern,
-                    inserted_ids,
                     inserted_by_label,
+                    {},
                     survivor_cache,
-                    ctx.minus_sets,
-                    ctx.plus_sets,
+                    (ctx.minus_sets, ctx.plus_sets),
                 ),
                 lambda: survivor_sources(ctx),
             )
@@ -1285,10 +1277,10 @@ class MaintenanceEngine:
         the detached value) or a stored ``val``/``cont`` attribute (the
         removal tuple's projection must match what the extent holds).
         Views that bind the label by ID alone are exact regardless --
-        structural joins never read values.  With snapshot repair
-        active the caller passes only the *unrestorable* drifted nodes,
-        so the returned count is per-candidate: it sizes the structured
-        fallback entry and is zero exactly when no fallback is needed.
+        structural joins never read values.  The caller passes only the
+        *unrestorable* drifted nodes, so the returned count is
+        per-candidate: it sizes the structured fallback entry and is
+        zero exactly when no fallback is needed.
         """
         sensitive = [
             node
@@ -1388,135 +1380,6 @@ class MaintenanceEngine:
             if now != satisfied:
                 flips[(node_id, constant)] = (node, now)
         return flips
-
-    def _sources_pre_batch(
-        self,
-        pattern: Pattern,
-        inserted_ids: set,
-        inserted_by_label: Dict[str, List[DeweyID]],
-        removed_candidates: BatchCandidates,
-        cache: Optional[Dict[str, KeyedRows]] = None,
-        flips: Optional[set] = None,
-    ) -> Sources:
-        """Reconstructed pre-batch σ-filtered canonical relations.
-
-        ``R_old`` per label = live survivors (current relation minus
-        batch inserts) plus the net-removed nodes, which -- detached
-        with their subtrees intact and certified clean (or snapshot-
-        restored) by the dirty machinery -- still expose their
-        pre-batch ``val``/``cont``.
-
-        ``flips`` holds the batch's ``(node ID, constant)`` σ-flip keys
-        for the calling view: a surviving candidate's *pre-batch*
-        membership in a σ relation is its current test XOR-ed with flip
-        membership, and a flipped label must skip the untouched-label
-        fast path (its value-index rows reflect post-flip membership
-        even though the batch inserted/removed no node of the label).
-
-        Labels the batch never touched reference the live relation (or
-        the value index) directly; touched labels build their merged
-        base row once per batch in ``cache`` and σ-filter per view on
-        top.  Term evaluation never mutates its sources, so shared
-        lists are safe.
-        """
-        if cache is None:
-            cache = {}
-        flip_labels: set = (
-            {node_id.label for node_id, _constant in flips} if flips else set()
-        )
-        sources: Sources = {}
-        for node in pattern.nodes():
-            label = node.label
-            sigma_flipped = (
-                node.value_pred is not None and flips and (
-                    label == "*" or label in flip_labels
-                )
-            )
-            if (
-                label != "*"
-                and label not in inserted_by_label
-                and label not in removed_candidates.by_label
-                and not sigma_flipped
-            ):
-                # Untouched label: R_old == R_new.
-                if node.value_pred is not None:
-                    sources[node.name] = self.document.keyed_value(
-                        label, node.value_pred
-                    )
-                else:
-                    sources[node.name] = self.document.keyed_label(label)
-                continue
-            base = cache.get(label)
-            if base is None:
-                if label == "*":
-                    elements = [
-                        candidate
-                        for candidate in self.document.all_elements()
-                        if candidate.id not in inserted_ids
-                    ]
-                    elements.extend(
-                        candidate
-                        for candidate in removed_candidates.nodes
-                        if candidate.kind == "element"
-                    )
-                    elements.sort(key=lambda n: n.id.sort_key)
-                    base = KeyedRows.of(elements)
-                else:
-                    # Δ+ cut out of / Δ− merged into the live relation
-                    # at bisected positions: O(|Δ_label| log |R_label|)
-                    # plus C-level slice copies.
-                    base = self.document.keyed_label(label).spliced(
-                        [i.sort_key for i in inserted_by_label.get(label, ())],
-                        removed_candidates.by_label.get(label, ()),
-                    )
-                cache[label] = base
-            constant = node.value_pred
-            if constant is None:
-                rows = base
-            elif sigma_flipped:
-                # Removed candidates are never flip keys (flips track
-                # only live survivors), so their XOR term is False and
-                # the test reads their detached pre-batch value as-is.
-                rows = base.select(
-                    [(n.val == constant) != ((n.id, constant) in flips) for n in base]
-                )
-            else:
-                rows = base.select([n.val == constant for n in base])
-            sources[node.name] = rows
-        return sources
-
-    def _sources_flip_pre(
-        self,
-        pattern: Pattern,
-        inserted_ids: set,
-        inserted_by_label: Dict[str, List[DeweyID]],
-        cache: Optional[Dict[str, KeyedRows]],
-        minus_sets: Dict[str, List[Node]],
-        plus_sets: Dict[str, List[Node]],
-    ) -> Sources:
-        """Survivor relations at *pre-batch* σ membership, per flip.
-
-        The evict side of a σ-flip repair reproduces embeddings the
-        extent stored before the batch, so its sources are the current
-        survivor relations with each flipped σ node's relation rolled
-        back: flipped-true candidates (present now, absent then)
-        dropped, flipped-false candidates (absent now, present then)
-        restored.  Net-removed nodes stay excluded -- embeddings
-        binding them are the Δ− side's job, which keeps the two
-        doomed-embedding sets disjoint.
-        """
-        sources = self._sources_excluding(
-            pattern, inserted_ids, cache=cache, excluded_by_label=inserted_by_label
-        )
-        for name in sorted(set(minus_sets) | set(plus_sets)):
-            rows = sources.get(name)
-            if rows is None:
-                continue
-            sources[name] = rows.spliced(
-                [node.id.sort_key for node in plus_sets.get(name, ())],
-                sorted(minus_sets.get(name, ()), key=lambda n: n.id.sort_key),
-            )
-        return sources
 
     # -- helpers -----------------------------------------------------------------
 

@@ -553,8 +553,9 @@ class ShardSession:
                     report.repairs[name] = entry["repairs"]
                 if entry["fallback"] is not None:
                     report.fallbacks[name] = entry["fallback"]
-                    view_report.predicate_fallback = True
-                    self._replace_extent(registered, entry["content"])
+                    # Content-level reload keeps the store object (and
+                    # its durable table binding, if any).
+                    registered.view.reload_content(entry["content"])
                     continue
                 # ONE bulk store pass replays the Δ rows and the refresh
                 # rewrites together; counters come back net of the churn.
@@ -722,12 +723,6 @@ class ShardSession:
             "view_migration", time.perf_counter() - started, moves=len(moves)
         )
 
-    @staticmethod
-    def _replace_extent(registered, content) -> None:
-        # Content-level reload keeps the store object (and its durable
-        # table binding, when the engine has a storage backend).
-        registered.view.reload_content(content)
-
     def _resync_extents(self) -> None:
         """Recompute every owner extent from the owner document."""
         from repro.views.view import MaterializedView
@@ -774,9 +769,7 @@ class ShardSession:
         # With a durable backend, checkpoint the re-materialized
         # lattices (and any buffered extent ops) so the persisted
         # lattice_version catches back up to the batch version.
-        sync = getattr(self.engine, "sync_durability", None)
-        if sync is not None:
-            sync()
+        self.engine.sync_durability()
 
     def __enter__(self) -> "ShardSession":
         return self

@@ -65,7 +65,6 @@ Invariants
 from __future__ import annotations
 
 import bisect
-from itertools import compress
 from typing import Any, Dict, Iterable, Iterator, List, Sequence
 
 _ABSENT = object()
@@ -121,12 +120,6 @@ class KeyedRows:
         start = bisect.bisect_right(keys, ancestor_id.sort_key)
         stop = bisect.bisect_left(keys, ancestor_id.subtree_end_key, start)
         return self.nodes[start:stop]
-
-    def select(self, mask: Sequence[bool]) -> "KeyedRows":
-        """The rows whose ``mask`` entry (parallel to the rows) holds."""
-        return KeyedRows(
-            list(compress(self.nodes, mask)), list(compress(self.keys, mask))
-        )
 
     def spliced(
         self, cut_keys: Iterable[Any], merge_nodes: Sequence[Any] = ()

@@ -242,13 +242,12 @@ class PropagationReport:
         )
 
 
-def _sources_excluding(engine, pattern: Pattern, excluded_ids: set) -> Sources:
+def _survivor_sources(engine, pattern: Pattern, excluded_ids: set) -> Sources:
+    """R − Δ+ through the engine's one source builder."""
     excluded_by_label: Dict[str, List[DeweyID]] = {}
-    for node_id in sorted(excluded_ids, key=lambda i: i.sort_key):
+    for node_id in excluded_ids:
         excluded_by_label.setdefault(node_id.label, []).append(node_id)
-    return engine._sources_excluding(
-        pattern, excluded_ids, cache={}, excluded_by_label=excluded_by_label
-    )
+    return engine._sources(pattern, excluded_by_label, {}, {})
 
 
 def _watch_predicates(
@@ -289,12 +288,11 @@ def _watch_changed(engine, watch: List[Tuple[DeweyID, str, bool]]) -> bool:
     return False
 
 
-def _predicate_guard(engine, registered, view_report: ViewReport, watchlist) -> bool:
+def _predicate_guard(engine, registered, watchlist) -> bool:
     """Whole-view recompute on a σ flip; True when it fired."""
     if not _watch_changed(engine, watchlist):
         return False
     engine._recompute(registered)
-    view_report.predicate_fallback = True
     return True
 
 
@@ -330,7 +328,7 @@ def _apply_insert(engine, statement: InsertUpdate) -> PropagationReport:
         )
         pattern = registered.pattern
 
-        if _predicate_guard(engine, registered, view_report, watchlists[name]):
+        if _predicate_guard(engine, registered, watchlists[name]):
             report.view_reports[name] = view_report
             continue
 
@@ -355,7 +353,7 @@ def _apply_insert(engine, statement: InsertUpdate) -> PropagationReport:
             view_report.tuples_modified = pimt(
                 registered.view, engine.document, target_ids
             )
-            r_sources = _sources_excluding(engine, pattern, inserted_ids)
+            r_sources = _survivor_sources(engine, pattern, inserted_ids)
             view_report.derivations_added, view_report.term_eval_seconds = et_ins(
                 registered.view, terms, r_sources, deltas, registered.lattice
             )
@@ -424,7 +422,7 @@ def _apply_delete(engine, statement: DeleteUpdate) -> PropagationReport:
         view_report.terms_surviving = len(terms)
 
         with _PhaseTimer(tracer, view_report.phases, "execute_update", name):
-            r_sources = _sources_excluding(engine, pattern, set())
+            r_sources = _survivor_sources(engine, pattern, set())
             removals, view_report.term_eval_seconds = et_del(
                 registered.view, terms, r_sources, deltas, registered.lattice
             )
@@ -440,7 +438,7 @@ def _apply_delete(engine, statement: DeleteUpdate) -> PropagationReport:
 
     for name, registered in engine.views.items():
         view_report = report.view_reports[name]
-        if _predicate_guard(engine, registered, view_report, watchlists[name]):
+        if _predicate_guard(engine, registered, watchlists[name]):
             continue
         with _PhaseTimer(tracer, view_report.phases, "execute_update", name):
             view_report.tuples_modified = pdmt(

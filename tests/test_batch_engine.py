@@ -11,6 +11,7 @@ out of both Δ sets).
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from repro.workloads.churn import churn_batches
 from repro.workloads.queries import view_pattern
 from repro.workloads.updates import delete_variant, insert_update, statement_stream
 from repro.workloads.xmark import generate_document
+from repro.xmldom.model import set_hot_path_caches
 from repro.xmldom.parser import parse_document
 from repro.xmldom.serializer import serialize_fragment
 from tests.harness.reference_statement_path import apply_statement
@@ -362,8 +364,35 @@ class TestReductionRules:
         )
 
 
+@contextmanager
+def _caches_off():
+    """Hot-path caches disabled: the one mode in which a dirty removed
+    subtree cannot be restored and its views fall back."""
+    previous = set_hot_path_caches(False)
+    try:
+        yield
+    finally:
+        set_hot_path_caches(previous)
+
+
+def _dirty_batch(document):
+    # Q1 stores name.val, so drift matters only on removed *name*
+    # nodes: insert under an existing name, then delete its whole
+    # ancestor chain via a *path* (a resolved delete would just void
+    # the insert per O3) -- the removed name's val/cont drifted before
+    # its removal.
+    name = parse_update("delete /site/people/person/name").target.evaluate(document)[0]
+    return UpdateBatch(
+        [
+            ResolvedInsertUpdate([name.id], insert_update("X1_L").forest, name="ins"),
+            parse_update("delete /site/people", name="del"),
+        ]
+    )
+
+
 class TestFallbackReasons:
-    """σ flips and dirty subtrees repair in place; fallbacks are scoped."""
+    """σ flips and dirty subtrees repair in place; only caches-off drift
+    falls back."""
 
     @staticmethod
     def _flip_document():
@@ -381,59 +410,26 @@ class TestFallbackReasons:
             UpdateBatch([parse_update("for $i in //increase insert flip", name="flip")])
         )
         assert report.fallbacks == {}
-        assert not report.report_for("Q3").predicate_fallback
         repairs = report.repairs["Q3"]
         assert repairs["sigma_flips"] == 1
         assert repairs["evicted"] == 1 and repairs.get("admitted", 0) == 0
         assert registered.view.equals_fresh_evaluation(document)
 
-    def test_predicate_flip_fallback_when_repair_disabled(self):
-        document = self._flip_document()
-        engine = MaintenanceEngine(document, sigma_repair=False)
-        registered = engine.register_view(view_pattern("Q3"), "Q3")
-        report = engine.apply_batch(
-            UpdateBatch([parse_update("for $i in //increase insert flip", name="flip")])
-        )
-        assert report.fallbacks == {
-            "Q3": {"reason": "predicate_flip", "candidates": 1}
-        }
-        assert report.report_for("Q3").predicate_fallback
-        assert report.repairs == {}
-        assert registered.view.equals_fresh_evaluation(document)
-
-    @staticmethod
-    def _dirty_batch(document):
-        # Q1 stores name.val, so drift matters only on removed *name*
-        # nodes: insert under an existing name, then delete its whole
-        # ancestor chain via a *path* (a resolved delete would just
-        # void the insert per O3) -- the removed name's val/cont
-        # drifted before its removal.
-        name = parse_update("delete /site/people/person/name").target.evaluate(
-            document
-        )[0]
-        return UpdateBatch(
-            [
-                ResolvedInsertUpdate(
-                    [name.id], insert_update("X1_L").forest, name="ins"
-                ),
-                parse_update("delete /site/people", name="del"),
-            ]
-        )
-
     def test_dirty_removed_subtree_restores_snapshots(self):
         document = generate_document(scale=1)
         engine = MaintenanceEngine(document)
         registered = engine.register_view(view_pattern("Q1"), "Q1")
-        report = engine.apply_batch(self._dirty_batch(document))
+        report = engine.apply_batch(_dirty_batch(document))
         assert report.fallbacks == {}
         assert report.dirty_restored >= 1
         assert registered.view.equals_fresh_evaluation(document)
 
-    def test_dirty_removed_subtree_fallback_when_repair_disabled(self):
+    def test_dirty_removed_subtree_fallback_when_caches_off(self):
         document = generate_document(scale=1)
-        engine = MaintenanceEngine(document, sigma_repair=False)
+        engine = MaintenanceEngine(document)
         registered = engine.register_view(view_pattern("Q1"), "Q1")
-        report = engine.apply_batch(self._dirty_batch(document))
+        with _caches_off():
+            report = engine.apply_batch(_dirty_batch(document))
         fallback = report.fallbacks["Q1"]
         assert fallback["reason"] == "dirty_removed_subtree"
         assert fallback["candidates"] >= 1
@@ -526,11 +522,9 @@ class TestBatchEngineApi:
         )
         assert report.net_removed > 0 and report.net_inserted > 0
         self._assert_fresh(document, views)
-        engine.sigma_repair = False
-        report = engine.apply_batch(
-            [parse_update("for $i in //increase insert flip", name="flip")]
-        )
-        assert report.fallbacks["Q3"]["reason"] == "predicate_flip"
+        with _caches_off():
+            report = engine.apply_batch(_dirty_batch(document))
+        assert report.fallbacks["Q1"]["reason"] == "dirty_removed_subtree"
         self._assert_fresh(document, views)
         with pytest.raises(RuntimeError, match="no sharding backend"):
             engine.session(workers=2)

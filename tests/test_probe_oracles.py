@@ -13,6 +13,7 @@ of one insert (its subtree and ancestor chain).
 
 from __future__ import annotations
 
+import random
 import tempfile
 from contextlib import contextmanager
 
@@ -525,21 +526,31 @@ def test_lattice_probe_matches_filter_on_mixed_batches(seed):
         assert view.view.equals_fresh_evaluation(document), name
 
 
-@PROPERTY
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_lattice_probe_matches_filter_on_sigma_flips(seed):
-    sigma_values = ("4.50", "100.00", "150.00")
-    document = generate_document(scale=1)
-    batches = churn_batches(
-        document, 6, batch_size=5, seed=seed, sigma_values=sigma_values
-    )
+#: σ constants of the churn streams below: one amount the generator
+#: emits and two that only flips and Appendix-A inserts produce.
+_CHURN_AMOUNTS = ("4.50", "100.00", "150.00")
+
+
+def _q3_sigma_engine(document, amounts):
+    """An engine over one Q3 variant per σ amount."""
     engine = MaintenanceEngine(document)
-    for amount in sigma_values:
+    for amount in amounts:
         pattern = view_pattern("Q3")
         for node in pattern.nodes():
             if node.value_pred is not None:
                 node.value_pred = amount
         engine.register_view(pattern, "Q3_%s" % amount)
+    return engine
+
+
+@PROPERTY
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_lattice_probe_matches_filter_on_sigma_flips(seed):
+    document = generate_document(scale=1)
+    batches = churn_batches(
+        document, 6, batch_size=5, seed=seed, sigma_values=_CHURN_AMOUNTS
+    )
+    engine = _q3_sigma_engine(document, _CHURN_AMOUNTS)
     seen = {}
     with _lattice_upkeep_checked(seen):
         for batch in batches:
@@ -577,6 +588,63 @@ def test_spliced_label_reconstructs_the_pre_batch_relation(seed):
         assert spliced.keys == [node.id.sort_key for node in spliced.nodes], label
 
 
+@contextmanager
+def _sigma_sources_checked(document, before, checked):
+    """Hold every σ source ``MaintenanceEngine._sources`` builds with a
+    Δ− merge or a flip rollback to ``before`` (σ constant -> the IDs
+    whose ``val`` equaled it before the batch): a merged source is that
+    set, a rollback-only one its members still in the document."""
+    sources = MaintenanceEngine._sources
+
+    def checked_sources(self, pattern, cut_by_label, merge_by_label, cache, rollback=({}, {})):
+        built = sources(self, pattern, cut_by_label, merge_by_label, cache, rollback)
+        kind = "merge" if merge_by_label else "rollback" if any(rollback) else None
+        for node in pattern.nodes():
+            if kind is None or node.value_pred is None:
+                continue
+            rows = built[node.name]
+            assert rows.keys == sorted(rows.keys) == [n.id.sort_key for n in rows]
+            expected = before[node.value_pred]
+            if kind == "rollback":
+                expected = {i for i in expected if document.node_by_id(i) is not None}
+            assert {n.id for n in rows} == expected, (kind, node.value_pred)
+            checked[kind] += 1
+        return built
+
+    MaintenanceEngine._sources = checked_sources
+    try:
+        yield
+    finally:
+        MaintenanceEngine._sources = sources
+
+
+@PROPERTY
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_sigma_sources_rebuild_the_pre_batch_relation(seed):
+    document = generate_document(scale=1)
+    batches = churn_batches(
+        document, 6, batch_size=5, seed=seed, sigma_values=_CHURN_AMOUNTS
+    )
+    # Churn rarely removes an increase, so each batch also deletes a
+    # bidder: the Δ− side then merges increases of every amount.
+    rng = random.Random(seed)
+    bidders = document.nodes_with_label("bidder")
+    engine = _q3_sigma_engine(document, _CHURN_AMOUNTS)
+    before = {}
+    checked = {"merge": 0, "rollback": 0}
+    with _sigma_sources_checked(document, before, checked):
+        for batch in batches:
+            batch = batch + [ResolvedDeleteUpdate([rng.choice(bidders).id])]
+            before.update(
+                (amount, {n.id for n in document.nodes_with_label("increase") if n.val == amount})
+                for amount in _CHURN_AMOUNTS
+            )
+            engine.apply_batch(batch)
+    assert checked["merge"] and checked["rollback"], checked
+    for name, registered in engine.views.items():
+        assert registered.view.equals_fresh_evaluation(document), name
+
+
 # -- (f) dirty detection: ancestor-chain probe ≡ bisect per removed node --------------
 
 _ANCESTOR_DELETES = (
@@ -591,8 +659,6 @@ def _dirty_stream(seed: int):
     """Single-target statements with path deletes of whole ancestor
     subtrees mixed in, so earlier inserts and removals sit below later
     removals."""
-    import random
-
     rng = random.Random(seed)
     document = generate_document(scale=1)
     stream = statement_stream(document, 16, seed=seed, insert_ratio=0.6)
@@ -888,3 +954,54 @@ def test_fixed_batch_examines_the_same_rows_at_any_scale():
         large.rows_rewritten,
         large.join_rows_examined,
     )
+
+
+#: generator amounts, one Q3 σ view each
+_XMARK_AMOUNTS = ("4.50", "7.50", "12.00")
+
+
+def _sigma_batch_val_reads(scale: int):
+    """``val`` reads of one fixed batch over Q3 σ views: a marker under
+    a 4.50 increase flips it false while a bidder holding a 7.50
+    increase is deleted, so the Δ− side and the flip repair both read
+    σ sources."""
+    document = generate_document(scale=scale)
+    engine = _q3_sigma_engine(document, _XMARK_AMOUNTS)
+    increases = document.nodes_with_label("increase")
+    flipped = next(node for node in increases if node.val == "4.50")
+    doomed = next(node for node in increases if node.val == "7.50").parent
+    document.root.val  # warm every cache
+    reads = 0
+    val = ElementNode.val
+
+    def counted_val(self):
+        nonlocal reads
+        reads += 1
+        return val.fget(self)
+
+    ElementNode.val = property(counted_val)
+    try:
+        report = engine.apply_batch(
+            [
+                ResolvedInsertUpdate([flipped.id], parse_fragment("<flip>x</flip>")),
+                ResolvedDeleteUpdate([doomed.id]),
+            ]
+        )
+    finally:
+        ElementNode.val = val
+    assert report.repairs["Q3_4.50"]["evicted"] == 1
+    assert report.report_for("Q3_7.50").derivations_removed == 1
+    for name, registered in engine.views.items():
+        assert registered.view.equals_fresh_evaluation(document), name
+    return reads, len(increases)
+
+
+def test_sigma_sources_read_the_same_vals_at_any_scale():
+    """σ sources splice the value-index bucket by the batch's edits, so
+    a fixed batch reads the same few ``val`` s at any document size --
+    never one per node of the σ label."""
+    small, small_increases = _sigma_batch_val_reads(8)
+    large, large_increases = _sigma_batch_val_reads(32)
+    assert large_increases > 3 * small_increases  # the state really grew
+    assert small == large
+    assert small < small_increases

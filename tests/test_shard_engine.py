@@ -27,6 +27,7 @@ from repro.workloads.updates import statement_stream
 from repro.workloads.xmark import generate_document
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.parser import parse_document
+from tests.test_batch_engine import _caches_off, _dirty_batch
 
 VIEWS = ("Q1", "Q3", "Q6")
 
@@ -161,24 +162,20 @@ class TestShardedPropagation:
         assert report.repairs["Q3"]["sigma_flips"] == 1
         assert registered.view.equals_fresh_evaluation(document)
 
-    def test_sigma_flip_fallback_recomputes_on_shards(self):
-        # With repair disabled, the owning replica recomputes the view
-        # and ships the extent -- it must match the serial recompute.
-        document = parse_document(
-            "<site><open_auctions><open_auction><bidder>"
-            "<increase>4.50</increase></bidder>"
-            "<bidder><increase>7.25</increase></bidder></open_auction>"
-            "</open_auctions></site>"
-        )
-        engine = MaintenanceEngine(document, sigma_repair=False)
-        views = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
-        from repro.updates.language import parse_update
-
-        with engine.session(workers=2) as session:
-            report = session.apply_batch(
-                [parse_update("for $i in //increase insert extra", name="flip")]
-            )
-        assert report.fallbacks["Q3"]["reason"] == "predicate_flip"
+    def test_dirty_fallback_recomputes_on_shards(self):
+        # With caches off a dirty removed subtree cannot be restored, so
+        # the owning replica recomputes the view and ships the extent;
+        # the fallback must match the in-process one.  Caches go off
+        # before the session forks, so the workers inherit the mode.
+        with _caches_off():
+            _, serial, _ = _engines()
+            serial_report = serial.apply_batch(_dirty_batch(serial.document))
+            document, engine, views = _engines()
+            with engine.session(workers=2) as session:
+                report = session.apply_batch(_dirty_batch(document))
+        assert set(report.fallbacks) == {"Q1"}
+        assert report.fallbacks["Q1"]["reason"] == "dirty_removed_subtree"
+        assert report.fallbacks == serial_report.fallbacks
         for name in VIEWS:
             assert views[name].view.equals_fresh_evaluation(document), name
 

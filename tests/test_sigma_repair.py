@@ -1,12 +1,13 @@
 """σ-flip repair: adversarial churn equivalence and repair-path scoping.
 
-The tentpole invariant: on any update stream, the repair engine's
-extents *and* snowcap lattices are byte-identical to what the
-historical whole-view recompute fallback produced -- in-process and
-under a resident :class:`~repro.sharding.session.ShardSession`.
-The streams come from :func:`repro.workloads.churn.churn_batches`,
-which is built to hit the old fallback triggers (σ-value rewrites,
-flip round-trips, dirty removed subtrees).
+The central invariant: on any update stream, the repairing engine's
+extents *and* snowcap lattices equal fresh evaluation -- the view
+re-evaluated and a new ``SnowcapLattice`` materialized over the same
+document -- in-process and under a resident
+:class:`~repro.sharding.session.ShardSession`.  The streams come from
+:func:`repro.workloads.churn.churn_batches`, which is built to hit the
+cases the 2^k − 1 terms cannot express (σ-value rewrites, flip
+round-trips, dirty removed subtrees).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.maintenance.engine import MaintenanceEngine
 from repro.sharding import ShardSession
 from repro.updates.language import UpdateBatch
+from repro.views.lattice import SnowcapLattice
 from repro.workloads.churn import churn_batches
 from repro.workloads.queries import view_pattern
 from repro.workloads.updates import statement_stream
@@ -29,25 +31,27 @@ def _register(engine, views=VIEWS):
     return {name: engine.register_view(view_pattern(name), name) for name in views}
 
 
-def _lattice_id_rows(registered):
+def _lattice_id_rows(lattice):
     """Materialized lattice content as sorted binding-ID rows."""
-    out = {}
-    for subset in registered.lattice.materialized_sets():
-        relation = registered.lattice.relation_for(subset)
-        out[subset] = sorted(
-            tuple(cell.id for cell in row) for row in relation.rows
+    return {
+        subset: sorted(
+            tuple(cell.id for cell in row) for row in lattice.relation_for(subset).rows
         )
-    return out
+        for subset in lattice.materialized_sets()
+    }
 
 
-def _assert_engines_agree(repair_views, forced_views, context):
-    for name in repair_views:
-        assert (
-            repair_views[name].view.content() == forced_views[name].view.content()
-        ), (context, name)
-        assert _lattice_id_rows(repair_views[name]) == _lattice_id_rows(
-            forced_views[name]
-        ), (context, name)
+def _assert_fresh(views, document, context, lattices=True):
+    """Every extent (and lattice) equals fresh evaluation."""
+    for name, registered in views.items():
+        assert registered.view.equals_fresh_evaluation(document), (context, name)
+        if lattices:
+            fresh = SnowcapLattice(registered.pattern)
+            fresh.materialize(document)
+            assert _lattice_id_rows(registered.lattice) == _lattice_id_rows(fresh), (
+                context,
+                name,
+            )
 
 
 class TestChurnEquivalence:
@@ -62,6 +66,7 @@ class TestChurnEquivalence:
         dirty_every=st.integers(min_value=0, max_value=3),
     )
     def test_repair_matches_forced_recompute(self, seed, flip_gap, dirty_every):
+        # "Forced recompute" is fresh evaluation of view and lattice.
         batches = churn_batches(
             generate_document(scale=1),
             6,
@@ -70,49 +75,33 @@ class TestChurnEquivalence:
             flip_gap=flip_gap,
             dirty_every=dirty_every,
         )
-        repair_doc = generate_document(scale=1)
-        forced_doc = generate_document(scale=1)
-        repair = MaintenanceEngine(repair_doc)
-        forced = MaintenanceEngine(forced_doc, sigma_repair=False)
-        repair_views = _register(repair)
-        forced_views = _register(forced)
+        document = generate_document(scale=1)
+        engine = MaintenanceEngine(document)
+        views = _register(engine)
         repaired = 0
         for index, batch in enumerate(batches):
-            repair_report = repair.apply_batch(list(batch))
-            forced.apply_batch(list(batch))
-            assert repair_report.fallbacks == {}, index
+            report = engine.apply_batch(list(batch))
+            assert report.fallbacks == {}, index
             repaired += sum(
-                entry.get("sigma_flips", 0)
-                for entry in repair_report.repairs.values()
+                entry.get("sigma_flips", 0) for entry in report.repairs.values()
             )
-            _assert_engines_agree(repair_views, forced_views, index)
-            for name in VIEWS:
-                assert repair_views[name].view.equals_fresh_evaluation(
-                    repair_doc
-                ), (index, name)
+            _assert_fresh(views, document, index)
         # The generator must actually exercise the repair path.
         assert repaired > 0
 
     def test_repair_matches_under_shard_session(self):
         batches = churn_batches(generate_document(scale=1), 6, seed=11)
-        session_doc = generate_document(scale=1)
-        forced_doc = generate_document(scale=1)
-        session_engine = MaintenanceEngine(session_doc)
-        forced = MaintenanceEngine(forced_doc, sigma_repair=False)
-        session_views = _register(session_engine)
-        forced_views = _register(forced)
-        with ShardSession(session_engine, workers=2) as session:
+        document = generate_document(scale=1)
+        engine = MaintenanceEngine(document)
+        views = _register(engine)
+        with ShardSession(engine, workers=2) as session:
             for index, batch in enumerate(batches):
                 report = session.apply_batch(list(batch))
-                forced.apply_batch(list(batch))
                 assert report.fallbacks == {}, index
-                for name in VIEWS:
-                    assert (
-                        session_views[name].view.content()
-                        == forced_views[name].view.content()
-                    ), (index, name)
+                # The owner's lattices are stale while workers hold them.
+                _assert_fresh(views, document, index, lattices=False)
         # close() re-materialized the owner lattices; full agreement now.
-        _assert_engines_agree(session_views, forced_views, "closed")
+        _assert_fresh(views, document, "closed")
 
 
 class TestRepairPathScoping:
