@@ -26,10 +26,11 @@ The gate requires
   decisions are a pure function of recorded timings, so the policy is
   replayed offline against the serial run's per-batch per-view times;
   both sides' makespans come from those times grouped by their (frozen
-  resp. replayed) ownership, a ``workers=1`` sequential-send
+  resp. replayed) ownership, a ``workers=2`` sequential-send
   calibration run prices the transport/store overhead both sessions
-  share, and the adaptive side is additionally charged the
-  live-measured per-move migration cost;
+  share (``bench_shard_pipeline.transport_seconds``), and the adaptive
+  side is additionally charged the live-measured per-move migration
+  cost;
 * **post-migration imbalance high-water <= MAX_HIGH_WATER** -- from
   the first repair on, the policy's smoothed imbalance ratio (the
   ``lpt_imbalance_ratio`` gauge's EWMA view, measured after each
@@ -47,6 +48,7 @@ from __future__ import annotations
 import gc
 import os
 
+from bench_shard_pipeline import transport_seconds
 from repro.maintenance.engine import MaintenanceEngine
 from repro.sharding.planner import imbalance_ratio
 from repro.sharding.rebalance import RebalancePolicy
@@ -302,30 +304,6 @@ def _replay(timing_rows, assignment):
     }
 
 
-def _support_seconds(calibration_rounds):
-    """Transport/store seconds shared by both sessions, priced from the
-    1-worker sequential-send calibration exactly as in
-    ``bench_shard_pipeline._projected_speedup``: payload building and
-    result pickling divide across workers, pipe transit and the owner's
-    store replay are serial and charge in full."""
-    worker_extra = 0.0
-    overhead = 0.0
-    for shard_round in calibration_rounds:
-        worker_extra += max(
-            0.0,
-            shard_round["worker_s"]
-            - shard_round["worker_apply_s"]
-            - shard_round["worker_propagation_s"],
-        )
-        overhead += max(
-            0.0,
-            shard_round["wall_s"]
-            - shard_round["worker_s"]
-            - shard_round["owner_prep_s"],
-        )
-    return worker_extra / WORKERS + overhead
-
-
 def _live_migration_stats(rounds):
     migrations = sum(len(shard_round.get("migrations", ())) for shard_round in rounds)
     seconds = sum(shard_round.get("migration_s", 0.0) for shard_round in rounds)
@@ -344,16 +322,19 @@ def run_gate() -> dict:
     support = None
     if cpus < WORKERS:
         # The transport/store support price is identical across repeats;
-        # calibrate it once (1 worker, sequential send, contention-free).
+        # calibrate it once (the owner plus one replica, sequential
+        # send, contention-free), as bench_shard_pipeline does.
         (
             calib_doc,
             calib_views,
             _calib_props,
             calib_rounds,
             _calib_assignment,
-        ) = _run_session(stream, 1, weights, sequential=True)
+        ) = _run_session(stream, 2, weights, sequential=True)
         _assert_identical(serial_views, calib_views, calib_doc)
-        support = _support_seconds(calib_rounds[PROFILE_BATCHES:])
+        support = transport_seconds(
+            calib_rounds[PROFILE_BATCHES:], len(serial_views), WORKERS - 1
+        )
 
     best = None
     for _ in range(REPEATS):

@@ -7,7 +7,8 @@ views, twice from the same starting document:
 
 * ``workers=0``: each batch propagated by the serial shard plan;
 * ``workers=4``: a resident :class:`~repro.sharding.ShardSession`
-  (fork-once replica workers, view-sharded, extent deltas shipped back
+  of four parties -- the owner maintaining its share in-process plus
+  three fork-once replicas, view-sharded, extent deltas shipped back
   to the owner).
 
 The gate requires
@@ -22,10 +23,11 @@ The gate requires
   *projected* ratio built from measured quantities only: the serial
   run's per-view propagation times (grouped by the session's actual
   view->worker assignment into a makespan), plus the payload-building
-  and transport/store overhead of a ``workers=1`` session run in
-  sequential-send calibration mode, where owner and worker phases
-  never overlap and every component is clean of time-slicing (see
-  ``_projected_speedup`` for the exact accounting).  Replica document
+  and transport/store overhead of a ``workers=2`` session (the owner
+  and one forked replica) run in sequential-send calibration mode,
+  where owner and replica phases never overlap and every component is
+  clean of time-slicing (see ``_projected_speedup`` and
+  ``transport_seconds`` for the exact accounting).  Replica document
   application is excluded only because the owner's measured, identical
   apply runs concurrently with it.  The report says which mode
   produced the number.
@@ -134,50 +136,65 @@ def _assert_identical(serial_views, session_views, session_doc):
             raise AssertionError("sharded view %s != fresh evaluation" % name)
 
 
-def _projected_speedup(serial_prop, view_prop, assignment, session1_rounds):
+def transport_seconds(calibration_rounds, views_total, forked_parties):
+    """Price of shipping every view's deltas, from a 2-party
+    sequential-send calibration (the owner plus one forked replica).
+
+    Party 0 maintains its views in-process and ships nothing, so only
+    the forked party's round is read, in two measured parts:
+
+    * **worker extra** -- payload building and result pickling inside
+      the replica (its wall minus its document apply minus its
+      maintenance); it runs on the replicas, so it divides by
+      ``forked_parties``;
+    * **overhead** -- everything left of the batch wall after the
+      owner's own prep (its in-process round + the statement send) and
+      the replica's wall are removed: pipe transit, result unpickling
+      and the owner's store replay, all serial on the owner, charged in
+      full.
+
+    Both are scaled by (all views / views on the forked party): the
+    calibration ships only that party's share, the price assumes every
+    view crosses a pipe, so it can only go up.
+    """
+    worker_extra = 0.0
+    overhead = 0.0
+    for shard_round in calibration_rounds:
+        (forked,) = [unit for unit in shard_round["unit_s"] if unit["shard"]]
+        scale = views_total / max(1, forked["views"])
+        worker_extra += scale * max(
+            0.0, forked["seconds"] - forked["apply_s"] - forked["propagation_s"]
+        )
+        overhead += scale * max(
+            0.0,
+            shard_round["wall_s"] - forked["seconds"] - shard_round["owner_prep_s"],
+        )
+    return worker_extra / forked_parties + overhead
+
+
+def _projected_speedup(serial_prop, view_prop, assignment, calibration_rounds):
     """>=4-CPU ratio from measured pieces (no concurrency on this host).
 
-    The projected parallel propagation is the sum of three measured
+    The projected parallel propagation is the sum of two measured
     parts:
 
     * **makespan** -- the serial run's per-view propagation times,
-      grouped by the session's real view->worker assignment; the
-      slowest worker's sum bounds the concurrent maintenance wall;
-    * **worker extra / WORKERS** -- payload building and result
-      pickling measured inside the 1-worker session's workers (their
-      wall minus replica apply minus maintenance); it runs on the
-      workers, so it divides;
-    * **overhead** -- everything left of the 1-worker session's batch
-      walls after the worker wall and the owner's own prep (statement
-      send + document apply + net bookkeeping) are removed: pipe
-      transit, result unpickling and the owner's store replay, all
-      serial on the owner, charged in full.
+      grouped by the session's real view->party assignment; the
+      slowest party's sum bounds the concurrent maintenance wall;
+    * **transport** -- :func:`transport_seconds` over the 2-party
+      calibration, as if every view shipped from one of the
+      ``WORKERS - 1`` forked replicas.
 
     Replica document application is *not* projected away: it appears
-    inside the worker wall and cancels only against the owner prep the
-    1-worker measurement shows it overlapping.
+    inside the replica wall and cancels only against the owner prep the
+    calibration shows it overlapping.
     """
     worker_load = {}
     for name, seconds in view_prop.items():
         worker_load[assignment[name]] = worker_load.get(assignment[name], 0.0) + seconds
     makespan = max(worker_load.values())
-    worker_extra = 0.0
-    overhead = 0.0
-    for shard_round in session1_rounds:
-        worker_extra += max(
-            0.0,
-            shard_round["worker_s"]
-            - shard_round["worker_apply_s"]
-            - shard_round["worker_propagation_s"],
-        )
-        overhead += max(
-            0.0,
-            shard_round["wall_s"]
-            - shard_round["worker_s"]
-            - shard_round["owner_prep_s"],
-        )
-    projected_parallel = makespan + worker_extra / WORKERS + overhead
-    return serial_prop / projected_parallel, makespan, overhead + worker_extra / WORKERS
+    transport = transport_seconds(calibration_rounds, len(view_prop), WORKERS - 1)
+    return serial_prop / (makespan + transport), makespan, transport
 
 
 def run_gate() -> dict:
@@ -210,19 +227,19 @@ def run_gate() -> dict:
         else:
             mode = "projected_%d_cpu_host" % cpus
             # The overhead measurement needs un-overlapped phases: run
-            # the same stream through a one-worker session that
-            # sequences the owner's apply before the broadcast, so
-            # every component is clean of time-slicing.
+            # the same stream through a two-party session whose owner
+            # finishes its own round before the broadcast, so every
+            # component is clean of time-slicing.
             (
-                s1_doc,
-                s1_views,
-                _s1_prop,
-                s1_rounds,
-                _s1_assignment,
-            ) = _run_session(batches, 1, sequential=True)
-            _assert_identical(serial_views, s1_views, s1_doc)
+                s2_doc,
+                s2_views,
+                _s2_prop,
+                s2_rounds,
+                _s2_assignment,
+            ) = _run_session(batches, 2, sequential=True)
+            _assert_identical(serial_views, s2_views, s2_doc)
             speedup, makespan, overhead = _projected_speedup(
-                serial_prop, view_prop, assignment, s1_rounds
+                serial_prop, view_prop, assignment, s2_rounds
             )
         candidate = {
             "statements": STREAM_LENGTH,
@@ -266,7 +283,7 @@ def _summary(row: dict) -> str:
         lines.append(
             "  host has %d usable CPU(s): speedup projected from the serial "
             "per-view times over the session's view->worker assignment "
-            "(makespan %6.2fms) + measured 1-worker-session transport/store "
+            "(makespan %6.2fms) + measured 2-party-session transport/store "
             "overhead (%6.2fms) -> %.2fx (floor %.1fx)"
             % (
                 row["cpus"],

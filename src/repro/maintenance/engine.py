@@ -39,8 +39,9 @@ or value-index bucket.
 
 The batch round always runs in-process, view by view; the only other
 execution mode is a resident :class:`~repro.sharding.ShardSession`
-(``engine.session(...)``), whose replica workers each run this same
-in-process round over the views they own.
+(``engine.session(...)``), whose parties -- the owner's own process and
+its forked replicas -- each run this same in-process round over the
+views they own.
 """
 
 from __future__ import annotations
@@ -281,20 +282,22 @@ class BatchReport:
         #: net-removed dirty nodes whose pre-batch val/cont snapshots
         #: were restored onto the detached subtree (no fallback needed).
         self.dirty_restored = 0
-        #: resident session workers that maintained the views (0 when
-        #: the engine ran the round in-process).
+        #: session parties that maintained the views, the owner
+        #: included (0 when the engine ran the round in-process).
         self.workers = 0
         #: view name -> {"refresh", "additions", "removals"} extent
         #: deltas, recorded only when the engine's ``record_deltas`` is
         #: set (shard-session replica workers ship these to the owner).
         self.view_deltas: Optional[Dict[str, Dict]] = None
-        #: owner-side seconds a session spent waiting for and replaying
-        #: worker deltas (0 in-process, where time lands in per-view
-        #: phases).
+        #: owner-side seconds a session spent, past its own party's
+        #: round, waiting for and replaying replica deltas (0
+        #: in-process, where time lands in per-view phases).
         self.shard_seconds = 0.0
         #: one entry per round that ran any work: in-process rounds as
         #: ``{"mode": "serial", "units": n, "wall_s": s}``, session
-        #: batches with per-worker timing (``"mode": "session"``).
+        #: batches (``"mode": "session"``) with one ``unit_s`` entry
+        #: per party: wall, document apply and propagation seconds and
+        #: its view count.
         self.shard_rounds: List[Dict] = []
 
     def report_for(self, name: str) -> ViewReport:
@@ -595,9 +598,16 @@ class MaintenanceEngine:
     def sync_durability(self) -> None:
         """Flush buffered extent ops and lattice snapshots (no-op
         without a backend; ``ApplyQueue.close`` and session close call
-        this so a clean shutdown leaves nothing to replay)."""
+        this so a clean shutdown leaves nothing to replay).
+
+        While a session is attached, the owner's lattices of views other
+        parties maintain are not current, so only extents are
+        checkpointed -- as the session's per-batch commits do -- and the
+        persisted lattice_version keeps lagging until ``close()``."""
         if self.backend is not None:
-            self.backend.sync(self.views)
+            self.backend.sync(
+                self.views, include_lattices=not self._shard_session_active
+            )
 
     def unregister_view(self, name: str) -> None:
         self._check_no_active_session()
@@ -696,13 +706,17 @@ class MaintenanceEngine:
 
     def session(self, workers: int = 4, weights=None, rebalance=None):
         """A resident :class:`~repro.sharding.ShardSession` over this
-        engine: fork-once replica workers maintaining the views batch
-        by batch (pair with ``ApplyQueue(engine.session(...))`` for a
-        streaming write path).  ``weights`` optionally gives relative
-        per-view maintenance costs for the worker assignment;
-        ``rebalance`` (a ``RebalancePolicy``, or ``True`` for defaults)
-        lets the session migrate view ownership between workers when
-        the recorded per-view timings drift out of balance."""
+        engine, splitting the views across ``workers`` parties batch by
+        batch (pair with ``ApplyQueue(engine.session(...))`` for a
+        streaming write path).  ``workers`` counts the parties
+        *including* this engine's own process, party 0, which maintains
+        its share in-process; the session forks ``workers - 1``
+        resident replicas for the rest, so ``workers=1`` forks nothing.
+        ``weights`` optionally gives relative per-view maintenance costs
+        for the assignment; ``rebalance`` (a ``RebalancePolicy``, or
+        ``True`` for defaults) lets the session migrate view ownership
+        between parties when the recorded per-view timings drift out of
+        balance."""
         return shard_backend().ShardSession(
             self, workers=workers, weights=weights, rebalance=rebalance
         )
@@ -808,8 +822,15 @@ class MaintenanceEngine:
         return report
 
     def _apply_batch_impl(
-        self, batch: "Union[UpdateBatch, Sequence[UpdateStatement]]"
+        self,
+        batch: "Union[UpdateBatch, Sequence[UpdateStatement]]",
+        views: Optional[Dict[str, RegisteredView]] = None,
     ) -> BatchReport:
+        """Apply ``batch`` to the document and propagate it to ``views``
+        (default: every registered view).  A session's party 0 passes
+        the subset it maintains; the other views are left untouched."""
+        if views is None:
+            views = self.views
         if isinstance(batch, UpdateBatch):
             submitted = len(batch)
             statements = batch.coalesced().statements
@@ -829,7 +850,7 @@ class MaintenanceEngine:
         # i.e. the node's pre-batch value, since any earlier change
         # would itself have put the node on an earlier watchlist.
         watch: Dict[str, Dict[Tuple[DeweyID, str], bool]] = {
-            name: {} for name in self.views
+            name: {} for name in views
         }
         sigma_by_view = {
             name: [
@@ -837,7 +858,7 @@ class MaintenanceEngine:
                 for node in registered.pattern.nodes()
                 if node.value_pred is not None
             ]
-            for name, registered in self.views.items()
+            for name, registered in views.items()
         }
         any_sigma = any(sigma_by_view.values())
 
@@ -846,7 +867,7 @@ class MaintenanceEngine:
         # a net-removed node of another label cannot drift observably.
         val_sensitive: set = set()
         cont_sensitive: set = set()
-        for registered in self.views.values():
+        for registered in views.values():
             for node in registered.pattern.nodes():
                 if node.value_pred is not None or node.store_val:
                     val_sensitive.add(node.label)
@@ -908,7 +929,7 @@ class MaintenanceEngine:
             if application.applied:
                 # Partially applied batch: restore view consistency
                 # before surfacing the failure.
-                for registered in self.views.values():
+                for registered in views.values():
                     self._recompute(registered)
             raise
         report.apply_document_seconds = application.apply_seconds
@@ -922,11 +943,12 @@ class MaintenanceEngine:
         inserted_candidates = BatchCandidates(inserted_nodes)
         inserted_ids = {node.id for node in inserted_nodes}
         removed_candidates = BatchCandidates(application.net_removed_nodes())
-        removed_ids = {node.id for node in removed_candidates.nodes}
         report.net_inserted = len(inserted_ids)
-        report.net_removed = len(removed_ids)
+        report.net_removed = len(removed_candidates)
         report.cancelled = application.cancelled_count()
-        dirty_nodes = application.dirty_removed_nodes() if removed_ids else []
+        dirty_nodes = (
+            application.dirty_removed_nodes() if removed_candidates.nodes else []
+        )
         if dirty_nodes:
             # Restore the detached subtrees' pre-batch val/cont from the
             # first-seen snapshots; only genuinely unrestorable drift
@@ -944,18 +966,23 @@ class MaintenanceEngine:
         # Same float as the report field: trace and report stay equal.
         self.obs.tracer.record("net_effects", report.net_effects_seconds)
 
-        # Δ+ IDs bucketed by label once (document order), and the
+        # Δ± IDs bucketed by label once (document order), and the
         # label-keyed source rows shared by every view this batch (the
         # per-view σ push-down happens on top of them).
         inserted_by_label = {
             label: [node.id for node in nodes]
             for label, nodes in inserted_candidates.by_label.items()
         }
+        removed_by_label = {
+            label: [node.id for node in nodes]
+            for label, nodes in removed_candidates.by_label.items()
+        }
         survivor_cache: Dict[str, KeyedRows] = {}
         pre_batch_cache: Dict[str, KeyedRows] = {}
 
         try:
             self._propagate_batch_to_views(
+                views=views,
                 report=report,
                 application=application,
                 watch=watch,
@@ -963,7 +990,7 @@ class MaintenanceEngine:
                 inserted_ids=inserted_ids,
                 inserted_by_label=inserted_by_label,
                 removed_candidates=removed_candidates,
-                removed_ids=removed_ids,
+                removed_by_label=removed_by_label,
                 dirty_nodes=dirty_nodes,
                 insert_target_ids=insert_target_ids,
                 delete_target_ids=delete_target_ids,
@@ -975,7 +1002,7 @@ class MaintenanceEngine:
             # possibly its lattice) half-updated; restore consistency
             # before surfacing the error, as the queue contract
             # promises.
-            for registered in self.views.values():
+            for registered in views.values():
                 self._recompute(registered)
             raise
         return report
@@ -983,6 +1010,7 @@ class MaintenanceEngine:
     def _propagate_batch_to_views(
         self,
         *,
+        views: Dict[str, RegisteredView],
         report: BatchReport,
         application: BatchApplication,
         watch: Dict[str, Dict[Tuple[DeweyID, str], bool]],
@@ -990,14 +1018,14 @@ class MaintenanceEngine:
         inserted_ids: set,
         inserted_by_label: Dict[str, List[DeweyID]],
         removed_candidates: BatchCandidates,
-        removed_ids: set,
+        removed_by_label: Dict[str, List[DeweyID]],
         dirty_nodes: Sequence[Node],
         insert_target_ids: Sequence[DeweyID],
         delete_target_ids: Sequence[DeweyID],
         survivor_cache: Dict[str, KeyedRows],
         pre_batch_cache: Dict[str, KeyedRows],
     ) -> None:
-        """The batch's view-side round, run in-process.
+        """The batch's view-side round over ``views``, run in-process.
 
         1. per view, the recompute-fallback guards;
         2. if any view has a live Δ− side, a first round runs the
@@ -1018,7 +1046,7 @@ class MaintenanceEngine:
 
         contexts: List[_ViewRound] = []
         fallback_views: List[RegisteredView] = []
-        for name, registered in self.views.items():
+        for name, registered in views.items():
             view_report = ViewReport(name)
             view_report.targets = len(insert_target_ids) + len(delete_target_ids)
             _credit(
@@ -1178,7 +1206,7 @@ class MaintenanceEngine:
                     with _PhaseTimer(
                         tracer, ctx.report.phases, "update_lattice", ctx.name
                     ):
-                        ctx.registered.lattice.apply_batch(removed_ids, {})
+                        ctx.registered.lattice.apply_batch(removed_by_label, {})
             second_round = (plus, repair)
         else:
             second_round = (refresh, plus, repair)
@@ -1234,7 +1262,7 @@ class MaintenanceEngine:
                 with _PhaseTimer(
                     tracer, ctx.report.phases, "update_lattice", ctx.name
                 ):
-                    ctx.registered.lattice.apply_batch(set(), ctx.snowcap)
+                    ctx.registered.lattice.apply_batch({}, ctx.snowcap)
 
     def _absorb_stats(
         self, view_report: ViewReport, stats: SideStats, seconds: float

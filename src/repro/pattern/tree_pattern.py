@@ -97,6 +97,14 @@ class Pattern:
 
     def __init__(self, root: PatternNode):
         self.root = root
+        # The tree is complete when the pattern is built (every builder
+        # grafts children first), so its preorder is walked once here.
+        self._preorder: List[PatternNode] = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            self._preorder.append(node)
+            stack.extend(reversed(node.children))
         self._assign_names()
 
     def _assign_names(self) -> None:
@@ -110,14 +118,9 @@ class Pattern:
     # -- traversal --------------------------------------------------------
 
     def nodes(self) -> List[PatternNode]:
-        """All nodes in preorder (document order of declaration)."""
-        out: List[PatternNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(reversed(node.children))
-        return out
+        """All nodes in preorder (document order of declaration); a
+        fresh list each call, so callers may mutate it."""
+        return list(self._preorder)
 
     def node(self, name: str) -> PatternNode:
         return self._by_name[name]

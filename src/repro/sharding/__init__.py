@@ -1,10 +1,10 @@
 """Resident view-sharded workers: the engine's second execution mode.
 
 ``engine.session(workers=N)`` starts a :class:`ShardSession`
-(:mod:`repro.sharding.session`): N forked replica workers, each running
-the engine's in-process batch round over the views it owns and shipping
-extent deltas back, so extents stay byte-identical to in-process
-propagation.  View ownership is planned by :mod:`repro.sharding.planner`
+(:mod:`repro.sharding.session`) of N parties: the owner maintains its
+share of the views in-process (party 0) and N−1 forked replicas run the
+engine's in-process batch round over theirs, shipping extent deltas
+back, so extents stay byte-identical to in-process propagation.  View ownership is planned by :mod:`repro.sharding.planner`
 (LPT) and adapted by :mod:`repro.sharding.rebalance` (EWMA cost model,
 hysteretic migration policy); migrations move views through the pure
 units of :mod:`repro.sharding.units` and install them via

@@ -10,7 +10,8 @@ nodes; the receiving side rebuilds them against its own document:
   :class:`~repro.sharding.units.ViewSnapshotUnit` or the recompute-unit
   pair -- install through :func:`install_view_snapshot`, which rebuilds
   the extent from the pairs and re-resolves the snowcap rows against
-  the adopting replica's document;
+  the adopting replica's document (the session's owner installs only
+  the rows, through :func:`install_lattice_rows`);
 * session workers' span trees come home as
   :class:`~repro.obs.SpanFragment` rows and are stitched back by
   :func:`merge_span_fragments`.
@@ -79,10 +80,20 @@ def install_view_snapshot(registered, payload: Dict[str, object], document) -> N
         registered.pattern, payload["pairs"], name=registered.name
     )
     registered.view._store = fresh._store
-    relations = resolve_snowcap_fragment(payload["lattice"], document)
-    registered.lattice._materialized.clear()
+    install_lattice_rows(registered.lattice, payload["lattice"], document)
+
+
+def install_lattice_rows(lattice, fragment, document) -> None:
+    """Replace ``lattice``'s snowcap relations with a shipped fragment.
+
+    The lattice half of :func:`install_view_snapshot`, and all a
+    session's owner adopts: its extents are authoritative and current
+    already, so only the snowcap rows it dropped need to come back.
+    """
+    relations = resolve_snowcap_fragment(fragment, document)
+    lattice.drop()
     for subset, relation in relations.items():
-        registered.lattice.load_materialized(subset, relation)
+        lattice.load_materialized(subset, relation)
 
 
 def merge_span_fragments(fragment_lists: Iterable) -> list:

@@ -1,73 +1,93 @@
-"""Resident shard workers: fork once, maintain view replicas per batch.
+"""Resident shard parties: the owner plus forked view replicas.
 
 :class:`ShardSession` is the engine's one parallel execution mode (the
-other being the engine's own in-process batch round).  It forks its
-workers **once** and keeps them resident, so the copy-on-write warm-up
-amortizes over a whole statement stream -- the shape
-:class:`~repro.maintenance.queue.ApplyQueue` produces.
+other being the engine's own in-process batch round).  View maintenance
+is per view -- each view's Δ terms read only the document and that
+view's own lattice -- so the session splits the registered views across
+``workers`` *parties*.  Party 0 is the owner's own process; parties
+1..N−1 are replicas forked **once** and kept resident, so the
+copy-on-write warm-up amortizes over a whole statement stream -- the
+shape :class:`~repro.maintenance.queue.ApplyQueue` produces.  A
+one-party session forks nothing.
 
 Design (replicated state machines):
 
-* at session start the registered views are partitioned across
-  ``workers`` by an LPT schedule over their extent sizes; each worker
-  is forked with a full copy-on-write replica of the engine and
-  restricts itself to its owned views;
+* at session start the registered views are partitioned across the
+  parties by an LPT schedule over their extent sizes; each replica is
+  forked with a full copy-on-write copy of the engine and restricts
+  itself to its owned views;
 * per batch, the owner coalesces the statements once and broadcasts
-  the resulting list (a few KB) to every worker.  Each worker applies
-  the statements to its replica document -- resolution and Dewey
-  assignment are deterministic, so every replica evolves
+  the resulting list (a few KB) to every replica, then maintains
+  party 0's views in-process with the engine's own batch pipeline
+  (document apply included) while the replicas run theirs.  Each
+  replica applies the statements to its replica document -- resolution
+  and Dewey assignment are deterministic, so every replica evolves
   byte-identically to the owner -- and runs the ordinary serial
   ``apply_batch`` over its views, which keeps its extents *and*
   lattices current for the next batch;
-* workers ship back only the extent-delta inputs of the store pass
+* replicas ship back only the extent-delta inputs of the store pass
   (refresh pairs, Δ+/Δ− tuple counts -- recorded by the engine's
-  ``record_deltas`` hook) plus slim per-view stats; the owner, which
-  applied the same statements to its authoritative document
-  concurrently, replays those deltas into its authoritative extents.
-  The deltas are exactly what a serial engine would have computed, so
-  owner extents stay byte-identical to in-process propagation.
-* σ-flip repair runs on the workers (their replicas hold the lattices
-  and survivor relations); the repair Δ± folds into the ordinary
-  shipped delta rows, so the owner replays flips without ever seeing
-  the repair machinery.  A view that still trips a true recompute
-  fallback on its worker ships its full recomputed extent instead
-  (rare; the owner holds no lattices, so it cannot recompute as
-  cheaply itself).
+  ``record_deltas`` hook) plus slim per-view stats; the owner replays
+  those deltas into its authoritative extents.  The deltas are exactly
+  what a serial engine would have computed, so owner extents stay
+  byte-identical to in-process propagation.  Party 0's views never
+  cross a pipe: the owner's store pass writes them directly;
+* σ-flip repair runs wherever the view is maintained; the repair Δ±
+  folds into the ordinary shipped delta rows, so the owner replays
+  flips without ever seeing the repair machinery.  A view that still
+  trips a true recompute fallback on its replica ships its full
+  recomputed extent instead (rare; the owner holds no current lattice
+  for it, so it cannot recompute as cheaply itself);
+* the owner keeps current lattices only for party 0's views.  The rest
+  would only go stale, so it drops them once the replicas have forked
+  (and on releasing a view to another party); :meth:`ShardSession.close`
+  rematerializes exactly those.
+
+Replicas fork under :func:`gc.freeze`, which the parent undoes right
+after: the heap every replica inherits sits in the permanent
+generation, so a replica's collections neither scan it nor touch (and
+thus copy-on-write) its pages.  The cost is that garbage cycles a
+replica inherits are never collected there -- bounded by the owner's
+heap at fork time, since the replica's own garbage is collected as
+usual.
 
 Failure semantics mirror the engine's poison-batch contract: a
 statement that fails poisons *its* batch only.  Owner and replicas run
 the same deterministic application, so they fail the same statement
 identically, each side restores its own views by recomputation, they
 stay in lockstep, and the session keeps serving subsequent batches.
-Only unrecoverable faults -- a dead worker, or a worker disagreeing
+Only unrecoverable faults -- a dead replica, or a replica disagreeing
 with the owner about a batch's outcome -- restore the owner's views
 and close the session for good.
 
 Adaptive rebalancing (opt-in via ``rebalance=``): the per-view
-``maintenance_seconds`` each worker already ships feed a
+``maintenance_seconds`` every party records feed a
 :class:`~repro.sharding.rebalance.RebalancePolicy`; when the observed
 imbalance ratio stays over its trigger long enough, the policy plans
 ownership moves and the session executes them at the next batch
-boundary *without re-forking*.  Every worker holds a byte-identical
-document replica (idle views stay registered, just unmaintained), so
-the target can rematerialize an adopted view against its own replica
--- or install the source's shipped extent pairs + snowcap rows when
-the view is small -- through the pure units of
-:mod:`repro.sharding.units`; the source drops the view, and the owner's
-assignment map flips only after both sides acked.  Extents stay
-byte-identical to serial propagation throughout, and a failure
-mid-migration degrades exactly like a dead worker.
+boundary *without re-forking*.  Every replica holds a byte-identical
+document (idle views stay registered, just unmaintained), so the
+target can rematerialize an adopted view against its own replica -- or
+install the source's shipped extent pairs + snowcap rows when the view
+is small -- through the pure units of :mod:`repro.sharding.units`; the
+source drops the view, and the assignment map flips only after both
+sides acked.  Party 0 serves the same release/adopt steps in-process:
+it ships its authoritative extent pairs + snowcap rows and drops the
+lattice, and it adopts **lattice rows only** -- its extent store is
+authoritative (and possibly bound to sqlite), so it is never replaced.
+Extents stay byte-identical to serial propagation throughout, and a
+failure mid-migration degrades exactly like a dead replica.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.sharding.merge import merge_span_fragments
 from repro.updates.language import UpdateBatch, UpdateStatement
-from repro.updates.pul import BatchApplication
 
 
 def _canonical_row(row: tuple, canon: Dict[str, str]) -> tuple:
@@ -76,6 +96,15 @@ def _canonical_row(row: tuple, canon: Dict[str, str]) -> tuple:
         canon.setdefault(cell, cell) if type(cell) is str else cell
         for cell in row
     )
+
+
+def _release_payload(registered, ship_rows: int) -> Optional[Dict]:
+    """What releasing a view ships: its stored extent pairs + snowcap
+    rows when they fit ``ship_rows``, else None (the target rebuilds)."""
+    from repro.sharding.units import ViewSnapshotUnit
+
+    unit = ViewSnapshotUnit(registered.name, registered=registered)
+    return unit.execute() if unit.size() <= ship_rows else None
 
 
 def _serve_migration(engine, idle_views: Dict, message: tuple):
@@ -89,11 +118,7 @@ def _serve_migration(engine, idle_views: Dict, message: tuple):
     route yields the same bytes.
     """
     from repro.sharding.merge import install_view_snapshot
-    from repro.sharding.units import (
-        ExtentRecomputeUnit,
-        LatticeRecomputeUnit,
-        ViewSnapshotUnit,
-    )
+    from repro.sharding.units import ExtentRecomputeUnit, LatticeRecomputeUnit
 
     if message[0] == "migrate_out":
         _tag, names, ship_rows = message
@@ -101,8 +126,7 @@ def _serve_migration(engine, idle_views: Dict, message: tuple):
         for name in names:
             registered = engine.views.pop(name)
             idle_views[name] = registered
-            unit = ViewSnapshotUnit(name, registered=registered)
-            shipped[name] = unit.execute() if unit.size() <= ship_rows else None
+            shipped[name] = _release_payload(registered, ship_rows)
         return shipped
     if message[0] == "migrate_in":
         _tag, payloads = message
@@ -256,10 +280,11 @@ _FORK_LOCK = threading.Lock()
 
 
 class ShardSession:
-    """Resident worker pool maintaining view replicas batch by batch.
+    """Resident parties maintaining view shards batch by batch.
 
-    Exposes ``apply_batch`` (and ``apply``) with the engine's
-    signature, so it can be handed directly to
+    Party 0 is the owner's own process; ``workers - 1`` replicas are
+    forked for the other parties.  Exposes ``apply_batch`` with the
+    engine's signature, so it can be handed directly to
     :class:`~repro.maintenance.queue.ApplyQueue`.  Use as a context
     manager or call :meth:`close`.
     """
@@ -290,10 +315,11 @@ class ShardSession:
         if getattr(engine, "_shard_session_active", False):
             raise RuntimeError("engine already has an active ShardSession")
         self.engine = engine
+        #: parties, the owner (party 0) included.
         self.workers = min(workers, max(1, len(engine.views)))
-        #: calibration knob (used by the bench on single-CPU hosts):
-        #: apply the owner's document update *before* broadcasting, so
-        #: owner and worker phases never overlap and each measured
+        #: calibration knob (used by the projection benches on small
+        #: hosts): party 0 finishes its batch *before* the broadcast, so
+        #: owner and replica phases never overlap and each measured
         #: component is clean of time-slicing.  Results are identical;
         #: only the timeline changes.
         self.sequential_send = False
@@ -317,17 +343,16 @@ class ShardSession:
         metrics = self.obs.metrics
         self._makespan_gauge = metrics.gauge(
             "repro_session_worker_makespan_seconds",
-            "per-batch wall seconds of each resident worker",
+            "per-batch wall seconds of each party (0 is the owner)",
             ("worker",),
         )
         self._skew_gauge = metrics.gauge(
             "repro_session_skew_seconds",
-            "spread between the fastest and slowest party "
-            "(owner document apply and every worker) in one batch",
+            "spread between the fastest and slowest party in one batch",
         )
         self._imbalance_gauge = metrics.gauge(
             "repro_session_lpt_imbalance_ratio",
-            "max over mean worker load: planned at assignment time, "
+            "max over mean party load: planned at assignment time, "
             "observed per batch from recorded view timings",
         )
         self._migrations_counter = metrics.counter(
@@ -337,35 +362,45 @@ class ShardSession:
         )
         self._closed = False
         self._assignment = self._assign_views()
+        #: views whose owner-side lattice is dropped because another
+        #: party maintains them; close() rematerializes exactly these.
+        self._stale_lattices: set = set()
         context = multiprocessing.get_context("fork")
+        #: replica processes and pipes; party ``p`` is index ``p - 1``.
         self._processes = []
         self._connections = []
         with _FORK_LOCK:
-            for owned in self._assignment:
-                parent_conn, child_conn = context.Pipe()
-                _FORK_STATE["engine"] = engine
-                try:
-                    process = context.Process(
-                        target=_session_worker_main,
-                        args=(child_conn, owned),
-                        daemon=True,
-                    )
-                    process.start()
-                finally:
-                    _FORK_STATE.clear()
-                child_conn.close()
-                self._processes.append(process)
-                self._connections.append(parent_conn)
+            # Frozen, the inherited heap is invisible to the replicas'
+            # collections (see the module docstring for the cost).
+            gc.freeze()
+            try:
+                for owned in self._assignment[1:]:
+                    parent_conn, child_conn = context.Pipe()
+                    _FORK_STATE["engine"] = engine
+                    try:
+                        process = context.Process(
+                            target=_session_worker_main,
+                            args=(child_conn, owned),
+                            daemon=True,
+                        )
+                        process.start()
+                    finally:
+                        _FORK_STATE.clear()
+                    child_conn.close()
+                    self._processes.append(process)
+                    self._connections.append(parent_conn)
+            finally:
+                gc.unfreeze()
         for conn in self._connections:
             kind, _ = conn.recv()
             assert kind == "ready"
-        # While the session drives maintenance, the owner's lattices go
-        # stale (workers maintain their replicas' lattices instead);
-        # block direct serial propagation until close() re-syncs them.
+        self._drop_lattices(name for owned in self._assignment[1:] for name in owned)
+        # Block direct serial propagation until close() re-syncs the
+        # dropped lattices.
         engine._shard_session_active = True
 
     def _assign_views(self) -> List[List[str]]:
-        """LPT partition of views across workers by maintenance weight.
+        """LPT partition of views across parties by maintenance weight.
 
         The weight proxy is extent size plus materialized lattice rows:
         per-batch cost is dominated by the store pass (O(extent)) and
@@ -393,7 +428,7 @@ class ShardSession:
 
     @property
     def assignment(self) -> Dict[str, int]:
-        """view name -> worker index (the session's shard map)."""
+        """view name -> party index, 0 being the owner (the shard map)."""
         return {
             name: index
             for index, owned in enumerate(self._assignment)
@@ -403,10 +438,11 @@ class ShardSession:
     # -- batch application ----------------------------------------------
 
     def apply_batch(self, batch: Union[UpdateBatch, Sequence[UpdateStatement]]):
-        """Apply one batch through the resident workers.
+        """Apply one batch through every party.
 
-        The owner's document is updated locally (concurrently with the
-        replicas); view extents are updated from the workers' shipped
+        The owner applies the batch to its document and maintains
+        party 0's views in-process, concurrently with the replicas;
+        the other views' extents are updated from the replicas' shipped
         deltas.  Returns a :class:`~repro.maintenance.engine.BatchReport`
         with ``mode`` visible via ``report.workers`` / ``shard_rounds``.
         """
@@ -427,8 +463,8 @@ class ShardSession:
         if not statements:
             return report
         # Durable engines WAL the batch here too; lattice snapshots are
-        # skipped (the owner's lattices are stale while the session
-        # runs), so the persisted lattice_version lags and recovery
+        # skipped (the owner holds current lattices only for party 0),
+        # so the persisted lattice_version lags and recovery
         # rematerializes lattices only -- never extents.
         batch_id = self.engine._durability_begin(statements)
         try:
@@ -439,8 +475,23 @@ class ShardSession:
         finally:
             self.engine._durability_commit(batch_id, include_lattices=False)
 
+    def _run_owner_party(self, statements: List[UpdateStatement]):
+        """Party 0's round: the engine's own batch pipeline over the
+        views the owner maintains, document apply included, traced like
+        a replica's (a ``replica_apply`` span, ``worker=0``, with the
+        ``batch`` tree under it).  Returns ``(report, error, wall)``."""
+        engine = self.engine
+        owned = {name: engine.views[name] for name in self._assignment[0]}
+        started = time.perf_counter()
+        try:
+            with self.obs.span("replica_apply", worker=0), engine.obs.span("batch"):
+                local = engine._apply_batch_impl(statements, views=owned)
+        except BaseException as exc:
+            return None, exc, time.perf_counter() - started
+        return local, None, time.perf_counter() - started
+
     def _apply_statements(self, statements: List[UpdateStatement], report):
-        """One broadcast/apply/replay round under the session_batch span."""
+        """One broadcast, party-0 round and replay under session_batch."""
         from repro.maintenance.engine import ViewReport
 
         tracer = self.obs.tracer
@@ -451,7 +502,7 @@ class ShardSession:
                 try:
                     conn.send(statements)
                 except (BrokenPipeError, OSError) as exc:
-                    # A worker is gone before the owner touched its own
+                    # A replica is gone before the owner touched its own
                     # document (default mode broadcasts first), so the
                     # views are still consistent; shut down cleanly.
                     self.close(force=True)
@@ -462,23 +513,29 @@ class ShardSession:
                 workers=len(self._connections),
             )
 
+        def unit(party: int, wall: float, apply_s: float, propagation_s: float) -> Dict:
+            return {
+                "view": "worker%d" % party,
+                "kind": "session",
+                "shard": party,
+                "views": len(self._assignment[party]),
+                "seconds": round(wall, 6),
+                "apply_s": round(apply_s, 6),
+                "propagation_s": round(propagation_s, 6),
+            }
+
         started = time.perf_counter()
         if not self.sequential_send:
             broadcast()
-        # Owner document apply overlaps the replicas' work (unless the
+        # Party 0's round overlaps the replicas' work (unless the
         # calibration knob sequences it first).
-        application = BatchApplication(self.engine.document, statements)
-        owner_error: Optional[BaseException] = None
-        try:
-            application.apply()
-        except BaseException as exc:
-            if self.sequential_send:
-                # Workers never saw the batch; the owner's partial
+        local, local_error, local_wall = self._run_owner_party(statements)
+        if self.sequential_send:
+            if local_error is not None:
+                # Replicas never saw the batch; the owner's partial
                 # apply desynchronized it from the replicas for good.
                 self._poison()
-                raise
-            owner_error = exc
-        if self.sequential_send:
+                raise local_error
             try:
                 broadcast()
             except RuntimeError:
@@ -486,57 +543,74 @@ class ShardSession:
                 # consistency against its document before surfacing.
                 self._poison()
                 raise
-        if owner_error is None:
-            tracer.record("owner_apply", application.apply_seconds)
-            report.apply_document_seconds = application.apply_seconds
-            report.pul_size = application.pul_size
-            inserted = application.net_inserted_nodes()
-            report.net_inserted = len(inserted)
-            report.net_removed = len(application.net_removed_nodes())
-            report.cancelled = application.cancelled_count()
-        applied_done = time.perf_counter()
+        prep_done = time.perf_counter()
 
-        worker_walls: List[float] = []
-        worker_props: List[float] = []
-        worker_applies: List[float] = []
-        #: per-view maintenance seconds recorded by the owning workers
+        units: List[Dict] = []
+        #: per-view maintenance seconds recorded by the owning parties
         #: this batch -- the rebalance policy's only input.
         batch_timings: Dict[str, float] = {}
+        if local is not None:
+            tracer.record("owner_apply", local.apply_document_seconds)
+            # Party 0's store pass ran inside its phases: nothing to
+            # replay, recorded so every party reports the same spans.
+            tracer.record("delta_replay", 0.0, worker=0)
+            self._makespan_gauge.set(local_wall, labels=("0",))
+            units.append(
+                unit(
+                    0,
+                    local_wall,
+                    local.apply_document_seconds,
+                    local.propagation_seconds(),
+                )
+            )
+            for field in (
+                "apply_document_seconds",
+                "pul_size",
+                "net_inserted",
+                "net_removed",
+                "cancelled",
+                "net_effects_seconds",
+                "dirty_restored",
+            ):
+                setattr(report, field, getattr(local, field))
+            report.view_reports.update(local.view_reports)
+            report.fallbacks.update(local.fallbacks)
+            report.repairs.update(local.repairs)
+            for name, view_report in local.view_reports.items():
+                batch_timings[name] = view_report.phases.total()
+
         store_seconds = 0.0
-        error: Optional[BaseException] = owner_error
+        error: Optional[BaseException] = local_error
         worker_died = False
         mixed_outcome = False
-        for worker_index, conn in enumerate(self._connections):
+        for party, conn in enumerate(self._connections, start=1):
             try:
                 kind, payload = conn.recv()
             except EOFError:
                 kind, payload = "error", RuntimeError("shard worker died")
                 worker_died = True
             if kind == "error":
-                if owner_error is None and not worker_died:
-                    # Replicas are deterministic, so a worker failing a
+                if local_error is None and not worker_died:
+                    # Replicas are deterministic, so a replica failing a
                     # batch the owner applied means divergence.
                     mixed_outcome = True
                 if error is None:
                     error = payload
                 continue
-            worker_walls.append(payload["worker_wall_s"])
-            worker_props.append(payload["propagation_s"])
-            worker_applies.append(payload["apply_document_s"])
-            self._makespan_gauge.set(
-                payload["worker_wall_s"], labels=(str(worker_index),)
+            wall = payload["worker_wall_s"]
+            units.append(
+                unit(party, wall, payload["apply_document_s"], payload["propagation_s"])
             )
-            replica_span = tracer.record(
-                "replica_apply", payload["worker_wall_s"], worker=worker_index
-            )
+            self._makespan_gauge.set(wall, labels=(str(party),))
+            replica_span = tracer.record("replica_apply", wall, worker=party)
             if payload.get("spans"):
                 tracer.adopt(
                     replica_span, merge_span_fragments([payload["spans"]])
                 )
             if error is not None:
-                if owner_error is not None:
-                    mixed_outcome = True  # worker applied what the owner could not
-                continue  # drain remaining workers, then poison
+                if local_error is not None:
+                    mixed_outcome = True  # replica applied what the owner could not
+                continue  # drain remaining replicas, then poison
             store_started = time.perf_counter()
             for name, entry in payload["views"].items():
                 registered = self.engine.views[name]
@@ -569,27 +643,27 @@ class ShardSession:
                 )
             replay_seconds = time.perf_counter() - store_started
             store_seconds += replay_seconds
-            tracer.record("delta_replay", replay_seconds, worker=worker_index)
+            tracer.record("delta_replay", replay_seconds, worker=party)
         if error is not None:
             if worker_died or mixed_outcome:
                 # Unrecoverable: a replica is gone or no longer agrees
                 # with the owner; restore the views and shut down.
                 self._poison()
                 raise error
-            # Deterministic poison: owner and every worker failed the
-            # same statement identically, so owner document and
-            # replicas are still in lockstep (each side's engine
-            # restored its own views by recomputation).  Re-sync the
-            # owner extents and keep serving -- a poison batch fails
-            # only itself, as in the serial engine and the queue.
+            # Deterministic poison: every party failed the same
+            # statement identically, so owner document and replicas are
+            # still in lockstep (each side's engine restored its own
+            # views by recomputation).  Re-sync the owner extents and
+            # keep serving -- a poison batch fails only itself, as in
+            # the serial engine and the queue.
             self._resync_extents()
             raise error
         finished = time.perf_counter()
-        if worker_walls:
+        walls = [entry["seconds"] for entry in units]
+        if walls:
             # Balance telemetry: how far apart the batch's parties
-            # finished (owner document apply counted as one party).
-            parties = worker_walls + [applied_done - started]
-            self._skew_gauge.set(max(parties) - min(parties))
+            # finished.
+            self._skew_gauge.set(max(walls) - min(walls))
         # Observed balance: the recorded per-view maintenance seconds
         # grouped by the live assignment -- the same quantity the
         # planned-LPT gauge approximated with its size proxy, now
@@ -616,35 +690,23 @@ class ShardSession:
                     {"view": name, "source": source, "target": target}
                     for name, source, target in moves
                 ]
-        # Time attributable to maintenance: everything past the owner's
-        # own document apply, with the store replay counted in per-view
-        # phases' stead (shard_seconds carries the wait + replay once);
-        # migration work is maintenance too, so it is charged here.
-        report.shard_seconds = max(0.0, finished - applied_done) + migration_seconds
+        # Time attributable to maintenance past the owner's own round
+        # (whose phases and net effects the report already carries):
+        # the wait for the replicas plus their replay, and migration.
+        report.shard_seconds = max(0.0, finished - prep_done) + migration_seconds
         report.shard_rounds.append(
             {
                 "mode": "session",
-                "units": len(self._connections),
+                "units": len(units),
                 "imbalance_ratio": (
                     None if observed_ratio is None else round(observed_ratio, 4)
                 ),
                 "migrations": migrations,
                 "migration_s": round(migration_seconds, 6),
                 "wall_s": round(finished - started, 6),
-                "worker_s": round(sum(worker_walls), 6),
-                "worker_propagation_s": round(sum(worker_props), 6),
-                "worker_apply_s": round(sum(worker_applies), 6),
-                "owner_prep_s": round(applied_done - started, 6),
+                "owner_prep_s": round(prep_done - started, 6),
                 "store_s": round(store_seconds, 6),
-                "unit_s": [
-                    {
-                        "view": "worker%d" % index,
-                        "kind": "session",
-                        "shard": index,
-                        "seconds": round(wall, 6),
-                    }
-                    for index, wall in enumerate(worker_walls)
-                ],
+                "unit_s": units,
             }
         )
         return report
@@ -652,18 +714,19 @@ class ShardSession:
     # -- view migration ---------------------------------------------------
 
     def _migrate(self, moves: Sequence[Tuple[str, int, int]]) -> None:
-        """Move view ownership between resident workers (batch boundary).
+        """Move view ownership between parties (batch boundary).
 
-        ``moves`` is ``(view name, source worker, target worker)``
+        ``moves`` is ``(view name, source party, target party)``
         triples, normally planned by the rebalance policy.  Two
         half-rounds: every source releases its outgoing views (shipping
         stored state for views within ``migration_ship_rows``), then
         every target adopts them -- installing the shipped snapshot or
-        rematerializing against its own replica.  The owner's
-        assignment map flips only after every ack, so a completed
-        migration is atomic with respect to batches; any failure
-        mid-protocol degrades exactly like a dead worker mid-batch
-        (recompute owner extents, close the session).
+        rematerializing against its own document.  Party 0 takes both
+        steps in-process (see the module docstring).  The assignment
+        map flips only after every ack, so a completed migration is
+        atomic with respect to batches; any failure mid-protocol
+        degrades exactly like a dead replica mid-batch (recompute owner
+        extents, close the session).
         """
         if not moves:
             return
@@ -685,33 +748,43 @@ class ShardSession:
         try:
             with self.obs.span("session_migration", moves=len(moves)):
                 for source in sorted(by_source):
-                    self._connections[source].send(
-                        (
-                            "migrate_out",
-                            sorted(by_source[source]),
-                            self.migration_ship_rows,
+                    if source:
+                        self._connections[source - 1].send(
+                            (
+                                "migrate_out",
+                                sorted(by_source[source]),
+                                self.migration_ship_rows,
+                            )
                         )
-                    )
                 for source in sorted(by_source):
-                    kind, reply = self._connections[source].recv()
-                    if kind != "ok":
-                        raise reply
-                    shipped.update(reply)
-                for target in sorted(by_target):
-                    self._connections[target].send(
-                        (
-                            "migrate_in",
-                            {name: shipped[name] for name in sorted(by_target[target])},
+                    names = sorted(by_source[source])
+                    if source:
+                        shipped.update(self._reply(source))
+                        continue
+                    for name in names:
+                        shipped[name] = _release_payload(
+                            self.engine.views[name], self.migration_ship_rows
                         )
-                    )
+                    self._drop_lattices(names)
                 for target in sorted(by_target):
-                    kind, reply = self._connections[target].recv()
-                    if kind != "ok":
-                        raise reply
+                    if target:
+                        self._connections[target - 1].send(
+                            (
+                                "migrate_in",
+                                {name: shipped[name] for name in sorted(by_target[target])},
+                            )
+                        )
+                for target in sorted(by_target):
+                    if target:
+                        self._reply(target)
+                    else:
+                        self._adopt_lattices(
+                            {name: shipped[name] for name in by_target[0]}
+                        )
         except BaseException as exc:
             # A replica died or failed mid-protocol; ownership state
-            # across workers is no longer trustworthy.  Same degradation
-            # as a dead worker during a batch: restore the owner's views
+            # across parties is no longer trustworthy.  Same degradation
+            # as a dead replica during a batch: restore the owner's views
             # from its own document and shut the session down.
             self._poison()
             raise RuntimeError("shard worker died during migration") from exc
@@ -722,6 +795,34 @@ class ShardSession:
         self.obs.tracer.record(
             "view_migration", time.perf_counter() - started, moves=len(moves)
         )
+
+    def _reply(self, party: int):
+        """Receive one replica's control-message reply, raising its error."""
+        kind, reply = self._connections[party - 1].recv()
+        if kind != "ok":
+            raise reply
+        return reply
+
+    def _drop_lattices(self, names) -> None:
+        """Forget the owner's lattices of views another party maintains."""
+        for name in names:
+            self.engine.views[name].lattice.drop()
+            self._stale_lattices.add(name)
+
+    def _adopt_lattices(self, payloads: Dict[str, Optional[Dict]]) -> None:
+        """Party 0 adopts views: lattice rows only, shipped or rebuilt
+        against the owner's document; the extent it already holds."""
+        from repro.sharding.merge import install_lattice_rows
+
+        document = self.engine.document
+        for name in sorted(payloads):
+            lattice = self.engine.views[name].lattice
+            payload = payloads[name]
+            if payload is None:
+                lattice.materialize(document)
+            else:
+                install_lattice_rows(lattice, payload["lattice"], document)
+            self._stale_lattices.discard(name)
 
     def _resync_extents(self) -> None:
         """Recompute every owner extent from the owner document."""
@@ -741,11 +842,11 @@ class ShardSession:
     # -- lifecycle -------------------------------------------------------
 
     def close(self, force: bool = False) -> None:
-        """Stop the workers and re-sync the owner engine (idempotent).
+        """Stop the replicas and re-sync the owner engine (idempotent).
 
-        The owner's lattices were not maintained while the session ran;
-        closing re-materializes them from the owner document so direct
-        serial propagation is valid again.
+        The owner dropped the lattices of views other parties
+        maintained; closing rematerializes those from the owner
+        document so direct serial propagation is valid again.
         """
         if self._closed:
             return
@@ -763,12 +864,13 @@ class ShardSession:
                 process.terminate()
         self._connections = []
         self._processes = []
-        for registered in self.engine.views.values():
-            registered.lattice.materialize(self.engine.document)
+        for name in sorted(self._stale_lattices):
+            self.engine.views[name].lattice.materialize(self.engine.document)
+        self._stale_lattices.clear()
         self.engine._shard_session_active = False
-        # With a durable backend, checkpoint the re-materialized
-        # lattices (and any buffered extent ops) so the persisted
-        # lattice_version catches back up to the batch version.
+        # With a durable backend, checkpoint the lattices (and any
+        # buffered extent ops) so the persisted lattice_version catches
+        # back up to the batch version.
         self.engine.sync_durability()
 
     def __enter__(self) -> "ShardSession":

@@ -236,6 +236,11 @@ class SnowcapLattice:
             sorted(subset, key=self.pattern.node_names().index)
         )
 
+    def drop(self) -> None:
+        """Forget every materialized relation; :meth:`materialize` (or
+        :meth:`load_materialized` per snowcap) rebuilds them."""
+        self._materialized.clear()
+
     def materialized_sets(self) -> List[NodeSet]:
         return list(self._materialized)
 
@@ -246,7 +251,7 @@ class SnowcapLattice:
 
     def apply_batch(
         self,
-        deleted_ids: Set[DeweyID],
+        deleted_by_label: Dict[str, Sequence[DeweyID]],
         additions: Dict[NodeSet, Relation],
     ) -> int:
         """Merged upkeep: drop doomed rows and append fresh ones.
@@ -254,12 +259,14 @@ class SnowcapLattice:
         Doomed rows are *found by probe*, not by filtering every stored
         row: deletes take whole subtrees, so a row binding a deleted
         node anywhere also binds one at a leaf column of its snowcap,
-        and the deleted IDs of a leaf's label are looked up in the
-        relation's ``ID -> rows`` index on that column.  A relation no
-        deleted label reaches is skipped without reading its rows; one
-        that loses or gains rows is rewritten once, however many
-        statements contributed to ``deleted_ids``/``additions``.
-        Returns the number of rows removed.
+        and the deleted IDs of a leaf's label (``deleted_by_label``, the
+        batch's removed IDs bucketed once for every view; a ``*`` leaf
+        reads every bucket) are looked up in the relation's
+        ``ID -> rows`` index on that column.  A relation no deleted
+        label reaches is skipped without reading its rows; one that
+        loses or gains rows is rewritten once, however many statements
+        contributed to ``deleted_by_label``/``additions``.  Returns the
+        number of rows removed.
 
         Stored relations are *bags*: materialization produces them in
         document order, but incremental upkeep appends fresh rows at
@@ -268,15 +275,16 @@ class SnowcapLattice:
         deletion probes, multiset comparisons), so only the multiset
         of rows is part of the contract.
         """
-        deleted_by_label: Dict[str, List[DeweyID]] = {}
-        for node_id in sorted(deleted_ids, key=lambda i: i.sort_key):
-            deleted_by_label.setdefault(node_id.label, []).append(node_id)
         removed = 0
         for subset, relation in self._materialized.items():
             doomed: Set[tuple] = set()
             if deleted_by_label:
                 for name, label in self._leaf_columns[subset]:
-                    ids = deleted_ids if label == "*" else deleted_by_label.get(label)
+                    if label == "*":
+                        for ids in deleted_by_label.values():
+                            _probe(relation.index_by(name), ids, doomed)
+                        continue
+                    ids = deleted_by_label.get(label)
                     if ids:
                         _probe(relation.index_by(name), ids, doomed)
             removed += self._apply_delta(subset, relation, doomed, additions)

@@ -207,12 +207,15 @@ def apply_insert_additions(
     lattice: SnowcapLattice, additions: Dict[NodeSet, Relation]
 ) -> None:
     """Append freshly derived rows to materialized snowcaps."""
-    lattice.apply_batch(set(), additions)
+    lattice.apply_batch({}, additions)
 
 
 def apply_delete(lattice: SnowcapLattice, deleted_ids: Set[DeweyID]) -> int:
     """Drop rows binding any deleted node; returns rows removed."""
-    return lattice.apply_batch(deleted_ids, {})
+    by_label: Dict[str, List[DeweyID]] = {}
+    for node_id in deleted_ids:
+        by_label.setdefault(node_id.label, []).append(node_id)
+    return lattice.apply_batch(by_label, {})
 
 
 # -- the per-statement driver --------------------------------------------------

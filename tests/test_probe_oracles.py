@@ -438,9 +438,12 @@ def _lattice_upkeep_checked(seen):
             for subset in lattice.materialized_sets()
         }
 
-    def apply_batch(self, deleted_ids, additions):
+    def apply_batch(self, deleted_by_label, additions):
+        deleted_ids = {
+            node_id for ids in deleted_by_label.values() for node_id in ids
+        }
         before = snapshot(self)
-        removed = original_batch(self, deleted_ids, additions)
+        removed = original_batch(self, deleted_by_label, additions)
         check(
             self,
             before,

@@ -376,11 +376,13 @@ class TestSessionMigration:
         try:
             for batch in batches:
                 session.apply_batch(batch)
-            victim = session._assignment[1][0]
-            session._processes[1].terminate()
-            session._processes[1].join()
+            party = 1
+            victim = session._assignment[party][0]
+            # Party 0 is the owner; party p runs in _processes[p - 1].
+            session._processes[party - 1].terminate()
+            session._processes[party - 1].join()
             with pytest.raises(RuntimeError, match="died during migration"):
-                session._migrate([(victim, 1, 0)])
+                session._migrate([(victim, party, 0)])
             assert session._closed
             # Owner extents were restored from the owner document.
             for name in VIEWS:

@@ -22,6 +22,8 @@ from repro.maintenance.engine import MaintenanceEngine
 from repro.maintenance.queue import ApplyQueue
 from repro.sharding import ShardSession, resolve_snowcap_fragment
 from repro.updates.language import UpdateBatch
+from repro.views.lattice import SnowcapLattice
+from repro.workloads.churn import churn_batches
 from repro.workloads.queries import view_pattern
 from repro.workloads.updates import statement_stream
 from repro.workloads.xmark import generate_document
@@ -349,3 +351,138 @@ class TestShardedPropagation:
                 name,
             )
         assert serial_report.fallbacks == report.fallbacks, seed
+
+
+# -- the owner as party 0 -----------------------------------------------------
+
+
+def _lattice_rows(lattice):
+    """Materialized snowcaps as sorted binding-ID rows (bags compare equal)."""
+    return {
+        subset: sorted(
+            tuple(cell.id for cell in row) for row in lattice.relation_for(subset).rows
+        )
+        for subset in lattice.materialized_sets()
+    }
+
+
+def _fresh_lattice_rows(registered, document):
+    fresh = SnowcapLattice(registered.pattern)
+    fresh.materialize(document)
+    return _lattice_rows(fresh)
+
+
+class TestOwnerParty:
+    @pytest.mark.parametrize("backend", ["memory", "durable"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_party_sweep_matches_serial_and_fresh(self, workers, backend, tmp_path):
+        # A mixed stream with σ flips and dirty pairs, a poison batch,
+        # and forced migrations out of and into party 0 (shipped and
+        # rematerialized): after every batch the owner's extents equal
+        # serial propagation and fresh evaluation; after close() every
+        # lattice equals fresh materialization, and no migration ever
+        # replaced the owner's extent store.
+        from repro.updates.language import InsertUpdate
+
+        batches = churn_batches(generate_document(scale=1), 6, seed=11)
+        bad = InsertUpdate("/site/people/person/@id", "<x/>", name="bad")
+        _, serial, serial_views = _engines()
+        document = generate_document(scale=1)
+        engine = MaintenanceEngine(
+            document,
+            backend=str(tmp_path / "engine.db") if backend == "durable" else None,
+        )
+        views = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
+        stores = {name: registered.view._store for name, registered in views.items()}
+        session = engine.session(workers=workers)
+        assert len(session._processes) == workers - 1
+
+        def move(source, target, ship_rows):
+            name = session._assignment[source][0]
+            session.migration_ship_rows = ship_rows
+            session._migrate([(name, source, target)])
+            assert session.assignment[name] == target
+
+        flips = 0
+        try:
+            for index, batch in enumerate(batches):
+                if workers > 1 and index == 1:
+                    move(0, workers - 1, 4096)  # out of party 0, shipped
+                if workers > 1 and index == 2:
+                    move(1, 0, 4096)  # into party 0, lattice rows shipped
+                if workers > 1 and index == 4:
+                    move(workers - 1, 0, 0)  # into party 0, rematerialized
+                if index == 3:
+                    with pytest.raises(ValueError):
+                        serial.apply_batch([bad])
+                    with pytest.raises(ValueError):
+                        session.apply_batch([bad])
+                    assert not session._closed
+                serial.apply_batch(list(batch))
+                report = session.apply_batch(list(batch))
+                assert report.workers == workers
+                assert report.fallbacks == {}, index
+                flips += sum(
+                    entry.get("sigma_flips", 0) for entry in report.repairs.values()
+                )
+                for name in VIEWS:
+                    assert (
+                        views[name].view.content() == serial_views[name].view.content()
+                    ), (index, name)
+                    assert views[name].view.equals_fresh_evaluation(document), (
+                        index,
+                        name,
+                    )
+        finally:
+            session.close()
+        assert flips > 0  # the stream really exercised σ-flip repair
+        for name in VIEWS:
+            assert views[name].view._store is stores[name], name
+            assert _lattice_rows(views[name].lattice) == _fresh_lattice_rows(
+                views[name], document
+            ), name
+        if engine.backend is not None:
+            engine.backend.close()
+
+    def test_sync_durability_mid_session_keeps_lattices_lagging(self, tmp_path):
+        # A caller checkpointing a live durable session must not record
+        # the owner's dropped or stale lattices as current: recovery has
+        # to rematerialize them, so every recovered relation equals
+        # fresh materialization.
+        from repro.storage.recovery import reopen
+        from repro.workloads.queries import VIEW_TEXTS
+
+        names = sorted(VIEW_TEXTS)
+        stream = statement_stream(
+            generate_document(scale=2), 64, seed=17, insert_ratio=1.0
+        )
+        path = str(tmp_path / "engine.db")
+        document = generate_document(scale=2)
+        engine = MaintenanceEngine(document, backend=path)
+        for name in names:
+            engine.register_view(view_pattern(name), name)
+        session = engine.session(workers=2)
+        try:
+            for index in range(0, len(stream), 8):
+                session.apply_batch(UpdateBatch(stream[index : index + 8]))
+            engine.sync_durability()
+            recovered, report = reopen(
+                path,
+                generate_document(scale=2),
+                {name: view_pattern(name) for name in names},
+            )
+            try:
+                assert report.lattices_rematerialized > 0
+                for name in names:
+                    registered = recovered.views[name]
+                    assert registered.view.equals_fresh_evaluation(
+                        recovered.document
+                    ), name
+                    assert _lattice_rows(registered.lattice) == _fresh_lattice_rows(
+                        registered, recovered.document
+                    ), name
+            finally:
+                recovered.backend.close()
+        finally:
+            session.close()
+            engine.backend.close()
