@@ -2,7 +2,14 @@
 
 Paper shape: Get-Update-Expression is cheaper than for insertions
 (pruning the deletion expression is faster); Update-Lattice is costlier
-than for insertions (the lattice must be searched for doomed rows).
+than for insertions (the lattice must be searched for doomed rows);
+Find-Target-Nodes (Saxon, in the paper) dominates, as in Figure 18.
+
+Measured shape here (SCALE_MEDIUM, 2-vCPU Xeon, CPython 3.11):
+Find-Target-Nodes does not dominate.  The set-level XPath evaluator
+takes 0.1-0.6 ms per row, 22% of the summed row time (6-51% per row;
+the per-context evaluator it replaced took 29%, 6-56%), the largest
+shares again on Q3's child-step paths through every ``open_auction``.
 """
 
 from repro.bench.experiments import run_breakdown_matrix

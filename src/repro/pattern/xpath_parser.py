@@ -30,7 +30,8 @@ Saxon -- finding target nodes -- which we replace here).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from functools import partial
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Union
 
 from repro.pattern.tree_pattern import Pattern, PatternNode
 from repro.xmldom.model import (
@@ -154,11 +155,27 @@ class OrFilter(FilterExpr):
 class PathExpr:
     """A parsed path: absolute (anchored at the document root) or relative.
 
-    Evaluation never walks a subtree for a name test: a ``//label``
-    step reads the label's document-ordered canonical relation -- all
-    of it for the first step of an absolute path, the bisected run
-    under each context node otherwise (Dewey order keeps a subtree
-    contiguous).  Only ``//*`` has no relation to read and walks.
+    Evaluation works on a whole frontier at a time and picks each side
+    of a join from sizes it already holds -- the length of a label's
+    document-ordered canonical relation R_l, or of the frontier:
+
+    * a child step ``/l`` semi-joins R_l with the frontier (the rows
+      whose parent is a context, by identity) when R_l is the smaller
+      side, and scans the contexts' child lists otherwise;
+    * a ``//l`` step reads R_l -- all of it for the first step of an
+      absolute path, the bisected run under each context node
+      otherwise (Dewey order keeps a subtree contiguous);
+    * a predicate built from child-step paths (``[p]``, ``[p = 'c']``,
+      ``and``, ``or``) qualifies the whole frontier in one pass: the
+      frontier is advanced through ``p`` and each reached node mapped
+      to its k-th parent, or, when |R_last|·k is below the frontier's
+      size, each R_last row walks up k parents to a context;
+    * an absolute path whose last relation, times its step count, is
+      smaller than its first is matched bottom-up: each R_last row's
+      ancestor chain against the steps.
+
+    Only ``//*`` walks a subtree, and only a predicate with a ``//``
+    step or a nested predicate runs once per context node.
     """
 
     def __init__(self, steps: Sequence[Step], absolute: bool):
@@ -179,24 +196,33 @@ class PathExpr:
 
     def evaluate(self, document: Document) -> List[Node]:
         """Absolute evaluation: target nodes in document order."""
-        first = self.steps[0]
+        steps = self.steps
+        first = steps[0]
         root = document.root
+        rows: Optional[List[Node]]
         if first.axis == "child":
-            frontier: List[Node] = [root] if _test_matches(first.test, root) else []
+            rows = [root] if _test_matches(first.test, root) else []
         else:
             label = _relation_label(first.test)
-            if label is None:
-                frontier = [
-                    node
-                    for node in root.self_and_descendants()
-                    if _test_matches(first.test, node)
-                ]
-            else:
-                frontier = list(document.nodes_with_label(label))
-        frontier = _filtered(first, frontier, document)
-        for step in self.steps[1:]:
+            rows = None if label is None else document.nodes_with_label(label)
+        last_label = _relation_label(steps[-1].test)
+        if len(steps) > 1 and last_label is not None:
+            last_rows = document.nodes_with_label(last_label)
+            # A first ``//*`` step has no relation to size; it walks
+            # the whole document, which no relation outgrows.
+            if rows is None or len(last_rows) * len(steps) < len(rows):
+                return _bottom_up(steps, last_rows, document)
+        if rows is None:
+            rows = [
+                node
+                for node in root.self_and_descendants()
+                if _test_matches(first.test, node)
+            ]
+        frontier = _filtered(first, rows, document, whole=first.axis == "desc")
+        for step in steps[1:]:
             frontier = _advance(step, frontier, document)
-        return frontier
+        # The first step's rows may be the live relation.
+        return list(frontier) if frontier is rows else frontier
 
     # -- properties ------------------------------------------------------------
 
@@ -207,7 +233,9 @@ class PathExpr:
         return "".join(repr(step) for step in self.steps)
 
 
-def _test_matches(test: str, node: Node) -> bool:
+def _test_matches(test: str, node: Optional[Node]) -> bool:
+    """Whether ``node`` passes a name test (never when it is None, the
+    root's parent)."""
     if test == "*":
         return isinstance(node, ElementNode)
     if test == "text()":
@@ -226,31 +254,15 @@ def _relation_label(test: str) -> Optional[str]:
     return TEXT_LABEL if test == "text()" else test
 
 
-def _filtered(step: Step, nodes: List[Node], document: Document) -> List[Node]:
-    if not step.predicates:
-        return nodes
-    return [
-        node
-        for node in nodes
-        if all(pred.evaluate(node, document) for pred in step.predicates)
-    ]
+def _document_order(node: Node):
+    return node.id.sort_key
 
 
 def _advance(step: Step, frontier: List[Node], document: Document) -> List[Node]:
     """One location step from a document-ordered, duplicate-free
     frontier to the next one."""
     if step.axis == "child":
-        # Distinct parents have disjoint child lists; only their
-        # interleaving (nested contexts) can break document order.
-        reached = [
-            child
-            for context in frontier
-            if isinstance(context, ElementNode)
-            for child in context.children
-            if _test_matches(step.test, child)
-        ]
-        if len(frontier) > 1:
-            reached.sort(key=lambda n: n.id.sort_key)
+        reached = _child_step(step.test, frontier, document, ordered=True)
     else:
         # A context nested under an earlier one contributes nothing new
         # (an ID-only test); the remaining subtrees are disjoint and in
@@ -274,6 +286,175 @@ def _advance(step: Step, frontier: List[Node], document: Document) -> List[Node]
                 for node in document.descendants_with_label(context, label)
             ]
     return _filtered(step, reached, document)
+
+
+def _child_step(
+    test: str, frontier: Collection[Node], document: Document, ordered: bool
+) -> List[Node]:
+    """The nodes passing ``test`` whose parent is in ``frontier``;
+    document-ordered when ``ordered`` (or when R_l was read)."""
+    label = _relation_label(test)
+    if label is not None:
+        rows = document.nodes_with_label(label)
+        if len(rows) < len(frontier):
+            # Semi-join: R_l's rows whose parent is a context.  R_l is
+            # in document order, so the result already is.
+            contexts = set(frontier)
+            return [node for node in rows if node.parent in contexts]
+    # Distinct parents have disjoint child lists; only their
+    # interleaving (nested contexts) can break document order.
+    reached = [
+        child
+        for context in frontier
+        if isinstance(context, ElementNode)
+        for child in context.children
+        if _test_matches(test, child)
+    ]
+    if ordered and len(frontier) > 1:
+        reached.sort(key=_document_order)
+    return reached
+
+
+def _filtered(
+    step: Step, nodes: List[Node], document: Document, whole: bool = False
+) -> List[Node]:
+    """``nodes`` that pass every predicate of ``step``, in order.
+
+    ``whole`` says ``nodes`` is every document node passing
+    ``step.test`` (the first step of ``//l``): membership is then the
+    name test, and a rare predicate never reads the relation.
+    """
+    if not step.predicates:
+        return nodes
+    qualified = _conjunction(
+        step.predicates, nodes, document, step.test if whole else None
+    )
+    if whole:
+        return sorted(qualified, key=_document_order)
+    return [node for node in nodes if node in qualified]
+
+
+# A frontier's qualifying members, kept as an insertion-ordered set.
+_Qualified = Dict[Node, None]
+
+
+def _conjunction(
+    parts: Sequence[FilterExpr],
+    frontier: Collection[Node],
+    document: Document,
+    whole_test: Optional[str],
+) -> _Qualified:
+    """The members of ``frontier`` passing every part; like ``and`` per
+    node, each part sees only the contexts the earlier ones kept.
+    ``whole_test`` is the name test ``frontier`` holds every node of,
+    if it does."""
+    for part in parts:
+        frontier = _qualifying(part, frontier, document, whole_test)
+        whole_test = None
+    return frontier  # type: ignore[return-value]
+
+
+def _qualifying(
+    expr: FilterExpr,
+    frontier: Collection[Node],
+    document: Document,
+    whole_test: Optional[str],
+) -> _Qualified:
+    """The members of ``frontier`` that satisfy ``expr``."""
+    if isinstance(expr, AndFilter):
+        return _conjunction(expr.parts, frontier, document, whole_test)
+    if isinstance(expr, OrFilter):
+        qualified: _Qualified = {}
+        for part in expr.parts:
+            # Like ``or`` per node, a part is tried only on the contexts
+            # the earlier ones left -- unless that means reading a whole
+            # relation to find them.
+            if qualified and whole_test is None:
+                frontier = [node for node in frontier if node not in qualified]
+            qualified.update(_qualifying(part, frontier, document, whole_test))
+        return qualified
+    if isinstance(expr, ValueFilter) and expr.path is None:
+        return dict.fromkeys(node for node in frontier if node.val == expr.constant)
+    if isinstance(expr, (ExistsFilter, ValueFilter)) and all(
+        step.axis == "child" and not step.predicates for step in expr.path.steps
+    ):
+        constant = expr.constant if isinstance(expr, ValueFilter) else None
+        return _chain_owners(expr.path.steps, constant, frontier, document, whole_test)
+    # A ``//`` step or a nested predicate: one context node at a time.
+    return dict.fromkeys(node for node in frontier if expr.evaluate(node, document))
+
+
+def _chain_owners(
+    steps: Sequence[Step],
+    constant: Optional[str],
+    frontier: Collection[Node],
+    document: Document,
+    whole_test: Optional[str],
+) -> _Qualified:
+    """The contexts in ``frontier`` from which the child-step chain
+    ``steps`` reaches a node (whose ``val`` is ``constant``, if given)."""
+    depth = len(steps)
+    last_label = _relation_label(steps[-1].test)
+    if last_label is not None:
+        rows = document.nodes_with_label(last_label)
+        if len(rows) * depth < len(frontier):
+            if whole_test is None:
+                in_frontier: Callable[[Any], bool] = set(frontier).__contains__
+            else:
+                in_frontier = partial(_test_matches, whole_test)
+            owners: _Qualified = {}
+            for node in rows:
+                # Up one parent per step, testing each name on the way;
+                # past the root the owner is None, which passes no test.
+                owner: Any = node
+                for step in reversed(steps):
+                    if not _test_matches(step.test, owner):
+                        break
+                    owner = owner.parent
+                else:
+                    if in_frontier(owner) and (constant is None or node.val == constant):
+                        owners[owner] = None
+            return owners
+    reached: Collection[Node] = frontier
+    for step in steps:
+        reached = _child_step(step.test, reached, document, ordered=False)
+    owners = {}
+    for node in reached:
+        if constant is None or node.val == constant:
+            owner = node
+            for _ in range(depth):
+                owner = owner.parent
+            owners[owner] = None
+    return owners
+
+
+def _bottom_up(steps: Sequence[Step], rows: List[Node], document: Document) -> List[Node]:
+    """The rows of the last step's relation an absolute path reaches,
+    found by matching each row's ancestor chain against the steps; a
+    subsequence of ``rows``, so in document order.  Each (step, node)
+    pair -- predicates included -- is decided once."""
+    root = document.root
+    decided: Dict[tuple, bool] = {}
+
+    def reaches(index: int, node: Node) -> bool:
+        key = (index, node)
+        hit = decided.get(key)
+        if hit is None:
+            step = steps[index]
+            if not _test_matches(step.test, node):
+                hit = False
+            elif index == 0:
+                hit = step.axis == "desc" or node is root
+            elif step.axis == "child":
+                hit = node.parent is not None and reaches(index - 1, node.parent)
+            else:
+                hit = any(reaches(index - 1, above) for above in node.ancestors())
+            hit = hit and all(pred.evaluate(node, document) for pred in step.predicates)
+            decided[key] = hit
+        return hit
+
+    last = len(steps) - 1
+    return [node for node in rows if reaches(last, node)]
 
 
 # ---------------------------------------------------------------------------

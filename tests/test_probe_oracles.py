@@ -39,7 +39,7 @@ from repro.workloads.churn import churn_batches
 from repro.workloads.queries import VIEW_TEXTS, view_pattern
 from repro.workloads.updates import UPDATE_TEXTS, statement_stream
 from repro.xmldom.index import KeyedRows
-from repro.xmldom.model import ElementNode, TextNode, build_document
+from repro.xmldom.model import Document, ElementNode, TextNode, build_document
 from repro.xmldom.parser import parse_fragment
 from repro.xmldom.serializer import serialize_fragment
 from repro.workloads.xmark import generate_document
@@ -709,6 +709,9 @@ class _Counters:
         self.extent_rows_read = {}
         #: Dewey chain walks started at a batch's target IDs.
         self.target_chain_walks = 0
+        #: child-list entries visited plus label-relation rows read
+        #: while resolving a path.
+        self.nodes_examined = 0
 
 
 @contextmanager
@@ -1008,3 +1011,111 @@ def test_sigma_sources_read_the_same_vals_at_any_scale():
     assert large_increases > 3 * small_increases  # the state really grew
     assert small == large
     assert small < small_increases
+
+
+class _ExaminedRows(list):
+    """A copy of a child list or label relation that counts the entries
+    read through it (lengths are free: they are what the size rules
+    compare)."""
+
+    def __init__(self, rows, counters):
+        super().__init__(rows)
+        self.counters = counters
+
+    def __iter__(self):
+        self.counters.nodes_examined += len(self)
+        return super().__iter__()
+
+    def __reversed__(self):
+        self.counters.nodes_examined += len(self)
+        return super().__reversed__()
+
+
+@contextmanager
+def _counting_examined(counters):
+    """Count the nodes path resolution examines.  Child lists are handed
+    out as copies, so the document must not change meanwhile."""
+    slot = ElementNode.__dict__["children"]
+    relation, run = Document.nodes_with_label, Document.descendants_with_label
+    ElementNode.children = property(
+        lambda self: _ExaminedRows(slot.__get__(self, ElementNode), counters), slot.__set__
+    )
+    Document.nodes_with_label = lambda self, label: _ExaminedRows(
+        relation(self, label), counters
+    )
+    Document.descendants_with_label = lambda self, node, label: _ExaminedRows(
+        run(self, node, label), counters
+    )
+    try:
+        yield
+    finally:
+        ElementNode.children = slot
+        Document.nodes_with_label = relation
+        Document.descendants_with_label = run
+
+
+def _examined(path_text, document):
+    counters = _Counters()
+    path = parse_xpath(path_text)
+    with _counting_examined(counters):
+        targets = path.evaluate(document)
+    return counters.nodes_examined, len(targets)
+
+
+def _marked_xmark(scale: int):
+    """An XMark document with a churn flip marker under its first
+    ``increase`` and a dirt marker under its first person's name."""
+    document = generate_document(scale=scale)
+    increase = document.nodes_with_label("increase")[0]
+    name = next(n for n in document.nodes_with_label("name") if n.parent.label == "person")
+    document.insert_subtree(increase, ElementNode("flip1", [TextNode("x")]))
+    document.insert_subtree(name, ElementNode("dirt2", [TextNode("zz")]))
+    return document
+
+
+def test_rare_label_targets_examine_the_same_nodes_at_any_scale():
+    """The churn generator's path deletes read the one-row relation of
+    their marker, not every ``increase``'s or ``person``'s children."""
+    small, large = _marked_xmark(8), _marked_xmark(32)
+    grown = len(large.nodes_with_label("person")) > 3 * len(small.nodes_with_label("person"))
+    assert grown  # the state really grew
+    for text in ("//increase/flip1", "//person[name/dirt2]"):
+        assert _examined(text, small) == _examined(text, large) == (1, 1), text
+
+
+#: Nodes the per-context evaluator examined for each Appendix-A target
+#: path on ``generate_document(scale=8)`` (children of every context,
+#: once per step and once per predicate and context node): the
+#: set-level evaluator may not exceed any of them.
+_PER_CONTEXT_EXAMINED = {
+    "A6_A": 1961,
+    "A7_O": 1799,
+    "A8_AO": 2973,
+    "B1_A": 204,
+    "B1_O": 18,
+    "B3_L": 1223,
+    "B3_LB": 1784,
+    "B5_L": 1939,
+    "B5_LB": 1939,
+    "B7_LB": 1850,
+    "E6_A": 3488,
+    "E6_L": 204,
+    "X16_A": 790,
+    "X17_L": 198,
+    "X1_L": 206,
+    "X20_A": 3482,
+    "X2_L": 1229,
+    "X3_A": 2006,
+    "X4_O": 2439,
+    "X5_AO": 3586,
+    "X7_O": 2119,
+    "X8_AO": 3600,
+}
+
+
+def test_appendix_a_targets_examine_no_more_than_per_context():
+    document = generate_document(scale=8)
+    assert sorted(_PER_CONTEXT_EXAMINED) == sorted(UPDATE_TEXTS)
+    for name, (target, _snippet) in UPDATE_TEXTS.items():
+        examined, _found = _examined(target, document)
+        assert examined <= _PER_CONTEXT_EXAMINED[name], (name, examined)

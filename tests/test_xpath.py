@@ -1,13 +1,18 @@
 """XPath{/,//,*,[]} parsing, evaluation and pattern conversion."""
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.pattern.xpath_parser import (
+    PathExpr,
     XPathSyntaxError,
     evaluate_path,
     parse_xpath,
     path_to_pattern,
 )
+from repro.xmldom.parser import parse_document
+from tests.harness.reference_xpath import reference_evaluate, reference_match_from
 
 
 def ids(nodes):
@@ -119,3 +124,131 @@ class TestPatternConversion:
     def test_disjunction_rejected(self):
         with pytest.raises(XPathSyntaxError):
             path_to_pattern("//a[b or c]")
+
+
+# -- the set-level evaluator against the by-the-definition reference ----------------
+
+
+_LABELS = ("a", "b", "c")
+_VALUES = ("x", "y")
+
+
+def _document_xml(nodes):
+    """XML for a tree grown node by node: each entry hangs below an
+    earlier element (``pick`` modulo their count), so labels nest."""
+    elements = [("r", None, [])]
+    for pick, label, ident, text in nodes:
+        element = (label, ident, [] if text is None else [text])
+        elements[pick % len(elements)][2].append(element)
+        elements.append(element)
+
+    def render(element):
+        if isinstance(element, str):
+            return element
+        label, ident, children = element
+        attribute = ' id="%s"' % ident if ident is not None else ""
+        return "<%s%s>%s</%s>" % (label, attribute, "".join(map(render, children)), label)
+
+    return render(elements[0])
+
+
+_maybe_value = st.one_of(st.none(), st.sampled_from(_VALUES))
+_documents = st.lists(
+    st.tuples(st.integers(0, 63), st.sampled_from(_LABELS), _maybe_value, _maybe_value),
+    max_size=20,
+).map(_document_xml)
+
+_tests = st.sampled_from(_LABELS + ("*", "@id", "text()"))
+_axes = st.sampled_from(("/", "//"))
+
+
+def _chain(steps, lead=""):
+    """Path text of (separator, test, predicate) steps, ``lead`` in
+    place of the first separator."""
+    return "".join(
+        (lead if index == 0 else axis) + test + predicate
+        for index, (axis, test, predicate) in enumerate(steps)
+    )
+
+
+def _relative(predicates, max_steps):
+    """A predicate's relative path (led bare, by ``/`` or by ``//``)
+    whose steps may carry one of ``predicates``."""
+    return st.tuples(
+        st.lists(st.tuples(_axes, _tests, predicates), min_size=1, max_size=max_steps),
+        st.sampled_from(("", "/", "//")),
+    ).map(lambda p: _chain(*p))
+
+
+def _filters(paths):
+    atoms = st.one_of(
+        paths,
+        st.tuples(paths, st.sampled_from(_VALUES)).map(lambda p: "%s = '%s'" % p),
+        st.tuples(st.sampled_from(_VALUES), paths).map(lambda p: "'%s' = %s" % p),
+    )
+    operators = st.sampled_from(("and", "or"))
+    return st.one_of(
+        atoms,
+        st.tuples(atoms, operators, atoms).map(" ".join),
+        st.tuples(atoms, operators, atoms, operators, atoms).map(
+            lambda p: "%s %s (%s %s %s)" % p
+        ),
+    ).map("[%s]".__mod__)
+
+
+# Predicate paths of child steps go set-level; a nested predicate or a
+# ``//`` step falls back to one context at a time.
+_flat_predicates = _filters(_relative(st.just(""), max_steps=2))
+_predicates = _filters(_relative(st.one_of(st.just(""), _flat_predicates), max_steps=2))
+_paths = st.lists(
+    st.tuples(_axes, _tests, st.one_of(st.just(""), _predicates)), min_size=1, max_size=3
+).map(_chain)
+
+# Each pinned document sits on one side of a size rule for the paths
+# pinned with it; ``d`` names no node anywhere.
+_MANY_A_FEW_B = (
+    "<r><a><b>x</b></a><a/><a><c/></a><a/><a/><a/><b/><c><a><b/></a></c></r>"
+)
+_ONE_A_MANY_B = "<r><a><b>x</b><b>y</b><b/><c><b/></c></a><b/></r>"
+_MANY_A_ONE_C = "<r><a><b><c>x</c></b></a><a><b/></a><a><c/></a><a/><a/><a/><a/></r>"
+_MANY_C = "<r><a><b><c>x</c><c>y</c></b></a><a><b><c/><c/></b></a><c/><c/><c/></r>"
+_NESTED = "<a><a><a><b>x</b></a><b/></a><c><a><b>y</b></a></c><b/></a>"
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(xml=_documents, text=_paths, pick=st.integers(min_value=0))
+@example(xml=_MANY_A_FEW_B, text="a/b", pick=0)  # semi-join, bottom-up
+@example(xml=_ONE_A_MANY_B, text="a/b", pick=0)  # child scan, top-down
+@example(xml=_MANY_A_FEW_B, text="a[b = 'x']", pick=0)
+@example(xml=_MANY_A_FEW_B, text="a[c or b]/b", pick=0)
+@example(xml=_MANY_A_ONE_C, text="a[b/c]", pick=0)  # predicate bottom-up
+@example(xml=_MANY_C, text="a[b/c]", pick=0)  # predicate top-down
+@example(xml=_MANY_A_ONE_C, text="a[b/c = 'x' and b]", pick=0)
+@example(xml=_MANY_C, text="a[(b/c = 'y' or c) and b/c]", pick=0)
+@example(xml=_MANY_A_ONE_C, text="*[b/c]/b/c", pick=3)
+@example(xml=_MANY_A_FEW_B, text="a[c]/b", pick=0)  # an ancestor's predicate, bottom-up
+@example(xml=_MANY_A_FEW_B, text="*[b]/b", pick=0)
+@example(xml=_MANY_C, text="a//b/c", pick=0)
+@example(xml=_MANY_A_ONE_C, text="a[b]//c", pick=0)  # bottom-up over ancestors
+@example(xml=_NESTED, text="a//a/b", pick=0)  # nested contexts
+@example(xml=_NESTED, text="a[a/b]", pick=2)
+@example(xml=_NESTED, text="a[a/b]/b", pick=1)
+@example(xml=_NESTED, text="a/b", pick=0)  # the first step names the root
+@example(xml=_NESTED, text="a/d", pick=0)  # d does not exist
+@example(xml=_NESTED, text="a[d]", pick=0)
+@example(xml=_NESTED, text="d//a", pick=0)
+def test_evaluation_matches_the_definition(xml, text, pick):
+    document = parse_document(xml)
+    nodes = list(document.root.self_and_descendants())
+    context = nodes[pick % len(nodes)]
+    for lead in ("/", "//"):
+        path = parse_xpath(lead + text)
+        assert path.evaluate(document) == reference_evaluate(path, document), lead + text
+        relative = PathExpr(path.steps, absolute=False)
+        assert relative.match_from(context, document) == reference_match_from(
+            relative, context, document
+        ), (lead + text, context)
