@@ -172,8 +172,10 @@ def measure_reopen(tmp: str) -> dict:
     The alternative to durable extents is replaying the *entire* batch
     history through a fresh engine -- view maintenance per batch, cost
     proportional to how long the engine has been alive.  Reopen adopts
-    the extents verbatim and replays at most one batch, so its cost is
-    bounded by the document replay + extent size regardless of history.
+    each extent's ID-projection rows, resolves their ``val``/``cont``
+    cells from the replayed document, and replays at most one batch, so
+    its cost is bounded by the document replay + extent size regardless
+    of history.
     Both paths start from the same base document and end in the same
     state (digest-checked).
     """
@@ -197,7 +199,7 @@ def measure_reopen(tmp: str) -> dict:
         assert crashkit.extent_digest(cold.views) == expected
 
         # Reopen: document replay (statements only, no view work) +
-        # verbatim extent/lattice adoption.  Timed back to back with
+        # extent/lattice adoption by ID.  Timed back to back with
         # the rematerialization above, so the per-iteration ratio is
         # immune to machine drift across iterations.
         base = _build_document()

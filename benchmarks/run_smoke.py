@@ -220,7 +220,8 @@ def _check_durability() -> dict:
     the timing gates live in ``bench_durability.py``): one SIGKILLed
     crash point must recover to the uninterrupted run's digests, and a
     cleanly closed database must reopen by adoption alone -- every
-    extent and lattice taken verbatim, nothing rematerialized."""
+    extent and lattice resolved from its stored IDs, nothing
+    rematerialized."""
     import tempfile
 
     sys.path.insert(

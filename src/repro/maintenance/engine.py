@@ -79,7 +79,7 @@ from repro.updates.language import (
 )
 from repro.updates.pul import BatchApplication
 from repro.views.lattice import SnowcapLattice
-from repro.views.view import MaterializedView
+from repro.views.view import MaterializedView, derived_columns
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.index import KeyedRows
 from repro.xmldom.model import Document, Node, hot_path_caches_enabled
@@ -541,8 +541,10 @@ class MaintenanceEngine:
     ) -> bool:
         """Recovery seam: install a view from the durable backend.
 
-        The extent is read verbatim from the view's sqlite table (no
-        pattern evaluation); the snowcap relations come from their
+        The extent is read from the view's sqlite table (no pattern
+        evaluation): its rows are ID projections, whose ``val``/``cont``
+        cells are filled from this engine's document (replayed to the
+        table's version).  The snowcap relations come from their
         persisted snapshots when ``adopt_lattice`` is true and the
         snapshots resolve against the document, and are rematerialized
         otherwise.  Returns True when the lattice was adopted (i.e.
@@ -568,11 +570,14 @@ class MaintenanceEngine:
         # factory registers the extent table on first use, which would
         # turn "this view was never durable" (KeyError, caller's bug)
         # into a silently empty extent.
-        content = self.backend.stored_extent_rows(name)
+        pattern.validate_for_maintenance()
+        content = self.backend.load_extent(
+            name, derived_columns(pattern), self.document
+        )
         view = MaterializedView(
             pattern, name=name, store_factory=self.backend.store_factory(name)
         )
-        view._store.adopt_encoded(content)
+        view._store.adopt(content)
         lattice = SnowcapLattice(pattern, strategy=strategy, update_profile=update_profile)
         adopted = False
         if not lattice.selected:

@@ -31,7 +31,7 @@ terminators of strings and step lists stay unambiguous.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Dict, Optional
 
 from repro.xmldom.dewey import DeweyID
 
@@ -99,19 +99,46 @@ def _encode_ordinal(ordinal, out: bytearray) -> None:
     out.append(_ORD_END)
 
 
-def _encode_dewey(dewey: DeweyID, out: bytearray) -> None:
-    for label, ordinal in dewey.steps:
-        _encode_ordinal(ordinal, out)
-        _encode_terminated(label.encode("utf-8"), out)
+def _encode_step(label: str, ordinal, out: bytearray) -> None:
+    _encode_ordinal(ordinal, out)
+    _encode_terminated(label.encode("utf-8"), out)
+
+
+def _dewey_steps(dewey: DeweyID, memo: Dict[DeweyID, bytes]) -> bytes:
+    """The step bytes of ``dewey`` (no terminator), memoized per ID: an
+    ID's bytes are its parent's plus its own last step, so a Dewey
+    prefix shared by many keys is encoded once."""
+    blob = memo.get(dewey)
+    if blob is not None:
+        return blob
+    uncached = []
+    walk: Optional[DeweyID] = dewey
+    while blob is None:
+        uncached.append(walk)
+        walk = walk.parent()
+        blob = b"" if walk is None else memo.get(walk)
+    out = bytearray(blob)
+    for walk in reversed(uncached):
+        _encode_step(*walk.steps[-1], out)
+        memo[walk] = bytes(out)
+    return memo[dewey]
+
+
+def _encode_dewey(dewey: DeweyID, out: bytearray, memo) -> None:
+    if memo is None:
+        for label, ordinal in dewey.steps:
+            _encode_step(label, ordinal, out)
+    else:
+        out.extend(_dewey_steps(dewey, memo))
     out.append(0x00)
 
 
-def _encode_cell(cell: Any, out: bytearray) -> None:
+def _encode_cell(cell: Any, out: bytearray, memo=None) -> None:
     if cell is None:
         out.extend(_TAG_NONE)
     elif isinstance(cell, DeweyID):
         out.extend(_TAG_DEWEY)
-        _encode_dewey(cell, out)
+        _encode_dewey(cell, out, memo)
     elif isinstance(cell, bool) or isinstance(cell, int):
         out.extend(_TAG_INT)
         _encode_int(int(cell), out)
@@ -124,7 +151,7 @@ def _encode_cell(cell: Any, out: bytearray) -> None:
     elif isinstance(cell, tuple):
         out.extend(_TAG_TUPLE)
         for inner in cell:
-            _encode_cell(inner, out)
+            _encode_cell(inner, out, memo)
         out.append(0x00)
     else:
         raise TypeError(
@@ -133,18 +160,22 @@ def _encode_cell(cell: Any, out: bytearray) -> None:
         )
 
 
-def encode_key(key: Any) -> bytes:
+def encode_key(key: Any, memo: Optional[Dict[DeweyID, bytes]] = None) -> bytes:
     """The memcomparable blob for a store key (a view tuple or scalar).
 
     View tuples encode cell by cell with no outer terminator -- store
     keys are never prefixes of one another across *comparable* keys
     because cell encodings are self-delimiting, and a shorter tuple
     ends in fewer bytes, sorting first exactly like tuple comparison.
+
+    ``memo`` (a dict the caller owns, e.g. for one flush) caches each
+    DeweyID's step bytes, so keys sharing ancestors encode every prefix
+    once; the blobs are byte-equal to those built without it.
     """
     out = bytearray()
     if isinstance(key, tuple):
         for cell in key:
-            _encode_cell(cell, out)
+            _encode_cell(cell, out, memo)
     else:
-        _encode_cell(key, out)
+        _encode_cell(key, out, memo)
     return bytes(out)

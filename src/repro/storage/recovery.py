@@ -11,8 +11,9 @@ rematerializes a view whose extent tables are intact:
    acknowledged, never a committed batch;
 2. rebuild the document by replaying the committed statement payloads
    ``1..V`` (pure document application, no view work);
-3. adopt every view: extent rows straight from its sqlite table,
-   lattices from their persisted snapshots when they are fresh
+3. adopt every view: extent rows from its sqlite table, their
+   ``val``/``cont`` cells resolved from the replayed document through
+   their ID cells, lattices from their persisted snapshots when fresh
    (``lattice_version == V``; a ShardSession leaves them stale on
    purpose, in which case only the lattices are rematerialized);
 4. replay the WAL tail ``V+1..C`` -- at most one batch -- through the
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import NULL_OBS
-from repro.storage.sqlite import SqliteExtentBackend, wal_path
+from repro.storage.sqlite import RecoveryError, SqliteExtentBackend, wal_path
 from repro.storage.wal import COMMIT, HEADER_SIZE, BatchWal
 from repro.updates.pul import BatchApplication
 
@@ -45,10 +46,6 @@ _ENGINE_FACTORY: List[Any] = [None]
 def register_engine_factory(factory) -> None:
     """Install the engine class :func:`reopen` instantiates."""
     _ENGINE_FACTORY[0] = factory
-
-
-class RecoveryError(Exception):
-    """The database and WAL tell irreconcilable stories."""
 
 
 @dataclass
@@ -173,8 +170,9 @@ def reopen(
             except Exception:
                 pass
 
-        # Phase 3: adoption.  Extents come from the tables verbatim;
-        # lattices from their snapshots only when durably fresh.
+        # Phase 3: adoption.  Extents come from the tables (derived
+        # cells resolved from the document replayed to V); lattices
+        # from their snapshots only when durably fresh.
         engine = factory(document, backend=backend, obs=obs, **(engine_options or {}))
         lattices_fresh = report.lattice_version == version
         for name, source in views.items():

@@ -4,14 +4,19 @@ Two classes split the work:
 
 * :class:`SqliteTupleStore` -- one view extent.  It *is* an
   :class:`~repro.views.store.OrderedTupleStore` (the in-memory mirror
-  serves every read, bisecting over memcomparable key blobs), and every
-  write is additionally journaled as a pending row operation against
-  the extent's table.  Reads therefore cost exactly what the in-memory
-  backend costs; the durable side is paid once per batch.
+  serves every read), and every write is additionally journaled as a
+  pending row operation against the extent's table.  Reads therefore
+  cost exactly what the in-memory backend costs; the durable side is
+  paid once per batch.
 * :class:`SqliteExtentBackend` -- one engine's database: the extent
-  tables, per-view lattice snapshots (rows as DeweyID tuples, resolved
-  against the live document on reopen), the batch version in ``meta``
+  tables, per-view lattice snapshots, the batch version in ``meta``
   and the batch WAL next to the database file.
+
+Both extent rows and lattice rows persist IDs only: an extent row is
+the view tuple's *ID projection* (``val``/``cont`` cells stored as
+``None``) keyed by its memcomparable blob, with its derivation count;
+a lattice row is the tuple of its binding IDs.  Reopen resolves both
+against the document it has replayed.
 
 Commit protocol, per batch (driven by the maintenance engine)::
 
@@ -20,7 +25,7 @@ Commit protocol, per batch (driven by the maintenance engine)::
 
 so after a crash the database version ``V`` and the WAL's last
 committed batch ``C`` satisfy ``V in {C-1, C}``, and recovery replays
-at most one batch beyond adopting the tables verbatim.
+at most one batch beyond adopting the tables.
 
 Fork safety: connections, WAL handles and buffered ops are pid-guarded.
 A forked replica (ShardSession worker) inherits the store objects by
@@ -35,7 +40,7 @@ import os
 import pickle
 import sqlite3
 from collections import Counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import operator
 
@@ -46,7 +51,9 @@ from repro.storage.keyenc import encode_key
 from repro.storage.wal import BatchWal
 from repro.views.store import DELETED, OrderedTupleStore
 
-_FORMAT = 2
+#: on-disk layout: 3 stores extent rows as ID projections with plain
+#: integer counts and numbers extent tables from a counter in ``meta``.
+_FORMAT = 3
 
 #: rewrite a lattice's chunk sequence from scratch once it grows this
 #: long (bounds reopen cost and file growth under long-lived engines).
@@ -62,6 +69,26 @@ def wal_path(db_path: str) -> str:
     return db_path + ".batchlog"
 
 
+class RecoveryError(Exception):
+    """The database and WAL tell irreconcilable stories."""
+
+
+def _projector(derived) -> Optional[Callable[[tuple], tuple]]:
+    """Row -> ID projection (every derived cell set to ``None``), or
+    ``None`` when no column is derived and rows persist as they are."""
+    blank = [column for column, _id_column, _annotation in derived]
+    if not blank:
+        return None
+
+    def project(row: tuple) -> tuple:
+        cells = list(row)
+        for column in blank:
+            cells[column] = None
+        return tuple(cells)
+
+    return project
+
+
 class SqliteTupleStore(OrderedTupleStore):
     """Write-through extent store: in-memory mirror + journaled table.
 
@@ -69,20 +96,31 @@ class SqliteTupleStore(OrderedTupleStore):
     one-pass merges, ``order_key`` bisects, ``load_sorted``, lazy
     ``items()`` / materialized ``snapshot()``).  The mirror orders by
     the caller's ``order_key`` exactly like the in-memory store, so the
-    hot path pays nothing extra; keys are only rendered to
-    :func:`~repro.storage.keyenc.encode_key` blobs at flush time, where
-    they serve as the table's primary key.  ``encode_key`` induces the
-    same total order as ``row_sort_key`` (property-tested), so ``ORDER
-    BY k`` output is adoption-ready.
+    hot path pays nothing extra.
+
+    The table holds each row's *ID projection*: ``derived`` lists the
+    ``(column, ID column, annotation)`` of every ``val``/``cont`` column
+    (:func:`repro.views.view.derived_columns`), and those cells are
+    stored as ``None`` -- they are functions of the ID cells over the
+    document, which recovery rebuilds before adopting the rows.  On a
+    consistent extent equal ID cells imply equal derived cells, so
+    projection is injective and ``encode_key(projection)`` orders like
+    ``row_sort_key(row)`` (the first differing cell is always an ID):
+    ``ORDER BY k`` output is adoption-ready.  A PIMT/PDMT refresh,
+    which rewrites derived cells only, changes no projection and
+    journals nothing.
     """
 
     def __init__(self, backend: "SqliteExtentBackend", table: str,
-                 order_key: Optional[Callable[[Any], Any]] = None):
+                 order_key: Optional[Callable[[Any], Any]] = None,
+                 derived=()):
         super().__init__(order_key=order_key)
         self._backend = backend
         self._table = table
-        #: pending (key, value) row ops since the last durable flush;
-        #: value ``DELETED`` drops the key, ``_reload`` voids them all.
+        self._project = _projector(derived)
+        #: pending (projection, count) row ops since the last durable
+        #: flush; count ``DELETED`` drops the row, ``_reload`` voids
+        #: them all.
         self._ops: List[Tuple[Any, Any]] = []
         self._reload = False
 
@@ -95,17 +133,20 @@ class SqliteTupleStore(OrderedTupleStore):
     def _journaling(self) -> bool:
         return self._backend.writable
 
+    def _projected(self, row: Any) -> Any:
+        return row if self._project is None else self._project(row)
+
     # -- journaled writes --------------------------------------------------
 
     def put(self, key: Any, value: Any) -> None:
         super().put(key, value)
         if self._journaling():
-            self._ops.append((key, value))
+            self._ops.append((self._projected(key), value))
 
     def delete(self, key: Any) -> bool:
         found = super().delete(key)
         if found and self._journaling():
-            self._ops.append((key, DELETED))
+            self._ops.append((self._projected(key), DELETED))
         return found
 
     def clear(self) -> None:
@@ -119,13 +160,35 @@ class SqliteTupleStore(OrderedTupleStore):
             super().bulk_apply(changes)
             return
         taken = list(changes)
+        ops = taken if self._project is None else self._projected_ops(taken)
         super().bulk_apply(taken)
         # Only journal once the merge validated the whole change list
         # (a non-monotone iterable raises mid-way and changes nothing
         # durable, matching the in-memory store's all-or-error shape
         # closely enough for the poison paths that recompute anyway).
-        self._ops.extend(taken)
+        self._ops.extend(ops)
         crash_point("mid_bulk_apply")
+
+    def _projected_ops(self, changes: List[Tuple[Any, Any]]) -> List[Tuple[Any, Any]]:
+        """One merge's changes as projection ops, read *before* the
+        merge.  A refresh rewrite is a delete of the old row and a put
+        of the new one under the same projection: the put wins, and
+        when it keeps the old row's count the pair cancels outright."""
+        project = self._project
+        projected = [(project(row), row, value) for row, value in changes]
+        dropped = {
+            key: row for key, row, value in projected if value is DELETED
+        }
+        ops = []
+        for key, row, value in projected:
+            if value is DELETED:
+                continue
+            old_row = dropped.pop(key, None)
+            if old_row is not None and self.get(old_row) == value:
+                continue  # pure rewrite: the durable row is unchanged
+            ops.append((key, value))
+        ops.extend((key, DELETED) for key in dropped)
+        return ops
 
     def load_sorted(self, items: Iterable[Tuple[Any, Any]]) -> None:
         super().load_sorted(items)
@@ -134,22 +197,13 @@ class SqliteTupleStore(OrderedTupleStore):
             self._reload = True
 
     def adopt(self, items: Iterable[Tuple[Any, Any]]) -> None:
-        """Install rows already durable in this store's table (recovery):
-        loads the mirror without journaling a rewrite."""
-        super().load_sorted(items)
-        self._ops.clear()
-        self._reload = False
-
-    def adopt_encoded(self, rows: Iterable[Tuple[bytes, Any, Any]]) -> None:
-        """Adopt ``(blob, key, value)`` triples straight from the table.
-
-        ``ORDER BY k`` output is already in mirror order (the blob
-        primary key induces the same total order as ``order_key``), so
-        adoption skips :meth:`load_sorted`'s monotonicity re-check.
-        """
+        """Install rows already durable in this store's table (recovery),
+        in key order: loads the mirror without journaling a rewrite and
+        without :meth:`load_sorted`'s monotonicity re-check (``ORDER BY
+        k`` output is already in mirror order)."""
         super().clear()
         separate_order = self._order_key is not None
-        for _blob, key, value in rows:
+        for key, value in items:
             self._keys.append(key)
             self._values.append(value)
             if separate_order:
@@ -160,19 +214,23 @@ class SqliteTupleStore(OrderedTupleStore):
     # -- durable flush (called by the backend, inside its txn) -------------
 
     def _flush_into(self, cursor) -> None:
+        # One Dewey-prefix memo per flush: keys sharing ancestors encode
+        # each prefix once, and nothing stays resident afterwards.
+        memo: Dict[Any, bytes] = {}
         if self._reload:
             cursor.execute('DELETE FROM "%s"' % self._table)
+            projected = ((self._projected(row), count) for row, count in self.items())
             cursor.executemany(
                 'INSERT INTO "%s"(k, row, val) VALUES(?, ?, ?)' % self._table,
                 (
-                    (encode_key(key), _pickle(key), _pickle(value))
-                    for key, value in self.items()
+                    (encode_key(key, memo), _pickle(key), count)
+                    for key, count in projected
                 ),
             )
         elif self._ops:
-            # Ops are absolute (put stores a value, delete drops the
-            # key), so per key only the last one matters: coalesce,
-            # then encode/pickle each surviving key exactly once.
+            # Ops are absolute (put stores a count, delete drops the
+            # row), so per projection only the last one matters:
+            # coalesce, then encode/pickle each surviving key once.
             final: Dict[Any, Any] = {}
             for key, value in self._ops:
                 final[key] = value
@@ -180,9 +238,9 @@ class SqliteTupleStore(OrderedTupleStore):
             puts = []
             for key, value in final.items():
                 if value is DELETED:
-                    deletes.append((encode_key(key),))
+                    deletes.append((encode_key(key, memo),))
                 else:
-                    puts.append((encode_key(key), _pickle(key), _pickle(value)))
+                    puts.append((encode_key(key, memo), _pickle(key), value))
             if deletes:
                 cursor.executemany(
                     'DELETE FROM "%s" WHERE k = ?' % self._table, deletes
@@ -215,7 +273,11 @@ class SqliteExtentBackend:
         # Crash model is process death, not power loss: the page cache
         # survives SIGKILL, so fsync buys nothing on the hot path.
         self._conn.execute("PRAGMA synchronous=OFF")
-        self._init_schema()
+        try:
+            self._init_schema()
+        except RecoveryError:
+            self._conn.close()
+            raise
         self._stores: Dict[str, SqliteTupleStore] = {}
         #: ``(rows, next_seq)`` per (view, subset) at last persist: the
         #: rows-list identity marks a relation clean while unchanged,
@@ -260,6 +322,17 @@ class SqliteExtentBackend:
             "CREATE TABLE IF NOT EXISTS meta(key TEXT PRIMARY KEY, value INTEGER)"
         )
         cursor.execute(
+            "INSERT OR IGNORE INTO meta(key, value) VALUES('format', ?)", (_FORMAT,)
+        )
+        self._conn.commit()
+        # Refuse a foreign layout before writing anything else into it.
+        found = self._meta("format")
+        if found != _FORMAT:
+            raise RecoveryError(
+                "database %s is in storage format %d; this build reads "
+                "format %d only" % (self.path, found, _FORMAT)
+            )
+        cursor.execute(
             "CREATE TABLE IF NOT EXISTS extents(view TEXT PRIMARY KEY, tbl TEXT NOT NULL)"
         )
         cursor.execute(
@@ -267,13 +340,10 @@ class SqliteExtentBackend:
             "view TEXT, subset TEXT, seq INTEGER, payload BLOB, "
             "PRIMARY KEY(view, subset, seq))"
         )
-        cursor.execute(
-            "INSERT OR IGNORE INTO meta(key, value) VALUES('format', ?)", (_FORMAT,)
-        )
-        cursor.execute("INSERT OR IGNORE INTO meta(key, value) VALUES('version', 0)")
-        cursor.execute(
-            "INSERT OR IGNORE INTO meta(key, value) VALUES('lattice_version', 0)"
-        )
+        for key in ("version", "lattice_version", "tables"):
+            cursor.execute(
+                "INSERT OR IGNORE INTO meta(key, value) VALUES(?, 0)", (key,)
+            )
         self._conn.commit()
 
     def _meta(self, key: str) -> int:
@@ -304,12 +374,12 @@ class SqliteExtentBackend:
     def store_factory(self, view_name: str):
         """A ``MaterializedView`` store factory bound to this backend."""
 
-        def factory(order_key=None) -> SqliteTupleStore:
-            return self.store_for(view_name, order_key=order_key)
+        def factory(order_key=None, derived=()) -> SqliteTupleStore:
+            return self.store_for(view_name, order_key=order_key, derived=derived)
 
         return factory
 
-    def store_for(self, view_name: str, order_key=None) -> SqliteTupleStore:
+    def store_for(self, view_name: str, order_key=None, derived=()) -> SqliteTupleStore:
         existing = self._stores.get(view_name)
         if existing is not None:
             return existing
@@ -319,25 +389,29 @@ class SqliteExtentBackend:
         if row is not None:
             table = row[0]
         else:
-            table = "extent_%d" % (
-                self._conn.execute("SELECT COUNT(*) FROM extents").fetchone()[0] + 1
+            # Table numbers come from a counter that never goes down: a
+            # count of live views would hand a dropped view's number to
+            # the next registration while another view still owns it.
+            number = self._meta("tables") + 1
+            table = "extent_%d" % number
+            self._conn.execute(
+                "UPDATE meta SET value = ? WHERE key = 'tables'", (number,)
             )
             self._conn.execute(
                 "INSERT INTO extents(view, tbl) VALUES(?, ?)", (view_name, table)
             )
             self._conn.execute(
-                'CREATE TABLE IF NOT EXISTS "%s"(k BLOB PRIMARY KEY, row BLOB, val BLOB)'
-                % table
+                'CREATE TABLE "%s"(k BLOB PRIMARY KEY, row BLOB, val INTEGER)' % table
             )
             self._conn.commit()
-        store = SqliteTupleStore(self, table, order_key=order_key)
+        store = SqliteTupleStore(self, table, order_key=order_key, derived=derived)
         self._stores[view_name] = store
         return store
 
     def drop_view(self, view_name: str) -> None:
         store = self._stores.pop(view_name, None)
         if store is not None and self.writable:
-            self._conn.execute('DELETE FROM "%s"' % store._table)
+            self._conn.execute('DROP TABLE IF EXISTS "%s"' % store._table)
             self._conn.execute("DELETE FROM extents WHERE view = ?", (view_name,))
             self._conn.execute("DELETE FROM lattices WHERE view = ?", (view_name,))
             self._conn.commit()
@@ -345,24 +419,61 @@ class SqliteExtentBackend:
             key: ref for key, ref in self._lattice_refs.items() if key[0] != view_name
         }
 
-    def stored_extent(self, view_name: str) -> List[Tuple[Any, Any]]:
-        """The durable rows of one extent, in key order (for adoption)."""
-        return [(key, value) for _, key, value in self.stored_extent_rows(view_name)]
+    def stored_extent(self, view_name: str) -> List[Tuple[Any, int]]:
+        """The durable ``(ID projection, count)`` rows of one extent, in
+        key order."""
+        return list(self._extent_rows(view_name))
 
-    def stored_extent_rows(self, view_name: str) -> List[Tuple[bytes, Any, Any]]:
-        """``(blob, key, value)`` triples in key order, blobs included
-        so adoption can reuse them as ready-made order keys."""
+    def _extent_rows(self, view_name: str) -> Iterator[Tuple[Any, int]]:
         row = self._conn.execute(
             "SELECT tbl FROM extents WHERE view = ?", (view_name,)
         ).fetchone()
         if row is None:
             raise KeyError("no durable extent for view %r" % view_name)
-        return [
-            (bytes(blob), pickle.loads(key), pickle.loads(value))
-            for blob, key, value in self._conn.execute(
-                'SELECT k, row, val FROM "%s" ORDER BY k' % row[0]
+        for key, count in self._conn.execute(
+            'SELECT row, val FROM "%s" ORDER BY k' % row[0]
+        ):
+            yield pickle.loads(key), count
+
+    def load_extent(self, view_name: str, derived, document) -> List[Tuple[Any, int]]:
+        """The durable rows of one extent with their derived cells filled
+        from ``document``, in key order, ready for
+        :meth:`SqliteTupleStore.adopt`.
+
+        ``derived`` is the view's ``(column, ID column, annotation)``
+        plan; each ID column it names is resolved once per row through
+        ``node_by_id``, as :meth:`load_lattice` resolves lattice rows,
+        and its cell becomes the node's own ID object (adopted rows
+        share IDs with the document, as live rows do).  Raises
+        :class:`KeyError` when the view has no durable extent and
+        :class:`RecoveryError` when a stored ID is absent from the
+        document (the database and the log disagree).
+        """
+        rows = self._extent_rows(view_name)
+        fills: Dict[int, list] = {}
+        for column, id_column, annotation in derived:
+            fills.setdefault(id_column, []).append(
+                (column, operator.attrgetter(annotation))
             )
-        ]
+        if not fills:
+            return list(rows)
+        plan = sorted(fills.items())
+        node_by_id = document.node_by_id
+        resolved = []
+        for projection, count in rows:
+            cells = list(projection)
+            for id_column, targets in plan:
+                node = node_by_id(cells[id_column])
+                if node is None:
+                    raise RecoveryError(
+                        "durable extent of view %r holds ID %s, which the "
+                        "replayed document lacks" % (view_name, cells[id_column])
+                    )
+                cells[id_column] = node.id
+                for column, read in targets:
+                    cells[column] = read(node)
+            resolved.append((tuple(cells), count))
+        return resolved
 
     # -- batch commit protocol --------------------------------------------
 

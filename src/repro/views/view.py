@@ -28,6 +28,25 @@ def row_sort_key(row: ViewTuple) -> tuple:
     )
 
 
+#: ``(column, ID column, annotation)`` of one ``val``/``cont`` column.
+DerivedColumn = Tuple[int, int, str]
+
+
+def derived_columns(pattern: Pattern) -> Tuple[DerivedColumn, ...]:
+    """Where each ``val``/``cont`` cell of a view tuple comes from: the
+    index of its node's ``ID`` column, which precedes it (ID is a
+    node's first annotation and maintainable patterns store it with
+    every val/cont, see ``validate_for_maintenance``)."""
+    plan = []
+    id_column: Dict[str, int] = {}
+    for column, (node, annotation) in enumerate(pattern.return_columns()):
+        if annotation == "ID":
+            id_column[node] = column
+        else:
+            plan.append((column, id_column[node], annotation))
+    return tuple(plan)
+
+
 class MaterializedView:
     """The stored extent of a tree-pattern view."""
 
@@ -36,6 +55,9 @@ class MaterializedView:
         self.pattern = pattern
         self.name = name
         self.columns: List[str] = view_columns(pattern)
+        #: the derived (val/cont) columns: functions of ID cells over
+        #: the document, so a durable store persists only the IDs.
+        self.derived = derived_columns(pattern)
         # C-comparable ordering keys keep the hot store bisects off
         # DeweyID's Python-level rich comparisons.  ``store_factory``
         # swaps in another implementation of the same contract (the
@@ -43,7 +65,7 @@ class MaterializedView:
         if store_factory is None:
             self._store = OrderedTupleStore(order_key=row_sort_key)
         else:
-            self._store = store_factory(order_key=row_sort_key)
+            self._store = store_factory(order_key=row_sort_key, derived=self.derived)
 
     # -- construction ------------------------------------------------------
 

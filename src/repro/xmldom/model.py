@@ -59,6 +59,14 @@ TEXT_LABEL = "#text"
 _USE_HOT_PATH_CACHES = True
 
 
+def escape_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def escape_attribute(text: str) -> str:
+    return escape_text(text).replace('"', "&quot;")
+
+
 def set_hot_path_caches(enabled: bool) -> bool:
     """Toggle val/cont memoization and indexed σ lookups; returns the
     previous setting.  Benchmarks and regression tests use this to
@@ -283,8 +291,6 @@ class ElementNode(Node):
             return serialize_fragment(self)
         cached = self._cont_cache
         if cached is None:
-            from repro.xmldom.serializer import escape_attribute, escape_text
-
             attributes: List[str] = []
             pieces: List[str] = []
             for child in self.children:

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.xmldom.model import AttributeNode, Document, ElementNode, Node, TextNode
-
-
-def escape_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def escape_attribute(text: str) -> str:
-    return escape_text(text).replace('"', "&quot;")
+from repro.xmldom.model import (
+    AttributeNode,
+    Document,
+    ElementNode,
+    Node,
+    TextNode,
+    escape_attribute,
+    escape_text,
+)
 
 
 def _write_node(node: Node, out: List[str], indent: int, pretty: bool) -> None:

@@ -1,11 +1,14 @@
 """Unit tests for the durable storage layer (repro.storage).
 
-Four areas: the memcomparable key encoding (its order must coincide
+Five areas: the memcomparable key encoding (its order must coincide
 with ``row_sort_key`` on every comparable pair, DeweyID padded
-semantics included), the WAL frame format under torn writes (the
-satellite contract: recovery drops exactly the uncommitted suffix,
-never a committed batch), the fork/pickle refusals, and the
-reopen-level RecoveryReport surface.
+semantics included, with or without the per-flush prefix memo), the
+WAL frame format under torn writes (the satellite contract: recovery
+drops exactly the uncommitted suffix, never a committed batch), the
+fork/pickle refusals, the reopen-level RecoveryReport surface, and the
+ID-projection rows (every table equals its mirror's projection after
+every commit, a refresh journals nothing, foreign formats and dangling
+IDs are refused, table numbers are never reused).
 """
 
 import os
@@ -22,7 +25,7 @@ from repro.storage.recovery import (
     _truncate_uncommitted,
     reopen,
 )
-from repro.storage.sqlite import SqliteExtentBackend, wal_path
+from repro.storage.sqlite import SqliteExtentBackend, _projector, wal_path
 from repro.storage.wal import COMMIT, DATA, HEADER_SIZE, BatchWal
 from repro.views.view import row_sort_key
 from repro.xmldom.dewey import DeweyID
@@ -318,3 +321,299 @@ class TestReopenSurface:
         report = RecoveryReport(path="x", last_committed_batch=3,
                                 durable_version=2, replayed_batches=1)
         assert "C=3" in repr(report) and "replayed=1" in repr(report)
+
+
+# -- ID-projection rows ------------------------------------------------------
+
+
+@st.composite
+def _dewey_families(draw):
+    """IDs sharing prefixes: a tree grown by ``child`` (parents linked,
+    out-of-band ordinals included) plus a few IDs built from bare steps
+    (parents linked lazily, possibly equal to a tree ID)."""
+    ids = [DeweyID.root(draw(st.sampled_from("abc")))]
+    for _ in range(draw(st.integers(1, 12))):
+        parent = draw(st.sampled_from(ids))
+        ids.append(parent.child(draw(st.sampled_from("abc")), draw(_ordinals)))
+    ids.extend(draw(st.lists(_deweys, max_size=4)))
+    return ids
+
+
+@given(_dewey_families(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_prefix_memo_encodes_byte_equal(ids, data):
+    cells = st.one_of(st.none(), st.sampled_from(ids))
+    rows = data.draw(
+        st.lists(st.tuples(cells, cells, st.tuples(cells)), min_size=1, max_size=10)
+    )
+    memo = {}
+    for row in rows:
+        assert encode_key(row, memo) == encode_key(row)
+    for dewey in ids:  # every memoized prefix is itself byte-equal
+        assert encode_key(dewey, memo) == encode_key(dewey)
+
+
+def test_prefix_memo_covers_out_of_band_ordinals():
+    root = DeweyID.root("r")
+    padded = root.child("a", (2, -1)).child("b", (0, -3, 1))
+    assert type(padded.sort_key) is not tuple  # a _PaddedKey
+    memo = {}
+    # Parent first, so the child extends a memoized prefix.
+    for dewey in (padded.parent(), padded, DeweyID(padded.steps), root):
+        assert encode_key((dewey, None), memo) == encode_key((dewey, None))
+
+
+def _consistent_rows(ids):
+    """Rows ``(ID, val of ID, ID, cont of ID)`` whose derived cells are a
+    fixed function of their ID cells (what a consistent extent holds),
+    deliberately unrelated to document order."""
+
+    def derive(dewey):
+        return "v%d" % (sum(map(ord, str(dewey))) % 5)
+
+    return [
+        (first, derive(first), second, derive(second) + "!")
+        for first in ids
+        for second in ids[:3]
+    ]
+
+
+@given(_dewey_families())
+@settings(max_examples=80, deadline=None)
+def test_projection_blobs_order_like_row_sort_key(ids):
+    project = _projector(((1, 0, "val"), (3, 2, "cont")))
+    rows = list({(row[0], row[2]): row for row in _consistent_rows(ids)}.values())
+    by_key = sorted(rows, key=row_sort_key)
+    by_blob = sorted(rows, key=lambda row: encode_key(project(row)))
+    assert [row_sort_key(row) for row in by_blob] == [
+        row_sort_key(row) for row in by_key
+    ]
+    assert len({encode_key(project(row)) for row in rows}) == len(rows)
+
+
+def _id_projection(view):
+    """The oracle for an extent table: every ``.val``/``.cont`` cell of
+    the mirror set to None, in mirror order."""
+    blank = {
+        index
+        for index, column in enumerate(view.columns)
+        if column.endswith((".val", ".cont"))
+    }
+    return [
+        (tuple(None if i in blank else cell for i, cell in enumerate(row)), count)
+        for row, count in view.content()
+    ]
+
+
+def _check_after_every_commit(engine, commits):
+    """Wrap the backend's commit so that after each one every extent
+    table equals the ID projection of its mirror."""
+    backend = engine.backend
+    commit_batch = backend.commit_batch
+
+    def checked(batch_id, views, include_lattices=True):
+        commit_batch(batch_id, views, include_lattices=include_lattices)
+        for name, registered in engine.views.items():
+            assert backend.stored_extent(name) == _id_projection(
+                registered.view
+            ), (batch_id, name)
+        commits.append(batch_id)
+
+    backend.commit_batch = checked
+
+
+_PROJECTION_VIEWS = ("Q1", "Q3", "Q4", "Q6", "Q13")
+
+
+def _projection_stream():
+    """Inserts below stored ``cont`` nodes (Q6 items, Q13
+    descriptions), Appendix-A inserts and deletes, σ flips (churn), and
+    a poison batch (``None``)."""
+    from repro.updates.language import InsertUpdate
+    from repro.workloads.churn import churn_batches
+    from repro.workloads.updates import statement_stream
+    from repro.workloads.xmark import generate_document
+
+    below_cont = [
+        InsertUpdate("/site/regions/namerica/item/description", "<text>n</text>"),
+        InsertUpdate("/site/regions/africa/item", "<mailbox/>"),
+    ]
+    mixed = statement_stream(generate_document(scale=1), 24, seed=5, insert_ratio=0.5)
+    batches = [below_cont, mixed[:12], None, mixed[12:]]
+    batches.extend(churn_batches(generate_document(scale=1), 4, seed=11))
+    return batches
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_extent_tables_hold_the_mirrors_id_projection(tmp_path, workers):
+    from repro.maintenance.engine import MaintenanceEngine
+    from repro.updates.language import InsertUpdate, UpdateBatch
+    from repro.workloads.queries import view_pattern
+    from repro.workloads.xmark import generate_document
+
+    batches = _projection_stream()
+    path = str(tmp_path / "engine.db")
+    engine = MaintenanceEngine(generate_document(scale=1), backend=path)
+    for name in _PROJECTION_VIEWS:
+        engine.register_view(view_pattern(name), name)
+    commits = []
+    _check_after_every_commit(engine, commits)
+    target = engine.session(workers=workers) if workers else engine
+    bad = InsertUpdate("/site/people/person/@id", "<x/>", name="bad")
+    try:
+        for batch in batches:
+            if batch is None:
+                with pytest.raises(ValueError):
+                    target.apply_batch([bad])
+            else:
+                target.apply_batch(UpdateBatch(batch))
+    finally:
+        if workers:
+            target.close()
+    assert commits == list(range(1, len(batches) + 1))
+    for name, registered in engine.views.items():
+        assert registered.view.equals_fresh_evaluation(engine.document), name
+    engine.backend.close()
+    recovered, _ = reopen(
+        path,
+        generate_document(scale=1),
+        {name: view_pattern(name) for name in _PROJECTION_VIEWS},
+    )
+    try:
+        for name in _PROJECTION_VIEWS:
+            assert (
+                recovered.views[name].view.content()
+                == engine.views[name].view.content()
+            ), name
+    finally:
+        recovered.backend.close()
+
+
+def _pending_ops_at_commit(engine):
+    """Per-view ``pending_ops`` seen by each commit, before its flush."""
+    seen = []
+    backend = engine.backend
+    commit_batch = backend.commit_batch
+
+    def recording(batch_id, views, include_lattices=True):
+        seen.append(
+            {
+                name: registered.view._store.pending_ops
+                for name, registered in engine.views.items()
+            }
+        )
+        commit_batch(batch_id, views, include_lattices=include_lattices)
+
+    backend.commit_batch = recording
+    return seen
+
+
+def test_cont_refresh_journals_nothing(tmp_path):
+    from repro.maintenance.engine import MaintenanceEngine
+    from repro.updates.language import InsertUpdate
+    from repro.workloads.queries import view_pattern
+    from repro.workloads.xmark import generate_document
+
+    engine = MaintenanceEngine(
+        generate_document(scale=1), backend=str(tmp_path / "engine.db")
+    )
+    view = engine.register_view(view_pattern("Q6"), "Q6").view
+    seen = _pending_ops_at_commit(engine)
+    before = view.content()
+    engine.apply_batch([InsertUpdate("/site/regions/africa/item", "<mailbox/>")])
+    after = view.content()
+    assert len(after) == len(before)
+    assert sum(old != new for old, new in zip(before, after)) > 0  # refreshed
+    assert seen == [{"Q6": 0}]
+    assert engine.backend.stored_extent("Q6") == _id_projection(view)
+    engine.backend.close()
+
+
+def test_rewrite_with_changed_count_is_journaled(tmp_path):
+    # b's val is rewritten while a second c gives it a second
+    # derivation: the delete/put pair shares a projection but must not
+    # cancel, since the durable count moves from 1 to 2.
+    from repro.maintenance.engine import MaintenanceEngine
+    from repro.updates.language import InsertUpdate
+    from repro.xmldom.parser import parse_document
+
+    engine = MaintenanceEngine(
+        parse_document("<r><a><b>x</b><c/></a><a><b>y</b></a></r>"),
+        backend=str(tmp_path / "engine.db"),
+    )
+    view = engine.register_view(
+        'let $d := doc("d.xml") return for $a in $d/r/a[c], $b in $a/b '
+        "return <res><x>{string($b)}</x></res>",
+        "V",
+    ).view
+    seen = _pending_ops_at_commit(engine)
+    engine.apply_batch([InsertUpdate("/r/a", "<c/>"), InsertUpdate("/r/a/b", "z")])
+    assert [(row[1], count) for row, count in view.content()] == [("xz", 2), ("yz", 1)]
+    assert seen == [{"V": 2}]  # the count change and the fresh row
+    assert engine.backend.stored_extent("V") == _id_projection(view)
+    engine.backend.close()
+
+
+def test_foreign_format_is_refused(tmp_path):
+    import sqlite3
+
+    path = str(tmp_path / "db")
+    SqliteExtentBackend(path).close()
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE meta SET value = 2 WHERE key = 'format'")
+    conn.commit()
+    conn.close()
+    with pytest.raises(RecoveryError, match="format 2.*format 3"):
+        SqliteExtentBackend(path)
+    with pytest.raises(RecoveryError, match="format 2.*format 3"):
+        reopen(path, None, {})
+
+
+def test_dangling_id_is_refused(tmp_path):
+    from repro.maintenance.engine import MaintenanceEngine
+    from repro.updates.language import DeleteUpdate
+    from repro.updates.pul import BatchApplication
+    from repro.workloads.queries import view_pattern
+    from repro.workloads.xmark import generate_document
+
+    path = str(tmp_path / "engine.db")
+    engine = MaintenanceEngine(generate_document(scale=1), backend=path)
+    engine.register_view(view_pattern("Q6"), "Q6")
+    engine.backend.close()
+    # A base document that disagrees with the database: one item fewer.
+    document = generate_document(scale=1)
+    BatchApplication(document, [DeleteUpdate("/site/regions/africa/item")]).apply()
+    with pytest.raises(RecoveryError, match="'Q6'.*item"):
+        reopen(path, document, {"Q6": view_pattern("Q6")})
+
+
+def test_unregistered_view_never_shares_a_table(tmp_path):
+    # Numbering tables by the count of live views gave v3 the number of
+    # v2's live table once v1 was dropped.
+    from repro.maintenance.engine import MaintenanceEngine
+    from repro.workloads.queries import view_pattern
+    from repro.workloads.updates import statement_stream
+    from repro.workloads.xmark import generate_document
+
+    path = str(tmp_path / "engine.db")
+    engine = MaintenanceEngine(generate_document(scale=1), backend=path)
+    engine.register_view(view_pattern("Q1"), "v1")
+    engine.register_view(view_pattern("Q3"), "v2")
+    engine.unregister_view("v1")
+    engine.register_view(view_pattern("Q6"), "v3")
+    engine.apply_batch(
+        statement_stream(generate_document(scale=1), 16, seed=3, insert_ratio=0.7)
+    )
+    engine.backend.close()
+    recovered, _ = reopen(
+        path,
+        generate_document(scale=1),
+        {"v2": view_pattern("Q3"), "v3": view_pattern("Q6")},
+    )
+    try:
+        for name in ("v2", "v3"):
+            assert recovered.views[name].view.equals_fresh_evaluation(
+                recovered.document
+            ), name
+    finally:
+        recovered.backend.close()
