@@ -80,8 +80,11 @@ def spans_to_fragments(roots: Sequence[Span]) -> List[SpanFragment]:
     return fragments
 
 
-def fragments_to_spans(fragments: Iterable[SpanFragment]) -> List[Span]:
-    """Rebuild root span trees from fragments, in ``path`` order.
+def fragments_to_spans(
+    fragments: Iterable[SpanFragment], origin: float = 0.0
+) -> List[Span]:
+    """Rebuild root span trees from fragments, in ``path`` order, each
+    span starting at ``origin`` plus its root-relative offset.
 
     Deterministic under any permutation of ``fragments``; raises
     ``ValueError`` when a fragment's parent path is missing (a torn
@@ -94,7 +97,7 @@ def fragments_to_spans(fragments: Iterable[SpanFragment]) -> List[Span]:
         span = Span(
             fragment.name,
             dict(fragment.attrs),
-            start=fragment.start_offset,
+            start=origin + fragment.start_offset,
             seconds=fragment.seconds,
         )
         by_path[fragment.path] = span

@@ -96,19 +96,22 @@ def install_lattice_rows(lattice, fragment, document) -> None:
         lattice.load_materialized(subset, relation)
 
 
-def merge_span_fragments(fragment_lists: Iterable) -> list:
+def merge_span_fragments(fragment_lists: Iterable, origin: float = 0.0) -> list:
     """Stitch worker span fragments back into span trees.
 
     ``fragment_lists`` yields per-source sequences of
     :class:`~repro.obs.SpanFragment` (one per session worker, in worker
     index order); ``None`` entries (telemetry off for that source) are
     skipped.  Within each source the rebuild sorts by fragment ``path``,
-    so the stitched trees are independent of shipment order.
+    so the stitched trees are independent of shipment order.  Spans
+    start at ``origin`` plus their root-relative offset, so grafting
+    under a span that started at ``origin`` places them on the
+    caller's timeline.
     """
     from repro.obs import fragments_to_spans
 
     spans = []
     for fragments in fragment_lists:
         if fragments:
-            spans.extend(fragments_to_spans(fragments))
+            spans.extend(fragments_to_spans(fragments, origin))
     return spans

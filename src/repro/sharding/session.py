@@ -51,6 +51,16 @@ replica inherits are never collected there -- bounded by the owner's
 heap at fork time, since the replica's own garbage is collected as
 usual.
 
+A replica collects its own garbage *between* requests, never inside
+one: right after the fork it turns automatic collection off, and after
+every reply it sends (batch, control message or error) it runs the one
+collection CPython's counters say is due -- ``gc.get_count()`` against
+``gc.get_threshold()``, the oldest generation over its threshold.  So
+garbage is collected on the usual generational schedule, but while the
+owner replays the reply, not on the owner's critical path inside a
+replica's batch.  A replica forked with collection off keeps it off.
+The owner process's collection policy stays the application's.
+
 Failure semantics mirror the engine's poison-batch contract: a
 statement that fails poisons *its* batch only.  Owner and replicas run
 the same deterministic application, so they fail the same statement
@@ -86,6 +96,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.obs import spans_to_fragments
 from repro.sharding.merge import merge_span_fragments
 from repro.updates.language import UpdateBatch, UpdateStatement
 
@@ -150,9 +161,88 @@ def _serve_migration(engine, idle_views: Dict, message: tuple):
     raise RuntimeError("unknown session control message %r" % (message[0],))
 
 
+def _collect_due_garbage() -> None:
+    """Run the one collection CPython's own counters say is due: the
+    oldest generation whose count exceeds its threshold (a zero first
+    threshold means automatic collection is off), else nothing."""
+    counts = gc.get_count()
+    thresholds = gc.get_threshold()
+    if not thresholds[0]:
+        return
+    for generation in (2, 1, 0):
+        if counts[generation] > thresholds[generation]:
+            gc.collect(generation)
+            return
+
+
+def _serve_batch(engine, statements, ship_spans: bool) -> Dict:
+    """Apply one batch to the replica's views; the reply payload: the
+    store-pass inputs per view plus slim stats (see the module
+    docstring)."""
+    started = time.perf_counter()
+    report = engine.apply_batch(statements)
+    # One canonical object per distinct string across the whole
+    # payload: XMark-style workloads repeat identical val/cont text
+    # across thousands of delta rows, and pickle stores a memo
+    # reference per repeated *object* -- deduplication shrinks the
+    # shipped bytes by up to an order of magnitude.
+    canon: Dict[str, str] = {}
+    for name in engine.views:
+        deltas = (report.view_deltas or {}).get(name, {})
+        for key in ("additions", "removals"):
+            rows = deltas.get(key)
+            if rows:
+                deltas[key] = {
+                    _canonical_row(row, canon): count for row, count in rows.items()
+                }
+        pairs = deltas.get("refresh")
+        if pairs:
+            deltas["refresh"] = [
+                (_canonical_row(old, canon), _canonical_row(new, canon))
+                for old, new in pairs
+            ]
+    payload: Dict[str, Dict] = {}
+    for name in engine.views:
+        deltas = (report.view_deltas or {}).get(name, {})
+        view_report = report.view_reports.get(name)
+        entry: Dict = {
+            "refresh": deltas.get("refresh", ()),
+            "additions": deltas.get("additions", {}),
+            "removals": deltas.get("removals", {}),
+            "fallback": report.fallbacks.get(name),
+            "repairs": report.repairs.get(name),
+            "stats": None,
+        }
+        if view_report is not None:
+            entry["stats"] = {
+                "targets": view_report.targets,
+                "terms_developed": view_report.terms_developed,
+                "terms_surviving": view_report.terms_surviving,
+                "term_eval_seconds": view_report.term_eval_seconds,
+                "maintenance_seconds": view_report.phases.total(),
+            }
+        if entry["fallback"] is not None:
+            # The owner holds no lattice for this view; ship the
+            # recomputed extent outright.
+            entry["content"] = engine.views[name].view.content()
+        payload[name] = entry
+    span_rows = None
+    if ship_spans:
+        drained = engine.obs.tracer.drain()
+        if drained:
+            span_rows = spans_to_fragments(drained)
+    return {
+        "views": payload,
+        "worker_wall_s": time.perf_counter() - started,
+        "apply_document_s": report.apply_document_seconds,
+        "propagation_s": report.propagation_seconds(),
+        "spans": span_rows,
+    }
+
+
 def _session_worker_main(conn, owned_names: List[str]) -> None:
     """Worker loop: inherits the engine by fork, serves its views."""
-    from repro.obs import NULL_OBS, Observability, spans_to_fragments
+    from repro.obs import NULL_OBS, Observability
 
     engine = _FORK_STATE["engine"]
     # Non-owned views stay resident in an idle stash instead of being
@@ -174,6 +264,10 @@ def _session_worker_main(conn, owned_names: List[str]) -> None:
     # fragments (the owner stitches them under its replica_apply span).
     ship_spans = engine.obs.enabled
     engine.obs = Observability() if ship_spans else NULL_OBS
+    # Garbage is collected between requests, never inside one (see the
+    # module docstring); a fork with collection off keeps it off.
+    collect = gc.isenabled()
+    gc.disable()
     conn.send(("ready", None))
     while True:
         try:
@@ -182,92 +276,24 @@ def _session_worker_main(conn, owned_names: List[str]) -> None:
             break
         if message is None:
             break
-        if isinstance(message, tuple):
-            # Control message (migration); batches arrive as raw lists.
-            try:
-                reply = _serve_migration(engine, idle_views, message)
-            except BaseException as exc:
-                try:
-                    conn.send(("error", exc))
-                except Exception:
-                    conn.send(("error", RuntimeError(repr(exc))))
-                continue
-            conn.send(("ok", reply))
-            continue
-        statements = message
-        started = time.perf_counter()
         try:
-            report = engine.apply_batch(statements)
-            # One canonical object per distinct string across the whole
-            # payload: XMark-style workloads repeat identical val/cont
-            # text across thousands of delta rows, and pickle stores a
-            # memo reference per repeated *object* -- deduplication
-            # shrinks the shipped bytes by up to an order of magnitude.
-            canon: Dict[str, str] = {}
-            for name in engine.views:
-                deltas = (report.view_deltas or {}).get(name, {})
-                for key in ("additions", "removals"):
-                    rows = deltas.get(key)
-                    if rows:
-                        deltas[key] = {
-                            _canonical_row(row, canon): count
-                            for row, count in rows.items()
-                        }
-                pairs = deltas.get("refresh")
-                if pairs:
-                    deltas["refresh"] = [
-                        (_canonical_row(old, canon), _canonical_row(new, canon))
-                        for old, new in pairs
-                    ]
-            payload: Dict[str, Dict] = {}
-            for name in engine.views:
-                deltas = (report.view_deltas or {}).get(name, {})
-                view_report = report.view_reports.get(name)
-                entry: Dict = {
-                    "refresh": deltas.get("refresh", ()),
-                    "additions": deltas.get("additions", {}),
-                    "removals": deltas.get("removals", {}),
-                    "fallback": report.fallbacks.get(name),
-                    "repairs": report.repairs.get(name),
-                    "stats": None,
-                }
-                if view_report is not None:
-                    entry["stats"] = {
-                        "targets": view_report.targets,
-                        "terms_developed": view_report.terms_developed,
-                        "terms_surviving": view_report.terms_surviving,
-                        "term_eval_seconds": view_report.term_eval_seconds,
-                        "maintenance_seconds": view_report.phases.total(),
-                    }
-                if entry["fallback"] is not None:
-                    # The owner holds no lattice for this view; ship the
-                    # recomputed extent outright.
-                    entry["content"] = engine.views[name].view.content()
-                payload[name] = entry
-            span_rows = None
-            if ship_spans:
-                drained = engine.obs.tracer.drain()
-                if drained:
-                    span_rows = spans_to_fragments(drained)
-            conn.send(
-                (
-                    "ok",
-                    {
-                        "views": payload,
-                        "worker_wall_s": time.perf_counter() - started,
-                        "apply_document_s": report.apply_document_seconds,
-                        "propagation_s": report.propagation_seconds(),
-                        "spans": span_rows,
-                    },
-                )
-            )
+            if isinstance(message, tuple):
+                # Control message (migration); batches arrive as raw lists.
+                reply = ("ok", _serve_migration(engine, idle_views, message))
+            else:
+                reply = ("ok", _serve_batch(engine, message, ship_spans))
         except BaseException as exc:  # ship the poison, stay alive
             if ship_spans:
                 engine.obs.tracer.drain()  # don't let poison spans pile up
-            try:
-                conn.send(("error", exc))
-            except Exception:
-                conn.send(("error", RuntimeError(repr(exc))))
+            reply = ("error", exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # unpicklable: ship the error's repr
+            failed = reply[1] if reply[0] == "error" else exc
+            conn.send(("error", RuntimeError(repr(failed))))
+        reply = None  # freed before the collection, not traversed by it
+        if collect:
+            _collect_due_garbage()
     conn.close()
 
 
@@ -479,7 +505,8 @@ class ShardSession:
         """Party 0's round: the engine's own batch pipeline over the
         views the owner maintains, document apply included, traced like
         a replica's (a ``replica_apply`` span, ``worker=0``, with the
-        ``batch`` tree under it).  Returns ``(report, error, wall)``."""
+        ``batch`` tree under it).  Returns ``(report, error, started,
+        wall)``, ``started`` being the round's ``perf_counter`` start."""
         engine = self.engine
         owned = {name: engine.views[name] for name in self._assignment[0]}
         started = time.perf_counter()
@@ -487,18 +514,20 @@ class ShardSession:
             with self.obs.span("replica_apply", worker=0), engine.obs.span("batch"):
                 local = engine._apply_batch_impl(statements, views=owned)
         except BaseException as exc:
-            return None, exc, time.perf_counter() - started
-        return local, None, time.perf_counter() - started
+            return None, exc, started, time.perf_counter() - started
+        return local, None, started, time.perf_counter() - started
 
     def _apply_statements(self, statements: List[UpdateStatement], report):
         """One broadcast, party-0 round and replay under session_batch."""
-        from repro.maintenance.engine import ViewReport
-
         tracer = self.obs.tracer
+        # Per replica, when the owner began sending it the batch: the
+        # replica cannot start before, so its replica_apply span does.
+        sent_at: List[float] = []
 
         def broadcast() -> None:
             broadcast_started = time.perf_counter()
             for conn in self._connections:
+                sent_at.append(time.perf_counter())
                 try:
                     conn.send(statements)
                 except (BrokenPipeError, OSError) as exc:
@@ -510,6 +539,7 @@ class ShardSession:
             tracer.record(
                 "broadcast",
                 time.perf_counter() - broadcast_started,
+                broadcast_started,
                 workers=len(self._connections),
             )
 
@@ -529,7 +559,9 @@ class ShardSession:
             broadcast()
         # Party 0's round overlaps the replicas' work (unless the
         # calibration knob sequences it first).
-        local, local_error, local_wall = self._run_owner_party(statements)
+        local, local_error, local_started, local_wall = self._run_owner_party(
+            statements
+        )
         if self.sequential_send:
             if local_error is not None:
                 # Replicas never saw the batch; the owner's partial
@@ -550,10 +582,11 @@ class ShardSession:
         #: this batch -- the rebalance policy's only input.
         batch_timings: Dict[str, float] = {}
         if local is not None:
-            tracer.record("owner_apply", local.apply_document_seconds)
+            # The document apply opens party 0's round.
+            tracer.record("owner_apply", local.apply_document_seconds, local_started)
             # Party 0's store pass ran inside its phases: nothing to
             # replay, recorded so every party reports the same spans.
-            tracer.record("delta_replay", 0.0, worker=0)
+            tracer.record("delta_replay", 0.0, prep_done, worker=0)
             self._makespan_gauge.set(local_wall, labels=("0",))
             units.append(
                 unit(
@@ -602,48 +635,33 @@ class ShardSession:
                 unit(party, wall, payload["apply_document_s"], payload["propagation_s"])
             )
             self._makespan_gauge.set(wall, labels=(str(party),))
-            replica_span = tracer.record("replica_apply", wall, worker=party)
+            replica_started = sent_at[party - 1]
+            replica_span = tracer.record(
+                "replica_apply", wall, replica_started, worker=party
+            )
             if payload.get("spans"):
                 tracer.adopt(
-                    replica_span, merge_span_fragments([payload["spans"]])
+                    replica_span,
+                    merge_span_fragments([payload["spans"]], origin=replica_started),
                 )
             if error is not None:
                 if local_error is not None:
                     mixed_outcome = True  # replica applied what the owner could not
                 continue  # drain remaining replicas, then poison
             store_started = time.perf_counter()
-            for name, entry in payload["views"].items():
-                registered = self.engine.views[name]
-                view_report = ViewReport(name)
-                stats = entry.get("stats")
-                if stats:
-                    view_report.targets = stats["targets"]
-                    view_report.terms_developed = stats["terms_developed"]
-                    view_report.terms_surviving = stats["terms_surviving"]
-                    view_report.term_eval_seconds = stats["term_eval_seconds"]
-                    batch_timings[name] = stats["maintenance_seconds"]
-                report.view_reports[name] = view_report
-                if entry.get("repairs"):
-                    report.repairs[name] = entry["repairs"]
-                if entry["fallback"] is not None:
-                    report.fallbacks[name] = entry["fallback"]
-                    # Content-level reload keeps the store object (and
-                    # its durable table binding, if any).
-                    registered.view.reload_content(entry["content"])
-                    continue
-                # ONE bulk store pass replays the Δ rows and the refresh
-                # rewrites together; counters come back net of the churn.
-                view_report.tuples_modified = len(entry["refresh"])
-                (
-                    view_report.derivations_added,
-                    view_report.tuples_removed,
-                    view_report.derivations_removed,
-                ) = registered.view.apply_batch_delta(
-                    entry["additions"], entry["removals"], entry["refresh"]
-                )
+            try:
+                self._replay(payload["views"], report, batch_timings)
+            except BaseException as exc:
+                # The owner could not fold a replica's deltas: its
+                # extents no longer match the replicas.  Drain the other
+                # replies (a later batch must not read them) and poison,
+                # exactly like a mixed outcome.
+                error = exc
+                mixed_outcome = True
+                continue
             replay_seconds = time.perf_counter() - store_started
             store_seconds += replay_seconds
-            tracer.record("delta_replay", replay_seconds, worker=party)
+            tracer.record("delta_replay", replay_seconds, store_started, worker=party)
         if error is not None:
             if worker_died or mixed_outcome:
                 # Unrecoverable: a replica is gone or no longer agrees
@@ -710,6 +728,43 @@ class ShardSession:
             }
         )
         return report
+
+    def _replay(
+        self, views: Dict[str, Dict], report, batch_timings: Dict[str, float]
+    ) -> None:
+        """Fold one replica's shipped per-view deltas into the owner's
+        extents and its stats into ``report``."""
+        from repro.maintenance.engine import ViewReport
+
+        for name, entry in views.items():
+            registered = self.engine.views[name]
+            view_report = ViewReport(name)
+            stats = entry.get("stats")
+            if stats:
+                view_report.targets = stats["targets"]
+                view_report.terms_developed = stats["terms_developed"]
+                view_report.terms_surviving = stats["terms_surviving"]
+                view_report.term_eval_seconds = stats["term_eval_seconds"]
+                batch_timings[name] = stats["maintenance_seconds"]
+            report.view_reports[name] = view_report
+            if entry.get("repairs"):
+                report.repairs[name] = entry["repairs"]
+            if entry["fallback"] is not None:
+                report.fallbacks[name] = entry["fallback"]
+                # Content-level reload keeps the store object (and
+                # its durable table binding, if any).
+                registered.view.reload_content(entry["content"])
+                continue
+            # ONE store pass replays the Δ rows and the refresh
+            # rewrites together; counters come back net of the churn.
+            view_report.tuples_modified = len(entry["refresh"])
+            (
+                view_report.derivations_added,
+                view_report.tuples_removed,
+                view_report.derivations_removed,
+            ) = registered.view.apply_batch_delta(
+                entry["additions"], entry["removals"], entry["refresh"]
+            )
 
     # -- view migration ---------------------------------------------------
 
@@ -859,6 +914,11 @@ class ShardSession:
             except Exception:
                 pass
         for process in self._processes:
+            if force:
+                # Poisoned: a replica has nothing left to finish, and a
+                # live one never sees EOF (forked replicas hold copies
+                # of the pipe ends the owner just closed).
+                process.terminate()
             process.join(timeout=5)
             if process.is_alive():
                 process.terminate()

@@ -92,7 +92,7 @@ def _projector(derived) -> Optional[Callable[[tuple], tuple]]:
 class SqliteTupleStore(OrderedTupleStore):
     """Write-through extent store: in-memory mirror + journaled table.
 
-    Honors the whole ``OrderedTupleStore`` contract (``bulk_apply``
+    Honors the whole ``OrderedTupleStore`` contract (``merge_shifts``
     one-pass merges, ``order_key`` bisects, ``load_sorted``, lazy
     ``items()`` / materialized ``snapshot()``).  The mirror orders by
     the caller's ``order_key`` exactly like the in-memory store, so the
@@ -155,38 +155,38 @@ class SqliteTupleStore(OrderedTupleStore):
             self._ops.clear()
             self._reload = True
 
-    def bulk_apply(self, changes: Iterable[Tuple[Any, Any]]) -> None:
-        if not self._journaling():
-            super().bulk_apply(changes)
-            return
-        taken = list(changes)
-        ops = taken if self._project is None else self._projected_ops(taken)
-        super().bulk_apply(taken)
-        # Only journal once the merge validated the whole change list
-        # (a non-monotone iterable raises mid-way and changes nothing
-        # durable, matching the in-memory store's all-or-error shape
-        # closely enough for the poison paths that recompute anyway).
-        self._ops.extend(ops)
-        crash_point("mid_bulk_apply")
+    def merge_shifts(self, shifts: Dict[Any, int]) -> List[Tuple[Any, int, Any]]:
+        changed = super().merge_shifts(shifts)
+        if self._journaling():
+            # Journaled only once the merge validated every shift (it
+            # raises before assigning anything), so an error leaves
+            # mirror and journal both unchanged.
+            if self._project is None:
+                self._ops.extend((row, count) for row, _previous, count in changed)
+            else:
+                self._ops.extend(self._projected_ops(changed))
+            crash_point("mid_bulk_apply")
+        return changed
 
-    def _projected_ops(self, changes: List[Tuple[Any, Any]]) -> List[Tuple[Any, Any]]:
-        """One merge's changes as projection ops, read *before* the
-        merge.  A refresh rewrite is a delete of the old row and a put
-        of the new one under the same projection: the put wins, and
-        when it keeps the old row's count the pair cancels outright."""
+    def _projected_ops(
+        self, changed: List[Tuple[Any, int, Any]]
+    ) -> List[Tuple[Any, Any]]:
+        """One merge's ``(row, previous, new)`` triples as projection
+        ops.  A refresh rewrite is a delete of the old row and a put of
+        the new one under the same projection: the put wins, and when
+        it keeps the old row's count the pair cancels outright."""
         project = self._project
-        projected = [(project(row), row, value) for row, value in changes]
+        projected = [(project(row), previous, count) for row, previous, count in changed]
         dropped = {
-            key: row for key, row, value in projected if value is DELETED
+            key: previous for key, previous, count in projected if count is DELETED
         }
         ops = []
-        for key, row, value in projected:
-            if value is DELETED:
+        for key, _previous, count in projected:
+            if count is DELETED:
                 continue
-            old_row = dropped.pop(key, None)
-            if old_row is not None and self.get(old_row) == value:
+            if dropped.pop(key, None) == count:
                 continue  # pure rewrite: the durable row is unchanged
-            ops.append((key, value))
+            ops.append((key, count))
         ops.extend((key, DELETED) for key in dropped)
         return ops
 

@@ -3,14 +3,16 @@
 The paper's prototype keeps view data in BerkeleyDB: an ordered
 key/value store scanned in key order and updated in place.  This module
 provides the same contract in pure Python: sorted keys, point get/put/
-delete, range scans and optional file persistence.
+delete, range scans, one merge of signed count shifts per batch
+(:meth:`OrderedTupleStore.merge_shifts`) and optional file persistence.
 
 View tuples are the keys (they sort by their leading ID columns, i.e.,
 document order), derivation counts are the values.
 
 An optional ``order_key`` callable maps stored keys to the comparison
 keys the B-tree actually orders by.  It must induce exactly the same
-total order as comparing the keys directly -- the point is speed, not
+total order as comparing the keys directly (so it is injective, and
+equal order keys mean equal keys) -- the point is speed, not
 semantics: view tuples contain :class:`~repro.xmldom.dewey.DeweyID`
 cells whose rich comparisons are Python calls, while their precomputed
 ``sort_key`` tuples compare entirely in C, so the store keeps a
@@ -21,9 +23,10 @@ from __future__ import annotations
 
 import bisect
 import pickle
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-#: sentinel value marking a deletion in :meth:`OrderedTupleStore.bulk_apply`.
+#: the ``new`` count of a key :meth:`OrderedTupleStore.merge_shifts` dropped.
 DELETED = object()
 
 
@@ -126,51 +129,83 @@ class OrderedTupleStore:
 
     # -- bulk / persistence -----------------------------------------------------
 
-    def bulk_apply(self, changes: Iterable[Tuple[Any, Any]]) -> None:
-        """One-pass merge of key-sorted changes into the store.
+    def merge_shifts(self, shifts: Dict[Any, int]) -> List[Tuple[Any, int, Any]]:
+        """Fold signed derivation-count shifts into the store: the one
+        write primitive of the batch pipeline's store pass.
 
-        ``changes`` is an iterable of ``(key, value)`` pairs with
-        strictly increasing keys; a value of :data:`DELETED` drops the
-        key (absent keys are ignored).  The merge rebuilds the parallel
-        lists in a single O(n + k) pass -- the batch pipeline's
-        replacement for k individual O(n) shifting inserts.
+        ``shifts`` maps keys to a signed change of their count (an
+        absent key counts 0; zero shifts are skipped).  Each key is
+        mapped to its order key once, the shifts are sorted once by it,
+        and one O(n + k) merge rebuilds the parallel lists, reading each
+        current count at its merge position.  Returns one ``(key,
+        previous, new)`` triple per changed key, in key order, with
+        ``new`` :data:`DELETED` when the count reaches zero (``previous``
+        is 0 for a key that was absent).  Shifting an absent key below
+        zero raises ``KeyError`` and a present one ``ValueError``; both
+        raise before anything is assigned, so the store is unchanged.
         """
-        separate_order = self._order_key is not None
-        new_keys: List[Any] = []
-        new_values: List[Any] = []
-        new_order: List[Any] = new_keys if not separate_order else []
-        index = 0
+        order_key = self._order_key
+        if order_key is None:
+            decorated = [(key, key, shift) for key, shift in shifts.items() if shift]
+        else:
+            decorated = [
+                (order_key(key), key, shift) for key, shift in shifts.items() if shift
+            ]
+        if not decorated:
+            return []
+        decorated.sort(key=itemgetter(0))
         keys = self._keys
         values = self._values
         order = self._order
-        previous = None
-        for key, value in changes:
-            mapped = self._mapped(key)
-            if previous is not None and not previous < mapped:
-                raise ValueError("bulk_apply changes are not strictly increasing")
-            previous = mapped
-            position = bisect.bisect_left(order, mapped, index)
-            new_keys.extend(keys[index:position])
-            new_values.extend(values[index:position])
-            if separate_order:
-                new_order.extend(order[index:position])
-            index = position
-            if index < len(keys) and keys[index] == key:
-                index += 1  # replaced or deleted below
-            if value is not DELETED:
+        separate_order = order_key is not None
+        new_keys: List[Any] = []
+        new_values: List[Any] = []
+        new_order: List[Any] = new_keys if not separate_order else []
+        changed: List[Tuple[Any, int, Any]] = []
+        size = len(keys)
+        index = 0
+        bisect_left = bisect.bisect_left
+        for mapped, key, shift in decorated:
+            position = bisect_left(order, mapped, index)
+            if position > index:
+                new_keys += keys[index:position]
+                new_values += values[index:position]
+                if separate_order:
+                    new_order += order[index:position]
+            # order_key is injective, so equal order keys mean the key
+            # is present (compared in C, not through the key's cells).
+            if position < size and order[position] == mapped:
+                previous = values[position]
+                index = position + 1
+            elif shift < 0:
+                raise KeyError("key %r is not in the store" % (key,))
+            else:
+                previous = 0
+                index = position
+            count = previous + shift
+            if count > 0:
                 new_keys.append(key)
-                new_values.append(value)
+                new_values.append(count)
                 if separate_order:
                     new_order.append(mapped)
-        new_keys.extend(keys[index:])
-        new_values.extend(values[index:])
+                changed.append((key, previous, count))
+            elif count == 0:
+                changed.append((key, previous, DELETED))
+            else:
+                raise ValueError(
+                    "key %r has %d derivations, cannot remove %d"
+                    % (key, previous, -shift)
+                )
+        new_keys += keys[index:]
+        new_values += values[index:]
         self._keys = new_keys
         self._values = new_values
         if separate_order:
-            new_order.extend(order[index:])
+            new_order += order[index:]
             self._order = new_order
         else:
             self._order = new_keys
+        return changed
 
     def load_sorted(self, items: Iterable[Tuple[Any, Any]]) -> None:
         """Bulk-load pre-sorted items (replaces current content)."""

@@ -208,33 +208,13 @@ class MaterializedView:
                 raise KeyError("tuple %r is not in view %s" % (old_row, self.name))
             delta[old_row] = delta.get(old_row, 0) - count
             delta[new_row] = delta.get(new_row, 0) + count
-        changes = []
-        tuples_removed = 0
-        for row in sorted(delta, key=row_sort_key):
-            shift = delta[row]
-            if shift == 0:
-                continue
-            current = self._store.get(row)
-            if current is None:
-                if shift < 0:
-                    raise KeyError("tuple %r is not in view %s" % (row, self.name))
-                changes.append((row, shift))
-                continue
-            remaining = current + shift
-            if remaining < 0:
-                raise ValueError(
-                    "tuple %r has %d derivations, cannot remove %d"
-                    % (row, current, -shift)
-                )
-            if remaining == 0:
-                changes.append((row, DELETED))
-                tuples_removed += 1
-            else:
-                changes.append((row, remaining))
-        self._store.bulk_apply(changes)
+        changed = self._store.merge_shifts(delta)
+        tuples_removed = sum(count is DELETED for _row, _previous, count in changed)
         for _old_row, new_row in rewrites:
-            # Each old form dropped; the tuple left only if its new did.
-            tuples_removed += (new_row not in self._store) - 1
+            # Each old form dropped; the tuple left only if its new form
+            # is absent too, which a positive net shift rules out.
+            if delta[new_row] > 0 or new_row in self._store:
+                tuples_removed -= 1
         return (
             sum(additions.values()),
             tuples_removed,

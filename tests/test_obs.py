@@ -441,6 +441,35 @@ class TestSessionTelemetry:
         assert obs.metrics.get("repro_session_skew_seconds").max_value() >= 0.0
         assert obs.metrics.get("repro_session_lpt_imbalance_ratio").value() >= 1.0
 
+    def test_session_spans_lie_inside_their_parents(self):
+        # Every span under session_batch sits on the owner's timeline,
+        # worker trees grafted at their replica_apply's start.
+        obs = Observability()
+        engine, views = _engine(obs=obs)
+        with engine.session(workers=2) as session:
+            for seed in (3, 4):
+                session.apply_batch(_stream(6, seed=seed, insert_ratio=0.5))
+        batches = [span for span in obs.flush() if span.name == "session_batch"]
+        assert len(batches) == 2
+
+        def inside(child, parent):
+            return (
+                parent.start <= child.start
+                and child.start + child.seconds <= parent.start + parent.seconds
+            )
+
+        for batch in batches:
+            assert {child.name for child in batch.children} == {
+                "broadcast", "replica_apply", "owner_apply", "delta_replay"
+            }
+            for child in batch.children:
+                assert inside(child, batch), child.name
+            for replica in batch.children:
+                if replica.name == "replica_apply":
+                    (grafted,) = replica.children
+                    assert grafted.name == "batch"
+                    assert inside(grafted, replica), replica.attrs
+
 
 # -- queue telemetry ----------------------------------------------------------
 

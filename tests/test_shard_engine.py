@@ -306,6 +306,37 @@ class TestShardedPropagation:
         for name in VIEWS:
             assert views[name].view.equals_fresh_evaluation(document), name
 
+    def test_session_replay_failure_drains_and_poisons(self):
+        # The owner fails to replay party 1's deltas: party 2's reply
+        # must still be read (else the next batch reads it), and the
+        # session must restore the owner's views and close.
+        document, engine, views = _engines()
+        weights = {"Q1": 3.0, "Q3": 2.0, "Q6": 1.0}
+        session = ShardSession(engine, workers=3, weights=weights)
+        try:
+            assert [session.assignment[name] for name in VIEWS] == [0, 1, 2]
+            view = views["Q3"].view
+
+            def fail_once(*args, **kwargs):
+                del view.apply_batch_delta  # later calls reach the method
+                raise RuntimeError("replay failed")
+
+            view.apply_batch_delta = fail_once
+            with pytest.raises(RuntimeError, match="replay failed"):
+                session.apply_batch(
+                    UpdateBatch(statement_stream(document, 8, seed=2, insert_ratio=0.5))
+                )
+            assert session._closed
+            for name in VIEWS:
+                assert views[name].view.equals_fresh_evaluation(document), name
+            with pytest.raises(RuntimeError, match="closed"):
+                session.apply_batch(UpdateBatch(statement_stream(document, 4, seed=3)))
+        finally:
+            session.close()
+        engine.apply_batch(UpdateBatch(statement_stream(document, 8, seed=4)))
+        for name in VIEWS:
+            assert views[name].view.equals_fresh_evaluation(document), name
+
     def test_session_feeds_apply_queue(self):
         stream = statement_stream(
             generate_document(scale=1), 24, seed=31, insert_ratio=0.8
@@ -486,3 +517,46 @@ class TestOwnerParty:
         finally:
             session.close()
             engine.backend.close()
+
+
+# -- replica garbage collection -------------------------------------------------
+
+
+def test_replicas_collect_garbage_between_batches_only(monkeypatch):
+    # A gc callback and a flag around apply_batch, both installed before
+    # the fork, so the replica inherits them; shared memory carries the
+    # replica's counts home.
+    import gc
+    import multiprocessing
+    import os
+
+    owner = os.getpid()
+    counts = multiprocessing.RawArray("i", 2)  # [inside a batch, between]
+    applying = [False]
+    real_apply_batch = MaintenanceEngine.apply_batch
+
+    def flagged(self, *args, **kwargs):
+        applying[0] = True
+        try:
+            return real_apply_batch(self, *args, **kwargs)
+        finally:
+            applying[0] = False
+
+    def on_gc(phase, info):
+        if phase == "start" and os.getpid() != owner:
+            counts[0 if applying[0] else 1] += 1
+
+    monkeypatch.setattr(MaintenanceEngine, "apply_batch", flagged)
+    document, engine, views = _engines()
+    stream = statement_stream(document, 160, seed=23, insert_ratio=0.5)
+    gc.callbacks.append(on_gc)
+    try:
+        with engine.session(workers=2) as session:
+            for index in range(0, len(stream), 8):
+                session.apply_batch(UpdateBatch(stream[index : index + 8]))
+    finally:
+        gc.callbacks.remove(on_gc)
+    for name in VIEWS:
+        assert views[name].view.equals_fresh_evaluation(document), name
+    assert counts[0] == 0, "a replica collected inside a batch"
+    assert counts[1] > 0, "a replica never collected"

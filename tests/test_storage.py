@@ -1,11 +1,12 @@
 """Unit tests for the durable storage layer (repro.storage).
 
-Five areas: the memcomparable key encoding (its order must coincide
+Six areas: the memcomparable key encoding (its order must coincide
 with ``row_sort_key`` on every comparable pair, DeweyID padded
 semantics included, with or without the per-flush prefix memo), the
 WAL frame format under torn writes (the satellite contract: recovery
 drops exactly the uncommitted suffix, never a committed batch), the
-fork/pickle refusals, the reopen-level RecoveryReport surface, and the
+fork/pickle refusals, ``merge_shifts`` on a durable store against a
+plain-dict reference, the reopen-level RecoveryReport surface, and the
 ID-projection rows (every table equals its mirror's projection after
 every commit, a refresh journals nothing, foreign formats and dangling
 IDs are refused, table numbers are never reused).
@@ -13,6 +14,7 @@ IDs are refused, table numbers are never reused).
 
 import os
 import pickle
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,6 +295,85 @@ class TestSqliteStore:
         backend.commit_batch(batch_id, {}, include_lattices=False)
         assert (backend.version, backend.lattice_version) == (2, 1)
         backend.close()
+
+
+#: per ID, one step's action: ``("shift", n)`` changes its count by n
+#: (``"drop"``: by minus its count), ``(val, n)`` rewrites its val cell
+#: to ``val`` and moves its count there, plus n.
+_durable_steps = st.lists(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=5),
+        st.one_of(
+            st.tuples(
+                st.just("shift"),
+                st.one_of(st.integers(min_value=-2, max_value=3), st.just("drop")),
+            ),
+            st.tuples(st.sampled_from("pqr"), st.integers(min_value=-1, max_value=2)),
+        ),
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(steps=_durable_steps)
+@settings(max_examples=40, deadline=None)
+def test_merge_shifts_journals_the_mirrors_projection(steps):
+    """``merge_shifts`` on a durable store against a plain-dict
+    reference: the mirror follows the reference, errors change neither
+    mirror nor journal, a rewrite pair journals an op only when its
+    count changed, and after every flush the table holds the mirror's
+    ID projection."""
+    ids = [dewey((0,), (index,)) for index in range(6)]
+    with tempfile.TemporaryDirectory() as directory:
+        backend = SqliteExtentBackend(os.path.join(directory, "db"))
+        store = backend.store_for("v", order_key=row_sort_key, derived=((1, 0, "val"),))
+        reference = {}  # (ID, val) -> count; one row per ID
+        try:
+            for step in steps:
+                current = {row[0]: (row, count) for row, count in reference.items()}
+                shifts = {}
+                for index, (action, amount) in step.items():
+                    row, count = current.get(ids[index], ((ids[index], "o"), 0))
+                    if action == "shift":
+                        shifts[row] = -count if amount == "drop" else amount
+                    elif count and action != row[1]:
+                        shifts[row] = -count
+                        shifts[(ids[index], action)] = count + amount
+                    else:
+                        shifts[row] = amount
+                expected = dict(reference)
+                for row, shift in shifts.items():
+                    expected[row] = expected.get(row, 0) + shift
+                    if not expected[row]:
+                        del expected[row]
+                before, pending = store.snapshot(), store.pending_ops
+                if any(count < 0 for count in expected.values()):
+                    with pytest.raises((KeyError, ValueError)):
+                        store.merge_shifts(shifts)
+                    assert (store.snapshot(), store.pending_ops) == (before, pending)
+                else:
+                    store.merge_shifts(shifts)
+                    # One op per ID whose durable count moved: a pure
+                    # rewrite journals nothing.
+                    moved = {row[0]: count for row, count in reference.items()}
+                    for row, count in expected.items():
+                        if moved.get(row[0]) == count:
+                            del moved[row[0]]
+                        else:
+                            moved[row[0]] = count
+                    assert store.pending_ops == len(moved)
+                    reference = expected
+                assert list(store.items()) == sorted(
+                    reference.items(), key=lambda item: row_sort_key(item[0])
+                )
+                backend.sync({})
+                assert backend.stored_extent("v") == [
+                    ((row[0], None), count) for row, count in store.items()
+                ]
+        finally:
+            backend.close()
 
 
 # -- reopen-level recovery surface ------------------------------------------

@@ -1,9 +1,10 @@
 """Materialized views and the ordered tuple store."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.pattern.tree_pattern import PatternNode, Pattern
-from repro.views.store import OrderedTupleStore
+from repro.views.store import DELETED, OrderedTupleStore
 from repro.views.view import MaterializedView
 from tests.conftest import chain_pattern
 
@@ -81,11 +82,29 @@ class TestOrderedTupleStore:
         assert list(frozen) == [((1,), "a")]
         assert list(store.items()) == [((0,), "z")]
 
-    def test_bulk_apply_merges(self, make_store):
+    def test_merge_shifts_merges(self, make_store):
+        store = make_store()
+        store.load_sorted([((0,), 1), ((2,), 1), ((3,), 2)])
+        changed = store.merge_shifts({(3,): -2, (1,): 5, (2,): 6, (0,): 0})
+        assert changed == [((1,), 0, 5), ((2,), 1, 7), ((3,), 2, DELETED)]
+        assert list(store.items()) == [((0,), 1), ((1,), 5), ((2,), 7)]
+        assert store.merge_shifts({(0,): 0}) == []
+
+    @pytest.mark.parametrize(
+        "shifts, error",
+        [
+            ({(0,): 1, (1,): -1}, KeyError),  # absent row shifted below zero
+            ({(0,): 1, (2,): -2}, ValueError),  # more than its count removed
+        ],
+    )
+    def test_merge_shifts_rejects_and_changes_nothing(self, make_store, shifts, error):
         store = make_store()
         store.load_sorted([((0,), 1), ((2,), 1)])
-        store.bulk_apply([((1,), 5), ((2,), 7)])
-        assert list(store.items()) == [((0,), 1), ((1,), 5), ((2,), 7)]
+        pending = getattr(store, "pending_ops", None)
+        with pytest.raises(error):
+            store.merge_shifts(shifts)
+        assert list(store.items()) == [((0,), 1), ((2,), 1)]
+        assert getattr(store, "pending_ops", None) == pending
 
     def test_persistence_roundtrip(self, tmp_path):
         store = OrderedTupleStore()
@@ -95,6 +114,62 @@ class TestOrderedTupleStore:
         store.dump(path)
         loaded = OrderedTupleStore.load(path)
         assert list(loaded.items()) == list(store.items())
+
+
+#: one step's shift of a key: a signed count change, or "drop" (exactly
+#: its current count removed, so the key leaves the store).
+_shift_steps = st.lists(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=7),
+        st.one_of(st.integers(min_value=-2, max_value=3), st.just("drop")),
+        max_size=6,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize(
+    "order_key", [None, lambda key: (2 * key[0],)], ids=["plain", "order_key"]
+)
+@given(steps=_shift_steps)
+@settings(max_examples=60, deadline=None)
+def test_merge_shifts_matches_a_dict(order_key, steps):
+    """``merge_shifts`` beside a plain-dict reference: every returned
+    triple, every count, every error, and an unchanged store after each
+    error."""
+    store = OrderedTupleStore(order_key=order_key)
+    reference = {}
+    for step in steps:
+        shifts = {
+            (key,): -reference.get((key,), 0) if shift == "drop" else shift
+            for key, shift in step.items()
+        }
+        expected = []
+        failing = []
+        for row in sorted(shifts):
+            shift = shifts[row]
+            if not shift:
+                continue
+            previous = reference.get(row, 0)
+            count = previous + shift
+            if count < 0:
+                failing.append(row)
+            expected.append((row, previous, DELETED if count == 0 else count))
+        if failing:
+            # The first failing row in key order decides the error.
+            before = store.snapshot()
+            with pytest.raises(ValueError if failing[0] in reference else KeyError):
+                store.merge_shifts(shifts)
+            assert store.snapshot() == before
+            continue
+        assert store.merge_shifts(shifts) == expected
+        for row, _previous, count in expected:
+            if count is DELETED:
+                del reference[row]
+            else:
+                reference[row] = count
+        assert list(store.items()) == sorted(reference.items())
 
 
 class TestMaterializedView:
