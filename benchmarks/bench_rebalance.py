@@ -1,43 +1,36 @@
-"""Rebalance gate: adaptive vs frozen ShardSession under drift.
+"""Rebalance gate: adaptive vs frozen ShardSession under drift, live.
 
 Both sessions fork with LPT weights profiled on a short people-only
 warm-up stream -- the honest fork-time knowledge.  The gated stream
 then rotates its hot Appendix-A update family through three drift
 phases (auctions -> regions -> auctions, the pure-rotation limit of the
-lifecycle 95/4/1 shape) over three tenants of the seven XMark views.
+lifecycle 95/4/1 shape) over four tenants of the seven XMark views.
 At fork time the auction views are near-idle, so their profiled weights
 are tiny against the people-view bucket gaps and LPT piles them onto
-one worker -- exactly the stranding ROADMAP item 2 describes: when the
-auction family goes hot, the frozen session's makespan degrades toward
-the single-worker time while the other replicas idle.  The adaptive
-session (``rebalance=`` enabled) sees the same fork but migrates view
-ownership off the hot worker within a few batches.
+one party: when the auction family goes hot, the frozen session's
+makespan degrades toward the single-party time while the other parties
+idle.  The adaptive session (``rebalance=`` enabled) sees the same fork
+but migrates view ownership off the hot party within a few batches.
 
+Both sessions run at ``workers = usable CPUs``; a host with fewer than
+two usable CPUs has nothing to balance across, so the gate skips there
+and prints why.  Every number is measured on the host that reports it.
 The gate requires
 
 * **byte-identical extents** -- after the stream, frozen and adaptive
-  extents both equal the ``workers=0`` serial run's and match fresh
-  re-evaluation, on every repeat and any machine;
-* **>= MIN_SPEEDUP x propagation for adaptive over frozen** across
-  the drifted stream.  On hosts with at least 4 usable CPUs this is
-  the measured ratio of summed per-batch propagation seconds.  On
-  smaller hosts the ratio is *projected* from measured quantities
-  only, in the spirit of ``bench_shard_pipeline.py``: migration
-  decisions are a pure function of recorded timings, so the policy is
-  replayed offline against the serial run's per-batch per-view times;
-  both sides' makespans come from those times grouped by their (frozen
-  resp. replayed) ownership, a ``workers=2`` sequential-send
-  calibration run prices the transport/store overhead both sessions
-  share (``bench_shard_pipeline.transport_seconds``), and the adaptive
-  side is additionally charged the live-measured per-move migration
-  cost;
-* **post-migration imbalance high-water <= MAX_HIGH_WATER** -- from
-  the first repair on, the policy's smoothed imbalance ratio (the
-  ``lpt_imbalance_ratio`` gauge's EWMA view, measured after each
-  batch's migrations) must stay at or under the ceiling for the whole
-  remaining stream -- holding balance under sustained drift, not
-  merely ending on a good batch -- while the frozen assignment drifts
-  far above it.
+  extents both equal the serial run's and match fresh re-evaluation,
+  on every repeat;
+* **>= MIN_SPEEDUP x propagation for adaptive over frozen** -- the
+  ratio of the two sessions' summed per-batch propagation seconds over
+  the drifted stream;
+* **post-migration imbalance high-water <= MAX_HIGH_WATER** -- after
+  each gated batch, the adaptive policy's smoothed imbalance ratio
+  (its cost model's per-view loads grouped by the live assignment,
+  measured after that batch's migrations) must stay at or under the
+  ceiling from the first batch after the first migration to the end
+  of the stream -- holding balance under sustained drift, not merely
+  ending on a good batch.  The frozen session's per-batch observed
+  ratio is recorded beside it, not gated.
 
 Run directly (exit 1 on failure) or via
 ``PYTHONPATH=../src python -m pytest bench_rebalance.py``.
@@ -48,7 +41,6 @@ from __future__ import annotations
 import gc
 import os
 
-from bench_shard_pipeline import transport_seconds
 from repro.maintenance.engine import MaintenanceEngine
 from repro.sharding.planner import imbalance_ratio
 from repro.sharding.rebalance import RebalancePolicy
@@ -76,7 +68,6 @@ PHASES = 3
 #: fraction of a worker's mean load, so balance is always *achievable*
 #: and the high-water criterion judges the policy, not the workload.
 TENANTS = 4
-WORKERS = 4
 MIN_SPEEDUP = 1.3
 MAX_HIGH_WATER = 1.25
 #: timing repeats; extents are asserted on every repeat, the speedup is
@@ -90,6 +81,8 @@ REPEATS = 2
 #: floored weights.
 FLOOR_FRACTION = 0.12
 VIEW_NAMES = tuple(sorted(VIEW_TEXTS))
+#: one party per usable CPU; with one CPU there is nothing to balance.
+SKIPPED = "host has %d usable CPU(s); rebalancing needs at least 2"
 
 
 def _policy() -> RebalancePolicy:
@@ -173,17 +166,15 @@ def _run_serial(batches):
 
     The collector is paused while batches run: a generational sweep
     landing inside one view's phase timer would fake a 100ms-class
-    hot view and poison both the fork weights and the replay.
+    hot view and poison the fork weights.
     """
     document, engine, registered = _build_engine()
     gc.collect()
     timing_rows = []
-    propagations = []
     gc.disable()
     try:
         for batch in batches:
             report = engine.apply_batch(batch)
-            propagations.append(report.propagation_seconds())
             timing_rows.append(
                 {
                     name: view_report.phases.total()
@@ -194,28 +185,42 @@ def _run_serial(batches):
     finally:
         gc.enable()
         gc.collect()
-    return document, registered, propagations, timing_rows
+    return document, registered, timing_rows
 
 
-def _run_session(batches, workers, weights, rebalance=None, sequential=False):
+def _smoothed_imbalance(session) -> float:
+    """The adaptive policy's imbalance ratio: its cost model's per-view
+    loads grouped by the session's live assignment."""
+    owned = [[] for _ in range(session.workers)]
+    for name, party in session.assignment.items():
+        owned[party].append(name)
+    return imbalance_ratio([session.rebalance.model.load_of(names) for names in owned])
+
+
+def _run_session(batches, workers, weights, rebalance=None):
+    """One session over the stream: its document, views, parties, and
+    per batch the propagation seconds, shard round and (adaptive only)
+    the smoothed imbalance ratio after that batch's migrations."""
     document, engine, registered = _build_engine()
     gc.collect()
     session = engine.session(workers=workers, weights=weights, rebalance=rebalance)
-    session.sequential_send = sequential
-    initial_assignment = [list(owned) for owned in session._assignment]
+    parties = session.workers
     propagations = []
     rounds = []
+    smoothed = []
     gc.disable()
     try:
         for batch in batches:
             report = session.apply_batch(batch)
             propagations.append(report.propagation_seconds())
             rounds.append(report.shard_rounds[0])
+            if rebalance is not None:
+                smoothed.append(_smoothed_imbalance(session))
     finally:
         gc.enable()
         gc.collect()
         session.close()
-    return document, registered, propagations, rounds, initial_assignment
+    return document, registered, parties, propagations, rounds, smoothed
 
 
 def _assert_identical(serial_views, session_views, session_doc):
@@ -244,151 +249,65 @@ def _profile_weights(timing_rows):
     }
 
 
-def _replay(timing_rows, assignment):
-    """Replay the migration policy offline against recorded timings.
-
-    Returns per-batch makespans for the frozen assignment and for the
-    replayed adaptive trajectory, the replayed move count, and the
-    post-migration high-water of the policy's smoothed imbalance ratio:
-    the max over every batch from the first repair on, each measured
-    *after* that batch's migrations -- i.e. under sustained drift the
-    policy must hold the smoothed ratio at or under the ceiling for the
-    rest of the stream, not merely end on a good batch (plus the frozen
-    model's high-water for contrast).  Pure function of the timing
-    matrix -- the same property that makes live sessions auditable
-    makes this projection valid.
-    """
-    frozen = [list(owned) for owned in assignment]
-    adaptive = [list(owned) for owned in assignment]
-    policy = _policy()
-    frozen_model = _policy().model
-    frozen_makespans = []
-    adaptive_makespans = []
-    adaptive_ratios = []
-    frozen_high = 0.0
-    first_move_batch = None
-    moves_total = 0
-    for index, row in enumerate(timing_rows):
-        frozen_makespans.append(
-            max(sum(row.get(name, 0.0) for name in owned) for owned in frozen)
-        )
-        adaptive_makespans.append(
-            max(sum(row.get(name, 0.0) for name in owned) for owned in adaptive)
-        )
-        frozen_model.observe_batch(row)
-        frozen_high = max(
-            frozen_high,
-            imbalance_ratio([frozen_model.load_of(owned) for owned in frozen]),
-        )
-        moves = policy.observe(adaptive, row)
-        for name, source, target in moves:
-            adaptive[source].remove(name)
-            adaptive[target].append(name)
-        if moves:
-            if first_move_batch is None:
-                first_move_batch = index
-            moves_total += len(moves)
-        adaptive_ratios.append(
-            imbalance_ratio([policy.model.load_of(owned) for owned in adaptive])
-        )
-    if first_move_batch is None:
-        settled = adaptive_ratios[-1:]
-    else:
-        settled = adaptive_ratios[first_move_batch + 1 :] or adaptive_ratios[-1:]
-    return {
-        "frozen_makespans": frozen_makespans,
-        "adaptive_makespans": adaptive_makespans,
-        "moves": moves_total,
-        "high_water": max(settled),
-        "frozen_high_water": frozen_high,
-    }
+def _post_migration_high_water(rounds, smoothed) -> float:
+    """Max smoothed ratio over the gated batches, from the first batch
+    after the first live migration on (the last batch's ratio if
+    nothing ever moved)."""
+    moved = [index for index, entry in enumerate(rounds) if entry["migrations"]]
+    start = max(PROFILE_BATCHES, moved[0] + 1) if moved else len(smoothed) - 1
+    return max(smoothed[start:] or smoothed[-1:])
 
 
-def _live_migration_stats(rounds):
-    migrations = sum(len(shard_round.get("migrations", ())) for shard_round in rounds)
-    seconds = sum(shard_round.get("migration_s", 0.0) for shard_round in rounds)
-    return migrations, seconds
-
-
-def run_gate() -> dict:
+def run_gate(workers: int) -> dict:
     profile, gate = _streams()
     stream = profile + gate
-    cpus = _usable_cpus()
 
-    serial_doc, serial_views, _serial_props, timing_rows = _run_serial(stream)
+    serial_doc, serial_views, timing_rows = _run_serial(stream)
     weights = _profile_weights(timing_rows[:PROFILE_BATCHES])
-    gate_timings = timing_rows[PROFILE_BATCHES:]
-
-    support = None
-    if cpus < WORKERS:
-        # The transport/store support price is identical across repeats;
-        # calibrate it once (the owner plus one replica, sequential
-        # send, contention-free), as bench_shard_pipeline does.
-        (
-            calib_doc,
-            calib_views,
-            _calib_props,
-            calib_rounds,
-            _calib_assignment,
-        ) = _run_session(stream, 2, weights, sequential=True)
-        _assert_identical(serial_views, calib_views, calib_doc)
-        support = transport_seconds(
-            calib_rounds[PROFILE_BATCHES:], len(serial_views), WORKERS - 1
-        )
 
     best = None
     for _ in range(REPEATS):
-        (
-            frozen_doc,
-            frozen_views,
-            frozen_props,
-            _frozen_rounds,
-            assignment,
-        ) = _run_session(stream, WORKERS, weights)
+        frozen_doc, frozen_views, parties, frozen_props, frozen_rounds, _ = (
+            _run_session(stream, workers, weights)
+        )
         (
             adaptive_doc,
             adaptive_views,
+            _parties,
             adaptive_props,
             adaptive_rounds,
-            _adaptive_assignment,
-        ) = _run_session(stream, WORKERS, weights, rebalance=_policy())
+            smoothed,
+        ) = _run_session(stream, workers, weights, rebalance=_policy())
         # Hard invariant, machine-independent: both sessions == serial.
         _assert_identical(serial_views, frozen_views, frozen_doc)
         _assert_identical(serial_views, adaptive_views, adaptive_doc)
 
         frozen_prop = sum(frozen_props[PROFILE_BATCHES:])
         adaptive_prop = sum(adaptive_props[PROFILE_BATCHES:])
-        live_moves, live_migration_s = _live_migration_stats(
-            adaptive_rounds[PROFILE_BATCHES:]
-        )
-        replay = _replay(gate_timings, assignment)
-
-        if cpus >= WORKERS:
-            mode = "measured"
-            speedup = frozen_prop / adaptive_prop
-        else:
-            mode = "projected_%d_cpu_host" % cpus
-            per_move = live_migration_s / live_moves if live_moves else 0.0
-            migration_charge = per_move * replay["moves"]
-            speedup = (sum(replay["frozen_makespans"]) + support) / (
-                sum(replay["adaptive_makespans"]) + support + migration_charge
-            )
         candidate = {
             "statements": GATE_BATCHES * BATCH_SIZE,
             "batches": GATE_BATCHES,
             "phases": PHASES,
             "views": len(serial_views),
-            "workers": WORKERS,
-            "cpus": cpus,
-            "mode": mode,
+            "workers": parties,
             "frozen_propagation_s": round(frozen_prop, 6),
             "adaptive_propagation_s": round(adaptive_prop, 6),
-            "live_migrations": live_moves,
-            "replay_migrations": replay["moves"],
-            "speedup": round(speedup, 3),
+            "live_migrations": sum(
+                len(shard_round["migrations"])
+                for shard_round in adaptive_rounds[PROFILE_BATCHES:]
+            ),
+            "speedup": round(frozen_prop / adaptive_prop, 3),
             "floor": MIN_SPEEDUP,
-            "imbalance_high_water": round(replay["high_water"], 4),
-            "frozen_high_water": round(replay["frozen_high_water"], 4),
+            "imbalance_high_water": round(
+                _post_migration_high_water(adaptive_rounds, smoothed), 4
+            ),
+            "frozen_high_water": round(
+                max(
+                    shard_round["imbalance_ratio"]
+                    for shard_round in frozen_rounds[PROFILE_BATCHES:]
+                ),
+                4,
+            ),
             "high_water_ceiling": MAX_HIGH_WATER,
             "extents_identical": True,
         }
@@ -405,47 +324,37 @@ def _passes(row: dict) -> bool:
 
 
 def _summary(row: dict) -> str:
-    lines = [
-        "adaptive rebalancing under drift: %d statements in %d batches x "
-        "%d phases, %d views, %d resident workers:"
-        % (
-            row["statements"],
-            row["batches"],
-            row["phases"],
-            row["views"],
-            row["workers"],
-        ),
-        "  frozen session propagation %8.2fms, adaptive %8.2fms "
-        "(%d live migrations)"
-        % (
-            row["frozen_propagation_s"] * 1000,
-            row["adaptive_propagation_s"] * 1000,
-            row["live_migrations"],
-        ),
-        "  extents: byte-identical to serial for both sessions, verified "
-        "against fresh evaluation",
-        "  post-migration imbalance high-water %.3f (ceiling %.2f; frozen "
-        "drifts to %.3f)"
-        % (
-            row["imbalance_high_water"],
-            row["high_water_ceiling"],
-            row["frozen_high_water"],
-        ),
-    ]
-    if row["mode"] == "measured":
-        lines.append(
+    return "\n".join(
+        [
+            "adaptive rebalancing under drift: %d statements in %d batches x "
+            "%d phases, %d views, %d parties:"
+            % (
+                row["statements"],
+                row["batches"],
+                row["phases"],
+                row["views"],
+                row["workers"],
+            ),
+            "  frozen session propagation %8.2fms, adaptive %8.2fms "
+            "(%d live migrations)"
+            % (
+                row["frozen_propagation_s"] * 1000,
+                row["adaptive_propagation_s"] * 1000,
+                row["live_migrations"],
+            ),
+            "  extents: byte-identical to serial for both sessions, verified "
+            "against fresh evaluation",
+            "  post-migration imbalance high-water %.3f (ceiling %.2f; frozen "
+            "drifts to %.3f)"
+            % (
+                row["imbalance_high_water"],
+                row["high_water_ceiling"],
+                row["frozen_high_water"],
+            ),
             "  measured speedup %.2fx adaptive over frozen (floor %.1fx)"
-            % (row["speedup"], row["floor"])
-        )
-    else:
-        lines.append(
-            "  host has %d usable CPU(s): speedup projected by replaying the "
-            "policy offline over the serial per-batch view times (%d replayed "
-            "moves, live-measured migration cost charged) -> %.2fx "
-            "(floor %.1fx)"
-            % (row["cpus"], row["replay_migrations"], row["speedup"], row["floor"])
-        )
-    return "\n".join(lines)
+            % (row["speedup"], row["floor"]),
+        ]
+    )
 
 
 def _write_step_summary(row: dict, passed: bool) -> None:
@@ -458,8 +367,8 @@ def _write_step_summary(row: dict, passed: bool) -> None:
         "",
         "| metric | value | gate |",
         "| --- | --- | --- |",
-        "| adaptive vs frozen speedup (%s) | %.2fx | >= %.1fx |"
-        % (row["mode"], row["speedup"], row["floor"]),
+        "| adaptive vs frozen speedup (%d workers) | %.2fx | >= %.1fx |"
+        % (row["workers"], row["speedup"], row["floor"]),
         "| post-migration imbalance high-water | %.3f | <= %.2f |"
         % (row["imbalance_high_water"], row["high_water_ceiling"]),
         "| frozen imbalance high-water | %.3f | recorded |"
@@ -476,13 +385,22 @@ def _write_step_summary(row: dict, passed: bool) -> None:
 
 
 def test_rebalance_speedup(save_table):
-    row = run_gate()
+    import pytest
+
+    cpus = _usable_cpus()
+    if cpus < 2:
+        pytest.skip(SKIPPED % cpus)
+    row = run_gate(cpus)
     save_table("rebalance.txt", _summary(row))
     assert _passes(row), row
 
 
 def main() -> int:
-    row = run_gate()
+    cpus = _usable_cpus()
+    if cpus < 2:
+        print("adaptive rebalancing gate skipped: " + SKIPPED % cpus)
+        return 0
+    row = run_gate(cpus)
     passed = _passes(row)
     print(_summary(row))
     print("-> %s" % ("PASS" if passed else "FAIL"))

@@ -68,7 +68,9 @@ identically, each side restores its own views by recomputation, they
 stay in lockstep, and the session keeps serving subsequent batches.
 Only unrecoverable faults -- a dead replica, or a replica disagreeing
 with the owner about a batch's outcome -- restore the owner's views
-and close the session for good.
+and close the session for good.  A replica the broadcast cannot reach
+is a dead replica, handled *after* the owner applies the batch, so the
+owner's document always holds what a durable engine's WAL committed.
 
 Adaptive rebalancing (opt-in via ``rebalance=``): the per-view
 ``maintenance_seconds`` every party records feed a
@@ -343,12 +345,6 @@ class ShardSession:
         self.engine = engine
         #: parties, the owner (party 0) included.
         self.workers = min(workers, max(1, len(engine.views)))
-        #: calibration knob (used by the projection benches on small
-        #: hosts): party 0 finishes its batch *before* the broadcast, so
-        #: owner and replica phases never overlap and each measured
-        #: component is clean of time-slicing.  Results are identical;
-        #: only the timeline changes.
-        self.sequential_send = False
         #: optional view -> relative maintenance cost used by the LPT
         #: assignment (e.g. measured per-view propagation seconds from
         #: a profiling run); defaults to the extent+lattice size proxy.
@@ -520,28 +516,26 @@ class ShardSession:
     def _apply_statements(self, statements: List[UpdateStatement], report):
         """One broadcast, party-0 round and replay under session_batch."""
         tracer = self.obs.tracer
+        started = time.perf_counter()
         # Per replica, when the owner began sending it the batch: the
         # replica cannot start before, so its replica_apply span does.
         sent_at: List[float] = []
-
-        def broadcast() -> None:
-            broadcast_started = time.perf_counter()
-            for conn in self._connections:
-                sent_at.append(time.perf_counter())
-                try:
-                    conn.send(statements)
-                except (BrokenPipeError, OSError) as exc:
-                    # A replica is gone before the owner touched its own
-                    # document (default mode broadcasts first), so the
-                    # views are still consistent; shut down cleanly.
-                    self.close(force=True)
-                    raise RuntimeError("shard worker died") from exc
-            tracer.record(
-                "broadcast",
-                time.perf_counter() - broadcast_started,
-                broadcast_started,
-                workers=len(self._connections),
-            )
+        # Parties the batch could not reach.  They read as dead in the
+        # reply loop, after the owner's own round: the batch is in the
+        # WAL by now, so the owner must apply it whatever the replicas do.
+        unreachable = set()
+        for party, conn in enumerate(self._connections, start=1):
+            sent_at.append(time.perf_counter())
+            try:
+                conn.send(statements)
+            except OSError:
+                unreachable.add(party)
+        tracer.record(
+            "broadcast",
+            time.perf_counter() - started,
+            started,
+            workers=len(self._connections),
+        )
 
         def unit(party: int, wall: float, apply_s: float, propagation_s: float) -> Dict:
             return {
@@ -554,27 +548,10 @@ class ShardSession:
                 "propagation_s": round(propagation_s, 6),
             }
 
-        started = time.perf_counter()
-        if not self.sequential_send:
-            broadcast()
-        # Party 0's round overlaps the replicas' work (unless the
-        # calibration knob sequences it first).
+        # Party 0's round overlaps the replicas' work.
         local, local_error, local_started, local_wall = self._run_owner_party(
             statements
         )
-        if self.sequential_send:
-            if local_error is not None:
-                # Replicas never saw the batch; the owner's partial
-                # apply desynchronized it from the replicas for good.
-                self._poison()
-                raise local_error
-            try:
-                broadcast()
-            except RuntimeError:
-                # Here the owner HAS applied the batch; restore view
-                # consistency against its document before surfacing.
-                self._poison()
-                raise
         prep_done = time.perf_counter()
 
         units: List[Dict] = []
@@ -618,6 +595,8 @@ class ShardSession:
         mixed_outcome = False
         for party, conn in enumerate(self._connections, start=1):
             try:
+                if party in unreachable:
+                    raise EOFError
                 kind, payload = conn.recv()
             except EOFError:
                 kind, payload = "error", RuntimeError("shard worker died")

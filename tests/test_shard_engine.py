@@ -1,7 +1,6 @@
 """The sharded maintenance subsystem: merge helpers and the session.
 
-The central property (also enforced by ``benchmarks/
-bench_shard_pipeline.py``): maintaining the views through a resident
+The central property: maintaining the views through a resident
 :class:`~repro.sharding.ShardSession`, at any worker count, leaves every
 view extent *byte-identical* to in-process propagation and to fresh
 re-evaluation.
@@ -29,6 +28,7 @@ from repro.workloads.updates import statement_stream
 from repro.workloads.xmark import generate_document
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.parser import parse_document
+from repro.xmldom.serializer import serialize
 from tests.test_batch_engine import _caches_off, _dirty_batch
 
 VIEWS = ("Q1", "Q3", "Q6")
@@ -244,21 +244,6 @@ class TestShardedPropagation:
             # The heavy view sits alone; the two light ones share.
             assert assignment["Q3"] == assignment["Q6"] != assignment["Q1"]
 
-    def test_session_sequential_send_is_equivalent(self):
-        stream = statement_stream(
-            generate_document(scale=1), 16, seed=21, insert_ratio=0.8
-        )
-        _, serial_engine, serial_views = _engines()
-        serial_engine.apply_batch(UpdateBatch(stream))
-        document, engine, views = _engines()
-        with engine.session(workers=2) as session:
-            session.sequential_send = True
-            session.apply_batch(UpdateBatch(stream))
-        for name in VIEWS:
-            assert (
-                serial_views[name].view.content() == views[name].view.content()
-            ), name
-
     def test_session_poison_batch_fails_only_itself(self):
         from repro.updates.language import InsertUpdate
 
@@ -286,25 +271,77 @@ class TestShardedPropagation:
             session.close()
 
     def test_session_dead_worker_poisons_and_restores(self):
+        self._kill_party_one_and_check(workers=2)
+
+    def test_session_dead_worker_drains_live_reply(self):
+        # Party 2 is alive and answers the batch: its reply must be
+        # drained before the session closes.
+        self._kill_party_one_and_check(workers=3)
+
+    def _kill_party_one_and_check(self, workers):
         stream = statement_stream(
             generate_document(scale=1), 8, seed=4, insert_ratio=1.0
         )
         document, engine, views = _engines()
-        session = engine.session(workers=2)
+        session = engine.session(workers=workers)
         session.apply_batch(UpdateBatch(stream))
         session._processes[0].terminate()
         session._processes[0].join()
+        before = serialize(document)
         with pytest.raises(RuntimeError, match="worker died"):
             session.apply_batch(UpdateBatch(statement_stream(document, 4, seed=5)))
-        # Wait: the poison statement list resolved against the *owner*
-        # document, which did apply -- extents must match it exactly.
+        # The owner applied the batch before reading the dead replica's
+        # reply; its views were restored against the new document.
+        assert serialize(document) != before
+        assert session._closed
         for name in VIEWS:
             assert views[name].view.equals_fresh_evaluation(document), name
-        assert session._closed
         # Engine is usable again (session closed itself).
         engine.apply_batch(UpdateBatch(statement_stream(document, 4, seed=6)))
         for name in VIEWS:
             assert views[name].view.equals_fresh_evaluation(document), name
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_durable_session_dead_replica_recovers_live_state(self, workers, tmp_path):
+        # The batch a dead replica fails is committed to the WAL, so the
+        # owner must have applied it: recovery replays the log and has
+        # to land on the live document and views.
+        from repro.storage.recovery import reopen
+
+        path = str(tmp_path / "engine.db")
+        document = generate_document(scale=1)
+        engine = MaintenanceEngine(document, backend=path)
+        views = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
+        session = engine.session(workers=workers)
+        try:
+            session.apply_batch(
+                UpdateBatch(statement_stream(document, 8, seed=4, insert_ratio=1.0))
+            )
+            session._processes[-1].terminate()
+            session._processes[-1].join()
+            with pytest.raises(RuntimeError, match="worker died"):
+                session.apply_batch(UpdateBatch(statement_stream(document, 4, seed=5)))
+            assert session._closed
+        finally:
+            session.close()
+        engine.apply_batch(UpdateBatch(statement_stream(document, 4, seed=6)))
+        engine.sync_durability()
+        recovered, _ = reopen(
+            path,
+            generate_document(scale=1),
+            {name: view_pattern(name) for name in VIEWS},
+        )
+        try:
+            assert serialize(recovered.document) == serialize(document)
+            for name in VIEWS:
+                registered = recovered.views[name]
+                assert registered.view.content() == views[name].view.content(), name
+                assert registered.view.equals_fresh_evaluation(
+                    recovered.document
+                ), name
+        finally:
+            recovered.backend.close()
+            engine.backend.close()
 
     def test_session_replay_failure_drains_and_poisons(self):
         # The owner fails to replay party 1's deltas: party 2's reply
