@@ -1,13 +1,13 @@
 """Hot-path rules: keep document-order sorting and bisecting in C.
 
-``DeweyID`` orders by a precomputed nested-tuple ``sort_key``; its rich
-comparisons are Python methods that merely compare those keys.  A sort
-keyed by the ID *object* therefore pays a Python call per comparison
-(1.6 s of a 23 s ``insert_bulk`` profile before the keys were used
-everywhere), while ``key=lambda n: n.id.sort_key`` yields the same
-order with every comparison done by the tuple type in C.  The same
-holds for a ``bisect`` probing with an ID object into a list of IDs
-(~600 k ``DeweyID.__lt__`` calls per ``delete_mix`` run in
+``DeweyID`` orders by a precomputed ``sort_key``, a byte string compared
+by memcmp; its rich comparisons are Python methods that merely compare
+those keys.  A sort keyed by the ID *object* therefore pays a Python
+call per comparison (1.6 s of a 23 s ``insert_bulk`` profile before the
+keys were used everywhere), while ``key=lambda n: n.id.sort_key``
+yields the same order with every comparison done by the bytes type in
+C.  The same holds for a ``bisect`` probing with an ID object into a
+list of IDs (~600 k ``DeweyID.__lt__`` calls per ``delete_mix`` run in
 ``dirty_removed_nodes`` before it bisected key lists).
 """
 

@@ -14,7 +14,9 @@ Two classes split the work:
 
 Both extent rows and lattice rows persist IDs only: an extent row is
 the view tuple's *ID projection* (``val``/``cont`` cells stored as
-``None``) keyed by its memcomparable blob, with its derivation count;
+``None``) keyed by its memcomparable blob, with its derivation count
+(each DeweyID cell of the blob is the ID's ``sort_key``: the byte
+string the in-memory mirror compares by memcmp, copied, not encoded);
 a lattice row is the tuple of its binding IDs.  Reopen resolves both
 against the document it has replayed.
 
@@ -214,16 +216,13 @@ class SqliteTupleStore(OrderedTupleStore):
     # -- durable flush (called by the backend, inside its txn) -------------
 
     def _flush_into(self, cursor) -> None:
-        # One Dewey-prefix memo per flush: keys sharing ancestors encode
-        # each prefix once, and nothing stays resident afterwards.
-        memo: Dict[Any, bytes] = {}
         if self._reload:
             cursor.execute('DELETE FROM "%s"' % self._table)
             projected = ((self._projected(row), count) for row, count in self.items())
             cursor.executemany(
                 'INSERT INTO "%s"(k, row, val) VALUES(?, ?, ?)' % self._table,
                 (
-                    (encode_key(key, memo), _pickle(key), count)
+                    (encode_key(key), _pickle(key), count)
                     for key, count in projected
                 ),
             )
@@ -238,9 +237,9 @@ class SqliteTupleStore(OrderedTupleStore):
             puts = []
             for key, value in final.items():
                 if value is DELETED:
-                    deletes.append((encode_key(key, memo),))
+                    deletes.append((encode_key(key),))
                 else:
-                    puts.append((encode_key(key, memo), _pickle(key), value))
+                    puts.append((encode_key(key), _pickle(key), value))
             if deletes:
                 cursor.executemany(
                     'DELETE FROM "%s" WHERE k = ?' % self._table, deletes

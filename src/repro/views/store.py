@@ -15,8 +15,9 @@ total order as comparing the keys directly (so it is injective, and
 equal order keys mean equal keys) -- the point is speed, not
 semantics: view tuples contain :class:`~repro.xmldom.dewey.DeweyID`
 cells whose rich comparisons are Python calls, while their precomputed
-``sort_key`` tuples compare entirely in C, so the store keeps a
-parallel list of mapped keys and runs every bisect against it.
+``sort_key`` byte strings are compared by memcmp, so the store keeps a
+parallel list of mapped keys (tuples whose ID cells are those bytes)
+and runs every bisect against it.
 """
 
 from __future__ import annotations

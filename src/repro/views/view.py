@@ -22,7 +22,8 @@ ViewTuple = tuple
 
 def row_sort_key(row: ViewTuple) -> tuple:
     """C-comparable key ordering view tuples exactly like plain tuple
-    comparison (DeweyID cells order by their precomputed sort_key)."""
+    comparison: each DeweyID cell becomes its precomputed sort_key, a
+    byte string compared by memcmp."""
     return tuple(
         cell.sort_key if isinstance(cell, DeweyID) else cell for cell in row
     )

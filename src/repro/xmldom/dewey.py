@@ -32,21 +32,48 @@ ordinal equality.
 Compact encoding
 ----------------
 
-:meth:`DeweyID.encode` produces a compact binary form using
-variable-length integers and a caller-supplied label dictionary,
-mirroring the paper's footnote that "internally, ID representation is
-much more compact".
+An ID's one compact form is its ``sort_key``: a byte string, compared
+by ``memcmp``, whose byte order *is* document order (the paper's
+footnote: "internally, ID representation is much more compact").  It
+concatenates one self-delimiting code per step, the ordinal then the
+label, so an ancestor's key is a byte prefix of its descendants'.
+
+Each ordinal is a sequence of ``(run-of-zeros, nonzero component)``
+events:
+
+* a negative component after ``r`` zeros emits ``0x01 enc(r) enc(c)``;
+* the end of the ordinal emits ``0x02``;
+* a positive component after ``r`` zeros emits ``0x03 enc(-r) enc(c)``.
+
+At the first divergence between two ordinals the tag bytes alone order
+negative-next < exhausted (all zeros from here) < positive-next, and
+within a tag the run length is ordered so that the *earlier* position
+wins -- exactly the zero-padded comparison, negative components past
+index 0 included.  ``enc`` (:func:`encode_int`) is an order-preserving
+integer code that never emits a ``0x00`` lead byte.  The label follows
+as UTF-8 with ``0x00`` escaped to ``0x00 0xFF`` and a ``0x00 0x00``
+terminator (:func:`encode_terminated`), so a shorter label sorts first.
+
+Every step starts with a tag in ``0x01..0x03``, so ``sort_key +
+b"\x04"`` sorts after every descendant and before every following
+node: a subtree is one key range.  ``repro.storage.keyenc`` writes
+these same bytes for a DeweyID cell of a sqlite key.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 Ordinal = Tuple[int, ...]
+Step = Tuple[str, Ordinal]
 
 
 def _normalize(ordinal: Sequence[int]) -> Ordinal:
     """Strip trailing zeros, keeping at least one component."""
+    if not ordinal:
+        raise ValueError("an ordinal needs at least one component")
+    if ordinal[-1] or len(ordinal) == 1:
+        return ordinal if type(ordinal) is tuple else tuple(ordinal)
     parts = list(ordinal)
     while len(parts) > 1 and parts[-1] == 0:
         parts.pop()
@@ -103,111 +130,91 @@ def ordinal_between(low: Sequence[int], high: Sequence[int]) -> Ordinal:
     raise ValueError("unreachable: low < high but no differing component")
 
 
-def _encode_varint(value: int, out: bytearray) -> None:
-    """Zig-zag + LEB128 variable-length encoding of a signed integer."""
-    zig = (value << 1) ^ (value >> 63) if value < 0 else value << 1
-    while True:
-        byte = zig & 0x7F
-        zig >>= 7
-        if zig:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+# -- the order-preserving step encoding ----------------------------------
+
+#: event tags inside an ordinal encoding (comparison-ordered).
+_ORD_NEG = 0x01
+_ORD_END = 0x02
+_ORD_POS = 0x03
+#: sorts after every step's lead tag: closes a subtree's key range.
+_AFTER_EVERY_STEP = b"\x04"
 
 
-def _decode_varint(data: bytes, offset: int) -> Tuple[int, int]:
-    shift = 0
-    zig = 0
-    while True:
-        byte = data[offset]
-        offset += 1
-        zig |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            break
-        shift += 7
-    value = (zig >> 1) ^ -(zig & 1)
-    return value, offset
+def encode_int(value: int, out: bytearray) -> None:
+    """Order-preserving signed integer: biased length byte + magnitude.
 
-
-class _PaddedKey:
-    """Document-order sort key with explicit zero-padding semantics.
-
-    Used instead of the plain pair tuple for IDs whose ordinals carry a
-    negative component past index 0: the ordinal generators never
-    produce such ordinals, but direct construction and :meth:`DeweyID.
-    decode` accept them, and for them Python's tuple prefix rule
-    disagrees with the padded comparison.  Comparisons against plain
-    tuple keys work through reflected operators (tuple returns
-    NotImplemented for non-tuple operands).
+    Zero is ``0x80``; a positive ``v`` is ``0x80+len`` then big-endian
+    bytes of ``v``; a negative ``v`` is ``0x80-len`` then the big-endian
+    bytes of ``v + 256**len`` (the complement, so closer-to-zero sorts
+    higher).  The lead byte spans ``0x02..0xFE``: never ``0x00``.
     """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        self.pairs = pairs
-
-    def _cmp(self, other) -> int:
-        other_pairs = other.pairs if isinstance(other, _PaddedKey) else other
-        for (oa, la), (ob, lb) in zip(self.pairs, other_pairs):
-            cmp = ordinal_compare(oa, ob)
-            if cmp:
-                return cmp
-            if la != lb:
-                return -1 if la < lb else 1
-        if len(self.pairs) == len(other_pairs):
-            return 0
-        return -1 if len(self.pairs) < len(other_pairs) else 1
-
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other) -> bool:
-        return self._cmp(other) == 0
+    if value == 0:
+        out.append(0x80)
+        return
+    magnitude = value if value > 0 else -value
+    length = (magnitude.bit_length() + 7) // 8
+    if length > 0x7E:
+        raise ValueError("integer too wide to encode: %d bytes" % length)
+    if value > 0:
+        out.append(0x80 + length)
+        out.extend(value.to_bytes(length, "big"))
+    else:
+        out.append(0x80 - length)
+        out.extend((value + (1 << (8 * length))).to_bytes(length, "big"))
 
 
-def _in_band(ordinal) -> bool:
-    """No negative component past the first: all the ordinal generators
-    ever produce."""
-    return len(ordinal) == 1 or min(ordinal[1:]) >= 0
+def encode_terminated(data: bytes, out: bytearray) -> None:
+    """Escape ``0x00`` as ``0x00 0xFF`` and close with ``0x00 0x00``,
+    keeping byte order intact across the variable length."""
+    out.extend(data.replace(b"\x00", b"\x00\xff"))
+    out.extend(b"\x00\x00")
 
 
-def _order_key(steps):
-    """Document-order key of a step tuple: plain ``(ordinal, label)``
-    pairs compare like the padded ordinal comparison of ``_compare``
-    because normalized ordinals carry no trailing zeros and in-band
-    ordinals are negative in their *first* component only (so a proper
-    prefix always zero-pads to something <= its extensions).
-    Out-of-band ordinals get a padded-semantics key object."""
-    pairs = tuple([(ordinal, label) for label, ordinal in steps])
-    for ordinal, _label in pairs:
-        if not _in_band(ordinal):
-            return _PaddedKey(pairs)
-    return pairs
+def encode_ordinal(ordinal: Sequence[int], out: bytearray) -> None:
+    """The ordinal's ``(run-of-zeros, component)`` events, then ``_ORD_END``."""
+    zeros = 0
+    for component in ordinal:
+        if component == 0:
+            zeros += 1
+            continue
+        if component < 0:
+            out.append(_ORD_NEG)
+            encode_int(zeros, out)
+        else:
+            out.append(_ORD_POS)
+            encode_int(-zeros, out)
+        encode_int(component, out)
+        zeros = 0
+    # Trailing zeros vanish: under padded comparison they are the same
+    # ordinal, and normalized ordinals never carry them anyway.
+    out.append(_ORD_END)
 
 
-def _extend_key(key, ordinal, label):
-    """``_order_key`` of a step tuple, from the key of its proper
-    prefix and its last step -- without rebuilding the prefix's pairs."""
-    padded = type(key) is not tuple
-    pairs = (key.pairs if padded else key) + ((ordinal, label),)
-    if padded or not _in_band(ordinal):
-        return _PaddedKey(pairs)
-    return pairs
+#: ``(label, normalized ordinal)`` -> its step bytes.  A document has
+#: few distinct steps (labels x sibling positions), so building a key
+#: is a lookup plus one concatenation; the memo is emptied whenever it
+#: reaches ``_STEP_MEMO_LIMIT`` entries, which bounds it and leaves
+#: every key it yields unchanged.  An entry is a pure function of its
+#: step, so threads racing on it at worst encode a step twice.
+_STEP_BYTES: Dict[Step, bytes] = {}
+_STEP_MEMO_LIMIT = 1 << 14
 
 
-#: (ordinal, label) sorting after every child step: closes a subtree's
-#: key range.
-_SUBTREE_END = ((float("inf"),), "")
+def _step_bytes(step: Step) -> bytes:
+    blob = _STEP_BYTES.get(step)
+    if blob is None:
+        if len(_STEP_BYTES) >= _STEP_MEMO_LIMIT:
+            _STEP_BYTES.clear()
+        out = bytearray()
+        encode_ordinal(step[1], out)
+        encode_terminated(step[0].encode("utf-8"), out)
+        blob = _STEP_BYTES[step] = bytes(out)
+    return blob
+
+
+def _key_of(steps: Tuple[Step, ...]) -> bytes:
+    """The document-order key of normalized steps."""
+    return b"".join([_STEP_BYTES.get(step) or _step_bytes(step) for step in steps])
 
 
 class DeweyID:
@@ -223,13 +230,13 @@ class DeweyID:
     def __init__(self, steps: Sequence[Tuple[str, Sequence[int]]]):
         if not steps:
             raise ValueError("a DeweyID needs at least one step")
-        self.steps: Tuple[Tuple[str, Ordinal], ...] = tuple(
+        self.steps: Tuple[Step, ...] = tuple(
             (label, _normalize(ordinal)) for label, ordinal in steps
         )
         # Precomputed document-order key: comparing via it keeps the
-        # hot sorts/bisects in C.
-        self._key = _order_key(self.steps)
-        self._hash = hash(self.steps)
+        # hot sorts/bisects in C, as one memcmp.
+        self._key = _key_of(self.steps)
+        self._hash = hash(self._key)
         # The parent's ID *object*: set by child() (shared with the
         # parent node, no allocation), linked lazily for IDs built from
         # bare steps.  Never pickled (see __reduce__).
@@ -244,7 +251,7 @@ class DeweyID:
 
     @classmethod
     def _from_steps(
-        cls, steps: Tuple[Tuple[str, Ordinal], ...], key=None
+        cls, steps: Tuple[Step, ...], key: "bytes | None" = None
     ) -> "DeweyID":
         """Internal: build from *already-normalized* steps (and their
         order key, when the caller derived it already).
@@ -255,8 +262,8 @@ class DeweyID:
         """
         self = object.__new__(cls)
         self.steps = steps
-        self._key = _order_key(steps) if key is None else key
-        self._hash = hash(steps)
+        self._key = key = _key_of(steps) if key is None else key
+        self._hash = hash(key)
         self._parent = None
         return self
 
@@ -266,12 +273,13 @@ class DeweyID:
         The new ID points at ``self`` as its parent, so ``parent()`` is
         a shared pointer and ``ancestor_ids()`` a chain walk: a document
         holds one ID object per node, never a second copy of a prefix.
-        The order key extends the parent's instead of being rebuilt
-        from all steps.
+        The order key is the parent's plus the memoized bytes of the
+        new step, not rebuilt from all steps.
         """
-        ordinal = _normalize(ordinal)
+        step = (label, _normalize(ordinal))
         new = DeweyID._from_steps(
-            self.steps + ((label, ordinal),), _extend_key(self._key, ordinal, label)
+            self.steps + (step,),
+            self._key + (_STEP_BYTES.get(step) or _step_bytes(step)),
         )
         new._parent = self
         return new
@@ -295,7 +303,11 @@ class DeweyID:
         """ID of the parent node, or None for the root."""
         parent = self._parent
         if parent is None and len(self.steps) > 1:
-            parent = self._parent = DeweyID._from_steps(self.steps[:-1])
+            # The parent's key is this key minus the last step's bytes.
+            cut = len(self._key) - len(_step_bytes(self.steps[-1]))
+            parent = self._parent = DeweyID._from_steps(
+                self.steps[:-1], self._key[:cut]
+            )
         return parent
 
     def ancestor_ids(self) -> Iterator["DeweyID"]:
@@ -326,37 +338,40 @@ class DeweyID:
 
     # -- structural comparisons (the paper's ≺ and ≺≺) -----------------
 
+    # Step codes are self-delimiting, so "the steps of self prefix the
+    # steps of other" is "self's key is a byte prefix of other's".
+
     def is_parent_of(self, other: "DeweyID") -> bool:
         """``self ≺ other``: is self the parent of other?"""
-        return len(other.steps) == len(self.steps) + 1 and other.steps[: len(self.steps)] == self.steps
+        return len(other.steps) == len(self.steps) + 1 and other._key.startswith(self._key)
 
     def is_ancestor_of(self, other: "DeweyID") -> bool:
         """``self ≺≺ other``: is self a proper ancestor of other?"""
-        return len(other.steps) > len(self.steps) and other.steps[: len(self.steps)] == self.steps
+        return len(other._key) > len(self._key) and other._key.startswith(self._key)
 
     def is_ancestor_or_self(self, other: "DeweyID") -> bool:
-        return len(other.steps) >= len(self.steps) and other.steps[: len(self.steps)] == self.steps
+        return other._key.startswith(self._key)
 
     def has_ancestor_labeled(self, label: str) -> bool:
         """Does any proper ancestor carry ``label``?  (Props. 3.8 / 4.7.)"""
         return label in self.ancestor_labels()
 
     @property
-    def sort_key(self):
-        """The precomputed document-order key (plain nested tuples for
-        generator-produced ordinals).  ``sorted(nodes, key=lambda n:
-        n.id.sort_key)`` compares entirely in C, unlike sorting
-        :class:`DeweyID` objects whose rich comparisons are Python
-        calls; equal keys imply equal IDs."""
+    def sort_key(self) -> bytes:
+        """The precomputed document-order key: the encoded steps (see
+        *Compact encoding* above), compared by memcmp.  ``sorted(nodes,
+        key=lambda n: n.id.sort_key)`` compares entirely in C, unlike
+        sorting :class:`DeweyID` objects whose rich comparisons are
+        Python calls; equal keys are equal IDs."""
         return self._key
 
     @property
-    def subtree_end_key(self):
+    def subtree_end_key(self) -> bytes:
         """A key greater than every descendant's ``sort_key`` and
         smaller than that of any node following the subtree: in a
         document-ordered key list the proper descendants are exactly
         the run ``bisect_right(sort_key) : bisect_left(subtree_end_key)``."""
-        return _extend_key(self._key, *_SUBTREE_END)
+        return self._key + _AFTER_EVERY_STEP
 
     # -- ordering ------------------------------------------------------
 
@@ -388,7 +403,7 @@ class DeweyID:
         return self._key >= other._key
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, DeweyID) and self.steps == other.steps
+        return isinstance(other, DeweyID) and self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash
@@ -396,46 +411,12 @@ class DeweyID:
     def __reduce__(self):
         # Ship only the steps across process boundaries (the sharded
         # maintenance pipeline pickles IDs inside Δ fragments); key and
-        # hash are rebuilt and the parent chain re-linked on demand on
-        # the other side.
+        # hash are rebuilt (from memoized step bytes) and the parent
+        # chain re-linked on demand on the other side.
         # A live ID's steps are already normalized, so reconstruction
         # takes the fast path -- fragment unpickling is on the critical
         # merge path of every parallel round.
         return (_dewey_from_normalized_steps, (self.steps,))
-
-    # -- compact encoding ---------------------------------------------
-
-    def encode(self, label_codes: dict) -> bytes:
-        """Compact binary encoding using a label dictionary.
-
-        ``label_codes`` maps labels to small integers; unknown labels
-        are added on the fly (the dictionary doubles as an encoder
-        state, as in dictionary-compressed stores).
-        """
-        out = bytearray()
-        _encode_varint(len(self.steps), out)
-        for label, ordinal in self.steps:
-            code = label_codes.setdefault(label, len(label_codes))
-            _encode_varint(code, out)
-            _encode_varint(len(ordinal), out)
-            for part in ordinal:
-                _encode_varint(part, out)
-        return bytes(out)
-
-    @classmethod
-    def decode(cls, data: bytes, label_names: Sequence[str]) -> "DeweyID":
-        """Inverse of :meth:`encode`; ``label_names[code] == label``."""
-        nsteps, offset = _decode_varint(data, 0)
-        steps = []
-        for _ in range(nsteps):
-            code, offset = _decode_varint(data, offset)
-            length, offset = _decode_varint(data, offset)
-            parts = []
-            for _ in range(length):
-                part, offset = _decode_varint(data, offset)
-                parts.append(part)
-            steps.append((label_names[code], tuple(parts)))
-        return cls(steps)
 
     # -- display -------------------------------------------------------
 

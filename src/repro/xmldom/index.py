@@ -31,8 +31,8 @@ Invariants
 :class:`LabelIndex`
     For every label, ``_nodes[label]`` and ``_keys[label]`` are
     parallel lists in document order; ``_keys[label][i]`` is the
-    ``sort_key`` of ``_nodes[label][i].id`` at all times (plain nested
-    tuples, so every bisect compares in C and never calls
+    ``sort_key`` of ``_nodes[label][i].id`` at all times (byte strings
+    compared by memcmp, so every bisect compares in C and never calls
     ``DeweyID.__lt__``).  The index changes a whole subtree at a time
     and a subtree is one contiguous key run, so a subtree's nodes of
     one label are one contiguous run of that label's lists: inserted

@@ -84,9 +84,14 @@ class TestDrivers:
         assert all("speedup" in row for row in rows)
 
     def test_vs_ivma_counts_calls(self):
-        (row,) = run_vs_ivma(1, updates=["X1_L"])
-        assert row["ivma_calls"] >= 5 * 25  # 5 nodes x #persons
-        assert row["ivma_exec_s"] > row["bulk_exec_s"]
+        # Single scale-1 timings are a few milliseconds each: compare
+        # the best of three runs per side, not one noisy pair.
+        rows = [run_vs_ivma(1, updates=["X1_L"])[0] for _ in range(3)]
+        for row in rows:
+            assert row["ivma_calls"] >= 5 * 25  # 5 nodes x #persons
+        assert min(row["ivma_exec_s"] for row in rows) > min(
+            row["bulk_exec_s"] for row in rows
+        )
 
     def test_snowcaps_vs_leaves_rows(self):
         rows = run_snowcaps_vs_leaves("Q4", scales=(1,))

@@ -1,6 +1,7 @@
 """Compact Dynamic Dewey IDs: the four properties of Section 2.1."""
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from repro.xmldom.dewey import (
     ordinal_compare,
     ordinal_initial,
 )
+from repro.xmldom.index import KeyedRows
 
 
 def make_id(*steps):
@@ -220,36 +222,32 @@ class TestParentChain:
         assert exotic.sort_key < below.sort_key
         assert below.sort_key < exotic.subtree_end_key
 
+    @given(st.lists(_STEPS, min_size=1, max_size=6), st.data())
+    def test_subtree_is_one_key_range(self, paths, data):
+        # Every prefix of every drawn path is in the set, so ancestors
+        # (negative components past index 0 included) are present and
+        # the 0x04 end key must stop exactly at the subtree's end.
+        ids = sorted(
+            {DeweyID(path[:depth]) for path in paths for depth in range(1, len(path) + 1)},
+            key=lambda x: x.sort_key,
+        )
+        rows = KeyedRows.of(SimpleNamespace(id=x) for x in ids)
+        anchor = data.draw(st.sampled_from(ids))
+        depth = len(anchor.steps)
+        subtree = [
+            x for x in ids if len(x.steps) > depth and x.steps[:depth] == anchor.steps
+        ]
+        assert [x for x in ids if anchor.is_ancestor_of(x)] == subtree
+        assert [row.id for row in rows.below(anchor)] == subtree
+
 
 class TestEncoding:
-    def test_roundtrip(self):
-        node = make_id(("site", (1,)), ("person", (42,)), ("name", (1, 7)))
-        codes = {}
-        blob = node.encode(codes)
-        names = [label for label, _ in sorted(codes.items(), key=lambda kv: kv[1])]
-        assert DeweyID.decode(blob, names) == node
-
     def test_compactness(self):
+        # Per step: the ordinal's events (0x03, run 0x80, value 0x81 0x0N,
+        # end 0x02), the UTF-8 label and its 0x00 0x00 terminator.
         node = make_id(("a", (1,)), ("b", (2,)), ("c", (3,)))
-        codes = {}
-        assert len(node.encode(codes)) <= 12
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["a", "b", "c", "person"]),
-                st.lists(st.integers(-100, 100), min_size=1, max_size=3),
-            ),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    def test_roundtrip_property(self, steps):
-        node = DeweyID([(label, tuple(ordinal)) for label, ordinal in steps])
-        codes = {}
-        blob = node.encode(codes)
-        names = [label for label, _ in sorted(codes.items(), key=lambda kv: kv[1])]
-        assert DeweyID.decode(blob, names) == node
+        assert len(node.sort_key) == 3 * (5 + 1 + 2)
+        assert node.sort_key[:8] == b"\x03\x80\x81\x01\x02a\x00\x00"
 
     def test_str_rendering(self):
         node = make_id(("a", (1,)), ("c", (1,)), ("b", (1,)))
@@ -257,9 +255,10 @@ class TestEncoding:
 
 
 class TestSortKeyEquivalence:
-    """The precomputed _key must order exactly like the reference
-    _compare; its derivation rests on the generator invariant that
-    ordinals never carry a negative component past index 0."""
+    """The precomputed byte key must order exactly like the reference
+    _compare, for the ordinals the generators produce and for the
+    out-of-band ones (negative past index 0) direct construction
+    accepts."""
 
     @given(st.data())
     def test_key_matches_reference_compare(self, data):
@@ -320,8 +319,9 @@ class TestSortKeyEquivalence:
         ),
     )
     def test_exotic_ordinals_fall_back_to_padded_semantics(self, left, right):
-        # Direct construction / decode() accept ordinals with negative
-        # components past index 0; ordering must still match _compare.
+        # Direct construction accepts ordinals with negative components
+        # past index 0 (the generators never produce them); the byte
+        # key must still order them like _compare.
         a = DeweyID([(label, tuple(ordinal)) for label, ordinal in left])
         b = DeweyID([(label, tuple(ordinal)) for label, ordinal in right])
         reference = a._compare(b)

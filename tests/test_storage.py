@@ -2,7 +2,7 @@
 
 Six areas: the memcomparable key encoding (its order must coincide
 with ``row_sort_key`` on every comparable pair, DeweyID padded
-semantics included, with or without the per-flush prefix memo), the
+semantics included, however an ID was built), the
 WAL frame format under torn writes (the satellite contract: recovery
 drops exactly the uncommitted suffix, never a committed batch), the
 fork/pickle refusals, ``merge_shifts`` on a durable store against a
@@ -420,28 +420,18 @@ def _dewey_families(draw):
     return ids
 
 
-@given(_dewey_families(), st.data())
-@settings(max_examples=80, deadline=None)
-def test_prefix_memo_encodes_byte_equal(ids, data):
-    cells = st.one_of(st.none(), st.sampled_from(ids))
-    rows = data.draw(
-        st.lists(st.tuples(cells, cells, st.tuples(cells)), min_size=1, max_size=10)
-    )
-    memo = {}
-    for row in rows:
-        assert encode_key(row, memo) == encode_key(row)
-    for dewey in ids:  # every memoized prefix is itself byte-equal
-        assert encode_key(dewey, memo) == encode_key(dewey)
-
-
-def test_prefix_memo_covers_out_of_band_ordinals():
+def test_out_of_band_ids_encode_alike_however_built():
+    # Grown by child(), built flat, unpickled, or linked lazily by
+    # parent(): one ID, one key, one blob.
     root = DeweyID.root("r")
     padded = root.child("a", (2, -1)).child("b", (0, -3, 1))
-    assert type(padded.sort_key) is not tuple  # a _PaddedKey
-    memo = {}
-    # Parent first, so the child extends a memoized prefix.
-    for dewey in (padded.parent(), padded, DeweyID(padded.steps), root):
-        assert encode_key((dewey, None), memo) == encode_key((dewey, None))
+    flat = DeweyID(padded.steps)
+    for other in (flat, pickle.loads(pickle.dumps(padded))):
+        assert other.sort_key == padded.sort_key
+        assert encode_key((other, None)) == encode_key((padded, None))
+    assert flat.parent().sort_key == padded.parent().sort_key
+    assert encode_key(flat.parent()) == encode_key(padded.parent())
+    assert padded.parent().sort_key < padded.sort_key < padded.parent().subtree_end_key
 
 
 def _consistent_rows(ids):
