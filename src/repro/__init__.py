@@ -8,9 +8,9 @@ maintenance engine's shard backend -- are connected before any
 ``repro.*`` submodule code runs, since Python always initializes a
 parent package before its children.
 
-The layer DAG itself (xmldom -> algebra -> pattern -> updates -> views
--> schema/optimizer/workloads -> maintenance -> sharding/baselines ->
-bench/analysis) is machine-checked by ``python -m repro.analysis``;
+The layer DAG itself (xmldom -> algebra/obs -> pattern -> updates ->
+views -> storage/schema/workloads -> maintenance -> sharding/baselines
+-> bench/analysis) is machine-checked by ``python -m repro.analysis``;
 this file is exempt as the aggregator.
 """
 

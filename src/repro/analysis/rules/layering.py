@@ -3,7 +3,7 @@
 The repo's layer order (ROADMAP "Engine architecture", bottom-up)::
 
     xmldom -> algebra / obs -> pattern -> updates -> views
-           -> schema / optimizer / workloads
+           -> storage / schema / workloads
            -> maintenance -> sharding / baselines -> bench / analysis
 
 A package may import strictly *lower* layers (and itself).  Upward
@@ -31,7 +31,6 @@ LAYER_RANKS = {
     "views": 4,
     "storage": 5,
     "schema": 5,
-    "optimizer": 5,
     "workloads": 5,
     "maintenance": 6,
     "sharding": 7,

@@ -25,6 +25,7 @@ from repro.updates.language import (
     UpdateStatement,
 )
 from repro.updates.pul import apply_pul, compute_pul
+from repro.updates.reduce import pul_to_operations, reduce_operations
 from repro.views.lattice import SnowcapLattice
 from repro.views.view import MaterializedView
 from repro.workloads.queries import view_pattern
@@ -403,10 +404,6 @@ def run_reduction_rule(
     unoptimised, the gap widening with the overlap percentage
     (Figures 33, 34, 35).
     """
-    from repro.optimizer.ops import pul_to_operations
-    from repro.optimizer.rules import reduce_operations
-    from repro.updates.pul import compute_pul as _compute_pul
-
     rows: List[Dict[str, object]] = []
     for percent in percents:
         timings: Dict[bool, float] = {}
@@ -422,22 +419,16 @@ def run_reduction_rule(
                 # [atomic] manner" -- both variants propagate one atomic
                 # operation at a time; optimisation reduces the list first
                 # and its own cost is included in the measurement.
-                operations: List = []
-                for statement in statements:
-                    operations.extend(
-                        pul_to_operations(_compute_pul(document, statement))
-                    )
+                operations = [
+                    op
+                    for statement in statements
+                    for op in pul_to_operations(compute_pul(document, statement))
+                ]
                 started = time.perf_counter()
                 if optimize:
                     operations = reduce_operations(operations)
                 for op in operations:
-                    if op.kind == "ins":
-                        atomic: UpdateStatement = ResolvedInsertUpdate(
-                            [op.target], op.forest, name="atomic_ins"
-                        )
-                    else:
-                        atomic = ResolvedDeleteUpdate([op.target], name="atomic_del")
-                    engine.apply_update(atomic)
+                    engine.apply_update(op)
                 best = min(best, time.perf_counter() - started)
                 op_counts[optimize] = len(operations)
                 if verify and not registered.view.equals_fresh_evaluation(document):

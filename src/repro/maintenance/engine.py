@@ -750,25 +750,6 @@ class MaintenanceEngine:
                 batch_id, self.views, include_lattices=include_lattices
             )
 
-    # -- sequences (Section 5) ------------------------------------------------
-
-    def apply_sequence(
-        self, statements: Sequence[UpdateStatement], optimize: bool = False
-    ) -> List[BatchReport]:
-        """Propagate a sequence of statements, optionally PUL-optimized.
-
-        With ``optimize=True`` the statements' atomic operations are
-        first reduced by the rules of Section 5 (O1, O3, I5); the
-        reduced sequence is then applied to document and views, one
-        batch-of-one report per statement.
-        """
-        if not optimize:
-            return [self.apply_update(statement) for statement in statements]
-        from repro.optimizer.rules import reduce_statements
-
-        reduced = reduce_statements(self.document, statements)
-        return [self.apply_update(statement) for statement in reduced]
-
     # -- batches (one propagation round per statement group) --------------------
 
     def apply_batch(

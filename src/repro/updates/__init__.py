@@ -13,6 +13,10 @@ XQuery Update Facility): target/tree pairs for insertions, doomed nodes
 for deletions.  Applying a PUL to the document assigns Dewey IDs to
 inserted subtrees -- the IDs the Δ+ tables need -- and collects the
 removed node sets that feed the Δ− tables.
+
+Section 5's PUL rules over atomic operations live in
+:mod:`repro.updates.reduce` (O1/O3/I5 reduction, A1/A2/D6 aggregation)
+and :mod:`repro.updates.conflicts` (IO/LO/NLO).
 """
 
 from repro.updates.language import (

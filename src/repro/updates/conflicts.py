@@ -1,7 +1,9 @@
 """Conflict rules for parallel PULs: IO, LO, NLO (Figure 15).
 
-When two pending update lists are to be integrated for parallel
-execution, some operation pairs are order-sensitive or overriding:
+When two pending update lists of atomic operations (single-target
+resolved statements, see :mod:`repro.updates.reduce`) are to be
+integrated for parallel execution, some operation pairs are
+order-sensitive or overriding:
 
 * **IO (Insertion Order)** -- two ``ins↘`` on the same target: the
   resulting sibling order depends on execution order (symmetric);
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.optimizer.ops import Del, Ins, Operation
+from repro.updates.language import DeleteUpdate, InsertUpdate, UpdateStatement
 
 
 class Conflict:
@@ -28,7 +30,7 @@ class Conflict:
 
     KINDS = ("IO", "LO", "NLO")
 
-    def __init__(self, kind: str, first: Operation, second: Operation):
+    def __init__(self, kind: str, first: UpdateStatement, second: UpdateStatement):
         if kind not in self.KINDS:
             raise ValueError("unknown conflict kind %r" % kind)
         self.kind = kind
@@ -46,37 +48,37 @@ class Conflict:
 
 
 def detect_conflicts(
-    pul1: Sequence[Operation], pul2: Sequence[Operation]
+    pul1: Sequence[UpdateStatement], pul2: Sequence[UpdateStatement]
 ) -> List[Conflict]:
     """All IO/LO/NLO conflicts between two parallel PULs."""
     conflicts: List[Conflict] = []
     for op1 in pul1:
         for op2 in pul2:
-            if isinstance(op1, Ins) and isinstance(op2, Ins):
-                if op1.target == op2.target:
+            if isinstance(op1, InsertUpdate) and isinstance(op2, InsertUpdate):
+                if op1.target_ids == op2.target_ids:
                     conflicts.append(Conflict("IO", op1, op2))
-            elif isinstance(op1, Del) and isinstance(op2, Ins):
-                if op1.target == op2.target:
-                    conflicts.append(Conflict("LO", op2, op1))
-                elif op1.target.is_ancestor_of(op2.target):
-                    conflicts.append(Conflict("NLO", op2, op1))
-            elif isinstance(op1, Ins) and isinstance(op2, Del):
-                if op2.target == op1.target:
-                    conflicts.append(Conflict("LO", op1, op2))
-                elif op2.target.is_ancestor_of(op1.target):
-                    conflicts.append(Conflict("NLO", op1, op2))
+                continue
+            if isinstance(op1, DeleteUpdate) and isinstance(op2, DeleteUpdate):
+                continue  # two deletions never conflict
+            insert, delete = (op1, op2) if isinstance(op1, InsertUpdate) else (op2, op1)
+            (target,) = insert.target_ids
+            (deleted,) = delete.target_ids
+            if target == deleted:
+                conflicts.append(Conflict("LO", insert, delete))
+            elif deleted.is_ancestor_of(target):
+                conflicts.append(Conflict("NLO", insert, delete))
     return conflicts
 
 
-Resolution = Callable[[Conflict], Optional[Operation]]
+Resolution = Callable[[Conflict], Optional[UpdateStatement]]
 
 
-def fail_on_conflict(conflict: Conflict) -> Optional[Operation]:
+def fail_on_conflict(conflict: Conflict) -> Optional[UpdateStatement]:
     """Default policy: any conflict aborts integration."""
     raise ValueError("unresolved PUL conflict: %r" % conflict)
 
 
-def deletes_win(conflict: Conflict) -> Optional[Operation]:
+def deletes_win(conflict: Conflict) -> Optional[UpdateStatement]:
     """A simple policy: overriding deletions win, IO keeps first-PUL order."""
     if conflict.kind in ("LO", "NLO"):
         return conflict.second  # the delete
@@ -84,10 +86,10 @@ def deletes_win(conflict: Conflict) -> Optional[Operation]:
 
 
 def integrate_puls(
-    pul1: Sequence[Operation],
-    pul2: Sequence[Operation],
+    pul1: Sequence[UpdateStatement],
+    pul2: Sequence[UpdateStatement],
     resolution: Resolution = fail_on_conflict,
-) -> Tuple[List[Operation], List[Conflict]]:
+) -> Tuple[List[UpdateStatement], List[Conflict]]:
     """Integrate two parallel PULs under a conflict-resolution policy.
 
     Returns the integrated operation list and the conflicts that were

@@ -23,8 +23,11 @@ class UpdateStatement:
 
     kind = "update"
 
-    def __init__(self, target: Union[str, PathExpr], name: Optional[str] = None):
-        self.target: PathExpr = parse_xpath(target) if isinstance(target, str) else target
+    def __init__(self, target: Union[str, PathExpr, None], name: Optional[str] = None):
+        #: ``None`` for the resolved forms, which carry ``target_ids``.
+        self.target: Optional[PathExpr] = (
+            parse_xpath(target) if isinstance(target, str) else target
+        )
         self.name = name or self.kind
 
     def __repr__(self) -> str:
@@ -63,31 +66,29 @@ class InsertUpdate(UpdateStatement):
 class ResolvedDeleteUpdate(DeleteUpdate):
     """A deletion whose target nodes are already known by ID.
 
-    Produced by the PUL optimizer (reduced atomic operations carry
-    explicit Dewey IDs) and by experiment drivers that pick target sets
-    directly; ``compute_pul`` resolves the IDs instead of evaluating a
-    path.
+    Produced by the Section 5 reduction rules (an atomic ``del(v)`` is
+    a single-target ``ResolvedDeleteUpdate([v])``) and by experiment
+    drivers that pick target sets directly; ``compute_pul`` resolves
+    the IDs instead of evaluating a path.
     """
 
     def __init__(self, target_ids, name: Optional[str] = None):
+        super().__init__(None, name=name)
         self.target_ids = list(target_ids) if isinstance(target_ids, (list, tuple)) else [target_ids]
-        self.name = name or self.kind
-        self.target = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return "ResolvedDeleteUpdate(%d targets)" % len(self.target_ids)
 
 
 class ResolvedInsertUpdate(InsertUpdate):
-    """An insertion whose target nodes are already known by ID."""
+    """An insertion whose target nodes are already known by ID (an
+    atomic ``ins↘(v, forest)`` is ``ResolvedInsertUpdate([v], forest)``)."""
 
-    def __init__(self, target_ids, forest: List[Node], name: Optional[str] = None):
+    def __init__(
+        self, target_ids, forest: Union[str, List[Node]], name: Optional[str] = None
+    ):
+        super().__init__(None, forest, name=name)
         self.target_ids = list(target_ids) if isinstance(target_ids, (list, tuple)) else [target_ids]
-        self.name = name or self.kind
-        self.target = None  # type: ignore[assignment]
-        self.forest = list(forest)
-        if not self.forest:
-            raise ValueError("insert statement with an empty forest")
 
     def __repr__(self) -> str:
         return "ResolvedInsertUpdate(%d targets, %d trees)" % (
@@ -176,9 +177,10 @@ def _merge_inserts(first: InsertUpdate, second: InsertUpdate) -> InsertUpdate:
     return InsertUpdate(first.target, forest, name=name)
 
 
-def _covered_by_deletes(target_id, delete_ids: set) -> bool:
+def covered_by_deletes(target_id, delete_ids: set) -> bool:
     """Is ``target_id`` one of (O1) or a descendant of (O3) the deleted
-    IDs?  Purely ID-based: the Dewey ID encodes the ancestor chain."""
+    IDs?  Purely ID-based: the Dewey ID encodes the ancestor chain, so
+    the test is one set lookup per ancestor, O(depth) per target."""
     if target_id in delete_ids:
         return True
     return any(ancestor in delete_ids for ancestor in target_id.ancestor_ids())
@@ -231,9 +233,10 @@ class UpdateBatch:
         later deletion subsumes them: removing a node early frees its
         sibling slot, so an intervening insert into the surviving
         parent would be assigned a different ordinal than in the
-        sequential run.  (The document-level optimizer,
-        ``apply_sequence(optimize=True)``, still applies the full O1
-        in the paper's setting of pre-compiled operation lists.)
+        sequential run.  (Operation-level reduction,
+        :func:`repro.updates.reduce.reduce_operations`, still applies
+        the full O1 in the paper's setting of pre-compiled operation
+        lists, where only the document modulo ordinals must agree.)
 
         Reduction never reaches across an unresolved (path-targeted)
         statement either: a path resolves against the document state
@@ -265,7 +268,7 @@ class UpdateBatch:
                     survivors = [
                         target
                         for target in earlier_ids
-                        if not _covered_by_deletes(target, delete_ids)
+                        if not covered_by_deletes(target, delete_ids)
                     ]
                     if len(survivors) == len(earlier_ids):
                         reduced_tail.append(earlier)

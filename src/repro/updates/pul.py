@@ -20,7 +20,12 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Sequence, Tuple, Union
 
-from repro.updates.language import DeleteUpdate, InsertUpdate, UpdateStatement
+from repro.updates.language import (
+    DeleteUpdate,
+    InsertUpdate,
+    UpdateStatement,
+    covered_by_deletes,
+)
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.model import Document, ElementNode, Node
 
@@ -114,13 +119,16 @@ def compute_pul(document: Document, update: UpdateStatement) -> PendingUpdateLis
                 if replacement.id not in seen_ids:
                     seen_ids.add(replacement.id)
                     expanded.append(replacement)
-        chosen: List[Node] = []
+        # O3 within one statement: a matched ancestor's deletion
+        # subsumes the node (expanded nodes are never the root).
         matched_ids = {node.id for node in expanded}
-        for node in expanded:
-            if any(ancestor in matched_ids for ancestor in node.id.ancestor_ids()):
-                continue
-            chosen.append(node)
-        return PendingUpdateList([AtomicDelete(node) for node in chosen])
+        return PendingUpdateList(
+            [
+                AtomicDelete(node)
+                for node in expanded
+                if not covered_by_deletes(node.id.parent(), matched_ids)
+            ]
+        )
     raise TypeError("unknown update statement %r" % (update,))
 
 

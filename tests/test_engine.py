@@ -5,7 +5,9 @@ import pytest
 from repro.bench.harness import statement_for
 from repro.maintenance.engine import PHASES, MaintenanceEngine
 from repro.pattern.evaluate import evaluate_bindings
-from repro.updates.language import DeleteUpdate, InsertUpdate
+from repro.updates.language import DeleteUpdate, InsertUpdate, UpdateBatch
+from repro.updates.pul import compute_pul
+from repro.updates.reduce import pul_to_operations, reduce_operations
 from repro.workloads.queries import view_pattern
 from repro.workloads.updates import VIEW_UPDATE_GROUPS
 from repro.workloads.xmark import generate_document
@@ -116,37 +118,40 @@ class TestLatticeConsistency:
             )
 
 
-class TestSequences:
-    def test_unoptimized_sequence(self):
-        doc = generate_document(scale=1)
-        engine = MaintenanceEngine(doc)
-        registered = engine.register_view(view_pattern("Q1"), "Q1")
-        reports = engine.apply_sequence(
-            [statement_for("X1_L", "insert"), statement_for("A6_A", "delete")]
-        )
-        assert len(reports) == 2
-        assert registered.view.equals_fresh_evaluation(doc)
-
-    def test_optimized_sequence_same_result(self):
-        plain_doc = generate_document(scale=1)
-        plain_engine = MaintenanceEngine(plain_doc)
-        plain = plain_engine.register_view(view_pattern("Q1"), "Q1")
-        plain_engine.apply_sequence(
+def _q1_after(statements, reduce=False):
+    """Q1's extent after one ``apply_batch`` of ``statements`` on a
+    fresh XMark document; with ``reduce``, the statements' atomic
+    operations (resolved up front, Section 5's PUL setting) are reduced
+    by O1/O3/I5 first."""
+    doc = generate_document(scale=1)
+    engine = MaintenanceEngine(doc)
+    registered = engine.register_view(view_pattern("Q1"), "Q1")
+    if reduce:
+        statements = reduce_operations(
             [
-                InsertUpdate("/site/people/person", "<tag/>", name="i"),
-                DeleteUpdate("/site/people/person[profile]", name="d"),
+                op
+                for statement in statements
+                for op in pul_to_operations(compute_pul(doc, statement))
             ]
         )
+    report = engine.apply_batch(UpdateBatch(statements))
+    assert registered.view.equals_fresh_evaluation(doc)
+    return report, registered.view.content()
 
-        opt_doc = generate_document(scale=1)
-        opt_engine = MaintenanceEngine(opt_doc)
-        optimized = opt_engine.register_view(view_pattern("Q1"), "Q1")
-        opt_engine.apply_sequence(
-            [
-                InsertUpdate("/site/people/person", "<tag/>", name="i"),
-                DeleteUpdate("/site/people/person[profile]", name="d"),
-            ],
-            optimize=True,
+
+class TestSequences:
+    def test_unoptimized_sequence(self):
+        report, _content = _q1_after(
+            [statement_for("X1_L", "insert"), statement_for("A6_A", "delete")]
         )
-        assert optimized.view.equals_fresh_evaluation(opt_doc)
-        assert plain.view.content() == optimized.view.content()
+        assert report.statements_submitted == 2
+
+    def test_optimized_sequence_same_result(self):
+        statements = [
+            InsertUpdate("/site/people/person", "<tag/>", name="i"),
+            DeleteUpdate("/site/people/person[profile]", name="d"),
+        ]
+        plain_report, plain = _q1_after(statements)
+        reduced_report, reduced = _q1_after(statements, reduce=True)
+        assert reduced_report.pul_size < plain_report.pul_size
+        assert plain == reduced

@@ -110,8 +110,9 @@ def test_optimized_sequences_equal_plain(seed):
 
     Section 5 operates on pending update lists, i.e., targets are
     resolved before any operation runs; both sides of the comparison
-    therefore resolve every statement's targets on the original
-    document, and the optimized side additionally reduces.
+    therefore compile every statement to atomic operations on the
+    original document and apply them as one batch, and the optimized
+    side additionally reduces them (O1/O3/I5).
 
     View contents are compared with IDs canonicalized to preorder
     positions: dynamic Dewey *ordinals* are assignment-history
@@ -120,7 +121,8 @@ def test_optimized_sequences_equal_plain(seed):
     produce the same document and the same view modulo ordinal
     encoding -- not bit-identical IDs.
     """
-    from repro.updates.language import ResolvedDeleteUpdate, ResolvedInsertUpdate
+    from repro.updates.language import UpdateBatch
+    from repro.updates.reduce import pul_to_operations, reduce_operations
     from repro.xmldom.dewey import DeweyID
 
     rng = random.Random(seed)
@@ -128,27 +130,16 @@ def test_optimized_sequences_equal_plain(seed):
     updates = [_random_update(rng) for _ in range(rng.randint(2, 4))]
     view = _random_view(rng)
 
-    def resolve(doc):
-        resolved = []
-        for update in updates:
-            pul = compute_pul(doc, update)
-            if update.kind == "insert":
-                ids = [op.target.id for op in pul.inserts()]
-                if ids:
-                    resolved.append(
-                        ResolvedInsertUpdate(ids, update.forest, name=update.name)
-                    )
-            else:
-                ids = [op.target.id for op in pul.deletes()]
-                if ids:
-                    resolved.append(ResolvedDeleteUpdate(ids, name=update.name))
-        return resolved
-
     def run(optimize):
         doc = parse_document(text)
         engine = MaintenanceEngine(doc)
         registered = engine.register_view(view, "v")
-        engine.apply_sequence(resolve(doc), optimize=optimize)
+        operations = [
+            op for update in updates for op in pul_to_operations(compute_pul(doc, update))
+        ]
+        if optimize:
+            operations = reduce_operations(operations)
+        engine.apply_batch(UpdateBatch(operations))
         assert registered.view.equals_fresh_evaluation(doc), (seed, optimize)
         position = {
             node.id: index
