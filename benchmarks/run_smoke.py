@@ -272,8 +272,8 @@ def _collect_obs_metrics() -> dict:
     JSONL trace at ``TRACE_PATH`` (uploaded as a CI artifact).
 
     This is the rebalancing input ROADMAP item 2 asks for: per-batch
-    propagation latency quantiles, queue backpressure and
-    fallback/repair counts, captured by ``repro.obs`` instead of ad-hoc
+    propagation latency quantiles, queue backpressure and σ-repair
+    counts, captured by ``repro.obs`` instead of ad-hoc
     re-timing.
     """
     from repro.maintenance.queue import ApplyQueue
@@ -301,7 +301,6 @@ def _collect_obs_metrics() -> dict:
         "queue_commit_p95_ms": round(
             obs.metrics.get("repro_queue_commit_seconds").quantile(0.95) * 1e3, 3
         ),
-        "fallbacks_total": _counter_total(obs.metrics.get("repro_fallbacks_total")),
         "repairs_total": _counter_total(obs.metrics.get("repro_repairs_total")),
         "trace_path": os.path.relpath(TRACE_PATH, os.path.dirname(os.path.dirname(TRACE_PATH))),
     }
@@ -569,12 +568,11 @@ def main() -> int:
     )
     print(
         "queued propagation p50 %.3fms  p95 %.3fms  queue depth max %d  "
-        "fallbacks %d  repairs %d  [%s]"
+        "repairs %d  [%s]"
         % (
             obs_metrics["propagation_p50_ms"],
             obs_metrics["propagation_p95_ms"],
             obs_metrics["queue_depth_max"],
-            obs_metrics["fallbacks_total"],
             obs_metrics["repairs_total"],
             obs_metrics["trace_path"],
         )

@@ -25,11 +25,9 @@ and *repairs* the view with the bounded Δ± of
 admissions the Δ+ store pass, and the snowcap lattice gets a
 column-aware flip pass -- all in the same batch round, byte-identical
 to recomputation.  Similarly, a net-removed node whose val/cont
-drifted before its removal (*dirty subtree*) is restored from the
-first-seen snapshots instead of invalidating the whole view.  The one
-unrepairable case -- drift with hot-path caches disabled, where there
-is nowhere to park a snapshot -- falls back to recomputing the affected
-view (``BatchReport.fallbacks`` records the structured reason).
+drifted before its removal (*dirty subtree*) has its first-seen
+snapshots restored into its memo caches, so every batch is repaired in
+place and no view is ever recomputed to absorb it.
 
 Every term reads its canonical relations from one source builder,
 :meth:`MaintenanceEngine._sources`: the live relation with the batch's
@@ -82,7 +80,7 @@ from repro.views.lattice import SnowcapLattice
 from repro.views.view import MaterializedView, derived_columns
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.index import KeyedRows
-from repro.xmldom.model import Document, Node, hot_path_caches_enabled
+from repro.xmldom.model import Document, Node
 
 PHASES = (
     "find_target_nodes",
@@ -271,16 +269,17 @@ class BatchReport:
         self.net_removed = 0
         #: nodes inserted and deleted within the batch (net no-ops).
         self.cancelled = 0
-        #: view name -> ``{"reason": str, "candidates": int}`` for each
-        #: view whose recompute fallback fired (the candidate count is
-        #: the unrepairable dirty nodes it reads).
+        #: always empty: every batch is repaired in place, so no view
+        #: falls back to recomputation any more.  Kept because the
+        #: end-to-end benchmark and the fallback-rate ceilings of
+        #: ``run_smoke.py`` and ``bench_sigma_repair.py`` read it.
         self.fallbacks: Dict[str, Dict] = {}
         #: view name -> σ-flip repair counters (``sigma_flips``,
         #: ``evicted``/``admitted`` extent rows, ``lattice_dropped``/
-        #: ``lattice_added``) for views repaired in place of a fallback.
+        #: ``lattice_added``) for views repaired in place.
         self.repairs: Dict[str, Dict] = {}
         #: net-removed dirty nodes whose pre-batch val/cont snapshots
-        #: were restored onto the detached subtree (no fallback needed).
+        #: were restored onto the detached subtree.
         self.dirty_restored = 0
         #: session parties that maintained the views, the owner
         #: included (0 when the engine ran the round in-process).
@@ -456,9 +455,6 @@ class MaintenanceEngine:
         self._coalesced_counter = metrics.counter(
             "repro_coalesced_statements_total",
             "statements merged away by batch coalescing",
-        )
-        self._fallbacks_counter = metrics.counter(
-            "repro_fallbacks_total", "whole-view recompute fallbacks", ("reason",)
         )
         self._repairs_counter = metrics.counter(
             "repro_repairs_total", "sigma-flip repairs applied in place", ("view",)
@@ -775,9 +771,8 @@ class MaintenanceEngine:
         nodes are state-independent unless a σ predicate flipped
         (caught by the merged watchlists, repaired in place) or a
         net-removed node's stored attributes drifted before its removal
-        (caught by the dirty-subtree guard, restored from snapshots);
-        only what neither can repair falls back to recomputing the
-        view, so the final extents always equal sequential application.
+        (restored from first-seen snapshots), so the final extents
+        always equal sequential application.
         """
         self._check_no_active_session()
         # The WAL payload is the coalesced statement list -- what the
@@ -795,17 +790,22 @@ class MaintenanceEngine:
             self._durability_commit(batch_id)
         if self.obs.enabled:
             span.attrs["statements"] = report.statements_applied
-            self._batches_counter.inc()
-            self._statements_counter.inc(report.statements_applied)
-            self._coalesced_counter.inc(
-                report.statements_submitted - report.statements_applied
-            )
-            for info in report.fallbacks.values():
-                self._fallbacks_counter.inc(labels=(info["reason"],))
-            for name in report.repairs:
-                self._repairs_counter.inc(labels=(name,))
-            self._propagation_histogram.observe(report.propagation_seconds())
+        self._record_batch(report)
         return report
+
+    def _record_batch(self, report: BatchReport) -> None:
+        """Count one applied batch into the engine's batch metrics; a
+        session calls this with its merged report too."""
+        if not self.obs.enabled:
+            return
+        self._batches_counter.inc()
+        self._statements_counter.inc(report.statements_applied)
+        self._coalesced_counter.inc(
+            report.statements_submitted - report.statements_applied
+        )
+        for name in report.repairs:
+            self._repairs_counter.inc(labels=(name,))
+        self._propagation_histogram.observe(report.propagation_seconds())
 
     def _apply_batch_impl(
         self,
@@ -848,12 +848,15 @@ class MaintenanceEngine:
         }
         any_sigma = any(sigma_by_view.values())
 
-        # Labels whose val/cont any view reads through value semantics
-        # (σ filters and projection read val, stored cont reads cont);
-        # a net-removed node of another label cannot drift observably.
+        # Labels whose val/cont any registered view reads through value
+        # semantics (σ filters and projection read val, stored cont
+        # reads cont); a net-removed node of another label cannot drift
+        # observably.  Taken over every registered view, not just
+        # ``views``, so a session's party 0 counts the dirty nodes
+        # serial propagation would.
         val_sensitive: set = set()
         cont_sensitive: set = set()
-        for registered in views.values():
+        for registered in self.views.values():
             for node in registered.pattern.nodes():
                 if node.value_pred is not None or node.store_val:
                     val_sensitive.add(node.label)
@@ -932,15 +935,11 @@ class MaintenanceEngine:
         report.net_inserted = len(inserted_ids)
         report.net_removed = len(removed_candidates)
         report.cancelled = application.cancelled_count()
-        dirty_nodes = (
-            application.dirty_removed_nodes() if removed_candidates.nodes else []
-        )
-        if dirty_nodes:
+        if removed_candidates.nodes:
             # Restore the detached subtrees' pre-batch val/cont from the
-            # first-seen snapshots; only genuinely unrestorable drift
-            # (caches disabled) is left to trigger a per-view fallback.
-            dirty_nodes, report.dirty_restored = self._restore_dirty_snapshots(
-                dirty_nodes,
+            # first-seen snapshots.
+            report.dirty_restored = self._restore_dirty_snapshots(
+                application.dirty_removed_nodes(),
                 val_snapshots,
                 cont_snapshots,
                 val_sensitive,
@@ -977,7 +976,6 @@ class MaintenanceEngine:
                 inserted_by_label=inserted_by_label,
                 removed_candidates=removed_candidates,
                 removed_by_label=removed_by_label,
-                dirty_nodes=dirty_nodes,
                 insert_target_ids=insert_target_ids,
                 delete_target_ids=delete_target_ids,
                 survivor_cache=survivor_cache,
@@ -1005,7 +1003,6 @@ class MaintenanceEngine:
         inserted_by_label: Dict[str, List[DeweyID]],
         removed_candidates: BatchCandidates,
         removed_by_label: Dict[str, List[DeweyID]],
-        dirty_nodes: Sequence[Node],
         insert_target_ids: Sequence[DeweyID],
         delete_target_ids: Sequence[DeweyID],
         survivor_cache: Dict[str, KeyedRows],
@@ -1013,14 +1010,13 @@ class MaintenanceEngine:
     ) -> None:
         """The batch's view-side round over ``views``, run in-process.
 
-        1. per view, the recompute-fallback guards;
-        2. if any view has a live Δ− side, a first round runs the
+        1. if any view has a live Δ− side, a first round runs the
            refresh probes and the Δ− evaluations -- both read pre-batch
            state -- and the doomed lattice rows are dropped;
-        3. a second round (the only one for insert-only batches) runs
+        2. a second round (the only one for insert-only batches) runs
            the Δ+ evaluations, snowcap additions and σ repairs over
            survivor relations;
-        4. each view's collected Δ± is merged and applied with its
+        3. each view's collected Δ± is merged and applied with its
            refresh rewrites: one store pass and one lattice extend per
            view.
 
@@ -1031,7 +1027,6 @@ class MaintenanceEngine:
         any_targets = bool(insert_target_ids or delete_target_ids)
 
         contexts: List[_ViewRound] = []
-        fallback_views: List[RegisteredView] = []
         for name, registered in views.items():
             view_report = ViewReport(name)
             view_report.targets = len(insert_target_ids) + len(delete_target_ids)
@@ -1041,15 +1036,6 @@ class MaintenanceEngine:
             )
             report.view_reports[name] = view_report
             pattern = registered.pattern
-
-            candidates = self._dirty_affects(pattern, dirty_nodes) if dirty_nodes else 0
-            if candidates:
-                report.fallbacks[name] = {
-                    "reason": "dirty_removed_subtree",
-                    "candidates": candidates,
-                }
-                fallback_views.append(registered)
-                continue
             view_report.delta_sizes = {
                 node_name: 0 for node_name in pattern.node_names()
             }
@@ -1065,14 +1051,6 @@ class MaintenanceEngine:
                 if ctx.minus_sets or ctx.plus_sets:
                     report.repairs[name] = {"sigma_flips": len(flips)}
             contexts.append(ctx)
-        for registered in fallback_views:
-            with _PhaseTimer(
-                tracer,
-                report.view_reports[registered.name].phases,
-                "execute_update",
-                registered.name,
-            ):
-                self._recompute(registered)
         if not contexts:
             return
 
@@ -1283,38 +1261,6 @@ class MaintenanceEngine:
             name,
         )
 
-    def _dirty_affects(self, pattern: Pattern, dirty_nodes: Sequence[Node]) -> int:
-        """How many drifted removed nodes reach this view's values?
-
-        Drift matters only through value semantics: a σ-constant filter
-        on the node's label (Δ− filtering and R_old reconstruction read
-        the detached value) or a stored ``val``/``cont`` attribute (the
-        removal tuple's projection must match what the extent holds).
-        Views that bind the label by ID alone are exact regardless --
-        structural joins never read values.  The caller passes only the
-        *unrestorable* drifted nodes, so the returned count is
-        per-candidate: it sizes the structured fallback entry and is
-        zero exactly when no fallback is needed.
-        """
-        sensitive = [
-            node
-            for node in pattern.nodes()
-            if node.value_pred is not None or node.store_val or node.store_cont
-        ]
-        if not sensitive:
-            return 0
-        count = 0
-        for dirty in dirty_nodes:
-            for node in sensitive:
-                if node.label == "*":
-                    if dirty.kind == "element":
-                        count += 1
-                        break
-                elif node.matches_label(dirty.label):
-                    count += 1
-                    break
-        return count
-
     def _restore_dirty_snapshots(
         self,
         dirty_nodes: Sequence[Node],
@@ -1322,53 +1268,37 @@ class MaintenanceEngine:
         cont_snapshots: Dict[DeweyID, Optional[str]],
         val_sensitive: set,
         cont_sensitive: set,
-    ) -> Tuple[List[Node], int]:
+    ) -> int:
         """Restore pre-batch val/cont onto drifted detached subtrees.
 
         Every val/cont change puts the node on a ``before_apply``
         chain, so a sensitive-labeled dirty node with *no* snapshot
         provably never drifted -- it is clean.  A node whose snapshot
-        equals its current (detached) value is clean too.  Genuine
-        drift is repaired by installing the snapshot into the hot-path
-        memo caches, which every downstream reader (Δ− σ-filtering,
-        R_old reconstruction, removal projection) consults; with the
-        caches disabled there is nowhere to park the snapshot, and the
-        node stays on the unrepaired list for the per-view fallback
-        guard.  Returns ``(unrepaired nodes, snapshots restored)``.
+        equals its current (detached) value is clean too, and so is
+        every text or attribute node, whose val/cont is its own string.
+        Genuine drift is repaired by installing the snapshot into the
+        element's memo caches, which every downstream reader (Δ−
+        σ-filtering, R_old reconstruction, removal projection)
+        consults.  Returns how many nodes were restored.
         """
-        caches_on = hot_path_caches_enabled()
-        unrepaired: List[Node] = []
         restored = 0
         for node in dirty_nodes:
-            is_element = node.kind == "element"
-            broken = False
+            if node.kind != "element":
+                continue
             repaired = False
-            if node.label in val_sensitive or (
-                "*" in val_sensitive and is_element
-            ):
+            if node.label in val_sensitive or "*" in val_sensitive:
                 snapshot = val_snapshots.get(node.id, _MISSING)
                 if snapshot is not _MISSING and snapshot != node.val:
-                    if caches_on and is_element:
-                        node._val_cache = snapshot
-                        repaired = True
-                    else:
-                        broken = True
-            if not broken and (
-                node.label in cont_sensitive
-                or ("*" in cont_sensitive and is_element)
-            ):
+                    node._val_cache = snapshot
+                    repaired = True
+            if node.label in cont_sensitive or "*" in cont_sensitive:
                 snapshot = cont_snapshots.get(node.id, _MISSING)
                 if snapshot is not _MISSING and snapshot != node.cont:
-                    if caches_on and is_element:
-                        node._cont_cache = snapshot
-                        repaired = True
-                    else:
-                        broken = True
-            if broken:
-                unrepaired.append(node)
-            elif repaired:
+                    node._cont_cache = snapshot
+                    repaired = True
+            if repaired:
                 restored += 1
-        return unrepaired, restored
+        return restored
 
     def _batch_flips(
         self,
@@ -1398,7 +1328,7 @@ class MaintenanceEngine:
     # -- helpers -----------------------------------------------------------------
 
     def _recompute(self, registered: RegisteredView) -> None:
-        """Whole-view fallback: rebuild extent and lattice in-process."""
+        """Rebuild extent and lattice in-process (a poisoned batch)."""
         fresh = MaterializedView.materialize(
             registered.pattern, self.document, name=registered.name
         )

@@ -34,10 +34,7 @@ Design (replicated state machines):
   cross a pipe: the owner's store pass writes them directly;
 * σ-flip repair runs wherever the view is maintained; the repair Δ±
   folds into the ordinary shipped delta rows, so the owner replays
-  flips without ever seeing the repair machinery.  A view that still
-  trips a true recompute fallback on its replica ships its full
-  recomputed extent instead (rare; the owner holds no current lattice
-  for it, so it cannot recompute as cheaply itself);
+  flips without ever seeing the repair machinery;
 * the owner keeps current lattices only for party 0's views.  The rest
   would only go stale, so it drops them once the replicas have forked
   (and on releasing a view to another party); :meth:`ShardSession.close`
@@ -211,7 +208,6 @@ def _serve_batch(engine, statements, ship_spans: bool) -> Dict:
             "refresh": deltas.get("refresh", ()),
             "additions": deltas.get("additions", {}),
             "removals": deltas.get("removals", {}),
-            "fallback": report.fallbacks.get(name),
             "repairs": report.repairs.get(name),
             "stats": None,
         }
@@ -223,10 +219,6 @@ def _serve_batch(engine, statements, ship_spans: bool) -> Dict:
                 "term_eval_seconds": view_report.term_eval_seconds,
                 "maintenance_seconds": view_report.phases.total(),
             }
-        if entry["fallback"] is not None:
-            # The owner holds no lattice for this view; ship the
-            # recomputed extent outright.
-            entry["content"] = engine.views[name].view.content()
         payload[name] = entry
     span_rows = None
     if ship_spans:
@@ -493,9 +485,11 @@ class ShardSession:
             with self.obs.span(
                 "session_batch", statements=len(statements), workers=self.workers
             ):
-                return self._apply_statements(statements, report)
+                self._apply_statements(statements, report)
         finally:
             self.engine._durability_commit(batch_id, include_lattices=False)
+        self.engine._record_batch(report)
+        return report
 
     def _run_owner_party(self, statements: List[UpdateStatement]):
         """Party 0's round: the engine's own batch pipeline over the
@@ -584,7 +578,6 @@ class ShardSession:
             ):
                 setattr(report, field, getattr(local, field))
             report.view_reports.update(local.view_reports)
-            report.fallbacks.update(local.fallbacks)
             report.repairs.update(local.repairs)
             for name, view_report in local.view_reports.items():
                 batch_timings[name] = view_report.phases.total()
@@ -728,12 +721,6 @@ class ShardSession:
             report.view_reports[name] = view_report
             if entry.get("repairs"):
                 report.repairs[name] = entry["repairs"]
-            if entry["fallback"] is not None:
-                report.fallbacks[name] = entry["fallback"]
-                # Content-level reload keeps the store object (and
-                # its durable table binding, if any).
-                registered.view.reload_content(entry["content"])
-                continue
             # ONE store pass replays the Δ rows and the refresh
             # rewrites together; counters come back net of the churn.
             view_report.tuples_modified = len(entry["refresh"])

@@ -286,8 +286,7 @@ class BatchApplication:
         lived below it, or a strictly-descendant node was removed by an
         earlier statement (same-statement removals take whole subtrees
         atomically and never nest, so they cannot drift).  The engine
-        restores such nodes from first-seen snapshots, or falls back to
-        recomputing the views they reach.
+        restores such nodes from first-seen snapshots.
 
         The test is probed from the touch points up: a drifted node is
         a strict ancestor of an inserted root or of an earlier

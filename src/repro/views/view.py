@@ -108,10 +108,10 @@ class MaterializedView:
     def reload_content(self, pairs: Iterable[Tuple[ViewTuple, int]]) -> None:
         """Replace the whole extent content *in the existing store*.
 
-        Recompute fallbacks and shard resyncs historically swapped the
-        ``_store`` object wholesale; a content-level reload keeps the
-        store's identity (and, for durable stores, its binding to the
-        backing table) intact."""
+        The engine's poison-batch recomputation and a session's extent
+        resync use this instead of swapping the ``_store`` object, so
+        the store's identity (and, for durable stores, its binding to
+        the backing table) stays intact."""
         self._store.load_sorted(sorted(pairs, key=lambda item: row_sort_key(item[0])))
 
     # -- reads ----------------------------------------------------------------

@@ -11,7 +11,7 @@
   groups used by Figures 18-21 and 26-28.
 * :mod:`repro.workloads.churn` -- adversarial mixed-churn batch
   streams (σ-value rewrites, insert-then-delete round-trips, dirty
-  pairs) exercising the σ-flip repair and fallback paths.
+  pairs) exercising σ-flip repair and dirty-subtree restoration.
 * :mod:`repro.workloads.drift` -- label-skew drift streams whose hot
   update family rotates across phases (~95/4/1 hot/warm/cold shares),
   the workload shape that defeats a frozen LPT view assignment and

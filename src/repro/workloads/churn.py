@@ -17,8 +17,8 @@ restoration paths:
   (the admit side of the repair);
 * **dirty pairs** -- an insert under a stored-``val`` node followed,
   in the *same* batch, by a path delete of a matched ancestor: the
-  removed subtree's ``val`` drifted before its removal (the
-  ``dirty_removed_subtree`` case);
+  removed subtree's ``val`` drifted before its removal, which the
+  engine restores from its first-seen snapshots;
 * **skewed background churn** -- Appendix-A single-target inserts and
   deletes with a power-law skew over update names, so shard planning
   sees realistic label imbalance.

@@ -25,10 +25,6 @@ subtree contains text; the same walk feeds the value index's dirty
 set.  Invariant: a set ``val`` (``cont``) cache implies no
 un-notified text (structural) change anywhere in the element's subtree
 (every change clears the whole chain above it).
-:func:`set_hot_path_caches` turns the memoization and indexed σ
-lookups off for seed-equivalent baseline measurements; invalidation
-bookkeeping keeps running while disabled, so re-enabling is always
-safe.
 
 Conventions:
 
@@ -56,8 +52,6 @@ from repro.xmldom.dewey import (
 
 TEXT_LABEL = "#text"
 
-_USE_HOT_PATH_CACHES = True
-
 
 def escape_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -65,28 +59,6 @@ def escape_text(text: str) -> str:
 
 def escape_attribute(text: str) -> str:
     return escape_text(text).replace('"', "&quot;")
-
-
-def set_hot_path_caches(enabled: bool) -> bool:
-    """Toggle val/cont memoization and indexed σ lookups; returns the
-    previous setting.  Benchmarks and regression tests use this to
-    compare the indexed hot path against seed-equivalent recomputation;
-    cache invalidation keeps running while disabled, so flipping the
-    switch mid-session never yields stale reads."""
-    global _USE_HOT_PATH_CACHES
-    previous = _USE_HOT_PATH_CACHES
-    _USE_HOT_PATH_CACHES = bool(enabled)
-    return previous
-
-
-def hot_path_caches_enabled() -> bool:
-    """Whether val/cont memoization and indexed σ lookups are active.
-
-    The maintenance engine's dirty-subtree repair restores pre-batch
-    values into detached nodes' caches; that restoration is only
-    effective while memoization is on, so the engine consults this
-    before choosing repair over recomputation."""
-    return _USE_HOT_PATH_CACHES
 
 
 def fresh_val(node: "Node") -> str:
@@ -263,8 +235,6 @@ class ElementNode(Node):
         Memoized via the children's caches, so recomputation after an
         invalidation costs only the dirty chain, not the full subtree.
         """
-        if not _USE_HOT_PATH_CACHES:
-            return fresh_val(self)
         cached = self._val_cache
         if cached is None:
             pieces: List[str] = []
@@ -285,10 +255,6 @@ class ElementNode(Node):
         open tag, ``<label .../>`` when nothing else is below) around
         the children's cached ``cont`` and escaped text.
         """
-        if not _USE_HOT_PATH_CACHES:
-            from repro.xmldom.serializer import serialize_fragment
-
-            return serialize_fragment(self)
         cached = self._cont_cache
         if cached is None:
             attributes: List[str] = []
@@ -409,12 +375,6 @@ class Document:
     def keyed_value(self, label: str, constant: str) -> KeyedRows:
         """:meth:`nodes_with_value` as the value index's own bucket
         with its key list (live view; nothing is copied)."""
-        if not _USE_HOT_PATH_CACHES:
-            if label == "*":
-                candidates = sorted(self.all_elements(), key=lambda n: n.id.sort_key)
-            else:
-                candidates = self._index.nodes(label)
-            return KeyedRows.of(n for n in candidates if n.val == constant)
         return self._values.lookup(label, constant)
 
     def all_elements(self) -> Iterator[ElementNode]:

@@ -4,8 +4,8 @@
 a node -- the ``cont`` stored attribute of view tuples.  Elements
 compose their memoized ``cont`` from their children's
 (:attr:`repro.xmldom.model.ElementNode.cont`), byte-identical to this
-fresh walk, which serves pretty-printing, update forests, the
-caches-off path and the tests as their oracle.
+fresh walk, which serves pretty-printing, update forests and the
+tests as their oracle.
 """
 
 from __future__ import annotations

@@ -137,7 +137,7 @@ class TestCloseWithPendingBatches:
     def test_close_with_pending_poison_batch(self):
         # A poison statement sitting in the *pending* backlog at close
         # time fails exactly its batch; close still drains the rest and
-        # the views stay consistent (recompute fallback).
+        # the views stay consistent (recomputed after the poison).
         engine, registered = _fresh_engine()
         good_before = _stream(2, insert_ratio=1.0)
         bad = InsertUpdate("/site/people/person/@id", "<x/>", name="bad")

@@ -11,7 +11,6 @@ out of both Δ sets).
 """
 
 import random
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +31,6 @@ from repro.workloads.churn import churn_batches
 from repro.workloads.queries import view_pattern
 from repro.workloads.updates import delete_variant, insert_update, statement_stream
 from repro.workloads.xmark import generate_document
-from repro.xmldom.model import set_hot_path_caches
 from repro.xmldom.parser import parse_document
 from repro.xmldom.serializer import serialize_fragment
 from tests.harness.reference_statement_path import apply_statement
@@ -364,17 +362,6 @@ class TestReductionRules:
         )
 
 
-@contextmanager
-def _caches_off():
-    """Hot-path caches disabled: the one mode in which a dirty removed
-    subtree cannot be restored and its views fall back."""
-    previous = set_hot_path_caches(False)
-    try:
-        yield
-    finally:
-        set_hot_path_caches(previous)
-
-
 def _dirty_batch(document):
     # Q1 stores name.val, so drift matters only on removed *name*
     # nodes: insert under an existing name, then delete its whole
@@ -391,8 +378,7 @@ def _dirty_batch(document):
 
 
 class TestFallbackReasons:
-    """σ flips and dirty subtrees repair in place; only caches-off drift
-    falls back."""
+    """σ flips and dirty subtrees repair in place; no batch falls back."""
 
     @staticmethod
     def _flip_document():
@@ -415,25 +401,13 @@ class TestFallbackReasons:
         assert repairs["evicted"] == 1 and repairs.get("admitted", 0) == 0
         assert registered.view.equals_fresh_evaluation(document)
 
-    def test_dirty_removed_subtree_restores_snapshots(self):
+    def test_dirty_subtree_restores_snapshots(self):
         document = generate_document(scale=1)
         engine = MaintenanceEngine(document)
         registered = engine.register_view(view_pattern("Q1"), "Q1")
         report = engine.apply_batch(_dirty_batch(document))
         assert report.fallbacks == {}
         assert report.dirty_restored >= 1
-        assert registered.view.equals_fresh_evaluation(document)
-
-    def test_dirty_removed_subtree_fallback_when_caches_off(self):
-        document = generate_document(scale=1)
-        engine = MaintenanceEngine(document)
-        registered = engine.register_view(view_pattern("Q1"), "Q1")
-        with _caches_off():
-            report = engine.apply_batch(_dirty_batch(document))
-        fallback = report.fallbacks["Q1"]
-        assert fallback["reason"] == "dirty_removed_subtree"
-        assert fallback["candidates"] >= 1
-        assert report.dirty_restored == 0
         assert registered.view.equals_fresh_evaluation(document)
 
     def test_clean_batches_report_no_fallbacks(self):
@@ -522,9 +496,8 @@ class TestBatchEngineApi:
         )
         assert report.net_removed > 0 and report.net_inserted > 0
         self._assert_fresh(document, views)
-        with _caches_off():
-            report = engine.apply_batch(_dirty_batch(document))
-        assert report.fallbacks["Q1"]["reason"] == "dirty_removed_subtree"
+        report = engine.apply_batch(_dirty_batch(document))
+        assert report.dirty_restored >= 1 and report.fallbacks == {}
         self._assert_fresh(document, views)
         with pytest.raises(RuntimeError, match="no sharding backend"):
             engine.session(workers=2)

@@ -29,7 +29,6 @@ from repro.xmldom.model import (
     TextNode,
     build_document,
     fresh_val,
-    set_hot_path_caches,
 )
 from repro.xmldom.parser import parse_document
 from repro.xmldom.serializer import serialize_fragment
@@ -256,15 +255,6 @@ class TestWildcardValueIndex:
                     doc, constant
                 ), (step, constant)
 
-    def test_matches_uncached_path(self):
-        doc = parse_document("<r><a>x</a><b>x</b></r>")
-        indexed = doc.nodes_with_value("*", "x")
-        previous = set_hot_path_caches(False)
-        try:
-            assert doc.nodes_with_value("*", "x") == indexed
-        finally:
-            set_hot_path_caches(previous)
-
     def test_wildcard_sigma_views_maintained(self):
         """End-to-end: a view with a ``*``-labeled σ node stays exact
         under maintenance (the engine resolves it via the index)."""
@@ -334,10 +324,9 @@ _cont_steps = st.lists(
 
 
 class TestValContCaches:
-    @pytest.mark.parametrize("caches", [True, False])
     @settings(max_examples=60, deadline=None)
     @given(root=_markup_trees, warm=st.lists(st.integers(0, 2**16), max_size=4), steps=_cont_steps)
-    def test_composed_cont_equals_fresh_serialization(self, caches, root, warm, steps):
+    def test_composed_cont_equals_fresh_serialization(self, root, warm, steps):
         """``cont`` composed from child caches is byte-identical to the
         fresh ``serialize_fragment`` walk under random inserts and
         deletes, read at random nodes between steps so the caches are
@@ -349,25 +338,21 @@ class TestValContCaches:
                 element = elements[pick % len(elements)]
                 assert element.cont == serialize_fragment(element)
 
-        previous = set_hot_path_caches(caches)
-        try:
-            doc = build_document(root)
-            read(warm)
-            for insert, target, position, snippet, picks in steps:
-                nodes = list(doc.root.self_and_descendants())
-                if insert:
-                    parents = [n for n in nodes if n.kind == "element"]
-                    parent = parents[target % len(parents)]
-                    doc.insert_subtree(
-                        parent, snippet, position % (len(parent.children) + 1)
-                    )
-                elif len(nodes) > 1:
-                    doc.delete_subtree(nodes[1 + target % (len(nodes) - 1)])
-                read(picks)
-            for element in doc.all_elements():
-                assert element.cont == serialize_fragment(element)
-        finally:
-            set_hot_path_caches(previous)
+        doc = build_document(root)
+        read(warm)
+        for insert, target, position, snippet, picks in steps:
+            nodes = list(doc.root.self_and_descendants())
+            if insert:
+                parents = [n for n in nodes if n.kind == "element"]
+                parent = parents[target % len(parents)]
+                doc.insert_subtree(
+                    parent, snippet, position % (len(parent.children) + 1)
+                )
+            elif len(nodes) > 1:
+                doc.delete_subtree(nodes[1 + target % (len(nodes) - 1)])
+            read(picks)
+        for element in doc.all_elements():
+            assert element.cont == serialize_fragment(element)
 
     def test_val_cached_and_invalidated_along_ancestors(self):
         doc = parse_document("<r><a>x<b>y</b></a><c>z</c></r>")
@@ -396,19 +381,6 @@ class TestValContCaches:
         assert a.val == "x"
         assert a.cont == serialize_fragment(a)
         assert doc.root.val == "x"
-
-    def test_toggle_disables_memoization_but_stays_correct(self):
-        previous = set_hot_path_caches(False)
-        try:
-            doc = parse_document("<r><a>x</a></r>")
-            a = doc.nodes_with_label("a")[0]
-            assert a.val == "x"
-            assert doc.nodes_with_value("a", "x") == [a]
-            doc.insert_subtree(a, parse_document("<w>y</w>").root.children[0])
-            assert a.val == "xy"
-            assert doc.nodes_with_value("a", "xy") == [a]
-        finally:
-            set_hot_path_caches(previous)
 
 
 class TestStoreScans:

@@ -441,6 +441,25 @@ class TestSessionTelemetry:
         assert obs.metrics.get("repro_session_skew_seconds").max_value() >= 0.0
         assert obs.metrics.get("repro_session_lpt_imbalance_ratio").value() >= 1.0
 
+    def test_session_batches_count_in_engine_batch_metrics(self):
+        # A session batch is a batch: the engine's batch counters and
+        # propagation histogram count it like one apply_batch.
+        obs = Observability()
+        engine, _views = _engine(obs=obs)
+        serial = engine.apply_batch(UpdateBatch(_stream(4, seed=2)))
+        with engine.session(workers=2) as session:
+            reports = [
+                session.apply_batch(UpdateBatch(_stream(4, seed=seed)))
+                for seed in (3, 4)
+            ]
+        reports.append(serial)
+        metrics = obs.metrics
+        assert metrics.get("repro_batches_total").value() == 3
+        assert metrics.get("repro_statements_total").value() == sum(
+            report.statements_applied for report in reports
+        )
+        assert metrics.get("repro_propagation_seconds").count() == 3
+
     def test_session_spans_lie_inside_their_parents(self):
         # Every span under session_batch sits on the owner's timeline,
         # worker trees grafted at their replica_apply's start.

@@ -20,7 +20,7 @@ from repro.pattern.evaluate import evaluate_bindings
 from repro.pattern.tree_pattern import Pattern, PatternNode
 from repro.updates.language import DeleteUpdate, InsertUpdate
 from repro.updates.pul import apply_pul, compute_pul
-from repro.xmldom.model import fresh_val, set_hot_path_caches
+from repro.xmldom.model import fresh_val
 from repro.xmldom.parser import parse_document
 from repro.xmldom.serializer import serialize_fragment
 
@@ -204,33 +204,3 @@ def test_value_caches_equal_fresh_recomputation(seed):
                     label,
                     constant,
                 )
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_maintenance_identical_with_and_without_indexes(seed):
-    """The indexed hot path is an optimization, not a semantics change:
-    maintained extents and the updated document are byte-identical with
-    the caches/value-index on and off."""
-
-    def run(enabled):
-        previous = set_hot_path_caches(enabled)
-        try:
-            rng = random.Random(seed)
-            doc = _random_document(rng)
-            engine = MaintenanceEngine(doc)
-            registered = engine.register_view(_random_view(rng), "v")
-            for _ in range(rng.randint(1, 3)):
-                update = _random_update(rng)
-                targets = update.target.evaluate(doc)
-                if update.kind == "insert" and any(
-                    not hasattr(t, "children") for t in targets
-                ):
-                    continue
-                engine.apply_update(update)
-            assert registered.view.equals_fresh_evaluation(doc), (seed, enabled)
-            return registered.view.content(), serialize_fragment(doc.root)
-        finally:
-            set_hot_path_caches(previous)
-
-    assert run(True) == run(False)

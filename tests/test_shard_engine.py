@@ -29,7 +29,7 @@ from repro.workloads.xmark import generate_document
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.parser import parse_document
 from repro.xmldom.serializer import serialize
-from tests.test_batch_engine import _caches_off, _dirty_batch
+from tests.test_batch_engine import _dirty_batch
 
 VIEWS = ("Q1", "Q3", "Q6")
 
@@ -164,27 +164,30 @@ class TestShardedPropagation:
         assert report.repairs["Q3"]["sigma_flips"] == 1
         assert registered.view.equals_fresh_evaluation(document)
 
-    def test_dirty_fallback_recomputes_on_shards(self):
-        # With caches off a dirty removed subtree cannot be restored, so
-        # the owning replica recomputes the view and ships the extent;
-        # the fallback must match the in-process one.  Caches go off
-        # before the session forks, so the workers inherit the mode.
-        with _caches_off():
-            _, serial, _ = _engines()
-            serial_report = serial.apply_batch(_dirty_batch(serial.document))
-            document, engine, views = _engines()
-            with engine.session(workers=2) as session:
-                report = session.apply_batch(_dirty_batch(document))
-        assert set(report.fallbacks) == {"Q1"}
-        assert report.fallbacks["Q1"]["reason"] == "dirty_removed_subtree"
-        assert report.fallbacks == serial_report.fallbacks
+    def test_dirty_batch_restores_on_shards(self):
+        # A dirty removed subtree is restored in place wherever its view
+        # is maintained.  The weights put Q1, the view the drift
+        # reaches, on the replica: the owner still counts the restored
+        # nodes the serial engine does, and no view falls back.
+        _, serial, serial_views = _engines()
+        serial_report = serial.apply_batch(_dirty_batch(serial.document))
+        document, engine, views = _engines()
+        with engine.session(
+            workers=2, weights={"Q1": 1, "Q3": 100, "Q6": 1}
+        ) as session:
+            assert session.assignment["Q1"] == 1
+            report = session.apply_batch(_dirty_batch(document))
+        assert serial_report.dirty_restored == 1
+        assert report.dirty_restored == serial_report.dirty_restored
+        assert report.fallbacks == {} and serial_report.fallbacks == {}
         for name in VIEWS:
+            assert views[name].view.content() == serial_views[name].view.content()
             assert views[name].view.equals_fresh_evaluation(document), name
 
     def test_session_stream_extents_identical(self):
         # The resident replica workers over a mixed multi-batch stream
         # (the ApplyQueue shape) must track serial batch application
-        # byte-for-byte, including batches that trip fallbacks.
+        # byte-for-byte.
         stream = statement_stream(
             generate_document(scale=1), 48, seed=13, insert_ratio=0.7
         )
