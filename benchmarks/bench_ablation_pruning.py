@@ -27,7 +27,9 @@ def _run(view_name, update_name, use_pruning):
         use_data_pruning=use_pruning,
         use_id_pruning=use_pruning,
     )
-    registered = engine.register_view(view_pattern(view_name), view_name)
+    registered = engine.register_view(
+        view_pattern(view_name), view_name, strategy="snowcaps"
+    )
     started = time.perf_counter()
     report = engine.apply_update(insert_update(update_name))
     elapsed = time.perf_counter() - started

@@ -112,7 +112,9 @@ def _measure_cell(view_name: str, base_update: str, kind: str) -> dict:
             view_report.phases.total() - view_report.phases.find_target_nodes,
         )
         _, recompute_seconds = full_recompute(
-            registered.pattern, document, SnowcapLattice(registered.pattern)
+            registered.pattern,
+            document,
+            SnowcapLattice(registered.pattern, strategy=registered.lattice.strategy),
         )
         recompute = min(recompute, recompute_seconds)
     return {
@@ -245,7 +247,10 @@ def _check_durability() -> dict:
         clean_db = os.path.join(tmp, "smoke_clean.db")
         crashkit.run_workload(clean_db, "serial").backend.close()
         recovered, clean_report = reopen(
-            clean_db, crashkit.build_document(), crashkit.view_sources()
+            clean_db,
+            crashkit.build_document(),
+            crashkit.view_sources(),
+            view_options=crashkit.view_options(),
         )
         adopted = (
             clean_report.lattices_rematerialized == 0

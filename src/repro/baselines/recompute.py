@@ -42,8 +42,9 @@ def recompute_after_update(
 
     The document update itself is excluded from the reported time, as
     in the paper (both approaches pay it identically).
+    ``rebuild_lattice`` also rebuilds the paper's snowcap lattice.
     """
     pul = compute_pul(document, statement)
     apply_pul(document, pul)
-    lattice = SnowcapLattice(pattern) if rebuild_lattice else None
+    lattice = SnowcapLattice(pattern, strategy="snowcaps") if rebuild_lattice else None
     return full_recompute(pattern, document, lattice)

@@ -239,7 +239,7 @@ def run_vs_full(
             )
             pul = compute_pul(document, twin)
             apply_pul(document, pul)
-            lattice = SnowcapLattice(pattern)
+            lattice = SnowcapLattice(pattern, strategy="snowcaps")
             _view, full_seconds = full_recompute(pattern, document, lattice)
             rows.append(
                 {
@@ -413,7 +413,9 @@ def run_reduction_rule(
             for _ in range(max(1, repeats)):
                 document = generate_document(scale=scale)
                 engine = MaintenanceEngine(document)
-                registered = engine.register_view(view_pattern(view), view)
+                registered = engine.register_view(
+                    view_pattern(view), view, strategy="snowcaps"
+                )
                 statements = _overlap_statements(engine, rule, percent)
                 # Section 6.8: "we modified our system to operate in this
                 # [atomic] manner" -- both variants propagate one atomic

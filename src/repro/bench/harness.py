@@ -7,6 +7,10 @@ of Figures 18/19 (or one matrix cell of Figures 20/21).
 
 Every run also *verifies* the maintained extent against recomputation,
 so benchmark numbers can never come from an incorrect propagation.
+
+The harness reproduces the paper, so it registers views with the
+``"snowcaps"`` lattice (Section 3.5) unless a caller passes
+``strategy="leaves"``, the engine's own default.
 """
 
 from __future__ import annotations

@@ -69,14 +69,14 @@ from repro.storage.recovery import register_engine_factory
 from repro.storage.sqlite import SqliteExtentBackend
 from repro.pattern.evaluate import Sources
 from repro.pattern.tree_pattern import Pattern
-from repro.pattern.xquery import ViewDefinition
+from repro.pattern.xquery import ViewDefinition, parse_view
 from repro.updates.language import (
     DeleteUpdate,
     UpdateBatch,
     UpdateStatement,
 )
 from repro.updates.pul import BatchApplication
-from repro.views.lattice import SnowcapLattice
+from repro.views.lattice import DEFAULT_STRATEGY, SnowcapLattice
 from repro.views.view import MaterializedView, derived_columns
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.index import KeyedRows
@@ -420,6 +420,19 @@ def _watch_entries(
     return entries
 
 
+def _resolve_view_source(
+    view_source: Union[Pattern, ViewDefinition, str]
+) -> Tuple[Pattern, Optional[ViewDefinition]]:
+    """``(pattern, definition)`` of a tree pattern, a parsed
+    :class:`ViewDefinition` or the view's XQuery text (no definition
+    for a bare pattern)."""
+    if isinstance(view_source, str):
+        view_source = parse_view(view_source)
+    if isinstance(view_source, ViewDefinition):
+        return view_source.pattern, view_source
+    return view_source, None
+
+
 class MaintenanceEngine:
     """Propagates statement batches to registered views."""
 
@@ -481,31 +494,25 @@ class MaintenanceEngine:
         self,
         view_source: Union[Pattern, ViewDefinition, str],
         name: Optional[str] = None,
-        strategy: str = "snowcaps",
+        strategy: str = DEFAULT_STRATEGY,
         update_profile: Optional[Sequence[str]] = None,
     ) -> RegisteredView:
-        """Materialize a view (and its snowcaps) over the document.
+        """Materialize a view over the document.
 
         ``view_source`` may be a tree pattern, a parsed
         :class:`ViewDefinition`, or the view's XQuery text.
-        ``update_profile`` optionally lists the labels the workload is
-        expected to update, steering the cost-based snowcap selection
-        (Section 3.5).
+        ``strategy`` picks the lattice: ``"leaves"`` (the default,
+        :data:`~repro.views.lattice.DEFAULT_STRATEGY`) materializes
+        nothing beside the extent; ``"snowcaps"``, the paper's mode
+        (Section 3.5, Figs 29–32), also materializes a snowcap chain and
+        keeps it current.  ``update_profile`` optionally lists the
+        labels the workload is expected to update, steering the
+        cost-based snowcap selection (Section 3.5).
         """
         # A live ShardSession's workers hold the view partition; adding
         # or removing views behind its back desynchronizes the replicas.
         self._check_no_active_session()
-        definition: Optional[ViewDefinition] = None
-        if isinstance(view_source, str):
-            from repro.pattern.xquery import parse_view
-
-            definition = parse_view(view_source)
-            pattern = definition.pattern
-        elif isinstance(view_source, ViewDefinition):
-            definition = view_source
-            pattern = definition.pattern
-        else:
-            pattern = view_source
+        pattern, definition = _resolve_view_source(view_source)
         name = name or "view%d" % (len(self.views) + 1)
         if name in self.views:
             raise ValueError("a view named %r is already registered" % name)
@@ -532,7 +539,7 @@ class MaintenanceEngine:
         view_source: Union[Pattern, ViewDefinition, str],
         name: str,
         adopt_lattice: bool = True,
-        strategy: str = "snowcaps",
+        strategy: str = DEFAULT_STRATEGY,
         update_profile: Optional[Sequence[str]] = None,
     ) -> bool:
         """Recovery seam: install a view from the durable backend.
@@ -543,23 +550,15 @@ class MaintenanceEngine:
         table's version).  The snowcap relations come from their
         persisted snapshots when ``adopt_lattice`` is true and the
         snapshots resolve against the document, and are rematerialized
-        otherwise.  Returns True when the lattice was adopted (i.e.
-        nothing had to be rematerialized).
+        otherwise; persisted relations ``strategy`` does not select are
+        deleted, since nothing keeps them current.  Returns True when
+        the lattice was adopted (i.e. nothing had to be
+        rematerialized).
         """
         self._check_no_active_session()
         if self.backend is None:
             raise RuntimeError("adopt_view needs a durable backend")
-        definition: Optional[ViewDefinition] = None
-        if isinstance(view_source, str):
-            from repro.pattern.xquery import parse_view
-
-            definition = parse_view(view_source)
-            pattern = definition.pattern
-        elif isinstance(view_source, ViewDefinition):
-            definition = view_source
-            pattern = definition.pattern
-        else:
-            pattern = view_source
+        pattern, definition = _resolve_view_source(view_source)
         if name in self.views:
             raise ValueError("a view named %r is already registered" % name)
         # Read the durable rows *before* building the view: the store
@@ -575,6 +574,7 @@ class MaintenanceEngine:
         )
         view._store.adopt(content)
         lattice = SnowcapLattice(pattern, strategy=strategy, update_profile=update_profile)
+        self.backend.retain_lattices(name, lattice.selected)
         adopted = False
         if not lattice.selected:
             adopted = True  # nothing materialized, nothing to rebuild

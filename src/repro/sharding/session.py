@@ -417,9 +417,11 @@ class ShardSession:
         """LPT partition of views across parties by maintenance weight.
 
         The weight proxy is extent size plus materialized lattice rows:
-        per-batch cost is dominated by the store pass (O(extent)) and
-        the term/snowcap work seeded from the lattice relations.  The
-        partition itself is the planner module's shared
+        per-batch cost is dominated by the store pass (O(extent)) and,
+        under ``"snowcaps"``, the term/snowcap work seeded from the
+        lattice relations.  A view on the default ``"leaves"`` strategy
+        stores no lattice rows, so its weight is its extent size alone.
+        The partition itself is the planner module's shared
         :func:`~repro.sharding.planner.lpt_assignment`.
         """
         from repro.sharding.planner import imbalance_ratio, lpt_assignment

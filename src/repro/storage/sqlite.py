@@ -696,6 +696,32 @@ class SqliteExtentBackend:
             relations[subset] = Relation(schema, rows)
         return relations
 
+    def retain_lattices(self, view_name: str, selected) -> None:
+        """Delete the view's persisted relations outside ``selected``.
+
+        Only the subsets a lattice materializes are kept current, so any
+        other snapshot goes stale with the next batch -- e.g. a
+        snowcaps database reopened as ``"leaves"`` -- and a later
+        reopen that selects it again must rematerialize, not adopt it.
+        """
+        keep = {self._subset_key(subset) for subset in selected}
+        stale = [
+            subset_key
+            for (subset_key,) in self._conn.execute(
+                "SELECT DISTINCT subset FROM lattices WHERE view = ?", (view_name,)
+            )
+            if subset_key not in keep
+        ]
+        if not stale or not self.writable:
+            return
+        self._conn.executemany(
+            "DELETE FROM lattices WHERE view = ? AND subset = ?",
+            [(view_name, subset_key) for subset_key in stale],
+        )
+        self._conn.commit()
+        for subset_key in stale:
+            self._lattice_refs.pop((view_name, subset_key), None)
+
     def mark_lattice_adopted(self, view_name: str, lattice) -> None:
         """Record the adopted relations as clean for dirty tracking."""
         for subset in lattice.materialized_sets():

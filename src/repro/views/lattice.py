@@ -19,6 +19,23 @@ Two materialization strategies are implemented, matching Section 6.7:
   which the document's canonical relations already provide;
 * ``"leaves"`` -- materialize nothing; R-parts are recomputed on the
   fly from canonical relations at maintenance time.
+
+``"leaves"`` is the default (:data:`DEFAULT_STRATEGY`).  The paper
+materializes snowcaps because its insertion terms join R-parts top-down;
+here a term starts at its Δ table and reaches R by Dewey probes into the
+canonical relations (:mod:`repro.maintenance.terms`), so an R-part costs
+O(|Δ|·depth·log|R|) whether or not a snowcap holds it, while keeping the
+snowcaps current costs a lattice pass per batch and a whole evaluation
+per snowcap at registration.  Measured on the e2e ``delete_mix``
+workload (2-CPU host, Python 3.11, 10 s runs, snowcaps → leaves):
+median of 10 alternating pairs 3179 → 3580 stmts/s (+12.6%, leaves
+faster in 10 of 10), ``setup_s`` 0.28 → 0.17 s; traced, three pairs on
+one seed, ``views.lattice_pass_s`` 0.25–0.28 → 0.001 s and
+``maintenance.propagation_s`` 1.06–1.21 → 0.67–0.93 s for the same
+3200 statements.  ``"snowcaps"`` stays the paper-reproduction mode (Figs
+29–32 and the experiment harness pass it explicitly) and keeps its
+whole upkeep path: the lattice pass, σ-flip repair, session lattice
+shipping and sqlite lattice persistence.
 """
 
 from __future__ import annotations
@@ -33,6 +50,10 @@ from repro.xmldom.dewey import DeweyID
 from repro.xmldom.model import Document, Node
 
 NodeSet = FrozenSet[str]
+
+#: The strategy a lattice gets when none is named (see the module
+#: docstring for why it is ``"leaves"``).
+DEFAULT_STRATEGY = "leaves"
 
 
 def _probe(index: dict, ids: Iterable[DeweyID], doomed: Set[tuple]) -> None:
@@ -183,7 +204,7 @@ class SnowcapLattice:
     def __init__(
         self,
         pattern: Pattern,
-        strategy: str = "snowcaps",
+        strategy: str = DEFAULT_STRATEGY,
         update_profile: Optional[Sequence[str]] = None,
     ):
         if strategy not in ("snowcaps", "leaves"):

@@ -31,7 +31,7 @@ class TestRecompute:
 
     def test_recompute_rebuilds_lattice(self, fig12_document):
         pattern = v2_pattern()
-        lattice = SnowcapLattice(pattern)
+        lattice = SnowcapLattice(pattern, strategy="snowcaps")
         full_recompute(pattern, fig12_document, lattice)
         assert lattice.stored_tuples() > 0
 

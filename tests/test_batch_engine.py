@@ -48,6 +48,10 @@ def _assert_equivalent(sequential_views, batch_views, sequential_doc, batch_doc)
         batch_view = batch_views[name]
         assert sequential_view.view.content() == batch_view.view.content(), name
         assert batch_view.view.equals_fresh_evaluation(batch_doc), name
+        assert (
+            sequential_view.lattice.materialized_sets()
+            == batch_view.lattice.materialized_sets()
+        ), name
         for subset in sequential_view.lattice.materialized_sets():
             stored = sequential_view.lattice.relation_for(subset)
             batched = batch_view.lattice.relation_for(subset)
@@ -116,11 +120,13 @@ def test_batch_equals_sequential_xmark_streams(seed):
             DeleteUpdate("//zzz", name="tmp_del"),
         )
     views = ("Q1", "Q3")
+    strategy = rng.choice(("snowcaps", "leaves"))
 
     sequential_doc = generate_document(scale=1)
     sequential = MaintenanceEngine(sequential_doc)
     sequential_views = {
-        name: sequential.register_view(view_pattern(name), name) for name in views
+        name: sequential.register_view(view_pattern(name), name, strategy=strategy)
+        for name in views
     }
     for statement in statements:
         apply_statement(sequential, statement)
@@ -128,7 +134,8 @@ def test_batch_equals_sequential_xmark_streams(seed):
     batch_doc = generate_document(scale=1)
     batched = MaintenanceEngine(batch_doc)
     batch_views = {
-        name: batched.register_view(view_pattern(name), name) for name in views
+        name: batched.register_view(view_pattern(name), name, strategy=strategy)
+        for name in views
     }
     batched.apply_batch(UpdateBatch(statements))
     _assert_equivalent(sequential_views, batch_views, sequential_doc, batch_doc)
@@ -479,7 +486,7 @@ class TestBatchEngineApi:
         document = generate_document(scale=1)
         engine = MaintenanceEngine(document)
         views = {
-            name: engine.register_view(view_pattern(name), name)
+            name: engine.register_view(view_pattern(name), name, strategy="snowcaps")
             for name in ("Q1", "Q2", "Q3", "Q4", "Q17")
         }
         flip_batch, _ = churn_batches(
@@ -507,7 +514,9 @@ class TestBatchEngineApi:
         """Extents and lattices equal fresh evaluation."""
         for name, registered in views.items():
             assert registered.view.equals_fresh_evaluation(document), name
-            fresh = SnowcapLattice(registered.pattern)
+            strategy = registered.lattice.strategy
+            assert strategy != "snowcaps" or registered.lattice.materialized_sets(), name
+            fresh = SnowcapLattice(registered.pattern, strategy=strategy)
             fresh.materialize(document)
             assert fresh.materialized_sets() == registered.lattice.materialized_sets()
             for subset in fresh.materialized_sets():

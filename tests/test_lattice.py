@@ -81,7 +81,7 @@ class TestChainSelection:
 class TestMaterialization:
     def test_materialize_and_lookup(self, fig12_document):
         pattern = chain_pattern("a", "c", "b")
-        lattice = SnowcapLattice(pattern)
+        lattice = SnowcapLattice(pattern, strategy="snowcaps")
         lattice.materialize(fig12_document)
         subset = frozenset({"a#1", "c#1"})
         stored = lattice.relation_for(subset)
@@ -98,7 +98,7 @@ class TestMaterialization:
 
     def test_apply_delete_filters_rows(self, fig12_document):
         pattern = chain_pattern("a", "c", "b")
-        lattice = SnowcapLattice(pattern)
+        lattice = SnowcapLattice(pattern, strategy="snowcaps")
         lattice.materialize(fig12_document)
         c = fig12_document.nodes_with_label("c")[0]
         doomed = {n.id for n in c.self_and_descendants()}

@@ -508,7 +508,7 @@ def test_lattice_probe_matches_filter_on_mixed_batches(seed):
     document = generate_document(scale=1)
     engine = MaintenanceEngine(document)
     registered = {
-        name: engine.register_view(view_pattern(name), name)
+        name: engine.register_view(view_pattern(name), name, strategy="snowcaps")
         for name in sorted(VIEW_TEXTS)
     }
     seen = {}
@@ -534,15 +534,16 @@ def test_lattice_probe_matches_filter_on_mixed_batches(seed):
 _CHURN_AMOUNTS = ("4.50", "100.00", "150.00")
 
 
-def _q3_sigma_engine(document, amounts):
-    """An engine over one Q3 variant per σ amount."""
+def _q3_sigma_engine(document, amounts, **options):
+    """An engine over one Q3 variant per σ amount (``options`` go to
+    ``register_view``)."""
     engine = MaintenanceEngine(document)
     for amount in amounts:
         pattern = view_pattern("Q3")
         for node in pattern.nodes():
             if node.value_pred is not None:
                 node.value_pred = amount
-        engine.register_view(pattern, "Q3_%s" % amount)
+        engine.register_view(pattern, "Q3_%s" % amount, **options)
     return engine
 
 
@@ -553,7 +554,7 @@ def test_lattice_probe_matches_filter_on_sigma_flips(seed):
     batches = churn_batches(
         document, 6, batch_size=5, seed=seed, sigma_values=_CHURN_AMOUNTS
     )
-    engine = _q3_sigma_engine(document, _CHURN_AMOUNTS)
+    engine = _q3_sigma_engine(document, _CHURN_AMOUNTS, strategy="snowcaps")
     seen = {}
     with _lattice_upkeep_checked(seen):
         for batch in batches:
@@ -786,7 +787,7 @@ def _fixed_batch_counts(scale: int):
     document = generate_document(scale=scale)
     engine = MaintenanceEngine(document)
     for name in ("Q1", "Q2", "Q3", "Q17"):
-        engine.register_view(view_pattern(name), name)
+        engine.register_view(view_pattern(name), name, strategy="snowcaps")
     (people,) = parse_xpath("/site/people").evaluate(document)
     increase = parse_xpath("//increase").evaluate(document)[0]
     # Two warm-up rounds: the second builds the deletion indexes, so

@@ -438,7 +438,11 @@ def _lattice_rows(lattice):
 
 
 def _fresh_lattice_rows(registered, document):
-    fresh = SnowcapLattice(registered.pattern)
+    """Fresh materialization of the registered view's lattice strategy;
+    a snowcaps lattice under test must hold relations (non-vacuity)."""
+    strategy = registered.lattice.strategy
+    assert strategy != "snowcaps" or registered.lattice.materialized_sets()
+    fresh = SnowcapLattice(registered.pattern, strategy=strategy)
     fresh.materialize(document)
     return _lattice_rows(fresh)
 
@@ -463,7 +467,10 @@ class TestOwnerParty:
             document,
             backend=str(tmp_path / "engine.db") if backend == "durable" else None,
         )
-        views = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
+        views = {
+            name: engine.register_view(view_pattern(name), name, strategy="snowcaps")
+            for name in VIEWS
+        }
         stores = {name: registered.view._store for name, registered in views.items()}
         session = engine.session(workers=workers)
         assert len(session._processes) == workers - 1
@@ -531,7 +538,7 @@ class TestOwnerParty:
         document = generate_document(scale=2)
         engine = MaintenanceEngine(document, backend=path)
         for name in names:
-            engine.register_view(view_pattern(name), name)
+            engine.register_view(view_pattern(name), name, strategy="snowcaps")
         session = engine.session(workers=2)
         try:
             for index in range(0, len(stream), 8):
@@ -541,6 +548,7 @@ class TestOwnerParty:
                 path,
                 generate_document(scale=2),
                 {name: view_pattern(name) for name in names},
+                view_options={name: {"strategy": "snowcaps"} for name in names},
             )
             try:
                 assert report.lattices_rematerialized > 0

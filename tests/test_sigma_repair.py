@@ -27,8 +27,11 @@ from repro.workloads.xmark import generate_document
 VIEWS = ("Q1", "Q2", "Q3", "Q4", "Q17")
 
 
-def _register(engine, views=VIEWS):
-    return {name: engine.register_view(view_pattern(name), name) for name in views}
+def _register(engine, views=VIEWS, **options):
+    return {
+        name: engine.register_view(view_pattern(name), name, **options)
+        for name in views
+    }
 
 
 def _lattice_id_rows(lattice):
@@ -46,7 +49,12 @@ def _assert_fresh(views, document, context, lattices=True):
     for name, registered in views.items():
         assert registered.view.equals_fresh_evaluation(document), (context, name)
         if lattices:
-            fresh = SnowcapLattice(registered.pattern)
+            strategy = registered.lattice.strategy
+            assert strategy != "snowcaps" or registered.lattice.materialized_sets(), (
+                context,
+                name,
+            )
+            fresh = SnowcapLattice(registered.pattern, strategy=strategy)
             fresh.materialize(document)
             assert _lattice_id_rows(registered.lattice) == _lattice_id_rows(fresh), (
                 context,
@@ -77,7 +85,7 @@ class TestChurnEquivalence:
         )
         document = generate_document(scale=1)
         engine = MaintenanceEngine(document)
-        views = _register(engine)
+        views = _register(engine, strategy="snowcaps")
         repaired = 0
         for index, batch in enumerate(batches):
             report = engine.apply_batch(list(batch))
@@ -93,7 +101,7 @@ class TestChurnEquivalence:
         batches = churn_batches(generate_document(scale=1), 6, seed=11)
         document = generate_document(scale=1)
         engine = MaintenanceEngine(document)
-        views = _register(engine)
+        views = _register(engine, strategy="snowcaps")
         with ShardSession(engine, workers=2) as session:
             for index, batch in enumerate(batches):
                 report = session.apply_batch(list(batch))

@@ -3,7 +3,8 @@
 The paper's per-statement algorithms (PINT/MT, PDDT/MT) live on only as
 an oracle in ``tests/harness/reference_statement_path.py``.  For random
 XMark insert/delete streams over the seven XMark views plus two extra
-σ views, one document is maintained through that pipeline and a twin
+σ views, all under one drawn lattice strategy (snowcaps or leaves), one
+document is maintained through that pipeline and a twin
 through ``MaintenanceEngine.apply_update``.  After every statement the
 extents must be byte-identical and every lattice relation equal as a
 multiset of binding-ID tuples; at the end of each stream both sides
@@ -42,15 +43,17 @@ def _patterns():
     return patterns
 
 
-def _engine():
+def _engine(strategy):
     document = generate_document(scale=1)
     engine = MaintenanceEngine(document)
     for name, pattern in _patterns().items():
-        engine.register_view(pattern, name)
+        engine.register_view(pattern, name, strategy=strategy)
     return engine
 
 
 def _lattice_bags(registered):
+    lattice = registered.lattice
+    assert lattice.strategy != "snowcaps" or lattice.materialized_sets()
     return {
         subset: Counter(
             tuple(cell.id for cell in row)
@@ -74,16 +77,17 @@ def _stream(kind: str, seed: int):
 @given(
     kind=st.sampled_from(("stream", "churn")),
     seed=st.integers(min_value=0, max_value=10_000),
+    strategy=st.sampled_from(("snowcaps", "leaves")),
 )
-def test_apply_update_matches_the_per_statement_pipeline(kind, seed):
-    reference = _engine()
-    engine = _engine()
+def test_apply_update_matches_the_per_statement_pipeline(kind, seed, strategy):
+    reference = _engine(strategy)
+    engine = _engine(strategy)
     for position, statement in enumerate(_stream(kind, seed)):
         apply_statement(reference, statement)
         engine.apply_update(statement)
         for name, expected in reference.views.items():
             actual = engine.views[name]
-            context = (kind, seed, position, statement.name, name)
+            context = (kind, seed, strategy, position, statement.name, name)
             assert actual.view.content() == expected.view.content(), context
             assert _lattice_bags(actual) == _lattice_bags(expected), context
     for name in reference.views:

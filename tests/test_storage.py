@@ -688,3 +688,65 @@ def test_unregistered_view_never_shares_a_table(tmp_path):
             ), name
     finally:
         recovered.backend.close()
+
+
+def _id_rows(lattice):
+    return {
+        subset: sorted(
+            tuple(cell.id.sort_key for cell in row)
+            for row in lattice.relation_for(subset).rows
+        )
+        for subset in lattice.materialized_sets()
+    }
+
+
+def test_default_strategy_keeps_no_lattice_and_either_strategy_reopens(tmp_path):
+    # Leaves is the default: registration materializes no lattice and a
+    # plain reopen rematerializes nothing.  A snowcaps database reopened
+    # as snowcaps adopts its persisted lattices; one reopened as leaves
+    # in between must not leave a stale snapshot to adopt later.
+    from repro.maintenance.engine import MaintenanceEngine
+    from repro.updates.language import InsertUpdate
+    from repro.views.lattice import DEFAULT_STRATEGY, SnowcapLattice
+    from repro.workloads.queries import view_pattern
+    from repro.workloads.updates import statement_stream
+    from repro.workloads.xmark import generate_document
+
+    assert DEFAULT_STRATEGY == "leaves"
+    views = {name: view_pattern(name) for name in ("Q1", "Q3")}
+    snowcaps = {name: {"strategy": "snowcaps"} for name in views}
+    stream = statement_stream(generate_document(scale=1), 12, seed=5, insert_ratio=0.7)
+
+    def run(path, **options):
+        engine = MaintenanceEngine(generate_document(scale=1), backend=path)
+        for name, pattern in views.items():
+            lattice = engine.register_view(pattern, name, **options).lattice
+            assert bool(lattice.materialized_sets()) == bool(options), name
+        engine.apply_batch(stream)
+        engine.backend.close()
+
+    def reopened(path, view_options=None, batch=None):
+        recovered, report = reopen(
+            path, generate_document(scale=1), views, view_options=view_options
+        )
+        if batch is not None:
+            recovered.apply_batch(batch)
+        for name, registered in recovered.views.items():
+            assert registered.view.equals_fresh_evaluation(recovered.document), name
+            lattice = registered.lattice
+            assert bool(lattice.materialized_sets()) == bool(view_options), name
+            fresh = SnowcapLattice(lattice.pattern, strategy=lattice.strategy)
+            fresh.materialize(recovered.document)
+            assert _id_rows(lattice) == _id_rows(fresh), name
+        recovered.backend.close()
+        return report
+
+    path = str(tmp_path / "leaves.db")
+    run(path)
+    assert reopened(path).lattices_rematerialized == 0
+    path = str(tmp_path / "snowcaps.db")
+    run(path, strategy="snowcaps")
+    assert reopened(path, snowcaps).lattices_rematerialized == 0
+    person = "<person id='p'><name>P</name></person>"
+    reopened(path, batch=[InsertUpdate("/site/people", person)])
+    assert reopened(path, snowcaps).lattices_rematerialized == len(views)

@@ -93,8 +93,9 @@ def _xmark_terms_seen(seed: int) -> Counter:
     warmup = statement_stream(document, 16, seed=seed, insert_ratio=0.6)
     BatchApplication(document, warmup).apply()  # dynamic ordinals, retired IDs
     engine = MaintenanceEngine(document)
+    # Snowcaps, so that terms come both seeded and unseeded.
     registered = {
-        name: engine.register_view(view_pattern(name), name)
+        name: engine.register_view(view_pattern(name), name, strategy="snowcaps")
         for name in sorted(VIEW_TEXTS)
     }
     for amount in SIGMA_VALUES:
@@ -103,7 +104,7 @@ def _xmark_terms_seen(seed: int) -> Counter:
             if node.value_pred is not None:
                 node.value_pred = amount
         name = "Q3_%s" % amount
-        registered[name] = engine.register_view(pattern, name)
+        registered[name] = engine.register_view(pattern, name, strategy="snowcaps")
     seen: Counter = Counter()
     with _terms_checked(seen):
         for round_index in range(3):
