@@ -99,14 +99,20 @@ def _quiet_gc():
         gc.enable()
 
 
+def _register_views(engine):
+    """The crash harness's views under its lattice strategy (snowcaps),
+    so the timing gates persist, adopt and rebuild lattices too."""
+    for name, source in crashkit.view_sources().items():
+        engine.register_view(source, name, strategy=crashkit.STRATEGY)
+
+
 def _workload(backend=None):
     """Build a document, register the views, apply every batch; returns
     (engine, per-batch apply seconds)."""
     document = _build_document()
     batches = _build_batches(document)
     engine = MaintenanceEngine(document, backend=backend)
-    for name, source in crashkit.view_sources().items():
-        engine.register_view(source, name)
+    _register_views(engine)
     per_batch = []
     with _quiet_gc():
         for batch in batches:
@@ -141,8 +147,7 @@ def measure_overhead(tmp: str) -> dict:
             document = _build_document()
             batches = _build_batches(document)
             engine = MaintenanceEngine(document, backend=db_path)
-            for name, source in crashkit.view_sources().items():
-                engine.register_view(source, name)
+            _register_views(engine)
             lockstep.append((engine, batches, []))
         pair = lockstep if index % 2 == 0 else lockstep[::-1]
         with _quiet_gc():
@@ -191,8 +196,7 @@ def measure_reopen(tmp: str) -> dict:
         with _quiet_gc():
             started = time.perf_counter()
             cold = MaintenanceEngine(document)
-            for name, source in crashkit.view_sources().items():
-                cold.register_view(source, name)
+            _register_views(cold)
             for batch in batches:
                 cold.apply_batch(UpdateBatch(batch))
             rematerialize = time.perf_counter() - started
@@ -205,7 +209,12 @@ def measure_reopen(tmp: str) -> dict:
         base = _build_document()
         with _quiet_gc():
             started = time.perf_counter()
-            recovered, report = reopen(db_path, base, crashkit.view_sources())
+            recovered, report = reopen(
+                db_path,
+                base,
+                crashkit.view_sources(),
+                view_options=crashkit.view_options(),
+            )
             reopened = time.perf_counter() - started
         assert report.lattices_rematerialized == 0, report
         assert crashkit.extent_digest(recovered.views) == expected

@@ -62,16 +62,13 @@ def _timed_apply(stream, obs=None):
     """``(apply_batch wall seconds, report)`` on a fresh engine."""
     _, engine, _ = _engine(obs)
     batch = UpdateBatch(stream)
-    # Collect the previous engines first, and keep an automatic pass
-    # (tens of ms on this heap) out of the few-ms interval.
+    # Collect the previous engines first so neither side inherits the
+    # other's garbage; collections the call itself triggers (the enabled
+    # side allocates spans and records) stay in the interval.
     gc.collect()
-    gc.disable()
-    try:
-        started = time.perf_counter()
-        report = engine.apply_batch(batch)
-        return time.perf_counter() - started, report
-    finally:
-        gc.enable()
+    started = time.perf_counter()
+    report = engine.apply_batch(batch)
+    return time.perf_counter() - started, report
 
 
 def _run_once(stream, obs=None, workers=0):

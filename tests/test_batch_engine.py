@@ -48,6 +48,8 @@ def _assert_equivalent(sequential_views, batch_views, sequential_doc, batch_doc)
         batch_view = batch_views[name]
         assert sequential_view.view.content() == batch_view.view.content(), name
         assert batch_view.view.equals_fresh_evaluation(batch_doc), name
+        lattice = sequential_view.lattice
+        assert lattice.strategy != "snowcaps" or lattice.materialized_sets(), name
         assert (
             sequential_view.lattice.materialized_sets()
             == batch_view.lattice.materialized_sets()
@@ -148,12 +150,16 @@ def test_batch_equals_sequential_resolved_stream():
     )
     sequential_doc = generate_document(scale=1)
     sequential = MaintenanceEngine(sequential_doc)
-    sequential_view = sequential.register_view(view_pattern("Q1"), "Q1")
+    sequential_view = sequential.register_view(
+        view_pattern("Q1"), "Q1", strategy="snowcaps"
+    )
     for statement in stream:
         apply_statement(sequential, statement)
     batch_doc = generate_document(scale=1)
     batched = MaintenanceEngine(batch_doc)
-    batch_view = batched.register_view(view_pattern("Q1"), "Q1")
+    batch_view = batched.register_view(
+        view_pattern("Q1"), "Q1", strategy="snowcaps"
+    )
     batched.apply_batch(UpdateBatch(stream))
     _assert_equivalent(
         {"Q1": sequential_view}, {"Q1": batch_view}, sequential_doc, batch_doc
@@ -201,12 +207,16 @@ class TestCoalescing:
         statements = [insert_update("X1_L"), insert_update("X1_L"), insert_update("X2_L")]
         sequential_doc = generate_document(scale=1)
         sequential = MaintenanceEngine(sequential_doc)
-        sequential_view = sequential.register_view(view_pattern("Q1"), "Q1")
+        sequential_view = sequential.register_view(
+            view_pattern("Q1"), "Q1", strategy="snowcaps"
+        )
         for statement in statements:
             apply_statement(sequential, statement)
         batch_doc = generate_document(scale=1)
         batched = MaintenanceEngine(batch_doc)
-        batch_view = batched.register_view(view_pattern("Q1"), "Q1")
+        batch_view = batched.register_view(
+            view_pattern("Q1"), "Q1", strategy="snowcaps"
+        )
         report = batched.apply_batch(UpdateBatch(statements))
         assert report.statements_submitted == 3
         assert report.statements_applied == 2  # X1_L pair merged
@@ -289,12 +299,16 @@ class TestReductionRules:
         assert [s.name for s in reduced.statements] == ["d0", "ins", "d1"]
         sequential_doc = generate_document(scale=1)
         sequential = MaintenanceEngine(sequential_doc)
-        sequential_view = sequential.register_view(view_pattern("Q1"), "Q1")
+        sequential_view = sequential.register_view(
+            view_pattern("Q1"), "Q1", strategy="snowcaps"
+        )
         for statement in statements:
             apply_statement(sequential, statement)
         batch_doc = generate_document(scale=1)
         batched = MaintenanceEngine(batch_doc)
-        batch_view = batched.register_view(view_pattern("Q1"), "Q1")
+        batch_view = batched.register_view(
+            view_pattern("Q1"), "Q1", strategy="snowcaps"
+        )
         batched.apply_batch(UpdateBatch(statements))
         _assert_equivalent(
             {"Q1": sequential_view}, {"Q1": batch_view}, sequential_doc, batch_doc
@@ -356,12 +370,16 @@ class TestReductionRules:
         ]
         sequential_doc = generate_document(scale=1)
         sequential = MaintenanceEngine(sequential_doc)
-        sequential_view = sequential.register_view(view_pattern("Q1"), "Q1")
+        sequential_view = sequential.register_view(
+            view_pattern("Q1"), "Q1", strategy="snowcaps"
+        )
         for statement in statements:
             apply_statement(sequential, statement)
         batch_doc = generate_document(scale=1)
         batched = MaintenanceEngine(batch_doc)
-        batch_view = batched.register_view(view_pattern("Q1"), "Q1")
+        batch_view = batched.register_view(
+            view_pattern("Q1"), "Q1", strategy="snowcaps"
+        )
         report = batched.apply_batch(UpdateBatch(statements))
         assert report.statements_applied == 2  # i0 voided by d0
         _assert_equivalent(
@@ -432,11 +450,15 @@ class TestBatchEngineApi:
         statement = insert_update("X1_L")
         sequential_doc = generate_document(scale=1)
         sequential = MaintenanceEngine(sequential_doc)
-        sequential_view = sequential.register_view(view_pattern("Q1"), "Q1")
+        sequential_view = sequential.register_view(
+            view_pattern("Q1"), "Q1", strategy="snowcaps"
+        )
         apply_statement(sequential, statement)
         batch_doc = generate_document(scale=1)
         batched = MaintenanceEngine(batch_doc)
-        batch_view = batched.register_view(view_pattern("Q1"), "Q1")
+        batch_view = batched.register_view(
+            view_pattern("Q1"), "Q1", strategy="snowcaps"
+        )
         report = batched.apply_update(statement)
         assert report.statements_applied == 1
         _assert_equivalent(

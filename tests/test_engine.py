@@ -106,10 +106,11 @@ class TestLatticeConsistency:
         doc = generate_document(scale=1)
         engine = MaintenanceEngine(doc)
         registered = engine.register_view(
-            view_pattern("Q4"), "Q4", update_profile=["increase"]
+            view_pattern("Q4"), "Q4", strategy="snowcaps", update_profile=["increase"]
         )
         engine.apply_update(statement_for("X2_L", "insert"))
         assert registered.view.equals_fresh_evaluation(doc)
+        assert registered.lattice.materialized_sets()
         for subset in registered.lattice.materialized_sets():
             stored = registered.lattice.relation_for(subset)
             fresh = evaluate_bindings(registered.pattern.subpattern(subset), doc)

@@ -202,7 +202,7 @@ def test_delta_first_terms_match_top_down_on_random_trees(seed):
     )
     engine = MaintenanceEngine(document)
     views = [
-        engine.register_view(_branching_pattern(), "branching"),
+        engine.register_view(_branching_pattern(), "branching", strategy="snowcaps"),
         engine.register_view(_random_pattern(rng), "random", strategy="snowcaps"),
         engine.register_view(_random_pattern(rng), "leaves", strategy="leaves"),
     ]
