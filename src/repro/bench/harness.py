@@ -128,7 +128,11 @@ def run_maintenance_pair(
         pattern if pattern is not None else view_pattern(view_name),
         view_name,
         strategy=strategy,
-        update_profile=update_profile_of(update_for_profile) if use_update_profile else None,
+        update_profile=(
+            update_profile_of(update_for_profile)
+            if use_update_profile and strategy == "snowcaps"
+            else None
+        ),
     )
     update = statement if statement is not None else statement_for(update_name, kind)
     report = engine.apply_update(update)

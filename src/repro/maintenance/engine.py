@@ -507,7 +507,8 @@ class MaintenanceEngine:
         (Section 3.5, Figs 29–32), also materializes a snowcap chain and
         keeps it current.  ``update_profile`` optionally lists the
         labels the workload is expected to update, steering the
-        cost-based snowcap selection (Section 3.5).
+        cost-based snowcap selection (Section 3.5); only ``"snowcaps"``
+        accepts one.
         """
         # A live ShardSession's workers hold the view partition; adding
         # or removing views behind its back desynchronizes the replicas.
@@ -516,6 +517,8 @@ class MaintenanceEngine:
         name = name or "view%d" % (len(self.views) + 1)
         if name in self.views:
             raise ValueError("a view named %r is already registered" % name)
+        # Built first: a strategy it rejects leaves no extent table behind.
+        lattice = SnowcapLattice(pattern, strategy=strategy, update_profile=update_profile)
         view = MaterializedView.materialize(
             pattern,
             self.document,
@@ -524,7 +527,6 @@ class MaintenanceEngine:
                 self.backend.store_factory(name) if self.backend is not None else None
             ),
         )
-        lattice = SnowcapLattice(pattern, strategy=strategy, update_profile=update_profile)
         lattice.materialize(self.document)
         registered = RegisteredView(name, view, lattice, definition)
         self.views[name] = registered
@@ -566,6 +568,7 @@ class MaintenanceEngine:
         # turn "this view was never durable" (KeyError, caller's bug)
         # into a silently empty extent.
         pattern.validate_for_maintenance()
+        lattice = SnowcapLattice(pattern, strategy=strategy, update_profile=update_profile)
         content = self.backend.load_extent(
             name, derived_columns(pattern), self.document
         )
@@ -573,7 +576,6 @@ class MaintenanceEngine:
             pattern, name=name, store_factory=self.backend.store_factory(name)
         )
         view._store.adopt(content)
-        lattice = SnowcapLattice(pattern, strategy=strategy, update_profile=update_profile)
         self.backend.retain_lattices(name, lattice.selected)
         adopted = False
         if not lattice.selected:

@@ -536,6 +536,12 @@ def _parse_nametest(stream: _TokenStream) -> str:
         return token
     if token in _PUNCT or token.startswith("'"):
         raise XPathSyntaxError("expected a name test, got %r in %r" % (token, stream.source))
+    if token[0].isdigit():
+        # No XML name starts with a digit: ``person[1]`` is a position,
+        # which read as a name test would silently match nothing.
+        raise XPathSyntaxError(
+            "positional predicates are unsupported, got %r in %r" % (token, stream.source)
+        )
     return token
 
 

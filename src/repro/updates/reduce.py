@@ -108,9 +108,14 @@ def _find_fragment_node(ins: InsertUpdate, target: DeweyID) -> Optional[ElementN
     base = ins.target_ids[0]
     if not base.is_ancestor_of(target):
         return None
+    labels = []
+    walk = target
+    while walk.depth > base.depth:
+        labels.append(walk.label)
+        walk = walk.parent()
     candidates: Sequence[Node] = ins.forest
     node: Optional[ElementNode] = None
-    for label, _ordinal in target.steps[base.depth:]:
+    for label in reversed(labels):
         matches = [
             child
             for child in candidates

@@ -209,6 +209,12 @@ class SnowcapLattice:
     ):
         if strategy not in ("snowcaps", "leaves"):
             raise ValueError("strategy must be 'snowcaps' or 'leaves', got %r" % strategy)
+        if update_profile and strategy != "snowcaps":
+            # Only a snowcap chain is chosen by profile; under leaves it
+            # would be ignored silently.
+            raise ValueError(
+                "update_profile selects snowcaps; strategy %r materializes none" % strategy
+            )
         self.pattern = pattern
         self.strategy = strategy
         self.update_profile = list(update_profile) if update_profile else None

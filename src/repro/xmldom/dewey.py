@@ -14,6 +14,17 @@ A :class:`DeweyID` here is a sequence of *steps*; each step carries the
 label of one ancestor (the last step carries the node's own label) and a
 *dynamic ordinal* fixing the node's position among its siblings.
 
+An ID object stores only what its parent cannot supply: its order key
+(see *Compact encoding*), a pointer to its parent's ID object, its own
+last step and its depth.  The step is one tuple shared by every ID that
+ends in the same ``(label, ordinal)``, interned through the memo that
+also holds the step's bytes.  The full ``steps`` are derived when asked
+for: an ID built by :meth:`DeweyID.child` collects the steps up its
+parent chain; an ID built from bare steps (or unpickled) decodes them
+from its key (:func:`_steps_of`, the inverse of :func:`_key_of`).  On
+XMark scale 4 an ID costs about 184 B of heap, key included
+(``tests/harness/id_memory.py``).
+
 Dynamic ordinals
 ----------------
 
@@ -190,57 +201,114 @@ def encode_ordinal(ordinal: Sequence[int], out: bytearray) -> None:
     out.append(_ORD_END)
 
 
-#: ``(label, normalized ordinal)`` -> its step bytes.  A document has
-#: few distinct steps (labels x sibling positions), so building a key
-#: is a lookup plus one concatenation; the memo is emptied whenever it
+#: ``(label, normalized ordinal)`` -> ``(step, step bytes)``.  The
+#: stored ``step`` is the one tuple every ID with that last step shares
+#: (``child()`` interns through it), and its bytes make building a key
+#: a lookup plus one concatenation.  A document has few distinct steps
+#: (labels x sibling positions).  The memo is emptied whenever it
 #: reaches ``_STEP_MEMO_LIMIT`` entries, which bounds it and leaves
-#: every key it yields unchanged.  An entry is a pure function of its
-#: step, so threads racing on it at worst encode a step twice.
-_STEP_BYTES: Dict[Step, bytes] = {}
+#: every key it yields unchanged: IDs built before keep their own step
+#: tuples, equal to the new ones.  An entry is a pure function of its
+#: step, so threads racing on it at worst intern a step twice.
+_STEP_BYTES: Dict[Step, Tuple[Step, bytes]] = {}
 _STEP_MEMO_LIMIT = 1 << 14
 
 
-def _step_bytes(step: Step) -> bytes:
-    blob = _STEP_BYTES.get(step)
-    if blob is None:
-        if len(_STEP_BYTES) >= _STEP_MEMO_LIMIT:
-            _STEP_BYTES.clear()
-        out = bytearray()
-        encode_ordinal(step[1], out)
-        encode_terminated(step[0].encode("utf-8"), out)
-        blob = _STEP_BYTES[step] = bytes(out)
-    return blob
+def _intern_step(step: Step) -> Tuple[Step, bytes]:
+    """The memo's ``(shared step, step bytes)`` for a normalized
+    ``step``, encoded and stored on a miss.  Hot paths try
+    ``_STEP_BYTES.get`` first and call this only on a miss."""
+    entry = _STEP_BYTES.get(step)
+    if entry is not None:
+        return entry
+    if len(_STEP_BYTES) >= _STEP_MEMO_LIMIT:
+        _STEP_BYTES.clear()
+    label, ordinal = step
+    out = bytearray()
+    encode_ordinal(ordinal, out)
+    encode_terminated(label.encode("utf-8"), out)
+    # A private copy of the ordinal: two steps never share one, so how
+    # callers built their ordinals cannot change a pickled ID's bytes.
+    # The shared step is also the memo's key, so the caller's tuples
+    # are not kept.
+    step = (label, tuple(list(ordinal)))
+    entry = _STEP_BYTES[step] = (step, bytes(out))
+    return entry
 
 
 def _key_of(steps: Tuple[Step, ...]) -> bytes:
     """The document-order key of normalized steps."""
-    return b"".join([_STEP_BYTES.get(step) or _step_bytes(step) for step in steps])
+    return b"".join([(_STEP_BYTES.get(step) or _intern_step(step))[1] for step in steps])
+
+
+def _decode_int(key: bytes, pos: int) -> Tuple[int, int]:
+    """Inverse of :func:`encode_int`: the value at ``pos`` and the
+    position after it."""
+    lead = key[pos]
+    pos += 1
+    if lead == 0x80:
+        return 0, pos
+    if lead > 0x80:
+        end = pos + lead - 0x80
+        return int.from_bytes(key[pos:end], "big"), end
+    end = pos + 0x80 - lead
+    return int.from_bytes(key[pos:end], "big") - (1 << (8 * (end - pos))), end
+
+
+def _steps_of(key: bytes) -> Tuple[Step, ...]:
+    """Inverse of :func:`_key_of`: the normalized steps a key encodes."""
+    steps = []
+    pos, size = 0, len(key)
+    while pos < size:
+        ordinal = []
+        tag = key[pos]
+        while tag != _ORD_END:
+            zeros, pos = _decode_int(key, pos + 1)
+            component, pos = _decode_int(key, pos)
+            ordinal.extend((0,) * (zeros if tag == _ORD_NEG else -zeros))
+            ordinal.append(component)
+            tag = key[pos]
+        # An escaped 0x00 is always followed by 0xFF, so the first
+        # 0x00 0x00 is the terminator.
+        end = key.index(b"\x00\x00", pos + 1)
+        label = key[pos + 1 : end].replace(b"\x00\xff", b"\x00").decode("utf-8")
+        steps.append((label, tuple(ordinal) if ordinal else (0,)))
+        pos = end + 2
+    return tuple(steps)
 
 
 class DeweyID:
-    """A structural node identifier: a tuple of ``(label, ordinal)`` steps.
+    """A structural node identifier: a sequence of ``(label, ordinal)``
+    steps.
 
     IDs are immutable, hashable and totally ordered by document order
     (ancestors precede their descendants; siblings are ordered by their
     dynamic ordinals).
+
+    An ID stores only what its parent cannot supply: its order key
+    (``_key``), its parent's ID object (``_parent``), its own last step
+    (``_step``, shared with every ID ending in the same ``(label,
+    ordinal)``) and its depth.  ``steps`` is derived on demand: a
+    *linked* ID (built by :meth:`child`) collects ``_step`` up the
+    parent chain; a *flat* ID (built from bare steps, or unpickled) has
+    no parent yet and decodes its steps from the key.
     """
 
-    __slots__ = ("steps", "_hash", "_key", "_parent")
+    __slots__ = ("_key", "_parent", "_step", "_depth")
 
     def __init__(self, steps: Sequence[Tuple[str, Sequence[int]]]):
         if not steps:
             raise ValueError("a DeweyID needs at least one step")
-        self.steps: Tuple[Step, ...] = tuple(
-            (label, _normalize(ordinal)) for label, ordinal in steps
-        )
-        # Precomputed document-order key: comparing via it keeps the
-        # hot sorts/bisects in C, as one memcmp.
-        self._key = _key_of(self.steps)
-        self._hash = hash(self._key)
+        normalized = tuple((label, _normalize(ordinal)) for label, ordinal in steps)
+        # The document-order key: comparing via it keeps the hot
+        # sorts/bisects in C, as one memcmp.
+        self._key = _key_of(normalized)
         # The parent's ID *object*: set by child() (shared with the
         # parent node, no allocation), linked lazily for IDs built from
         # bare steps.  Never pickled (see __reduce__).
         self._parent: "DeweyID | None" = None
+        self._step: Step = _intern_step(normalized[-1])[0]
+        self._depth = len(normalized)
 
     # -- construction -------------------------------------------------
 
@@ -250,21 +318,18 @@ class DeweyID:
         return cls(((label, (1,)),))
 
     @classmethod
-    def _from_steps(
-        cls, steps: Tuple[Step, ...], key: "bytes | None" = None
-    ) -> "DeweyID":
-        """Internal: build from *already-normalized* steps (and their
-        order key, when the caller derived it already).
+    def _from_steps(cls, steps: Tuple[Step, ...]) -> "DeweyID":
+        """Internal: a flat ID from *already-normalized* steps.
 
-        ``child``, unpickling and lazy parent linking derive IDs whose
-        steps come from a live ID, so the per-step normalization of
-        ``__init__`` would be pure overhead.
+        Unpickling and lazy parent linking derive IDs whose steps come
+        from a live ID, so the per-step normalization of ``__init__``
+        would be pure overhead.
         """
         self = object.__new__(cls)
-        self.steps = steps
-        self._key = key = _key_of(steps) if key is None else key
-        self._hash = hash(key)
+        self._key = _key_of(steps)
         self._parent = None
+        self._step = _intern_step(steps[-1])[0]
+        self._depth = len(steps)
         return self
 
     def child(self, label: str, ordinal: Sequence[int]) -> "DeweyID":
@@ -274,40 +339,57 @@ class DeweyID:
         a shared pointer and ``ancestor_ids()`` a chain walk: a document
         holds one ID object per node, never a second copy of a prefix.
         The order key is the parent's plus the memoized bytes of the
-        new step, not rebuilt from all steps.
+        new step, and the step itself is the memo's shared tuple.
         """
         step = (label, _normalize(ordinal))
-        new = DeweyID._from_steps(
-            self.steps + (step,),
-            self._key + (_STEP_BYTES.get(step) or _step_bytes(step)),
-        )
+        step, blob = _STEP_BYTES.get(step) or _intern_step(step)
+        new = object.__new__(DeweyID)
+        new._key = self._key + blob
         new._parent = self
+        new._step = step
+        new._depth = self._depth + 1
         return new
 
     # -- basic accessors ----------------------------------------------
 
     @property
+    def steps(self) -> Tuple[Step, ...]:
+        """The ``(label, ordinal)`` steps from the root down to this node.
+
+        Collected up the parent chain (one walk, shared step tuples); an
+        unlinked ID at the top of the chain decodes its steps from its
+        key.
+        """
+        tail = []
+        walk = self
+        while walk._parent is not None:
+            tail.append(walk._step)
+            walk = walk._parent
+        tail.reverse()
+        head = (walk._step,) if walk._depth == 1 else _steps_of(walk._key)
+        return head + tuple(tail)
+
+    @property
     def label(self) -> str:
         """Label of the node this ID identifies (the last step's label)."""
-        return self.steps[-1][0]
+        return self._step[0]
 
     @property
     def ordinal(self) -> Ordinal:
-        return self.steps[-1][1]
+        return self._step[1]
 
     @property
     def depth(self) -> int:
-        return len(self.steps)
+        return self._depth
 
     def parent(self) -> "DeweyID | None":
         """ID of the parent node, or None for the root."""
         parent = self._parent
-        if parent is None and len(self.steps) > 1:
-            # The parent's key is this key minus the last step's bytes.
-            cut = len(self._key) - len(_step_bytes(self.steps[-1]))
-            parent = self._parent = DeweyID._from_steps(
-                self.steps[:-1], self._key[:cut]
-            )
+        if parent is None and self._depth > 1:
+            # The parent's key is this key minus the last step's bytes;
+            # its own ancestors are linked in the same pass.
+            cut = len(self._key) - len(_intern_step(self._step)[1])
+            parent = self._parent = _linked_chain(self._key[:cut])
         return parent
 
     def ancestor_ids(self) -> Iterator["DeweyID"]:
@@ -320,7 +402,7 @@ class DeweyID:
         """
         chain = []
         walk = self
-        while len(walk.steps) > 1:
+        while walk._depth > 1:
             parent = walk._parent
             if parent is None:
                 parent = walk.parent()  # links an ID built from bare steps
@@ -343,7 +425,7 @@ class DeweyID:
 
     def is_parent_of(self, other: "DeweyID") -> bool:
         """``self ≺ other``: is self the parent of other?"""
-        return len(other.steps) == len(self.steps) + 1 and other._key.startswith(self._key)
+        return other._depth == self._depth + 1 and other._key.startswith(self._key)
 
     def is_ancestor_of(self, other: "DeweyID") -> bool:
         """``self ≺≺ other``: is self a proper ancestor of other?"""
@@ -354,7 +436,12 @@ class DeweyID:
 
     def has_ancestor_labeled(self, label: str) -> bool:
         """Does any proper ancestor carry ``label``?  (Props. 3.8 / 4.7.)"""
-        return label in self.ancestor_labels()
+        walk = self
+        while walk._depth > 1:
+            walk = walk._parent or walk.parent()
+            if walk._step[0] == label:
+                return True
+        return False
 
     @property
     def sort_key(self) -> bytes:
@@ -406,13 +493,14 @@ class DeweyID:
         return isinstance(other, DeweyID) and self._key == other._key
 
     def __hash__(self) -> int:
-        return self._hash
+        # CPython caches a bytes object's hash inside it.
+        return hash(self._key)
 
     def __reduce__(self):
         # Ship only the steps across process boundaries (the sharded
-        # maintenance pipeline pickles IDs inside Δ fragments); key and
-        # hash are rebuilt (from memoized step bytes) and the parent
-        # chain re-linked on demand on the other side.
+        # maintenance pipeline pickles IDs inside Δ fragments); the key
+        # is rebuilt (from memoized step bytes) and the parent chain
+        # re-linked on demand on the other side.
         # A live ID's steps are already normalized, so reconstruction
         # takes the fast path -- fragment unpickling is on the critical
         # merge path of every parallel round.
@@ -434,3 +522,13 @@ class DeweyID:
 def _dewey_from_normalized_steps(steps) -> "DeweyID":
     """Module-level unpickle hook for :meth:`DeweyID.__reduce__`."""
     return DeweyID._from_steps(steps)
+
+
+def _linked_chain(key: bytes) -> DeweyID:
+    """The ID of ``key`` with its ancestors linked through ``_parent``
+    (one decode, then ``child()`` per step)."""
+    steps = _steps_of(key)
+    walk = DeweyID._from_steps(steps[:1])
+    for label, ordinal in steps[1:]:
+        walk = walk.child(label, ordinal)
+    return walk

@@ -1,0 +1,70 @@
+"""Bytes of Python heap per DeweyID, measured with tracemalloc.
+
+Rebuilds the IDs of a fixed XMark document through ``DeweyID.root`` /
+``DeweyID.child`` (the way a document numbers its nodes) into a list
+allocated beforehand, with the step memo emptied first, so the figure
+counts every ID object, its key bytes and its share of the interned
+steps, and nothing else.  ``tests/test_dewey.py`` pins it; run as a
+script it prints one markdown table row for a CI job summary::
+
+    PYTHONPATH=src python tests/harness/id_memory.py
+"""
+
+from __future__ import annotations
+
+import gc
+import platform
+import tracemalloc
+from typing import List, Tuple
+
+from repro.workloads.xmark import generate_document
+from repro.xmldom import dewey
+from repro.xmldom.dewey import DeweyID
+
+#: The bound ``tests/test_dewey.py`` holds the measurement to.
+BYTES_PER_ID_LIMIT = 200
+#: The fixed document: XMark scale 4, about 7.1k nodes.
+SCALE = 4
+
+
+def _numbering(scale: int) -> List[Tuple[int, str, tuple]]:
+    """``(parent position, label, ordinal)`` per node, in preorder."""
+    document = generate_document(scale=scale)
+    rows: List[Tuple[int, str, tuple]] = []
+    stack = [(document.root, -1)]
+    while stack:
+        node, parent = stack.pop()
+        rows.append((parent, node.id.label, node.id.ordinal))
+        position = len(rows) - 1
+        for child in reversed(getattr(node, "children", ())):
+            stack.append((child, position))
+    return rows
+
+
+def bytes_per_id(scale: int = SCALE) -> Tuple[float, int]:
+    """Traced bytes per ID and the number of IDs built."""
+    rows = _numbering(scale)
+    ids: list = [None] * len(rows)
+    dewey._STEP_BYTES.clear()
+    gc.collect()  # the document left a cycle; free it before tracing
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for position, (parent, label, ordinal) in enumerate(rows):
+            ids[position] = (
+                DeweyID.root(label) if parent < 0 else ids[parent].child(label, ordinal)
+            )
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return (after - before) / len(ids), len(ids)
+
+
+if __name__ == "__main__":
+    per_id, count = bytes_per_id()
+    print("| Python | IDs (XMark scale %d) | bytes per ID | limit |" % SCALE)
+    print("|---|---|---|---|")
+    print(
+        "| %s | %d | %.1f | %d |"
+        % (platform.python_version(), count, per_id, BYTES_PER_ID_LIMIT)
+    )

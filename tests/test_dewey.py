@@ -4,10 +4,13 @@ import pickle
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.xmldom.dewey import (
     DeweyID,
+    _key_of,
+    _normalize,
+    _steps_of,
     ordinal_after,
     ordinal_before,
     ordinal_between,
@@ -15,6 +18,7 @@ from repro.xmldom.dewey import (
     ordinal_initial,
 )
 from repro.xmldom.index import KeyedRows
+from tests.harness.id_memory import BYTES_PER_ID_LIMIT, bytes_per_id
 
 
 def make_id(*steps):
@@ -239,6 +243,49 @@ class TestParentChain:
         ]
         assert [x for x in ids if anchor.is_ancestor_of(x)] == subtree
         assert [row.id for row in rows.below(anchor)] == subtree
+
+
+class TestCompactIDs:
+    """An ID holds its key, its parent pointer, one shared step and its
+    depth; everything else is derived."""
+
+    def test_bytes_per_id_stay_under_the_limit(self):
+        per_id, count = bytes_per_id()
+        assert count > 1000
+        assert per_id <= BYTES_PER_ID_LIMIT, per_id
+
+    def test_equal_steps_share_one_tuple(self):
+        root = make_id(("site", (1,)))
+        left = root.child("people", (1,)).child("person", [3, 0])
+        right = root.child("regions", (2,)).child("person", (3,))
+        assert left._step is right._step
+        assert left.ordinal is right.ordinal == (3,)
+        # A flat ID (built from bare steps) interns its last step too.
+        flat = DeweyID(left.steps)
+        assert flat._parent is None and flat._step is left._step
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(max_size=4),
+                st.lists(
+                    st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)),
+                    min_size=1,
+                    max_size=4,
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @example([("a", [0]), ("b", [0, 0, -2]), ("x\x00y", [1, -1])])
+    @settings(max_examples=50)
+    def test_steps_decode_from_the_key(self, raw):
+        # Negative components past index 0, interior zeros, (0,), wide
+        # integers and labels holding 0x00 all round-trip.
+        steps = tuple((label, _normalize(tuple(ordinal))) for label, ordinal in raw)
+        assert _steps_of(_key_of(steps)) == steps
+        assert DeweyID(steps).steps == steps
 
 
 class TestEncoding:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.maintenance.engine import MaintenanceEngine
 from repro.pattern.evaluate import evaluate_bindings
 from repro.views.lattice import (
     SnowcapLattice,
@@ -111,3 +112,20 @@ class TestMaterialization:
     def test_bad_strategy_rejected(self):
         with pytest.raises(ValueError):
             SnowcapLattice(chain_pattern("a", "b"), strategy="everything")
+
+    def test_update_profile_needs_snowcaps(self):
+        # Under leaves no chain is chosen, so a profile would be ignored.
+        pattern = branch_pattern()
+        for strategy in ("leaves", None):
+            options = {"strategy": strategy} if strategy else {}
+            with pytest.raises(ValueError, match="update_profile"):
+                SnowcapLattice(pattern, update_profile=["d"], **options)
+        assert SnowcapLattice(pattern, strategy="leaves", update_profile=[]).selected == []
+        chosen = SnowcapLattice(pattern, strategy="snowcaps", update_profile=["d"])
+        assert chosen.selected == snowcap_chain(pattern, ["d"])
+
+    def test_register_view_rejects_a_profile_under_leaves(self, fig12_document):
+        engine = MaintenanceEngine(fig12_document)
+        with pytest.raises(ValueError, match="update_profile"):
+            engine.register_view(chain_pattern("a", "b"), "v", update_profile=["b"])
+        assert "v" not in engine.views

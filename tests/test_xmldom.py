@@ -1,5 +1,7 @@
 """Document model: trees, canonical relations, updates (Section 2.1)."""
 
+import gc
+
 import pytest
 
 from repro.xmldom.model import (
@@ -33,6 +35,19 @@ class TestConstruction:
         assert attr.val == "7"
         assert attr.parent is doc.root
         assert doc.root.attribute("id") is attr
+
+    def test_numbering_restores_the_collector_setting(self):
+        # Bulk numbering pauses automatic collection; whatever the
+        # caller had set must hold again afterwards.
+        before = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                doc = parse_document("<a><b/><c>t</c></a>")
+                assert gc.isenabled() is enabled
+                assert [str(n.id) for n in doc.nodes_with_label("c")] == ["a1.c2"]
+        finally:
+            (gc.enable if before else gc.disable)()
 
     def test_append_rejects_attached_node(self):
         parent = ElementNode("a")

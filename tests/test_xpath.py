@@ -11,6 +11,7 @@ from repro.pattern.xpath_parser import (
     parse_xpath,
     path_to_pattern,
 )
+from repro.updates.language import DeleteUpdate
 from repro.xmldom.parser import parse_document
 from tests.harness.reference_xpath import reference_evaluate, reference_match_from
 
@@ -47,6 +48,16 @@ class TestParsing:
         parse_xpath("//person[address and (phone or homepage) and (creditcard or profile)]")
         parse_xpath("//person[@id = 'person0']")
         parse_xpath("//person[profile/@income]")
+
+    def test_positional_predicate_rejected(self):
+        # Read as a name test, ``[1]`` parsed to ``person[Exists(/1)]``
+        # and a delete through it removed nothing.
+        for text in ("/site/people/person[1]", "//person[2]/name", "/a/1"):
+            with pytest.raises(XPathSyntaxError, match="positional predicates"):
+                parse_xpath(text)
+        with pytest.raises(XPathSyntaxError, match="positional predicates"):
+            DeleteUpdate("/site/people/person[1]")
+        parse_xpath("//person1[a2]")
 
     def test_conjunctive_detection(self):
         assert parse_xpath("//a[b and c]").is_conjunctive()
