@@ -221,9 +221,9 @@ def _check_durability() -> dict:
     """Smoke slice of the durability gate (the full crash matrix and
     the timing gates live in ``bench_durability.py``): one SIGKILLed
     crash point must recover to the uninterrupted run's digests, and a
-    cleanly closed database must reopen by adoption alone -- every
-    extent and lattice resolved from its stored IDs, nothing
-    rematerialized."""
+    cleanly closed database must reopen by adoption -- every extent
+    resolved from its stored IDs, every snowcap lattice rebuilt from
+    the replayed document, both equal to the uninterrupted run."""
     import tempfile
 
     sys.path.insert(
@@ -253,8 +253,9 @@ def _check_durability() -> dict:
             view_options=crashkit.view_options(),
         )
         adopted = (
-            clean_report.lattices_rematerialized == 0
+            clean_report.lattices_rematerialized == len(crashkit.VIEWS)
             and crashkit.extent_digest(recovered.views) == expected[0]
+            and crashkit.lattice_digest(recovered.views) == expected[1]
         )
         recovered.backend.close()
     return {

@@ -106,9 +106,9 @@ class Relation:
         step instead of discarding them.  Returns the rows dropped.
 
         Survivors keep their relative order, fresh rows go to the end,
-        and :attr:`rows` is a *new* list after every call -- the durable
-        backend tracks changes by the list's identity, so callers skip
-        the call when there is nothing to drop or append.
+        and :attr:`rows` is a *new* list after every call (an O(rows)
+        copy), so callers skip the call when there is nothing to drop
+        or append.
         """
         # C-level compaction; a binding row hashes by cell identity.
         rows = (

@@ -1,8 +1,8 @@
 """Unit-purity rule: shard work units compute, the parent applies.
 
 ``ShardWorkUnit.execute`` runs on a session replica worker during a
-view migration; the contract is that it *reads* the document/view/
-lattice state it captured and *returns* a fragment -- installation
+view migration; the contract is that it *reads* the document/view
+state it captured and *returns* a fragment -- installation
 happens afterwards, on whichever replica adopts the view.  A
 ``self``-rooted write inside ``execute`` would change the source
 replica's state behind the migration protocol's back, so the two

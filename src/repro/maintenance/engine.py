@@ -533,29 +533,23 @@ class MaintenanceEngine:
         if self.backend is not None:
             # Registration is durable at the current version: reopening
             # before any batch adopts the freshly materialized extent.
-            self.backend.sync(self.views)
+            self.backend.sync()
         return registered
 
     def adopt_view(
         self,
         view_source: Union[Pattern, ViewDefinition, str],
         name: str,
-        adopt_lattice: bool = True,
         strategy: str = DEFAULT_STRATEGY,
         update_profile: Optional[Sequence[str]] = None,
-    ) -> bool:
+    ) -> RegisteredView:
         """Recovery seam: install a view from the durable backend.
 
         The extent is read from the view's sqlite table (no pattern
         evaluation): its rows are ID projections, whose ``val``/``cont``
         cells are filled from this engine's document (replayed to the
-        table's version).  The snowcap relations come from their
-        persisted snapshots when ``adopt_lattice`` is true and the
-        snapshots resolve against the document, and are rematerialized
-        otherwise; persisted relations ``strategy`` does not select are
-        deleted, since nothing keeps them current.  Returns True when
-        the lattice was adopted (i.e. nothing had to be
-        rematerialized).
+        table's version).  The lattice is never stored: a ``"snowcaps"``
+        lattice is materialized from the same document.
         """
         self._check_no_active_session()
         if self.backend is None:
@@ -576,41 +570,17 @@ class MaintenanceEngine:
             pattern, name=name, store_factory=self.backend.store_factory(name)
         )
         view._store.adopt(content)
-        self.backend.retain_lattices(name, lattice.selected)
-        adopted = False
-        if not lattice.selected:
-            adopted = True  # nothing materialized, nothing to rebuild
-        elif adopt_lattice:
-            try:
-                relations = self.backend.load_lattice(
-                    name, lattice.selected, self.document
-                )
-            except (KeyError, ValueError):
-                pass
-            else:
-                for subset, relation in relations.items():
-                    lattice.load_materialized(subset, relation)
-                self.backend.mark_lattice_adopted(name, lattice)
-                adopted = True
-        if not adopted and lattice.selected:
-            lattice.materialize(self.document)
+        lattice.materialize(self.document)
         registered = RegisteredView(name, view, lattice, definition)
         self.views[name] = registered
-        return adopted
+        return registered
 
     def sync_durability(self) -> None:
-        """Flush buffered extent ops and lattice snapshots (no-op
-        without a backend; ``ApplyQueue.close`` and session close call
-        this so a clean shutdown leaves nothing to replay).
-
-        While a session is attached, the owner's lattices of views other
-        parties maintain are not current, so only extents are
-        checkpointed -- as the session's per-batch commits do -- and the
-        persisted lattice_version keeps lagging until ``close()``."""
+        """Flush buffered extent ops (no-op without a backend;
+        ``ApplyQueue.close`` and session close call this so a clean
+        shutdown leaves nothing to replay)."""
         if self.backend is not None:
-            self.backend.sync(
-                self.views, include_lattices=not self._shard_session_active
-            )
+            self.backend.sync()
 
     def unregister_view(self, name: str) -> None:
         self._check_no_active_session()
@@ -736,7 +706,7 @@ class MaintenanceEngine:
             return None
         return self.backend.begin_batch(statements)
 
-    def _durability_commit(self, batch_id, include_lattices: bool = True) -> None:
+    def _durability_commit(self, batch_id) -> None:
         """Seal the batch: commit marker + one sqlite txn.
 
         Runs in a ``finally`` so even a raising (poison) batch commits
@@ -744,9 +714,7 @@ class MaintenanceEngine:
         partial-applies it identically and the recomputed views match.
         """
         if batch_id is not None:
-            self.backend.commit_batch(
-                batch_id, self.views, include_lattices=include_lattices
-            )
+            self.backend.commit_batch(batch_id)
 
     # -- batches (one propagation round per statement group) --------------------
 

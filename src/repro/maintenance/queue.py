@@ -185,9 +185,9 @@ class ApplyQueue:
         self._worker.join(timeout)
         if self._worker.is_alive():
             raise TimeoutError("worker did not stop")
-        # Durable engines checkpoint on close: buffered extent ops and
-        # lattice snapshots land in sqlite so a clean shutdown leaves
-        # no WAL tail to replay.
+        # Durable engines checkpoint on close: buffered extent ops
+        # land in sqlite so a clean shutdown leaves no WAL tail to
+        # replay.
         sync = getattr(self.engine, "sync_durability", None)
         if sync is not None:
             sync()

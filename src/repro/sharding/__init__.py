@@ -11,17 +11,12 @@ units of :mod:`repro.sharding.units` and install them via
 :mod:`repro.sharding.merge`.
 """
 
-from repro.sharding.merge import (
-    install_view_snapshot,
-    merge_span_fragments,
-    resolve_snowcap_fragment,
-)
+from repro.sharding.merge import install_view_snapshot, merge_span_fragments
 from repro.sharding.planner import imbalance_ratio, lpt_assignment
 from repro.sharding.rebalance import RebalancePolicy, ViewCostModel
 from repro.sharding.session import ShardSession
 from repro.sharding.units import (
     ExtentRecomputeUnit,
-    LatticeRecomputeUnit,
     ShardWorkUnit,
     ViewSnapshotUnit,
 )
@@ -39,7 +34,6 @@ _register_shard_backend(_sys.modules[__name__])
 
 __all__ = [
     "ExtentRecomputeUnit",
-    "LatticeRecomputeUnit",
     "RebalancePolicy",
     "ShardSession",
     "ShardWorkUnit",
@@ -49,5 +43,4 @@ __all__ = [
     "install_view_snapshot",
     "lpt_assignment",
     "merge_span_fragments",
-    "resolve_snowcap_fragment",
 ]

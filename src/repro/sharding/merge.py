@@ -1,17 +1,12 @@
-"""Installing what crosses a worker pipe: snowcap rows, view
-snapshots, span fragments.
+"""Installing what crosses a worker pipe: view snapshots, span
+fragments.
 
-Fragments that crossed a process boundary carry Dewey IDs, never
-nodes; the receiving side rebuilds them against its own document:
-
-* snowcap fragments carry binding rows as ID tuples, re-resolved into
-  node rows by :func:`resolve_snowcap_fragment`;
-* view-migration payloads -- ``{"pairs": ..., "lattice": ...}`` from a
-  :class:`~repro.sharding.units.ViewSnapshotUnit` or the recompute-unit
-  pair -- install through :func:`install_view_snapshot`, which rebuilds
-  the extent from the pairs and re-resolves the snowcap rows against
-  the adopting replica's document (the session's owner installs only
-  the rows, through :func:`install_lattice_rows`);
+* view-migration payloads -- sorted ``(row, count)`` extent pairs from
+  a :class:`~repro.sharding.units.ViewSnapshotUnit` or an
+  :class:`~repro.sharding.units.ExtentRecomputeUnit` -- install through
+  :func:`install_view_snapshot`, which rebuilds the extent from the
+  pairs and the snowcap lattice from the adopting replica's own
+  document (lattices never cross the pipe);
 * session workers' span trees come home as
   :class:`~repro.obs.SpanFragment` rows and are stitched back by
   :func:`merge_span_fragments`.
@@ -19,81 +14,25 @@ nodes; the receiving side rebuilds them against its own document:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
-
-from repro.algebra.relation import Relation
-from repro.xmldom.model import Document
+from typing import Iterable, List, Tuple
 
 
-def resolve_snowcap_fragment(
-    fragment: Optional[Dict[frozenset, object]],
-    document: Document,
-) -> Dict[frozenset, Relation]:
-    """Rebuild snowcap relations from a unit fragment.
-
-    Live node-row relations pass through; fragments that crossed a
-    process boundary carry ``(schema, ID rows)`` pairs whose IDs are
-    re-resolved against the live document.  Every ID must resolve:
-    snowcap rows bind only live nodes, so a miss means the fragment and
-    the document disagree -- fail loudly rather than corrupt the
-    lattice.
-    """
-    relations: Dict[frozenset, Relation] = {}
-    if not fragment:
-        return relations
-    resolve = document.node_by_id
-    for subset, value in fragment.items():
-        if isinstance(value, Relation):
-            relations[subset] = value
-            continue
-        schema, id_rows = value
-        rows = []
-        for id_row in id_rows:
-            row = tuple(resolve(node_id) for node_id in id_row)
-            if any(node is None for node in row):
-                raise LookupError(
-                    "snowcap fragment row %r references a node missing "
-                    "from the document" % (id_row,)
-                )
-            rows.append(row)
-        relations[subset] = Relation(schema, rows)
-    return relations
-
-
-def install_view_snapshot(registered, payload: Dict[str, object], document) -> None:
+def install_view_snapshot(registered, pairs: List[Tuple[tuple, int]], document) -> None:
     """Install a migrated view's state onto the adopting replica.
 
-    ``payload`` carries sorted ``(row, count)`` extent pairs under
-    ``"pairs"`` and a snowcap fragment (``{subset: (schema, ID rows)}``
-    or live relations) under ``"lattice"`` -- the shape produced both
-    by :class:`~repro.sharding.units.ViewSnapshotUnit` on the source
-    replica and by the :class:`ExtentRecomputeUnit`/
-    :class:`LatticeRecomputeUnit` pair run locally by the target.
-    Replica documents are byte-identical, so the shipped Dewey IDs
-    resolve on the adopter exactly as they did on the source; a miss
-    means the replicas diverged and :func:`resolve_snowcap_fragment`
-    fails loudly.
+    ``pairs`` are the view's sorted ``(row, count)`` extent pairs --
+    the shape produced both by
+    :class:`~repro.sharding.units.ViewSnapshotUnit` on the source
+    replica and by :class:`~repro.sharding.units.ExtentRecomputeUnit`
+    run locally by the target.  The lattice is materialized from
+    ``document``, which is byte-identical on every replica, so either
+    route yields the same state.
     """
     from repro.views.view import MaterializedView
 
-    fresh = MaterializedView.from_pairs(
-        registered.pattern, payload["pairs"], name=registered.name
-    )
+    fresh = MaterializedView.from_pairs(registered.pattern, pairs, name=registered.name)
     registered.view._store = fresh._store
-    install_lattice_rows(registered.lattice, payload["lattice"], document)
-
-
-def install_lattice_rows(lattice, fragment, document) -> None:
-    """Replace ``lattice``'s snowcap relations with a shipped fragment.
-
-    The lattice half of :func:`install_view_snapshot`, and all a
-    session's owner adopts: its extents are authoritative and current
-    already, so only the snowcap rows it dropped need to come back.
-    """
-    relations = resolve_snowcap_fragment(fragment, document)
-    lattice.drop()
-    for subset, relation in relations.items():
-        lattice.load_materialized(subset, relation)
+    registered.lattice.materialize(document)
 
 
 def merge_span_fragments(fragment_lists: Iterable, origin: float = 0.0) -> list:

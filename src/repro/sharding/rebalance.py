@@ -153,8 +153,8 @@ class RebalancePolicy:
         self.cooldown = cooldown
         self.budget = budget
         self.model = ViewCostModel(alpha)
-        #: when a migrating view's extent+lattice rows fit under this,
-        #: the source ships the data instead of the target recomputing.
+        #: when a migrating view's extent rows fit under this, the
+        #: source ships them instead of the target recomputing.
         self.ship_rows = ship_rows
         self._over_trigger = 0
         self._cooldown_left = 0

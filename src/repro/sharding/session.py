@@ -38,7 +38,8 @@ Design (replicated state machines):
 * the owner keeps current lattices only for party 0's views.  The rest
   would only go stale, so it drops them once the replicas have forked
   (and on releasing a view to another party); :meth:`ShardSession.close`
-  rematerializes exactly those.
+  rematerializes exactly those.  Lattices never cross a pipe: every
+  party that needs one materializes it from its own document.
 
 Replicas fork under :func:`gc.freeze`, which the parent undoes right
 after: the heap every replica inherits sits in the permanent
@@ -76,13 +77,14 @@ imbalance ratio stays over its trigger long enough, the policy plans
 ownership moves and the session executes them at the next batch
 boundary *without re-forking*.  Every replica holds a byte-identical
 document (idle views stay registered, just unmaintained), so the
-target can rematerialize an adopted view against its own replica -- or
-install the source's shipped extent pairs + snowcap rows when the view
-is small -- through the pure units of :mod:`repro.sharding.units`; the
-source drops the view, and the assignment map flips only after both
-sides acked.  Party 0 serves the same release/adopt steps in-process:
-it ships its authoritative extent pairs + snowcap rows and drops the
-lattice, and it adopts **lattice rows only** -- its extent store is
+target can rematerialize an adopted view's extent against its own
+replica -- or install the source's shipped extent pairs when the view
+is small -- through the pure units of :mod:`repro.sharding.units`, and
+materializes its lattice from that replica either way; the source
+drops the view, and the assignment map flips only after both sides
+acked.  Party 0 serves the same release/adopt steps in-process: it
+ships its authoritative extent pairs and drops the lattice, and on
+adopting it only **materializes the lattice** -- its extent store is
 authoritative (and possibly bound to sqlite), so it is never replaced.
 Extents stay byte-identical to serial propagation throughout, and a
 failure mid-migration degrades exactly like a dead replica.
@@ -108,9 +110,9 @@ def _canonical_row(row: tuple, canon: Dict[str, str]) -> tuple:
     )
 
 
-def _release_payload(registered, ship_rows: int) -> Optional[Dict]:
-    """What releasing a view ships: its stored extent pairs + snowcap
-    rows when they fit ``ship_rows``, else None (the target rebuilds)."""
+def _release_payload(registered, ship_rows: int) -> Optional[List[Tuple[tuple, int]]]:
+    """What releasing a view ships: its stored extent pairs when they
+    fit ``ship_rows``, else None (the target rebuilds them)."""
     from repro.sharding.units import ViewSnapshotUnit
 
     unit = ViewSnapshotUnit(registered.name, registered=registered)
@@ -121,18 +123,18 @@ def _serve_migration(engine, idle_views: Dict, message: tuple):
     """Handle one ``migrate_out``/``migrate_in`` message on a worker.
 
     Releasing a view moves it from the maintained set into the idle
-    stash (shipping its stored state when it fits the ship budget);
-    adopting pulls it back, installing the shipped snapshot or
-    rematerializing extent and snowcaps against this replica's own
-    document -- which is byte-identical to the source's, so either
-    route yields the same bytes.
+    stash (shipping its extent pairs when they fit the ship budget);
+    adopting pulls it back, installing the shipped pairs or
+    rematerializing the extent against this replica's own document --
+    which is byte-identical to the source's, so either route yields the
+    same bytes -- and materializing its lattice from that document.
     """
     from repro.sharding.merge import install_view_snapshot
-    from repro.sharding.units import ExtentRecomputeUnit, LatticeRecomputeUnit
+    from repro.sharding.units import ExtentRecomputeUnit
 
     if message[0] == "migrate_out":
         _tag, names, ship_rows = message
-        shipped: Dict[str, Optional[Dict]] = {}
+        shipped: Dict[str, Optional[List]] = {}
         for name in names:
             registered = engine.views.pop(name)
             idle_views[name] = registered
@@ -142,19 +144,12 @@ def _serve_migration(engine, idle_views: Dict, message: tuple):
         _tag, payloads = message
         for name in sorted(payloads):
             registered = idle_views.pop(name)
-            payload = payloads[name]
-            if payload is None:
+            pairs = payloads[name]
+            if pairs is None:
                 pairs = ExtentRecomputeUnit(
                     name, pattern=registered.pattern, document=engine.document
                 ).execute()
-                fragment = LatticeRecomputeUnit(
-                    name,
-                    pattern=registered.pattern,
-                    document=engine.document,
-                    selected=registered.lattice.selected,
-                ).execute()
-                payload = {"pairs": pairs, "lattice": fragment}
-            install_view_snapshot(registered, payload, engine.document)
+            install_view_snapshot(registered, pairs, engine.document)
             engine.views[name] = registered
         return None
     raise RuntimeError("unknown session control message %r" % (message[0],))
@@ -345,8 +340,8 @@ class ShardSession:
         #: assignment frozen, today's default; True means defaults).
         self.rebalance = RebalancePolicy.coerce(rebalance)
         #: shipped-row budget of the migration protocol: a migrating
-        #: view at most this big travels as stored extent pairs +
-        #: snowcap rows, a bigger one is rematerialized by the target.
+        #: view with at most this many extent rows travels as stored
+        #: pairs, a bigger one is rematerialized by the target.
         self.migration_ship_rows = (
             self.rebalance.ship_rows if self.rebalance is not None else 4096
         )
@@ -478,10 +473,8 @@ class ShardSession:
         report.workers = self.workers
         if not statements:
             return report
-        # Durable engines WAL the batch here too; lattice snapshots are
-        # skipped (the owner holds current lattices only for party 0),
-        # so the persisted lattice_version lags and recovery
-        # rematerializes lattices only -- never extents.
+        # Durable engines WAL the batch here too and commit the owner's
+        # authoritative extents.
         batch_id = self.engine._durability_begin(statements)
         try:
             with self.obs.span(
@@ -489,7 +482,7 @@ class ShardSession:
             ):
                 self._apply_statements(statements, report)
         finally:
-            self.engine._durability_commit(batch_id, include_lattices=False)
+            self.engine._durability_commit(batch_id)
         self.engine._record_batch(report)
         return report
 
@@ -742,8 +735,8 @@ class ShardSession:
         ``moves`` is ``(view name, source party, target party)``
         triples, normally planned by the rebalance policy.  Two
         half-rounds: every source releases its outgoing views (shipping
-        stored state for views within ``migration_ship_rows``), then
-        every target adopts them -- installing the shipped snapshot or
+        extent pairs for views within ``migration_ship_rows``), then
+        every target adopts them -- installing the shipped pairs or
         rematerializing against its own document.  Party 0 takes both
         steps in-process (see the module docstring).  The assignment
         map flips only after every ack, so a completed migration is
@@ -767,7 +760,7 @@ class ShardSession:
             by_source.setdefault(source, []).append(name)
             by_target.setdefault(target, []).append(name)
         started = time.perf_counter()
-        shipped: Dict[str, Optional[Dict]] = {}
+        shipped: Dict[str, Optional[List]] = {}
         try:
             with self.obs.span("session_migration", moves=len(moves)):
                 for source in sorted(by_source):
@@ -801,9 +794,7 @@ class ShardSession:
                     if target:
                         self._reply(target)
                     else:
-                        self._adopt_lattices(
-                            {name: shipped[name] for name in by_target[0]}
-                        )
+                        self._materialize_lattices(by_target[0])
         except BaseException as exc:
             # A replica died or failed mid-protocol; ownership state
             # across parties is no longer trustworthy.  Same degradation
@@ -832,19 +823,11 @@ class ShardSession:
             self.engine.views[name].lattice.drop()
             self._stale_lattices.add(name)
 
-    def _adopt_lattices(self, payloads: Dict[str, Optional[Dict]]) -> None:
-        """Party 0 adopts views: lattice rows only, shipped or rebuilt
-        against the owner's document; the extent it already holds."""
-        from repro.sharding.merge import install_lattice_rows
-
-        document = self.engine.document
-        for name in sorted(payloads):
-            lattice = self.engine.views[name].lattice
-            payload = payloads[name]
-            if payload is None:
-                lattice.materialize(document)
-            else:
-                install_lattice_rows(lattice, payload["lattice"], document)
+    def _materialize_lattices(self, names) -> None:
+        """Party 0 adopts views: it materializes their lattices from the
+        owner's document; the extent it already holds."""
+        for name in sorted(names):
+            self.engine.views[name].lattice.materialize(self.engine.document)
             self._stale_lattices.discard(name)
 
     def _resync_extents(self) -> None:
@@ -896,9 +879,7 @@ class ShardSession:
             self.engine.views[name].lattice.materialize(self.engine.document)
         self._stale_lattices.clear()
         self.engine._shard_session_active = False
-        # With a durable backend, checkpoint the lattices (and any
-        # buffered extent ops) so the persisted lattice_version catches
-        # back up to the batch version.
+        # With a durable backend, checkpoint any buffered extent ops.
         self.engine.sync_durability()
 
     def __enter__(self) -> "ShardSession":

@@ -1,27 +1,27 @@
 """Work units of the session's view-migration protocol.
 
 A unit is a pure slice of work on one view: it reads the replica state
-it captured (document, registered view, lattice) and returns a
-**fragment** -- a picklable value (plain tuples, ints, strings,
-:class:`~repro.xmldom.dewey.DeweyID`) that can cross the worker pipe
-and is installed by :func:`repro.sharding.merge.install_view_snapshot`.
-Mutation never happens here, which is what lets either route of a
-migration yield the same bytes on the adopting replica.
+it captured (document, registered view) and returns a **fragment** --
+sorted ``(row, count)`` extent pairs, a picklable value that can cross
+the worker pipe and is installed by
+:func:`repro.sharding.merge.install_view_snapshot`.  Mutation never
+happens here, which is what lets either route of a migration yield the
+same bytes on the adopting replica.  Snowcap lattices never cross the
+pipe: the adopting side rebuilds one from its own document.
 
 * :class:`ViewSnapshotUnit` -- reads one registered view's *stored*
-  extent pairs and materialized snowcap rows (no re-evaluation); the
-  source replica ships them when the view is small.
-* :class:`ExtentRecomputeUnit` / :class:`LatticeRecomputeUnit` --
-  evaluate one view's extent rows resp. snowcap relations against the
-  adopting replica's own document, in the same shape, when the view is
-  too big to ship.
+  extent pairs (no re-evaluation); the source replica ships them when
+  the view is small.
+* :class:`ExtentRecomputeUnit` -- evaluates one view's extent rows
+  against the adopting replica's own document, in the same shape, when
+  the view is too big to ship.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.pattern.evaluate import evaluate_bindings, evaluate_view
+from repro.pattern.evaluate import evaluate_view
 from repro.views.view import row_sort_key
 
 
@@ -52,42 +52,14 @@ class ExtentRecomputeUnit(ShardWorkUnit):
         return sorted(content, key=lambda item: row_sort_key(item[0]))
 
 
-class LatticeRecomputeUnit(ShardWorkUnit):
-    """Snowcap rematerialization of one view.
-
-    Evaluates every selected snowcap's binding relation and returns the
-    rows as ID tuples (the installer swaps live nodes back in); paired
-    with :class:`ExtentRecomputeUnit` to cover a full materialization.
-    """
-
-    def __init__(self, view_name: str, *, pattern, document, selected: Sequence[frozenset]):
-        super().__init__(view_name)
-        self.pattern = pattern
-        self.document = document
-        self.selected = list(selected)
-
-    def execute(self) -> Dict[frozenset, tuple]:
-        fragment: Dict[frozenset, tuple] = {}
-        for subset in self.selected:
-            sub = self.pattern.subpattern(subset)
-            relation = evaluate_bindings(sub, self.document)
-            fragment[subset] = (
-                relation.schema,
-                [tuple(cell.id for cell in row) for row in relation.rows],
-            )
-        return fragment
-
-
 class ViewSnapshotUnit(ShardWorkUnit):
-    """Snapshot one registered view's stored state for migration.
+    """Snapshot one registered view's stored extent for migration.
 
-    Unlike the recompute units, nothing is re-evaluated: the extent
-    pairs come straight out of the store and the snowcap rows out of
-    the materialized relations, both already current on the source
-    replica.  The payload shape matches the recompute units' fragments
-    exactly -- sorted ``(row, count)`` pairs plus ``{subset: (schema,
-    ID rows)}`` -- so :func:`repro.sharding.merge.install_view_snapshot`
-    installs either indistinguishably.
+    Unlike :class:`ExtentRecomputeUnit`, nothing is re-evaluated: the
+    pairs come straight out of the store, already current on the source
+    replica, in the recompute unit's sorted ``(row, count)`` shape, so
+    :func:`repro.sharding.merge.install_view_snapshot` installs either
+    indistinguishably.
     """
 
     def __init__(self, view_name: str, *, registered):
@@ -95,18 +67,10 @@ class ViewSnapshotUnit(ShardWorkUnit):
         self.registered = registered
 
     def size(self) -> int:
-        """Extent tuples plus materialized lattice rows -- the shipped
-        row count the migration ship-vs-recompute criterion compares
-        (identical on every replica, so the decision is too)."""
-        return len(self.registered.view) + self.registered.lattice.stored_tuples()
+        """Extent tuples -- the shipped row count the migration
+        ship-vs-recompute criterion compares (identical on every
+        replica, so the decision is too)."""
+        return len(self.registered.view)
 
-    def execute(self) -> Dict[str, object]:
-        lattice = self.registered.lattice
-        fragment = {}
-        for subset in lattice.materialized_sets():
-            relation = lattice.relation_for(subset)
-            fragment[subset] = (
-                relation.schema,
-                [tuple(cell.id for cell in row) for row in relation.rows],
-            )
-        return {"pairs": self.registered.view.content(), "lattice": fragment}
+    def execute(self) -> List[Tuple[tuple, int]]:
+        return self.registered.view.content()

@@ -10,7 +10,8 @@ forced full rematerialization.  This package adds
 * :mod:`repro.storage.sqlite` -- :class:`SqliteTupleStore` (the full
   ``OrderedTupleStore`` contract, write-through to one table per view
   extent) and :class:`SqliteExtentBackend` (the per-engine database:
-  extent tables, lattice snapshots, batch versions);
+  extent tables and batch versions; snowcap lattices are rebuilt from
+  the document, never stored);
 * :mod:`repro.storage.wal` -- an append-only log of coalesced batches
   written at batch boundaries, each record checksummed and sealed by a
   commit marker;

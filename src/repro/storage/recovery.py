@@ -3,7 +3,7 @@
 The commit protocol (:mod:`repro.storage.sqlite`) guarantees that after
 any process death the sqlite version ``V`` and the WAL's last committed
 batch ``C`` satisfy ``V in {C-1, C}``.  :func:`reopen` therefore never
-rematerializes a view whose extent tables are intact:
+re-evaluates a view extent whose table is intact:
 
 1. scan the WAL, truncate the torn tail (a record whose header,
    payload or checksum did not survive) *and* any intact-but-
@@ -13,9 +13,8 @@ rematerializes a view whose extent tables are intact:
    ``1..V`` (pure document application, no view work);
 3. adopt every view: extent rows from its sqlite table, their
    ``val``/``cont`` cells resolved from the replayed document through
-   their ID cells, lattices from their persisted snapshots when fresh
-   (``lattice_version == V``; a ShardSession leaves them stale on
-   purpose, in which case only the lattices are rematerialized);
+   their ID cells; a snowcaps view's lattice, which is never stored,
+   is materialized from the replayed document;
 4. replay the WAL tail ``V+1..C`` -- at most one batch -- through the
    full engine, with the backend in replay mode so nothing is
    re-appended to the WAL.
@@ -55,11 +54,12 @@ class RecoveryReport:
     path: str
     last_committed_batch: int = 0
     durable_version: int = 0
-    lattice_version: int = 0
     replayed_batches: int = 0
     truncated_bytes: int = 0
     torn_reason: Optional[str] = None
     views: List[str] = field(default_factory=list)
+    #: views whose lattice selects snowcaps, all rebuilt from the
+    #: replayed document (0 when every view runs ``"leaves"``).
     lattices_rematerialized: int = 0
     wal_records: int = 0
 
@@ -153,7 +153,6 @@ def reopen(
         backend = SqliteExtentBackend(path, obs=obs)
         version = backend.version
         report.durable_version = version
-        report.lattice_version = backend.lattice_version
         if version > last_committed:
             raise RecoveryError(
                 "database version %d is ahead of the WAL's last committed "
@@ -171,17 +170,14 @@ def reopen(
                 pass
 
         # Phase 3: adoption.  Extents come from the tables (derived
-        # cells resolved from the document replayed to V); lattices
-        # from their snapshots only when durably fresh.
+        # cells resolved from the document replayed to V); snowcap
+        # lattices are materialized from that document.
         engine = factory(document, backend=backend, obs=obs, **(engine_options or {}))
-        lattices_fresh = report.lattice_version == version
         for name, source in views.items():
             options = dict(view_options.get(name, {})) if view_options else {}
-            adopted = engine.adopt_view(
-                source, name=name, adopt_lattice=lattices_fresh, **options
-            )
+            registered = engine.adopt_view(source, name=name, **options)
             report.views.append(name)
-            if not adopted:
+            if registered.lattice.selected:
                 report.lattices_rematerialized += 1
 
         # Phase 4: WAL tail replay (at most one batch under the commit

@@ -9,21 +9,22 @@ Two classes split the work:
   cost exactly what the in-memory backend costs; the durable side is
   paid once per batch.
 * :class:`SqliteExtentBackend` -- one engine's database: the extent
-  tables, per-view lattice snapshots, the batch version in ``meta``
-  and the batch WAL next to the database file.
+  tables, the batch version in ``meta`` and the batch WAL next to the
+  database file.
 
-Both extent rows and lattice rows persist IDs only: an extent row is
-the view tuple's *ID projection* (``val``/``cont`` cells stored as
-``None``) keyed by its memcomparable blob, with its derivation count
-(each DeweyID cell of the blob is the ID's ``sort_key``: the byte
-string the in-memory mirror compares by memcmp, copied, not encoded);
-a lattice row is the tuple of its binding IDs.  Reopen resolves both
-against the document it has replayed.
+Extent rows persist IDs only: a row is the view tuple's *ID
+projection* (``val``/``cont`` cells stored as ``None``) keyed by its
+memcomparable blob, with its derivation count (each DeweyID cell of
+the blob is the ID's ``sort_key``: the byte string the in-memory
+mirror compares by memcmp, copied, not encoded).  Reopen resolves them
+against the document it has replayed.  Snowcap lattices are never
+stored: they are a function of the document, and reopen rebuilds them
+from it.
 
 Commit protocol, per batch (driven by the maintenance engine)::
 
     WAL DATA record  ->  in-memory apply (ops buffered)  ->
-    WAL COMMIT marker  ->  one sqlite txn: ops + lattices + version
+    WAL COMMIT marker  ->  one sqlite txn: ops + version
 
 so after a crash the database version ``V`` and the WAL's last
 committed batch ``C`` satisfy ``V in {C-1, C}``, and recovery replays
@@ -41,12 +42,9 @@ from __future__ import annotations
 import os
 import pickle
 import sqlite3
-from collections import Counter
+import operator
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-import operator
-
-from repro.algebra.relation import Relation
 from repro.obs import NULL_OBS
 from repro.storage.crashpoints import crash_point
 from repro.storage.keyenc import encode_key
@@ -56,10 +54,6 @@ from repro.views.store import DELETED, OrderedTupleStore
 #: on-disk layout: 3 stores extent rows as ID projections with plain
 #: integer counts and numbers extent tables from a counter in ``meta``.
 _FORMAT = 3
-
-#: rewrite a lattice's chunk sequence from scratch once it grows this
-#: long (bounds reopen cost and file growth under long-lived engines).
-_LATTICE_COMPACT_SEQS = 64
 
 
 def _pickle(value: Any) -> bytes:
@@ -259,7 +253,7 @@ class SqliteTupleStore(OrderedTupleStore):
 
 
 class SqliteExtentBackend:
-    """One engine's durable state: extent tables + lattices + WAL."""
+    """One engine's durable state: extent tables + WAL."""
 
     def __init__(self, path: str, obs=None):
         self.path = path
@@ -278,10 +272,6 @@ class SqliteExtentBackend:
             self._conn.close()
             raise
         self._stores: Dict[str, SqliteTupleStore] = {}
-        #: ``(rows, next_seq)`` per (view, subset) at last persist: the
-        #: rows-list identity marks a relation clean while unchanged,
-        #: and ``next_seq`` is the chunk number a delta would get.
-        self._lattice_refs: Dict[Tuple[str, str], Any] = {}
         #: batches with IDs <= this replay without re-appending to the
         #: WAL (their records are already durable).
         self._replay_until = 0
@@ -334,12 +324,7 @@ class SqliteExtentBackend:
         cursor.execute(
             "CREATE TABLE IF NOT EXISTS extents(view TEXT PRIMARY KEY, tbl TEXT NOT NULL)"
         )
-        cursor.execute(
-            "CREATE TABLE IF NOT EXISTS lattices("
-            "view TEXT, subset TEXT, seq INTEGER, payload BLOB, "
-            "PRIMARY KEY(view, subset, seq))"
-        )
-        for key in ("version", "lattice_version", "tables"):
+        for key in ("version", "tables"):
             cursor.execute(
                 "INSERT OR IGNORE INTO meta(key, value) VALUES(?, 0)", (key,)
             )
@@ -355,14 +340,6 @@ class SqliteExtentBackend:
     def version(self) -> int:
         """The last batch whose effects are durable in the tables."""
         return self._meta("version")
-
-    @property
-    def lattice_version(self) -> int:
-        """The batch the persisted lattice snapshots correspond to.
-        Falls behind ``version`` while a ShardSession owns the lattices
-        (they are stale on the owner by design); recovery then
-        rematerializes lattices instead of adopting them."""
-        return self._meta("lattice_version")
 
     @property
     def next_batch_id(self) -> int:
@@ -412,11 +389,7 @@ class SqliteExtentBackend:
         if store is not None and self.writable:
             self._conn.execute('DROP TABLE IF EXISTS "%s"' % store._table)
             self._conn.execute("DELETE FROM extents WHERE view = ?", (view_name,))
-            self._conn.execute("DELETE FROM lattices WHERE view = ?", (view_name,))
             self._conn.commit()
-        self._lattice_refs = {
-            key: ref for key, ref in self._lattice_refs.items() if key[0] != view_name
-        }
 
     def stored_extent(self, view_name: str) -> List[Tuple[Any, int]]:
         """The durable ``(ID projection, count)`` rows of one extent, in
@@ -441,8 +414,7 @@ class SqliteExtentBackend:
 
         ``derived`` is the view's ``(column, ID column, annotation)``
         plan; each ID column it names is resolved once per row through
-        ``node_by_id``, as :meth:`load_lattice` resolves lattice rows,
-        and its cell becomes the node's own ID object (adopted rows
+        ``node_by_id``, and its cell becomes the node's own ID object (adopted rows
         share IDs with the document, as live rows do).  Raises
         :class:`KeyError` when the view has no durable extent and
         :class:`RecoveryError` when a stored ID is absent from the
@@ -483,7 +455,7 @@ class SqliteExtentBackend:
             self.wal.append_batch(batch_id, statements)
         return batch_id
 
-    def commit_batch(self, batch_id: int, views, include_lattices: bool = True) -> None:
+    def commit_batch(self, batch_id: int) -> None:
         """Seal the batch: WAL commit marker, then one sqlite txn."""
         if batch_id > self._replay_until:
             self.wal.append_commit(batch_id)
@@ -494,252 +466,25 @@ class SqliteExtentBackend:
         cursor.execute(
             "UPDATE meta SET value = ? WHERE key = 'version'", (batch_id,)
         )
-        if include_lattices:
-            self._persist_lattices(cursor, views)
-            cursor.execute(
-                "UPDATE meta SET value = ? WHERE key = 'lattice_version'", (batch_id,)
-            )
         self._conn.commit()
 
-    def sync(self, views, include_lattices: bool = True) -> None:
+    def sync(self) -> None:
         """Checkpoint outside the batch protocol (registration, session
-        close, queue close): flush pending ops and lattices at the
-        current version without consuming a batch ID."""
+        close, queue close): flush pending ops at the current version
+        without consuming a batch ID."""
         if not self.writable:
             return
         cursor = self._conn.cursor()
         cursor.execute("BEGIN")
         for store in self._stores.values():
             store._flush_into(cursor)
-        if include_lattices:
-            self._persist_lattices(cursor, views)
-            cursor.execute(
-                "UPDATE meta SET value = ? WHERE key = 'lattice_version'",
-                (self._meta("version"),),
-            )
         self._conn.commit()
 
     def begin_replay(self, last_committed: int) -> None:
         self._replay_until = last_committed
 
-    # -- lattice snapshots -------------------------------------------------
-
-    @staticmethod
-    def _subset_key(subset) -> str:
-        return ",".join(sorted(subset))
-
-    @staticmethod
-    def _id_rows(rows) -> List[Tuple[Any, ...]]:
-        return [tuple(cell.id for cell in row) for row in rows]
-
-    @staticmethod
-    def _rows_delta(previous, rows):
-        """``(added, dropped)`` such that previous - dropped + added ==
-        rows, by object identity.
-
-        One two-pointer pass over the longest common identity
-        subsequence: sound for *any* pair of lists (whatever fails to
-        match is dropped/added wholesale), and minimal for the shape
-        the lattice upkeep actually produces -- surviving rows keep
-        their relative order and fresh derivations are appended.
-        """
-        i, n = 0, len(previous)
-        k, m = 0, len(rows)
-        dropped = []
-        while i < n and k < m:
-            if previous[i] is rows[k]:
-                i += 1
-                k += 1
-            else:
-                dropped.append(previous[i])
-                i += 1
-        dropped.extend(previous[i:])
-        return rows[k:], dropped
-
-    def _persist_lattices(self, cursor, views) -> None:
-        """Write changed snowcap relations as chunked DeweyID deltas.
-
-        Relations are dirty-tracked by rows-list identity: the lattice
-        upkeep paths install a fresh list on every real change and
-        leave untouched relations aliased, so an unchanged relation
-        costs one ``is`` check here.  A changed relation appends one
-        ``(schema, added_id_rows, dropped_id_rows)`` chunk covering
-        just the delta (:meth:`_rows_delta`), so both insert- and
-        delete-heavy batches pickle O(changed rows), not the whole
-        relation.  The chunk sequence is compacted back to a single
-        snapshot once it exceeds ``_LATTICE_COMPACT_SEQS``.
-        """
-        for name, registered in views.items():
-            lattice = registered.lattice
-            for subset in lattice.materialized_sets():
-                relation = lattice.relation_for(subset)
-                key = (name, self._subset_key(subset))
-                state = self._lattice_refs.get(key)
-                rows = relation.rows
-                if state is not None and state[0] is rows:
-                    continue
-                if state is None:
-                    previous, seq = None, 0
-                else:
-                    previous, seq = state
-                    if len(previous) <= len(rows) and all(
-                        map(operator.is_, previous, rows)
-                    ):
-                        added, dropped = rows[len(previous):], []
-                    else:
-                        added, dropped = self._rows_delta(previous, rows)
-                    if not added and not dropped:  # fresh list, same rows
-                        self._lattice_refs[key] = (rows, seq)
-                        continue
-                if previous is None or seq >= _LATTICE_COMPACT_SEQS:
-                    cursor.execute(
-                        "DELETE FROM lattices WHERE view = ? AND subset = ?",
-                        (name, key[1]),
-                    )
-                    seq, added, dropped = 0, rows, []
-                payload = _pickle(
-                    (
-                        list(relation.schema),
-                        self._id_rows(added),
-                        self._id_rows(dropped),
-                    )
-                )
-                cursor.execute(
-                    "INSERT INTO lattices(view, subset, seq, payload) "
-                    "VALUES(?, ?, ?, ?)",
-                    (name, key[1], seq, payload),
-                )
-                self._lattice_refs[key] = (rows, seq + 1)
-
-    def _collapsed_chunks(self, view_name: str, subset_key: str):
-        """``(schema, id_rows, chunk_count)`` after replaying the chunk
-        sequence of one relation; ``chunk_count`` 0 when no snapshot."""
-        chunks = self._conn.execute(
-            "SELECT payload FROM lattices WHERE view = ? AND subset = ? "
-            "ORDER BY seq",
-            (view_name, subset_key),
-        ).fetchall()
-        schema: Any = None
-        id_rows: List[Any] = []
-        for (payload,) in chunks:
-            chunk_schema, added, dropped = pickle.loads(payload)
-            if schema is None:
-                schema = chunk_schema
-            if dropped:
-                pending = Counter(dropped)
-                kept = []
-                for id_row in id_rows:
-                    if pending.get(id_row, 0):
-                        pending[id_row] -= 1
-                    else:
-                        kept.append(id_row)
-                id_rows = kept
-            id_rows.extend(added)
-        return schema, id_rows, len(chunks)
-
-    def compact_lattices(self) -> None:
-        """Collapse every chunk sequence to one snapshot (clean
-        shutdown): reopen then loads each relation from a single chunk
-        instead of replaying the batch-by-batch delta history."""
-        if not self.writable:
-            return
-        targets = self._conn.execute(
-            "SELECT view, subset FROM lattices GROUP BY view, subset "
-            "HAVING MAX(seq) > 0"
-        ).fetchall()
-        if not targets:
-            return
-        cursor = self._conn.cursor()
-        cursor.execute("BEGIN")
-        for view_name, subset_key in targets:
-            schema, id_rows, _ = self._collapsed_chunks(view_name, subset_key)
-            cursor.execute(
-                "DELETE FROM lattices WHERE view = ? AND subset = ?",
-                (view_name, subset_key),
-            )
-            cursor.execute(
-                "INSERT INTO lattices(view, subset, seq, payload) "
-                "VALUES(?, ?, 0, ?)",
-                (view_name, subset_key, _pickle((schema, id_rows, []))),
-            )
-            state = self._lattice_refs.get((view_name, subset_key))
-            if state is not None:
-                self._lattice_refs[(view_name, subset_key)] = (state[0], 1)
-        self._conn.commit()
-
-    def load_lattice(self, view_name: str, selected, document) -> Dict[Any, Relation]:
-        """Resolve the persisted snowcap relations against a document.
-
-        Raises :class:`KeyError` when a selected subset has no snapshot
-        and :class:`ValueError` when a row references a node absent from
-        the document -- both make the caller fall back to
-        materialization.
-        """
-        relations: Dict[Any, Relation] = {}
-        for subset in selected:
-            schema, id_rows, chunk_count = self._collapsed_chunks(
-                view_name, self._subset_key(subset)
-            )
-            if not chunk_count:
-                raise KeyError(
-                    "no lattice snapshot for %s/%s" % (view_name, sorted(subset))
-                )
-            rows = []
-            for id_row in id_rows:
-                cells = tuple(document.node_by_id(dewey) for dewey in id_row)
-                if any(cell is None for cell in cells):
-                    raise ValueError(
-                        "lattice snapshot row of %s references a node "
-                        "absent from the document" % view_name
-                    )
-                rows.append(cells)
-            relations[subset] = Relation(schema, rows)
-        return relations
-
-    def retain_lattices(self, view_name: str, selected) -> None:
-        """Delete the view's persisted relations outside ``selected``.
-
-        Only the subsets a lattice materializes are kept current, so any
-        other snapshot goes stale with the next batch -- e.g. a
-        snowcaps database reopened as ``"leaves"`` -- and a later
-        reopen that selects it again must rematerialize, not adopt it.
-        """
-        keep = {self._subset_key(subset) for subset in selected}
-        stale = [
-            subset_key
-            for (subset_key,) in self._conn.execute(
-                "SELECT DISTINCT subset FROM lattices WHERE view = ?", (view_name,)
-            )
-            if subset_key not in keep
-        ]
-        if not stale or not self.writable:
-            return
-        self._conn.executemany(
-            "DELETE FROM lattices WHERE view = ? AND subset = ?",
-            [(view_name, subset_key) for subset_key in stale],
-        )
-        self._conn.commit()
-        for subset_key in stale:
-            self._lattice_refs.pop((view_name, subset_key), None)
-
-    def mark_lattice_adopted(self, view_name: str, lattice) -> None:
-        """Record the adopted relations as clean for dirty tracking."""
-        for subset in lattice.materialized_sets():
-            relation = lattice.relation_for(subset)
-            subset_key = self._subset_key(subset)
-            next_seq = (
-                self._conn.execute(
-                    "SELECT COALESCE(MAX(seq), -1) FROM lattices "
-                    "WHERE view = ? AND subset = ?",
-                    (view_name, subset_key),
-                ).fetchone()[0]
-                + 1
-            )
-            self._lattice_refs[(view_name, subset_key)] = (relation.rows, next_seq)
-
     def close(self) -> None:
         if self.writable:
-            self.compact_lattices()
             self._conn.close()
             self.wal.close()
 

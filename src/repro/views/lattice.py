@@ -34,8 +34,13 @@ one seed, ``views.lattice_pass_s`` 0.25–0.28 → 0.001 s and
 ``maintenance.propagation_s`` 1.06–1.21 → 0.67–0.93 s for the same
 3200 statements.  ``"snowcaps"`` stays the paper-reproduction mode (Figs
 29–32 and the experiment harness pass it explicitly) and keeps its
-whole upkeep path: the lattice pass, σ-flip repair, session lattice
-shipping and sqlite lattice persistence.
+whole in-memory upkeep path: the lattice pass and σ-flip repair.
+
+A lattice is derived state, a function of the document: it is never
+persisted and never crosses a process boundary.  Durable reopen, a
+session replica adopting a migrated view and a session owner taking a
+view back each rebuild it with :meth:`SnowcapLattice.materialize` from
+their own document.
 """
 
 from __future__ import annotations
@@ -248,24 +253,9 @@ class SnowcapLattice:
         """The stored binding relation of a snowcap, if materialized."""
         return self._materialized.get(subset)
 
-    def load_materialized(self, subset: NodeSet, relation: Relation) -> None:
-        """Install a precomputed binding relation for one snowcap.
-
-        Session view migration and durable recovery hand over snowcap
-        rows evaluated (or stored) elsewhere; this replaces the stored
-        relation without re-evaluating the sub-pattern.  The subset
-        must be one of the selected snowcaps (loading arbitrary sets
-        would desynchronize the maintenance terms that consult
-        :meth:`relation_for`)."""
-        if subset not in self.selected:
-            raise ValueError("subset %r is not a selected snowcap" % (sorted(subset),))
-        self._materialized[subset] = relation.reordered(
-            sorted(subset, key=self.pattern.node_names().index)
-        )
-
     def drop(self) -> None:
-        """Forget every materialized relation; :meth:`materialize` (or
-        :meth:`load_materialized` per snowcap) rebuilds them."""
+        """Forget every materialized relation; :meth:`materialize`
+        rebuilds them."""
         self._materialized.clear()
 
     def materialized_sets(self) -> List[NodeSet]:
@@ -354,5 +344,5 @@ class SnowcapLattice:
         extra = additions.get(subset)
         fresh = extra.reordered(relation.schema).rows if extra else ()
         if not doomed and not fresh:
-            return 0  # untouched: the row list keeps its identity
+            return 0  # untouched: no row-list copy
         return relation.apply_delta(doomed, fresh)

@@ -327,7 +327,10 @@ class Document:
         # IDs of deleted nodes are *retired*, never reissued: node
         # identity is immutable (XDM) and the Dewey scheme guarantees
         # a dead ID stays dead, so references held by pending update
-        # lists or optimizers can never silently re-bind.
+        # lists or optimizers can never silently re-bind.  Only a
+        # deleted subtree's root is recorded: a new ID is a *live*
+        # parent's child, and every other deleted ID has a deleted
+        # parent, so it can never be issued again anyway.
         self._retired_ids: set = set()
         self._assign_ids()
 
@@ -476,10 +479,10 @@ class Document:
         text_changed = False
         for gone in removed:
             self._by_id.pop(gone.id, None)
-            self._retired_ids.add(gone.id)
             self._values.on_remove(gone)
             if gone.kind == "text":
                 text_changed = True
+        self._retired_ids.add(node.id)
         parent = node.parent
         parent.children.remove(node)
         node.parent = None

@@ -34,8 +34,8 @@ SRC_DIR = os.path.join(REPO_ROOT, "src")
 CHILD = os.path.join(HARNESS_DIR, "crash_child.py")
 
 VIEWS = ("Q1", "Q3", "Q6")
-#: the crash matrix exercises lattice persistence, so every view keeps
-#: a snowcap lattice (the engine's default strategy keeps none).
+#: the crash matrix checks that reopen rebuilds lattices exactly, so
+#: every view keeps a snowcap lattice (the default strategy keeps none).
 STRATEGY = "snowcaps"
 SCALE = 1
 SEED = 13
@@ -114,6 +114,22 @@ def lattice_digest(views) -> str:
             )
             hasher.update("".join(rows).encode("utf-8"))
     return hasher.hexdigest()
+
+
+def fresh_lattice_digest(views, document) -> str:
+    """:func:`lattice_digest` of every view's lattice materialized
+    afresh over ``document``."""
+    from types import SimpleNamespace
+
+    from repro.views.lattice import SnowcapLattice
+
+    fresh = {}
+    for name, registered in views.items():
+        old = registered.lattice
+        lattice = SnowcapLattice(old.pattern, old.strategy, old.update_profile)
+        lattice.materialize(document)
+        fresh[name] = SimpleNamespace(lattice=lattice)
+    return lattice_digest(fresh)
 
 
 # -- workload ----------------------------------------------------------------

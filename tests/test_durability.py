@@ -56,6 +56,7 @@ def _assert_recovered(db_path, expected, seed=crashkit.SEED):
         engine.backend.version == crashkit.BATCHES
     )
     assert sorted(report.views) == sorted(crashkit.VIEWS)
+    assert report.lattices_rematerialized == len(crashkit.VIEWS)
     return engine, report
 
 
@@ -70,23 +71,29 @@ class TestCrashMatrix:
             % (point, nth, status)
         )
         engine, report = _assert_recovered(db_path, reference)
-        if mode == "serial":
-            # Lattice snapshots are committed with every in-process
-            # batch, so recovery adopts them verbatim -- zero
-            # rematerialization when the WAL tail suffices.
-            assert report.lattices_rematerialized == 0
         assert engine.backend.version == crashkit.BATCHES
 
     def test_session_mode_rematerializes_only_lattices(self, tmp_path, reference):
-        # A ShardSession keeps owner lattices stale on purpose
-        # (lattice_version lags version), so recovery re-derives the
-        # lattices but still adopts every extent verbatim.
+        # A ShardSession's owner drops the lattices other parties
+        # maintain; recovery adopts every extent verbatim and
+        # materializes the lattices, equal to a fresh materialization.
+        from repro.storage.recovery import reopen
+
         db_path = str(tmp_path / "engine.db")
         status = crashkit.run_crashing_fork(db_path, "session", "after_commit_marker", 2)
         assert crashkit.died_by_sigkill(status)
-        engine, report = _assert_recovered(db_path, reference)
+        engine, report = reopen(
+            db_path,
+            crashkit.build_document(),
+            crashkit.view_sources(),
+            view_options=crashkit.view_options(),
+        )
         assert report.lattices_rematerialized == len(crashkit.VIEWS)
-        assert report.lattice_version < report.durable_version
+        assert crashkit.lattice_digest(engine.views) == crashkit.fresh_lattice_digest(
+            engine.views, engine.document
+        )
+        engine.backend.close()
+        _assert_recovered(db_path, reference)
 
 
 class TestCleanShutdown:
@@ -99,7 +106,6 @@ class TestCleanShutdown:
         assert report.replayed_batches == 0
         assert report.truncated_bytes == 0
         assert report.torn_reason is None
-        assert report.lattices_rematerialized == 0
         assert report.durable_version == crashkit.BATCHES
 
     def test_subprocess_crash_dies_by_sigkill(self, tmp_path, reference):
@@ -129,6 +135,4 @@ def test_random_crash_cells_recover_identically(seed, mode, point, nth):
         db_path = tmp + "/engine.db"
         status = crashkit.run_crashing_fork(db_path, mode, point, nth, seed=seed)
         assert crashkit.died_by_sigkill(status)
-        engine, report = _assert_recovered(db_path, expected, seed=seed)
-        if mode == "serial":
-            assert report.lattices_rematerialized == 0
+        _assert_recovered(db_path, expected, seed=seed)

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from harness import crashkit
 from repro.maintenance.engine import MaintenanceEngine
 from repro.obs import Observability
 from repro.sharding import (
@@ -39,8 +40,8 @@ VIEWS = ("Q1", "Q2", "Q3", "Q4", "Q6")
 
 
 def _engine(scale=1, views=VIEWS, obs=None, strategy="snowcaps"):
-    # Snowcaps unless a test says otherwise: migrations ship lattice
-    # rows, and a leaves lattice has none to ship.
+    # Snowcaps unless a test says otherwise: a migrated view rebuilds
+    # its lattice, and a leaves lattice has nothing to rebuild.
     document = generate_document(scale=scale)
     engine = MaintenanceEngine(document, obs=obs)
     registered = {
@@ -61,18 +62,6 @@ def _drift_stream(batches=6, scale=1, seed=3, families=None):
     return [UpdateBatch(row) for row in rows if row]
 
 
-def _lattice_fingerprint(registered):
-    """Materialized snowcap relations as comparable ID tuples."""
-    lattice = registered.lattice
-    assert lattice.strategy != "snowcaps" or lattice.materialized_sets()
-    fingerprint = {}
-    for subset in lattice.materialized_sets():
-        relation = lattice.relation_for(subset)
-        fingerprint[subset] = (
-            relation.schema,
-            sorted(tuple(cell.id for cell in row) for row in relation.rows),
-        )
-    return fingerprint
 
 
 #: weights that strand every view but Q1 on one worker: Q1's real
@@ -304,9 +293,7 @@ class TestSessionMigration:
                 serial_views[name].view.content() == views[name].view.content()
             ), name
             assert views[name].view.equals_fresh_evaluation(document), name
-            assert _lattice_fingerprint(serial_views[name]) == _lattice_fingerprint(
-                views[name]
-            ), name
+        assert crashkit.lattice_digest(serial_views) == crashkit.lattice_digest(views)
 
     def _run_adaptive(self, batches, policy):
         # A real Observability so repro_session_migrations_total counts
@@ -503,8 +490,6 @@ class TestAdaptiveEquivalenceProperty:
             assert adaptive_views[name].view.equals_fresh_evaluation(
                 adaptive_doc
             ), name
-            serial_lattice = _lattice_fingerprint(serial_views[name])
-            assert serial_lattice == _lattice_fingerprint(frozen_views[name]), name
-            assert serial_lattice == _lattice_fingerprint(
-                adaptive_views[name]
-            ), name
+        serial_lattices = crashkit.lattice_digest(serial_views)
+        assert serial_lattices == crashkit.lattice_digest(frozen_views)
+        assert serial_lattices == crashkit.lattice_digest(adaptive_views)

@@ -12,16 +12,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.relation import Relation
 from repro.maintenance.delete import (
     merge_addition_fragments,
     merge_embedding_fragments,
 )
+from harness import crashkit
 from repro.maintenance.engine import MaintenanceEngine
 from repro.maintenance.queue import ApplyQueue
-from repro.sharding import ShardSession, resolve_snowcap_fragment
+from repro.sharding import ShardSession
 from repro.updates.language import UpdateBatch
-from repro.views.lattice import SnowcapLattice
 from repro.workloads.churn import churn_batches
 from repro.workloads.queries import view_pattern
 from repro.workloads.updates import statement_stream
@@ -78,31 +77,6 @@ class TestMerge:
         two = {(a, b): ("row1",), (a, a.child("b", (2,))): ("row1",)}
         merged = merge_embedding_fragments([one, two])
         assert merged == {("row1",): 2}
-
-    def test_resolve_snowcap_fragment_roundtrip(self, people_document):
-        person = people_document.nodes_with_label("person")[0]
-        name = people_document.nodes_with_label("name")[0]
-        fragment = {
-            frozenset({"person#1", "name#1"}): (
-                ("person#1", "name#1"),
-                [(person.id, name.id)],
-            )
-        }
-        relations = resolve_snowcap_fragment(fragment, people_document)
-        assert relations[frozenset({"person#1", "name#1"})].rows == [(person, name)]
-
-    def test_resolve_snowcap_fragment_passes_relations_through(self, people_document):
-        relation = Relation(("person#1",), [(people_document.nodes_with_label("person")[0],)])
-        fragment = {frozenset({"person#1"}): relation}
-        assert resolve_snowcap_fragment(fragment, people_document)[
-            frozenset({"person#1"})
-        ] is relation
-
-    def test_resolve_snowcap_fragment_rejects_dead_ids(self, people_document):
-        ghost = DeweyID.root("site").child("nowhere", (9,))
-        fragment = {frozenset({"x#1"}): (("x#1",), [(ghost,)])}
-        with pytest.raises(LookupError):
-            resolve_snowcap_fragment(fragment, people_document)
 
 
 # -- engine equivalence ------------------------------------------------------
@@ -427,26 +401,6 @@ class TestShardedPropagation:
 # -- the owner as party 0 -----------------------------------------------------
 
 
-def _lattice_rows(lattice):
-    """Materialized snowcaps as sorted binding-ID rows (bags compare equal)."""
-    return {
-        subset: sorted(
-            tuple(cell.id for cell in row) for row in lattice.relation_for(subset).rows
-        )
-        for subset in lattice.materialized_sets()
-    }
-
-
-def _fresh_lattice_rows(registered, document):
-    """Fresh materialization of the registered view's lattice strategy;
-    a snowcaps lattice under test must hold relations (non-vacuity)."""
-    strategy = registered.lattice.strategy
-    assert strategy != "snowcaps" or registered.lattice.materialized_sets()
-    fresh = SnowcapLattice(registered.pattern, strategy=strategy)
-    fresh.materialize(document)
-    return _lattice_rows(fresh)
-
-
 class TestOwnerParty:
     @pytest.mark.parametrize("backend", ["memory", "durable"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -487,7 +441,7 @@ class TestOwnerParty:
                 if workers > 1 and index == 1:
                     move(0, workers - 1, 4096)  # out of party 0, shipped
                 if workers > 1 and index == 2:
-                    move(1, 0, 4096)  # into party 0, lattice rows shipped
+                    move(1, 0, 4096)  # into party 0, extent pairs shipped
                 if workers > 1 and index == 4:
                     move(workers - 1, 0, 0)  # into party 0, rematerialized
                 if index == 3:
@@ -516,17 +470,43 @@ class TestOwnerParty:
         assert flips > 0  # the stream really exercised σ-flip repair
         for name in VIEWS:
             assert views[name].view._store is stores[name], name
-            assert _lattice_rows(views[name].lattice) == _fresh_lattice_rows(
-                views[name], document
-            ), name
+        assert crashkit.lattice_digest(views) == crashkit.fresh_lattice_digest(
+            views, document
+        )
         if engine.backend is not None:
             engine.backend.close()
 
-    def test_sync_durability_mid_session_keeps_lattices_lagging(self, tmp_path):
-        # A caller checkpointing a live durable session must not record
-        # the owner's dropped or stale lattices as current: recovery has
-        # to rematerialize them, so every recovered relation equals
-        # fresh materialization.
+    @pytest.mark.parametrize("ship_rows", [4096, 0])
+    def test_replica_adoption_rebuilds_the_lattice(self, ship_rows):
+        # The replica side of a migration, in-process: release every
+        # view, then adopt them back from shipped extent pairs (or, over
+        # the budget, by recomputing them).  Lattices never travel, so
+        # each dropped one must come back as a fresh materialization.
+        from repro.sharding.session import _serve_migration
+
+        document = generate_document(scale=1)
+        engine = MaintenanceEngine(document)
+        for name in VIEWS:
+            engine.register_view(view_pattern(name), name, strategy="snowcaps")
+        engine.apply_batch(list(churn_batches(generate_document(scale=1), 1, seed=11)[0]))
+        before = {name: r.view.content() for name, r in engine.views.items()}
+        idle = {}
+        shipped = _serve_migration(engine, idle, ("migrate_out", list(VIEWS), ship_rows))
+        assert all((pairs is None) == (ship_rows == 0) for pairs in shipped.values())
+        for registered in idle.values():
+            registered.lattice.drop()
+        _serve_migration(engine, idle, ("migrate_in", shipped))
+        assert not idle
+        assert {name: r.view.content() for name, r in engine.views.items()} == before
+        assert crashkit.lattice_digest(engine.views) == crashkit.fresh_lattice_digest(
+            engine.views, document
+        )
+
+    def test_sync_durability_mid_session_reopens_fresh_lattices(self, tmp_path):
+        # A caller checkpointing a live durable session, whose owner has
+        # dropped the lattices other parties maintain, stores extents
+        # only: recovery materializes every lattice from the replayed
+        # document, equal to a fresh materialization.
         from repro.storage.recovery import reopen
         from repro.workloads.queries import VIEW_TEXTS
 
@@ -551,15 +531,14 @@ class TestOwnerParty:
                 view_options={name: {"strategy": "snowcaps"} for name in names},
             )
             try:
-                assert report.lattices_rematerialized > 0
+                assert report.lattices_rematerialized == len(names)
                 for name in names:
-                    registered = recovered.views[name]
-                    assert registered.view.equals_fresh_evaluation(
+                    assert recovered.views[name].view.equals_fresh_evaluation(
                         recovered.document
                     ), name
-                    assert _lattice_rows(registered.lattice) == _fresh_lattice_rows(
-                        registered, recovered.document
-                    ), name
+                assert crashkit.lattice_digest(
+                    recovered.views
+                ) == crashkit.fresh_lattice_digest(recovered.views, recovered.document)
             finally:
                 recovered.backend.close()
         finally:

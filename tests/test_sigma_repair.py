@@ -15,10 +15,10 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from harness import crashkit
 from repro.maintenance.engine import MaintenanceEngine
 from repro.sharding import ShardSession
 from repro.updates.language import UpdateBatch
-from repro.views.lattice import SnowcapLattice
 from repro.workloads.churn import churn_batches
 from repro.workloads.queries import view_pattern
 from repro.workloads.updates import statement_stream
@@ -34,32 +34,13 @@ def _register(engine, views=VIEWS, **options):
     }
 
 
-def _lattice_id_rows(lattice):
-    """Materialized lattice content as sorted binding-ID rows."""
-    return {
-        subset: sorted(
-            tuple(cell.id for cell in row) for row in lattice.relation_for(subset).rows
-        )
-        for subset in lattice.materialized_sets()
-    }
-
-
 def _assert_fresh(views, document, context, lattices=True):
     """Every extent (and lattice) equals fresh evaluation."""
     for name, registered in views.items():
         assert registered.view.equals_fresh_evaluation(document), (context, name)
-        if lattices:
-            strategy = registered.lattice.strategy
-            assert strategy != "snowcaps" or registered.lattice.materialized_sets(), (
-                context,
-                name,
-            )
-            fresh = SnowcapLattice(registered.pattern, strategy=strategy)
-            fresh.materialize(document)
-            assert _lattice_id_rows(registered.lattice) == _lattice_id_rows(fresh), (
-                context,
-                name,
-            )
+    if lattices:
+        fresh = crashkit.fresh_lattice_digest(views, document)
+        assert crashkit.lattice_digest(views) == fresh, context
 
 
 class TestChurnEquivalence:

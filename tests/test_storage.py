@@ -240,7 +240,7 @@ class TestBoundaryRefusals:
         store.put(("b",), 2)  # mirror updated, nothing journaled
         assert store.get(("b",)) == 2
         assert store.pending_ops == 1
-        backend.sync({})  # no-op in a child
+        backend.sync()  # no-op in a child
         backend.close()  # likewise guarded: inherited handles untouched
         backend._pid = real_pid
         backend.close()
@@ -257,7 +257,7 @@ class TestSqliteStore:
         store.put(("b", 2), 20)
         store.put(("a", 1), 10)
         store.delete(("b", 2))
-        backend.sync({})
+        backend.sync()
         backend.close()
         fresh = SqliteExtentBackend(path)
         assert fresh.stored_extent("v") == [(("a", 1), 10)]
@@ -268,9 +268,9 @@ class TestSqliteStore:
         backend = SqliteExtentBackend(path)
         store = backend.store_for("v")
         store.put(("stale",), 1)
-        backend.sync({})
+        backend.sync()
         store.load_sorted([(("fresh",), 2)])
-        backend.sync({})
+        backend.sync()
         backend.close()
         fresh = SqliteExtentBackend(path)
         assert fresh.stored_extent("v") == [(("fresh",), 2)]
@@ -286,14 +286,11 @@ class TestSqliteStore:
 
     def test_version_accounting(self, tmp_path):
         backend = SqliteExtentBackend(str(tmp_path / "db"))
-        assert (backend.version, backend.lattice_version) == (0, 0)
+        assert backend.version == 0
         batch_id = backend.begin_batch(["s1"])
         assert batch_id == 1
-        backend.commit_batch(batch_id, {})
-        assert (backend.version, backend.lattice_version) == (1, 1)
-        batch_id = backend.begin_batch(["s2"])
-        backend.commit_batch(batch_id, {}, include_lattices=False)
-        assert (backend.version, backend.lattice_version) == (2, 1)
+        backend.commit_batch(batch_id)
+        assert backend.version == 1
         backend.close()
 
 
@@ -368,7 +365,7 @@ def test_merge_shifts_journals_the_mirrors_projection(steps):
                 assert list(store.items()) == sorted(
                     reference.items(), key=lambda item: row_sort_key(item[0])
                 )
-                backend.sync({})
+                backend.sync()
                 assert backend.stored_extent("v") == [
                     ((row[0], None), count) for row, count in store.items()
                 ]
@@ -390,7 +387,7 @@ class TestReopenSurface:
     def test_version_ahead_of_wal_is_an_error(self, tmp_path, fig2_document):
         path = str(tmp_path / "db")
         backend = SqliteExtentBackend(path)
-        backend.commit_batch(backend.begin_batch(["s"]), {})
+        backend.commit_batch(backend.begin_batch(["s"]))
         backend.close()
         # Lose the whole WAL: the database now claims a history the log
         # cannot prove.
@@ -482,8 +479,8 @@ def _check_after_every_commit(engine, commits):
     backend = engine.backend
     commit_batch = backend.commit_batch
 
-    def checked(batch_id, views, include_lattices=True):
-        commit_batch(batch_id, views, include_lattices=include_lattices)
+    def checked(batch_id):
+        commit_batch(batch_id)
         for name, registered in engine.views.items():
             assert backend.stored_extent(name) == _id_projection(
                 registered.view
@@ -566,14 +563,14 @@ def _pending_ops_at_commit(engine):
     backend = engine.backend
     commit_batch = backend.commit_batch
 
-    def recording(batch_id, views, include_lattices=True):
+    def recording(batch_id):
         seen.append(
             {
                 name: registered.view._store.pending_ops
                 for name, registered in engine.views.items()
             }
         )
-        commit_batch(batch_id, views, include_lattices=include_lattices)
+        commit_batch(batch_id)
 
     backend.commit_batch = recording
     return seen
@@ -690,24 +687,17 @@ def test_unregistered_view_never_shares_a_table(tmp_path):
         recovered.backend.close()
 
 
-def _id_rows(lattice):
-    return {
-        subset: sorted(
-            tuple(cell.id.sort_key for cell in row)
-            for row in lattice.relation_for(subset).rows
-        )
-        for subset in lattice.materialized_sets()
-    }
-
-
 def test_default_strategy_keeps_no_lattice_and_either_strategy_reopens(tmp_path):
     # Leaves is the default: registration materializes no lattice and a
-    # plain reopen rematerializes nothing.  A snowcaps database reopened
-    # as snowcaps adopts its persisted lattices; one reopened as leaves
-    # in between must not leave a stale snapshot to adopt later.
+    # plain reopen rebuilds nothing.  A snowcaps view reopens with its
+    # lattice materialized from the replayed document.  A database that
+    # still holds the lattice table and meta key of older builds
+    # reopens identically: nothing reads them.
+    import sqlite3
+
+    from harness import crashkit
     from repro.maintenance.engine import MaintenanceEngine
-    from repro.updates.language import InsertUpdate
-    from repro.views.lattice import DEFAULT_STRATEGY, SnowcapLattice
+    from repro.views.lattice import DEFAULT_STRATEGY
     from repro.workloads.queries import view_pattern
     from repro.workloads.updates import statement_stream
     from repro.workloads.xmark import generate_document
@@ -725,28 +715,34 @@ def test_default_strategy_keeps_no_lattice_and_either_strategy_reopens(tmp_path)
         engine.apply_batch(stream)
         engine.backend.close()
 
-    def reopened(path, view_options=None, batch=None):
+    def reopened(path, view_options=None):
         recovered, report = reopen(
             path, generate_document(scale=1), views, view_options=view_options
         )
-        if batch is not None:
-            recovered.apply_batch(batch)
         for name, registered in recovered.views.items():
             assert registered.view.equals_fresh_evaluation(recovered.document), name
             lattice = registered.lattice
             assert bool(lattice.materialized_sets()) == bool(view_options), name
-            fresh = SnowcapLattice(lattice.pattern, strategy=lattice.strategy)
-            fresh.materialize(recovered.document)
-            assert _id_rows(lattice) == _id_rows(fresh), name
+        lattices = crashkit.lattice_digest(recovered.views)
+        assert lattices == crashkit.fresh_lattice_digest(
+            recovered.views, recovered.document
+        )
+        state = (crashkit.extent_digest(recovered.views), lattices)
         recovered.backend.close()
-        return report
+        return report, state
 
     path = str(tmp_path / "leaves.db")
     run(path)
-    assert reopened(path).lattices_rematerialized == 0
+    assert reopened(path)[0].lattices_rematerialized == 0
     path = str(tmp_path / "snowcaps.db")
     run(path, strategy="snowcaps")
-    assert reopened(path, snowcaps).lattices_rematerialized == 0
-    person = "<person id='p'><name>P</name></person>"
-    reopened(path, batch=[InsertUpdate("/site/people", person)])
-    assert reopened(path, snowcaps).lattices_rematerialized == len(views)
+    report, state = reopened(path, snowcaps)
+    assert report.lattices_rematerialized == len(views)
+    connection = sqlite3.connect(path)
+    connection.executescript(
+        "CREATE TABLE lattices(view, subset, seq, payload);"
+        "INSERT INTO lattices VALUES('Q1', 'garbage', 0, x'00');"
+        "INSERT INTO meta VALUES('lattice_version', 0);"
+    )
+    connection.close()
+    assert reopened(path, snowcaps) == (report, state)

@@ -155,6 +155,19 @@ class TestUpdates:
         ids = [child.id for child in root.children]
         assert ids == sorted(ids)
 
+    def test_only_deleted_roots_are_retired(self, fig2_document):
+        # Descendants of a deleted root have deleted parents, so no
+        # insert can reissue their IDs: only the root needs retiring.
+        root = fig2_document.root
+        c, f = root.children
+        c_id = c.id
+        fig2_document.delete_subtree(c)
+        fig2_document.delete_subtree(f)
+        assert len(fig2_document._retired_ids) == 2
+        again = fig2_document.insert_subtree(root, parse_fragment("<c/>")[0], position=0)
+        assert again.id != c_id
+        assert fig2_document.node_by_id(c_id) is None
+
     def test_snapshot_label_immune_to_updates(self, fig2_document):
         snapshot = fig2_document.snapshot_label("b")
         fig2_document.delete_subtree(fig2_document.nodes_with_label("f")[0])
