@@ -72,16 +72,19 @@ class _SeedLabelIndex:
     def copy_label(self, label):
         return list(self._by_label.get(label, []))
 
-    # The subtree mutators the document calls, answered the seed's
-    # way: one add / remove per node.
+    # The subtree mutators the document calls (a subtree's nodes
+    # grouped into per-label runs), answered the seed's way: one add /
+    # remove per node.
 
-    def add_subtree(self, nodes):
-        for node in nodes:
-            self.add(node)
+    def add_runs(self, runs):
+        for run in runs.values():
+            for node in run.nodes:
+                self.add(node)
 
-    def remove_subtree(self, nodes):
-        for node in nodes:
-            self.remove(node)
+    def remove_runs(self, runs):
+        for run in runs.values():
+            for node in run:
+                self.remove(node)
 
     # The probe entry points LabelIndex has grown since, answered the
     # seed's way: a pass over the whole row (and a key list rebuilt

@@ -898,11 +898,9 @@ class MaintenanceEngine:
         # report-level (net_effects_seconds) rather than multiplied
         # into per-view phases.
         started = time.perf_counter()
-        inserted_nodes = application.net_inserted_nodes()
-        inserted_candidates = BatchCandidates(inserted_nodes)
-        inserted_ids = {node.id for node in inserted_nodes}
+        inserted_candidates = BatchCandidates(application.net_inserted_nodes())
         removed_candidates = BatchCandidates(application.net_removed_nodes())
-        report.net_inserted = len(inserted_ids)
+        report.net_inserted = len(inserted_candidates)
         report.net_removed = len(removed_candidates)
         report.cancelled = application.cancelled_count()
         if removed_candidates.nodes:
@@ -942,7 +940,6 @@ class MaintenanceEngine:
                 application=application,
                 watch=watch,
                 inserted_candidates=inserted_candidates,
-                inserted_ids=inserted_ids,
                 inserted_by_label=inserted_by_label,
                 removed_candidates=removed_candidates,
                 removed_by_label=removed_by_label,
@@ -969,7 +966,6 @@ class MaintenanceEngine:
         application: BatchApplication,
         watch: Dict[str, Dict[Tuple[DeweyID, str], bool]],
         inserted_candidates: BatchCandidates,
-        inserted_ids: set,
         inserted_by_label: Dict[str, List[DeweyID]],
         removed_candidates: BatchCandidates,
         removed_by_label: Dict[str, List[DeweyID]],
@@ -1013,9 +1009,7 @@ class MaintenanceEngine:
             ctx.refresh_due = any_targets and bool(pattern.content_nodes())
             ctx.minus_due = bool(touched_labels(pattern, removed_candidates))
             ctx.plus_due = bool(touched_labels(pattern, inserted_candidates))
-            flips = (
-                self._batch_flips(watch[name], inserted_ids) if watch[name] else {}
-            )
+            flips = self._batch_flips(watch[name], application.inserted_ids)
             if flips:
                 ctx.minus_sets, ctx.plus_sets = match_flips_to_pattern(pattern, flips)
                 if ctx.minus_sets or ctx.plus_sets:
@@ -1278,6 +1272,7 @@ class MaintenanceEngine:
         """Surviving pre-existing σ candidates that flipped this batch.
 
         Maps ``(node ID, constant)`` to ``(live node, satisfied now)``.
+        ``inserted_ids`` holds every ID the batch inserted.
         Batch-inserted survivors are skipped (the Δ+ side σ-filters
         them against final values) and removed candidates are skipped
         (the Δ− side reads their detached values, which the dirty-

@@ -321,6 +321,7 @@ class SqliteExtentBackend:
                 "database %s is in storage format %d; this build reads "
                 "format %d only" % (self.path, found, _FORMAT)
             )
+        cursor.execute("BEGIN")
         cursor.execute(
             "CREATE TABLE IF NOT EXISTS extents(view TEXT PRIMARY KEY, tbl TEXT NOT NULL)"
         )
@@ -328,6 +329,10 @@ class SqliteExtentBackend:
             cursor.execute(
                 "INSERT OR IGNORE INTO meta(key, value) VALUES(?, 0)", (key,)
             )
+        # Older builds of format 3 persisted snowcap lattices; nothing
+        # reads them any more, so an upgraded database sheds them here.
+        cursor.execute("DROP TABLE IF EXISTS lattices")
+        cursor.execute("DELETE FROM meta WHERE key = 'lattice_version'")
         self._conn.commit()
 
     def _meta(self, key: str) -> int:

@@ -10,9 +10,10 @@ operations:
   removed.
 
 ``apply_pul`` performs the document update, returning the *materialized
-effects*: inserted subtree roots carrying their freshly assigned Dewey
-IDs (the paper's ``apply-insert`` helper) or the complete removed node
-sets -- precisely the inputs of CD+ / CD−.
+effects*: each inserted subtree's nodes carrying their freshly assigned
+Dewey IDs (the paper's ``apply-insert`` helper; the document's one walk
+over the copy lists them, so nothing here walks it again) or the
+complete removed node sets -- precisely the inputs of CD+ / CD−.
 """
 
 from __future__ import annotations
@@ -137,19 +138,25 @@ class AppliedUpdate:
 
     def __init__(
         self,
-        inserted_roots: List[Node],
+        inserted_subtrees: List[List[Node]],
         removed_nodes: List[Node],
         apply_seconds: float,
     ):
-        #: Roots of inserted subtrees, with their new IDs (document order).
-        self.inserted_roots = inserted_roots
+        #: Each inserted subtree's nodes with their new IDs, in
+        #: document order, root first (:meth:`Document.insert_copy`).
+        self.inserted_subtrees = inserted_subtrees
         #: Every removed node, descendants included (document order).
         self.removed_nodes = removed_nodes
         self.apply_seconds = apply_seconds
 
+    @property
+    def inserted_roots(self) -> List[Node]:
+        """Roots of inserted subtrees, with their new IDs."""
+        return [nodes[0] for nodes in self.inserted_subtrees]
+
     def __repr__(self) -> str:
         return "AppliedUpdate(+%d trees, -%d nodes)" % (
-            len(self.inserted_roots),
+            len(self.inserted_subtrees),
             len(self.removed_nodes),
         )
 
@@ -204,10 +211,9 @@ class BatchApplication:
                 before_apply(index, statement, pul)
             applied = apply_pul(self.document, pul)
             self.apply_seconds += applied.apply_seconds
-            for root in applied.inserted_roots:
-                for node in root.self_and_descendants():
-                    self.inserted_records.append((node, index))
-                    self.inserted_ids.add(node.id)
+            for nodes in applied.inserted_subtrees:
+                self.inserted_records.extend([(node, index) for node in nodes])
+                self.inserted_ids.update([node.dewey for node in nodes])
             for node in applied.removed_nodes:
                 self.removed_records.append((node, index))
             self.puls.append(pul)
@@ -228,37 +234,18 @@ class BatchApplication:
 
     # -- net effects ------------------------------------------------------
 
-    def net_inserted_roots(self) -> List[Node]:
-        """Inserted subtree roots that survive the batch, outermost only.
-
-        A root is dropped when it was itself deleted later, or when it
-        sits inside another inserted subtree (its nodes are reachable
-        from the outer root's traversal)."""
-        roots: List[Node] = []
-        for applied in self.applied:
-            for root in applied.inserted_roots:
-                if self.document.node_by_id(root.id) is not root:
-                    continue  # cancelled: inserted then deleted
-                # Nested inside another inserted subtree?  Walk parent
-                # pointers (live chain) rather than rebuilding ancestor
-                # DeweyIDs.
-                walk = root.parent
-                nested = False
-                while walk is not None:
-                    if walk.dewey in self.inserted_ids:
-                        nested = True
-                        break
-                    walk = walk.parent
-                if not nested:
-                    roots.append(root)
-        return roots
-
     def net_inserted_nodes(self) -> List[Node]:
-        """Every batch-inserted node still in the document (Δ+)."""
-        out: List[Node] = []
-        for root in self.net_inserted_roots():
-            out.extend(root.self_and_descendants())
-        return out
+        """Every batch-inserted node still in the document (Δ+).  A
+        removed ID is never reissued, so a node survives exactly when
+        the document still resolves its ID to it."""
+        if not self.removed_records:
+            return [node for node, _index in self.inserted_records]
+        node_by_id = self.document.node_by_id
+        return [
+            node
+            for node, _index in self.inserted_records
+            if node_by_id(node.dewey) is node
+        ]
 
     def net_removed_records(self) -> List[Tuple[Node, int]]:
         """Pre-batch nodes removed by the batch (Δ−), with event index."""
@@ -327,15 +314,15 @@ class BatchApplication:
 def apply_pul(document: Document, pul: PendingUpdateList) -> AppliedUpdate:
     """Apply every atomic operation, in order, to the document."""
     started = time.perf_counter()
-    inserted_roots: List[Node] = []
+    inserted_subtrees: List[List[Node]] = []
     removed_nodes: List[Node] = []
     for op in pul.operations:
         if isinstance(op, AtomicInsert):
             for tree in op.forest:
-                inserted_roots.append(document.insert_subtree(op.target, tree))
+                inserted_subtrees.append(document.insert_copy(op.target, tree))
         else:
             if op.target.parent is None and op.target is not document.root:
                 continue  # already detached by an earlier delete
             removed_nodes.extend(document.delete_subtree(op.target))
     elapsed = time.perf_counter() - started
-    return AppliedUpdate(inserted_roots, removed_nodes, elapsed)
+    return AppliedUpdate(inserted_subtrees, removed_nodes, elapsed)

@@ -37,9 +37,11 @@ Invariants
     and a subtree is one contiguous key run, so a subtree's nodes of
     one label are one contiguous run of that label's lists: inserted
     subtrees carry fresh IDs (no live key falls in their range) and
-    deletes take whole subtrees.  ``add_subtree`` / ``remove_subtree``
-    therefore cost one bisect and one slice insert / delete per
-    *distinct label* of the subtree -- not one list shift per node.
+    deletes take whole subtrees.  The document's one walk over a
+    subtree hands the index that subtree's nodes already grouped into
+    per-label runs, so ``add_runs`` / ``remove_runs`` cost one bisect
+    and one slice insert / delete per *distinct label* of the subtree
+    -- not one list shift per node, and no regrouping pass.
 
 :class:`ValueIndex`
     Entries exist only for labels that have been queried at least once
@@ -49,10 +51,10 @@ Invariants
     flush the dirty set first, so a returned bucket always reflects
     current ``val``s.  Buckets are document-ordered (parallel sorted
     key lists, as above).  Consistency relies on the document calling
-    ``on_add`` / ``on_remove`` for every node entering/leaving the
-    document and ``on_val_change`` for every element whose text
-    descendants changed (the same ancestor walk that invalidates the
-    ``val`` cache).
+    ``on_add`` / ``on_remove`` with every subtree entering/leaving the
+    document (grouped by label, as its walk hands the label index) and
+    ``on_val_change`` for every element whose text descendants changed
+    (the same ancestor walk that invalidates the ``val`` cache).
 
     The pseudo-label ``"*"`` is served by an *all-labels* entry over
     every element in the document, built lazily from the ``elements``
@@ -65,7 +67,7 @@ Invariants
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, Iterator, List, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence
 
 _ABSENT = object()
 
@@ -178,33 +180,35 @@ class LabelIndex:
     def copy_label(self, label: str) -> List[Any]:
         return list(self._nodes.get(label, ()))
 
-    def add_subtree(self, nodes: Sequence[Any]) -> None:
-        """Index a subtree entering the document: ``nodes`` are all of
-        its nodes, in document order, under IDs no live node's key
-        range overlaps.  One bisect and one slice insert per label.
+    def add_runs(self, runs: Mapping[str, KeyedRows]) -> None:
+        """Index a subtree entering the document, given as its label
+        runs: for each label, the subtree's nodes of that label in
+        document order with their keys (a new label adopts the run's
+        lists).  The subtree's IDs are fresh, so no live key falls in
+        its range: one bisect and one slice insert per label.
 
         _ValueEntry keeps the same parallel-list discipline but inserts
         node by node: a value bucket's share of a subtree is not one
         run of it.
         """
-        for label, run in _label_runs(nodes).items():
-            run_keys = [node.id.sort_key for node in run]
+        for label, run in runs.items():
             row = self._nodes.get(label)
             if row is None:
-                self._nodes[label] = run
-                self._keys[label] = run_keys
+                self._nodes[label] = run.nodes
+                self._keys[label] = run.keys
                 continue
             keys = self._keys[label]
-            position = bisect.bisect(keys, run_keys[0])
-            keys[position:position] = run_keys
-            row[position:position] = run
+            position = bisect.bisect(keys, run.keys[0])
+            keys[position:position] = run.keys
+            row[position:position] = run.nodes
 
-    def remove_subtree(self, nodes: Sequence[Any]) -> None:
-        """Unindex a whole subtree leaving the document (``nodes`` as
-        for :meth:`add_subtree`).  One bisect and one slice delete per
-        label; raises :class:`LookupError` when a run's two ends are
-        not the indexed nodes, which means the index is corrupt."""
-        for label, run in _label_runs(nodes).items():
+    def remove_runs(self, runs: Mapping[str, Sequence[Any]]) -> None:
+        """Unindex a whole subtree leaving the document, given as its
+        label runs (each label's nodes of the subtree, document order).
+        One bisect and one slice delete per label; raises
+        :class:`LookupError` when a run's two ends are not the indexed
+        nodes, which means the index is corrupt."""
+        for label, run in runs.items():
             row = self._nodes.get(label, [])
             keys = self._keys.get(label, [])
             start = bisect.bisect_left(keys, run[0].id.sort_key)
@@ -224,18 +228,6 @@ class LabelIndex:
     def descendants(self, label: str, ancestor_id: Any) -> List[Any]:
         """The ``label`` nodes properly below ``ancestor_id``."""
         return self.keyed(label).below(ancestor_id)
-
-
-def _label_runs(nodes: Sequence[Any]) -> Dict[str, List[Any]]:
-    """``nodes`` grouped by label, each group kept in input order."""
-    runs: Dict[str, List[Any]] = {}
-    for node in nodes:
-        run = runs.get(node.label)
-        if run is None:
-            runs[node.label] = [node]
-        else:
-            run.append(node)
-    return runs
 
 
 class _ValueEntry:
@@ -258,7 +250,7 @@ class _ValueEntry:
 
     def _insert(self, node: Any, value: str) -> None:
         # Same parallel keys/nodes discipline as LabelIndex, node by
-        # node (see LabelIndex.add_subtree for why).
+        # node (see LabelIndex.add_runs for why).
         key = node.id.sort_key
         keys = self._keys.get(value)
         if keys is None:
@@ -347,23 +339,29 @@ class ValueIndex:
 
     # -- document notifications (cheap no-ops for untracked labels) -----
 
-    def on_add(self, node: Any) -> None:
-        entry = self._entries.get(node.label)
-        if entry is not None:
-            entry.mark(node)
-        if node.kind == "element":
-            wildcard = self._entries.get(WILDCARD_LABEL)
-            if wildcard is not None:
-                wildcard.mark(node)
+    def on_add(self, runs: Mapping[str, Iterable[Any]]) -> None:
+        """Nodes entering the document, grouped by label: nodes are
+        read only for a label with an entry or for the wildcard one."""
+        self._notify(runs, _ValueEntry.mark)
 
-    def on_remove(self, node: Any) -> None:
-        entry = self._entries.get(node.label)
-        if entry is not None:
-            entry.discard(node)
-        if node.kind == "element":
-            wildcard = self._entries.get(WILDCARD_LABEL)
+    def on_remove(self, runs: Mapping[str, Iterable[Any]]) -> None:
+        """Nodes leaving the document, grouped as for :meth:`on_add`."""
+        self._notify(runs, _ValueEntry.discard)
+
+    def _notify(self, runs: Mapping[str, Iterable[Any]], action) -> None:
+        entries = self._entries
+        if not entries:
+            return
+        wildcard = entries.get(WILDCARD_LABEL)
+        for label, nodes in runs.items():
+            entry = entries.get(label)
+            if entry is not None:
+                for node in nodes:
+                    action(entry, node)
             if wildcard is not None:
-                wildcard.discard(node)
+                for node in nodes:
+                    if node.kind == "element":
+                        action(wildcard, node)
 
     def on_val_change(self, node: Any) -> None:
         entry = self._entries.get(node.label)

@@ -12,7 +12,10 @@ insertion and deletion with one bisect and one slice per distinct
 label of the moved subtree (:class:`repro.xmldom.index.LabelIndex`),
 and a lazily built per-label value index
 (:class:`repro.xmldom.index.ValueIndex`) answers σ-constant selections
-(:meth:`Document.nodes_with_value`) without scanning.
+(:meth:`Document.nodes_with_value`) without scanning.  One preorder
+walk over an inserted subtree copies, numbers and registers each node
+and groups the copy into the label index's per-label runs; one walk
+over a deleted subtree collects it the same way.
 
 Elements memoize ``val`` and ``cont``, and both compose from their
 children's caches, so re-deriving either after a change costs the
@@ -39,7 +42,7 @@ Conventions:
 from __future__ import annotations
 
 import gc
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.xmldom.index import KeyedRows, LabelIndex, ValueIndex
 from repro.xmldom.dewey import (
@@ -168,8 +171,9 @@ class ElementNode(Node):
     subtree change (see the module docstring for the invariant).
     Detached construction (:meth:`append` / :meth:`set_attribute`)
     needs no invalidation: attached-tree mutations must go through the
-    document's ``insert_subtree`` / ``delete_subtree``, which deep-copy
-    their input and therefore never see pre-populated caches.
+    document's ``insert_subtree`` / ``delete_subtree``; an insert
+    builds fresh copies of its input and therefore never sees
+    pre-populated caches.
     """
 
     __slots__ = ("children", "_val_cache", "_cont_cache")
@@ -286,33 +290,23 @@ class ElementNode(Node):
                 child._collect_text(parts)
 
 
+def _shell(node: Node) -> Node:
+    """A detached, childless copy of one node (no ID)."""
+    kind = node.kind
+    if kind == "element":
+        return ElementNode(node.label)
+    if kind == "text":
+        return TextNode(node.text)  # type: ignore[attr-defined]
+    return AttributeNode(node.label, node.value)  # type: ignore[attr-defined]
+
+
 def deep_copy(node: Node) -> Node:
     """Structural copy of a subtree, detached (no parent, no IDs)."""
-    if isinstance(node, TextNode):
-        return TextNode(node.text)
-    if isinstance(node, AttributeNode):
-        return AttributeNode(node.name, node.value)
-    assert isinstance(node, ElementNode)
-    clone = ElementNode(node.label)
-    for child in node.children:
-        clone.append(deep_copy(child))
+    clone = _shell(node)
+    if isinstance(node, ElementNode):
+        for child in node.children:
+            clone.append(deep_copy(child))
     return clone
-
-
-def _number_below(top: Node) -> List[Node]:
-    """Give every proper descendant of ``top`` (already numbered) its
-    initial Dewey ID; returns the subtree's nodes in document order."""
-    nodes: List[Node] = []
-    stack: List[Node] = [top]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if isinstance(node, ElementNode):
-            node_id = node.id
-            for position, child in enumerate(node.children, start=1):
-                child.dewey = node_id.child(child.label, ordinal_initial(position))
-            stack.extend(reversed(node.children))
-    return nodes
 
 
 class Document:
@@ -346,10 +340,7 @@ class Document:
         gc.disable()
         try:
             self.root.dewey = DeweyID.root(self.root.label)
-            all_nodes = _number_below(self.root)
-            self._index.add_subtree(all_nodes)
-            for node in all_nodes:
-                self._by_id[node.id] = node
+            self._graft(self.root, self.root)
         finally:
             if collecting:
                 gc.enable()
@@ -434,9 +425,19 @@ class Document:
         child" (the XQuery Update ``insert into`` semantics used by the
         paper's ``ins↘`` operation).
         """
+        return self.insert_copy(parent, subtree, position)[0]
+
+    def insert_copy(
+        self,
+        parent: ElementNode,
+        subtree: Node,
+        position: Optional[int] = None,
+    ) -> List[Node]:
+        """:meth:`insert_subtree`, returning all of the copy's nodes
+        (its Δ+) in document order, root first, as :meth:`_graft`
+        listed them while building the copy."""
         if position is None:
             position = len(parent.children)
-        clone = deep_copy(subtree)
         ordinal = self._sibling_ordinal(parent, position)
         # Never reissue a retired ID: nudge the ordinal upward (staying
         # below the right sibling, if any) until the ID is fresh.
@@ -445,43 +446,84 @@ class Document:
             if position < len(parent.children)
             else None
         )
-        while parent.id.child(clone.label, ordinal) in self._retired_ids:
+        while parent.id.child(subtree.label, ordinal) in self._retired_ids:
             if right is None:
                 ordinal = ordinal_after(ordinal)
             else:
                 ordinal = ordinal_between(ordinal, right)
+        clone = _shell(subtree)
         clone.parent = parent
+        clone.dewey = parent.id.child(subtree.label, ordinal)
         parent.children.insert(position, clone)
-        clone.dewey = parent.id.child(clone.label, ordinal)
-        new_nodes = _number_below(clone)
-        self._index.add_subtree(new_nodes)
-        text_changed = False
-        for node in new_nodes:
-            self._by_id[node.id] = node
-            self._values.on_add(node)
-            if node.kind == "text":
-                text_changed = True
-        self._invalidate_ancestors(parent, text_changed)
-        return clone
+        return self._graft(clone, subtree)
+
+    def _graft(self, top: Node, source: Node) -> List[Node]:
+        """Number and index the subtree below ``top`` (already linked
+        and numbered) in one preorder walk, building it as a copy of
+        ``source``'s unless ``source`` is ``top`` (bulk loading numbers
+        in place).  Each node gets ``parent_id.child(label,
+        (position,))``, enters ``_by_id`` and joins its label's run for
+        the label and value indexes.  Returns the nodes in document
+        order."""
+        nodes: List[Node] = []
+        runs: Dict[str, KeyedRows] = {}
+        by_id = self._by_id
+        text = False
+        stack: List[Tuple[Node, Node]] = [(top, source)]
+        while stack:
+            node, origin = stack.pop()
+            nodes.append(node)
+            node_id = node.dewey
+            by_id[node_id] = node
+            run = runs.get(node.label)
+            if run is None:
+                runs[node.label] = KeyedRows([node], [node_id.sort_key])
+            else:
+                run.nodes.append(node)
+                run.keys.append(node_id.sort_key)
+            kind = node.kind
+            if kind == "element":
+                originals = origin.children
+                if not originals:
+                    continue
+                if origin is node:
+                    for position, child in enumerate(originals, 1):
+                        child.dewey = node_id.child(child.label, (position,))
+                else:
+                    for position, child in enumerate(originals, 1):
+                        copy = _shell(child)
+                        copy.parent = node
+                        copy.dewey = node_id.child(child.label, (position,))
+                        node.children.append(copy)
+                stack.extend(zip(reversed(node.children), reversed(originals)))
+            elif kind == "text":
+                text = True
+        self._index.add_runs(runs)
+        self._values.on_add(runs)
+        self._invalidate_ancestors(top.parent, text)
+        return nodes
 
     def delete_subtree(self, node: Node) -> List[Node]:
         """Remove ``node`` and its subtree; returns the removed nodes.
 
         Per XQuery Update semantics, deleting a node removes all its
         descendants as well; the returned list (document order) is what
-        CD− turns into Δ− tables.
+        CD− turns into Δ− tables.  One preorder walk collects it and its
+        label runs; children keep ordinal order and a key encodes the
+        ordinal before the label, so preorder is key order.
         """
         if node.parent is None:
             raise ValueError("cannot delete the document root")
-        removed = list(node.self_and_descendants())
-        removed.sort(key=lambda n: n.id.sort_key)
-        self._index.remove_subtree(removed)
+        removed: List[Node] = []
+        runs: Dict[str, List[Node]] = {}
         text_changed = False
-        for gone in removed:
-            self._by_id.pop(gone.id, None)
-            self._values.on_remove(gone)
-            if gone.kind == "text":
-                text_changed = True
+        for gone in node.self_and_descendants():
+            removed.append(gone)
+            self._by_id.pop(gone.dewey, None)
+            runs.setdefault(gone.label, []).append(gone)
+            text_changed = text_changed or gone.kind == "text"
+        self._index.remove_runs(runs)
+        self._values.on_remove(runs)
         self._retired_ids.add(node.id)
         parent = node.parent
         parent.children.remove(node)

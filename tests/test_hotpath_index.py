@@ -3,9 +3,10 @@
 The invariants under test:
 
 * LabelIndex rows and their parallel key lists stay equal to a sorted
-  rebuild under interleaved add_subtree/remove_subtree, on fake nodes
-  and on parsed documents; a subtree splices only its own labels'
-  rows, in place, and a run whose ends are not indexed raises;
+  rebuild under interleaved add_runs/remove_runs on fake nodes (on
+  documents, tests/test_xmldom.py::TestOneWalk checks the same); a
+  subtree splices only its own labels' rows, in place, and a run
+  whose ends are not indexed raises;
 * ValueIndex lookups (Document.nodes_with_value) always equal the
   brute-force σ-constant scan, across inserts, deletes and text-driven
   val changes;
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harness.four_walk import add_subtree, remove_subtree
 from repro.views.store import OrderedTupleStore
 from repro.xmldom.index import LabelIndex
 from repro.xmldom.model import (
@@ -76,11 +78,11 @@ class TestLabelIndex:
         live = []
         for step in range(300):
             if live and rng.random() < 0.4:
-                index.remove_subtree(live.pop(rng.randrange(len(live))))
+                remove_subtree(index, live.pop(rng.randrange(len(live))))
             else:
                 subtree = _fake_subtree(rng, (rng.random(), step))
                 live.append(subtree)
-                index.add_subtree(subtree)
+                add_subtree(index, subtree)
             _assert_rows_are_sorted_rebuild(
                 index.keyed, [n for subtree in live for n in subtree], "abc"
             )
@@ -88,22 +90,22 @@ class TestLabelIndex:
     def test_remove_subtree_raises_on_mismatched_run(self):
         index = LabelIndex()
         first, second = _FakeNode("a", (1, 0)), _FakeNode("a", (1, 1))
-        index.add_subtree([first, second])
+        add_subtree(index, [first, second])
         with pytest.raises(LookupError):
-            index.remove_subtree([_FakeNode("a", (1, 0))])  # same key, other node
+            remove_subtree(index, [_FakeNode("a", (1, 0))])  # same key, other node
         with pytest.raises(LookupError):
-            index.remove_subtree([first, _FakeNode("a", (1, 1))])  # far end differs
+            remove_subtree(index, [first, _FakeNode("a", (1, 1))])  # far end differs
         with pytest.raises(LookupError):
-            index.remove_subtree([first, second, _FakeNode("a", (1, 2))])  # too long
+            remove_subtree(index, [first, second, _FakeNode("a", (1, 2))])  # too long
         with pytest.raises(LookupError):
-            index.remove_subtree([_FakeNode("z", (1, 0))])  # label never indexed
+            remove_subtree(index, [_FakeNode("z", (1, 0))])  # label never indexed
         assert index.nodes("a") == [first, second]
 
     def test_add_subtree_splices_only_its_labels(self):
         index = LabelIndex()
-        index.add_subtree([_FakeNode("a", (2, 0)), _FakeNode("b", (2, 1)), _FakeNode("a", (2, 2))])
+        add_subtree(index, [_FakeNode("a", (2, 0)), _FakeNode("b", (2, 1)), _FakeNode("a", (2, 2))])
         row_a, row_b = index.nodes("a"), index.nodes("b")
-        index.add_subtree([_FakeNode("a", (1, 0)), _FakeNode("a", (1, 1))])
+        add_subtree(index, [_FakeNode("a", (1, 0)), _FakeNode("a", (1, 1))])
         assert [n.id.sort_key for n in index.nodes("a")] == [(1, 0), (1, 1), (2, 0), (2, 2)]
         # Rows are spliced in place (the lists handed out stay live);
         # the 'b' row was not touched at all.
@@ -113,37 +115,11 @@ class TestLabelIndex:
     def test_copy_label_is_detached(self):
         index = LabelIndex()
         node = _FakeNode("a", 1)
-        index.add_subtree([node])
+        add_subtree(index, [node])
         copied = index.copy_label("a")
-        index.remove_subtree([node])
+        remove_subtree(index, [node])
         assert copied == [node]
         assert index.nodes("a") == []
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_document_splices_match_sorted_rebuild(self, seed):
-        """Random subtree inserts and deletes on a parsed document keep
-        every label's rows equal to a sorted rebuild of the tree."""
-        rng = random.Random(seed)
-        doc = parse_document(
-            '<r><a k="1">x<b/></a><b><a>y</a>z</b><c k="2"><a/><c>w</c></c></r>'
-        )
-        for _ in range(8):
-            nodes = list(doc.root.self_and_descendants())
-            if rng.random() < 0.4 and len(nodes) > 1:
-                doc.delete_subtree(rng.choice(nodes[1:]))
-            else:
-                parent = rng.choice([n for n in nodes if n.kind == "element"])
-                snippet = rng.choice(
-                    ('<a k="3">q<b>r</b></a>', "<b><a/><a>s</a></b>", "<c/>", "<d>t</d>")
-                )
-                doc.insert_subtree(
-                    parent,
-                    parse_document(snippet).root,
-                    rng.randint(0, len(parent.children)),
-                )
-            live = list(doc.root.self_and_descendants())
-            _assert_rows_are_sorted_rebuild(doc.keyed_label, live, set(doc.labels()))
 
 
 def _brute_force_sigma(document, label, constant):

@@ -746,3 +746,12 @@ def test_default_strategy_keeps_no_lattice_and_either_strategy_reopens(tmp_path)
     )
     connection.close()
     assert reopened(path, snowcaps) == (report, state)
+    # ... and the reopen dropped both.
+    connection = sqlite3.connect(path)
+    assert connection.execute(
+        "SELECT name FROM sqlite_master WHERE name = 'lattices'"
+    ).fetchall() == []
+    assert connection.execute(
+        "SELECT key FROM meta WHERE key = 'lattice_version'"
+    ).fetchall() == []
+    connection.close()

@@ -1,9 +1,18 @@
 """Document model: trees, canonical relations, updates (Section 2.1)."""
 
 import gc
+import random
 
 import pytest
 
+from harness import four_walk
+from repro.updates.language import (
+    DeleteUpdate,
+    InsertUpdate,
+    ResolvedDeleteUpdate,
+    ResolvedInsertUpdate,
+)
+from repro.updates.pul import BatchApplication
 from repro.xmldom.model import (
     AttributeNode,
     ElementNode,
@@ -12,6 +21,7 @@ from repro.xmldom.model import (
     deep_copy,
 )
 from repro.xmldom.parser import parse_document, parse_fragment
+from repro.xmldom.serializer import serialize_fragment
 
 
 class TestConstruction:
@@ -188,3 +198,141 @@ class TestDeepCopy:
         clone = deep_copy(doc.root)
         assert clone.parent is None
         assert clone.dewey is None
+
+
+_ONE_WALK_XML = (
+    '<site><people><person id="p0"><name>Ann</name><b>x</b></person>'
+    '<person id="p1"><name>Bob</name></person></people>'
+    '<items><item n="1">a<b>x</b>c</item><item n="2"><b>y</b>z</item></items></site>'
+)
+_ONE_WALK_FRAGMENTS = (
+    '<person id="q"><name>Cy</name><b>x</b></person>',
+    "<b>x</b>",
+    '<item n="3"><b>y</b>tail<name>x</name></item>',
+    "loose text",
+    "<e/>",
+)
+
+
+class TestOneWalk:
+    """The one-walk insert and delete (``Document._graft``, the delete
+    walk, ``BatchApplication.net_inserted_nodes`` as a record filter)
+    against the four-walk oracle in ``tests/harness/four_walk.py``, on
+    seeded random batch streams: after every step both documents hold
+    the same tree, IDs, ``_by_id``, label rows and value buckets, and
+    both batches the same Δ+ and removed nodes."""
+
+    def test_matches_the_four_walk_oracle(self):
+        nudges = unfiltered = cancelled = 0
+        for seed in range(3):
+            rng = random.Random(seed)
+            new = build_document(parse_fragment(_ONE_WALK_XML)[0])
+            old = four_walk.FourWalkDocument(parse_fragment(_ONE_WALK_XML)[0])
+            for document in (new, old):
+                # Live value-index entries: one label, and the wildcard.
+                document.keyed_value("b", "x")
+                document.keyed_value("*", "x")
+            self._assert_same(new, old)
+            for batch in range(12):
+                nudges += self._move_back(rng, new, old)
+                self._assert_same(new, old)
+                statements = self._batch(rng, new, batch, deletes=batch % 3 != 0)
+                ours = BatchApplication(new, statements).apply()
+                theirs = BatchApplication(old, statements).apply()
+                self._assert_same(new, old)
+                net = sorted(n.id.sort_key for n in ours.net_inserted_nodes())
+                assert len(set(net)) == len(net)
+                assert net == sorted(
+                    n.id.sort_key for n in four_walk.net_inserted_nodes(theirs)
+                )
+                # The oracle sorts each delete's nodes by key; the walk
+                # lists them in preorder: the same order.
+                for mine, oracle in zip(ours.applied, theirs.applied):
+                    assert [n.id.sort_key for n in mine.removed_nodes] == [
+                        n.id.sort_key for n in oracle.removed_nodes
+                    ]
+                unfiltered += not ours.removed_records and bool(net)
+                cancelled += ours.cancelled_count()
+        assert nudges >= 30 and unfiltered == 12 and cancelled >= 50
+
+    @staticmethod
+    def _move_back(rng, new, old):
+        """Delete a child at position 0 or mid-list and insert a copy of
+        it at the same position on both documents; returns 1 when the
+        fresh ordinal first hit the retired ID (the nudge)."""
+        parents = [e for e in new.all_elements() if len(e.children) >= 3]
+        parent = rng.choice(parents)
+        position = rng.choice((0, len(parent.children) // 2))
+        gone = new.delete_subtree(parent.children[position])[0]
+        twin = old.node_by_id(parent.id)
+        old_gone = old.delete_subtree(twin.children[position])[0]
+        fresh = new._sibling_ordinal(parent, position)
+        nudged = parent.id.child(gone.label, fresh) in new._retired_ids
+        new.insert_subtree(parent, gone, position)
+        old.insert_subtree(twin, old_gone, position)
+        return int(nudged)
+
+    @staticmethod
+    def _batch(rng, document, batch, deletes):
+        """A statement stream: a fresh subtree, an insert under it (same
+        batch), random inserts, and -- unless ``deletes`` is false -- a
+        delete inside the fresh subtree plus random pre-batch deletes."""
+        label = "n%d" % batch
+        elements = list(document.all_elements())
+        statements = [
+            ResolvedInsertUpdate(
+                [rng.choice(elements).id],
+                '<%s k="v">t<q>u</q><q/></%s>' % (label, label),
+            ),
+            InsertUpdate("//%s" % label, rng.choice(_ONE_WALK_FRAGMENTS)),
+        ]
+        for _ in range(rng.randint(1, 3)):
+            statements.append(
+                ResolvedInsertUpdate(
+                    [rng.choice(elements).id], rng.choice(_ONE_WALK_FRAGMENTS)
+                )
+            )
+        if deletes:
+            statements.append(DeleteUpdate("//%s/q" % label))
+            nodes = [n for n in document.root.descendants()]
+            for _ in range(rng.randint(1, 2)):
+                statements.append(ResolvedDeleteUpdate([rng.choice(nodes).id]))
+                statements.append(
+                    ResolvedInsertUpdate(
+                        [rng.choice(elements).id], rng.choice(_ONE_WALK_FRAGMENTS)
+                    )
+                )
+        return statements
+
+    @staticmethod
+    def _assert_same(new, old):
+        assert serialize_fragment(new.root) == serialize_fragment(old.root)
+        live = list(new.root.self_and_descendants())
+        assert [(n.label, n.id.sort_key) for n in live] == [
+            (n.label, n.id.sort_key) for n in old.root.self_and_descendants()
+        ]
+        for document in (new, old):
+            nodes = list(document.root.self_and_descendants())
+            assert len(document._by_id) == len(nodes)
+            assert all(document._by_id[n.id] is n for n in nodes)
+        assert sorted(new.labels()) == sorted(old.labels())
+        for label in new.labels():
+            mine, oracle = new.keyed_label(label), old.keyed_label(label)
+            assert mine.keys == oracle.keys, label
+            # Each row is the sorted rebuild of the live tree.
+            row = sorted(
+                (n for n in live if n.label == label), key=lambda n: n.id.sort_key
+            )
+            assert mine.nodes == row, label
+            assert mine.keys == [n.id.sort_key for n in row], label
+        for label in ("b", "*"):
+            buckets = []
+            for document in (new, old):
+                document.keyed_value(label, "x")  # flush the dirty set
+                entry = document._values._entries[label]
+                assert {
+                    value: [n.id.sort_key for n in nodes]
+                    for value, nodes in entry._nodes.items()
+                } == entry._keys, label
+                buckets.append(entry._keys)
+            assert buckets[0] == buckets[1], label
