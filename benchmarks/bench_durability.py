@@ -1,19 +1,23 @@
 """Durability gate: reopen speedup, hot-path overhead, crash identity.
 
-Three gates, all against the sqlite + batch-WAL backend
+Three gates, all against the batch-WAL + sqlite-checkpoint backend
 (:mod:`repro.storage`):
 
 1. **Reopen speedup** -- recovering an engine via :func:`repro.storage.
-   recovery.reopen` (extent adoption + snowcap materialization from
-   the replayed document) must beat rebuilding the same views from
-   scratch (pattern evaluation + snowcap materialization + every
-   batch) by at least ``REOPEN_SPEEDUP_FLOOR``.
+   recovery.reopen` (extent adoption from the checkpoints + snowcap
+   materialization from the replayed document) must beat rebuilding
+   the same views from scratch (pattern evaluation + snowcap
+   materialization + every batch) by at least
+   ``REOPEN_SPEEDUP_FLOOR``.
 2. **Hot-path overhead** -- pushing the workload through a durable
-   engine (WAL append + journaled sqlite txn per batch) must cost at
-   most ``OVERHEAD_CEILING`` times the pure in-memory engine.
+   engine (a WAL DATA record and COMMIT marker per batch, a checkpoint
+   every ``CHECKPOINT_BATCHES``) must cost at most
+   ``OVERHEAD_CEILING`` times the pure in-memory engine.
 3. **Crash identity** -- for every named crash point, SIGKILLing the
-   workload mid-protocol, recovering, and finishing must produce
-   extent *and* lattice digests identical to an uninterrupted run.
+   workload mid-protocol (checkpointing every
+   ``crashkit.CHECKPOINT_BATCHES`` batches), recovering, and finishing
+   must produce extent *and* lattice digests identical to an
+   uninterrupted run.
 
 Writes one entry to ``benchmarks/out/BENCH_durability.json`` and, when
 ``GITHUB_STEP_SUMMARY`` is set, appends a markdown table.  Exits
@@ -178,9 +182,10 @@ def measure_reopen(tmp: str) -> dict:
     The alternative to durable extents is replaying the *entire* batch
     history through a fresh engine -- view maintenance per batch, cost
     proportional to how long the engine has been alive.  Reopen adopts
-    each extent's ID-projection rows, resolves their ``val``/``cont``
-    cells from the replayed document, materializes each snowcap lattice
-    from it, and replays at most one batch, so its cost is bounded by
+    each view's checkpointed ID-projection rows, resolves their
+    ``val``/``cont`` cells from the replayed document and materializes
+    each snowcap lattice from it; after the clean close measured here
+    it replays no batch through the engine, so its cost is bounded by
     the document replay + view size regardless of history.
     Both paths start from the same base document and end in the same
     state (extent and lattice digests checked).

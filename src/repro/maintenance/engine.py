@@ -65,6 +65,7 @@ from repro.maintenance.repair import (
     match_flips_to_pattern,
 )
 from repro.obs import NULL_OBS, Observability
+from repro.storage.crashpoints import crash_point
 from repro.storage.recovery import register_engine_factory
 from repro.storage.sqlite import SqliteExtentBackend
 from repro.pattern.evaluate import Sources
@@ -77,7 +78,7 @@ from repro.updates.language import (
 )
 from repro.updates.pul import BatchApplication
 from repro.views.lattice import DEFAULT_STRATEGY, SnowcapLattice
-from repro.views.view import MaterializedView, derived_columns
+from repro.views.view import MaterializedView
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.index import KeyedRows
 from repro.xmldom.model import Document, Node
@@ -449,10 +450,10 @@ class MaintenanceEngine:
         #: telemetry facade (:class:`repro.obs.Observability`); the
         #: shared null default makes every instrumentation site a no-op.
         self.obs = obs if obs is not None else NULL_OBS
-        #: optional durable backend (:mod:`repro.storage`): extents in
-        #: sqlite tables, batches write-ahead logged at apply_batch
-        #: boundaries.  A string is taken as a database path.  ``None``
-        #: (the default) keeps the historical all-in-memory behaviour.
+        #: optional durable backend (:mod:`repro.storage`): batches
+        #: write-ahead logged at apply_batch boundaries, extents
+        #: checkpointed to sqlite.  A string is taken as a database
+        #: path.  ``None`` (the default) keeps everything in memory.
         if isinstance(backend, str):
             backend = SqliteExtentBackend(backend, obs=self.obs)
         elif backend is not None:
@@ -517,23 +518,18 @@ class MaintenanceEngine:
         name = name or "view%d" % (len(self.views) + 1)
         if name in self.views:
             raise ValueError("a view named %r is already registered" % name)
-        # Built first: a strategy it rejects leaves no extent table behind.
+        # Built first: a strategy it rejects leaves no extent behind.
         lattice = SnowcapLattice(pattern, strategy=strategy, update_profile=update_profile)
-        view = MaterializedView.materialize(
-            pattern,
-            self.document,
-            name=name,
-            store_factory=(
-                self.backend.store_factory(name) if self.backend is not None else None
-            ),
-        )
+        view = MaterializedView.materialize(pattern, self.document, name=name)
         lattice.materialize(self.document)
         registered = RegisteredView(name, view, lattice, definition)
         self.views[name] = registered
         if self.backend is not None:
-            # Registration is durable at the current version: reopening
-            # before any batch adopts the freshly materialized extent.
-            self.backend.sync()
+            # Registration checkpoints the new view at the current
+            # version: a reopen adopts the freshly materialized extent
+            # and replays only the batches after it.
+            self.backend.track(name, view)
+            self.backend.checkpoint([name])
         return registered
 
     def adopt_view(
@@ -545,11 +541,12 @@ class MaintenanceEngine:
     ) -> RegisteredView:
         """Recovery seam: install a view from the durable backend.
 
-        The extent is read from the view's sqlite table (no pattern
-        evaluation): its rows are ID projections, whose ``val``/``cont``
-        cells are filled from this engine's document (replayed to the
-        table's version).  The lattice is never stored: a ``"snowcaps"``
-        lattice is materialized from the same document.
+        The extent is read from the view's checkpoint record (no
+        pattern evaluation): its rows are ID projections, whose
+        ``val``/``cont`` cells are filled from this engine's document
+        (replayed to the record's version).  The lattice is never
+        stored: a ``"snowcaps"`` lattice is materialized from the same
+        document.
         """
         self._check_no_active_session()
         if self.backend is None:
@@ -557,26 +554,19 @@ class MaintenanceEngine:
         pattern, definition = _resolve_view_source(view_source)
         if name in self.views:
             raise ValueError("a view named %r is already registered" % name)
-        # Read the durable rows *before* building the view: the store
-        # factory registers the extent table on first use, which would
-        # turn "this view was never durable" (KeyError, caller's bug)
-        # into a silently empty extent.
-        pattern.validate_for_maintenance()
         lattice = SnowcapLattice(pattern, strategy=strategy, update_profile=update_profile)
-        content = self.backend.load_extent(
-            name, derived_columns(pattern), self.document
+        view = MaterializedView(pattern, name=name)
+        view._store.load_sorted(
+            self.backend.load_extent(name, view.derived, self.document)
         )
-        view = MaterializedView(
-            pattern, name=name, store_factory=self.backend.store_factory(name)
-        )
-        view._store.adopt(content)
+        self.backend.track(name, view)
         lattice.materialize(self.document)
         registered = RegisteredView(name, view, lattice, definition)
         self.views[name] = registered
         return registered
 
     def sync_durability(self) -> None:
-        """Flush buffered extent ops (no-op without a backend;
+        """Checkpoint every view (no-op without a backend;
         ``ApplyQueue.close`` and session close call this so a clean
         shutdown leaves nothing to replay)."""
         if self.backend is not None:
@@ -707,7 +697,8 @@ class MaintenanceEngine:
         return self.backend.begin_batch(statements)
 
     def _durability_commit(self, batch_id) -> None:
-        """Seal the batch: commit marker + one sqlite txn.
+        """Seal the batch: its WAL commit marker (and, every
+        ``CHECKPOINT_BATCHES`` batches, a checkpoint).
 
         Runs in a ``finally`` so even a raising (poison) batch commits
         -- statement application is deterministic, so recovery replay
@@ -1183,6 +1174,7 @@ class MaintenanceEngine:
                         ctx.additions, ctx.removals, ctx.rewrites
                     )
                 )
+            crash_point("mid_bulk_apply")
             ctx.report.derivations_added = added
             ctx.report.tuples_removed = tuples_removed
             ctx.report.derivations_removed = derivations_removed
@@ -1298,7 +1290,7 @@ class MaintenanceEngine:
             registered.pattern, self.document, name=registered.name
         )
         # Content-level reload: the registered view keeps its store
-        # object (and, with a durable backend, its table binding).
+        # object.
         registered.view.reload_content(fresh.content())
         registered.lattice.materialize(self.document)
 

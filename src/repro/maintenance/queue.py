@@ -185,9 +185,8 @@ class ApplyQueue:
         self._worker.join(timeout)
         if self._worker.is_alive():
             raise TimeoutError("worker did not stop")
-        # Durable engines checkpoint on close: buffered extent ops
-        # land in sqlite so a clean shutdown leaves no WAL tail to
-        # replay.
+        # Durable engines checkpoint every view on close, so a clean
+        # shutdown leaves no batch to replay through the engine.
         sync = getattr(self.engine, "sync_durability", None)
         if sync is not None:
             sync()

@@ -85,7 +85,8 @@ drops the view, and the assignment map flips only after both sides
 acked.  Party 0 serves the same release/adopt steps in-process: it
 ships its authoritative extent pairs and drops the lattice, and on
 adopting it only **materializes the lattice** -- its extent store is
-authoritative (and possibly bound to sqlite), so it is never replaced.
+authoritative (and what a durable engine checkpoints), so it is never
+replaced.
 Extents stay byte-identical to serial propagation throughout, and a
 failure mid-migration degrades exactly like a dead replica.
 """
@@ -473,8 +474,8 @@ class ShardSession:
         report.workers = self.workers
         if not statements:
             return report
-        # Durable engines WAL the batch here too and commit the owner's
-        # authoritative extents.
+        # Durable engines WAL the batch here too; their checkpoints
+        # read the owner's authoritative extents.
         batch_id = self.engine._durability_begin(statements)
         try:
             with self.obs.span(
@@ -879,7 +880,7 @@ class ShardSession:
             self.engine.views[name].lattice.materialize(self.engine.document)
         self._stale_lattices.clear()
         self.engine._shard_session_active = False
-        # With a durable backend, checkpoint any buffered extent ops.
+        # With a durable backend, checkpoint every view.
         self.engine.sync_durability()
 
     def __enter__(self) -> "ShardSession":

@@ -1,28 +1,26 @@
-"""Durable extent storage: sqlite backend, batch WAL, crash recovery.
+"""Durable extent storage: batch WAL, view checkpoints, crash recovery.
 
 ROADMAP item 1: every extent historically lived in an in-memory
 :class:`~repro.views.store.OrderedTupleStore`, so a process restart
 forced full rematerialization.  This package adds
 
-* :mod:`repro.storage.keyenc` -- order-preserving blob encoding of view
-  tuples (Dewey sort keys included), so a sqlite B-tree orders rows
-  exactly like the in-memory store's bisects;
-* :mod:`repro.storage.sqlite` -- :class:`SqliteTupleStore` (the full
-  ``OrderedTupleStore`` contract, write-through to one table per view
-  extent) and :class:`SqliteExtentBackend` (the per-engine database:
-  extent tables and batch versions; snowcap lattices are rebuilt from
-  the document, never stored);
 * :mod:`repro.storage.wal` -- an append-only log of coalesced batches
   written at batch boundaries, each record checksummed and sealed by a
-  commit marker;
+  commit marker: a durable batch commits with these two appends;
+* :mod:`repro.storage.sqlite` -- :class:`SqliteExtentBackend` (the
+  per-engine database: one checkpoint record per view, the ID
+  projection of its extent at some batch version; snowcap lattices
+  are rebuilt from the document, never stored);
 * :mod:`repro.storage.recovery` -- reopen a database after a crash:
-  truncate the torn WAL tail, replay the document, adopt the durable
-  extents and replay only the WAL entries past the last durably-flipped
-  view version instead of rematerializing.
+  truncate the torn WAL tail, replay the document up to the oldest
+  checkpoint, adopt each view's record and replay only the batches
+  past it through the engine instead of rematerializing;
+* :mod:`repro.storage.keyenc` -- order-preserving blob encoding of view
+  tuples (Dewey sort keys included), the row keys of storage format 3.
 
 The crash model is process death (SIGKILL, the crash-injection harness
 under ``tests/harness/``): buffered writes flushed to the OS survive,
-so neither the WAL nor sqlite needs fsync on the hot path.
+so neither the WAL nor sqlite needs fsync.
 """
 
 from repro.storage.keyenc import encode_key
@@ -32,7 +30,7 @@ from repro.storage.recovery import (
     register_engine_factory,
     reopen,
 )
-from repro.storage.sqlite import SqliteExtentBackend, SqliteTupleStore
+from repro.storage.sqlite import SqliteExtentBackend
 from repro.storage.wal import BatchWal, WalRecord
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "RecoveryError",
     "RecoveryReport",
     "SqliteExtentBackend",
-    "SqliteTupleStore",
     "WalRecord",
     "encode_key",
     "register_engine_factory",

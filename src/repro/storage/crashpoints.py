@@ -7,9 +7,13 @@ the process SIGKILLs itself -- no cleanup handlers, no atexit, exactly
 the adversarial death the durability layer must survive.  The points:
 
 * ``after_wal_append``   -- WAL data record written, nothing applied;
-* ``mid_bulk_apply``     -- some extents updated in memory, none durable;
+* ``mid_bulk_apply``     -- in the engine's store pass: some extents
+  updated in memory, none durable;
 * ``before_commit_marker`` -- batch fully applied, marker not written;
-* ``after_commit_marker``  -- marker written, sqlite txn not committed.
+* ``after_commit_marker``  -- marker written: the batch is durable and
+  no sqlite transaction follows (unless a checkpoint is due);
+* ``mid_checkpoint``     -- inside a checkpoint's sqlite transaction,
+  after at least one view record has been written.
 
 With the variable unset (every production run) the hook is a single
 ``None`` check.  The environment is read once at import: the spec is
@@ -27,6 +31,7 @@ CRASH_POINTS = (
     "mid_bulk_apply",
     "before_commit_marker",
     "after_commit_marker",
+    "mid_checkpoint",
 )
 
 _SPEC = os.environ.get("REPRO_CRASH_POINT")

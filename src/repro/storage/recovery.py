@@ -1,23 +1,30 @@
 """Crash recovery: reopen a durable engine from its database + WAL.
 
-The commit protocol (:mod:`repro.storage.sqlite`) guarantees that after
-any process death the sqlite version ``V`` and the WAL's last committed
-batch ``C`` satisfy ``V in {C-1, C}``.  :func:`reopen` therefore never
-re-evaluates a view extent whose table is intact:
+The WAL (:mod:`repro.storage.wal`) is the durable history: a batch is
+committed iff its DATA record and COMMIT marker both survived.  The
+database holds one checkpoint record per view, each at its own
+version, never past the WAL's last committed batch ``C``
+(:mod:`repro.storage.sqlite`).  :func:`reopen` re-evaluates no view
+whose record is intact:
 
 1. scan the WAL, truncate the torn tail (a record whose header,
    payload or checksum did not survive) *and* any intact-but-
    uncommitted suffix -- exactly the writes the crashed process never
    acknowledged, never a committed batch;
 2. rebuild the document by replaying the committed statement payloads
-   ``1..V`` (pure document application, no view work);
-3. adopt every view: extent rows from its sqlite table, their
-   ``val``/``cont`` cells resolved from the replayed document through
-   their ID cells; a snowcaps view's lattice, which is never stored,
-   is materialized from the replayed document;
-4. replay the WAL tail ``V+1..C`` -- at most one batch -- through the
-   full engine, with the backend in replay mode so nothing is
-   re-appended to the WAL.
+   ``1..K``, ``K`` being the smallest checkpoint version among the
+   views (pure document application, no view work);
+3. adopt every view checkpointed at ``K``: extent rows from its
+   record, their ``val``/``cont`` cells resolved from the replayed
+   document through their ID cells; a snowcaps view's lattice, which
+   is never stored, is materialized from the replayed document;
+4. replay ``K+1..C`` through the full engine, with the backend in
+   replay mode so nothing is re-appended to the WAL, adopting each
+   remaining view once the replay reaches its checkpoint's version.
+
+``C - K`` is at most ``CHECKPOINT_BATCHES`` after a crash, unless a
+view registered since the last full checkpoint; after a clean close
+every record is at ``C`` and nothing replays through the engine.
 
 Layering: this module sits *below* ``repro.maintenance`` and never
 imports it; the engine class plugs itself in at import time through
@@ -132,7 +139,7 @@ def reopen(
     obs = obs if obs is not None else NULL_OBS
     replayed_counter = obs.metrics.counter(
         "repro_recovery_replayed_batches",
-        "WAL tail batches replayed through the engine on reopen",
+        "batches replayed through the engine on reopen",
     )
     report = RecoveryReport(path=path)
     with obs.span("recovery"):
@@ -151,43 +158,51 @@ def reopen(
         report.last_committed_batch = last_committed
 
         backend = SqliteExtentBackend(path, obs=obs)
-        version = backend.version
-        report.durable_version = version
-        if version > last_committed:
+        if backend.version > last_committed:
             raise RecoveryError(
                 "database version %d is ahead of the WAL's last committed "
-                "batch %d; the log is not this database's" % (version, last_committed)
+                "batch %d; the log is not this database's"
+                % (backend.version, last_committed)
             )
+        durable = backend.checkpoint_versions()
+        for name in views:
+            if name not in durable:
+                raise KeyError("no durable extent for view %r" % name)
+        start = min((durable[name] for name in views), default=last_committed)
+        report.durable_version = start
 
-        # Phase 2: document replay.  Statement application is
-        # deterministic, poison batches included: a batch that raised
-        # originally partial-applies identically here (the engine
-        # commits even failing batches for exactly this reason).
-        for batch_id in range(1, version + 1):
+        # Document replay up to the oldest checkpoint.  Statement
+        # application is deterministic, poison batches included: a
+        # batch that raised originally partial-applies identically here
+        # (the engine commits even failing batches for exactly this
+        # reason).
+        for batch_id in range(1, start + 1):
             try:
                 BatchApplication(document, batches[batch_id]).apply()
             except Exception:
                 pass
 
-        # Phase 3: adoption.  Extents come from the tables (derived
-        # cells resolved from the document replayed to V); snowcap
-        # lattices are materialized from that document.
         engine = factory(document, backend=backend, obs=obs, **(engine_options or {}))
-        for name, source in views.items():
-            options = dict(view_options.get(name, {})) if view_options else {}
-            registered = engine.adopt_view(source, name=name, **options)
-            report.views.append(name)
-            if registered.lattice.selected:
-                report.lattices_rematerialized += 1
+        backend.begin_replay(start, last_committed)
 
-        # Phase 4: WAL tail replay (at most one batch under the commit
-        # protocol) through the full engine, WAL appends suppressed.
-        backend.begin_replay(last_committed)
-        for batch_id in range(version + 1, last_committed + 1):
-            try:
-                engine.apply_batch(batches[batch_id])
-            except Exception:
-                pass
-            report.replayed_batches += 1
-            replayed_counter.inc()
+        # Engine replay past the oldest checkpoint, WAL appends
+        # suppressed.  A view joins once the replay reaches its record's
+        # version: the extent from the record (derived cells resolved
+        # from the document at that version), a snowcap lattice
+        # materialized from that document.
+        for version in range(start, last_committed + 1):
+            if version > start:
+                try:
+                    engine.apply_batch(batches[version])
+                except Exception:
+                    pass
+                report.replayed_batches += 1
+                replayed_counter.inc()
+            for name, source in views.items():
+                if durable[name] == version:
+                    options = dict(view_options.get(name, {})) if view_options else {}
+                    registered = engine.adopt_view(source, name=name, **options)
+                    report.views.append(name)
+                    if registered.lattice.selected:
+                        report.lattices_rematerialized += 1
     return engine, report

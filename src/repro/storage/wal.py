@@ -6,15 +6,15 @@ One record per event, framed as::
 
 ``type`` is ``DATA`` (the pickled coalesced statement list of one
 batch) or ``COMMIT`` (empty payload: the batch's effects are fully
-applied in memory and about to become durable).  The CRC covers the
-header fields *and* the payload, so a bit flip anywhere in a record is
-detected, not just in its body.  Batch IDs are assigned by the backend,
-monotonically from 1.
+applied in memory).  The CRC covers the header fields *and* the
+payload, so a bit flip anywhere in a record is detected, not just in
+its body.  Batch IDs are assigned by the backend, monotonically from 1.
 
 Durability protocol (see :mod:`repro.storage.sqlite`): ``DATA`` is
-appended before the batch touches any state, ``COMMIT`` after the
-in-memory application succeeds, and the sqlite version bump commits
-last.  A scan therefore classifies the tail unambiguously: a batch is
+appended before the batch touches any state and ``COMMIT`` after the
+in-memory application; nothing else is on the commit path, so the WAL
+*is* the durable history (sqlite holds checkpoints that only shorten
+recovery).  A scan classifies the tail unambiguously: a batch is
 *committed* iff both its records are intact; anything after the last
 intact record is a torn tail and is truncated on recovery.
 

@@ -13,7 +13,7 @@ import re
 from typing import List, Optional, Union
 
 from repro.pattern.xpath_parser import PathExpr, parse_xpath
-from repro.xmldom.model import Node
+from repro.xmldom.model import Node, build_forest, flatten_forest
 from repro.xmldom.parser import parse_fragment
 from repro.xmldom.serializer import serialize_fragment
 
@@ -61,6 +61,19 @@ class InsertUpdate(UpdateStatement):
 
     def fragment_xml(self) -> str:
         return "".join(serialize_fragment(tree) for tree in self.forest)
+
+    # The forest crosses the WAL and the session pipes as one flat
+    # preorder tuple, not a node graph.  Inserts copy their templates,
+    # so rebuilt trees need not share objects the way the originals may.
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["forest"] = flatten_forest(self.forest)
+        return state
+
+    def __setstate__(self, state) -> None:
+        state["forest"] = build_forest(state["forest"])
+        self.__dict__.update(state)
 
 
 class ResolvedDeleteUpdate(DeleteUpdate):

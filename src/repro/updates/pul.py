@@ -186,9 +186,9 @@ class BatchApplication:
         self.applied: List[AppliedUpdate] = []
         self.find_targets_seconds = 0.0
         self.apply_seconds = 0.0
-        #: every node inserted at any point, with the statement index;
-        #: IDs are captured at insert time (they survive later removal).
-        self.inserted_records: List[Tuple[Node, int]] = []
+        #: every node inserted at any point, in insertion order; IDs are
+        #: captured at insert time (they survive later removal).
+        self.inserted_records: List[Node] = []
         self.inserted_ids: set = set()
         #: every node removed at any point, with the statement index.
         self.removed_records: List[Tuple[Node, int]] = []
@@ -212,7 +212,7 @@ class BatchApplication:
             applied = apply_pul(self.document, pul)
             self.apply_seconds += applied.apply_seconds
             for nodes in applied.inserted_subtrees:
-                self.inserted_records.extend([(node, index) for node in nodes])
+                self.inserted_records.extend(nodes)
                 self.inserted_ids.update([node.dewey for node in nodes])
             for node in applied.removed_nodes:
                 self.removed_records.append((node, index))
@@ -239,12 +239,10 @@ class BatchApplication:
         removed ID is never reissued, so a node survives exactly when
         the document still resolves its ID to it."""
         if not self.removed_records:
-            return [node for node, _index in self.inserted_records]
+            return list(self.inserted_records)
         node_by_id = self.document.node_by_id
         return [
-            node
-            for node, _index in self.inserted_records
-            if node_by_id(node.dewey) is node
+            node for node in self.inserted_records if node_by_id(node.dewey) is node
         ]
 
     def net_removed_records(self) -> List[Tuple[Node, int]]:

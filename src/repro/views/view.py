@@ -51,35 +51,26 @@ def derived_columns(pattern: Pattern) -> Tuple[DerivedColumn, ...]:
 class MaterializedView:
     """The stored extent of a tree-pattern view."""
 
-    def __init__(self, pattern: Pattern, name: str = "view", store_factory=None):
+    def __init__(self, pattern: Pattern, name: str = "view"):
         pattern.validate_for_maintenance()
         self.pattern = pattern
         self.name = name
         self.columns: List[str] = view_columns(pattern)
         #: the derived (val/cont) columns: functions of ID cells over
-        #: the document, so a durable store persists only the IDs.
+        #: the document, so a durable checkpoint persists only the IDs.
         self.derived = derived_columns(pattern)
         # C-comparable ordering keys keep the hot store bisects off
-        # DeweyID's Python-level rich comparisons.  ``store_factory``
-        # swaps in another implementation of the same contract (the
-        # durable sqlite-backed store orders by key blobs instead).
-        if store_factory is None:
-            self._store = OrderedTupleStore(order_key=row_sort_key)
-        else:
-            self._store = store_factory(order_key=row_sort_key, derived=self.derived)
+        # DeweyID's Python-level rich comparisons.
+        self._store = OrderedTupleStore(order_key=row_sort_key)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def materialize(
-        cls,
-        pattern: Pattern,
-        document: Document,
-        name: str = "view",
-        store_factory=None,
+        cls, pattern: Pattern, document: Document, name: str = "view"
     ) -> "MaterializedView":
         """Evaluate the pattern on the document and store the result."""
-        view = cls(pattern, name=name, store_factory=store_factory)
+        view = cls(pattern, name=name)
         content = evaluate_view(pattern, document)
         # Distinct rows sorted by key: bulk-load in one pass instead of
         # O(n²) per-row sorted inserts.
@@ -94,14 +85,13 @@ class MaterializedView:
         pattern: Pattern,
         pairs: Iterable[Tuple[ViewTuple, int]],
         name: str = "view",
-        store_factory=None,
     ) -> "MaterializedView":
         """Load an extent from precomputed ``(row, count)`` pairs.
 
         The sharded-recompute path evaluates the view inside a worker
         and ships the pairs back as a fragment; this rebuilds the owner
         extent without re-evaluating the pattern."""
-        view = cls(pattern, name=name, store_factory=store_factory)
+        view = cls(pattern, name=name)
         view._store.load_sorted(sorted(pairs, key=lambda item: row_sort_key(item[0])))
         return view
 
@@ -110,8 +100,7 @@ class MaterializedView:
 
         The engine's poison-batch recomputation and a session's extent
         resync use this instead of swapping the ``_store`` object, so
-        the store's identity (and, for durable stores, its binding to
-        the backing table) stays intact."""
+        the store's identity stays intact."""
         self._store.load_sorted(sorted(pairs, key=lambda item: row_sort_key(item[0])))
 
     # -- reads ----------------------------------------------------------------

@@ -132,7 +132,11 @@ class TextNode(Node):
     kind = "text"
 
     def __init__(self, text: str):
-        super().__init__(TEXT_LABEL)
+        # The Node slots are set here, not through super().__init__:
+        # constructors run once per copied or unpickled template node.
+        self.label = TEXT_LABEL
+        self.parent: Optional["ElementNode"] = None
+        self.dewey: Optional[DeweyID] = None
         self.text = text
 
     @property
@@ -148,8 +152,9 @@ class AttributeNode(Node):
     kind = "attribute"
 
     def __init__(self, name: str, value: str):
-        label = name if name.startswith("@") else "@" + name
-        super().__init__(label)
+        self.label = name if name.startswith("@") else "@" + name
+        self.parent: Optional["ElementNode"] = None
+        self.dewey: Optional[DeweyID] = None
         self.value = value
 
     @property
@@ -181,12 +186,15 @@ class ElementNode(Node):
     kind = "element"
 
     def __init__(self, label: str, children: Sequence[Node] = ()):
-        super().__init__(label)
+        self.label = label
+        self.parent: Optional["ElementNode"] = None
+        self.dewey: Optional[DeweyID] = None
         self.children: List[Node] = []
         self._val_cache: Optional[str] = None
         self._cont_cache: Optional[str] = None
-        for child in children:
-            self.append(child)
+        if children:
+            for child in children:
+                self.append(child)
 
     # -- construction ----------------------------------------------------
 
@@ -307,6 +315,55 @@ def deep_copy(node: Node) -> Node:
         for child in node.children:
             clone.append(deep_copy(child))
     return clone
+
+
+def flatten_forest(forest: Sequence[Node]) -> tuple:
+    """A detached forest as one flat preorder tuple: per node its label,
+    then its child count (element), its text (text node) or its value
+    (attribute).  The label tells the kinds apart: ``#text`` is a text
+    node, ``@name`` an attribute, anything else an element.  Its pickle
+    is a fraction of the node graph's; :func:`build_forest` inverts it."""
+    flat: List[object] = []
+    stack: List[Node] = list(reversed(forest))
+    while stack:
+        node = stack.pop()
+        kind = node.kind
+        if kind == "element":
+            children = node.children  # type: ignore[attr-defined]
+            flat += (node.label, len(children))
+            stack.extend(reversed(children))
+        elif kind == "text":
+            flat += (TEXT_LABEL, node.text)  # type: ignore[attr-defined]
+        else:
+            flat += (node.label, node.value)  # type: ignore[attr-defined]
+    return tuple(flat)
+
+
+def build_forest(flat: Sequence[object]) -> List[Node]:
+    """The detached forest :func:`flatten_forest` encoded."""
+    forest: List[Node] = []
+    #: ``[element, children still to read]`` down the current path.
+    open_elements: List[list] = []
+    items = iter(flat)
+    for label, payload in zip(items, items):
+        if label == TEXT_LABEL:
+            node: Node = TextNode(payload)  # type: ignore[arg-type]
+        elif label[0] == "@":  # type: ignore[index]
+            node = AttributeNode(label, payload)  # type: ignore[arg-type]
+        else:
+            node = ElementNode(label)  # type: ignore[arg-type]
+        if open_elements:
+            top = open_elements[-1]
+            node.parent = top[0]
+            top[0].children.append(node)
+            top[1] -= 1
+            if not top[1]:
+                open_elements.pop()
+        else:
+            forest.append(node)
+        if node.kind == "element" and payload:
+            open_elements.append([node, payload])
+    return forest
 
 
 class Document:

@@ -11,8 +11,10 @@ import sys
 
 def main() -> None:
     db_path, mode = sys.argv[1], sys.argv[2]
-    from harness.crashkit import run_workload
+    from harness.crashkit import CHECKPOINT_BATCHES, run_workload
+    from repro.storage import sqlite
 
+    sqlite.CHECKPOINT_BATCHES = CHECKPOINT_BATCHES
     run_workload(db_path, mode)
     print("completed")
 

@@ -43,6 +43,9 @@ BATCHES = 4
 BATCH_SIZE = 6
 INSERT_RATIO = 0.7
 MODES = ("serial", "session")
+#: crash children checkpoint every 2 batches, so the workload's 4
+#: batches cross a periodic checkpoint.
+CHECKPOINT_BATCHES = 2
 
 
 def build_document():
@@ -135,8 +138,10 @@ def fresh_lattice_digest(views, document) -> str:
 # -- workload ----------------------------------------------------------------
 
 
-def run_workload(db_path: str, mode: str, seed: int = SEED):
+def run_workload(db_path: str, mode: str, seed: int = SEED, late: bool = False):
     """Build a durable engine and push the whole workload through it.
+
+    ``late`` registers the last view after the first batch (serial).
 
     ``mode`` is ``serial`` (in-process) or ``session`` (resident
     ShardSession replicas).  Returns the engine (the crash runners
@@ -148,15 +153,18 @@ def run_workload(db_path: str, mode: str, seed: int = SEED):
     document = build_document()
     batches = build_batches(document, seed=seed)
     engine = MaintenanceEngine(document, backend=db_path)
-    for name, source in view_sources().items():
+    sources = list(view_sources().items())
+    for name, source in sources[:-1] if late else sources:
         engine.register_view(source, name, strategy=STRATEGY)
     if mode == "session":
         with engine.session(workers=2) as session:
             for batch in batches:
                 session.apply_batch(UpdateBatch(batch))
     else:
-        for batch in batches:
+        for index, batch in enumerate(batches):
             engine.apply_batch(UpdateBatch(batch))
+            if late and index == 0:
+                engine.register_view(sources[-1][1], sources[-1][0], strategy=STRATEGY)
     engine.sync_durability()
     return engine
 
@@ -214,7 +222,9 @@ def spawn_workload(db_path: str, mode: str, crash_spec=None):
     return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
-def run_crashing_fork(db_path: str, mode: str, point: str, nth: int, seed: int = SEED) -> int:
+def run_crashing_fork(
+    db_path: str, mode: str, point: str, nth: int, seed: int = SEED, late: bool = False
+) -> int:
     """Fork, arm the crash point in the child, run the workload, reap.
 
     Returns the child's wait status; the caller asserts death by
@@ -228,13 +238,14 @@ def run_crashing_fork(db_path: str, mode: str, point: str, nth: int, seed: int =
         status = 42  # reached only if the crash point never fires
         try:
             os.setpgid(0, 0)  # own group: lets the parent reap orphans
-            from repro.storage import crashpoints
+            from repro.storage import crashpoints, sqlite
 
+            sqlite.CHECKPOINT_BATCHES = CHECKPOINT_BATCHES
             crashpoints._armed_point = point
             crashpoints._armed_hits = nth
             crashpoints._armed_pid = os.getpid()
             crashpoints._hits.clear()
-            run_workload(db_path, mode, seed=seed)
+            run_workload(db_path, mode, seed=seed, late=late)
         except BaseException:
             status = 43
         finally:
@@ -265,10 +276,10 @@ def recover_and_finish(db_path: str, obs=None, seed: int = SEED):
     """Reopen the database and re-apply the unacknowledged batches.
 
     Returns ``(engine, RecoveryReport)`` with the engine at the same
-    final state an uninterrupted run reaches: recovery replays the
-    committed WAL tail, then the harness re-applies every workload
-    batch past ``backend.version`` (exactly the batches the crashed
-    process never got an acknowledgment for).
+    final state an uninterrupted run reaches: recovery replays every
+    committed batch past the views' checkpoints, then the harness
+    re-applies every workload batch past ``backend.version`` (exactly
+    the batches the crashed process never got an acknowledgment for).
     """
     from repro.storage.recovery import reopen
     from repro.updates.language import UpdateBatch

@@ -8,6 +8,8 @@ both.  The deterministic matrix covers every crash point x engine mode;
 the Hypothesis property re-rolls the workload seed and the crash cell.
 """
 
+import contextlib
+import sqlite3
 import tempfile
 
 import pytest
@@ -44,17 +46,15 @@ def _assert_recovered(db_path, expected, seed=crashkit.SEED):
         crashkit.extent_digest(engine.views),
         crashkit.lattice_digest(engine.views),
     ) == expected
-    # The commit protocol bounds the WAL tail to a single batch, and the
-    # metric must agree with the report (satellite: prove via telemetry
-    # that recovery replays instead of rematerializing).
-    assert report.replayed_batches <= 1
+    # Periodic checkpoints bound the engine replay, and the metric must
+    # agree with the report (telemetry proves that recovery replays
+    # instead of rematerializing).
+    assert report.replayed_batches <= crashkit.CHECKPOINT_BATCHES
     assert (
         obs.metrics.counter("repro_recovery_replayed_batches").value()
         == report.replayed_batches
     )
-    assert report.durable_version + report.replayed_batches == engine.backend.version or (
-        engine.backend.version == crashkit.BATCHES
-    )
+    assert report.durable_version + report.replayed_batches == report.last_committed_batch
     assert sorted(report.views) == sorted(crashkit.VIEWS)
     assert report.lattices_rematerialized == len(crashkit.VIEWS)
     return engine, report
@@ -95,6 +95,20 @@ class TestCrashMatrix:
         engine.backend.close()
         _assert_recovered(db_path, reference)
 
+    def test_view_registered_after_a_batch(self, tmp_path, reference):
+        # Q6 registers after batch 1, so its record is at version 1 and
+        # the others' at 0; the kill lands before batch 2's checkpoint.
+        db_path = str(tmp_path / "engine.db")
+        status = crashkit.run_crashing_fork(
+            db_path, "serial", "after_commit_marker", 2, late=True
+        )
+        assert crashkit.died_by_sigkill(status)
+        with contextlib.closing(sqlite3.connect(db_path)) as connection:
+            versions = connection.execute("SELECT view, version FROM checkpoints")
+            assert dict(versions) == {"Q1": 0, "Q3": 0, "Q6": 1}
+        engine, report = _assert_recovered(db_path, reference)
+        assert (report.durable_version, report.replayed_batches) == (0, 2)
+
 
 class TestCleanShutdown:
     def test_subprocess_completes_and_reopens_without_replay(self, tmp_path, reference):
@@ -117,7 +131,8 @@ class TestCleanShutdown:
         )
         assert proc.returncode == -9, (proc.returncode, proc.stderr)
         engine, report = _assert_recovered(db_path, reference)
-        assert report.replayed_batches == 1
+        # Batches 1 and 2 committed before the first periodic checkpoint.
+        assert report.replayed_batches == 2
 
 
 @given(
@@ -128,8 +143,8 @@ class TestCleanShutdown:
 )
 @settings(max_examples=8, deadline=None)
 def test_random_crash_cells_recover_identically(seed, mode, point, nth):
-    """Satellite property: any (stream, crash cell, mode) recovers to
-    the uninterrupted run's digests, replaying at most one batch."""
+    """Any (stream, crash cell, mode) recovers to the uninterrupted
+    run's digests, replaying at most ``CHECKPOINT_BATCHES`` batches."""
     expected = _reference(seed)
     with tempfile.TemporaryDirectory() as tmp:
         db_path = tmp + "/engine.db"

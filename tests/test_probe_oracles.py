@@ -14,7 +14,6 @@ of one insert (its subtree and ancestor chain).
 from __future__ import annotations
 
 import random
-import tempfile
 from contextlib import contextmanager
 
 from hypothesis import HealthCheck, example, given, settings
@@ -29,7 +28,6 @@ from repro.maintenance.engine import MaintenanceEngine
 from repro.maintenance.insert import AffectedIDs, collect_attribute_refreshes
 from repro.pattern.tree_pattern import Pattern, PatternNode
 from repro.pattern.xpath_parser import parse_xpath
-from repro.storage.sqlite import SqliteExtentBackend
 from repro.updates.language import DeleteUpdate, ResolvedDeleteUpdate, ResolvedInsertUpdate
 from repro.updates.pul import BatchApplication
 from repro.views import lattice as lattice_module
@@ -177,20 +175,6 @@ def test_xpath_probe_matches_walk_on_random_trees(root, text):
 # -- (b) probe refresh ≡ scan refresh, pair for pair ---------------------------------
 
 
-@contextmanager
-def _store_factories(backend: str):
-    """``view name -> store factory`` for one extent backend."""
-    if backend == "memory":
-        yield lambda _name: None
-        return
-    with tempfile.TemporaryDirectory() as directory:
-        extents = SqliteExtentBackend(directory + "/refresh.db")
-        try:
-            yield extents.store_factory
-        finally:
-            extents.close()
-
-
 def _refresh_checked(views, document, application) -> int:
     """Probe and scan refresh of each view over one applied batch;
     returns how many rewrite pairs they agreed on."""
@@ -207,29 +191,25 @@ def _refresh_checked(views, document, application) -> int:
     return pairs
 
 
-def _refresh_pairs_checked(seed: int, insert_ratio: float, backend="memory") -> int:
+def _refresh_pairs_checked(seed: int, insert_ratio: float) -> int:
     """The seven XMark views over one mixed batch on a scale-1 document."""
     document = generate_document(scale=1)
-    with _store_factories(backend) as factory:
-        views = [
-            MaterializedView.materialize(
-                view_pattern(name), document, name=name, store_factory=factory(name)
-            )
-            for name in sorted(VIEW_TEXTS)
-        ]
-        stream = statement_stream(document, 16, seed=seed, insert_ratio=insert_ratio)
-        application = BatchApplication(document, stream).apply()
-        return _refresh_checked(views, document, application)
+    views = [
+        MaterializedView.materialize(view_pattern(name), document, name=name)
+        for name in sorted(VIEW_TEXTS)
+    ]
+    stream = statement_stream(document, 16, seed=seed, insert_ratio=insert_ratio)
+    application = BatchApplication(document, stream).apply()
+    return _refresh_checked(views, document, application)
 
 
 @PROPERTY
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     insert_ratio=st.sampled_from((0.0, 0.5, 1.0)),
-    backend=st.sampled_from(("memory", "sqlite")),
 )
-def test_refresh_probe_matches_scan(seed, insert_ratio, backend):
-    _refresh_pairs_checked(seed, insert_ratio, backend)
+def test_refresh_probe_matches_scan(seed, insert_ratio):
+    _refresh_pairs_checked(seed, insert_ratio)
 
 
 def test_refresh_oracle_sees_rewrites():
@@ -342,7 +322,7 @@ _PINNED = (
 )
 
 
-def _random_tree_refresh_checked(tree, pattern, ops, backend) -> int:
+def _random_tree_refresh_checked(tree, pattern, ops) -> int:
     document = build_document(_tree_from_spec(tree))
     elements = [
         node for node in document.root.self_and_descendants() if node.kind == "element"
@@ -355,12 +335,9 @@ def _random_tree_refresh_checked(tree, pattern, ops, backend) -> int:
             stream.append(ResolvedInsertUpdate([target.id], forest))
         elif target is not document.root:
             stream.append(ResolvedDeleteUpdate([target.id]))
-    with _store_factories(backend) as factory:
-        view = MaterializedView.materialize(
-            _pattern_from_spec(pattern), document, name="v", store_factory=factory("v")
-        )
-        application = BatchApplication(document, stream).apply()
-        return _refresh_checked([view], document, application)
+    view = MaterializedView.materialize(_pattern_from_spec(pattern), document, name="v")
+    application = BatchApplication(document, stream).apply()
+    return _refresh_checked([view], document, application)
 
 
 @settings(max_examples=200, deadline=None)
@@ -368,28 +345,26 @@ def _random_tree_refresh_checked(tree, pattern, ops, backend) -> int:
     tree=_spec_trees,
     pattern=st.one_of(_spec_patterns, _branch_patterns),
     ops=_ops,
-    backend=st.sampled_from(("memory", "sqlite")),
 )
-@example(tree=_PINNED[0][0], pattern=_PINNED[0][1], ops=_PINNED[0][2], backend="memory")
-@example(tree=_PINNED[1][0], pattern=_PINNED[1][1], ops=_PINNED[1][2], backend="sqlite")
-@example(tree=_PINNED[2][0], pattern=_PINNED[2][1], ops=_PINNED[2][2], backend="memory")
+@example(tree=_PINNED[0][0], pattern=_PINNED[0][1], ops=_PINNED[0][2])
+@example(tree=_PINNED[1][0], pattern=_PINNED[1][1], ops=_PINNED[1][2])
+@example(tree=_PINNED[2][0], pattern=_PINNED[2][1], ops=_PINNED[2][2])
 @example(
     tree=_NESTED_MEET,
     pattern=(
         "*", "desc", (), (("b", "desc", ("ID",), ()), ("*", "desc", ("ID", "val"), ()))
     ),
     ops=[(True, 3, 1)],
-    backend="sqlite",
 )
-def test_refresh_probe_matches_scan_on_random_trees(tree, pattern, ops, backend):
-    _random_tree_refresh_checked(tree, pattern, ops, backend)
+def test_refresh_probe_matches_scan_on_random_trees(tree, pattern, ops):
+    _random_tree_refresh_checked(tree, pattern, ops)
 
 
 def test_random_tree_refresh_oracle_sees_rewrites():
     # The pinned examples do rewrite rows, each only through an anchor
     # above the content node or through nested runs.
     for tree, pattern, ops in _PINNED:
-        assert _random_tree_refresh_checked(tree, pattern, ops, "memory") > 0
+        assert _random_tree_refresh_checked(tree, pattern, ops) > 0
 
 
 # -- (d) indexed lattice upkeep ≡ all-rows filter --------------------------------------

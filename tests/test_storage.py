@@ -3,13 +3,13 @@
 Six areas: the memcomparable key encoding (its order must coincide
 with ``row_sort_key`` on every comparable pair, DeweyID padded
 semantics included, however an ID was built), the
-WAL frame format under torn writes (the satellite contract: recovery
-drops exactly the uncommitted suffix, never a committed batch), the
-fork/pickle refusals, ``merge_shifts`` on a durable store against a
-plain-dict reference, the reopen-level RecoveryReport surface, and the
-ID-projection rows (every table equals its mirror's projection after
-every commit, a refresh journals nothing, foreign formats and dangling
-IDs are refused, table numbers are never reused).
+WAL frame format under torn writes (recovery drops exactly the
+uncommitted suffix, never a committed batch), the fork/pickle
+refusals, checkpoints of a durable view's store against a plain-dict
+reference, the reopen-level RecoveryReport surface, and the
+checkpoint records (each equals its view's ID projection after every
+checkpoint, a refresh changes none, foreign formats and dangling IDs
+are refused, a dropped view's record goes with it).
 """
 
 import os
@@ -220,78 +220,88 @@ class TestBoundaryRefusals:
             pickle.dumps(wal)
         wal.close()
 
-    def test_backend_and_store_refuse_pickle(self, tmp_path):
+    def test_backend_refuses_pickle(self, tmp_path):
         backend = SqliteExtentBackend(str(tmp_path / "db"))
-        store = backend.store_for("v")
         with pytest.raises(TypeError, match="fork/pickle"):
             pickle.dumps(backend)
-        with pytest.raises(TypeError, match="fork/pickle"):
-            pickle.dumps(store)
         backend.close()
 
     def test_forked_child_does_not_journal(self, tmp_path):
         backend = SqliteExtentBackend(str(tmp_path / "db"))
-        store = backend.store_for("v")
-        store.put(("a",), 1)
-        assert store.pending_ops == 1
+        view = _tracked(backend, "v")
+        view._store.put((1,), 1)
+        backend.sync()
         real_pid = backend._pid
         backend._pid = real_pid + 1  # what a forked child observes
         assert not backend.writable
-        store.put(("b",), 2)  # mirror updated, nothing journaled
-        assert store.get(("b",)) == 2
-        assert store.pending_ops == 1
+        view._store.put((2,), 2)
         backend.sync()  # no-op in a child
+        backend.drop_view("v")  # forgets the view, keeps the record
         backend.close()  # likewise guarded: inherited handles untouched
+        assert backend.stored_extent("v") == [((1,), 1)]
         backend._pid = real_pid
         backend.close()
 
 
-# -- sqlite store conformance odds and ends ---------------------------------
+def _tracked(backend, name, pattern=None):
+    """A view checkpointed by ``backend`` (default: one ID column)."""
+    from repro.views.view import MaterializedView
+
+    view = MaterializedView(pattern or chain_pattern("a"))
+    backend.track(name, view)
+    return view
 
 
 class TestSqliteStore:
     def test_flush_and_stored_extent_roundtrip(self, tmp_path):
         path = str(tmp_path / "db")
         backend = SqliteExtentBackend(path)
-        store = backend.store_for("v")
-        store.put(("b", 2), 20)
-        store.put(("a", 1), 10)
-        store.delete(("b", 2))
-        backend.sync()
-        backend.close()
+        store = _tracked(backend, "v")._store
+        store.load_sorted([((1,), 10), ((2,), 20)])
+        store.delete((2,))
+        backend.close()  # checkpoints
         fresh = SqliteExtentBackend(path)
-        assert fresh.stored_extent("v") == [(("a", 1), 10)]
+        assert fresh.stored_extent("v") == [((1,), 10)]
         fresh.close()
 
     def test_reload_clears_stale_rows(self, tmp_path):
-        path = str(tmp_path / "db")
-        backend = SqliteExtentBackend(path)
-        store = backend.store_for("v")
-        store.put(("stale",), 1)
+        backend = SqliteExtentBackend(str(tmp_path / "db"))
+        store = _tracked(backend, "v")._store
+        store.put((1,), 1)
         backend.sync()
-        store.load_sorted([(("fresh",), 2)])
+        store.load_sorted([((2,), 2)])
         backend.sync()
+        assert backend.stored_extent("v") == [((2,), 2)]
         backend.close()
-        fresh = SqliteExtentBackend(path)
-        assert fresh.stored_extent("v") == [(("fresh",), 2)]
-        fresh.close()
 
     def test_adopt_does_not_rewrite(self, tmp_path):
+        # Tracking (what adoption does) writes nothing: the record the
+        # view was adopted from stays until the next checkpoint.
         backend = SqliteExtentBackend(str(tmp_path / "db"))
-        store = backend.store_for("v")
-        store.adopt([(("a",), 1), (("b",), 2)])
-        assert store.pending_ops == 0
-        assert store.keys() == [("a",), ("b",)]
+        _tracked(backend, "v")._store.put((1,), 1)
+        backend.checkpoint(["v"])
+        adopted = _tracked(backend, "v")
+        adopted._store.put((2,), 2)
+        assert backend.stored_extent("v") == [((1,), 1)]
         backend.close()
 
-    def test_version_accounting(self, tmp_path):
-        backend = SqliteExtentBackend(str(tmp_path / "db"))
-        assert backend.version == 0
-        batch_id = backend.begin_batch(["s1"])
-        assert batch_id == 1
-        backend.commit_batch(batch_id)
-        assert backend.version == 1
+    def test_version_accounting(self, tmp_path, monkeypatch):
+        from repro.storage import sqlite
+
+        monkeypatch.setattr(sqlite, "CHECKPOINT_BATCHES", 3)
+        path = str(tmp_path / "db")
+        backend = SqliteExtentBackend(path)
+        _tracked(backend, "v")
+        for expected in range(1, 5):
+            assert backend.begin_batch(["s"]) == expected
+            backend.commit_batch(expected)
+        # Kept in memory; sqlite saw only the checkpoint at batch 3.
+        assert (backend.version, backend._meta_version()) == (4, 3)
+        assert backend.checkpoint_versions() == {"v": 3}
         backend.close()
+        fresh = SqliteExtentBackend(path)
+        assert (fresh.version, fresh.checkpoint_versions()) == (4, {"v": 4})
+        fresh.close()
 
 
 #: per ID, one step's action: ``("shift", n)`` changes its count by n
@@ -316,16 +326,15 @@ _durable_steps = st.lists(
 
 @given(steps=_durable_steps)
 @settings(max_examples=40, deadline=None)
-def test_merge_shifts_journals_the_mirrors_projection(steps):
-    """``merge_shifts`` on a durable store against a plain-dict
-    reference: the mirror follows the reference, errors change neither
-    mirror nor journal, a rewrite pair journals an op only when its
-    count changed, and after every flush the table holds the mirror's
-    ID projection."""
+def test_checkpoints_hold_the_mirrors_projection(steps):
+    """``merge_shifts`` on a durable view's store against a plain-dict
+    reference: the store follows the reference, errors change neither
+    store nor record, and after every checkpoint the record holds the
+    store's ID projection."""
     ids = [dewey((0,), (index,)) for index in range(6)]
     with tempfile.TemporaryDirectory() as directory:
         backend = SqliteExtentBackend(os.path.join(directory, "db"))
-        store = backend.store_for("v", order_key=row_sort_key, derived=((1, 0, "val"),))
+        store = _tracked(backend, "v", chain_pattern("a", annotate="ID val"))._store
         reference = {}  # (ID, val) -> count; one row per ID
         try:
             for step in steps:
@@ -345,22 +354,13 @@ def test_merge_shifts_journals_the_mirrors_projection(steps):
                     expected[row] = expected.get(row, 0) + shift
                     if not expected[row]:
                         del expected[row]
-                before, pending = store.snapshot(), store.pending_ops
+                before = store.snapshot()
                 if any(count < 0 for count in expected.values()):
                     with pytest.raises((KeyError, ValueError)):
                         store.merge_shifts(shifts)
-                    assert (store.snapshot(), store.pending_ops) == (before, pending)
+                    assert store.snapshot() == before
                 else:
                     store.merge_shifts(shifts)
-                    # One op per ID whose durable count moved: a pure
-                    # rewrite journals nothing.
-                    moved = {row[0]: count for row, count in reference.items()}
-                    for row, count in expected.items():
-                        if moved.get(row[0]) == count:
-                            del moved[row[0]]
-                        else:
-                            moved[row[0]] = count
-                    assert store.pending_ops == len(moved)
                     reference = expected
                 assert list(store.items()) == sorted(
                     reference.items(), key=lambda item: row_sort_key(item[0])
@@ -460,8 +460,8 @@ def test_projection_blobs_order_like_row_sort_key(ids):
 
 
 def _id_projection(view):
-    """The oracle for an extent table: every ``.val``/``.cont`` cell of
-    the mirror set to None, in mirror order."""
+    """The oracle for a checkpoint record: every ``.val``/``.cont`` cell
+    of the live extent set to None, in store order."""
     blank = {
         index
         for index, column in enumerate(view.columns)
@@ -473,21 +473,21 @@ def _id_projection(view):
     ]
 
 
-def _check_after_every_commit(engine, commits):
-    """Wrap the backend's commit so that after each one every extent
-    table equals the ID projection of its mirror."""
+def _check_every_checkpoint(engine, versions):
+    """Wrap the backend's checkpoint so that after each one every view's
+    record equals the ID projection of its live extent."""
     backend = engine.backend
-    commit_batch = backend.commit_batch
+    checkpoint = backend.checkpoint
 
-    def checked(batch_id):
-        commit_batch(batch_id)
+    def checked(view_names=None):
+        checkpoint(view_names)
         for name, registered in engine.views.items():
             assert backend.stored_extent(name) == _id_projection(
                 registered.view
-            ), (batch_id, name)
-        commits.append(batch_id)
+            ), (backend.version, name)
+        versions.append(backend.version)
 
-    backend.commit_batch = checked
+    backend.checkpoint = checked
 
 
 _PROJECTION_VIEWS = ("Q1", "Q3", "Q4", "Q6", "Q13")
@@ -513,19 +513,22 @@ def _projection_stream():
 
 
 @pytest.mark.parametrize("workers", [0, 2])
-def test_extent_tables_hold_the_mirrors_id_projection(tmp_path, workers):
+def test_extent_tables_hold_the_mirrors_id_projection(tmp_path, monkeypatch, workers):
+    # A checkpoint after every batch: each record is checked each time.
     from repro.maintenance.engine import MaintenanceEngine
+    from repro.storage import sqlite
     from repro.updates.language import InsertUpdate, UpdateBatch
     from repro.workloads.queries import view_pattern
     from repro.workloads.xmark import generate_document
 
+    monkeypatch.setattr(sqlite, "CHECKPOINT_BATCHES", 1)
     batches = _projection_stream()
     path = str(tmp_path / "engine.db")
     engine = MaintenanceEngine(generate_document(scale=1), backend=path)
     for name in _PROJECTION_VIEWS:
         engine.register_view(view_pattern(name), name)
-    commits = []
-    _check_after_every_commit(engine, commits)
+    versions = []
+    _check_every_checkpoint(engine, versions)
     target = engine.session(workers=workers) if workers else engine
     bad = InsertUpdate("/site/people/person/@id", "<x/>", name="bad")
     try:
@@ -538,7 +541,7 @@ def test_extent_tables_hold_the_mirrors_id_projection(tmp_path, workers):
     finally:
         if workers:
             target.close()
-    assert commits == list(range(1, len(batches) + 1))
+    assert versions[: len(batches)] == list(range(1, len(batches) + 1))
     for name, registered in engine.views.items():
         assert registered.view.equals_fresh_evaluation(engine.document), name
     engine.backend.close()
@@ -557,26 +560,9 @@ def test_extent_tables_hold_the_mirrors_id_projection(tmp_path, workers):
         recovered.backend.close()
 
 
-def _pending_ops_at_commit(engine):
-    """Per-view ``pending_ops`` seen by each commit, before its flush."""
-    seen = []
-    backend = engine.backend
-    commit_batch = backend.commit_batch
-
-    def recording(batch_id):
-        seen.append(
-            {
-                name: registered.view._store.pending_ops
-                for name, registered in engine.views.items()
-            }
-        )
-        commit_batch(batch_id)
-
-    backend.commit_batch = recording
-    return seen
-
-
 def test_cont_refresh_journals_nothing(tmp_path):
+    # A refresh rewrites val/cont cells only: the checkpoint after it
+    # writes the same record bytes.
     from repro.maintenance.engine import MaintenanceEngine
     from repro.updates.language import InsertUpdate
     from repro.workloads.queries import view_pattern
@@ -586,21 +572,21 @@ def test_cont_refresh_journals_nothing(tmp_path):
         generate_document(scale=1), backend=str(tmp_path / "engine.db")
     )
     view = engine.register_view(view_pattern("Q6"), "Q6").view
-    seen = _pending_ops_at_commit(engine)
-    before = view.content()
+    record = "SELECT rows FROM checkpoints WHERE view = 'Q6'"
+    before, stored = view.content(), engine.backend._conn.execute(record).fetchone()
     engine.apply_batch([InsertUpdate("/site/regions/africa/item", "<mailbox/>")])
+    engine.sync_durability()
     after = view.content()
     assert len(after) == len(before)
     assert sum(old != new for old, new in zip(before, after)) > 0  # refreshed
-    assert seen == [{"Q6": 0}]
-    assert engine.backend.stored_extent("Q6") == _id_projection(view)
+    assert engine.backend._conn.execute(record).fetchone() == stored
+    assert engine.backend.checkpoint_versions() == {"Q6": 1}
     engine.backend.close()
 
 
 def test_rewrite_with_changed_count_is_journaled(tmp_path):
     # b's val is rewritten while a second c gives it a second
-    # derivation: the delete/put pair shares a projection but must not
-    # cancel, since the durable count moves from 1 to 2.
+    # derivation: the record keeps b's projection with its new count.
     from repro.maintenance.engine import MaintenanceEngine
     from repro.updates.language import InsertUpdate
     from repro.xmldom.parser import parse_document
@@ -614,10 +600,9 @@ def test_rewrite_with_changed_count_is_journaled(tmp_path):
         "return <res><x>{string($b)}</x></res>",
         "V",
     ).view
-    seen = _pending_ops_at_commit(engine)
     engine.apply_batch([InsertUpdate("/r/a", "<c/>"), InsertUpdate("/r/a/b", "z")])
     assert [(row[1], count) for row, count in view.content()] == [("xz", 2), ("yz", 1)]
-    assert seen == [{"V": 2}]  # the count change and the fresh row
+    engine.sync_durability()
     assert engine.backend.stored_extent("V") == _id_projection(view)
     engine.backend.close()
 
@@ -628,12 +613,12 @@ def test_foreign_format_is_refused(tmp_path):
     path = str(tmp_path / "db")
     SqliteExtentBackend(path).close()
     conn = sqlite3.connect(path)
-    conn.execute("UPDATE meta SET value = 2 WHERE key = 'format'")
+    conn.execute("UPDATE meta SET value = 3 WHERE key = 'format'")
     conn.commit()
     conn.close()
-    with pytest.raises(RecoveryError, match="format 2.*format 3"):
+    with pytest.raises(RecoveryError, match="format 3.*format 4"):
         SqliteExtentBackend(path)
-    with pytest.raises(RecoveryError, match="format 2.*format 3"):
+    with pytest.raises(RecoveryError, match="format 3.*format 4"):
         reopen(path, None, {})
 
 
@@ -656,8 +641,7 @@ def test_dangling_id_is_refused(tmp_path):
 
 
 def test_unregistered_view_never_shares_a_table(tmp_path):
-    # Numbering tables by the count of live views gave v3 the number of
-    # v2's live table once v1 was dropped.
+    # Dropping v1 drops its record; v2 and v3 keep their own.
     from repro.maintenance.engine import MaintenanceEngine
     from repro.workloads.queries import view_pattern
     from repro.workloads.updates import statement_stream
@@ -673,6 +657,9 @@ def test_unregistered_view_never_shares_a_table(tmp_path):
         statement_stream(generate_document(scale=1), 16, seed=3, insert_ratio=0.7)
     )
     engine.backend.close()
+    reader = SqliteExtentBackend(path)
+    assert reader.checkpoint_versions() == {"v2": 1, "v3": 1}
+    reader.close()
     recovered, _ = reopen(
         path,
         generate_document(scale=1),
@@ -690,11 +677,7 @@ def test_unregistered_view_never_shares_a_table(tmp_path):
 def test_default_strategy_keeps_no_lattice_and_either_strategy_reopens(tmp_path):
     # Leaves is the default: registration materializes no lattice and a
     # plain reopen rebuilds nothing.  A snowcaps view reopens with its
-    # lattice materialized from the replayed document.  A database that
-    # still holds the lattice table and meta key of older builds
-    # reopens identically: nothing reads them.
-    import sqlite3
-
+    # lattice materialized from the replayed document.
     from harness import crashkit
     from repro.maintenance.engine import MaintenanceEngine
     from repro.views.lattice import DEFAULT_STRATEGY
@@ -738,20 +721,4 @@ def test_default_strategy_keeps_no_lattice_and_either_strategy_reopens(tmp_path)
     run(path, strategy="snowcaps")
     report, state = reopened(path, snowcaps)
     assert report.lattices_rematerialized == len(views)
-    connection = sqlite3.connect(path)
-    connection.executescript(
-        "CREATE TABLE lattices(view, subset, seq, payload);"
-        "INSERT INTO lattices VALUES('Q1', 'garbage', 0, x'00');"
-        "INSERT INTO meta VALUES('lattice_version', 0);"
-    )
-    connection.close()
     assert reopened(path, snowcaps) == (report, state)
-    # ... and the reopen dropped both.
-    connection = sqlite3.connect(path)
-    assert connection.execute(
-        "SELECT name FROM sqlite_master WHERE name = 'lattices'"
-    ).fetchall() == []
-    assert connection.execute(
-        "SELECT key FROM meta WHERE key = 'lattice_version'"
-    ).fetchall() == []
-    connection.close()

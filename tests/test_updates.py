@@ -1,5 +1,7 @@
 """The update language, PUL computation and application (Section 2.3)."""
 
+import pickle
+
 import pytest
 
 from repro.updates.language import (
@@ -7,9 +9,12 @@ from repro.updates.language import (
     InsertUpdate,
     ResolvedDeleteUpdate,
     ResolvedInsertUpdate,
+    UpdateBatch,
     parse_update,
 )
-from repro.updates.pul import apply_pul, compute_pul
+from repro.updates.pul import BatchApplication, apply_pul, compute_pul
+from repro.xmldom.parser import parse_document
+from repro.xmldom.serializer import serialize_fragment
 
 
 class TestParsing:
@@ -126,3 +131,29 @@ class TestApplyPul:
         pul = compute_pul(people_document, update)
         applied = apply_pul(people_document, pul)
         assert len(applied.inserted_roots) == 4  # 2 targets x 2 trees
+
+
+def test_statements_pickle_with_flat_forests(fig2_document):
+    # Every statement kind, text and attribute children, unresolved path
+    # targets and an I5-merged forest: the pickle ships no node objects,
+    # and the unpickled statements apply like the originals.
+    copy = parse_document(serialize_fragment(fig2_document.root))
+    f, b = fig2_document.nodes_with_label("f")[0], fig2_document.nodes_with_label("b")[1]
+    statements = UpdateBatch([
+        InsertUpdate("/a/c", '<d k="1&amp;">t<e/>u<g/></d>'),
+        InsertUpdate("/a/c", "v<h/>"),
+        ResolvedInsertUpdate([f.id], '<b j="2">w</b>'),
+        DeleteUpdate("//c/b"),
+        ResolvedDeleteUpdate([b.id]),
+    ]).coalesced().statements
+    assert len(statements) == 4 and len(statements[0].forest) == 3  # I5
+    blob = pickle.dumps(statements, protocol=pickle.HIGHEST_PROTOCOL)
+    assert b"ElementNode" not in blob and b"TextNode" not in blob
+    clones = pickle.loads(blob)
+    assert [type(s) for s in clones] == [type(s) for s in statements]
+    assert [s.fragment_xml() for s in clones[:2]] == [
+        s.fragment_xml() for s in statements[:2]
+    ]
+    BatchApplication(fig2_document, statements).apply()
+    BatchApplication(copy, clones).apply()
+    assert serialize_fragment(copy.root) == serialize_fragment(fig2_document.root)
