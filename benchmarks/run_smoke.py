@@ -98,7 +98,7 @@ def _measure_cell(view_name: str, base_update: str, kind: str) -> dict:
         base = insert_update(base_update)
         target_id = compute_pul(document, base).inserts()[0].target.id
         if kind == "insert":
-            statement = ResolvedInsertUpdate([target_id], base.forest, name="smoke")
+            statement = ResolvedInsertUpdate([target_id], base.flat, name="smoke")
         else:
             statement = ResolvedDeleteUpdate([target_id], name="smoke")
         report = engine.apply_update(statement)

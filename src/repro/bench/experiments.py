@@ -200,7 +200,7 @@ def _selective_statement(scale: int, update_name: str, kind: str, fraction: floa
     chosen = [node.id for node in targets[: max(1, int(len(targets) * fraction))]]
     if kind == "delete":
         return ResolvedDeleteUpdate(chosen, name="%s_sel" % update_name)
-    return ResolvedInsertUpdate(chosen, base.forest, name="%s_sel" % update_name)
+    return ResolvedInsertUpdate(chosen, base.flat, name="%s_sel" % update_name)
 
 
 def run_vs_full(
@@ -380,9 +380,7 @@ def _overlap_statements(
     if rule == "I5":
         snippet = "<name>I5<name>extra</name></name>"
         return [
-            ResolvedInsertUpdate(
-                overlap_ids, InsertUpdate("/site", snippet).forest, name="overlap_ins"
-            ),
+            ResolvedInsertUpdate(overlap_ids, snippet, name="overlap_ins"),
             InsertUpdate("/site/people/person", snippet, name="X1_L_ins"),
         ]
     raise ValueError("unknown rule %r" % rule)

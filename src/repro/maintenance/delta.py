@@ -57,7 +57,7 @@ class BatchCandidates:
 
     #: document-order key read via C-level dotted attrgetter (every
     #: candidate is attached or detached-with-ID, so ``dewey`` is set).
-    _order = attrgetter("dewey._key")
+    _order = attrgetter("dewey.sort_key")
 
     def __init__(self, nodes: Sequence[Node]):
         self.nodes: List[Node] = sorted(nodes, key=BatchCandidates._order)

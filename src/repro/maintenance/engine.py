@@ -75,6 +75,7 @@ from repro.updates.language import (
     DeleteUpdate,
     UpdateBatch,
     UpdateStatement,
+    coalesce,
 )
 from repro.updates.pul import BatchApplication
 from repro.views.lattice import DEFAULT_STRATEGY, SnowcapLattice
@@ -736,19 +737,15 @@ class MaintenanceEngine:
         always equal sequential application.
         """
         self._check_no_active_session()
-        # The WAL payload is the coalesced statement list -- what the
-        # impl actually applies (coalesced() is idempotent, so computing
-        # it here too costs one cheap pass).
-        if isinstance(batch, UpdateBatch):
-            payload = batch.coalesced().statements
-        else:
-            payload = list(batch)
-        batch_id = self._durability_begin(payload)
+        # Coalesced once: the list the WAL records is the list applied.
+        statements, submitted = coalesce(batch)
+        batch_id = self._durability_begin(statements)
         try:
             with self.obs.span("batch") as span:
-                report = self._apply_batch_impl(batch)
+                report = self._apply_batch_impl(statements)
         finally:
             self._durability_commit(batch_id)
+        report.statements_submitted = submitted
         if self.obs.enabled:
             span.attrs["statements"] = report.statements_applied
         self._record_batch(report)
@@ -770,22 +767,17 @@ class MaintenanceEngine:
 
     def _apply_batch_impl(
         self,
-        batch: "Union[UpdateBatch, Sequence[UpdateStatement]]",
+        statements: List[UpdateStatement],
         views: Optional[Dict[str, RegisteredView]] = None,
     ) -> BatchReport:
-        """Apply ``batch`` to the document and propagate it to ``views``
-        (default: every registered view).  A session's party 0 passes
-        the subset it maintains; the other views are left untouched."""
+        """Apply coalesced ``statements`` to the document and propagate
+        them to ``views`` (default: every registered view).  A session's
+        party 0 passes the subset it maintains; the other views are
+        left untouched."""
         if views is None:
             views = self.views
-        if isinstance(batch, UpdateBatch):
-            submitted = len(batch)
-            statements = batch.coalesced().statements
-        else:
-            statements = list(batch)
-            submitted = len(statements)
         report = BatchReport(statements)
-        report.statements_submitted = submitted
+        report.statements_submitted = len(statements)
         report.statements_applied = len(statements)
         if self.record_deltas:
             report.view_deltas = {}
@@ -1264,7 +1256,8 @@ class MaintenanceEngine:
         """Surviving pre-existing σ candidates that flipped this batch.
 
         Maps ``(node ID, constant)`` to ``(live node, satisfied now)``.
-        ``inserted_ids`` holds every ID the batch inserted.
+        ``inserted_ids`` holds the ``sort_key`` of every ID the batch
+        inserted.
         Batch-inserted survivors are skipped (the Δ+ side σ-filters
         them against final values) and removed candidates are skipped
         (the Δ− side reads their detached values, which the dirty-
@@ -1272,7 +1265,7 @@ class MaintenanceEngine:
         """
         flips: Dict[Tuple[DeweyID, str], Tuple[Node, bool]] = {}
         for (node_id, constant), satisfied in watch.items():
-            if node_id in inserted_ids:
+            if node_id.sort_key in inserted_ids:
                 continue
             node = self.document.node_by_id(node_id)
             if node is None:

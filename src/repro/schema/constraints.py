@@ -114,17 +114,18 @@ def check_insert_against_dtd(dtd: DTD, pul: PendingUpdateList) -> List[str]:
     problems: List[str] = []
     for op in pul.inserts():
         assert isinstance(op, AtomicInsert)
-        for tree in op.forest:
+        forest = op.forest
+        for tree in forest:
             _validate_tree(dtd, tree, problems)
         target = op.target
         future = _element_children_labels(target) + [
-            tree.label for tree in op.forest if isinstance(tree, ElementNode)
+            tree.label for tree in forest if isinstance(tree, ElementNode)
         ]
         if not dtd.allows_children(target.label, future):
             problems.append(
                 "inserting %r under <%s> (%s) yields invalid children %r"
                 % (
-                    [tree.label for tree in op.forest],
+                    [tree.label for tree in forest],
                     target.label,
                     target.id,
                     future,

@@ -100,7 +100,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import spans_to_fragments
 from repro.sharding.merge import merge_span_fragments
-from repro.updates.language import UpdateBatch, UpdateStatement
+from repro.updates.language import UpdateBatch, UpdateStatement, coalesce
 
 
 def _canonical_row(row: tuple, canon: Dict[str, str]) -> tuple:
@@ -462,12 +462,7 @@ class ShardSession:
 
         if self._closed:
             raise RuntimeError("shard session is closed")
-        if isinstance(batch, UpdateBatch):
-            submitted = len(batch)
-            statements = batch.coalesced().statements
-        else:
-            statements = list(batch)
-            submitted = len(statements)
+        statements, submitted = coalesce(batch)
         report = BatchReport(statements)
         report.statements_submitted = submitted
         report.statements_applied = len(statements)

@@ -48,10 +48,11 @@ from repro.obs import NULL_OBS
 from repro.storage.crashpoints import crash_point
 from repro.storage.wal import BatchWal
 
-#: on-disk layout: 4 stores one checkpoint record per view (name,
-#: version, pickled ID-projection rows) and the batch version in
-#: ``meta``.
-_FORMAT = 4
+#: on-disk layout: one checkpoint record per view (name, version,
+#: pickled ID-projection rows) and the batch version in ``meta``; 5's
+#: WAL records pickle an insert's forest as its ``flat`` tuple, which
+#: 4's named ``forest``.
+_FORMAT = 5
 
 #: Batches between full checkpoints: the recovery bound.  A reopen
 #: after a crash replays at most this many batches through the engine

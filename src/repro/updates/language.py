@@ -1,7 +1,8 @@
 """Statement-level update language (Section 2.3).
 
 Statements carry a *target path* (where the update applies) and, for
-insertions, an XML forest to copy under each target.  The textual forms
+insertions, an XML forest to copy under each target, stored only as
+its flat preorder tuple (``InsertUpdate.flat``).  The textual forms
 accepted by :func:`parse_update` cover the paper's grammar plus the
 ``let $c := doc("uri") for $x in $c/path insert <xml/>`` phrasing used
 throughout Appendix A.
@@ -10,7 +11,7 @@ throughout Appendix A.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.pattern.xpath_parser import PathExpr, parse_xpath
 from repro.xmldom.model import Node, build_forest, flatten_forest
@@ -41,39 +42,38 @@ class DeleteUpdate(UpdateStatement):
 
 
 class InsertUpdate(UpdateStatement):
-    """``for $x in q insert xml into $x``: copy a forest under targets."""
+    """``for $x in q insert xml into $x``: copy a forest under targets.
+
+    ``flat`` (:func:`~repro.xmldom.model.flatten_forest`) is the one
+    stored form of the forest: built once from XML text or a node list,
+    or a given tuple kept as is; batches merge, pickle and apply it.
+    """
 
     kind = "insert"
 
     def __init__(
         self,
         target: Union[str, PathExpr],
-        fragment: Union[str, List[Node]],
+        fragment: Union[str, Sequence[Node], tuple],
         name: Optional[str] = None,
     ):
         super().__init__(target, name=name)
-        if isinstance(fragment, str):
-            self.forest: List[Node] = parse_fragment(fragment)
+        if isinstance(fragment, tuple):
+            self.flat: tuple = fragment
+        elif isinstance(fragment, str):
+            self.flat = flatten_forest(parse_fragment(fragment))
         else:
-            self.forest = list(fragment)
-        if not self.forest:
+            self.flat = flatten_forest(fragment)
+        if not self.flat:
             raise ValueError("insert statement with an empty forest")
+
+    @property
+    def forest(self) -> List[Node]:
+        """Fresh detached nodes rebuilt from ``flat`` on every read."""
+        return build_forest(self.flat)
 
     def fragment_xml(self) -> str:
         return "".join(serialize_fragment(tree) for tree in self.forest)
-
-    # The forest crosses the WAL and the session pipes as one flat
-    # preorder tuple, not a node graph.  Inserts copy their templates,
-    # so rebuilt trees need not share objects the way the originals may.
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["forest"] = flatten_forest(self.forest)
-        return state
-
-    def __setstate__(self, state) -> None:
-        state["forest"] = build_forest(state["forest"])
-        self.__dict__.update(state)
 
 
 class ResolvedDeleteUpdate(DeleteUpdate):
@@ -98,7 +98,7 @@ class ResolvedInsertUpdate(InsertUpdate):
     atomic ``ins↘(v, forest)`` is ``ResolvedInsertUpdate([v], forest)``)."""
 
     def __init__(
-        self, target_ids, forest: Union[str, List[Node]], name: Optional[str] = None
+        self, target_ids, forest: Union[str, Sequence[Node], tuple], name: Optional[str] = None
     ):
         super().__init__(None, forest, name=name)
         self.target_ids = list(target_ids) if isinstance(target_ids, (list, tuple)) else [target_ids]
@@ -150,14 +150,6 @@ def _path_labels(path: Optional[PathExpr]) -> set:
     return labels
 
 
-def _forest_labels(forest: List[Node]) -> set:
-    labels: set = set()
-    for tree in forest:
-        for node in tree.self_and_descendants():
-            labels.add(node.label)
-    return labels
-
-
 def _mergeable_inserts(first: InsertUpdate, second: InsertUpdate) -> bool:
     """Can two adjacent inserts share one target resolution?
 
@@ -178,12 +170,13 @@ def _mergeable_inserts(first: InsertUpdate, second: InsertUpdate) -> bool:
     path_labels = _path_labels(first.target)
     if "*" in path_labels:
         return False
-    return not (path_labels & (_forest_labels(first.forest) | _forest_labels(second.forest)))
+    # A flat forest's labels sit at its even positions.
+    return path_labels.isdisjoint(first.flat[0::2] + second.flat[0::2])
 
 
 def _merge_inserts(first: InsertUpdate, second: InsertUpdate) -> InsertUpdate:
     name = "%s+%s" % (first.name, second.name)
-    forest = list(first.forest) + list(second.forest)
+    forest = first.flat + second.flat
     first_ids = getattr(first, "target_ids", None)
     if first_ids is not None:
         return ResolvedInsertUpdate(first_ids, forest, name=name)
@@ -288,7 +281,7 @@ class UpdateBatch:
                     elif survivors:
                         reduced_tail.append(
                             ResolvedInsertUpdate(
-                                survivors, earlier.forest, name=earlier.name
+                                survivors, earlier.flat, name=earlier.name
                             )
                         )
                     # else: fully voided (O1/O3) -- drop the statement.
@@ -314,6 +307,17 @@ class UpdateBatch:
 
     def __repr__(self) -> str:
         return "UpdateBatch(%s, %d statements)" % (self.name, len(self.statements))
+
+
+def coalesce(
+    batch: Union[UpdateBatch, Sequence[UpdateStatement]]
+) -> Tuple[List[UpdateStatement], int]:
+    """The statements a batch applies, with the submitted count: an
+    :class:`UpdateBatch` is coalesced, a plain sequence applies as is."""
+    if isinstance(batch, UpdateBatch):
+        return batch.coalesced().statements, len(batch)
+    statements = list(batch)
+    return statements, len(statements)
 
 
 _LET_RE = re.compile(

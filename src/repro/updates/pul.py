@@ -4,16 +4,16 @@
 Target Nodes* phase of the experiments -- and produces atomic
 operations:
 
-* :class:`AtomicInsert` ``(target node, forest)``: each tree of the
-  forest will be copied as new children of the target;
+* :class:`AtomicInsert` ``(target node, flat forest)``: each tree of
+  the statement's flat forest will be inserted under the target;
 * :class:`AtomicDelete` ``(node)``: the node (with its subtree) will be
   removed.
 
 ``apply_pul`` performs the document update, returning the *materialized
 effects*: each inserted subtree's nodes carrying their freshly assigned
 Dewey IDs (the paper's ``apply-insert`` helper; the document's one walk
-over the copy lists them, so nothing here walks it again) or the
-complete removed node sets -- precisely the inputs of CD+ / CD−.
+over the tuple creates and lists them, so nothing here walks them
+again) or the complete removed node sets -- the inputs of CD+ / CD−.
 """
 
 from __future__ import annotations
@@ -28,19 +28,24 @@ from repro.updates.language import (
     covered_by_deletes,
 )
 from repro.xmldom.dewey import DeweyID
-from repro.xmldom.model import Document, ElementNode, Node
+from repro.xmldom.model import Document, ElementNode, Node, build_forest
 
 
 class AtomicInsert:
-    """Insert a forest (copied) after the last child of a target node."""
+    """Insert a forest, the statement's ``flat`` tuple, after the last
+    child of a target node; ``forest`` rebuilds it as detached nodes."""
 
-    __slots__ = ("target", "forest")
+    __slots__ = ("target", "flat")
 
     kind = "insert"
 
-    def __init__(self, target: ElementNode, forest: Sequence[Node]):
+    def __init__(self, target: ElementNode, flat: tuple):
         self.target = target
-        self.forest = list(forest)
+        self.flat = flat
+
+    @property
+    def forest(self) -> List[Node]:
+        return build_forest(self.flat)
 
     def __repr__(self) -> str:
         return "AtomicInsert(into=%s, %d trees)" % (self.target.id, len(self.forest))
@@ -106,7 +111,7 @@ def compute_pul(document: Document, update: UpdateStatement) -> PendingUpdateLis
         for node in targets:
             if not isinstance(node, ElementNode):
                 raise ValueError("insert target %s is not an element" % node.id)
-            operations.append(AtomicInsert(node, update.forest))
+            operations.append(AtomicInsert(node, update.flat))
         return PendingUpdateList(operations)
     if isinstance(update, DeleteUpdate):
         # Deleting the document root is interpreted as emptying it (the
@@ -143,7 +148,7 @@ class AppliedUpdate:
         apply_seconds: float,
     ):
         #: Each inserted subtree's nodes with their new IDs, in
-        #: document order, root first (:meth:`Document.insert_copy`).
+        #: document order, root first (:meth:`Document.insert_forest`).
         self.inserted_subtrees = inserted_subtrees
         #: Every removed node, descendants included (document order).
         self.removed_nodes = removed_nodes
@@ -189,6 +194,7 @@ class BatchApplication:
         #: every node inserted at any point, in insertion order; IDs are
         #: captured at insert time (they survive later removal).
         self.inserted_records: List[Node] = []
+        #: the ``sort_key`` of every ID the batch inserted.
         self.inserted_ids: set = set()
         #: every node removed at any point, with the statement index.
         self.removed_records: List[Tuple[Node, int]] = []
@@ -213,7 +219,7 @@ class BatchApplication:
             self.apply_seconds += applied.apply_seconds
             for nodes in applied.inserted_subtrees:
                 self.inserted_records.extend(nodes)
-                self.inserted_ids.update([node.dewey for node in nodes])
+                self.inserted_ids.update([node.dewey.sort_key for node in nodes])
             for node in applied.removed_nodes:
                 self.removed_records.append((node, index))
             self.puls.append(pul)
@@ -250,7 +256,7 @@ class BatchApplication:
         return [
             (node, index)
             for node, index in self.removed_records
-            if node.id not in self.inserted_ids
+            if node.dewey.sort_key not in self.inserted_ids
         ]
 
     def net_removed_nodes(self) -> List[Node]:
@@ -258,9 +264,8 @@ class BatchApplication:
 
     def cancelled_count(self) -> int:
         """Nodes inserted and deleted within the batch (net no-ops)."""
-        return sum(
-            1 for node, _index in self.removed_records if node.id in self.inserted_ids
-        )
+        inserted_ids = self.inserted_ids
+        return sum(node.dewey.sort_key in inserted_ids for node, _ in self.removed_records)
 
     def dirty_removed_nodes(self) -> List[Node]:
         """Net-removed nodes whose detached val/cont may differ from
@@ -298,7 +303,8 @@ class BatchApplication:
         return [
             node
             for node, index in self.removed_records
-            if touched.get(node.dewey, index) < index and node.dewey not in inserted_ids
+            if touched.get(node.dewey, index) < index
+            and node.dewey.sort_key not in inserted_ids
         ]
 
     def __repr__(self) -> str:
@@ -316,8 +322,7 @@ def apply_pul(document: Document, pul: PendingUpdateList) -> AppliedUpdate:
     removed_nodes: List[Node] = []
     for op in pul.operations:
         if isinstance(op, AtomicInsert):
-            for tree in op.forest:
-                inserted_subtrees.append(document.insert_copy(op.target, tree))
+            inserted_subtrees += document.insert_forest(op.target, op.flat)
         else:
             if op.target.parent is None and op.target is not document.root:
                 continue  # already detached by an earlier delete

@@ -51,17 +51,16 @@ from repro.updates.language import (
 )
 from repro.updates.pul import AtomicInsert, PendingUpdateList
 from repro.xmldom.dewey import DeweyID
-from repro.xmldom.model import Document, ElementNode, Node, deep_copy
+from repro.xmldom.model import Document, ElementNode, Node
 
 
 def pul_to_operations(pul: PendingUpdateList) -> List[UpdateStatement]:
     """A PUL's atomic operations as single-target resolved statements.
 
-    Forests are deep-copied so that later fragment-level rewrites (rule
-    D6) cannot alias statement-owned trees.
+    Forests stay shared flat tuples: rule D6 writes a new statement.
     """
     return [
-        ResolvedInsertUpdate([op.target.id], [deep_copy(tree) for tree in op.forest])
+        ResolvedInsertUpdate([op.target.id], op.flat)
         if isinstance(op, AtomicInsert)
         else ResolvedDeleteUpdate([op.target.id])
         for op in pul.operations
@@ -98,8 +97,11 @@ def reduce_operations(operations: Sequence[UpdateStatement]) -> List[UpdateState
     return merged
 
 
-def _find_fragment_node(ins: InsertUpdate, target: DeweyID) -> Optional[ElementNode]:
-    """Locate, inside an insert's fragment, the future node ``target``.
+def _find_fragment_node(
+    ins: InsertUpdate, target: DeweyID
+) -> Optional[Tuple[List[Node], ElementNode]]:
+    """Locate, inside an insert's fragment, the future node ``target``:
+    the fragment rebuilt as nodes, and the node in it.
 
     ``target`` must extend the insertion point's ID; the extra label
     steps are matched against the fragment's structure (the Dewey
@@ -113,7 +115,8 @@ def _find_fragment_node(ins: InsertUpdate, target: DeweyID) -> Optional[ElementN
     while walk.depth > base.depth:
         labels.append(walk.label)
         walk = walk.parent()
-    candidates: Sequence[Node] = ins.forest
+    forest = ins.forest
+    candidates: Sequence[Node] = forest
     node: Optional[ElementNode] = None
     for label in reversed(labels):
         matches = [
@@ -125,7 +128,7 @@ def _find_fragment_node(ins: InsertUpdate, target: DeweyID) -> Optional[ElementN
             return None  # ambiguous or absent: rule does not apply
         node = matches[0]
         candidates = node.children
-    return node
+    return None if node is None else (forest, node)
 
 
 def aggregate_puls(
@@ -152,14 +155,16 @@ def aggregate_puls(
                     first[index] = _merge_inserts(op1, op2)
                     folded = True
                     break
-        # D6: op2 references a node inside a Δ1 fragment-to-be.
+        # D6: op2 references a node inside a Δ1 fragment-to-be, edited
+        # as nodes and written back as a new statement.
         if not folded and document.node_by_id(target) is None:
-            for op1 in first:
+            for index, op1 in enumerate(first):
                 if not isinstance(op1, InsertUpdate):
                     continue
-                spot = _find_fragment_node(op1, target)
-                if spot is None:
+                found = _find_fragment_node(op1, target)
+                if found is None:
                     continue
+                forest, spot = found
                 if isinstance(op2, InsertUpdate):
                     for tree in op2.forest:
                         spot.append(tree)
@@ -167,9 +172,13 @@ def aggregate_puls(
                     spot.parent.children.remove(spot)
                     spot.parent = None
                 else:
-                    op1.forest.remove(spot)
-                    if not op1.forest:
-                        first.remove(op1)  # D6 emptied the insertion
+                    forest.remove(spot)
+                if forest:
+                    first[index] = ResolvedInsertUpdate(
+                        op1.target_ids, forest, name=op1.name
+                    )
+                else:
+                    del first[index]  # D6 emptied the insertion
                 folded = True
                 break
         if not folded:

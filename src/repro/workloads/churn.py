@@ -38,11 +38,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.updates.language import (
     DeleteUpdate,
+    InsertUpdate,
     ResolvedDeleteUpdate,
     ResolvedInsertUpdate,
     UpdateStatement,
 )
-from repro.xmldom.parser import parse_fragment
 from repro.workloads.updates import UPDATE_TEXTS, insert_update
 
 #: default σ constants to flip: the Appendix-A increase amounts (Q3
@@ -91,6 +91,7 @@ def churn_batches(
     rng = random.Random(seed)
     chosen_names = list(names or sorted(UPDATE_TEXTS))
     targets_by_name: Dict[str, List] = {}
+    bases: Dict[str, InsertUpdate] = {}
     flip_pool = flip_candidates(document, sigma_label, sigma_values)
     #: flip targets carrying a marker not yet deleted; only "clean"
     #: nodes get a fresh marker, so each marker insert really rewrites
@@ -118,7 +119,7 @@ def churn_batches(
             batch.append(
                 ResolvedInsertUpdate(
                     [target.id],
-                    parse_fragment("<%s>x</%s>" % (tag, tag)),
+                    "<%s>x</%s>" % (tag, tag),
                     name="%s#%d" % (tag, index),
                 )
             )
@@ -139,7 +140,7 @@ def churn_batches(
             batch.append(
                 ResolvedInsertUpdate(
                     [target.id],
-                    parse_fragment("<%s>zz</%s>" % (tag, tag)),
+                    "<%s>zz</%s>" % (tag, tag),
                     name="%s#%d" % (tag, index),
                 )
             )
@@ -165,7 +166,9 @@ def churn_batches(
                 len(chosen_names) - 1,
             )
             name = chosen_names[pick]
-            base = insert_update(name)
+            base = bases.get(name)
+            if base is None:
+                base = bases[name] = insert_update(name)
             targets = targets_by_name.get(name)
             if targets is None:
                 targets = [node.id for node in base.target.evaluate(document)]
@@ -177,7 +180,7 @@ def churn_batches(
             label = "%s#%d.%d" % (name, index, len(batch))
             if rng.random() < 0.75:
                 batch.append(
-                    ResolvedInsertUpdate([target_id], base.forest, name=label)
+                    ResolvedInsertUpdate([target_id], base.flat, name=label)
                 )
             else:
                 batch.append(

@@ -137,7 +137,7 @@ def drift_batches(
             label = "%s#%d.%d" % (name, index, len(batch))
             if rng.random() < insert_ratio:
                 batch.append(
-                    ResolvedInsertUpdate([target_id], base.forest, name=label)
+                    ResolvedInsertUpdate([target_id], base.flat, name=label)
                 )
             else:
                 batch.append(ResolvedDeleteUpdate([target_id], name=label + "_del"))

@@ -167,8 +167,9 @@ def statement_stream(
     """A reproducible single-target statement stream for batch runs.
 
     Each statement picks one Appendix-A update name, resolves its
-    target path once against ``document`` (resolutions are cached per
-    name) and wraps a *single* randomly chosen target as a
+    target path once against ``document`` (the parsed statement and
+    its resolution are cached per name, so same-name inserts share one
+    flat forest) and wraps a *single* randomly chosen target as a
     Resolved statement -- the write-stream shape the batch pipeline
     and the async queue are built for.  ``insert_ratio`` is the
     fraction of insertions (the rest are single-target deletions);
@@ -179,10 +180,13 @@ def statement_stream(
     rng = random.Random(seed)
     chosen_names = list(names or sorted(UPDATE_TEXTS))
     targets_by_name: Dict[str, List] = {}
+    bases: Dict[str, InsertUpdate] = {}
     stream: List[UpdateStatement] = []
     while len(stream) < count:
         name = rng.choice(chosen_names)
-        base = insert_update(name)
+        base = bases.get(name)
+        if base is None:
+            base = bases[name] = insert_update(name)
         targets = targets_by_name.get(name)
         if targets is None:
             targets = [node.id for node in base.target.evaluate(document)]
@@ -200,7 +204,7 @@ def statement_stream(
         if rng.random() < insert_ratio:
             stream.append(
                 ResolvedInsertUpdate(
-                    [target_id], base.forest, name="%s#%d" % (name, index)
+                    [target_id], base.flat, name="%s#%d" % (name, index)
                 )
             )
         else:

@@ -286,7 +286,7 @@ class DeweyID:
     dynamic ordinals).
 
     An ID stores only what its parent cannot supply: its order key
-    (``_key``), its parent's ID object (``_parent``), its own last step
+    (``sort_key``), its parent's ID object (``_parent``), its own last step
     (``_step``, shared with every ID ending in the same ``(label,
     ordinal)``) and its depth.  ``steps`` is derived on demand: a
     *linked* ID (built by :meth:`child`) collects ``_step`` up the
@@ -294,7 +294,13 @@ class DeweyID:
     no parent yet and decodes its steps from the key.
     """
 
-    __slots__ = ("_key", "_parent", "_step", "_depth")
+    __slots__ = ("sort_key", "_parent", "_step", "_depth")
+
+    #: The document-order key (see *Compact encoding*), a plain slot:
+    #: read in C, compared by memcmp and hashed in C, so sorts, bisects
+    #: and dicts keyed by it never call Python-level ID methods.  Equal
+    #: keys are equal IDs.
+    sort_key: bytes
 
     def __init__(self, steps: Sequence[Tuple[str, Sequence[int]]]):
         if not steps:
@@ -302,7 +308,7 @@ class DeweyID:
         normalized = tuple((label, _normalize(ordinal)) for label, ordinal in steps)
         # The document-order key: comparing via it keeps the hot
         # sorts/bisects in C, as one memcmp.
-        self._key = _key_of(normalized)
+        self.sort_key = _key_of(normalized)
         # The parent's ID *object*: set by child() (shared with the
         # parent node, no allocation), linked lazily for IDs built from
         # bare steps.  Never pickled (see __reduce__).
@@ -326,7 +332,7 @@ class DeweyID:
         would be pure overhead.
         """
         self = object.__new__(cls)
-        self._key = _key_of(steps)
+        self.sort_key = _key_of(steps)
         self._parent = None
         self._step = _intern_step(steps[-1])[0]
         self._depth = len(steps)
@@ -344,7 +350,7 @@ class DeweyID:
         step = (label, _normalize(ordinal))
         step, blob = _STEP_BYTES.get(step) or _intern_step(step)
         new = object.__new__(DeweyID)
-        new._key = self._key + blob
+        new.sort_key = self.sort_key + blob
         new._parent = self
         new._step = step
         new._depth = self._depth + 1
@@ -366,7 +372,7 @@ class DeweyID:
             tail.append(walk._step)
             walk = walk._parent
         tail.reverse()
-        head = (walk._step,) if walk._depth == 1 else _steps_of(walk._key)
+        head = (walk._step,) if walk._depth == 1 else _steps_of(walk.sort_key)
         return head + tuple(tail)
 
     @property
@@ -388,8 +394,8 @@ class DeweyID:
         if parent is None and self._depth > 1:
             # The parent's key is this key minus the last step's bytes;
             # its own ancestors are linked in the same pass.
-            cut = len(self._key) - len(_intern_step(self._step)[1])
-            parent = self._parent = _linked_chain(self._key[:cut])
+            cut = len(self.sort_key) - len(_intern_step(self._step)[1])
+            parent = self._parent = _linked_chain(self.sort_key[:cut])
         return parent
 
     def ancestor_ids(self) -> Iterator["DeweyID"]:
@@ -425,14 +431,16 @@ class DeweyID:
 
     def is_parent_of(self, other: "DeweyID") -> bool:
         """``self ≺ other``: is self the parent of other?"""
-        return other._depth == self._depth + 1 and other._key.startswith(self._key)
+        key = self.sort_key
+        return other._depth == self._depth + 1 and other.sort_key.startswith(key)
 
     def is_ancestor_of(self, other: "DeweyID") -> bool:
         """``self ≺≺ other``: is self a proper ancestor of other?"""
-        return len(other._key) > len(self._key) and other._key.startswith(self._key)
+        key = self.sort_key
+        return len(other.sort_key) > len(key) and other.sort_key.startswith(key)
 
     def is_ancestor_or_self(self, other: "DeweyID") -> bool:
-        return other._key.startswith(self._key)
+        return other.sort_key.startswith(self.sort_key)
 
     def has_ancestor_labeled(self, label: str) -> bool:
         """Does any proper ancestor carry ``label``?  (Props. 3.8 / 4.7.)"""
@@ -444,26 +452,17 @@ class DeweyID:
         return False
 
     @property
-    def sort_key(self) -> bytes:
-        """The precomputed document-order key: the encoded steps (see
-        *Compact encoding* above), compared by memcmp.  ``sorted(nodes,
-        key=lambda n: n.id.sort_key)`` compares entirely in C, unlike
-        sorting :class:`DeweyID` objects whose rich comparisons are
-        Python calls; equal keys are equal IDs."""
-        return self._key
-
-    @property
     def subtree_end_key(self) -> bytes:
         """A key greater than every descendant's ``sort_key`` and
         smaller than that of any node following the subtree: in a
         document-ordered key list the proper descendants are exactly
         the run ``bisect_right(sort_key) : bisect_left(subtree_end_key)``."""
-        return self._key + _AFTER_EVERY_STEP
+        return self.sort_key + _AFTER_EVERY_STEP
 
     # -- ordering ------------------------------------------------------
 
     def _compare(self, other: "DeweyID") -> int:
-        """Reference comparison (the definition _key is derived from)."""
+        """Reference comparison (the definition sort_key is derived from)."""
         for (la, oa), (lb, ob) in zip(self.steps, other.steps):
             cmp = ordinal_compare(oa, ob)
             if cmp:
@@ -478,23 +477,23 @@ class DeweyID:
         return -1 if len(self.steps) < len(other.steps) else 1
 
     def __lt__(self, other: "DeweyID") -> bool:
-        return self._key < other._key
+        return self.sort_key < other.sort_key
 
     def __le__(self, other: "DeweyID") -> bool:
-        return self._key <= other._key
+        return self.sort_key <= other.sort_key
 
     def __gt__(self, other: "DeweyID") -> bool:
-        return self._key > other._key
+        return self.sort_key > other.sort_key
 
     def __ge__(self, other: "DeweyID") -> bool:
-        return self._key >= other._key
+        return self.sort_key >= other.sort_key
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, DeweyID) and self._key == other._key
+        return isinstance(other, DeweyID) and self.sort_key == other.sort_key
 
     def __hash__(self) -> int:
         # CPython caches a bytes object's hash inside it.
-        return hash(self._key)
+        return hash(self.sort_key)
 
     def __reduce__(self):
         # Ship only the steps across process boundaries (the sharded

@@ -12,10 +12,12 @@ insertion and deletion with one bisect and one slice per distinct
 label of the moved subtree (:class:`repro.xmldom.index.LabelIndex`),
 and a lazily built per-label value index
 (:class:`repro.xmldom.index.ValueIndex`) answers σ-constant selections
-(:meth:`Document.nodes_with_value`) without scanning.  One preorder
-walk over an inserted subtree copies, numbers and registers each node
-and groups the copy into the label index's per-label runs; one walk
-over a deleted subtree collects it the same way.
+(:meth:`Document.nodes_with_value`) without scanning.  An inserted
+forest arrives as its flat preorder tuple (:func:`flatten_forest`), and
+one walk over that tuple (:meth:`Document.insert_forest`) creates,
+links, numbers and registers each node and groups it into the label
+index's per-label runs; no template node graph is built or copied.
+One walk over a deleted subtree collects it the same way.
 
 Elements memoize ``val`` and ``cont``, and both compose from their
 children's caches, so re-deriving either after a change costs the
@@ -42,7 +44,7 @@ Conventions:
 from __future__ import annotations
 
 import gc
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.xmldom.index import KeyedRows, LabelIndex, ValueIndex
 from repro.xmldom.dewey import (
@@ -133,7 +135,7 @@ class TextNode(Node):
 
     def __init__(self, text: str):
         # The Node slots are set here, not through super().__init__:
-        # constructors run once per copied or unpickled template node.
+        # constructors run once per inserted node.
         self.label = TEXT_LABEL
         self.parent: Optional["ElementNode"] = None
         self.dewey: Optional[DeweyID] = None
@@ -176,8 +178,8 @@ class ElementNode(Node):
     subtree change (see the module docstring for the invariant).
     Detached construction (:meth:`append` / :meth:`set_attribute`)
     needs no invalidation: attached-tree mutations must go through the
-    document's ``insert_subtree`` / ``delete_subtree``; an insert
-    builds fresh copies of its input and therefore never sees
+    document's ``insert_forest`` / ``delete_subtree``; an insert
+    builds fresh nodes from a flat tuple and therefore never sees
     pre-populated caches.
     """
 
@@ -298,31 +300,17 @@ class ElementNode(Node):
                 child._collect_text(parts)
 
 
-def _shell(node: Node) -> Node:
-    """A detached, childless copy of one node (no ID)."""
-    kind = node.kind
-    if kind == "element":
-        return ElementNode(node.label)
-    if kind == "text":
-        return TextNode(node.text)  # type: ignore[attr-defined]
-    return AttributeNode(node.label, node.value)  # type: ignore[attr-defined]
-
-
 def deep_copy(node: Node) -> Node:
     """Structural copy of a subtree, detached (no parent, no IDs)."""
-    clone = _shell(node)
-    if isinstance(node, ElementNode):
-        for child in node.children:
-            clone.append(deep_copy(child))
-    return clone
+    return build_forest(flatten_forest((node,)))[0]
 
 
 def flatten_forest(forest: Sequence[Node]) -> tuple:
     """A detached forest as one flat preorder tuple: per node its label,
     then its child count (element), its text (text node) or its value
     (attribute).  The label tells the kinds apart: ``#text`` is a text
-    node, ``@name`` an attribute, anything else an element.  Its pickle
-    is a fraction of the node graph's; :func:`build_forest` inverts it."""
+    node, ``@name`` an attribute, anything else an element.  It is how
+    an insert statement stores its forest; :func:`build_forest` inverts it."""
     flat: List[object] = []
     stack: List[Node] = list(reversed(forest))
     while stack:
@@ -374,7 +362,8 @@ class Document:
         self.root = root
         self._index = LabelIndex()
         self._values = ValueIndex(self._index, elements=self.all_elements)
-        self._by_id: Dict[DeweyID, Node] = {}
+        #: ``sort_key`` -> node: bytes hash in C, a DeweyID in Python.
+        self._by_id: Dict[bytes, Node] = {}
         # IDs of deleted nodes are *retired*, never reissued: node
         # identity is immutable (XDM) and the Dewey scheme guarantees
         # a dead ID stays dead, so references held by pending update
@@ -397,7 +386,7 @@ class Document:
         gc.disable()
         try:
             self.root.dewey = DeweyID.root(self.root.label)
-            self._graft(self.root, self.root)
+            self._graft()
         finally:
             if collecting:
                 gc.enable()
@@ -447,7 +436,7 @@ class Document:
 
     def node_by_id(self, dewey: DeweyID) -> Optional[Node]:
         """Resolve an ID to its node (None if absent)."""
-        return self._by_id.get(dewey)
+        return self._by_id.get(dewey.sort_key)
 
     def size_in_nodes(self) -> int:
         return sum(len(self._index.nodes(label)) for label in self._index.labels())
@@ -491,74 +480,113 @@ class Document:
         position: Optional[int] = None,
     ) -> List[Node]:
         """:meth:`insert_subtree`, returning all of the copy's nodes
-        (its Δ+) in document order, root first, as :meth:`_graft`
-        listed them while building the copy."""
-        if position is None:
-            position = len(parent.children)
+        (its Δ+) in document order, root first, via :meth:`insert_forest`."""
+        return self.insert_forest(parent, flatten_forest((subtree,)), position)[0]
+
+    def _fresh_child_id(self, parent: ElementNode, label: str, position: int) -> DeweyID:
+        """The ID of a new ``label`` child of ``parent`` at ``position``,
+        its ordinal nudged upward (below the right sibling, if any) past
+        retired IDs: a retired ID is never reissued."""
         ordinal = self._sibling_ordinal(parent, position)
-        # Never reissue a retired ID: nudge the ordinal upward (staying
-        # below the right sibling, if any) until the ID is fresh.
-        right = (
-            parent.children[position].id.ordinal
-            if position < len(parent.children)
-            else None
-        )
-        while parent.id.child(subtree.label, ordinal) in self._retired_ids:
+        siblings = parent.children
+        right = siblings[position].id.ordinal if position < len(siblings) else None
+        fresh = parent.id.child(label, ordinal)
+        while fresh in self._retired_ids:
             if right is None:
                 ordinal = ordinal_after(ordinal)
             else:
                 ordinal = ordinal_between(ordinal, right)
-        clone = _shell(subtree)
-        clone.parent = parent
-        clone.dewey = parent.id.child(subtree.label, ordinal)
-        parent.children.insert(position, clone)
-        return self._graft(clone, subtree)
+            fresh = parent.id.child(label, ordinal)
+        return fresh
 
-    def _graft(self, top: Node, source: Node) -> List[Node]:
-        """Number and index the subtree below ``top`` (already linked
-        and numbered) in one preorder walk, building it as a copy of
-        ``source``'s unless ``source`` is ``top`` (bulk loading numbers
-        in place).  Each node gets ``parent_id.child(label,
-        (position,))``, enters ``_by_id`` and joins its label's run for
-        the label and value indexes.  Returns the nodes in document
-        order."""
-        nodes: List[Node] = []
+    def insert_forest(
+        self,
+        parent: ElementNode,
+        flat: Sequence[object],
+        position: Optional[int] = None,
+    ) -> List[List[Node]]:
+        """Insert the forest ``flat`` encodes (:func:`flatten_forest`) as
+        children of ``parent`` from ``position`` on (default: after the
+        last child).  One walk over the tuple creates, links and numbers
+        each node, enters it in ``_by_id`` and adds it to its label's
+        run for the label and value indexes (the trees are adjacent
+        siblings, so a run is one key range).  Returns each tree's nodes
+        in document order, root first."""
+        if position is None:
+            position = len(parent.children)
+        trees: List[List[Node]] = []
         runs: Dict[str, KeyedRows] = {}
         by_id = self._by_id
         text = False
-        stack: List[Tuple[Node, Node]] = [(top, source)]
-        while stack:
-            node, origin = stack.pop()
-            nodes.append(node)
-            node_id = node.dewey
-            by_id[node_id] = node
-            run = runs.get(node.label)
+        #: ``(element, child count)`` down the current path.
+        open_elements: List[tuple] = []
+        items = iter(flat)
+        for label, payload in zip(items, items):
+            if label == TEXT_LABEL:
+                node: Node = TextNode(payload)  # type: ignore[arg-type]
+                text = True
+            elif label[0] == "@":  # type: ignore[index]
+                node = AttributeNode(label, payload)  # type: ignore[arg-type]
+            else:
+                node = ElementNode(label)  # type: ignore[arg-type]
+            if open_elements:
+                top, count = open_elements[-1]
+                siblings = top.children
+                siblings.append(node)
+                node.parent = top
+                node_id = top.dewey.child(label, (len(siblings),))
+                if len(siblings) == count:
+                    open_elements.pop()
+                nodes.append(node)
+            else:
+                node_id = self._fresh_child_id(parent, label, position)  # type: ignore[arg-type]
+                node.parent = parent
+                parent.children.insert(position, node)
+                position += 1
+                nodes = [node]
+                trees.append(nodes)
+            node.dewey = node_id
+            key = node_id.sort_key
+            by_id[key] = node
+            run = runs.get(label)  # type: ignore[arg-type]
             if run is None:
-                runs[node.label] = KeyedRows([node], [node_id.sort_key])
+                runs[label] = KeyedRows([node], [key])  # type: ignore[index]
             else:
                 run.nodes.append(node)
-                run.keys.append(node_id.sort_key)
-            kind = node.kind
-            if kind == "element":
-                originals = origin.children
-                if not originals:
-                    continue
-                if origin is node:
-                    for position, child in enumerate(originals, 1):
-                        child.dewey = node_id.child(child.label, (position,))
-                else:
-                    for position, child in enumerate(originals, 1):
-                        copy = _shell(child)
-                        copy.parent = node
-                        copy.dewey = node_id.child(child.label, (position,))
-                        node.children.append(copy)
-                stack.extend(zip(reversed(node.children), reversed(originals)))
-            elif kind == "text":
-                text = True
+                run.keys.append(key)
+            if payload and node.kind == "element":
+                open_elements.append((node, payload))
         self._index.add_runs(runs)
         self._values.on_add(runs)
-        self._invalidate_ancestors(top.parent, text)
-        return nodes
+        self._invalidate_ancestors(parent, text)
+        return trees
+
+    def _graft(self) -> None:
+        """Bulk loading: number and index the numbered root's subtree
+        in place, in one preorder walk that gives each node
+        ``parent_id.child(label, (position,))``, enters it in
+        ``_by_id`` and adds it to its label's run."""
+        runs: Dict[str, KeyedRows] = {}
+        by_id = self._by_id
+        stack: List[Node] = [self.root]
+        while stack:
+            node = stack.pop()
+            node_id = node.dewey
+            key = node_id.sort_key
+            by_id[key] = node
+            run = runs.get(node.label)
+            if run is None:
+                runs[node.label] = KeyedRows([node], [key])
+            else:
+                run.nodes.append(node)
+                run.keys.append(key)
+            if node.kind == "element" and node.children:
+                children = node.children
+                for position, child in enumerate(children, 1):
+                    child.dewey = node_id.child(child.label, (position,))
+                stack.extend(reversed(children))
+        self._index.add_runs(runs)
+        self._values.on_add(runs)
 
     def delete_subtree(self, node: Node) -> List[Node]:
         """Remove ``node`` and its subtree; returns the removed nodes.
@@ -576,7 +604,7 @@ class Document:
         text_changed = False
         for gone in node.self_and_descendants():
             removed.append(gone)
-            self._by_id.pop(gone.dewey, None)
+            self._by_id.pop(gone.dewey.sort_key, None)
             runs.setdefault(gone.label, []).append(gone)
             text_changed = text_changed or gone.kind == "text"
         self._index.remove_runs(runs)

@@ -1,13 +1,15 @@
 """The four-walk subtree insert and delete: the oracle of the one-walk path.
 
-``repro.xmldom.model.Document`` copies, numbers and indexes an inserted
-subtree in one preorder walk (``Document._graft``) and hands the walk's
-node list on, so ``BatchApplication`` neither re-walks the copy nor
-walks the surviving roots again for Δ+.  Before that, each inserted
-node was visited once per step below, and this module keeps those
-steps, by their definitions:
+``repro.xmldom.model.Document`` creates, numbers and indexes an
+inserted forest in one walk over its flat preorder tuple
+(``Document.insert_forest``) and hands the walk's node lists on, so
+``BatchApplication`` neither re-walks the new nodes nor walks the
+surviving roots again for Δ+.  Before that, each inserted node was
+visited once per step below, and this module keeps those steps, by
+their definitions:
 
-* :func:`repro.xmldom.model.deep_copy` builds the detached copy;
+* :func:`repro.xmldom.model.build_forest` rebuilds the forest's trees
+  and :func:`repro.xmldom.model.deep_copy` copies each one, detached;
 * :func:`number_below` gives every node below the copy's root its
   initial Dewey ID and lists the subtree in document order;
 * :func:`add_subtree` groups that flat list by label before splicing
@@ -30,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.updates.pul import BatchApplication
 from repro.xmldom.dewey import DeweyID, ordinal_after, ordinal_between, ordinal_initial
 from repro.xmldom.index import KeyedRows, LabelIndex
-from repro.xmldom.model import Document, ElementNode, Node, deep_copy
+from repro.xmldom.model import Document, ElementNode, Node, build_forest, deep_copy
 
 
 def number_below(top: Node) -> List[Node]:
@@ -78,10 +80,23 @@ class FourWalkDocument(Document):
             all_nodes = number_below(self.root)
             add_subtree(self._index, all_nodes)
             for node in all_nodes:
-                self._by_id[node.id] = node
+                self._by_id[node.id.sort_key] = node
         finally:
             if collecting:
                 gc.enable()
+
+    def insert_forest(
+        self,
+        parent: ElementNode,
+        flat: Sequence[object],
+        position: Optional[int] = None,
+    ) -> List[List[Node]]:
+        if position is None:
+            position = len(parent.children)
+        return [
+            self.insert_copy(parent, tree, position + offset)
+            for offset, tree in enumerate(build_forest(flat))
+        ]
 
     def insert_copy(
         self,
@@ -110,7 +125,7 @@ class FourWalkDocument(Document):
         add_subtree(self._index, new_nodes)
         text_changed = False
         for node in new_nodes:
-            self._by_id[node.id] = node
+            self._by_id[node.id.sort_key] = node
             self._values.on_add({node.label: [node]})
             if node.kind == "text":
                 text_changed = True
@@ -125,7 +140,7 @@ class FourWalkDocument(Document):
         remove_subtree(self._index, removed)
         text_changed = False
         for gone in removed:
-            self._by_id.pop(gone.id, None)
+            self._by_id.pop(gone.id.sort_key, None)
             self._values.on_remove({gone.label: [gone]})
             if gone.kind == "text":
                 text_changed = True
@@ -149,7 +164,10 @@ def net_inserted_nodes(application: BatchApplication) -> List[Node]:
             if document.node_by_id(root.id) is not root:
                 continue  # cancelled: inserted then deleted
             walk = root.parent
-            while walk is not None and walk.dewey not in application.inserted_ids:
+            while (
+                walk is not None
+                and walk.dewey.sort_key not in application.inserted_ids
+            ):
                 walk = walk.parent
             if walk is None:
                 out.extend(root.self_and_descendants())

@@ -1,11 +1,19 @@
-"""Bytes of Python heap per DeweyID, measured with tracemalloc.
+"""Bytes of Python heap per DeweyID and per insert statement, measured
+with tracemalloc.
 
 Rebuilds the IDs of a fixed XMark document through ``DeweyID.root`` /
 ``DeweyID.child`` (the way a document numbers its nodes) into a list
 allocated beforehand, with the step memo emptied first, so the figure
 counts every ID object, its key bytes and its share of the interned
-steps, and nothing else.  ``tests/test_dewey.py`` pins it; run as a
-script it prints one markdown table row for a CI job summary::
+steps, and nothing else.  ``tests/test_dewey.py`` pins it.
+
+The statement figure is the heap a ``statement_stream`` of inserts on
+the same document holds, per statement: the statement objects, their
+names, target lists and forests, plus the stream's per-name caches
+spread over the stream.  ``tests/test_workloads.py`` pins it.
+
+Run as a script it prints one markdown table per figure for a CI job
+summary::
 
     PYTHONPATH=src python tests/harness/id_memory.py
 """
@@ -17,14 +25,19 @@ import platform
 import tracemalloc
 from typing import List, Tuple
 
+from repro.workloads.updates import statement_stream
 from repro.workloads.xmark import generate_document
 from repro.xmldom import dewey
 from repro.xmldom.dewey import DeweyID
 
 #: The bound ``tests/test_dewey.py`` holds the measurement to.
 BYTES_PER_ID_LIMIT = 200
+#: The bound ``tests/test_workloads.py`` holds the statement figure to.
+BYTES_PER_STATEMENT_LIMIT = 1000
 #: The fixed document: XMark scale 4, about 7.1k nodes.
 SCALE = 4
+#: Insert statements in the measured stream.
+STATEMENTS = 1000
 
 
 def _numbering(scale: int) -> List[Tuple[int, str, tuple]]:
@@ -60,6 +73,22 @@ def bytes_per_id(scale: int = SCALE) -> Tuple[float, int]:
     return (after - before) / len(ids), len(ids)
 
 
+def bytes_per_statement(scale: int = SCALE, count: int = STATEMENTS) -> float:
+    """Traced bytes per statement of an all-insert ``statement_stream``
+    of ``count`` statements (seed 0) on the XMark document."""
+    document = generate_document(scale=scale)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stream = statement_stream(document, count, seed=0)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(stream) == count
+    return (after - before) / count
+
+
 if __name__ == "__main__":
     per_id, count = bytes_per_id()
     print("| Python | IDs (XMark scale %d) | bytes per ID | limit |" % SCALE)
@@ -67,4 +96,15 @@ if __name__ == "__main__":
     print(
         "| %s | %d | %.1f | %d |"
         % (platform.python_version(), count, per_id, BYTES_PER_ID_LIMIT)
+    )
+    per_statement = bytes_per_statement()
+    print()
+    print(
+        "| Python | insert statements (XMark scale %d) | bytes per statement | limit |"
+        % SCALE
+    )
+    print("|---|---|---|---|")
+    print(
+        "| %s | %d | %.1f | %d |"
+        % (platform.python_version(), STATEMENTS, per_statement, BYTES_PER_STATEMENT_LIMIT)
     )

@@ -215,7 +215,7 @@ def scan_dirty_removed_nodes(application) -> List[Node]:
             and sorted_keys[position] < node_id.subtree_end_key
         )
 
-    inserted_keys = sorted(node_id.sort_key for node_id in application.inserted_ids)
+    inserted_keys = sorted(application.inserted_ids)
     removed_by_statement: Dict[int, list] = {}
     for node, index in application.removed_records:
         removed_by_statement.setdefault(index, []).append(node.id.sort_key)

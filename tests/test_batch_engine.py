@@ -559,3 +559,33 @@ class TestBatchEngineApi:
         assert phases.find_target_nodes >= 0.0
         assert phases.total() > 0.0
         assert report.total_maintenance_seconds() >= phases.total()
+
+
+def test_apply_batch_coalesces_once(tmp_path, monkeypatch):
+    # I5 merges the first two inserts and O1 voids the third; the WAL
+    # payload and the applied statements come from one coalesced() call.
+    document = generate_document(scale=1)
+    engine = MaintenanceEngine(document, backend=str(tmp_path / "engine.db"))
+    engine.register_view(view_pattern("Q1"), "Q1")
+    kept, voided = (node.id for node in document.nodes_with_label("person")[:2])
+    batch = UpdateBatch(
+        [
+            ResolvedInsertUpdate([kept], "<name>a</name>", name="a"),
+            ResolvedInsertUpdate([kept], "<name>b</name>", name="b"),
+            ResolvedInsertUpdate([voided], "<name>c</name>", name="c"),
+            ResolvedDeleteUpdate([voided], name="d"),
+        ]
+    )
+    calls = []
+    coalesced = UpdateBatch.coalesced
+
+    def spy(self):
+        calls.append(self)
+        return coalesced(self)
+
+    monkeypatch.setattr(UpdateBatch, "coalesced", spy)
+    report = engine.apply_batch(batch)
+    assert calls == [batch]
+    assert (report.statements_submitted, report.statements_applied) == (4, 2)
+    assert engine.views["Q1"].view.equals_fresh_evaluation(document)
+    engine.backend.close()

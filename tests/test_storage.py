@@ -616,9 +616,9 @@ def test_foreign_format_is_refused(tmp_path):
     conn.execute("UPDATE meta SET value = 3 WHERE key = 'format'")
     conn.commit()
     conn.close()
-    with pytest.raises(RecoveryError, match="format 3.*format 4"):
+    with pytest.raises(RecoveryError, match="format 3.*format 5"):
         SqliteExtentBackend(path)
-    with pytest.raises(RecoveryError, match="format 3.*format 4"):
+    with pytest.raises(RecoveryError, match="format 3.*format 5"):
         reopen(path, None, {})
 
 

@@ -1,6 +1,7 @@
 """The update language, PUL computation and application (Section 2.3)."""
 
 import pickle
+import sys
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.updates.language import (
     parse_update,
 )
 from repro.updates.pul import BatchApplication, apply_pul, compute_pul
-from repro.xmldom.parser import parse_document
+from repro.xmldom.parser import parse_document, parse_fragment
 from repro.xmldom.serializer import serialize_fragment
 
 
@@ -157,3 +158,76 @@ def test_statements_pickle_with_flat_forests(fig2_document):
     BatchApplication(fig2_document, statements).apply()
     BatchApplication(copy, clones).apply()
     assert serialize_fragment(copy.root) == serialize_fragment(fig2_document.root)
+
+
+class TestFlatForests:
+    """An insert statement stores its forest as one flat preorder tuple;
+    the batch path never turns it back into nodes."""
+
+    XML = '<d k="1&amp;">t<e/>u<g><h>v</h></g></d>w<x j="2"/>'
+
+    def test_every_construction_gives_the_same_tuple(self):
+        from_text = InsertUpdate("/a", self.XML)
+        from_nodes = InsertUpdate("/a", parse_fragment(self.XML))
+        from_tuple = ResolvedInsertUpdate([None], from_text.flat)
+        assert from_text.flat == from_nodes.flat
+        assert from_tuple.flat is from_text.flat
+        assert from_tuple.fragment_xml() == self.XML
+        forest = from_text.forest
+        assert set(from_text.flat[0::2]) == {
+            node.label for tree in forest for node in tree.self_and_descendants()
+        }
+        # The derived forest is rebuilt on each read: editing it leaves
+        # the statement alone.
+        forest[0].children.clear()
+        assert from_text.fragment_xml() == self.XML
+
+    def test_i5_merge_concatenates_tuples(self):
+        first = InsertUpdate("/a", self.XML)
+        second = InsertUpdate("/a", "<y>z</y>")
+        (merged,) = UpdateBatch([first, second]).coalesced().statements
+        assert merged.flat == first.flat + second.flat
+
+    def test_the_batch_path_builds_no_node_forest(self, tmp_path, monkeypatch):
+        # A pre-built insert-bearing batch, applied serially, through a
+        # durable engine (WAL write) and by recovery replay, with every
+        # binding of the node builders in the package made to raise.
+        from repro.maintenance.engine import MaintenanceEngine
+        from repro.storage.recovery import reopen
+        from repro.workloads.queries import view_pattern
+        from repro.workloads.updates import statement_stream
+        from repro.workloads.xmark import generate_document
+
+        views = {name: view_pattern(name) for name in ("Q1", "Q2")}
+        serial_doc, durable_doc, base_doc = (generate_document(scale=1) for _ in range(3))
+        statements = statement_stream(serial_doc, 16, seed=3, insert_ratio=0.75)
+        statements.insert(1, InsertUpdate("/site/people", "<person><name>n</name></person>"))
+        batch = UpdateBatch(statements)
+        path = str(tmp_path / "engine.db")
+        serial = MaintenanceEngine(serial_doc)
+        durable = MaintenanceEngine(durable_doc, backend=path)
+        for name, pattern in views.items():
+            serial.register_view(pattern, name)
+            durable.register_view(pattern, name)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a node forest was built on the batch path")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "repro" or module_name.startswith("repro."):
+                for attr in ("build_forest", "parse_fragment"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        assert serial.apply_batch(batch).statements_applied
+        durable.apply_batch(batch)
+        recovered, report = reopen(path, base_doc, views)
+        monkeypatch.undo()
+        assert report.replayed_batches == 1
+        for engine in (durable, recovered):
+            assert serialize_fragment(engine.document.root) == serialize_fragment(
+                serial_doc.root
+            )
+            for name in views:
+                assert engine.views[name].view.content() == serial.views[name].view.content()
+        recovered.backend.close()
+        durable.backend.close()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.updates.language import DeleteUpdate, InsertUpdate
+from repro.workloads.churn import churn_batches
 from repro.workloads.queries import VIEW_TEXTS, view_definition, view_pattern
 from repro.workloads.updates import (
     UPDATE_CLASSES,
@@ -10,9 +11,11 @@ from repro.workloads.updates import (
     VIEW_UPDATE_GROUPS,
     delete_variant,
     insert_update,
+    statement_stream,
 )
 from repro.workloads.xmark import generate_document, generate_xml, size_of
 from repro.xmldom.parser import parse_document
+from tests.harness.id_memory import BYTES_PER_STATEMENT_LIMIT, bytes_per_statement
 
 
 class TestGenerator:
@@ -100,3 +103,37 @@ class TestUpdates:
         (tree,) = update.forest
         elements = [n for n in tree.self_and_descendants() if n.kind == "element"]
         assert len(elements) == 5
+
+
+class TestStatementStreams:
+    """The generators parse each Appendix-A update once: same-name
+    inserts share one flat forest, and a seed fixes the stream."""
+
+    @staticmethod
+    def _streams(seed):
+        document = generate_document(scale=1)
+        stream = statement_stream(document, 60, seed=seed, insert_ratio=0.8)
+        churn = [s for batch in churn_batches(document, 6, seed=seed) for s in batch]
+        return stream, churn
+
+    def test_a_seed_fixes_the_stream_and_names_share_forests(self):
+        first, again = self._streams(5), self._streams(5)
+        for ours, theirs in zip(first, again):
+            assert [_signature(s) for s in ours] == [_signature(s) for s in theirs]
+            by_name = {}
+            for statement in ours:
+                name = statement.name.split("#")[0]
+                if isinstance(statement, InsertUpdate) and name in UPDATE_TEXTS:
+                    assert by_name.setdefault(name, statement).flat is statement.flat
+            assert len(by_name) < sum(isinstance(s, InsertUpdate) for s in ours)
+
+    def test_statement_footprint(self):
+        assert bytes_per_statement() <= BYTES_PER_STATEMENT_LIMIT
+
+
+def _signature(statement):
+    """``(name, target, flat)``: a resolved statement's target is its
+    one ID's key, a path statement's its path."""
+    ids = getattr(statement, "target_ids", None)
+    target = repr(statement.target) if ids is None else [i.sort_key for i in ids]
+    return statement.name, target, getattr(statement, "flat", None)

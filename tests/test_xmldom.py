@@ -215,7 +215,7 @@ _ONE_WALK_FRAGMENTS = (
 
 
 class TestOneWalk:
-    """The one-walk insert and delete (``Document._graft``, the delete
+    """The one-walk insert and delete (``Document.insert_forest``, the delete
     walk, ``BatchApplication.net_inserted_nodes`` as a record filter)
     against the four-walk oracle in ``tests/harness/four_walk.py``, on
     seeded random batch streams: after every step both documents hold
@@ -314,7 +314,7 @@ class TestOneWalk:
         for document in (new, old):
             nodes = list(document.root.self_and_descendants())
             assert len(document._by_id) == len(nodes)
-            assert all(document._by_id[n.id] is n for n in nodes)
+            assert all(document.node_by_id(n.id) is n for n in nodes)
         assert sorted(new.labels()) == sorted(old.labels())
         for label in new.labels():
             mine, oracle = new.keyed_label(label), old.keyed_label(label)
