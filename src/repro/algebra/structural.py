@@ -52,7 +52,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.algebra.relation import Relation
 from repro.xmldom.dewey import DeweyID
-from repro.xmldom.index import KeyedRows
+from repro.xmldom.index import Rows
 from repro.xmldom.model import Node
 
 
@@ -103,7 +103,7 @@ def structural_join(
 def probe_ancestors(
     relation: Relation,
     column: str,
-    source: KeyedRows,
+    source: Rows,
     name: str,
     label: str,
     axis: str = "ancestor",
@@ -137,7 +137,7 @@ def probe_ancestors(
 def probe_descendants(
     relation: Relation,
     column: str,
-    source: KeyedRows,
+    source: Rows,
     name: str,
     axis: str = "ancestor",
 ) -> Relation:

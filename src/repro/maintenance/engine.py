@@ -32,8 +32,10 @@ place and no view is ever recomputed to absorb it.
 Every term reads its canonical relations from one source builder,
 :meth:`MaintenanceEngine._sources`: the live relation with the batch's
 Δ+ cut out, for R_old its Δ− merged back, and for σ relations the
-view's flips rolled back, each spliced by bisect into the label's row
-or value-index bucket.
+view's flips rolled back, each a read-only
+:class:`~repro.xmldom.index.Overlay` over the label's blocked rows or
+value-index bucket: nothing is copied, probes read the edits in their
+key range.
 
 The batch round always runs in-process, view by view; the only other
 execution mode is a resident :class:`~repro.sharding.ShardSession`
@@ -81,7 +83,7 @@ from repro.updates.pul import BatchApplication
 from repro.views.lattice import DEFAULT_STRATEGY, SnowcapLattice
 from repro.views.view import MaterializedView
 from repro.xmldom.dewey import DeweyID
-from repro.xmldom.index import KeyedRows
+from repro.xmldom.index import KeyedRows, Overlay
 from repro.xmldom.model import Document, Node
 
 PHASES = (
@@ -586,10 +588,10 @@ class MaintenanceEngine:
         pattern: Pattern,
         cut_by_label: Dict[str, List[DeweyID]],
         merge_by_label: Dict[str, List[Node]],
-        cache: Dict[str, KeyedRows],
+        cache: Dict[str, Overlay],
         rollback: Tuple[FlipSets, FlipSets] = ({}, {}),
     ) -> Sources:
-        """σ-filtered canonical relations with one batch's edits spliced in.
+        """σ-filtered canonical relations with one batch's edits overlaid.
 
         Every relation is the live one with the ``cut_by_label`` IDs cut
         out and the document-ordered ``merge_by_label`` nodes merged in:
@@ -603,14 +605,15 @@ class MaintenanceEngine:
 
         A non-σ node of a label no edit touches reads the label index's
         own rows (no copy: term evaluation never mutates its sources); a
-        touched label is spliced once per batch into ``cache`` (one
-        cache per edit set).  A σ node reads its value-index bucket,
-        spliced in one call: the label's cut IDs and flipped-true
-        candidates out, its merge nodes whose detached ``val`` equals
-        the constant and its flipped-false candidates in.  Either way
-        the cost is one bisect per edit of the label, not ``|R_label|``.
-        A ``*`` node takes the edits of every label, and its non-σ
-        relation starts from every element.
+        touched label gets one :class:`Overlay` per batch in ``cache``
+        (one cache per edit set).  A σ node overlays its value-index
+        bucket: the label's cut IDs and flipped-true candidates out, its
+        merge nodes whose detached ``val`` equals the constant and its
+        flipped-false candidates in.  Either way building costs a sort
+        of the label's edits, not ``|R_label|``, and a probe
+        O(log|R_label| + edits in its key range).  A ``*`` node takes
+        the edits of every label, and its non-σ relation starts from
+        every element.
         """
         minus_sets, plus_sets = rollback
         sources: Sources = {}
@@ -639,7 +642,7 @@ class MaintenanceEngine:
                 rows = self.document.keyed_value(label, constant)
                 if cut_keys or merged:
                     merged.sort(key=lambda n: n.id.sort_key)
-                    rows = rows.spliced(cut_keys, merged)
+                    rows = Overlay(rows, cut_keys, merged)
                 sources[node.name] = rows
                 continue
             if label != "*" and not cut and not merge:
@@ -648,13 +651,13 @@ class MaintenanceEngine:
             rows = cache.get(label)
             if rows is None:
                 if label == "*":
-                    rows = KeyedRows.of(
+                    base = KeyedRows.of(
                         sorted(self.document.all_elements(), key=lambda n: n.id.sort_key)
                     )
                 else:
-                    rows = self.document.keyed_label(label)
-                rows = cache[label] = rows.spliced(
-                    [node_id.sort_key for node_id in cut], merge
+                    base = self.document.keyed_label(label)
+                rows = cache[label] = Overlay(
+                    base, [node_id.sort_key for node_id in cut], merge
                 )
             sources[node.name] = rows
         return sources
@@ -913,8 +916,8 @@ class MaintenanceEngine:
             label: [node.id for node in nodes]
             for label, nodes in removed_candidates.by_label.items()
         }
-        survivor_cache: Dict[str, KeyedRows] = {}
-        pre_batch_cache: Dict[str, KeyedRows] = {}
+        survivor_cache: Dict[str, Overlay] = {}
+        pre_batch_cache: Dict[str, Overlay] = {}
 
         try:
             self._propagate_batch_to_views(
@@ -954,8 +957,8 @@ class MaintenanceEngine:
         removed_by_label: Dict[str, List[DeweyID]],
         insert_target_ids: Sequence[DeweyID],
         delete_target_ids: Sequence[DeweyID],
-        survivor_cache: Dict[str, KeyedRows],
-        pre_batch_cache: Dict[str, KeyedRows],
+        survivor_cache: Dict[str, Overlay],
+        pre_batch_cache: Dict[str, Overlay],
     ) -> None:
         """The batch's view-side round over ``views``, run in-process.
 

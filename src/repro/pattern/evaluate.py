@@ -9,11 +9,12 @@ evaluation strategy the maintenance algorithms reuse: term evaluation in
 ET-INS / ET-DEL calls :func:`evaluate_bindings` with some sources bound
 to canonical relations ``R`` and others to Δ tables.
 
-Sources are document-ordered node lists per pattern-node name, each
-paired with its parallel ``sort_key`` list
-(:class:`~repro.xmldom.index.KeyedRows`): full evaluation below reads
-them whole, term evaluation probes them by key.  They are the indexes'
-own lists, handed out rather than copied -- read, never mutate.
+Sources are document-ordered rows per pattern-node name
+(:data:`~repro.xmldom.index.Rows`: a label's blocked rows, a value-index
+bucket, or either with one batch's edits overlaid): full evaluation
+below iterates them whole, term evaluation probes them by key.  They
+are the indexes' own rows, handed out rather than copied -- read, never
+mutate.
 Value predicates (σ) are applied when sources are drawn
 (:func:`sources_from_document`), mirroring the paper's
 ``σ_a(R_a ∪ Δ+_a)`` selection push-down; σ-constant selections over
@@ -30,13 +31,13 @@ from repro.algebra.operators import duplicate_eliminate, project, sort_rows
 from repro.algebra.relation import Relation
 from repro.algebra.structural import structural_join
 from repro.pattern.tree_pattern import Pattern, PatternNode
-from repro.xmldom.index import KeyedRows
+from repro.xmldom.index import KeyedRows, Rows
 from repro.xmldom.model import Document, ElementNode, Node
 
-Sources = Dict[str, KeyedRows]
+Sources = Dict[str, Rows]
 
 
-def _node_source(document: Document, node: PatternNode) -> KeyedRows:
+def _node_source(document: Document, node: PatternNode) -> Rows:
     if node.value_pred is not None:
         # σ-constant selection: an index lookup, not a relation scan
         # (wildcards resolve through the all-labels value index).

@@ -192,6 +192,45 @@ def covered_by_deletes(target_id, delete_ids: set) -> bool:
     return any(ancestor in delete_ids for ancestor in target_id.ancestor_ids())
 
 
+def _under_deleted_keys(target_id, deleted_keys: set) -> bool:
+    """:func:`covered_by_deletes` over ``sort_key`` bytes: the parent
+    chain is walked by slot reads, and each key is hashed in C."""
+    walk = target_id
+    while walk is not None:
+        if walk.sort_key in deleted_keys:
+            return True
+        walk = walk._parent or walk.parent()
+    return False
+
+
+def _reduced_segment(segment: Sequence[UpdateStatement]) -> List[UpdateStatement]:
+    """O1/O3 over a run of resolved statements (no barrier inside) in
+    one backward pass: every delete's target keys join the set the
+    inserts before it are tested against, so each target costs one
+    parent-chain walk, whatever the number of later deletes.  An insert
+    with some targets voided is rewritten to the survivors, one with
+    all of them voided is dropped."""
+    deleted_keys: set = set()
+    kept: List[UpdateStatement] = []
+    for statement in reversed(segment):
+        if isinstance(statement, DeleteUpdate):
+            deleted_keys.update(target.sort_key for target in statement.target_ids)
+        elif deleted_keys and isinstance(statement, InsertUpdate):
+            targets = statement.target_ids  # type: ignore[attr-defined]
+            survivors = [
+                target for target in targets if not _under_deleted_keys(target, deleted_keys)
+            ]
+            if not survivors and targets:
+                continue  # fully voided (O1/O3)
+            if len(survivors) != len(targets):
+                statement = ResolvedInsertUpdate(
+                    survivors, statement.flat, name=statement.name
+                )
+        kept.append(statement)
+    kept.reverse()
+    return kept
+
+
 class UpdateBatch:
     """An ordered group of statements propagated as one unit.
 
@@ -254,39 +293,15 @@ class UpdateBatch:
         byte-identical to the unreduced run.
         """
         out: List[UpdateStatement] = []
-        #: entries of ``out`` below this index predate an unresolved
-        #: statement and may not be voided.
-        barrier = 0
+        segment: List[UpdateStatement] = []
         for statement in self.statements:
-            target_ids = getattr(statement, "target_ids", None)
-            if target_ids is None:
+            if getattr(statement, "target_ids", None) is None:
+                out += _reduced_segment(segment)
                 out.append(statement)
-                barrier = len(out)
-                continue
-            if isinstance(statement, DeleteUpdate) and target_ids:
-                delete_ids = set(target_ids)
-                reduced_tail: List[UpdateStatement] = []
-                for earlier in out[barrier:]:
-                    earlier_ids = getattr(earlier, "target_ids", None)
-                    if earlier_ids is None or not isinstance(earlier, InsertUpdate):
-                        reduced_tail.append(earlier)
-                        continue
-                    survivors = [
-                        target
-                        for target in earlier_ids
-                        if not covered_by_deletes(target, delete_ids)
-                    ]
-                    if len(survivors) == len(earlier_ids):
-                        reduced_tail.append(earlier)
-                    elif survivors:
-                        reduced_tail.append(
-                            ResolvedInsertUpdate(
-                                survivors, earlier.flat, name=earlier.name
-                            )
-                        )
-                    # else: fully voided (O1/O3) -- drop the statement.
-                out = out[:barrier] + reduced_tail
-            out.append(statement)
+                segment = []
+            else:
+                segment.append(statement)
+        out += _reduced_segment(segment)
         return UpdateBatch(out, name=self.name)
 
     def coalesced(self) -> "UpdateBatch":

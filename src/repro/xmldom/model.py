@@ -5,18 +5,20 @@ Element and attribute nodes carry a label; text nodes carry a string
 value.  Every node owns a :class:`~repro.xmldom.dewey.DeweyID`.
 
 A :class:`Document` additionally maintains, for every label ``a``, the
-paper's *virtual canonical relation* ``R_a``: the document-ordered list
-of ``a``-labeled nodes, from which ``(ID, val, cont)`` tuples are drawn
-by the algebra layer.  The index is kept consistent under subtree
-insertion and deletion with one bisect and one slice per distinct
-label of the moved subtree (:class:`repro.xmldom.index.LabelIndex`),
-and a lazily built per-label value index
-(:class:`repro.xmldom.index.ValueIndex`) answers σ-constant selections
-(:meth:`Document.nodes_with_value`) without scanning.  An inserted
-forest arrives as its flat preorder tuple (:func:`flatten_forest`), and
-one walk over that tuple (:meth:`Document.insert_forest`) creates,
-links, numbers and registers each node and groups it into the label
-index's per-label runs; no template node graph is built or copied.
+paper's *virtual canonical relation* ``R_a``: the document-ordered
+``a``-labeled nodes, from which ``(ID, val, cont)`` tuples are drawn by
+the algebra layer, kept in bounded blocks
+(:class:`repro.xmldom.index.LabelRows`).  The index is kept consistent
+under subtree insertion and deletion by touching one or two blocks per
+distinct label of the moved subtree
+(:class:`repro.xmldom.index.LabelIndex`), and a lazily built per-label
+value index (:class:`repro.xmldom.index.ValueIndex`) answers
+σ-constant selections (:meth:`Document.nodes_with_value`) without
+scanning.  An inserted forest arrives as its flat preorder tuple
+(:func:`flatten_forest`), and one walk over that tuple
+(:meth:`Document.insert_forest`) creates, links, numbers and registers
+each node and groups it into the label index's per-label runs; no
+template node graph is built or copied.
 One walk over a deleted subtree collects it the same way.
 
 Elements memoize ``val`` and ``cont``, and both compose from their
@@ -46,7 +48,7 @@ from __future__ import annotations
 import gc
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.xmldom.index import KeyedRows, LabelIndex, ValueIndex
+from repro.xmldom.index import KeyedRows, LabelIndex, LabelRows, ValueIndex
 from repro.xmldom.dewey import (
     DeweyID,
     Ordinal,
@@ -397,21 +399,25 @@ class Document:
         """All labels with at least one node in the document."""
         return self._index.labels()
 
-    def nodes_with_label(self, label: str) -> List[Node]:
-        """The canonical relation ``R_label`` (document-ordered, live view)."""
+    def nodes_with_label(self, label: str) -> LabelRows:
+        """The canonical relation ``R_label``: a document-ordered,
+        read-only live view of its blocks (``len`` is O(1); a slice
+        materializes a list)."""
         return self._index.nodes(label)
 
     def descendants_with_label(self, node: Node, label: str) -> List[Node]:
         """``R_label`` restricted to the proper descendants of ``node``
-        (document-ordered): two bisects and a slice, no subtree walk."""
+        (document-ordered): bisects bound the run and it is cut out of
+        the blocks it spans, no subtree walk."""
         return self._index.descendants(label, node.id)
 
-    def keyed_label(self, label: str) -> KeyedRows:
-        """``R_label`` with its parallel ``sort_key`` list (live view)."""
+    def keyed_label(self, label: str) -> LabelRows:
+        """``R_label`` as a probe source (``find`` / ``below``; live
+        view)."""
         return self._index.keyed(label)
 
     def snapshot_label(self, label: str) -> List[Node]:
-        """A copy of ``R_label``, immune to subsequent updates."""
+        """A flat copy of ``R_label``, immune to subsequent updates."""
         return self._index.copy_label(label)
 
     def nodes_with_value(self, label: str, constant: str) -> List[Node]:
@@ -565,7 +571,8 @@ class Document:
         """Bulk loading: number and index the numbered root's subtree
         in place, in one preorder walk that gives each node
         ``parent_id.child(label, (position,))``, enters it in
-        ``_by_id`` and adds it to its label's run."""
+        ``_by_id`` and adds it to its label's run; each label's blocks
+        are then cut straight from its run."""
         runs: Dict[str, KeyedRows] = {}
         by_id = self._by_id
         stack: List[Node] = [self.root]

@@ -7,7 +7,8 @@ once per stored row, the lattice upkeep filtered every stored row, and
 the source reconstruction filtered (and re-sorted) whole canonical
 relations.  Dirty-subtree detection likewise bisected two key lists
 per net-removed node before it probed the touch points' ancestor
-chains instead.  The probe versions must compute *exactly* what these did;
+chains instead, and batch-level O1/O3 reduction rescanned every
+earlier insert for each delete, testing ancestors as ``DeweyID`` s.  The probe versions must compute *exactly* what these did;
 ``tests/test_probe_oracles.py`` holds them to it on random documents
 and batches.  Nothing under ``src/`` imports this module.
 """
@@ -26,6 +27,13 @@ from repro.pattern.xpath_parser import (
     Step,
     ValueFilter,
     _test_matches,
+)
+from repro.updates.language import (
+    DeleteUpdate,
+    InsertUpdate,
+    ResolvedInsertUpdate,
+    UpdateStatement,
+    covered_by_deletes,
 )
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.model import Document, ElementNode, Node
@@ -231,3 +239,42 @@ def scan_dirty_removed_nodes(application) -> List[Node]:
             if earlier < index
         )
     ]
+
+
+# -- batch reduction: every delete rescans the earlier inserts -----------------------
+
+
+def scan_reduced(statements: Sequence[UpdateStatement]) -> List[UpdateStatement]:
+    """``UpdateBatch.reduced``'s statements: each resolved delete
+    filters the targets of every earlier resolved insert since the last
+    unresolved statement through :func:`covered_by_deletes`."""
+    out: List[UpdateStatement] = []
+    barrier = 0
+    for statement in statements:
+        target_ids = getattr(statement, "target_ids", None)
+        if target_ids is None:
+            out.append(statement)
+            barrier = len(out)
+            continue
+        if isinstance(statement, DeleteUpdate) and target_ids:
+            delete_ids = set(target_ids)
+            tail: List[UpdateStatement] = []
+            for earlier in out[barrier:]:
+                earlier_ids = getattr(earlier, "target_ids", None)
+                if earlier_ids is None or not isinstance(earlier, InsertUpdate):
+                    tail.append(earlier)
+                    continue
+                survivors = [
+                    target
+                    for target in earlier_ids
+                    if not covered_by_deletes(target, delete_ids)
+                ]
+                if len(survivors) == len(earlier_ids):
+                    tail.append(earlier)
+                elif survivors:
+                    tail.append(
+                        ResolvedInsertUpdate(survivors, earlier.flat, name=earlier.name)
+                    )
+            out = out[:barrier] + tail
+        out.append(statement)
+    return out

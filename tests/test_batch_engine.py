@@ -10,6 +10,8 @@ merged into one statement, insert-then-delete round-trips that cancel
 out of both Δ sets).
 """
 
+import functools
+import pickle
 import random
 
 import pytest
@@ -33,12 +35,20 @@ from repro.workloads.updates import delete_variant, insert_update, statement_str
 from repro.workloads.xmark import generate_document
 from repro.xmldom.parser import parse_document
 from repro.xmldom.serializer import serialize_fragment
+from tests.harness.reference_scans import scan_reduced
 from tests.harness.reference_statement_path import apply_statement
 from tests.test_property_maintenance import (
     _random_document,
     _random_update,
     _random_view,
 )
+
+
+@functools.lru_cache(maxsize=None)
+def _reduction_elements():
+    """An XMark document's elements: reduction reads only their IDs."""
+    document = generate_document(scale=1)
+    return [node for node in document.root.self_and_descendants() if node.kind == "element"]
 
 
 def _assert_equivalent(sequential_views, batch_views, sequential_doc, batch_doc):
@@ -246,6 +256,58 @@ class TestCoalescing:
 
 class TestReductionRules:
     """O1/O3/I5 folded into UpdateBatch (Figure 14 at batch level)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_reduced_equals_the_rescanning_reference(self, seed):
+        """Random resolved streams with unresolved barriers, duplicate
+        and nested targets and unlinked IDs: the one backward pass per
+        segment keeps, voids and rewrites exactly what rescanning every
+        earlier insert per delete did."""
+        rng = random.Random(seed)
+        elements = _reduction_elements()
+        statements = []
+        inserted = []
+        for index in range(rng.randint(1, 40)):
+            roll = rng.random()
+            if roll < 0.1:
+                statements.append(
+                    DeleteUpdate("//zzz", name="path_del%d" % index)
+                    if rng.random() < 0.5
+                    else InsertUpdate("/site/people", "<zzz/>", name="path_ins%d" % index)
+                )
+                continue
+            targets = [
+                rng.choice(elements).id for _ in range(rng.choice((0, 1, 1, 2, 3)))
+            ]
+            if roll < 0.45 and inserted and rng.random() < 0.7:
+                # Delete an earlier insert target or one of its ancestors.
+                chain = [rng.choice(inserted)]
+                chain += list(chain[0].ancestor_ids())
+                targets.append(rng.choice(chain))
+            elif roll >= 0.45:
+                inserted.extend(targets)
+            # An ID rebuilt from its steps has no parent link yet.
+            targets = [
+                pickle.loads(pickle.dumps(t)) if rng.random() < 0.3 else t for t in targets
+            ]
+            if roll < 0.45:
+                statements.append(ResolvedDeleteUpdate(targets, name="del%d" % index))
+            else:
+                statements.append(
+                    ResolvedInsertUpdate(targets, ("x", 0), name="ins%d" % index)
+                )
+        reduced = UpdateBatch(statements).reduced().statements
+        reference = scan_reduced(statements)
+        assert [type(s) for s in reduced] == [type(s) for s in reference]
+        for mine, theirs in zip(reduced, reference):
+            assert mine.name == theirs.name
+            assert getattr(mine, "target_ids", None) == getattr(theirs, "target_ids", None)
+            assert getattr(mine, "flat", None) is getattr(theirs, "flat", None)
+            # A statement kept whole is the submitted object in both.
+            assert (mine in statements) == (theirs in statements)
+            if theirs in statements:
+                assert mine is theirs
 
     def _target(self, document, path):
         statement = parse_update("delete %s" % path)

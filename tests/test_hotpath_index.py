@@ -4,9 +4,13 @@ The invariants under test:
 
 * LabelIndex rows and their parallel key lists stay equal to a sorted
   rebuild under interleaved add_runs/remove_runs on fake nodes (on
-  documents, tests/test_xmldom.py::TestOneWalk checks the same); a
-  subtree splices only its own labels' rows, in place, and a run
-  whose ends are not indexed raises;
+  documents, tests/test_xmldom.py::TestOneWalk checks the same); under
+  random document updates every label's blocks equal a preorder scan,
+  hold at most 2·BLOCK entries and answer find/below as the scan does;
+  a subtree edits only its own labels' rows, in place, and a run whose
+  ends are not indexed raises, also across blocks;
+* an Overlay (the batch sources) finds, slices and iterates as the
+  filter-and-re-sort reference scan of the same cuts and merges;
 * ValueIndex lookups (Document.nodes_with_value) always equal the
   brute-force σ-constant scan, across inserts, deletes and text-driven
   val changes;
@@ -18,14 +22,17 @@ The invariants under test:
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.xmldom.index as index_module
 from harness.four_walk import add_subtree, remove_subtree
+from harness.reference_scans import scan_spliced
 from repro.views.store import OrderedTupleStore
-from repro.xmldom.index import LabelIndex
+from repro.xmldom.index import LabelIndex, Overlay
 from repro.xmldom.model import (
     ElementNode,
     TextNode,
@@ -71,7 +78,120 @@ def _fake_subtree(rng, prefix):
     return [_FakeNode(rng.choice("abc"), (prefix, i)) for i in range(rng.randint(1, 6))]
 
 
+@contextmanager
+def _blocks_of(size):
+    """Run with ``BLOCK = size``, so small rows already span blocks."""
+    saved = index_module.BLOCK
+    index_module.BLOCK = size
+    try:
+        yield
+    finally:
+        index_module.BLOCK = saved
+
+
+_BLOCK_FRAGMENTS = ("<a>x</a>", "<b/>", "<a><b>y</b><a/></a>", "<c><a/><b/>z</c>")
+
+
+def _random_block_document(rng):
+    """A small document, then a few random inserts and deletes; returns
+    it with the nodes the deletes detached."""
+    document = parse_document(
+        "<r>" + "".join(rng.choice(_BLOCK_FRAGMENTS) for _ in range(rng.randint(2, 8))) + "</r>"
+    )
+    removed = []
+    for _ in range(rng.randint(4, 16)):
+        elements = [n for n in document.root.self_and_descendants() if n.kind == "element"]
+        if rng.random() < 0.4 and len(elements) > 1:
+            removed.extend(document.delete_subtree(rng.choice(elements[1:])))
+        else:
+            fragment = parse_document(rng.choice(_BLOCK_FRAGMENTS)).root
+            document.insert_subtree(rng.choice(elements), fragment)
+    return document, removed
+
+
+def _below_scan(rows, context):
+    return [n for n in rows if context.id.is_ancestor_of(n.id)]
+
+
 class TestLabelIndex:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000), block=st.sampled_from([1, 2, 3]))
+    def test_blocks_equal_a_preorder_scan(self, seed, block):
+        rng = random.Random(seed)
+        with _blocks_of(block):
+            document, removed = _random_block_document(rng)
+        scan = {}
+        for node in document.root.self_and_descendants():
+            scan.setdefault(node.label, []).append(node)
+        assert sorted(document.labels()) == sorted(scan)
+        contexts = [n for n in document.root.self_and_descendants() if n.kind == "element"]
+        for label, expected in scan.items():
+            rows = document.nodes_with_label(label)
+            assert all(0 < len(nodes) <= 2 * block for nodes in rows.node_blocks), label
+            assert [n for nodes in rows.node_blocks for n in nodes] == expected, label
+            assert [k for keys in rows.key_blocks for k in keys] == [
+                n.id.sort_key for n in expected
+            ], label
+            assert rows.firsts == [keys[0] for keys in rows.key_blocks], label
+            assert len(rows) == len(expected) and list(rows) == expected, label
+            for node in expected:
+                assert rows.find(node.id.sort_key) is node
+            for gone in removed:
+                assert rows.find(gone.id.sort_key) is None
+            for context in rng.sample(contexts, min(6, len(contexts))) + removed[:2]:
+                assert rows.below(context.id) == _below_scan(expected, context), label
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000), block=st.sampled_from([1, 2, 3]))
+    def test_overlay_equals_scan_spliced(self, seed, block):
+        """Random cuts and merges -- among them the first and last row
+        of blocks, and a removed run that began a block -- give an
+        overlay that finds, slices and iterates as ``scan_spliced``."""
+        rng = random.Random(seed)
+        with _blocks_of(block):
+            document, removed = _random_block_document(rng)
+            a_blocks = document.nodes_with_label("a").node_blocks
+            if len(a_blocks) > 1:
+                # Detach a run that began a block: merged back, it
+                # lands on the boundary between two blocks.
+                removed.extend(document.delete_subtree(rng.choice(a_blocks[1:])[0]))
+        contexts = [n for n in document.root.self_and_descendants() if n.kind == "element"]
+        contexts += [n for n in removed if n.kind == "element"]
+        for label in sorted(set(document.labels()) | {n.label for n in removed}):
+            rows = document.nodes_with_label(label)
+            live = list(rows)
+            boundaries = [nodes[0] for nodes in rows.node_blocks]
+            boundaries += [nodes[-1] for nodes in rows.node_blocks]
+            cut = set(rng.sample(live, rng.randint(0, len(live))))
+            cut |= set(rng.sample(boundaries, rng.randint(0, len(boundaries))))
+            merged = [n for n in removed if n.label == label and rng.random() < 0.7]
+            merged.sort(key=lambda n: n.id.sort_key)
+            cut_keys = [n.id.sort_key for n in cut] + [b"\x00absent"]
+            overlay = Overlay(rows, cut_keys, merged)
+            expected = scan_spliced(rows, {n.id for n in cut}, merged)
+            assert list(overlay) == overlay.nodes == expected, label
+            assert overlay.keys == [n.id.sort_key for n in expected], label
+            for node in live + merged:
+                assert overlay.find(node.id.sort_key) is (None if node in cut else node)
+            for context in contexts:
+                assert overlay.below(context.id) == _below_scan(expected, context), label
+
+    def test_remove_raises_on_a_mismatched_run_across_blocks(self):
+        with _blocks_of(2):
+            index = LabelIndex()
+            nodes = [_FakeNode("a", (1, i)) for i in range(12)]
+            add_subtree(index, nodes)
+            rows = index.nodes("a")
+            assert [len(block) for block in rows.node_blocks] == [2] * 6
+            with pytest.raises(LookupError):  # far end differs, three blocks on
+                remove_subtree(index, nodes[1:6] + [_FakeNode("a", (1, 6))])
+            with pytest.raises(LookupError):  # runs past the last block
+                remove_subtree(index, nodes[5:] + [_FakeNode("a", (1, 12))])
+            assert list(rows) == nodes  # nothing was removed
+            remove_subtree(index, nodes[1:7])
+            assert list(index.nodes("a")) == nodes[:1] + nodes[7:]
+            assert all(0 < len(block) <= 4 for block in rows.node_blocks)
+
     def test_random_add_remove_matches_sorted_rebuild(self):
         rng = random.Random(7)
         index = LabelIndex()
@@ -99,18 +219,24 @@ class TestLabelIndex:
             remove_subtree(index, [first, second, _FakeNode("a", (1, 2))])  # too long
         with pytest.raises(LookupError):
             remove_subtree(index, [_FakeNode("z", (1, 0))])  # label never indexed
-        assert index.nodes("a") == [first, second]
+        assert list(index.nodes("a")) == [first, second]
 
     def test_add_subtree_splices_only_its_labels(self):
         index = LabelIndex()
         add_subtree(index, [_FakeNode("a", (2, 0)), _FakeNode("b", (2, 1)), _FakeNode("a", (2, 2))])
         row_a, row_b = index.nodes("a"), index.nodes("b")
+        b_blocks = list(row_b.node_blocks)
+        b_nodes = [list(block) for block in b_blocks]
         add_subtree(index, [_FakeNode("a", (1, 0)), _FakeNode("a", (1, 1))])
         assert [n.id.sort_key for n in index.nodes("a")] == [(1, 0), (1, 1), (2, 0), (2, 2)]
-        # Rows are spliced in place (the lists handed out stay live);
-        # the 'b' row was not touched at all.
+        # Rows are edited in place (the rows handed out stay live);
+        # the 'b' row was not touched at all: the same blocks, the
+        # same entries.
         assert index.nodes("a") is row_a
         assert index.nodes("b") is row_b and len(row_b) == 1
+        assert len(row_b.node_blocks) == len(b_blocks)
+        assert all(mine is kept for mine, kept in zip(row_b.node_blocks, b_blocks))
+        assert [list(block) for block in row_b.node_blocks] == b_nodes
 
     def test_copy_label_is_detached(self):
         index = LabelIndex()
@@ -119,7 +245,7 @@ class TestLabelIndex:
         copied = index.copy_label("a")
         remove_subtree(index, [node])
         assert copied == [node]
-        assert index.nodes("a") == []
+        assert list(index.nodes("a")) == [] and "a" not in set(index.labels())
 
 
 def _brute_force_sigma(document, label, constant):

@@ -36,7 +36,7 @@ from repro.views.view import MaterializedView
 from repro.workloads.churn import churn_batches
 from repro.workloads.queries import VIEW_TEXTS, view_pattern
 from repro.workloads.updates import UPDATE_TEXTS, statement_stream
-from repro.xmldom.index import KeyedRows
+from repro.xmldom.index import KeyedRows, LabelRows, Overlay
 from repro.xmldom.model import Document, ElementNode, TextNode, build_document
 from repro.xmldom.parser import parse_fragment
 from repro.xmldom.serializer import serialize_fragment
@@ -537,7 +537,7 @@ def test_lattice_probe_matches_filter_on_sigma_flips(seed):
     assert "flip" in seen, seen
 
 
-# -- (e) bisected splice ≡ filter + re-sort ≡ the pre-batch relation ------------------
+# -- (e) overlay ≡ filter + re-sort ≡ the pre-batch relation --------------------------
 
 
 @PROPERTY
@@ -555,16 +555,15 @@ def test_spliced_label_reconstructs_the_pre_batch_relation(seed):
     touched = set(inserted) | set(removed)
     assert touched
     for label in sorted(touched | {"nosuchlabel"}):
-        spliced = document.keyed_label(label).spliced(
+        overlay = Overlay(
+            document.keyed_label(label),
             [node_id.sort_key for node_id in inserted.get(label, ())],
             removed.get(label, ()),
         )
-        assert spliced.nodes == scan_spliced(
+        assert list(overlay) == scan_spliced(
             document.nodes_with_label(label), inserted_ids, removed.get(label, ())
         ), label
-        assert spliced.nodes == before.get(label, []), label
-        # ... and the one edit list kept the key list parallel.
-        assert spliced.keys == [node.id.sort_key for node in spliced.nodes], label
+        assert overlay.nodes == before.get(label, []), label
 
 
 @contextmanager
@@ -715,29 +714,38 @@ def _counting(counters):
         counters.rows_rewritten += len(doomed) + len(fresh)
         return delta(self, doomed, fresh)
 
-    hash_join, find, below = structural_join, KeyedRows.find, KeyedRows.below
+    hash_join = structural_join
+    #: every row source class, with its own find / below
+    probes = {rows: (rows.find, rows.below) for rows in (KeyedRows, LabelRows, Overlay)}
+    #: probe calls in progress: an overlay probes its base, and only
+    #: the outermost call counts
+    active = [0]
 
     def counted_hash_join(left, right, *args):
         counters.join_rows_examined += len(right.rows)
         return hash_join(left, right, *args)
 
-    def counted_find(self, key):
-        node = find(self, key)
-        counters.join_rows_examined += node is not None
-        return node
+    def outermost(probe, rows_found):
+        def counted(self, arg):
+            active[0] += 1
+            try:
+                result = probe(self, arg)
+            finally:
+                active[0] -= 1
+            if not active[0]:
+                counters.join_rows_examined += rows_found(result)
+            return result
 
-    def counted_below(self, ancestor_id):
-        run = below(self, ancestor_id)
-        counters.join_rows_examined += len(run)
-        return run
+        return counted
 
     ElementNode.self_and_descendants = counted_walk
     ElementNode.descendants = counted_descend
     lattice_module._probe = counted_probe
     Relation.apply_delta = counted_delta
     terms_module.structural_join = insert_module.structural_join = counted_hash_join
-    KeyedRows.find = counted_find
-    KeyedRows.below = counted_below
+    for rows, (find, below) in probes.items():
+        rows.find = outermost(find, lambda node: node is not None)
+        rows.below = outermost(below, len)
     try:
         yield
     finally:
@@ -746,8 +754,8 @@ def _counting(counters):
         lattice_module._probe = probe
         Relation.apply_delta = delta
         terms_module.structural_join = insert_module.structural_join = hash_join
-        KeyedRows.find = find
-        KeyedRows.below = below
+        for rows, (find, below) in probes.items():
+            rows.find, rows.below = find, below
 
 
 _PROBE_PERSON = (
@@ -802,7 +810,7 @@ def _fixed_batch_counts(scale: int):
 
 
 class _SpliceCountingRow(list):
-    """A label-index row that counts how it is edited."""
+    """A label-index row block that counts how it is edited."""
 
     def __init__(self, rows, counts):
         super().__init__(rows)
@@ -836,7 +844,8 @@ def _mail_insert_counts(scale: int):
     index = document._index
     counts = {"slice_inserts": 0, "node_inserts": 0, "composed": 0}
     for label in list(index.labels()):
-        index._nodes[label] = _SpliceCountingRow(index._nodes[label], counts)
+        blocks = index.nodes(label).node_blocks
+        blocks[:] = [_SpliceCountingRow(block, counts) for block in blocks]
     (mail,) = parse_fragment(_PROBE_MAIL)
     document.insert_subtree(mailbox, mail)
     cont = ElementNode.cont
