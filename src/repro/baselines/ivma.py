@@ -24,7 +24,8 @@ import time
 from typing import Dict, List, Sequence, Set
 
 from repro.maintenance.delta import DeltaTables
-from repro.maintenance.terms import Term, evaluate_term
+from repro.maintenance.plan import ViewPlan
+from repro.maintenance.terms import evaluate_term, flip_repair_term
 from repro.pattern.evaluate import Sources, filter_by_predicate, project_bindings
 from repro.pattern.tree_pattern import Pattern
 from repro.views.view import MaterializedView
@@ -39,6 +40,7 @@ class IVMAMaintainer:
     def __init__(self, view: MaterializedView, document: Document):
         self.view = view
         self.document = document
+        self.plan = ViewPlan(view.pattern)
         self.calls = 0
 
     # -- single-node propagation -----------------------------------------
@@ -67,8 +69,8 @@ class IVMAMaintainer:
             if not filter_by_predicate([node], pnode):
                 continue
             deltas = DeltaTables(pattern, {pnode.name: [node]}, "+")
-            term = Term(frozenset((pnode.name,)))
-            relation = evaluate_term(pattern, term, sources, deltas, lattice=None)
+            term = flip_repair_term(pnode.name)
+            relation = evaluate_term(self.plan, term, sources, deltas, lattice=None)
             for row in relation.rows:
                 key = tuple(cell.id for cell in row)
                 bindings.setdefault(key, row)
@@ -100,7 +102,7 @@ class IVMAMaintainer:
             from repro.algebra.relation import Relation
 
             relation = Relation([n.name for n in pattern.nodes()], bindings.values())
-            projected = project_bindings(pattern, relation)
+            projected = project_bindings(self.plan.projection, relation)
             for row in projected.rows:
                 self.view.add(row, 1)
         return time.perf_counter() - started
@@ -126,7 +128,7 @@ class IVMAMaintainer:
             from repro.algebra.relation import Relation
 
             relation = Relation([n.name for n in pattern.nodes()], bindings.values())
-            projected = project_bindings(pattern, relation)
+            projected = project_bindings(self.plan.projection, relation)
             for row in projected.rows:
                 self.view.decrement(row, 1)
         return time.perf_counter() - started

@@ -7,6 +7,9 @@
   inserted-data (Prop. 3.6), inserted/deleted IDs (Props. 3.8 / 4.7),
   sign parity (Prop. 4.3); plus the shared term evaluator used by
   ET-INS and ET-DEL over materialized snowcaps.
+* :mod:`repro.maintenance.plan` -- the per-view state derived once
+  from the pattern at registration: term lists, join orders, Δ
+  extraction, projection and the refresh's anchoring.
 * :mod:`repro.maintenance.insert` -- PINT (Algorithm 1), ET-INS
   (Algorithm 3) and PIMT (Algorithm 4), combined as PINT/MT.
 * :mod:`repro.maintenance.delete` -- PDDT (Algorithm 5), ET-DEL, PDMT
@@ -17,6 +20,7 @@
 """
 
 from repro.maintenance.delta import DeltaTables
+from repro.maintenance.plan import ViewPlan
 from repro.maintenance.terms import (
     Term,
     evaluate_term,
@@ -38,6 +42,7 @@ __all__ = [
     "PhaseTimes",
     "RegisteredView",
     "Term",
+    "ViewPlan",
     "evaluate_term",
     "expand_delete_terms",
     "expand_insert_terms",

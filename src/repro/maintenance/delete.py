@@ -29,39 +29,37 @@ from repro.maintenance.delta import (
     SideStats,
     delta_from_candidates,
 )
+from repro.maintenance.plan import ViewPlan
 from repro.maintenance.terms import (
     Term,
     absorb_embeddings,
     evaluate_term,
-    expand_delete_terms,
     prune_by_empty_delta,
     prune_delete_by_ids,
 )
 from repro.pattern.evaluate import Sources
-from repro.pattern.tree_pattern import Pattern
 from repro.views.lattice import SnowcapLattice
 from repro.views.view import row_sort_key
 
 
 def surviving_delete_terms(
-    pattern: Pattern,
+    plan: ViewPlan,
     deltas: DeltaTables,
     prune_even_terms: bool = False,
     use_data_pruning: bool = True,
     use_id_pruning: bool = True,
 ) -> Tuple[List[Term], int]:
-    """Develop and prune the deletion expression; (survivors, developed)."""
-    terms = expand_delete_terms(pattern, prune_even_terms=prune_even_terms)
-    developed = len(terms)
+    """Prune the plan's deletion expression; (survivors, developed)."""
+    developed = terms = plan.delete_terms(prune_even_terms)
     if use_data_pruning:
         terms = prune_by_empty_delta(terms, deltas)
     if use_id_pruning:
-        terms = prune_delete_by_ids(terms, pattern, deltas)
-    return terms, developed
+        terms = prune_delete_by_ids(terms, plan, deltas)
+    return list(terms), len(developed)
 
 
 def collect_delete_embeddings(
-    pattern: Pattern,
+    plan: ViewPlan,
     terms: Sequence[Term],
     r_sources: Sources,
     deltas: DeltaTables,
@@ -82,14 +80,14 @@ def collect_delete_embeddings(
         if term.sign < 0:
             continue  # add-back terms are subsumed under binding-set semantics
         started = time.perf_counter()
-        bindings = evaluate_term(pattern, term, r_sources, deltas, lattice)
+        bindings = evaluate_term(plan, term, r_sources, deltas, lattice)
         eval_seconds += time.perf_counter() - started
-        absorb_embeddings(pattern, bindings, embeddings)
+        absorb_embeddings(plan, bindings, embeddings)
     return embeddings, eval_seconds
 
 
 def delete_side(
-    pattern: Pattern,
+    plan: ViewPlan,
     candidates: BatchCandidates,
     lattice: SnowcapLattice,
     old_sources: Callable[[], Sources],
@@ -106,23 +104,21 @@ def delete_side(
     """
     stats = SideStats()
     started = time.perf_counter()
-    delta_minus = delta_from_candidates(pattern, candidates, "-")
+    delta_minus = delta_from_candidates(plan, candidates, "-")
     stats.delta_seconds = time.perf_counter() - started
-    stats.delta_sizes = {
-        name: len(delta_minus.nodes(name)) for name in pattern.node_names()
-    }
+    stats.delta_sizes = {name: len(delta_minus.nodes(name)) for name in plan.names}
     if not delta_minus.nonempty_names():
         return {}, stats
     stats.live = True
     started = time.perf_counter()
     terms, developed = surviving_delete_terms(
-        pattern, delta_minus, prune_even_terms, use_data_pruning, use_id_pruning
+        plan, delta_minus, prune_even_terms, use_data_pruning, use_id_pruning
     )
     stats.develop_seconds = time.perf_counter() - started
     stats.terms_developed = developed
     stats.terms_surviving = len(terms)
     embeddings, stats.eval_seconds = collect_delete_embeddings(
-        pattern, terms, old_sources(), delta_minus, lattice
+        plan, terms, old_sources(), delta_minus, lattice
     )
     return embeddings, stats
 

@@ -13,12 +13,15 @@ filtered by the view node's σ value predicate up front -- the paper's
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Set
 
 from repro.pattern.evaluate import filter_by_predicate
 from repro.pattern.tree_pattern import Pattern
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.model import Node
+
+if TYPE_CHECKING:
+    from repro.maintenance.plan import ViewPlan
 
 
 class DeltaTables:
@@ -28,11 +31,31 @@ class DeltaTables:
         if sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-', got %r" % sign)
         self.pattern = pattern
+        #: a table may be the batch's own label bucket
+        #: (:func:`delta_from_candidates`): read, never mutate.
         self.tables = tables
         self.sign = sign
+        self._ancestor_labels: Dict[str, FrozenSet[str]] = {}
 
     def nodes(self, name: str) -> List[Node]:
         return self.tables.get(name, [])
+
+    def ancestor_labels(self, name: str) -> FrozenSet[str]:
+        """The labels of the proper ancestors of the table's nodes, per
+        their Dewey IDs (Prop. 4.7's test), collected once per table:
+        a chain stops at the first ancestor already seen."""
+        labels = self._ancestor_labels.get(name)
+        if labels is None:
+            found: Set[str] = set()
+            seen: Set[bytes] = set()
+            for node in self.nodes(name):
+                walk = node.id.parent()
+                while walk is not None and walk.sort_key not in seen:
+                    seen.add(walk.sort_key)
+                    found.add(walk.label)
+                    walk = walk.parent()
+            labels = self._ancestor_labels[name] = frozenset(found)
+        return labels
 
     def is_empty(self, name: str) -> bool:
         return not self.tables.get(name)
@@ -106,34 +129,37 @@ class SideStats:
         self.snowcap_seconds = 0.0
 
 
-def touched_labels(pattern: Pattern, candidates: BatchCandidates) -> List[str]:
-    """Candidate labels this pattern's Δ tables can see (label-level
+def touched_labels(plan: "ViewPlan", candidates: BatchCandidates) -> List[str]:
+    """Candidate labels this view's Δ tables can see (label-level
     liveness check: an empty result proves every Δ table empty, so the
     whole side can be skipped without σ-filtering anything)."""
     if not candidates.by_label:
         return []
-    if any(node.label == "*" for node in pattern.nodes()):
+    if plan.wildcard:
         return sorted(candidates.by_label)
-    pattern_labels = {node.label for node in pattern.nodes()}
-    return sorted(label for label in candidates.by_label if label in pattern_labels)
-
-
-def _extract_for_pattern(pattern: Pattern, candidates: BatchCandidates) -> Dict[str, List[Node]]:
-    # Each pattern node σ-filters its own label's bucket instead of
-    # re-walking the whole candidate list (patterns share labels across
-    # nodes); buckets are document-ordered already.
-    tables: Dict[str, List[Node]] = {}
-    for node in pattern.nodes():
-        pool = candidates.nodes if node.label == "*" else candidates.by_label.get(node.label, [])
-        tables[node.name] = filter_by_predicate(pool, node)
-    return tables
+    return sorted(label for label in candidates.by_label if label in plan.labels)
 
 
 def delta_from_candidates(
-    pattern: Pattern, candidates: BatchCandidates, sign: str
+    plan: "ViewPlan", candidates: BatchCandidates, sign: str
 ) -> DeltaTables:
-    """σ-filter a shared candidate set into one view's Δ tables."""
-    return DeltaTables(pattern, _extract_for_pattern(pattern, candidates), sign)
+    """Split a shared candidate set into one view's Δ tables.
+
+    Each pattern node reads its own label's bucket (document-ordered
+    already) instead of re-walking the whole candidate list: a node
+    with no σ and no ``*`` takes the bucket itself, shared with every
+    other view (read-only); a σ node σ-filters it, a ``*`` node keeps
+    the candidate elements.
+    """
+    by_label = candidates.by_label
+    tables: Dict[str, List[Node]] = {}
+    for name, label, filtered in plan.extraction:
+        if filtered is None:
+            tables[name] = by_label.get(label, [])
+        else:
+            pool = candidates.nodes if label == "*" else by_label.get(label, [])
+            tables[name] = filter_by_predicate(pool, filtered)
+    return DeltaTables(plan.pattern, tables, sign)
 
 
 def flip_delta(

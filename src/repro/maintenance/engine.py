@@ -60,6 +60,7 @@ from repro.maintenance.insert import (
     collect_attribute_refreshes,
     insert_side,
 )
+from repro.maintenance.plan import ViewPlan
 from repro.maintenance.repair import (
     FlipSets,
     flip_lattice_repair,
@@ -333,7 +334,9 @@ class BatchReport:
 
 
 class RegisteredView:
-    """A view under maintenance: extent + lattice + options."""
+    """A view under maintenance: extent + lattice + options, and the
+    :class:`~repro.maintenance.plan.ViewPlan` its pattern compiles to
+    once, at registration."""
 
     def __init__(self, name: str, view: MaterializedView, lattice: SnowcapLattice,
                  definition: Optional[ViewDefinition] = None):
@@ -341,6 +344,7 @@ class RegisteredView:
         self.view = view
         self.lattice = lattice
         self.definition = definition
+        self.plan = ViewPlan(view.pattern)
 
     @property
     def pattern(self) -> Pattern:
@@ -585,7 +589,7 @@ class MaintenanceEngine:
 
     def _sources(
         self,
-        pattern: Pattern,
+        plan: ViewPlan,
         cut_by_label: Dict[str, List[DeweyID]],
         merge_by_label: Dict[str, List[Node]],
         cache: Dict[str, Overlay],
@@ -617,7 +621,7 @@ class MaintenanceEngine:
         """
         minus_sets, plus_sets = rollback
         sources: Sources = {}
-        for node in pattern.nodes():
+        for node in plan.nodes:
             label = node.label
             if label == "*":
                 cut = [node_id for ids in cut_by_label.values() for node_id in ids]
@@ -795,12 +799,7 @@ class MaintenanceEngine:
             name: {} for name in views
         }
         sigma_by_view = {
-            name: [
-                node
-                for node in registered.pattern.nodes()
-                if node.value_pred is not None
-            ]
-            for name, registered in views.items()
+            name: registered.plan.sigma_nodes for name, registered in views.items()
         }
         any_sigma = any(sigma_by_view.values())
 
@@ -810,14 +809,12 @@ class MaintenanceEngine:
         # observably.  Taken over every registered view, not just
         # ``views``, so a session's party 0 counts the dirty nodes
         # serial propagation would.
-        val_sensitive: set = set()
-        cont_sensitive: set = set()
-        for registered in self.views.values():
-            for node in registered.pattern.nodes():
-                if node.value_pred is not None or node.store_val:
-                    val_sensitive.add(node.label)
-                if node.store_cont:
-                    cont_sensitive.add(node.label)
+        val_sensitive = set().union(
+            *(registered.plan.val_labels for registered in self.views.values())
+        )
+        cont_sensitive = set().union(
+            *(registered.plan.cont_labels for registered in self.views.values())
+        )
         # First-seen pre-batch snapshots powering dirty-subtree repair.
         # Only delete-bearing batches can net-remove a node, so
         # insert-only batches never pay the capture (or repair) cost.
@@ -987,17 +984,15 @@ class MaintenanceEngine:
                 application.find_targets_seconds, name,
             )
             report.view_reports[name] = view_report
-            pattern = registered.pattern
-            view_report.delta_sizes = {
-                node_name: 0 for node_name in pattern.node_names()
-            }
+            plan = registered.plan
+            view_report.delta_sizes = dict.fromkeys(plan.names, 0)
             ctx = _ViewRound(name, registered, view_report)
-            ctx.refresh_due = any_targets and bool(pattern.content_nodes())
-            ctx.minus_due = bool(touched_labels(pattern, removed_candidates))
-            ctx.plus_due = bool(touched_labels(pattern, inserted_candidates))
+            ctx.refresh_due = any_targets and bool(plan.content_nodes)
+            ctx.minus_due = bool(touched_labels(plan, removed_candidates))
+            ctx.plus_due = bool(touched_labels(plan, inserted_candidates))
             flips = self._batch_flips(watch[name], application.inserted_ids)
             if flips:
-                ctx.minus_sets, ctx.plus_sets = match_flips_to_pattern(pattern, flips)
+                ctx.minus_sets, ctx.plus_sets = match_flips_to_pattern(plan, flips)
                 if ctx.minus_sets or ctx.plus_sets:
                     report.repairs[name] = {"sigma_flips": len(flips)}
             contexts.append(ctx)
@@ -1006,7 +1001,7 @@ class MaintenanceEngine:
 
         def survivor_sources(ctx: _ViewRound) -> Sources:
             return self._sources(
-                ctx.registered.pattern, inserted_by_label, {}, survivor_cache
+                ctx.registered.plan, inserted_by_label, {}, survivor_cache
             )
 
         # Bucketed on the first view whose refresh is due, then shared.
@@ -1017,7 +1012,7 @@ class MaintenanceEngine:
                 return 0
             with _PhaseTimer(tracer, ctx.report.phases, "execute_update", ctx.name):
                 ctx.rewrites = collect_attribute_refreshes(
-                    ctx.registered.view, self.document, affected
+                    ctx.registered.plan, ctx.registered.view, self.document, affected
                 )
             ctx.report.tuples_modified = len(ctx.rewrites)
             if report.view_deltas is not None:
@@ -1027,14 +1022,14 @@ class MaintenanceEngine:
         def minus(ctx: _ViewRound) -> int:
             if not ctx.minus_due:
                 return 0
-            pattern = ctx.registered.pattern
+            plan = ctx.registered.plan
             started = time.perf_counter()
             embeddings, stats = delete_side(
-                pattern,
+                plan,
                 removed_candidates,
                 ctx.registered.lattice,
                 lambda: self._sources(
-                    pattern,
+                    plan,
                     inserted_by_label,
                     removed_candidates.by_label,
                     pre_batch_cache,
@@ -1055,11 +1050,11 @@ class MaintenanceEngine:
                 return 0
             started = time.perf_counter()
             additions, ctx.snowcap, stats = insert_side(
-                ctx.registered.pattern,
+                ctx.registered.plan,
                 inserted_candidates,
                 ctx.registered.lattice,
                 lambda: survivor_sources(ctx),
-                insert_target_ids,
+                affected.insert_labels,
                 self.use_data_pruning,
                 self.use_id_pruning,
             )
@@ -1071,14 +1066,14 @@ class MaintenanceEngine:
         def repair(ctx: _ViewRound) -> int:
             if not (ctx.minus_sets or ctx.plus_sets):
                 return 0
-            pattern = ctx.registered.pattern
+            plan = ctx.registered.plan
             started = time.perf_counter()
             evictions, admissions, stats = flip_repair(
-                pattern,
+                plan,
                 ctx.minus_sets,
                 ctx.plus_sets,
                 lambda: self._sources(
-                    pattern,
+                    plan,
                     inserted_by_label,
                     {},
                     survivor_cache,
@@ -1139,7 +1134,7 @@ class MaintenanceEngine:
                 continue
             with _PhaseTimer(tracer, ctx.report.phases, "update_lattice", ctx.name):
                 drops, flip_additions = flip_lattice_repair(
-                    ctx.registered.pattern,
+                    ctx.registered.plan,
                     lattice,
                     ctx.minus_sets,
                     ctx.plus_sets,

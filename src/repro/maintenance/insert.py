@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.algebra.relation import Relation
 from repro.algebra.structural import probe_descendants, structural_join
@@ -31,16 +31,16 @@ from repro.maintenance.delta import (
     SideStats,
     delta_from_candidates,
 )
+from repro.maintenance.plan import ViewPlan
 from repro.maintenance.terms import (
     NodeSet,
     Term,
     evaluate_term,
-    expand_insert_terms,
     prune_by_empty_delta,
     prune_insert_by_ids,
+    self_and_ancestor_labels,
 )
 from repro.pattern.evaluate import Sources, project_bindings
-from repro.pattern.tree_pattern import Pattern
 from repro.views.lattice import SnowcapLattice
 from repro.views.view import MaterializedView
 from repro.xmldom.dewey import DeweyID
@@ -48,29 +48,30 @@ from repro.xmldom.model import Document
 
 
 def surviving_insert_terms(
-    pattern: Pattern,
+    plan: ViewPlan,
     deltas: DeltaTables,
-    target_ids: Sequence[DeweyID],
+    target_labels: AbstractSet[str],
     use_data_pruning: bool = True,
     use_id_pruning: bool = True,
 ) -> Tuple[List[Term], int]:
-    """Develop and prune the union terms; returns (survivors, developed).
+    """Prune the plan's union terms; returns (survivors, developed).
 
     Development already embodies Prop. 3.3 (only snowcap-complement
-    Δ-sets are generated); the optional prunings are Prop. 3.6
-    (``use_data_pruning``) and Prop. 3.8 (``use_id_pruning``).
+    Δ-sets are generated, once per plan); the optional prunings are
+    Prop. 3.6 (``use_data_pruning``) and Prop. 3.8 (``use_id_pruning``,
+    over ``target_labels``, the labels on the insertion targets'
+    self-and-ancestor chains).
     """
-    terms = expand_insert_terms(pattern)
-    developed = len(terms)
+    terms: Sequence[Term] = plan.insert_terms
     if use_data_pruning:
         terms = prune_by_empty_delta(terms, deltas)
     if use_id_pruning:
-        terms = prune_insert_by_ids(terms, pattern, target_ids)
-    return terms, developed
+        terms = prune_insert_by_ids(terms, plan, target_labels)
+    return list(terms), len(plan.insert_terms)
 
 
 def collect_insert_additions(
-    pattern: Pattern,
+    plan: ViewPlan,
     terms: Sequence[Term],
     r_sources: Sources,
     deltas: DeltaTables,
@@ -86,22 +87,22 @@ def collect_insert_additions(
     eval_seconds = 0.0
     for term in terms:
         started = time.perf_counter()
-        bindings = evaluate_term(pattern, term, r_sources, deltas, lattice)
+        bindings = evaluate_term(plan, term, r_sources, deltas, lattice)
         eval_seconds += time.perf_counter() - started
         if not bindings.rows:
             continue
-        projected = project_bindings(pattern, bindings)
+        projected = project_bindings(plan.projection, bindings)
         for row in projected.rows:
             accumulated[row] = accumulated.get(row, 0) + 1
     return accumulated, eval_seconds
 
 
 def insert_side(
-    pattern: Pattern,
+    plan: ViewPlan,
     candidates: BatchCandidates,
     lattice: SnowcapLattice,
     r_sources: Callable[[], Sources],
-    target_ids: Sequence[DeweyID],
+    target_labels: AbstractSet[str],
     use_data_pruning: bool,
     use_id_pruning: bool,
 ) -> Tuple[Dict[tuple, int], Optional[Dict[NodeSet, Relation]], SideStats]:
@@ -114,34 +115,32 @@ def insert_side(
     """
     stats = SideStats()
     started = time.perf_counter()
-    delta_plus = delta_from_candidates(pattern, candidates, "+")
+    delta_plus = delta_from_candidates(plan, candidates, "+")
     stats.delta_seconds = time.perf_counter() - started
-    stats.delta_sizes = {
-        name: len(delta_plus.nodes(name)) for name in pattern.node_names()
-    }
+    stats.delta_sizes = {name: len(delta_plus.nodes(name)) for name in plan.names}
     if not delta_plus.nonempty_names():
         return {}, None, stats
     stats.live = True
     started = time.perf_counter()
     terms, developed = surviving_insert_terms(
-        pattern, delta_plus, target_ids, use_data_pruning, use_id_pruning
+        plan, delta_plus, target_labels, use_data_pruning, use_id_pruning
     )
     stats.develop_seconds = time.perf_counter() - started
     stats.terms_developed = developed
     stats.terms_surviving = len(terms)
     sources = r_sources()
     additions, stats.eval_seconds = collect_insert_additions(
-        pattern, terms, sources, delta_plus, lattice
+        plan, terms, sources, delta_plus, lattice
     )
     snowcap = None
     if lattice.materialized_sets():
         started = time.perf_counter()
         snowcap = snowcap_additions(
-            pattern,
+            plan,
             lattice,
             sources,
             delta_plus,
-            target_ids,
+            target_labels,
             use_data_pruning,
             use_id_pruning,
         )
@@ -161,6 +160,12 @@ class AffectedIDs:
         self._targets = (insert_target_ids, delete_target_ids)
 
     @cached_property
+    def insert_labels(self) -> Set[str]:
+        """The labels on the insertion targets' self-and-ancestor
+        chains: Prop. 3.8's test for every view of the batch."""
+        return self_and_ancestor_labels(self._targets[0])
+
+    @cached_property
     def ids(self) -> Set[DeweyID]:
         ids = set(self._targets[0])
         for target_ids in self._targets:
@@ -177,6 +182,7 @@ class AffectedIDs:
 
 
 def collect_attribute_refreshes(
+    plan: ViewPlan,
     view: MaterializedView,
     document: Document,
     affected: AffectedIDs,
@@ -200,50 +206,29 @@ def collect_attribute_refreshes(
     the view; :meth:`MaterializedView.apply_batch_delta` folds them
     into the store pass, and session replicas ship them to the owner.
     """
-    pattern = view.pattern
-    cvn = pattern.content_nodes()
-    if not cvn or not affected.ids:
+    if not plan.refresh or not affected.ids:
         return []
-    columns = pattern.return_columns()
-    lead_chain = []
-    walk = pattern.node(columns[0][0])
-    while walk is not None:
-        lead_chain.append(walk)
-        walk = walk.parent
     anchors: Dict[DeweyID, None] = {}
-    for node in cvn:
-        meet = node
-        while meet not in lead_chain:
-            meet = meet.parent
-        if node.label == "*":
+    for label, at_node, meet_label in plan.refresh:
+        if label == "*":
             candidates = affected.ids  # anchor order is immaterial: runs are sorted
         else:
-            candidates = affected.by_label.get(node.label, ())
+            candidates = affected.by_label.get(label, ())
         for node_id in candidates:
-            if meet is node:
+            if at_node:
                 anchors[node_id] = None
                 continue
             for ancestor_id in node_id.ancestor_ids():  # outermost first
-                if meet.label in ("*", ancestor_id.label):
+                if meet_label in ("*", ancestor_id.label):
                     anchors[ancestor_id] = None
                     break
     if not anchors:
         return []  # no stored node can have changed: the extent is not read
-    column_index = {pair: i for i, pair in enumerate(columns)}
-    # (ID column, val column or None, cont column or None) per content node.
-    probes = [
-        (
-            column_index[(node.name, "ID")],
-            column_index[(node.name, "val")] if node.store_val else None,
-            column_index[(node.name, "cont")] if node.store_cont else None,
-        )
-        for node in cvn
-    ]
     affected_ids = affected.ids  # a stored ID has its node's label: no cut
     replacements: List[Tuple[tuple, tuple]] = []
     for row in view.rows_led_by(anchors):
         new_row = None
-        for id_index, val_index, cont_index in probes:
+        for id_index, val_index, cont_index in plan.refresh_columns:
             stored_id = row[id_index]
             if stored_id not in affected_ids:
                 continue
@@ -262,11 +247,11 @@ def collect_attribute_refreshes(
 
 
 def snowcap_additions(
-    pattern: Pattern,
+    plan: ViewPlan,
     lattice: SnowcapLattice,
     r_sources: Sources,
     deltas: DeltaTables,
-    target_ids: Sequence[DeweyID],
+    target_labels: AbstractSet[str],
     use_data_pruning: bool = True,
     use_id_pruning: bool = True,
 ) -> Dict[NodeSet, Relation]:
@@ -287,8 +272,6 @@ def snowcap_additions(
     chain = sorted(lattice.materialized_sets(), key=len)
     if not chain:
         return additions
-    names = [node.name for node in pattern.nodes()]
-
     previous_set: NodeSet = frozenset()
     previous_added: Optional[Relation] = None
     for subset in chain:
@@ -297,13 +280,13 @@ def snowcap_additions(
             # Not a nested chain (custom selection): fall back to the
             # generic term machinery for this snowcap.
             additions[subset] = _snowcap_additions_generic(
-                pattern, subset, lattice, r_sources, deltas, target_ids,
+                plan.sub_plan(subset), lattice, r_sources, deltas, target_labels,
                 use_data_pruning, use_id_pruning,
             )
             previous_set, previous_added = subset, additions[subset]
             continue
         (new_name,) = extra
-        node = pattern.node(new_name)
+        node = plan.pattern.node(new_name)
         delta_rows = deltas.nodes(new_name)
         if node.parent is None:
             # s_1 = {root}: only freshly inserted roots can be added,
@@ -334,7 +317,7 @@ def snowcap_additions(
                 pieces.append(
                     structural_join(old, delta_rel, parent_name, new_name, axis)
                 )
-            order = [name for name in names if name in subset]
+            order = plan.sub_plan(subset).names
             added = Relation(order)
             for piece in pieces:
                 added.extend(piece.reordered(order))
@@ -344,24 +327,22 @@ def snowcap_additions(
 
 
 def _snowcap_additions_generic(
-    pattern: Pattern,
-    subset: NodeSet,
+    sub: ViewPlan,
     lattice: SnowcapLattice,
     r_sources: Sources,
     deltas: DeltaTables,
-    target_ids: Sequence[DeweyID],
+    target_labels: AbstractSet[str],
     use_data_pruning: bool,
     use_id_pruning: bool,
 ) -> Relation:
-    """Union-of-terms additions for one snowcap (non-chain selections)."""
-    sub = pattern.subpattern(subset)
+    """Union-of-terms additions for one snowcap (non-chain selections),
+    from the snowcap sub-pattern's plan ``sub``."""
     terms, _ = surviving_insert_terms(
-        sub, deltas, target_ids, use_data_pruning, use_id_pruning
+        sub, deltas, target_labels, use_data_pruning, use_id_pruning
     )
-    order = [node.name for node in sub.nodes()]
-    collected = Relation(order)
+    collected = Relation(sub.names)
     for term in terms:
         rows = evaluate_term(sub, term, r_sources, deltas, lattice)
         if rows.rows:
-            collected.extend(rows.reordered(order))
+            collected.extend(rows.reordered(sub.names))
     return collected

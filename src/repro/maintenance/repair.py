@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Set, Tuple
 from repro.algebra.relation import Relation
 from repro.maintenance.delete import removals_from_embeddings
 from repro.maintenance.delta import SideStats, flip_delta
+from repro.maintenance.plan import ViewPlan
 from repro.maintenance.terms import (
     NodeSet,
     absorb_embeddings,
@@ -48,7 +49,6 @@ from repro.maintenance.terms import (
     flip_repair_term,
 )
 from repro.pattern.evaluate import Sources
-from repro.pattern.tree_pattern import Pattern
 from repro.views.lattice import SnowcapLattice
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.model import Node
@@ -58,7 +58,7 @@ FlipSets = Dict[str, List[Node]]
 
 
 def collect_flip_embeddings(
-    pattern: Pattern,
+    plan: ViewPlan,
     flip_sets: FlipSets,
     r_sources: Sources,
     sign: str,
@@ -78,16 +78,16 @@ def collect_flip_embeddings(
         nodes = flip_sets[name]
         if not nodes:
             continue
-        deltas = flip_delta(pattern, name, nodes, sign)
+        deltas = flip_delta(plan.pattern, name, nodes, sign)
         started = time.perf_counter()
-        bindings = evaluate_term(pattern, flip_repair_term(name), r_sources, deltas)
+        bindings = evaluate_term(plan, flip_repair_term(name), r_sources, deltas)
         eval_seconds += time.perf_counter() - started
-        absorb_embeddings(pattern, bindings, embeddings)
+        absorb_embeddings(plan, bindings, embeddings)
     return embeddings, eval_seconds
 
 
 def flip_repair(
-    pattern: Pattern,
+    plan: ViewPlan,
     minus_sets: FlipSets,
     plus_sets: FlipSets,
     pre_sources: Callable[[], Sources],
@@ -115,13 +115,13 @@ def flip_repair(
     evictions: Dict[tuple, tuple] = {}
     if minus_sets:
         evictions, seconds = collect_flip_embeddings(
-            pattern, minus_sets, pre_sources(), "-"
+            plan, minus_sets, pre_sources(), "-"
         )
         stats.eval_seconds += seconds
     admissions: Dict[tuple, int] = {}
     if plus_sets:
         embeddings, seconds = collect_flip_embeddings(
-            pattern, plus_sets, r_sources(), "+"
+            plan, plus_sets, r_sources(), "+"
         )
         stats.eval_seconds += seconds
         admissions = removals_from_embeddings(embeddings)
@@ -129,7 +129,7 @@ def flip_repair(
 
 
 def flip_lattice_repair(
-    pattern: Pattern,
+    plan: ViewPlan,
     lattice: SnowcapLattice,
     minus_sets: FlipSets,
     plus_sets: FlipSets,
@@ -158,12 +158,12 @@ def flip_lattice_repair(
         ]
         if not relevant:
             continue
-        sub = pattern.subpattern(subset)
-        order = [node.name for node in sub.nodes()]
+        sub = plan.sub_plan(subset)
+        order = sub.names
         seen: set = set()
         rows: List[tuple] = []
         for name in relevant:
-            deltas = flip_delta(sub, name, plus_sets[name], "+")
+            deltas = flip_delta(sub.pattern, name, plus_sets[name], "+")
             relation = evaluate_term(sub, flip_repair_term(name), r_sources, deltas)
             if not relation.rows:
                 continue
@@ -174,12 +174,12 @@ def flip_lattice_repair(
                 seen.add(key)
                 rows.append(row)
         if rows:
-            additions[subset] = Relation._trusted(tuple(order), rows)
+            additions[subset] = Relation._trusted(order, rows)
     return drops, additions
 
 
 def match_flips_to_pattern(
-    pattern: Pattern,
+    plan: ViewPlan,
     flips: Dict[Tuple[DeweyID, str], Tuple[Node, bool]],
 ) -> Tuple[FlipSets, FlipSets]:
     """Bucket a view's flipped candidates under its σ pattern nodes.
@@ -192,9 +192,7 @@ def match_flips_to_pattern(
     """
     minus_sets: FlipSets = {}
     plus_sets: FlipSets = {}
-    for sigma in pattern.nodes():
-        if sigma.value_pred is None:
-            continue
+    for sigma in plan.sigma_nodes:
         minus: List[Node] = []
         plus: List[Node] = []
         for (node_id, constant), (node, now) in flips.items():

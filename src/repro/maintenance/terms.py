@@ -29,11 +29,26 @@ strategy); otherwise (Leaves strategy) the join pipeline starts at the
 term's smallest Δ table and reaches the canonical relations by Dewey
 probes -- an ID names its ancestors, a subtree is one contiguous key
 run -- so no canonical relation is read beyond the rows the term emits.
+
+Development and join order are functions of the pattern alone: a
+view's :class:`~repro.maintenance.plan.ViewPlan` develops its terms
+once, at registration, and memoizes each term's join order; the
+functions here take that plan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from repro.algebra.relation import Relation
 from repro.algebra.structural import (
@@ -43,10 +58,12 @@ from repro.algebra.structural import (
 )
 from repro.maintenance.delta import DeltaTables
 from repro.pattern.evaluate import Sources, project_bindings
-from repro.pattern.tree_pattern import Pattern, PatternNode
+from repro.pattern.tree_pattern import Pattern
 from repro.views.lattice import SnowcapLattice
 from repro.xmldom.dewey import DeweyID
-from repro.xmldom.model import Node
+
+if TYPE_CHECKING:
+    from repro.maintenance.plan import ViewPlan
 
 NodeSet = FrozenSet[str]
 
@@ -64,9 +81,6 @@ class Term:
     def __init__(self, delta_set: NodeSet, sign: int = 1):
         self.delta_set = delta_set
         self.sign = sign
-
-    def r_set(self, pattern: Pattern) -> NodeSet:
-        return frozenset(pattern.node_names()) - self.delta_set
 
     def __repr__(self) -> str:
         return "Term(Δ=%s, sign=%+d)" % (sorted(self.delta_set), self.sign)
@@ -137,8 +151,17 @@ def expand_delete_terms(pattern: Pattern, prune_even_terms: bool = False) -> Lis
     semantics), so the flag only affects the developed-term count
     reported by the Get-Update-Expression phase.
     """
+    return signed_delete_terms(_descendant_closed_sets(pattern), prune_even_terms)
+
+
+def signed_delete_terms(
+    delta_sets: Iterable[NodeSet], prune_even_terms: bool = False
+) -> List[Term]:
+    """The deletion terms of already developed Δ-sets: an odd-sized
+    Δ-set subtracts, an even-sized one adds back (Prop. 4.3(i)); with
+    ``prune_even_terms`` the latter are left out (Prop. 4.3(ii))."""
     terms = []
-    for delta_set in _descendant_closed_sets(pattern):
+    for delta_set in delta_sets:
         sign = +1 if len(delta_set) % 2 == 1 else -1
         if prune_even_terms and sign < 0:
             continue
@@ -169,19 +192,24 @@ def prune_by_empty_delta(terms: Sequence[Term], deltas: DeltaTables) -> List[Ter
     ]
 
 
-def _boundary_parents(pattern: Pattern, delta_set: NodeSet) -> List[PatternNode]:
-    """R-side nodes with at least one Δ-side pattern child."""
-    out = []
-    for parent, child in pattern.edges():
-        if parent.name not in delta_set and child.name in delta_set:
-            out.append(parent)
-    return out
+def self_and_ancestor_labels(node_ids: Iterable[DeweyID]) -> Set[str]:
+    """The labels on the self-and-ancestor chains of ``node_ids``, read
+    off their Dewey IDs; a chain stops at the first ID already seen."""
+    labels: Set[str] = set()
+    seen: Set[bytes] = set()
+    for node_id in node_ids:
+        walk: Optional[DeweyID] = node_id
+        while walk is not None and walk.sort_key not in seen:
+            seen.add(walk.sort_key)
+            labels.add(walk.label)
+            walk = walk.parent()
+    return labels
 
 
 def prune_insert_by_ids(
     terms: Sequence[Term],
-    pattern: Pattern,
-    insertion_target_ids: Sequence[DeweyID],
+    plan: "ViewPlan",
+    target_labels: AbstractSet[str],
 ) -> List[Term]:
     """Prop. 3.8: ID-driven pruning for insertions.
 
@@ -189,89 +217,40 @@ def prune_insert_by_ids(
     anything, some *existing* ``n1``-labeled node must be an ancestor of
     an inserted node; inserted nodes live under insertion targets, so
     some target must be labeled ``n1`` or have an ``n1``-labeled
-    ancestor -- checked purely on the targets' Dewey IDs.
+    ancestor -- checked on ``target_labels``, the labels of the
+    targets' self-and-ancestor chains (:func:`self_and_ancestor_labels`
+    of the targets' Dewey IDs, one set per batch).
     """
-    surviving: List[Term] = []
-    for term in terms:
-        dead = False
-        for parent in _boundary_parents(pattern, term.delta_set):
-            label = parent.label
-            if label == "*":
-                continue  # a wildcard matches any ancestor; cannot prune
-            if not any(
-                target.label == label or target.has_ancestor_labeled(label)
-                for target in insertion_target_ids
-            ):
-                dead = True
-                break
-        if not dead:
-            surviving.append(term)
-    return surviving
+    return [
+        term
+        for term in terms
+        if all(label in target_labels for label, _child in plan.boundary(term.delta_set))
+    ]
 
 
 def prune_delete_by_ids(
     terms: Sequence[Term],
-    pattern: Pattern,
+    plan: "ViewPlan",
     deltas: DeltaTables,
 ) -> List[Term]:
     """Prop. 4.7: ID-driven pruning for deletions.
 
     ``R_{n1} ⋈ Δ−_{n2}`` is empty when no Δ− node of ``n2`` has an
-    ``n1``-labeled ancestor (per its ID's encoded label path).
+    ``n1``-labeled ancestor (per its ID's encoded label path): checked
+    on the table's ancestor-label set, memoized on ``deltas``.
     """
-    surviving: List[Term] = []
-    for term in terms:
-        dead = False
-        for parent, child in pattern.edges():
-            if parent.name in term.delta_set or child.name not in term.delta_set:
-                continue
-            label = parent.label
-            if label == "*":
-                continue
-            if not any(
-                node.id.has_ancestor_labeled(label) for node in deltas.nodes(child.name)
-            ):
-                dead = True
-                break
-        if not dead:
-            surviving.append(term)
-    return surviving
-
-
-def _next_neighbor(
-    pending: Sequence[PatternNode], bound: Sequence[str], delta_set: NodeSet
-) -> Tuple[PatternNode, Optional[PatternNode]]:
-    """The next pattern node to join in, with its bound child when it
-    is reached upward (None: it hangs below its bound parent).
-
-    Δ neighbours go first (small tables, hash-joined), then canonical
-    relations reached upward (at most one match per ancestor), then
-    those reached downward (the only step that can fan out); preorder
-    breaks ties, so the order is a function of the pattern and the
-    term alone.
-    """
-    best = None
-    for node in pending:
-        if node.parent is not None and node.parent.name in bound:
-            below: Optional[PatternNode] = None
-        else:
-            below = next((c for c in node.children if c.name in bound), None)
-            if below is None:
-                continue  # not adjacent to the bound part yet
-        if node.name in delta_set:
-            rank = 0
-        elif below is not None:
-            rank = 1
-        else:
-            rank = 2
-        if best is None or rank < best[0]:
-            best = (rank, node, below)
-    assert best is not None  # a pattern is connected
-    return best[1], best[2]
+    return [
+        term
+        for term in terms
+        if all(
+            label in deltas.ancestor_labels(child)
+            for label, child in plan.boundary(term.delta_set)
+        )
+    ]
 
 
 def evaluate_term(
-    pattern: Pattern,
+    plan: "ViewPlan",
     term: Term,
     r_sources: Sources,
     deltas: DeltaTables,
@@ -284,63 +263,59 @@ def evaluate_term(
     Δ-driven: it starts at the materialized snowcap matching the R-part
     when there is one (the Snowcaps strategy) and at the term's
     smallest Δ table otherwise, then grows over one adjacent pattern
-    node at a time.  A Δ neighbour is hash-joined; a canonical relation
-    is never read whole, only probed from the IDs already bound --
-    upward along their ancestor chains, downward into their subtree
-    runs -- so the term costs O(|Δ| · depth · log|R| + |output|) over
-    descendant edges; a child edge probed downward reads the bound
-    node's whole same-label subtree run to keep its one-level-down
-    nodes, so there ``|output|`` reads "runs sliced".
+    node at a time, in the order the plan memoizes for the Δ-set and
+    that start (:meth:`~repro.maintenance.plan.ViewPlan.join_order`).
+    A Δ neighbour is hash-joined; a canonical relation is never read
+    whole, only probed from the IDs already bound -- upward along their
+    ancestor chains, downward into their subtree runs -- so the term
+    costs O(|Δ| · depth · log|R| + |output|) over descendant edges; a
+    child edge probed downward reads the bound node's whole same-label
+    subtree run to keep its one-level-down nodes, so there ``|output|``
+    reads "runs sliced".
 
     ``term.delta_set`` must be non-empty (every Δ+, Δ− and flip term's
     is): without a snowcap seed the pipeline has nowhere else to start.
     Row order is not part of the contract (lattices are bags, extents
     sorted stores).
     """
-    nodes = pattern.nodes()
-    names = tuple(node.name for node in nodes)
     delta_set = term.delta_set
     relation: Optional[Relation] = None
-    r_set = term.r_set(pattern)
-    if lattice is not None and r_set:
-        # Joins never mutate their inputs, so the stored relation can
-        # seed the pipeline directly.
-        relation = lattice.relation_for(r_set)
+    if lattice is not None:
+        r_set = plan.r_set(delta_set)
+        if r_set:
+            # Joins never mutate their inputs, so the stored relation
+            # can seed the pipeline directly.
+            relation = lattice.relation_for(r_set)
     seeded = relation is not None
     if relation is None:
         start = min(
-            (node for node in nodes if node.name in delta_set),
-            key=lambda node: len(deltas.nodes(node.name)),
+            (name for name in plan.names if name in delta_set),
+            key=lambda name: len(deltas.nodes(name)),
         )
-        relation = Relation.single_column(start.name, deltas.nodes(start.name))
-    pending = [node for node in nodes if node.name not in relation.schema]
-    while pending and relation.rows:
-        node, below = _next_neighbor(pending, relation.schema, delta_set)
-        pending.remove(node)
-        lower = node if below is None else below
-        axis = "parent" if lower.axis == "child" else "ancestor"
-        if node.name in delta_set:
-            table = Relation.single_column(node.name, deltas.nodes(node.name))
+        relation = Relation.single_column(start, deltas.nodes(start))
+    for name, from_delta, below, parent, label, axis in plan.join_order(
+        delta_set, relation.schema
+    ):
+        if not relation.rows:
+            break
+        if from_delta:
+            table = Relation.single_column(name, deltas.nodes(name))
             if below is None:
-                relation = structural_join(
-                    relation, table, node.parent.name, node.name, axis
-                )
+                relation = structural_join(relation, table, parent, name, axis)
             else:
-                relation = structural_join(table, relation, node.name, below.name, axis)
+                relation = structural_join(table, relation, name, below, axis)
         elif below is None:
-            relation = probe_descendants(
-                relation, node.parent.name, r_sources[node.name], node.name, axis
-            )
+            relation = probe_descendants(relation, parent, r_sources[name], name, axis)
         else:
             relation = probe_ancestors(
-                relation, below.name, r_sources[node.name], node.name, node.label, axis
+                relation, below, r_sources[name], name, label, axis
             )
-    root = nodes[0]
-    if root.axis == "child" and not seeded and relation.rows:
+    names = plan.names
+    if plan.root_at_document_root and not seeded and relation.rows:
         # A child-axis root must sit at the document root (a stored
         # snowcap already holds only such rows); inserted nodes never
         # can (inserts add children).
-        index = relation.column_index(root.name)
+        index = relation.column_index(names[0])
         relation = Relation._trusted(
             relation.schema,
             [row for row in relation.rows if row[index].id.depth == 1],
@@ -351,7 +326,7 @@ def evaluate_term(
 
 
 def absorb_embeddings(
-    pattern: Pattern, bindings: Relation, embeddings: Dict[tuple, tuple]
+    plan: "ViewPlan", bindings: Relation, embeddings: Dict[tuple, tuple]
 ) -> None:
     """Add the not yet seen embeddings of ``bindings`` to ``embeddings``
     (``{binding ID key: projected row}``).
@@ -371,7 +346,7 @@ def absorb_embeddings(
     if not fresh_rows:
         return
     projected = project_bindings(
-        pattern, Relation._trusted(bindings.schema, fresh_rows)
+        plan.projection, Relation._trusted(bindings.schema, fresh_rows)
     )
     for key, row in zip(fresh_keys, projected.rows):
         embeddings[key] = row

@@ -25,6 +25,7 @@ scanning and re-deriving ``val`` for the whole canonical relation.
 
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.operators import duplicate_eliminate, project, sort_rows
@@ -111,26 +112,47 @@ def view_columns(pattern: Pattern) -> List[str]:
     return ["%s.%s" % (name, attr) for name, attr in pattern.return_columns()]
 
 
-def _extract(node: Node, attr: str):
-    if attr == "ID":
-        return node.id
-    if attr == "val":
-        return node.val
-    if attr == "cont":
-        return node.cont
-    raise ValueError("unknown stored attribute %r" % attr)
+#: stored annotation -> the node attribute that carries it.
+_ANNOTATION_ATTRIBUTES = {"ID": "id", "val": "val", "cont": "cont"}
 
 
-def project_bindings(pattern: Pattern, bindings: Relation) -> Relation:
-    """π: stored-attribute extraction over a binding relation."""
-    columns = pattern.return_columns()
-    schema = view_columns(pattern)
-    indices = [bindings.column_index(name) for name, _ in columns]
-    rows = [
-        tuple(_extract(row[i], attr) for i, (_, attr) in zip(indices, columns))
-        for row in bindings.rows
+class ProjectionPlan:
+    """π compiled from a pattern: the view's output schema and, per
+    output column, the binding column it reads (by the pattern's
+    preorder, the schema every evaluator returns bindings in) and the
+    node attribute it extracts."""
+
+    __slots__ = ("schema", "binding_schema", "cells")
+
+    def __init__(self, pattern: Pattern):
+        names = [node.name for node in pattern.nodes()]
+        self.binding_schema: Tuple[str, ...] = tuple(names)
+        self.schema: Tuple[str, ...] = tuple(view_columns(pattern))
+        self.cells: Tuple[Tuple[int, str], ...] = tuple(
+            (names.index(name), _ANNOTATION_ATTRIBUTES[annotation])
+            for name, annotation in pattern.return_columns()
+        )
+
+
+def project_bindings(plan: ProjectionPlan, bindings: Relation) -> Relation:
+    """π: stored-attribute extraction over a binding relation whose
+    columns are the pattern's nodes in preorder, one output column at a
+    time (an attribute read per row, in C-level iteration), then zipped
+    into rows."""
+    if bindings.schema != plan.binding_schema:
+        raise ValueError(
+            "bindings %r are not in pattern preorder %r"
+            % (bindings.schema, plan.binding_schema)
+        )
+    rows = bindings.rows
+    cells = plan.cells
+    if not cells:
+        return Relation._trusted(plan.schema, [()] * len(rows))
+    columns = [
+        map(attrgetter(attribute), map(itemgetter(index), rows))
+        for index, attribute in cells
     ]
-    return Relation._trusted(tuple(schema), rows)
+    return Relation._trusted(plan.schema, list(zip(*columns)))
 
 
 def evaluate_view(
@@ -144,5 +166,5 @@ def evaluate_view(
     by the binding IDs (the paper's output order).
     """
     bindings = evaluate_bindings(pattern, document=document, sources=sources)
-    projected = project_bindings(pattern, bindings)
+    projected = project_bindings(ProjectionPlan(pattern), bindings)
     return duplicate_eliminate(projected)

@@ -1,5 +1,5 @@
-"""Bytes of Python heap per DeweyID, per label-index entry and per
-insert statement, measured with tracemalloc.
+"""Bytes of Python heap per DeweyID, per label-index entry, per insert
+statement and per inserted element, measured with tracemalloc.
 
 Rebuilds the IDs of a fixed XMark document through ``DeweyID.root`` /
 ``DeweyID.child`` (the way a document numbers its nodes) into a list
@@ -17,6 +17,12 @@ the same document holds, per statement: the statement objects, their
 names, target lists and forests, plus the stream's per-name caches
 spread over the stream.  ``tests/test_workloads.py`` pins it.
 
+The inserted-element figure is the heap the same document grows by
+when those 1000 inserts are applied (batches of 64, no views), per
+inserted element: the new nodes, their IDs and their ``_by_id`` and
+label-index entries (an element's ``val``/``cont`` caches stay empty
+until first read).
+
 Run as a script it prints one markdown table per figure for a CI job
 summary::
 
@@ -30,6 +36,7 @@ import platform
 import tracemalloc
 from typing import List, Tuple
 
+from repro.updates.pul import BatchApplication
 from repro.workloads.updates import statement_stream
 from repro.workloads.xmark import generate_document
 from repro.xmldom import dewey
@@ -122,6 +129,29 @@ def bytes_per_statement(scale: int = SCALE, count: int = STATEMENTS) -> float:
     return (after - before) / count
 
 
+def bytes_per_inserted_element(
+    scale: int = SCALE, count: int = STATEMENTS
+) -> Tuple[float, int]:
+    """Traced bytes the document grows by per inserted element when an
+    all-insert ``statement_stream`` of ``count`` statements (seed 0) is
+    applied in batches of 64, and the number of elements inserted."""
+    document = generate_document(scale=scale)
+    stream = statement_stream(document, count, seed=0)
+    elements = sum(1 for _ in document.all_elements())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for start in range(0, count, 64):
+            BatchApplication(document, stream[start : start + 64]).apply()
+        gc.collect()  # count live state only, not the batches' garbage
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    inserted = sum(1 for _ in document.all_elements()) - elements
+    return (after - before) / inserted, inserted
+
+
 if __name__ == "__main__":
     per_id, count = bytes_per_id()
     per_node, indexed = bytes_per_indexed_node()
@@ -146,3 +176,11 @@ if __name__ == "__main__":
         "| %s | %d | %.1f | %d |"
         % (platform.python_version(), STATEMENTS, per_statement, BYTES_PER_STATEMENT_LIMIT)
     )
+    per_element, inserted = bytes_per_inserted_element()
+    print()
+    print(
+        "| Python | inserted elements (%d statements, XMark scale %d) | bytes per element |"
+        % (STATEMENTS, SCALE)
+    )
+    print("|---|---|---|")
+    print("| %s | %d | %.1f |" % (platform.python_version(), inserted, per_element))

@@ -42,7 +42,8 @@ from repro.maintenance.insert import (
     snowcap_additions,
     surviving_insert_terms,
 )
-from repro.maintenance.terms import NodeSet, Term
+from repro.maintenance.plan import ViewPlan
+from repro.maintenance.terms import NodeSet, Term, self_and_ancestor_labels
 from repro.pattern.evaluate import Sources
 from repro.pattern.tree_pattern import Pattern
 from repro.updates.language import DeleteUpdate, InsertUpdate, UpdateStatement
@@ -69,18 +70,21 @@ def compute_delta_plus(pattern: Pattern, inserted_roots: Sequence[Node]) -> Delt
     ``inserted_roots`` are the copies produced by *apply-insert*, so
     their nodes already carry the Dewey IDs assigned in the document.
     """
-    return delta_from_candidates(pattern, insert_candidates(inserted_roots), "+")
+    return delta_from_candidates(
+        ViewPlan(pattern), insert_candidates(inserted_roots), "+"
+    )
 
 
 def compute_delta_minus(pattern: Pattern, removed_nodes: Sequence[Node]) -> DeltaTables:
     """CD−: Δ− tables from the doomed node set (targets + descendants)."""
-    return delta_from_candidates(pattern, BatchCandidates(removed_nodes), "-")
+    return delta_from_candidates(ViewPlan(pattern), BatchCandidates(removed_nodes), "-")
 
 
 # -- ET-INS / PIMT -------------------------------------------------------------
 
 
 def et_ins(
+    plan: ViewPlan,
     view: MaterializedView,
     terms: Sequence[Term],
     r_sources: Sources,
@@ -94,7 +98,7 @@ def et_ins(
     enter with the count of their fresh derivations.
     """
     accumulated, eval_seconds = collect_insert_additions(
-        view.pattern, terms, r_sources, deltas, lattice
+        plan, terms, r_sources, deltas, lattice
     )
     added = 0
     for row, count in accumulated.items():
@@ -104,6 +108,7 @@ def et_ins(
 
 
 def refresh_stored_attributes(
+    plan: ViewPlan,
     view: MaterializedView,
     document: Document,
     insert_target_ids: Sequence[DeweyID],
@@ -112,7 +117,7 @@ def refresh_stored_attributes(
     """The shared PIMT/PDMT rewrite loop: collect, then rewrite each
     tuple in place, its derivations moving to the new form."""
     pairs = collect_attribute_refreshes(
-        view, document, AffectedIDs(insert_target_ids, delete_target_ids)
+        plan, view, document, AffectedIDs(insert_target_ids, delete_target_ids)
     )
     for old_row, new_row in pairs:
         count = view.count(old_row)
@@ -122,6 +127,7 @@ def refresh_stored_attributes(
 
 
 def pimt(
+    plan: ViewPlan,
     view: MaterializedView,
     document: Document,
     target_ids: Sequence[DeweyID],
@@ -132,13 +138,14 @@ def pimt(
     of an insert or an ancestor of one -- an ID-only test (``t.n = n_i``
     or ``t.n ≺≺ n_i``).  Returns the number of rewritten tuples.
     """
-    return refresh_stored_attributes(view, document, target_ids, ())
+    return refresh_stored_attributes(plan, view, document, target_ids, ())
 
 
 # -- ET-DEL / PDDT / PDMT ------------------------------------------------------
 
 
 def et_del(
+    plan: ViewPlan,
     view: MaterializedView,
     terms: Sequence[Term],
     r_sources: Sources,
@@ -153,7 +160,7 @@ def et_del(
     seconds)``.
     """
     embeddings, eval_seconds = collect_delete_embeddings(
-        view.pattern, terms, r_sources, deltas, lattice
+        plan, terms, r_sources, deltas, lattice
     )
     removals: Dict[tuple, int] = {}
     for row in embeddings.values():
@@ -187,6 +194,7 @@ def pddt_apply(
 
 
 def pdmt(
+    plan: ViewPlan,
     view: MaterializedView,
     document: Document,
     doomed_target_ids: Sequence[DeweyID],
@@ -197,7 +205,7 @@ def pdmt(
     content changed iff the node is a proper ancestor of a deleted
     target.  Returns the number of rewritten tuples.
     """
-    return refresh_stored_attributes(view, document, (), doomed_target_ids)
+    return refresh_stored_attributes(plan, view, document, (), doomed_target_ids)
 
 
 # -- lattice upkeep ------------------------------------------------------------
@@ -245,12 +253,12 @@ class PropagationReport:
         )
 
 
-def _survivor_sources(engine, pattern: Pattern, excluded_ids: set) -> Sources:
+def _survivor_sources(engine, plan: ViewPlan, excluded_ids: set) -> Sources:
     """R − Δ+ through the engine's one source builder."""
     excluded_by_label: Dict[str, List[DeweyID]] = {}
     for node_id in excluded_ids:
         excluded_by_label.setdefault(node_id.label, []).append(node_id)
-    return engine._sources(pattern, excluded_by_label, {}, {})
+    return engine._sources(plan, excluded_by_label, {}, {})
 
 
 def _watch_predicates(
@@ -329,23 +337,25 @@ def _apply_insert(engine, statement: InsertUpdate) -> PropagationReport:
             tracer, view_report.phases, "find_target_nodes",
             find_targets_seconds, name,
         )
-        pattern = registered.pattern
+        plan = registered.plan
 
         if _predicate_guard(engine, registered, watchlists[name]):
             report.view_reports[name] = view_report
             continue
 
         with _PhaseTimer(tracer, view_report.phases, "compute_delta_tables", name):
-            deltas = compute_delta_plus(pattern, applied.inserted_roots)
+            deltas = delta_from_candidates(
+                plan, insert_candidates(applied.inserted_roots), "+"
+            )
         view_report.delta_sizes = {
             node_name: len(rows) for node_name, rows in deltas.tables.items()
         }
 
         with _PhaseTimer(tracer, view_report.phases, "get_update_expression", name):
             terms, developed = surviving_insert_terms(
-                pattern,
+                plan,
                 deltas,
-                target_ids,
+                self_and_ancestor_labels(target_ids),
                 engine.use_data_pruning,
                 engine.use_id_pruning,
             )
@@ -354,20 +364,20 @@ def _apply_insert(engine, statement: InsertUpdate) -> PropagationReport:
 
         with _PhaseTimer(tracer, view_report.phases, "execute_update", name):
             view_report.tuples_modified = pimt(
-                registered.view, engine.document, target_ids
+                plan, registered.view, engine.document, target_ids
             )
-            r_sources = _survivor_sources(engine, pattern, inserted_ids)
+            r_sources = _survivor_sources(engine, plan, inserted_ids)
             view_report.derivations_added, view_report.term_eval_seconds = et_ins(
-                registered.view, terms, r_sources, deltas, registered.lattice
+                plan, registered.view, terms, r_sources, deltas, registered.lattice
             )
 
         with _PhaseTimer(tracer, view_report.phases, "update_lattice", name):
             additions = snowcap_additions(
-                pattern,
+                plan,
                 registered.lattice,
                 r_sources,
                 deltas,
-                target_ids,
+                self_and_ancestor_labels(target_ids),
                 engine.use_data_pruning,
                 engine.use_id_pruning,
             )
@@ -405,17 +415,17 @@ def _apply_delete(engine, statement: DeleteUpdate) -> PropagationReport:
             tracer, view_report.phases, "find_target_nodes",
             find_targets_seconds, name,
         )
-        pattern = registered.pattern
+        plan = registered.plan
 
         with _PhaseTimer(tracer, view_report.phases, "compute_delta_tables", name):
-            deltas = compute_delta_minus(pattern, doomed)
+            deltas = delta_from_candidates(plan, BatchCandidates(doomed), "-")
         view_report.delta_sizes = {
             node_name: len(rows) for node_name, rows in deltas.tables.items()
         }
 
         with _PhaseTimer(tracer, view_report.phases, "get_update_expression", name):
             terms, developed = surviving_delete_terms(
-                pattern,
+                plan,
                 deltas,
                 engine.prune_even_terms,
                 engine.use_data_pruning,
@@ -425,9 +435,9 @@ def _apply_delete(engine, statement: DeleteUpdate) -> PropagationReport:
         view_report.terms_surviving = len(terms)
 
         with _PhaseTimer(tracer, view_report.phases, "execute_update", name):
-            r_sources = _survivor_sources(engine, pattern, set())
+            r_sources = _survivor_sources(engine, plan, set())
             removals, view_report.term_eval_seconds = et_del(
-                registered.view, terms, r_sources, deltas, registered.lattice
+                plan, registered.view, terms, r_sources, deltas, registered.lattice
             )
             tuples_removed, derivations_removed = pddt_apply(
                 registered.view, removals
@@ -445,7 +455,7 @@ def _apply_delete(engine, statement: DeleteUpdate) -> PropagationReport:
             continue
         with _PhaseTimer(tracer, view_report.phases, "execute_update", name):
             view_report.tuples_modified = pdmt(
-                registered.view, engine.document, target_ids
+                registered.plan, registered.view, engine.document, target_ids
             )
 
         with _PhaseTimer(tracer, view_report.phases, "update_lattice", name):

@@ -40,7 +40,7 @@ def scan_evaluate_term(
     """
     nodes = pattern.nodes()
     relation: Optional[Relation] = None
-    r_set = term.r_set(pattern)
+    r_set = frozenset(pattern.node_names()) - term.delta_set
     if lattice is not None and r_set:
         # Joins never mutate their inputs, so the stored relation can
         # seed the pipeline directly.

@@ -12,7 +12,9 @@ from repro.maintenance.terms import (
     prune_by_empty_delta,
     prune_delete_by_ids,
     prune_insert_by_ids,
+    self_and_ancestor_labels,
 )
+from repro.maintenance.plan import ViewPlan
 from repro.pattern.tree_pattern import Pattern, PatternNode
 from repro.updates.language import DeleteUpdate, InsertUpdate
 from repro.updates.pul import apply_pul, compute_pul
@@ -83,10 +85,11 @@ class TestDeltaTables:
     def test_touched_labels_is_a_liveness_certificate(self, people_document):
         pattern = view_pattern("Q1")  # site/people/person[@id]/name
         candidates = BatchCandidates(people_document.nodes_with_label("phone"))
-        assert touched_labels(pattern, candidates) == []
+        plan = ViewPlan(pattern)
+        assert touched_labels(plan, candidates) == []
         candidates = BatchCandidates(people_document.nodes_with_label("name"))
-        assert touched_labels(pattern, candidates) == ["name"]
-        star = Pattern(PatternNode("*", axis="desc", store_id=True))
+        assert touched_labels(plan, candidates) == ["name"]
+        star = ViewPlan(Pattern(PatternNode("*", axis="desc", store_id=True)))
         assert touched_labels(star, candidates) == ["name"]
         assert touched_labels(star, BatchCandidates([])) == []
 
@@ -128,7 +131,9 @@ class TestInsertTermExpansion:
         deltas = compute_delta_plus(pattern, applied.inserted_roots)
         terms = prune_by_empty_delta(expand_insert_terms(pattern), deltas)
         assert delta_labels(terms, pattern) == ["bc", "c"]  # Δ+_a is empty
-        surviving = prune_insert_by_ids(terms, pattern, target_ids)
+        surviving = prune_insert_by_ids(
+            terms, ViewPlan(pattern), self_and_ancestor_labels(target_ids)
+        )
         assert delta_labels(surviving, pattern) == ["bc"]
 
     def test_id_pruning_keeps_term_when_ancestor_label_present(self):
@@ -141,7 +146,9 @@ class TestInsertTermExpansion:
         pattern = chain_pattern("a", "b", "c")
         deltas = compute_delta_plus(pattern, applied.inserted_roots)
         terms = prune_by_empty_delta(expand_insert_terms(pattern), deltas)
-        surviving = prune_insert_by_ids(terms, pattern, target_ids)
+        surviving = prune_insert_by_ids(
+            terms, ViewPlan(pattern), self_and_ancestor_labels(target_ids)
+        )
         assert delta_labels(surviving, pattern) == ["bc", "c"]
 
     def test_wildcard_parent_never_prunes(self):
@@ -153,7 +160,8 @@ class TestInsertTermExpansion:
         pul = compute_pul(doc, update)
         target_ids = [op.target.id for op in pul.inserts()]
         terms = [Term(frozenset({"b#1"}))]
-        assert prune_insert_by_ids(terms, pattern, target_ids) == terms
+        labels = self_and_ancestor_labels(target_ids)
+        assert prune_insert_by_ids(terms, ViewPlan(pattern), labels) == terms
 
 
 class TestDeleteTermExpansion:
@@ -186,7 +194,7 @@ class TestDeleteTermExpansion:
         terms = prune_by_empty_delta(
             expand_delete_terms(pattern, prune_even_terms=True), deltas
         )
-        surviving = prune_delete_by_ids(terms, pattern, deltas)
+        surviving = prune_delete_by_ids(terms, ViewPlan(pattern), deltas)
         assert delta_labels(surviving, pattern) == []
 
     def test_example_4_5_pruning_pipeline(self, fig12_document):
@@ -200,5 +208,5 @@ class TestDeleteTermExpansion:
         terms = prune_by_empty_delta(
             expand_delete_terms(pattern, prune_even_terms=True), deltas
         )
-        surviving = prune_delete_by_ids(terms, pattern, deltas)
+        surviving = prune_delete_by_ids(terms, ViewPlan(pattern), deltas)
         assert delta_labels(surviving, pattern) == ["b", "c"]

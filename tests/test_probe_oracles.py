@@ -26,6 +26,7 @@ from repro.maintenance import terms as terms_module
 from repro.maintenance.delta import BatchCandidates
 from repro.maintenance.engine import MaintenanceEngine
 from repro.maintenance.insert import AffectedIDs, collect_attribute_refreshes
+from repro.maintenance.plan import ViewPlan
 from repro.pattern.tree_pattern import Pattern, PatternNode
 from repro.pattern.xpath_parser import parse_xpath
 from repro.updates.language import DeleteUpdate, ResolvedDeleteUpdate, ResolvedInsertUpdate
@@ -183,7 +184,9 @@ def _refresh_checked(views, document, application) -> int:
     affected = AffectedIDs(insert_targets, delete_targets)
     pairs = 0
     for view in views:
-        probed = collect_attribute_refreshes(view, document, affected)
+        probed = collect_attribute_refreshes(
+            ViewPlan(view.pattern), view, document, affected
+        )
         assert probed == scan_attribute_refreshes(
             view, document, insert_targets, delete_targets
         ), view.name
@@ -574,10 +577,10 @@ def _sigma_sources_checked(document, before, checked):
     set, a rollback-only one its members still in the document."""
     sources = MaintenanceEngine._sources
 
-    def checked_sources(self, pattern, cut_by_label, merge_by_label, cache, rollback=({}, {})):
-        built = sources(self, pattern, cut_by_label, merge_by_label, cache, rollback)
+    def checked_sources(self, plan, cut_by_label, merge_by_label, cache, rollback=({}, {})):
+        built = sources(self, plan, cut_by_label, merge_by_label, cache, rollback)
         kind = "merge" if merge_by_label else "rollback" if any(rollback) else None
-        for node in pattern.nodes():
+        for node in plan.pattern.nodes():
             if kind is None or node.value_pred is None:
                 continue
             rows = built[node.name]

@@ -50,11 +50,12 @@ def _terms_checked(seen: Counter):
     to the top-down oracle; ``seen`` counts (kind, seeded?, non-empty?)."""
 
     def checked(kind):
-        def evaluate(pattern, term, r_sources, deltas, lattice=None):
+        def evaluate(plan, term, r_sources, deltas, lattice=None):
+            pattern = plan.pattern
             names = tuple(pattern.node_names())
             results = []
             for given_lattice in (lattice, None) if lattice is not None else (None,):
-                rows = evaluate_term(pattern, term, r_sources, deltas, given_lattice)
+                rows = evaluate_term(plan, term, r_sources, deltas, given_lattice)
                 expected = scan_evaluate_term(
                     pattern, term, r_sources, deltas, given_lattice
                 )
@@ -63,7 +64,7 @@ def _terms_checked(seen: Counter):
                 results.append(rows)
             seeded = (
                 lattice is not None
-                and lattice.relation_for(term.r_set(pattern)) is not None
+                and lattice.relation_for(plan.r_set(term.delta_set)) is not None
             )
             result = results[0]  # evaluated as the engine asked
             seen[(kind, "seeded" if seeded else "unseeded", bool(result.rows))] += 1
