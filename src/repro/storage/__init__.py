@@ -14,16 +14,13 @@ forced full rematerialization.  This package adds
 * :mod:`repro.storage.recovery` -- reopen a database after a crash:
   truncate the torn WAL tail, replay the document up to the oldest
   checkpoint, adopt each view's record and replay only the batches
-  past it through the engine instead of rematerializing;
-* :mod:`repro.storage.keyenc` -- order-preserving blob encoding of view
-  tuples (Dewey sort keys included), the row keys of storage format 3.
+  past it through the engine instead of rematerializing.
 
 The crash model is process death (SIGKILL, the crash-injection harness
 under ``tests/harness/``): buffered writes flushed to the OS survive,
 so neither the WAL nor sqlite needs fsync.
 """
 
-from repro.storage.keyenc import encode_key
 from repro.storage.recovery import (
     RecoveryError,
     RecoveryReport,
@@ -39,7 +36,6 @@ __all__ = [
     "RecoveryReport",
     "SqliteExtentBackend",
     "WalRecord",
-    "encode_key",
     "register_engine_factory",
     "reopen",
 ]

@@ -243,12 +243,13 @@ class BatchApplication:
     def net_inserted_nodes(self) -> List[Node]:
         """Every batch-inserted node still in the document (Δ+).  A
         removed ID is never reissued, so a node survives exactly when
-        the document still resolves its ID to it."""
+        the batch never removed its ID: one set of the removed keys,
+        no document lookup per node."""
         if not self.removed_records:
             return list(self.inserted_records)
-        node_by_id = self.document.node_by_id
+        removed = {node.dewey.sort_key for node, _index in self.removed_records}
         return [
-            node for node in self.inserted_records if node_by_id(node.dewey) is node
+            node for node in self.inserted_records if node.dewey.sort_key not in removed
         ]
 
     def net_removed_records(self) -> List[Tuple[Node, int]]:

@@ -22,7 +22,7 @@ also holds the step's bytes.  The full ``steps`` are derived when asked
 for: an ID built by :meth:`DeweyID.child` collects the steps up its
 parent chain; an ID built from bare steps (or unpickled) decodes them
 from its key (:func:`_steps_of`, the inverse of :func:`_key_of`).  On
-XMark scale 4 an ID costs about 184 B of heap, key included
+XMark scale 4 an ID costs about 133 B of heap, key included
 (``tests/harness/id_memory.py``).
 
 Dynamic ordinals
@@ -47,33 +47,45 @@ An ID's one compact form is its ``sort_key``: a byte string, compared
 by ``memcmp``, whose byte order *is* document order (the paper's
 footnote: "internally, ID representation is much more compact").  It
 concatenates one self-delimiting code per step, the ordinal then the
-label, so an ancestor's key is a byte prefix of its descendants'.
+label's code, so an ancestor's key is a byte prefix of its
+descendants'.
 
 Each ordinal is a sequence of ``(run-of-zeros, nonzero component)``
-events:
+events, one tag byte each:
 
-* a negative component after ``r`` zeros emits ``0x01 enc(r) enc(c)``;
-* the end of the ordinal emits ``0x02``;
-* a positive component after ``r`` zeros emits ``0x03 enc(-r) enc(c)``.
+* a negative component after no zero run emits ``0x01 enc(c)``, after
+  ``r`` zeros ``0x02 enc(r) enc(c)``;
+* the end of the ordinal emits ``0x03``;
+* a positive component after ``r`` zeros emits ``0x04 enc(-r)
+  enc(c)``, after no zero run ``0x05 enc(c)``.
 
 At the first divergence between two ordinals the tag bytes alone order
-negative-next < exhausted (all zeros from here) < positive-next, and
-within a tag the run length is ordered so that the *earlier* position
-wins -- exactly the zero-padded comparison, negative components past
-index 0 included.  ``enc`` (:func:`encode_int`) is an order-preserving
-integer code that never emits a ``0x00`` lead byte.  The label follows
-as UTF-8 with ``0x00`` escaped to ``0x00 0xFF`` and a ``0x00 0x00``
-terminator (:func:`encode_terminated`), so a shorter label sorts first.
+negative-next < exhausted (all zeros from here) < positive-next, a
+negative sooner (no run) before a later one and a positive sooner
+after a later one; within a tag the run length is ordered so that the
+*earlier* position wins -- exactly the zero-padded comparison, negative
+components past index 0 included.  ``enc`` (:func:`_encode_int`) is an
+order-preserving integer code that takes one byte from -63 to 63, so
+the common ``(k,)`` step costs ``0x05 enc(k) 0x03`` and its label code.
 
-Every step starts with a tag in ``0x01..0x03``, so ``sort_key +
-b"\x04"`` sorts after every descendant and before every following
-node: a subtree is one key range.  ``repro.storage.keyenc`` writes
-these same bytes for a DeweyID cell of a sqlite key.
+The label is not spelled out: it is a small integer code
+(:func:`label_code`) from a process-wide table that only grows, encoded
+like a component.  Codes are dealt in first-use order, so keys are
+process-local: IDs cross process boundaries (pickles, the WAL,
+checkpoints) as steps and are re-keyed on arrival.  Siblings of one
+document never share an ordinal, so the code order never decides
+document order; it only keeps the comparison total across documents.
+
+Every step starts with a tag in ``0x01..0x05``, so ``sort_key +
+b"\x06"`` sorts after every descendant and before every following
+node: a subtree is one key range.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence, Tuple
+import os
+import threading
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 Ordinal = Tuple[int, ...]
 Step = Tuple[str, Ordinal]
@@ -144,41 +156,50 @@ def ordinal_between(low: Sequence[int], high: Sequence[int]) -> Ordinal:
 # -- the order-preserving step encoding ----------------------------------
 
 #: event tags inside an ordinal encoding (comparison-ordered).
-_ORD_NEG = 0x01
-_ORD_END = 0x02
-_ORD_POS = 0x03
+_NEG = 0x01
+_NEG_AFTER_RUN = 0x02
+_ORD_END = 0x03
+_POS_AFTER_RUN = 0x04
+_POS = 0x05
 #: sorts after every step's lead tag: closes a subtree's key range.
-_AFTER_EVERY_STEP = b"\x04"
+_AFTER_EVERY_STEP = b"\x06"
 
 
-def encode_int(value: int, out: bytearray) -> None:
-    """Order-preserving signed integer: biased length byte + magnitude.
+def _encode_int(value: int, out: bytearray) -> None:
+    """Order-preserving signed integer, one byte from -63 to 63.
 
-    Zero is ``0x80``; a positive ``v`` is ``0x80+len`` then big-endian
-    bytes of ``v``; a negative ``v`` is ``0x80-len`` then the big-endian
-    bytes of ``v + 256**len`` (the complement, so closer-to-zero sorts
-    higher).  The lead byte spans ``0x02..0xFE``: never ``0x00``.
+    A small ``v`` is the byte ``0x80+v``; a larger positive ``v`` is
+    ``0xC0+len`` then the big-endian bytes of ``v``; a more negative
+    ``v`` is ``0x40-len`` then the big-endian bytes of ``v + 256**len``
+    (the complement, so closer-to-zero sorts higher).
     """
-    if value == 0:
-        out.append(0x80)
+    if -64 < value < 64:
+        out.append(0x80 + value)
         return
     magnitude = value if value > 0 else -value
     length = (magnitude.bit_length() + 7) // 8
-    if length > 0x7E:
+    if length > 0x3F:
         raise ValueError("integer too wide to encode: %d bytes" % length)
     if value > 0:
-        out.append(0x80 + length)
+        out.append(0xC0 + length)
         out.extend(value.to_bytes(length, "big"))
     else:
-        out.append(0x80 - length)
+        out.append(0x40 - length)
         out.extend((value + (1 << (8 * length))).to_bytes(length, "big"))
 
 
-def encode_terminated(data: bytes, out: bytearray) -> None:
-    """Escape ``0x00`` as ``0x00 0xFF`` and close with ``0x00 0x00``,
-    keeping byte order intact across the variable length."""
-    out.extend(data.replace(b"\x00", b"\x00\xff"))
-    out.extend(b"\x00\x00")
+def _decode_int(key: bytes, pos: int) -> Tuple[int, int]:
+    """Inverse of :func:`_encode_int`: the value at ``pos`` and the
+    position after it."""
+    lead = key[pos]
+    pos += 1
+    if 0x40 < lead < 0xC0:
+        return lead - 0x80, pos
+    if lead > 0xC0:
+        end = pos + lead - 0xC0
+        return int.from_bytes(key[pos:end], "big"), end
+    end = pos + 0x40 - lead
+    return int.from_bytes(key[pos:end], "big") - (1 << (8 * (end - pos))), end
 
 
 def encode_ordinal(ordinal: Sequence[int], out: bytearray) -> None:
@@ -188,17 +209,54 @@ def encode_ordinal(ordinal: Sequence[int], out: bytearray) -> None:
         if component == 0:
             zeros += 1
             continue
-        if component < 0:
-            out.append(_ORD_NEG)
-            encode_int(zeros, out)
+        if not zeros:
+            out.append(_NEG if component < 0 else _POS)
+        elif component < 0:
+            out.append(_NEG_AFTER_RUN)
+            _encode_int(zeros, out)
         else:
-            out.append(_ORD_POS)
-            encode_int(-zeros, out)
-        encode_int(component, out)
+            out.append(_POS_AFTER_RUN)
+            _encode_int(-zeros, out)
+        _encode_int(component, out)
         zeros = 0
     # Trailing zeros vanish: under padded comparison they are the same
     # ordinal, and normalized ordinals never carry them anyway.
     out.append(_ORD_END)
+
+
+#: label -> code, and ``_LABELS[code - _FIRST_CODE]`` -> label.  The
+#: table is process-wide and never cleared, so a label keeps its code
+#: (and every key its bytes) for the life of the process; codes start
+#: at -63 so the first 127 labels take one byte.  Writers take
+#: ``_LABEL_LOCK``; readers need no lock, because a label is appended
+#: to ``_LABELS`` before its code is published.
+_LABEL_CODES: Dict[str, int] = {}
+_LABELS: List[str] = []
+_FIRST_CODE = -63
+_LABEL_LOCK = threading.Lock()
+
+
+def _renew_label_lock() -> None:
+    # A fork while another thread held the lock would leave it held
+    # forever in the child.
+    global _LABEL_LOCK
+    _LABEL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # platforms without fork have no children
+    os.register_at_fork(after_in_child=_renew_label_lock)
+
+
+def label_code(label: str) -> int:
+    """The label's code in this process, dealt on first use."""
+    code = _LABEL_CODES.get(label)
+    if code is None:
+        with _LABEL_LOCK:
+            code = _LABEL_CODES.get(label)
+            if code is None:
+                _LABELS.append(label)
+                code = _LABEL_CODES[label] = len(_LABELS) - 1 + _FIRST_CODE
+    return code
 
 
 #: ``(label, normalized ordinal)`` -> ``(step, step bytes)``.  The
@@ -207,9 +265,10 @@ def encode_ordinal(ordinal: Sequence[int], out: bytearray) -> None:
 #: a lookup plus one concatenation.  A document has few distinct steps
 #: (labels x sibling positions).  The memo is emptied whenever it
 #: reaches ``_STEP_MEMO_LIMIT`` entries, which bounds it and leaves
-#: every key it yields unchanged: IDs built before keep their own step
-#: tuples, equal to the new ones.  An entry is a pure function of its
-#: step, so threads racing on it at worst intern a step twice.
+#: every key it yields unchanged (label codes are never reissued): IDs
+#: built before keep their own step tuples, equal to the new ones.  An
+#: entry is a pure function of its step, so threads racing on it at
+#: worst intern a step twice.
 _STEP_BYTES: Dict[Step, Tuple[Step, bytes]] = {}
 _STEP_MEMO_LIMIT = 1 << 14
 
@@ -226,7 +285,7 @@ def _intern_step(step: Step) -> Tuple[Step, bytes]:
     label, ordinal = step
     out = bytearray()
     encode_ordinal(ordinal, out)
-    encode_terminated(label.encode("utf-8"), out)
+    _encode_int(label_code(label), out)
     # A private copy of the ordinal: two steps never share one, so how
     # callers built their ordinals cannot change a pickled ID's bytes.
     # The shared step is also the memo's key, so the caller's tuples
@@ -241,20 +300,6 @@ def _key_of(steps: Tuple[Step, ...]) -> bytes:
     return b"".join([(_STEP_BYTES.get(step) or _intern_step(step))[1] for step in steps])
 
 
-def _decode_int(key: bytes, pos: int) -> Tuple[int, int]:
-    """Inverse of :func:`encode_int`: the value at ``pos`` and the
-    position after it."""
-    lead = key[pos]
-    pos += 1
-    if lead == 0x80:
-        return 0, pos
-    if lead > 0x80:
-        end = pos + lead - 0x80
-        return int.from_bytes(key[pos:end], "big"), end
-    end = pos + 0x80 - lead
-    return int.from_bytes(key[pos:end], "big") - (1 << (8 * (end - pos))), end
-
-
 def _steps_of(key: bytes) -> Tuple[Step, ...]:
     """Inverse of :func:`_key_of`: the normalized steps a key encodes."""
     steps = []
@@ -262,18 +307,17 @@ def _steps_of(key: bytes) -> Tuple[Step, ...]:
     while pos < size:
         ordinal = []
         tag = key[pos]
+        pos += 1
         while tag != _ORD_END:
-            zeros, pos = _decode_int(key, pos + 1)
+            if tag == _NEG_AFTER_RUN or tag == _POS_AFTER_RUN:
+                zeros, pos = _decode_int(key, pos)
+                ordinal.extend((0,) * abs(zeros))
             component, pos = _decode_int(key, pos)
-            ordinal.extend((0,) * (zeros if tag == _ORD_NEG else -zeros))
             ordinal.append(component)
             tag = key[pos]
-        # An escaped 0x00 is always followed by 0xFF, so the first
-        # 0x00 0x00 is the terminator.
-        end = key.index(b"\x00\x00", pos + 1)
-        label = key[pos + 1 : end].replace(b"\x00\xff", b"\x00").decode("utf-8")
-        steps.append((label, tuple(ordinal) if ordinal else (0,)))
-        pos = end + 2
+            pos += 1
+        code, pos = _decode_int(key, pos)
+        steps.append((_LABELS[code - _FIRST_CODE], tuple(ordinal) if ordinal else (0,)))
     return tuple(steps)
 
 
@@ -469,9 +513,10 @@ class DeweyID:
                 return cmp
             if la != lb:
                 # Distinct labels with equal ordinals cannot share a
-                # parent slot in one document; order them by label to
-                # keep the comparison total across documents.
-                return -1 if la < lb else 1
+                # parent slot in one document; order them by label
+                # code, as the key does, to keep the comparison total
+                # across documents.
+                return -1 if label_code(la) < label_code(lb) else 1
         if len(self.steps) == len(other.steps):
             return 0
         return -1 if len(self.steps) < len(other.steps) else 1

@@ -49,7 +49,9 @@ Invariants
     subtrees.  The document's one walk over a subtree hands the index
     that subtree's nodes already grouped into per-label runs, so
     ``add_runs`` / ``remove_runs`` touch one or two blocks per
-    *distinct label* of the subtree.
+    *distinct label* of the subtree.  It is also the document's one
+    node index: an ID names its label, so ``find`` on that label's rows
+    resolves it.
 
 :class:`Overlay`
     A read-only view of base rows with one batch's edits applied: the

@@ -16,10 +16,11 @@ value index (:class:`repro.xmldom.index.ValueIndex`) answers
 σ-constant selections (:meth:`Document.nodes_with_value`) without
 scanning.  An inserted forest arrives as its flat preorder tuple
 (:func:`flatten_forest`), and one walk over that tuple
-(:meth:`Document.insert_forest`) creates, links, numbers and registers
-each node and groups it into the label index's per-label runs; no
-template node graph is built or copied.
-One walk over a deleted subtree collects it the same way.
+(:meth:`Document.insert_forest`) creates, links and numbers each node
+and groups it into the label index's per-label runs; no template node
+graph is built or copied.  One walk over a deleted subtree collects it
+the same way.  The label index is also the one node index: an ID names
+its label, so :meth:`Document.node_by_id` bisects ``R_label``.
 
 Elements memoize ``val`` and ``cont``, and both compose from their
 children's caches, so re-deriving either after a change costs the
@@ -364,8 +365,6 @@ class Document:
         self.root = root
         self._index = LabelIndex()
         self._values = ValueIndex(self._index, elements=self.all_elements)
-        #: ``sort_key`` -> node: bytes hash in C, a DeweyID in Python.
-        self._by_id: Dict[bytes, Node] = {}
         # IDs of deleted nodes are *retired*, never reissued: node
         # identity is immutable (XDM) and the Dewey scheme guarantees
         # a dead ID stays dead, so references held by pending update
@@ -441,8 +440,9 @@ class Document:
                 yield node
 
     def node_by_id(self, dewey: DeweyID) -> Optional[Node]:
-        """Resolve an ID to its node (None if absent)."""
-        return self._by_id.get(dewey.sort_key)
+        """Resolve an ID to its node (None if absent): the ID names its
+        label, so two bisects in ``R_label`` find it, O(log n)."""
+        return self._index.nodes(dewey.label).find(dewey.sort_key)
 
     def size_in_nodes(self) -> int:
         return sum(len(self._index.nodes(label)) for label in self._index.labels())
@@ -514,15 +514,14 @@ class Document:
         """Insert the forest ``flat`` encodes (:func:`flatten_forest`) as
         children of ``parent`` from ``position`` on (default: after the
         last child).  One walk over the tuple creates, links and numbers
-        each node, enters it in ``_by_id`` and adds it to its label's
-        run for the label and value indexes (the trees are adjacent
-        siblings, so a run is one key range).  Returns each tree's nodes
-        in document order, root first."""
+        each node and adds it to its label's run for the label and value
+        indexes (the trees are adjacent siblings, so a run is one key
+        range).  Returns each tree's nodes in document order, root
+        first."""
         if position is None:
             position = len(parent.children)
         trees: List[List[Node]] = []
         runs: Dict[str, KeyedRows] = {}
-        by_id = self._by_id
         text = False
         #: ``(element, child count)`` down the current path.
         open_elements: List[tuple] = []
@@ -553,7 +552,6 @@ class Document:
                 trees.append(nodes)
             node.dewey = node_id
             key = node_id.sort_key
-            by_id[key] = node
             run = runs.get(label)  # type: ignore[arg-type]
             if run is None:
                 runs[label] = KeyedRows([node], [key])  # type: ignore[index]
@@ -570,17 +568,15 @@ class Document:
     def _graft(self) -> None:
         """Bulk loading: number and index the numbered root's subtree
         in place, in one preorder walk that gives each node
-        ``parent_id.child(label, (position,))``, enters it in
-        ``_by_id`` and adds it to its label's run; each label's blocks
-        are then cut straight from its run."""
+        ``parent_id.child(label, (position,))`` and adds it to its
+        label's run; each label's blocks are then cut straight from its
+        run."""
         runs: Dict[str, KeyedRows] = {}
-        by_id = self._by_id
         stack: List[Node] = [self.root]
         while stack:
             node = stack.pop()
             node_id = node.dewey
             key = node_id.sort_key
-            by_id[key] = node
             run = runs.get(node.label)
             if run is None:
                 runs[node.label] = KeyedRows([node], [key])
@@ -611,7 +607,6 @@ class Document:
         text_changed = False
         for gone in node.self_and_descendants():
             removed.append(gone)
-            self._by_id.pop(gone.dewey.sort_key, None)
             runs.setdefault(gone.label, []).append(gone)
             text_changed = text_changed or gone.kind == "text"
         self._index.remove_runs(runs)

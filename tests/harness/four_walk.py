@@ -79,8 +79,6 @@ class FourWalkDocument(Document):
             self.root.dewey = DeweyID.root(self.root.label)
             all_nodes = number_below(self.root)
             add_subtree(self._index, all_nodes)
-            for node in all_nodes:
-                self._by_id[node.id.sort_key] = node
         finally:
             if collecting:
                 gc.enable()
@@ -125,7 +123,6 @@ class FourWalkDocument(Document):
         add_subtree(self._index, new_nodes)
         text_changed = False
         for node in new_nodes:
-            self._by_id[node.id.sort_key] = node
             self._values.on_add({node.label: [node]})
             if node.kind == "text":
                 text_changed = True
@@ -140,7 +137,6 @@ class FourWalkDocument(Document):
         remove_subtree(self._index, removed)
         text_changed = False
         for gone in removed:
-            self._by_id.pop(gone.id.sort_key, None)
             self._values.on_remove({gone.label: [gone]})
             if gone.kind == "text":
                 text_changed = True

@@ -1,11 +1,13 @@
 """Bytes of Python heap per DeweyID, per label-index entry, per insert
-statement and per inserted element, measured with tracemalloc.
+statement and per inserted element, measured with tracemalloc, and the
+mean length of a ``sort_key``.
 
 Rebuilds the IDs of a fixed XMark document through ``DeweyID.root`` /
 ``DeweyID.child`` (the way a document numbers its nodes) into a list
-allocated beforehand, with the step memo emptied first, so the figure
-counts every ID object, its key bytes and its share of the interned
-steps, and nothing else.  ``tests/test_dewey.py`` pins it.
+allocated beforehand, in a fresh label table with the document's labels
+dealt and the step memo empty, so the figure counts every ID object,
+its key bytes and its share of the interned steps, and nothing else.  ``tests/test_dewey.py`` pins it, and the
+mean key length of the same IDs.
 
 The label-index figure is the heap a ``LabelIndex`` of the same
 document holds per indexed node: its blocks, block lists and per-label
@@ -19,9 +21,9 @@ spread over the stream.  ``tests/test_workloads.py`` pins it.
 
 The inserted-element figure is the heap the same document grows by
 when those 1000 inserts are applied (batches of 64, no views), per
-inserted element: the new nodes, their IDs and their ``_by_id`` and
-label-index entries (an element's ``val``/``cont`` caches stay empty
-until first read).
+inserted element: the new nodes, their IDs and their label-index
+entries (an element's ``val``/``cont`` caches stay empty until first
+read).
 
 Run as a script it prints one markdown table per figure for a CI job
 summary::
@@ -34,7 +36,8 @@ from __future__ import annotations
 import gc
 import platform
 import tracemalloc
-from typing import List, Tuple
+from contextlib import contextmanager
+from typing import Iterator, List, Tuple
 
 from repro.updates.pul import BatchApplication
 from repro.workloads.updates import statement_stream
@@ -43,14 +46,31 @@ from repro.xmldom import dewey
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.index import KeyedRows, LabelIndex
 
-#: The bound ``tests/test_dewey.py`` holds the measurement to.
-BYTES_PER_ID_LIMIT = 200
+#: The bounds ``tests/test_dewey.py`` holds the measurements to.
+BYTES_PER_ID_LIMIT = 150
+MEAN_KEY_BYTES_LIMIT = 24
 #: The bound ``tests/test_workloads.py`` holds the statement figure to.
 BYTES_PER_STATEMENT_LIMIT = 1000
 #: The fixed document: XMark scale 4, about 7.1k nodes.
 SCALE = 4
 #: Insert statements in the measured stream.
 STATEMENTS = 1000
+
+
+@contextmanager
+def fresh_label_table() -> Iterator[None]:
+    """Run the body as a process that has dealt no label code yet: the
+    label table and the step memo are swapped for empty ones and put
+    back after.  IDs built inside must not outlive the body (their keys
+    use the swapped codes).  Keeps the figures below independent of
+    what ran earlier in the process: a label dealt after the first 127
+    takes a two-byte code."""
+    saved = dewey._LABEL_CODES, dewey._LABELS, dewey._STEP_BYTES
+    dewey._LABEL_CODES, dewey._LABELS, dewey._STEP_BYTES = {}, [], {}
+    try:
+        yield
+    finally:
+        dewey._LABEL_CODES, dewey._LABELS, dewey._STEP_BYTES = saved
 
 
 def _numbering(scale: int) -> List[Tuple[int, str, tuple]]:
@@ -67,22 +87,32 @@ def _numbering(scale: int) -> List[Tuple[int, str, tuple]]:
     return rows
 
 
+def mean_key_bytes(scale: int = SCALE) -> float:
+    """Mean ``sort_key`` length over the document's IDs."""
+    with fresh_label_table():
+        document = generate_document(scale=scale)
+        keys = [node.id.sort_key for node in document.root.self_and_descendants()]
+    return sum(map(len, keys)) / len(keys)
+
+
 def bytes_per_id(scale: int = SCALE) -> Tuple[float, int]:
     """Traced bytes per ID and the number of IDs built."""
     rows = _numbering(scale)
     ids: list = [None] * len(rows)
-    dewey._STEP_BYTES.clear()
-    gc.collect()  # the document left a cycle; free it before tracing
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for position, (parent, label, ordinal) in enumerate(rows):
-            ids[position] = (
-                DeweyID.root(label) if parent < 0 else ids[parent].child(label, ordinal)
-            )
-        after = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    with fresh_label_table():
+        for _parent, label, _ordinal in rows:
+            dewey.label_code(label)  # the document's labels, dealt at load
+        gc.collect()  # the document left a cycle; free it before tracing
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for position, (parent, label, ordinal) in enumerate(rows):
+                ids[position] = (
+                    DeweyID.root(label) if parent < 0 else ids[parent].child(label, ordinal)
+                )
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
     return (after - before) / len(ids), len(ids)
 
 
@@ -164,6 +194,10 @@ if __name__ == "__main__":
     print(
         "| %s | label-index entries (one per node) | %d | %.1f | - |"
         % (platform.python_version(), indexed, per_node)
+    )
+    print(
+        "| %s | mean key bytes (one key per ID) | %d | %.1f | %d |"
+        % (platform.python_version(), count, mean_key_bytes(), MEAN_KEY_BYTES_LIMIT)
     )
     per_statement = bytes_per_statement()
     print()

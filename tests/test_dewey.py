@@ -1,16 +1,29 @@
 """Compact Dynamic Dewey IDs: the four properties of Section 2.1."""
 
+import os
 import pickle
+import random
+import signal
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tests.conftest import chain_pattern
+from repro.maintenance.engine import MaintenanceEngine
+from repro.updates.language import DeleteUpdate, InsertUpdate
+from repro.workloads.xmark import generate_document
+from repro.xmldom import dewey
 from repro.xmldom.dewey import (
     DeweyID,
+    _encode_int,
     _key_of,
     _normalize,
     _steps_of,
+    label_code,
     ordinal_after,
     ordinal_before,
     ordinal_between,
@@ -18,7 +31,20 @@ from repro.xmldom.dewey import (
     ordinal_initial,
 )
 from repro.xmldom.index import KeyedRows
-from tests.harness.id_memory import BYTES_PER_ID_LIMIT, bytes_per_id
+from repro.xmldom.parser import parse_document
+from tests.harness.id_memory import (
+    BYTES_PER_ID_LIMIT,
+    MEAN_KEY_BYTES_LIMIT,
+    bytes_per_id,
+    fresh_label_table,
+    mean_key_bytes,
+)
+
+
+def _code_bytes(label):
+    out = bytearray()
+    _encode_int(label_code(label), out)
+    return bytes(out)
 
 
 def make_id(*steps):
@@ -230,7 +256,7 @@ class TestParentChain:
     def test_subtree_is_one_key_range(self, paths, data):
         # Every prefix of every drawn path is in the set, so ancestors
         # (negative components past index 0 included) are present and
-        # the 0x04 end key must stop exactly at the subtree's end.
+        # the 0x06 end key must stop exactly at the subtree's end.
         ids = sorted(
             {DeweyID(path[:depth]) for path in paths for depth in range(1, len(path) + 1)},
             key=lambda x: x.sort_key,
@@ -253,6 +279,10 @@ class TestCompactIDs:
         per_id, count = bytes_per_id()
         assert count > 1000
         assert per_id <= BYTES_PER_ID_LIMIT, per_id
+
+    def test_mean_key_bytes_stay_under_the_limit(self):
+        mean = mean_key_bytes()
+        assert mean <= MEAN_KEY_BYTES_LIMIT, mean
 
     def test_equal_steps_share_one_tuple(self):
         root = make_id(("site", (1,)))
@@ -290,15 +320,147 @@ class TestCompactIDs:
 
 class TestEncoding:
     def test_compactness(self):
-        # Per step: the ordinal's events (0x03, run 0x80, value 0x81 0x0N,
-        # end 0x02), the UTF-8 label and its 0x00 0x00 terminator.
+        # Per step: a positive component after no zero run (0x05, value
+        # 0x80+N), the ordinal's end (0x03), then the label's code.
         node = make_id(("a", (1,)), ("b", (2,)), ("c", (3,)))
-        assert len(node.sort_key) == 3 * (5 + 1 + 2)
-        assert node.sort_key[:8] == b"\x03\x80\x81\x01\x02a\x00\x00"
+        codes = [_code_bytes(label) for label in "abc"]
+        assert node.sort_key == b"".join(
+            bytes((0x05, 0x80 + n, 0x03)) + code for n, code in zip((1, 2, 3), codes)
+        )
+        # Components and runs from -63 to 63 take one byte each; a run
+        # gets its own tag, so only an ordinal with zeros pays for one.
+        assert len(make_id(("a", (63,))).sort_key) == 3 + len(codes[0])
+        assert len(make_id(("a", (64,))).sort_key) == 4 + len(codes[0])
+        assert make_id(("a", (-63, 0, 0, 5))).sort_key == (
+            b"\x01\x41\x04\x7e\x85\x03" + codes[0]
+        )
+        assert make_id(("a", (0, -1))).sort_key == b"\x02\x81\x7f\x03" + codes[0]
 
     def test_str_rendering(self):
         node = make_id(("a", (1,)), ("c", (1,)), ("b", (1,)))
         assert str(node) == "a1.c1.b1"
+
+
+class TestLabelCodes:
+    """A key spells a label as a code dealt on first use by one
+    process-wide table; the code order decides no document order."""
+
+    def test_threads_deal_one_code_per_label(self):
+        labels = ["label%d" % i for i in range(240)]
+        workers = 6
+
+        def deal(slot, barrier, dealt):
+            # Overlapping windows, each in its own shuffled order.
+            mine = labels[slot * 24 : slot * 24 + 120]
+            random.Random(slot).shuffle(mine)
+            barrier.wait()
+            dealt[slot] = {label: label_code(label) for label in mine}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often enough to race
+        try:
+            for _round in range(10):
+                barrier, dealt = threading.Barrier(workers), [None] * workers
+                with fresh_label_table():
+                    threads = [
+                        threading.Thread(target=deal, args=(slot, barrier, dealt))
+                        for slot in range(workers)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join()
+                    merged = {}
+                    for codes in dealt:
+                        for label, code in codes.items():
+                            assert merged.setdefault(label, code) == code, label
+                    assert sorted(merged.values()) == list(
+                        range(dewey._FIRST_CODE, dewey._FIRST_CODE + len(labels))
+                    )
+                    assert all(
+                        dewey._LABELS[code - dewey._FIRST_CODE] == label
+                        for label, code in merged.items()
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_deals_codes_while_the_parent_holds_the_lock(self):
+        # A thread of the parent mid-deal at fork time holds the lock;
+        # the child must still deal codes of its own.
+        with dewey._LABEL_LOCK:
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if label_code("dealt-in-a-forked-child") is not None else 1)
+        deadline = time.monotonic() + 20
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child blocked on the label lock")
+            time.sleep(0.01)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+    def test_reverse_dealt_codes_keep_keys_in_preorder(self):
+        labels = sorted({n.label for n in generate_document(scale=1).root.self_and_descendants()})
+        with fresh_label_table():
+            for label in reversed(labels):
+                label_code(label)
+            assert [label_code(label) for label in labels] == sorted(
+                (label_code(label) for label in labels), reverse=True
+            )
+            document = generate_document(scale=4)
+            preorder = list(document.root.self_and_descendants())
+            keys = [node.id.sort_key for node in preorder]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            assert all(document.node_by_id(node.id) is node for node in preorder)
+            assert all(DeweyID(node.id.steps) == node.id for node in preorder[::50])
+
+    def test_compare_breaks_cross_label_ties_by_code(self):
+        with fresh_label_table():
+            for label in ("r", "z", "m", "a"):
+                label_code(label)
+            root = DeweyID.root("r")
+            ids = [root]
+            for label in "amz":
+                tie = root.child(label, (3,))
+                ids += [tie, tie.child("a", (1,)), tie.child("z", (1,)), tie.child("m", (0, 2))]
+            ids += [root.child("a", (2, 5)), root.child("z", (4,))]
+            for a in ids:
+                for b in ids:
+                    reference = a._compare(b)
+                    assert (a.sort_key < b.sort_key) == (reference < 0), (a, b)
+                    assert (a.sort_key == b.sort_key) == (reference == 0), (a, b)
+            # The tie goes by code ("z" was dealt before "m" and "a"),
+            # not by the label's spelling.
+            assert root.child("z", (3,)) < root.child("m", (3,)) < root.child("a", (3,))
+            assert root.child("z", (3,))._compare(root.child("a", (3,))) < 0
+
+    def test_reissued_ordinal_under_another_label(self):
+        # Deleting a3 and then inserting b under the same parent deals
+        # b the ordinal (3) again: two IDs that differ only in their
+        # label code, one dead and one live.
+        document = parse_document("<r><p><x>1</x><y>2</y><a>3</a></p><a>4</a></r>")
+        engine = MaintenanceEngine(document)
+        views = {
+            name: engine.register_view(chain_pattern(*labels, annotate="ID val"), name)
+            for name, labels in (("PA", ("p", "a")), ("PB", ("p", "b")), ("RA", ("r", "a")))
+        }
+        gone = document.root.children[0].children[2]
+        gone_id = gone.id
+        engine.apply_batch([DeleteUpdate("/r/p/a"), InsertUpdate("/r/p", "<b>5</b>")])
+        fresh = document.root.children[0].children[2]
+        assert fresh.label == "b" and fresh.id.ordinal == gone_id.ordinal == (3,)
+        assert fresh.id.parent() == gone_id.parent() and fresh.id != gone_id
+        assert document.node_by_id(gone_id) is None
+        assert document.node_by_id(fresh.id) is fresh
+        for name, registered in views.items():
+            assert registered.view.equals_fresh_evaluation(document), name
+        [(row, _count)] = views["PB"].view.content()
+        assert fresh.id in row and gone_id not in row
 
 
 class TestSortKeyEquivalence:

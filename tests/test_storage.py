@@ -1,8 +1,8 @@
 """Unit tests for the durable storage layer (repro.storage).
 
-Six areas: the memcomparable key encoding (its order must coincide
-with ``row_sort_key`` on every comparable pair, DeweyID padded
-semantics included, however an ID was built), the
+Six areas: the row order (``row_sort_key`` with DeweyID padded
+semantics, however an ID was built, and kept by the checkpoint
+records' ID projection), the
 WAL frame format under torn writes (recovery drops exactly the
 uncommitted suffix, never a committed batch), the fork/pickle
 refusals, checkpoints of a durable view's store against a plain-dict
@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import chain_pattern
-from repro.storage.keyenc import encode_key
 from repro.storage.recovery import (
     RecoveryError,
     RecoveryReport,
@@ -33,7 +32,7 @@ from repro.views.view import row_sort_key
 from repro.xmldom.dewey import DeweyID
 
 
-# -- key encoding ------------------------------------------------------------
+# -- row order ----------------------------------------------------------------
 
 
 def dewey(*steps):
@@ -41,90 +40,31 @@ def dewey(*steps):
 
 
 class TestKeyEncoding:
-    def test_int_order(self):
-        values = [-(1 << 40), -257, -256, -2, -1, 0, 1, 2, 255, 256, 1 << 40]
-        blobs = [encode_key(v) for v in values]
-        assert blobs == sorted(blobs)
-
-    def test_str_order_with_embedded_nul(self):
-        values = ["", "\x00", "\x00a", "a", "a\x00", "a\x00b", "ab", "b"]
-        blobs = [encode_key(v) for v in values]
-        assert blobs == sorted(blobs)
-
-    def test_tuple_prefix_sorts_first(self):
-        assert encode_key(("a",)) < encode_key(("a", "b"))
-        assert encode_key((1,)) < encode_key((1, 0))
+    """Rows order in a store (and in its checkpoint record) by
+    ``row_sort_key``, whose DeweyID cells are their ``sort_key`` s."""
 
     def test_dewey_padded_semantics(self):
         # (1,) == (1, 0) padded; (1, -1) sorts before both; (1, 1) after.
-        base = dewey((1,))
-        padded = dewey((1, 0))
-        before = dewey((1, -1))
-        after = dewey((1, 1))
-        assert encode_key(base) == encode_key(padded)
-        assert encode_key(before) < encode_key(base) < encode_key(after)
+        base = row_sort_key((dewey((1,)),))
+        padded = row_sort_key((dewey((1, 0)),))
+        before = row_sort_key((dewey((1, -1)),))
+        after = row_sort_key((dewey((1, 1)),))
+        assert base == padded
+        assert before < base < after
         # Earlier positions dominate: (1, -1, 5) < (1,) < (1, 0, 0, 2).
-        assert encode_key(dewey((1, -1, 5))) < encode_key(base)
-        assert encode_key(base) < encode_key(dewey((1, 0, 0, 2)))
+        assert row_sort_key((dewey((1, -1, 5)),)) < base
+        assert base < row_sort_key((dewey((1, 0, 0, 2)),))
 
     def test_dewey_step_prefix_sorts_first(self):
-        shorter = dewey((1,))
-        longer = dewey((1,), (1,))
-        assert encode_key(shorter) < encode_key(longer)
-
-    def test_distinct_types_get_a_total_order(self):
-        # Incomparable under the in-memory order (it would raise); the
-        # encoding's type tags pick a fixed order so the durable store
-        # can hold what the in-memory store would reject ordering on.
-        cells = [None, -5, "a", b"a", dewey((1,))]
-        blobs = [encode_key((cell,)) for cell in cells]
-        assert blobs == sorted(blobs)
-        assert len(set(blobs)) == len(blobs)
-
-    def test_unsupported_cell_raises(self):
-        with pytest.raises(TypeError):
-            encode_key((object(),))
+        shorter = row_sort_key((dewey((1,)),))
+        longer = row_sort_key((dewey((1,), (1,)),))
+        assert shorter < longer
 
 
 _ordinals = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(tuple)
 _deweys = st.lists(
     st.tuples(st.sampled_from("abc"), _ordinals), min_size=1, max_size=3
 ).map(DeweyID)
-#: per-column cell strategies; one kind per column keeps every row pair
-#: comparable under row_sort_key (the in-memory store's precondition).
-_cell_strategies = {
-    "int": st.integers(-300, 300),
-    "str": st.text(alphabet="ab\x00\xff", max_size=4),
-    "bytes": st.binary(max_size=4),
-    "dewey": _deweys,
-}
-
-
-@st.composite
-def _row_lists(draw):
-    shape = draw(
-        st.lists(st.sampled_from(sorted(_cell_strategies)), min_size=1, max_size=3)
-    )
-    row = st.tuples(*[_cell_strategies[kind] for kind in shape])
-    return draw(st.lists(row, min_size=2, max_size=12))
-
-
-@given(_row_lists())
-@settings(max_examples=120, deadline=None)
-def test_blob_order_matches_row_sort_key(rows):
-    """The interchangeability contract: memcmp on blobs == row_sort_key.
-
-    The DeweyID strategy deliberately emits negative ordinal components
-    past index 0, so both the plain-tuple and the padded-semantics
-    sort-key paths are exercised.
-    """
-    by_key = sorted(rows, key=row_sort_key)
-    by_blob = sorted(rows, key=encode_key)
-    # Ties (e.g. ordinals differing only in trailing zeros) make the
-    # permutation ambiguous; the key sequences must still agree.
-    assert [row_sort_key(r) for r in by_blob] == [row_sort_key(r) for r in by_key]
-    for row in rows:
-        assert isinstance(encode_key(row), bytes)
 
 
 # -- WAL frames and torn tails ----------------------------------------------
@@ -419,15 +359,14 @@ def _dewey_families(draw):
 
 def test_out_of_band_ids_encode_alike_however_built():
     # Grown by child(), built flat, unpickled, or linked lazily by
-    # parent(): one ID, one key, one blob.
+    # parent(): one ID, one key, one row key.
     root = DeweyID.root("r")
     padded = root.child("a", (2, -1)).child("b", (0, -3, 1))
     flat = DeweyID(padded.steps)
     for other in (flat, pickle.loads(pickle.dumps(padded))):
         assert other.sort_key == padded.sort_key
-        assert encode_key((other, None)) == encode_key((padded, None))
+        assert row_sort_key((other, None)) == row_sort_key((padded, None))
     assert flat.parent().sort_key == padded.parent().sort_key
-    assert encode_key(flat.parent()) == encode_key(padded.parent())
     assert padded.parent().sort_key < padded.sort_key < padded.parent().subtree_end_key
 
 
@@ -452,11 +391,11 @@ def test_projection_blobs_order_like_row_sort_key(ids):
     project = _projector(((1, 0, "val"), (3, 2, "cont")))
     rows = list({(row[0], row[2]): row for row in _consistent_rows(ids)}.values())
     by_key = sorted(rows, key=row_sort_key)
-    by_blob = sorted(rows, key=lambda row: encode_key(project(row)))
-    assert [row_sort_key(row) for row in by_blob] == [
+    by_projection = sorted(rows, key=lambda row: row_sort_key(project(row)))
+    assert [row_sort_key(row) for row in by_projection] == [
         row_sort_key(row) for row in by_key
     ]
-    assert len({encode_key(project(row)) for row in rows}) == len(rows)
+    assert len({row_sort_key(project(row)) for row in rows}) == len(rows)
 
 
 def _id_projection(view):

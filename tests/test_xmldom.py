@@ -219,7 +219,7 @@ class TestOneWalk:
     walk, ``BatchApplication.net_inserted_nodes`` as a record filter)
     against the four-walk oracle in ``tests/harness/four_walk.py``, on
     seeded random batch streams: after every step both documents hold
-    the same tree, IDs, ``_by_id``, label rows and value buckets, and
+    the same tree, IDs, node lookups, label rows and value buckets, and
     both batches the same Δ+ and removed nodes."""
 
     def test_matches_the_four_walk_oracle(self):
@@ -313,7 +313,7 @@ class TestOneWalk:
         ]
         for document in (new, old):
             nodes = list(document.root.self_and_descendants())
-            assert len(document._by_id) == len(nodes)
+            assert document.size_in_nodes() == len(nodes)
             assert all(document.node_by_id(n.id) is n for n in nodes)
         assert sorted(new.labels()) == sorted(old.labels())
         for label in new.labels():
@@ -336,3 +336,32 @@ class TestOneWalk:
                 } == entry._keys, label
                 buckets.append(entry._keys)
             assert buckets[0] == buckets[1], label
+
+
+def test_net_inserted_nodes_is_the_lookup_definition():
+    """Δ+ keeps the inserted records whose keys the batch never removed;
+    the definition it replaced kept those the document still resolves
+    by ID.  Mixed batches, each with an insert whose ancestor a later
+    statement of the same batch deletes."""
+    dropped = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        for batch in range(8):
+            document = build_document(parse_fragment(_ONE_WALK_XML)[0])
+            statements = TestOneWalk._batch(rng, document, batch, deletes=batch % 4 != 0)
+            target = rng.choice(list(document.root.descendants()))
+            while target.kind != "element":
+                target = target.parent
+            if target is document.root:
+                target = document.root.children[0]
+            statements.insert(0, ResolvedInsertUpdate([target.id], "<w>t<v/></w>"))
+            statements.insert(rng.randint(1, len(statements)), ResolvedDeleteUpdate([target.id]))
+            application = BatchApplication(document, statements).apply()
+            expected = [
+                node
+                for node in application.inserted_records
+                if document.node_by_id(node.dewey) is node
+            ]
+            assert application.net_inserted_nodes() == expected
+            dropped += len(application.inserted_records) - len(expected)
+    assert dropped >= 32 * 3
