@@ -47,7 +47,7 @@ views they own.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.maintenance.delete import (
     delete_side,
@@ -289,13 +289,10 @@ class BatchReport:
         #: session parties that maintained the views, the owner
         #: included (0 when the engine ran the round in-process).
         self.workers = 0
-        #: view name -> {"refresh", "additions", "removals"} extent
-        #: deltas, recorded only when the engine's ``record_deltas`` is
-        #: set (shard-session replica workers ship these to the owner).
-        self.view_deltas: Optional[Dict[str, Dict]] = None
-        #: owner-side seconds a session spent, past its own party's
-        #: round, waiting for and replaying replica deltas (0
-        #: in-process, where time lands in per-view phases).
+        #: owner-side seconds a session spent past its own party's
+        #: round: waiting for the replicas' counters, folding them and
+        #: migrating views (0 in-process, where time lands in per-view
+        #: phases).
         self.shard_seconds = 0.0
         #: one entry per round that ran any work: in-process rounds as
         #: ``{"mode": "serial", "units": n, "wall_s": s}``, session
@@ -341,14 +338,26 @@ class RegisteredView:
     def __init__(self, name: str, view: MaterializedView, lattice: SnowcapLattice,
                  definition: Optional[ViewDefinition] = None):
         self.name = name
-        self.view = view
+        self._view = view
         self.lattice = lattice
         self.definition = definition
         self.plan = ViewPlan(view.pattern)
+        #: set by a :class:`~repro.sharding.ShardSession` while a replica
+        #: party's batches have moved this extent past the owner's copy;
+        #: reading :attr:`view` calls it first, and it clears itself.
+        self.pull: Optional[Callable[[], None]] = None
+
+    @property
+    def view(self) -> MaterializedView:
+        """The extent, read through: current whenever ``apply_batch``
+        (in-process or a session's) has returned."""
+        if self.pull is not None:
+            self.pull()
+        return self._view
 
     @property
     def pattern(self) -> Pattern:
-        return self.view.pattern
+        return self._view.pattern
 
     def __repr__(self) -> str:
         return "RegisteredView(%s, %d tuples, %s lattice)" % (
@@ -486,10 +495,6 @@ class MaintenanceEngine:
         self.prune_even_terms = prune_even_terms
         self.use_data_pruning = use_data_pruning
         self.use_id_pruning = use_id_pruning
-        #: when True, ``apply_batch`` reports carry ``view_deltas`` --
-        #: the exact extent-delta inputs of every view's store pass
-        #: (used by shard-session replica workers).
-        self.record_deltas = False
         #: set by an attached :class:`~repro.sharding.ShardSession`:
         #: while workers maintain the replicas, the owner's lattices are
         #: stale and direct propagation must go through the session.
@@ -577,7 +582,15 @@ class MaintenanceEngine:
         ``ApplyQueue.close`` and session close call this so a clean
         shutdown leaves nothing to replay)."""
         if self.backend is not None:
+            self._bring_extents_current()
             self.backend.sync()
+
+    def _bring_extents_current(self) -> None:
+        """Read every extent through: a checkpoint reads the tracked
+        :class:`MaterializedView` objects directly."""
+        for registered in self.views.values():
+            if registered.pull is not None:
+                registered.pull()
 
     def unregister_view(self, name: str) -> None:
         self._check_no_active_session()
@@ -713,6 +726,8 @@ class MaintenanceEngine:
         partial-applies it identically and the recomputed views match.
         """
         if batch_id is not None:
+            if self.backend.checkpoint_due(batch_id):
+                self._bring_extents_current()
             self.backend.commit_batch(batch_id)
 
     # -- batches (one propagation round per statement group) --------------------
@@ -786,8 +801,6 @@ class MaintenanceEngine:
         report = BatchReport(statements)
         report.statements_submitted = len(statements)
         report.statements_applied = len(statements)
-        if self.record_deltas:
-            report.view_deltas = {}
         if not statements:
             return report
 
@@ -1015,8 +1028,6 @@ class MaintenanceEngine:
                     ctx.registered.plan, ctx.registered.view, self.document, affected
                 )
             ctx.report.tuples_modified = len(ctx.rewrites)
-            if report.view_deltas is not None:
-                report.view_deltas.setdefault(ctx.name, {})["refresh"] = ctx.rewrites
             return 1
 
         def minus(ctx: _ViewRound) -> int:
@@ -1154,10 +1165,6 @@ class MaintenanceEngine:
                 ctx.removals = merge_embedding_fragments(ctx.embedding_fragments)
             if ctx.addition_fragments:
                 ctx.additions = merge_addition_fragments(ctx.addition_fragments)
-            if report.view_deltas is not None:
-                deltas = report.view_deltas.setdefault(ctx.name, {})
-                deltas["additions"] = ctx.additions
-                deltas["removals"] = ctx.removals
             with _PhaseTimer(tracer, ctx.report.phases, "execute_update", ctx.name):
                 added, tuples_removed, derivations_removed = (
                     ctx.registered.view.apply_batch_delta(

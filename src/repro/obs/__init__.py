@@ -11,7 +11,8 @@ Two halves:
   histograms with deterministic label sets;
 * :mod:`~repro.obs.trace` / :mod:`~repro.obs.fragments` -- span trees
   on monotonic clocks, flattened to picklable fragments at the fork
-  boundary and stitched back in ``sharding.merge``.
+  boundary and stitched back under the session's ``replica_apply``
+  spans.
 
 :class:`Observability` bundles one registry and one tracer; the shared
 :data:`NULL_OBS` is the engine-wide default and makes every

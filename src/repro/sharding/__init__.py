@@ -3,15 +3,15 @@
 ``engine.session(workers=N)`` starts a :class:`ShardSession`
 (:mod:`repro.sharding.session`) of N parties: the owner maintains its
 share of the views in-process (party 0) and N−1 forked replicas run the
-engine's in-process batch round over theirs, shipping extent deltas
-back, so extents stay byte-identical to in-process propagation.  View ownership is planned by :mod:`repro.sharding.planner`
-(LPT) and adapted by :mod:`repro.sharding.rebalance` (EWMA cost model,
+engine's in-process batch round over theirs and keep those extents,
+replying with counters; the owner pulls a replica view's extent when it
+is read, so extents stay byte-identical to in-process propagation.
+View ownership is planned by :mod:`repro.sharding.planner` (LPT) and
+adapted by :mod:`repro.sharding.rebalance` (EWMA cost model,
 hysteretic migration policy); migrations move views through the pure
-units of :mod:`repro.sharding.units` and install them via
-:mod:`repro.sharding.merge`.
+units of :mod:`repro.sharding.units`.
 """
 
-from repro.sharding.merge import install_view_snapshot, merge_span_fragments
 from repro.sharding.planner import imbalance_ratio, lpt_assignment
 from repro.sharding.rebalance import RebalancePolicy, ViewCostModel
 from repro.sharding.session import ShardSession
@@ -40,7 +40,5 @@ __all__ = [
     "ViewCostModel",
     "ViewSnapshotUnit",
     "imbalance_ratio",
-    "install_view_snapshot",
     "lpt_assignment",
-    "merge_span_fragments",
 ]

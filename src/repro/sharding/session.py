@@ -25,16 +25,20 @@ Design (replicated state machines):
   byte-identically to the owner -- and runs the ordinary serial
   ``apply_batch`` over its views, which keeps its extents *and*
   lattices current for the next batch;
-* replicas ship back only the extent-delta inputs of the store pass
-  (refresh pairs, Δ+/Δ− tuple counts -- recorded by the engine's
-  ``record_deltas`` hook) plus slim per-view stats; the owner replays
-  those deltas into its authoritative extents.  The deltas are exactly
-  what a serial engine would have computed, so owner extents stay
-  byte-identical to in-process propagation.  Party 0's views never
-  cross a pipe: the owner's store pass writes them directly;
-* σ-flip repair runs wherever the view is maintained; the repair Δ±
-  folds into the ordinary shipped delta rows, so the owner replays
-  flips without ever seeing the repair machinery;
+* a replica owns its views' extents, and its reply carries only
+  per-view counters (terms, Δ± derivations, rewrites, repairs,
+  seconds).  The owner folds them into the batch report and marks
+  those views *behind*; party 0's views never cross a pipe;
+* ``RegisteredView.view`` reads through: the first read of a behind
+  view sends one ``("extents", names)`` request per replica party,
+  covering every behind view, and installs the replies with
+  ``reload_content`` (the owner's store objects never change), so an
+  extent is current whenever ``apply_batch`` has returned.
+  Checkpoints, migrations into party 0 and :meth:`ShardSession.close`
+  read through first.  One re-entrant lock holds every pipe
+  conversation, so a reader thread beside an ``ApplyQueue(session)``
+  worker waits for the batch in flight;
+* σ-flip repair runs wherever the view is maintained;
 * the owner keeps current lattices only for party 0's views.  The rest
   would only go stale, so it drops them once the replicas have forked
   (and on releasing a view to another party); :meth:`ShardSession.close`
@@ -55,7 +59,7 @@ every reply it sends (batch, control message or error) it runs the one
 collection CPython's counters say is due -- ``gc.get_count()`` against
 ``gc.get_threshold()``, the oldest generation over its threshold.  So
 garbage is collected on the usual generational schedule, but while the
-owner replays the reply, not on the owner's critical path inside a
+owner folds the reply, not on the owner's critical path inside a
 replica's batch.  A replica forked with collection off keeps it off.
 The owner process's collection policy stays the application's.
 
@@ -69,6 +73,10 @@ with the owner about a batch's outcome -- restore the owner's views
 and close the session for good.  A replica the broadcast cannot reach
 is a dead replica, handled *after* the owner applies the batch, so the
 owner's document always holds what a durable engine's WAL committed.
+A pull that cannot reach its party, or whose pairs the owner fails to
+install, degrades the same way once every other reply is in: pull
+hooks cleared first, owner extents recomputed, session closed; the
+read that triggered it returns the recomputed (exact) extent.
 
 Adaptive rebalancing (opt-in via ``rebalance=``): the per-view
 ``maintenance_seconds`` every party records feed a
@@ -83,9 +91,9 @@ is small -- through the pure units of :mod:`repro.sharding.units`, and
 materializes its lattice from that replica either way; the source
 drops the view, and the assignment map flips only after both sides
 acked.  Party 0 serves the same release/adopt steps in-process: it
-ships its authoritative extent pairs and drops the lattice, and on
-adopting it only **materializes the lattice** -- its extent store is
-authoritative (and what a durable engine checkpoints), so it is never
+ships its extent pairs and drops the lattice, and on adopting it pulls
+the extent if it is behind, then only **materializes the lattice** --
+its extent store is what a durable engine checkpoints, so it is never
 replaced.
 Extents stay byte-identical to serial propagation throughout, and a
 failure mid-migration degrades exactly like a dead replica.
@@ -96,19 +104,11 @@ from __future__ import annotations
 import gc
 import threading
 import time
+import warnings
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs import spans_to_fragments
-from repro.sharding.merge import merge_span_fragments
+from repro.obs import fragments_to_spans, spans_to_fragments
 from repro.updates.language import UpdateBatch, UpdateStatement, coalesce
-
-
-def _canonical_row(row: tuple, canon: Dict[str, str]) -> tuple:
-    """Rebuild a view tuple with string cells deduplicated via ``canon``."""
-    return tuple(
-        canon.setdefault(cell, cell) if type(cell) is str else cell
-        for cell in row
-    )
 
 
 def _release_payload(registered, ship_rows: int) -> Optional[List[Tuple[tuple, int]]]:
@@ -128,9 +128,9 @@ def _serve_migration(engine, idle_views: Dict, message: tuple):
     adopting pulls it back, installing the shipped pairs or
     rematerializing the extent against this replica's own document --
     which is byte-identical to the source's, so either route yields the
-    same bytes -- and materializing its lattice from that document.
+    same bytes -- and materializing its lattice from that document
+    (lattices never cross the pipe).
     """
-    from repro.sharding.merge import install_view_snapshot
     from repro.sharding.units import ExtentRecomputeUnit
 
     if message[0] == "migrate_out":
@@ -150,7 +150,8 @@ def _serve_migration(engine, idle_views: Dict, message: tuple):
                 pairs = ExtentRecomputeUnit(
                     name, pattern=registered.pattern, document=engine.document
                 ).execute()
-            install_view_snapshot(registered, pairs, engine.document)
+            registered.view.reload_content(pairs)
+            registered.lattice.materialize(engine.document)
             engine.views[name] = registered
         return None
     raise RuntimeError("unknown session control message %r" % (message[0],))
@@ -171,58 +172,27 @@ def _collect_due_garbage() -> None:
 
 
 def _serve_batch(engine, statements, ship_spans: bool) -> Dict:
-    """Apply one batch to the replica's views; the reply payload: the
-    store-pass inputs per view plus slim stats (see the module
-    docstring)."""
+    """Apply one batch to the replica's views; the reply payload: per
+    view, its report fields, maintenance seconds and repairs (the
+    extents stay here until the owner pulls them)."""
     started = time.perf_counter()
     report = engine.apply_batch(statements)
-    # One canonical object per distinct string across the whole
-    # payload: XMark-style workloads repeat identical val/cont text
-    # across thousands of delta rows, and pickle stores a memo
-    # reference per repeated *object* -- deduplication shrinks the
-    # shipped bytes by up to an order of magnitude.
-    canon: Dict[str, str] = {}
-    for name in engine.views:
-        deltas = (report.view_deltas or {}).get(name, {})
-        for key in ("additions", "removals"):
-            rows = deltas.get(key)
-            if rows:
-                deltas[key] = {
-                    _canonical_row(row, canon): count for row, count in rows.items()
-                }
-        pairs = deltas.get("refresh")
-        if pairs:
-            deltas["refresh"] = [
-                (_canonical_row(old, canon), _canonical_row(new, canon))
-                for old, new in pairs
-            ]
-    payload: Dict[str, Dict] = {}
-    for name in engine.views:
-        deltas = (report.view_deltas or {}).get(name, {})
-        view_report = report.view_reports.get(name)
-        entry: Dict = {
-            "refresh": deltas.get("refresh", ()),
-            "additions": deltas.get("additions", {}),
-            "removals": deltas.get("removals", {}),
-            "repairs": report.repairs.get(name),
-            "stats": None,
-        }
-        if view_report is not None:
-            entry["stats"] = {
-                "targets": view_report.targets,
-                "terms_developed": view_report.terms_developed,
-                "terms_surviving": view_report.terms_surviving,
-                "term_eval_seconds": view_report.term_eval_seconds,
-                "maintenance_seconds": view_report.phases.total(),
-            }
-        payload[name] = entry
+    # Phases stay here: a session report's phases are the owner's round.
+    views = {
+        name: (
+            {key: value for key, value in vars(view_report).items() if key != "phases"},
+            view_report.phases.total(),
+            report.repairs.get(name),
+        )
+        for name, view_report in report.view_reports.items()
+    }
     span_rows = None
     if ship_spans:
         drained = engine.obs.tracer.drain()
         if drained:
             span_rows = spans_to_fragments(drained)
     return {
-        "views": payload,
+        "views": views,
         "worker_wall_s": time.perf_counter() - started,
         "apply_document_s": report.apply_document_seconds,
         "propagation_s": report.propagation_seconds(),
@@ -247,7 +217,6 @@ def _session_worker_main(conn, owned_names: List[str]) -> None:
         if name not in owned
     }
     engine.views = {name: engine.views[name] for name in owned_names}
-    engine.record_deltas = True
     # The inherited obs is the owner's copy-on-write twin: spans drained
     # here would never reach the owner.  Trace into a fresh worker-local
     # tracer instead and ship each batch's tree home as picklable
@@ -267,8 +236,14 @@ def _session_worker_main(conn, owned_names: List[str]) -> None:
         if message is None:
             break
         try:
-            if isinstance(message, tuple):
-                # Control message (migration); batches arrive as raw lists.
+            if isinstance(message, tuple) and message[0] == "extents":
+                # The owner pulls extents it reads (see the module docstring).
+                reply = (
+                    "ok",
+                    {name: engine.views[name].view.content() for name in message[1]},
+                )
+            elif isinstance(message, tuple):
+                # Migration; batches arrive as raw lists.
                 reply = ("ok", _serve_migration(engine, idle_views, message))
             else:
                 reply = ("ok", _serve_batch(engine, message, ship_spans))
@@ -370,6 +345,19 @@ class ShardSession:
             "view ownership moves executed by the migration protocol",
             ("view",),
         )
+        self._pulls_counter = metrics.counter(
+            "repro_session_pulls_total",
+            "extent requests the owner sent to read replica-maintained "
+            "views through",
+            ("worker",),
+        )
+        #: held over every pipe conversation (batch, pull, migration,
+        #: close); re-entrant, because a periodic checkpoint reads
+        #: extents through from inside apply_batch.
+        self._lock = threading.RLock()
+        #: views whose owner-side extent a replica's batches have moved
+        #: past; reading any of them pulls them all (see _read_through).
+        self._behind: set = set()
         self._closed = False
         self._assignment = self._assign_views()
         #: views whose owner-side lattice is dropped because another
@@ -438,6 +426,12 @@ class ShardSession:
         self._imbalance_gauge.set(imbalance_ratio(loads))
         return buckets
 
+    def __getstate__(self):
+        raise TypeError(
+            "a ShardSession holds replica processes, their pipes and a lock; "
+            "it cannot be pickled"
+        )
+
     @property
     def assignment(self) -> Dict[str, int]:
         """view name -> party index, 0 being the owner (the shard map)."""
@@ -453,34 +447,36 @@ class ShardSession:
         """Apply one batch through every party.
 
         The owner applies the batch to its document and maintains
-        party 0's views in-process, concurrently with the replicas;
-        the other views' extents are updated from the replicas' shipped
-        deltas.  Returns a :class:`~repro.maintenance.engine.BatchReport`
-        with ``mode`` visible via ``report.workers`` / ``shard_rounds``.
+        party 0's views in-process, concurrently with the replicas,
+        which keep their own views' extents; the owner's copies of those
+        are read through on demand.  Returns a
+        :class:`~repro.maintenance.engine.BatchReport` with ``mode``
+        visible via ``report.workers`` / ``shard_rounds``.
         """
         from repro.maintenance.engine import BatchReport
 
-        if self._closed:
-            raise RuntimeError("shard session is closed")
-        statements, submitted = coalesce(batch)
-        report = BatchReport(statements)
-        report.statements_submitted = submitted
-        report.statements_applied = len(statements)
-        report.workers = self.workers
-        if not statements:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("shard session is closed")
+            statements, submitted = coalesce(batch)
+            report = BatchReport(statements)
+            report.statements_submitted = submitted
+            report.statements_applied = len(statements)
+            report.workers = self.workers
+            if not statements:
+                return report
+            # Durable engines WAL the batch here too; a checkpoint reads
+            # every extent through first.
+            batch_id = self.engine._durability_begin(statements)
+            try:
+                with self.obs.span(
+                    "session_batch", statements=len(statements), workers=self.workers
+                ):
+                    self._apply_statements(statements, report)
+            finally:
+                self.engine._durability_commit(batch_id)
+            self.engine._record_batch(report)
             return report
-        # Durable engines WAL the batch here too; their checkpoints
-        # read the owner's authoritative extents.
-        batch_id = self.engine._durability_begin(statements)
-        try:
-            with self.obs.span(
-                "session_batch", statements=len(statements), workers=self.workers
-            ):
-                self._apply_statements(statements, report)
-        finally:
-            self.engine._durability_commit(batch_id)
-        self.engine._record_batch(report)
-        return report
 
     def _run_owner_party(self, statements: List[UpdateStatement]):
         """Party 0's round: the engine's own batch pipeline over the
@@ -499,7 +495,10 @@ class ShardSession:
         return local, None, started, time.perf_counter() - started
 
     def _apply_statements(self, statements: List[UpdateStatement], report):
-        """One broadcast, party-0 round and replay under session_batch."""
+        """One broadcast, party-0 round and counter fold under
+        session_batch."""
+        from repro.maintenance.engine import ViewReport
+
         tracer = self.obs.tracer
         started = time.perf_counter()
         # Per replica, when the owner began sending it the batch: the
@@ -546,8 +545,8 @@ class ShardSession:
         if local is not None:
             # The document apply opens party 0's round.
             tracer.record("owner_apply", local.apply_document_seconds, local_started)
-            # Party 0's store pass ran inside its phases: nothing to
-            # replay, recorded so every party reports the same spans.
+            # Party 0's report is the owner's own: nothing to fold,
+            # recorded so every party reports the same spans.
             tracer.record("delta_replay", 0.0, prep_done, worker=0)
             self._makespan_gauge.set(local_wall, labels=("0",))
             units.append(
@@ -573,7 +572,6 @@ class ShardSession:
             for name, view_report in local.view_reports.items():
                 batch_timings[name] = view_report.phases.total()
 
-        store_seconds = 0.0
         error: Optional[BaseException] = local_error
         worker_died = False
         mixed_outcome = False
@@ -605,31 +603,34 @@ class ShardSession:
             if payload.get("spans"):
                 tracer.adopt(
                     replica_span,
-                    merge_span_fragments([payload["spans"]], origin=replica_started),
+                    fragments_to_spans(payload["spans"], replica_started),
                 )
             if error is not None:
                 if local_error is not None:
                     mixed_outcome = True  # replica applied what the owner could not
                 continue  # drain remaining replicas, then poison
-            store_started = time.perf_counter()
-            try:
-                self._replay(payload["views"], report, batch_timings)
-            except BaseException as exc:
-                # The owner could not fold a replica's deltas: its
-                # extents no longer match the replicas.  Drain the other
-                # replies (a later batch must not read them) and poison,
-                # exactly like a mixed outcome.
-                error = exc
-                mixed_outcome = True
-                continue
-            replay_seconds = time.perf_counter() - store_started
-            store_seconds += replay_seconds
-            tracer.record("delta_replay", replay_seconds, store_started, worker=party)
+            # The fold: the replica's report fields into ``report``, and
+            # its views marked behind.
+            fold_started = time.perf_counter()
+            for name, (fields, seconds, repairs) in payload["views"].items():
+                view_report = report.view_reports[name] = ViewReport(name)
+                vars(view_report).update(fields)
+                batch_timings[name] = seconds
+                if repairs:
+                    report.repairs[name] = repairs
+                self._behind.add(name)
+                self.engine.views[name].pull = self._read_through
+            tracer.record(
+                "delta_replay",
+                time.perf_counter() - fold_started,
+                fold_started,
+                worker=party,
+            )
         if error is not None:
             if worker_died or mixed_outcome:
                 # Unrecoverable: a replica is gone or no longer agrees
                 # with the owner; restore the views and shut down.
-                self._poison()
+                self.close(force=True)
                 raise error
             # Deterministic poison: every party failed the same
             # statement identically, so owner document and replicas are
@@ -673,7 +674,8 @@ class ShardSession:
                 ]
         # Time attributable to maintenance past the owner's own round
         # (whose phases and net effects the report already carries):
-        # the wait for the replicas plus their replay, and migration.
+        # the wait for the replicas, the fold of their counters, and
+        # migration.
         report.shard_seconds = max(0.0, finished - prep_done) + migration_seconds
         report.shard_rounds.append(
             {
@@ -686,42 +688,66 @@ class ShardSession:
                 "migration_s": round(migration_seconds, 6),
                 "wall_s": round(finished - started, 6),
                 "owner_prep_s": round(prep_done - started, 6),
-                "store_s": round(store_seconds, 6),
                 "unit_s": units,
             }
         )
         return report
 
-    def _replay(
-        self, views: Dict[str, Dict], report, batch_timings: Dict[str, float]
-    ) -> None:
-        """Fold one replica's shipped per-view deltas into the owner's
-        extents and its stats into ``report``."""
-        from repro.maintenance.engine import ViewReport
+    # -- read-through -----------------------------------------------------
 
-        for name, entry in views.items():
+    def _read_through(self) -> None:
+        """The pull hook of every behind view: pull them all.  A pull
+        that fails degrades like a dead replica (see the module
+        docstring), with a :class:`RuntimeWarning`, so the read returns
+        the recomputed extent."""
+        with self._lock:
+            if not self._behind:
+                return  # another reader pulled them while this one waited
+            try:
+                self._pull(sorted(self._behind))
+            except BaseException as exc:
+                self.close(force=True)
+                if not isinstance(exc, Exception):
+                    raise
+                message = "shard session closed: pulling replica extents failed (%r)"
+                warnings.warn(message % (exc,), RuntimeWarning, stacklevel=3)
+
+    def _pull(self, names: Sequence[str]) -> None:
+        """Bring the owner's copies of the behind views ``names``
+        current: one request per owning replica party, every request
+        sent before any reply is read and every reply read before any
+        is installed, so a failing install leaves no reply in a pipe."""
+        started = time.perf_counter()
+        by_party: Dict[int, List[str]] = {}
+        owner_of = self.assignment
+        for name in names:
+            by_party.setdefault(owner_of[name], []).append(name)
+        for party, owned in sorted(by_party.items()):
+            self._connections[party - 1].send(("extents", owned))
+            self._pulls_counter.inc(labels=(str(party),))
+        replies, failure = [], None
+        for party in sorted(by_party):
+            try:
+                replies.append(self._reply(party))
+            except BaseException as exc:  # read the others' replies first
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        rows = 0
+        for name, pairs in (pair for extents in replies for pair in extents.items()):
             registered = self.engine.views[name]
-            view_report = ViewReport(name)
-            stats = entry.get("stats")
-            if stats:
-                view_report.targets = stats["targets"]
-                view_report.terms_developed = stats["terms_developed"]
-                view_report.terms_surviving = stats["terms_surviving"]
-                view_report.term_eval_seconds = stats["term_eval_seconds"]
-                batch_timings[name] = stats["maintenance_seconds"]
-            report.view_reports[name] = view_report
-            if entry.get("repairs"):
-                report.repairs[name] = entry["repairs"]
-            # ONE store pass replays the Δ rows and the refresh
-            # rewrites together; counters come back net of the churn.
-            view_report.tuples_modified = len(entry["refresh"])
-            (
-                view_report.derivations_added,
-                view_report.tuples_removed,
-                view_report.derivations_removed,
-            ) = registered.view.apply_batch_delta(
-                entry["additions"], entry["removals"], entry["refresh"]
-            )
+            registered.pull = None
+            registered.view.reload_content(pairs)
+            self._behind.discard(name)
+            rows += len(pairs)
+        self.obs.tracer.record(
+            "session_pull",
+            time.perf_counter() - started,
+            started,
+            parties=len(by_party),
+            views=len(names),
+            rows=rows,
+        )
 
     # -- view migration ---------------------------------------------------
 
@@ -729,7 +755,8 @@ class ShardSession:
         """Move view ownership between parties (batch boundary).
 
         ``moves`` is ``(view name, source party, target party)``
-        triples, normally planned by the rebalance policy.  Two
+        triples, normally planned by the rebalance policy.  Behind
+        views moving into party 0 are pulled first.  Then two
         half-rounds: every source releases its outgoing views (shipping
         extent pairs for views within ``migration_ship_rows``), then
         every target adopts them -- installing the shipped pairs or
@@ -740,71 +767,77 @@ class ShardSession:
         degrades exactly like a dead replica mid-batch (recompute owner
         extents, close the session).
         """
-        if not moves:
-            return
-        if self._closed:
-            raise RuntimeError("shard session is closed")
-        by_source: Dict[int, List[str]] = {}
-        by_target: Dict[int, List[str]] = {}
-        for name, source, target in moves:
-            if source == target:
-                raise ValueError("move of %r has source == target %d" % (name, source))
-            if name not in self._assignment[source]:
-                raise ValueError(
-                    "view %r is not owned by worker %d" % (name, source)
-                )
-            by_source.setdefault(source, []).append(name)
-            by_target.setdefault(target, []).append(name)
-        started = time.perf_counter()
-        shipped: Dict[str, Optional[List]] = {}
-        try:
-            with self.obs.span("session_migration", moves=len(moves)):
-                for source in sorted(by_source):
-                    if source:
-                        self._connections[source - 1].send(
-                            (
-                                "migrate_out",
-                                sorted(by_source[source]),
-                                self.migration_ship_rows,
+        with self._lock:
+            if not moves:
+                return
+            if self._closed:
+                raise RuntimeError("shard session is closed")
+            by_source: Dict[int, List[str]] = {}
+            by_target: Dict[int, List[str]] = {}
+            for name, source, target in moves:
+                if source == target:
+                    raise ValueError("move of %r has source == target %d" % (name, source))
+                if name not in self._assignment[source]:
+                    raise ValueError(
+                        "view %r is not owned by worker %d" % (name, source)
+                    )
+                by_source.setdefault(source, []).append(name)
+                by_target.setdefault(target, []).append(name)
+            started = time.perf_counter()
+            shipped: Dict[str, Optional[List]] = {}
+            try:
+                with self.obs.span("session_migration", moves=len(moves)):
+                    # Party 0 maintains what it adopts from the next batch
+                    # on, and its source releases it below: pull it now.
+                    adopted = self._behind.intersection(by_target.get(0, ()))
+                    if adopted:
+                        self._pull(sorted(adopted))
+                    for source in sorted(by_source):
+                        if source:
+                            self._connections[source - 1].send(
+                                (
+                                    "migrate_out",
+                                    sorted(by_source[source]),
+                                    self.migration_ship_rows,
+                                )
                             )
-                        )
-                for source in sorted(by_source):
-                    names = sorted(by_source[source])
-                    if source:
-                        shipped.update(self._reply(source))
-                        continue
-                    for name in names:
-                        shipped[name] = _release_payload(
-                            self.engine.views[name], self.migration_ship_rows
-                        )
-                    self._drop_lattices(names)
-                for target in sorted(by_target):
-                    if target:
-                        self._connections[target - 1].send(
-                            (
-                                "migrate_in",
-                                {name: shipped[name] for name in sorted(by_target[target])},
+                    for source in sorted(by_source):
+                        names = sorted(by_source[source])
+                        if source:
+                            shipped.update(self._reply(source))
+                            continue
+                        for name in names:
+                            shipped[name] = _release_payload(
+                                self.engine.views[name], self.migration_ship_rows
                             )
-                        )
-                for target in sorted(by_target):
-                    if target:
-                        self._reply(target)
-                    else:
-                        self._materialize_lattices(by_target[0])
-        except BaseException as exc:
-            # A replica died or failed mid-protocol; ownership state
-            # across parties is no longer trustworthy.  Same degradation
-            # as a dead replica during a batch: restore the owner's views
-            # from its own document and shut the session down.
-            self._poison()
-            raise RuntimeError("shard worker died during migration") from exc
-        for name, source, target in moves:
-            self._assignment[source].remove(name)
-            self._assignment[target].append(name)
-            self._migrations_counter.inc(labels=(name,))
-        self.obs.tracer.record(
-            "view_migration", time.perf_counter() - started, moves=len(moves)
-        )
+                        self._drop_lattices(names)
+                    for target in sorted(by_target):
+                        if target:
+                            self._connections[target - 1].send(
+                                (
+                                    "migrate_in",
+                                    {name: shipped[name] for name in sorted(by_target[target])},
+                                )
+                            )
+                    for target in sorted(by_target):
+                        if target:
+                            self._reply(target)
+                        else:
+                            self._materialize_lattices(by_target[0])
+            except BaseException as exc:
+                # A replica died or failed mid-protocol; ownership state
+                # across parties is no longer trustworthy.  Same degradation
+                # as a dead replica during a batch: restore the owner's views
+                # from its own document and shut the session down.
+                self.close(force=True)
+                raise RuntimeError("shard worker died during migration") from exc
+            for name, source, target in moves:
+                self._assignment[source].remove(name)
+                self._assignment[target].append(name)
+                self._migrations_counter.inc(labels=(name,))
+            self.obs.tracer.record(
+                "view_migration", time.perf_counter() - started, moves=len(moves)
+            )
 
     def _reply(self, party: int):
         """Receive one replica's control-message reply, raising its error."""
@@ -827,56 +860,64 @@ class ShardSession:
             self._stale_lattices.discard(name)
 
     def _resync_extents(self) -> None:
-        """Recompute every owner extent from the owner document."""
+        """Recompute every owner extent from the owner document, every
+        pull hook cleared first so nothing reads through to a replica."""
         from repro.views.view import MaterializedView
 
+        for registered in self.engine.views.values():
+            registered.pull = None
+        self._behind.clear()
         for registered in self.engine.views.values():
             fresh = MaterializedView.materialize(
                 registered.pattern, self.engine.document, name=registered.name
             )
             registered.view.reload_content(fresh.content())
 
-    def _poison(self) -> None:
-        """Restore owner views by recomputation, then shut down."""
-        self._resync_extents()
-        self.close(force=True)
-
     # -- lifecycle -------------------------------------------------------
 
     def close(self, force: bool = False) -> None:
-        """Stop the replicas and re-sync the owner engine (idempotent).
+        """Pull every behind extent, stop the replicas and re-sync the
+        owner engine (idempotent).
 
-        The owner dropped the lattices of views other parties
-        maintained; closing rematerializes those from the owner
-        document so direct serial propagation is valid again.
+        ``force`` (a poisoned session) recomputes every owner extent
+        from the owner document instead; so does a pull that fails,
+        which closes the session that way.  The owner dropped the
+        lattices of views other parties maintained; closing
+        rematerializes those from the owner document so direct serial
+        propagation is valid again.
         """
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._connections:
-            try:
-                if not force:
-                    conn.send(None)
-                conn.close()
-            except Exception:
-                pass
-        for process in self._processes:
+        with self._lock:
+            if not force:
+                self._read_through()
+            if self._closed:
+                return
             if force:
-                # Poisoned: a replica has nothing left to finish, and a
-                # live one never sees EOF (forked replicas hold copies
-                # of the pipe ends the owner just closed).
-                process.terminate()
-            process.join(timeout=5)
-            if process.is_alive():
-                process.terminate()
-        self._connections = []
-        self._processes = []
-        for name in sorted(self._stale_lattices):
-            self.engine.views[name].lattice.materialize(self.engine.document)
-        self._stale_lattices.clear()
-        self.engine._shard_session_active = False
-        # With a durable backend, checkpoint every view.
-        self.engine.sync_durability()
+                self._resync_extents()
+            self._closed = True
+            for conn in self._connections:
+                try:
+                    if not force:
+                        conn.send(None)
+                    conn.close()
+                except Exception:
+                    pass
+            for process in self._processes:
+                if force:
+                    # Poisoned: a replica has nothing left to finish, and
+                    # a live one never sees EOF (forked replicas hold
+                    # copies of the pipe ends the owner just closed).
+                    process.terminate()
+                process.join(timeout=5)
+                if process.is_alive():
+                    process.terminate()
+            self._connections = []
+            self._processes = []
+            for name in sorted(self._stale_lattices):
+                self.engine.views[name].lattice.materialize(self.engine.document)
+            self._stale_lattices.clear()
+            self.engine._shard_session_active = False
+            # With a durable backend, checkpoint every view.
+            self.engine.sync_durability()
 
     def __enter__(self) -> "ShardSession":
         return self

@@ -3,8 +3,8 @@
 A unit is a pure slice of work on one view: it reads the replica state
 it captured (document, registered view) and returns a **fragment** --
 sorted ``(row, count)`` extent pairs, a picklable value that can cross
-the worker pipe and is installed by
-:func:`repro.sharding.merge.install_view_snapshot`.  Mutation never
+the worker pipe and is installed with
+:meth:`~repro.views.view.MaterializedView.reload_content`.  Mutation never
 happens here, which is what lets either route of a migration yield the
 same bytes on the adopting replica.  Snowcap lattices never cross the
 pipe: the adopting side rebuilds one from its own document.
@@ -40,7 +40,7 @@ class ShardWorkUnit:
 
 class ExtentRecomputeUnit(ShardWorkUnit):
     """Full extent materialization of one view: sorted ``(row, count)``
-    pairs, installable via :meth:`MaterializedView.from_pairs`."""
+    pairs, installable via :meth:`MaterializedView.reload_content`."""
 
     def __init__(self, view_name: str, *, pattern, document):
         super().__init__(view_name)
@@ -58,8 +58,7 @@ class ViewSnapshotUnit(ShardWorkUnit):
     Unlike :class:`ExtentRecomputeUnit`, nothing is re-evaluated: the
     pairs come straight out of the store, already current on the source
     replica, in the recompute unit's sorted ``(row, count)`` shape, so
-    :func:`repro.sharding.merge.install_view_snapshot` installs either
-    indistinguishably.
+    the adopting replica installs either indistinguishably.
     """
 
     def __init__(self, view_name: str, *, registered):

@@ -23,7 +23,8 @@ A checkpoint is one sqlite transaction, written one view at a time:
 * ``register_view`` writes the new view's record at the current
   version;
 * :meth:`SqliteExtentBackend.sync` and ``close`` rewrite every view at
-  the current version;
+  the current version (a sync inside an open batch waits for its
+  commit);
 * ``commit_batch`` does so every :data:`CHECKPOINT_BATCHES` batches.
 
 A crash leaves each record at its last committed checkpoint, never
@@ -127,6 +128,10 @@ class SqliteExtentBackend:
         #: batches with IDs <= this replay without re-appending to the
         #: WAL (their records are already durable).
         self._replay_until = 0
+        #: the batch between ``begin_batch`` and ``commit_batch``, and
+        #: whether a sync asked for inside it waits for its commit.
+        self._open_batch: Optional[int] = None
+        self._sync_pending = False
         self._closed = False
         self.obs = obs if obs is not None else NULL_OBS
         self._records_counter = self.obs.metrics.counter(
@@ -226,6 +231,7 @@ class SqliteExtentBackend:
         self._conn.commit()
         if full:
             self._checkpointed = self._version
+            self._sync_pending = False
 
     def drop_view(self, view_name: str) -> None:
         self._views.pop(view_name, None)
@@ -292,7 +298,14 @@ class SqliteExtentBackend:
         batch_id = self._version + 1
         if batch_id > self._replay_until:
             self.wal.append_batch(batch_id, statements)
+        self._open_batch = batch_id
         return batch_id
+
+    def checkpoint_due(self, batch_id: int) -> bool:
+        """Will committing ``batch_id`` checkpoint every view?"""
+        return (
+            self._sync_pending or batch_id - self._checkpointed >= CHECKPOINT_BATCHES
+        )
 
     def commit_batch(self, batch_id: int) -> None:
         """Seal the batch with its WAL commit marker; every
@@ -300,14 +313,20 @@ class SqliteExtentBackend:
         if batch_id > self._replay_until:
             self.wal.append_commit(batch_id)
         self._version = batch_id
-        if batch_id - self._checkpointed >= CHECKPOINT_BATCHES:
+        self._open_batch = None
+        if self.checkpoint_due(batch_id):
             self.checkpoint()
 
     def sync(self) -> None:
         """Checkpoint every view at the current version (session close,
-        queue close), without consuming a batch ID."""
-        if self.writable:
-            self.checkpoint()
+        queue close), without consuming a batch ID; inside an open batch,
+        whose effects the version does not name yet, at its commit."""
+        if not self.writable:
+            return
+        if self._open_batch is not None:
+            self._sync_pending = True
+            return
+        self.checkpoint()
 
     def begin_replay(self, start: int, last_committed: int) -> None:
         """Recovery resumes batch IDs after ``start`` and replays up to

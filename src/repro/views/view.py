@@ -79,28 +79,13 @@ class MaterializedView:
         )
         return view
 
-    @classmethod
-    def from_pairs(
-        cls,
-        pattern: Pattern,
-        pairs: Iterable[Tuple[ViewTuple, int]],
-        name: str = "view",
-    ) -> "MaterializedView":
-        """Load an extent from precomputed ``(row, count)`` pairs.
-
-        The sharded-recompute path evaluates the view inside a worker
-        and ships the pairs back as a fragment; this rebuilds the owner
-        extent without re-evaluating the pattern."""
-        view = cls(pattern, name=name)
-        view._store.load_sorted(sorted(pairs, key=lambda item: row_sort_key(item[0])))
-        return view
-
     def reload_content(self, pairs: Iterable[Tuple[ViewTuple, int]]) -> None:
         """Replace the whole extent content *in the existing store*.
 
-        The engine's poison-batch recomputation and a session's extent
-        resync use this instead of swapping the ``_store`` object, so
-        the store's identity stays intact."""
+        The engine's poison-batch recomputation, a session's extent
+        pull and resync and a replica's view adoption use this instead
+        of swapping the ``_store`` object, so the store's identity stays
+        intact."""
         self._store.load_sorted(sorted(pairs, key=lambda item: row_sort_key(item[0])))
 
     # -- reads ----------------------------------------------------------------

@@ -284,6 +284,7 @@ class TestShardedPropagation:
         # owner must have applied it: recovery replays the log and has
         # to land on the live document and views.
         from repro.storage.recovery import reopen
+        from repro.storage.sqlite import _id_projection
 
         path = str(tmp_path / "engine.db")
         document = generate_document(scale=1)
@@ -299,6 +300,13 @@ class TestShardedPropagation:
             with pytest.raises(RuntimeError, match="worker died"):
                 session.apply_batch(UpdateBatch(statement_stream(document, 4, seed=5)))
             assert session._closed
+            # The session closed inside the batch: its checkpoint waited
+            # for the batch's commit, so every record names the batch
+            # its rows hold (a crash now reopens without a RecoveryError).
+            backend = engine.backend
+            assert set(backend.checkpoint_versions().values()) == {2}
+            for name in VIEWS:
+                assert backend.stored_extent(name) == _id_projection(views[name].view)
         finally:
             session.close()
         engine.apply_batch(UpdateBatch(statement_stream(document, 4, seed=6)))
@@ -320,26 +328,38 @@ class TestShardedPropagation:
             recovered.backend.close()
             engine.backend.close()
 
-    def test_session_replay_failure_drains_and_poisons(self):
-        # The owner fails to replay party 1's deltas: party 2's reply
-        # must still be read (else the next batch reads it), and the
-        # session must restore the owner's views and close.
+    def test_session_pull_failure_drains_and_poisons(self):
+        # The owner fails to install party 1's pulled extent: party 2's
+        # reply must still be read, and the session must restore the
+        # owner's views and close.  The read that triggered the pull
+        # returns the recomputed extent.
         document, engine, views = _engines()
         weights = {"Q1": 3.0, "Q3": 2.0, "Q6": 1.0}
         session = ShardSession(engine, workers=3, weights=weights)
         try:
             assert [session.assignment[name] for name in VIEWS] == [0, 1, 2]
-            view = views["Q3"].view
+            session.apply_batch(
+                UpdateBatch(statement_stream(document, 8, seed=3, insert_ratio=0.5))
+            )
+            assert session._behind == {"Q3", "Q6"}
+            read = []
+            reply = session._reply
 
-            def fail_once(*args, **kwargs):
-                del view.apply_batch_delta  # later calls reach the method
-                raise RuntimeError("replay failed")
+            def counted(party):
+                read.append(party)
+                return reply(party)
 
-            view.apply_batch_delta = fail_once
-            with pytest.raises(RuntimeError, match="replay failed"):
-                session.apply_batch(
-                    UpdateBatch(statement_stream(document, 8, seed=2, insert_ratio=0.5))
-                )
+            session._reply = counted
+            store = views["Q3"]._view  # not read through
+
+            def fail_once(pairs):
+                del store.reload_content  # later calls reach the method
+                raise RuntimeError("install failed")
+
+            store.reload_content = fail_once
+            with pytest.warns(RuntimeWarning, match="install failed"):
+                assert views["Q3"].view.equals_fresh_evaluation(document)
+            assert read == [1, 2]
             assert session._closed
             for name in VIEWS:
                 assert views[name].view.equals_fresh_evaluation(document), name
@@ -350,6 +370,57 @@ class TestShardedPropagation:
         engine.apply_batch(UpdateBatch(statement_stream(document, 8, seed=4)))
         for name in VIEWS:
             assert views[name].view.equals_fresh_evaluation(document), name
+
+    def test_session_dead_replica_on_read_restores(self):
+        # Party 1 dies after a batch: reading one of its behind views
+        # degrades like a dead replica mid-batch and returns the
+        # recomputed extent.
+        document, engine, views = _engines()
+        session = engine.session(workers=2)
+        try:
+            session.apply_batch(
+                UpdateBatch(statement_stream(document, 8, seed=4, insert_ratio=1.0))
+            )
+            name = sorted(session._behind)[0]
+            assert session.assignment[name] == 1
+            session._processes[0].terminate()
+            session._processes[0].join()
+            with pytest.warns(RuntimeWarning, match="pulling replica extents failed"):
+                assert views[name].view.equals_fresh_evaluation(document)
+            assert session._closed
+            for other in VIEWS:
+                assert views[other].view.equals_fresh_evaluation(document), other
+            with pytest.raises(RuntimeError, match="closed"):
+                session.apply_batch(UpdateBatch(statement_stream(document, 4, seed=3)))
+        finally:
+            session.close()
+        engine.apply_batch(UpdateBatch(statement_stream(document, 4, seed=6)))
+        for name in VIEWS:
+            assert views[name].view.equals_fresh_evaluation(document), name
+
+    def test_migration_into_party_zero_pulls_the_behind_extent(self):
+        # Nobody reads the view before party 0 adopts it: the migration
+        # itself must pull it, or party 0 maintains a stale extent.
+        stream = statement_stream(
+            generate_document(scale=1), 16, seed=9, insert_ratio=0.7
+        )
+        _, serial, serial_views = _engines()
+        document, engine, views = _engines()
+        session = engine.session(workers=2)
+        try:
+            session.apply_batch(stream[:8])
+            name = sorted(session._behind)[0]
+            session._migrate([(name, 1, 0)])
+            assert name not in session._behind and session.assignment[name] == 0
+            session.apply_batch(stream[8:])
+            assert not session._closed
+        finally:
+            session.close()
+        serial.apply_batch(stream[:8])
+        serial.apply_batch(stream[8:])
+        for other in VIEWS:
+            assert views[other].view.content() == serial_views[other].view.content()
+            assert views[other].view.equals_fresh_evaluation(document), other
 
     def test_session_feeds_apply_queue(self):
         stream = statement_stream(
@@ -541,6 +612,126 @@ class TestOwnerParty:
                 ) == crashkit.fresh_lattice_digest(recovered.views, recovered.document)
             finally:
                 recovered.backend.close()
+        finally:
+            session.close()
+            engine.backend.close()
+
+
+# -- read-through extents ------------------------------------------------------
+
+
+class TestReadThrough:
+    def test_first_read_pulls_once_per_replica_party(self):
+        # A batch ships counters only; the first read of any behind view
+        # pulls every behind view with one request per replica party,
+        # and later reads (and close) pull nothing more.
+        from repro.obs import Observability
+
+        obs = Observability()
+        document = generate_document(scale=1)
+        engine = MaintenanceEngine(document, obs=obs)
+        views = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
+        session = ShardSession(engine, workers=3, weights={"Q1": 3.0, "Q3": 2.0, "Q6": 1.0})
+        pulls = obs.metrics.get("repro_session_pulls_total")
+
+        def requests():
+            return [pulls.value((party,)) for party in ("1", "2")]
+
+        try:
+            session.apply_batch(
+                UpdateBatch(statement_stream(document, 8, seed=3, insert_ratio=0.5))
+            )
+            assert session._behind == {"Q3", "Q6"} and requests() == [0, 0]
+            assert views["Q1"].view.equals_fresh_evaluation(document)  # party 0's
+            assert requests() == [0, 0]
+            assert views["Q6"].view.equals_fresh_evaluation(document)
+            assert requests() == [1, 1]
+            for name in VIEWS:
+                assert views[name].view.equals_fresh_evaluation(document), name
+            assert requests() == [1, 1]
+        finally:
+            session.close()
+        assert requests() == [1, 1]
+        (pull,) = [span for span in obs.flush() if span.name == "session_pull"]
+        assert pull.attrs == {
+            "parties": 2,
+            "views": 2,
+            "rows": len(views["Q3"].view) + len(views["Q6"].view),
+        }
+
+    def test_reader_thread_beside_queue_worker(self):
+        # Reads on another thread wait for the batch in flight instead
+        # of interleaving pull messages with its replies.
+        import threading
+
+        stream = statement_stream(
+            generate_document(scale=1), 48, seed=41, insert_ratio=0.7
+        )
+        _, serial, serial_views = _engines()
+        for index in range(0, len(stream), 8):
+            serial.apply_batch(UpdateBatch(stream[index : index + 8]))
+        document, engine, views = _engines()
+        session = engine.session(workers=2)
+        pulls: list = []
+        pull = session._pull
+        session._pull = lambda names: pulls.append(pull(names))
+        stop = threading.Event()
+        reads: list = []
+        errors: list = []
+
+        def reader():
+            while not stop.is_set():
+                try:
+                    reads.append(sum(len(views[name].view) for name in VIEWS))
+                except BaseException as exc:
+                    errors.append(exc)
+                    return
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            with ApplyQueue(session, max_batch_size=8) as queue:
+                for index in range(0, len(stream), 8):
+                    queue.extend_async(stream[index : index + 8])
+                queue.flush()
+            assert not session._closed
+        finally:
+            stop.set()
+            thread.join()
+            session.close()
+        assert not errors and reads and pulls
+        for name in VIEWS:
+            assert views[name].view.content() == serial_views[name].view.content()
+            assert views[name].view.equals_fresh_evaluation(document), name
+
+    def test_durable_session_checkpoint_stores_read_through_extents(
+        self, tmp_path, monkeypatch
+    ):
+        # A periodic checkpoint inside a session batch reads every
+        # extent through first: the stored rows of each replica view
+        # are the ID projection of its current extent.
+        from repro.storage import sqlite
+
+        monkeypatch.setattr(sqlite, "CHECKPOINT_BATCHES", 2)
+        stream = statement_stream(
+            generate_document(scale=1), 16, seed=9, insert_ratio=0.7
+        )
+        document = generate_document(scale=1)
+        engine = MaintenanceEngine(document, backend=str(tmp_path / "engine.db"))
+        views = {name: engine.register_view(view_pattern(name), name) for name in VIEWS}
+        session = engine.session(workers=2)
+        try:
+            session.apply_batch(stream[:8])
+            assert session._behind
+            session.apply_batch(stream[8:])  # its commit checkpoints
+            assert not session._behind
+            backend = engine.backend
+            assert set(backend.checkpoint_versions().values()) == {2}
+            for name in session._assignment[1]:
+                assert backend.stored_extent(name) == sqlite._id_projection(
+                    views[name].view
+                ), name
+                assert views[name].view.equals_fresh_evaluation(document), name
         finally:
             session.close()
             engine.backend.close()
