@@ -429,6 +429,7 @@ def run_reduction_rule(
                     operations = reduce_operations(operations)
                 for op in operations:
                     engine.apply_update(op)
+                    registered.view.refresh()  # the eager refresh, timed
                 best = min(best, time.perf_counter() - started)
                 op_counts[optimize] = len(operations)
                 if verify and not registered.view.equals_fresh_evaluation(document):

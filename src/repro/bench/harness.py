@@ -8,6 +8,13 @@ of Figures 18/19 (or one matrix cell of Figures 20/21).
 Every run also *verifies* the maintained extent against recomputation,
 so benchmark numbers can never come from an incorrect propagation.
 
+The engine rewrites stored ``val``/``cont`` cells when an extent is
+next read; the paper's PIMT/PDMT refresh is eager.  So every timed
+update here is followed by a read-through of the view inside the timed
+region, its seconds credited to Execute Update
+and its rewritten rows reported as ``tuples_modified``: the figures
+keep measuring the paper's eager algorithm.
+
 The harness reproduces the paper, so it registers views with the
 ``"snowcaps"`` lattice (Section 3.5) unless a caller passes
 ``strategy="leaves"``, the engine's own default.
@@ -15,6 +22,7 @@ The harness reproduces the paper, so it registers views with the
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.maintenance.engine import MaintenanceEngine, PHASES, RegisteredView
@@ -136,11 +144,15 @@ def run_maintenance_pair(
     )
     update = statement if statement is not None else statement_for(update_name, kind)
     report = engine.apply_update(update)
+    started = time.perf_counter()
+    tuples_modified = registered.view.refresh()  # the eager PIMT/PDMT share
+    refresh_seconds = time.perf_counter() - started
     view_report = report.report_for(view_name)
 
     row = BreakdownRow(view_name, update_name, kind)
     row.document_bytes = size_of(document)
     row.phase_seconds = dict(view_report.phases.as_dict())
+    row.phase_seconds["execute_update"] += refresh_seconds
     row.counters = {
         "term_eval_s": round(view_report.term_eval_seconds, 6),
         "targets": view_report.targets,
@@ -148,7 +160,7 @@ def run_maintenance_pair(
         "terms_surviving": view_report.terms_surviving,
         "derivations_added": view_report.derivations_added,
         "derivations_removed": view_report.derivations_removed,
-        "tuples_modified": view_report.tuples_modified,
+        "tuples_modified": tuples_modified,
         "view_tuples": len(registered.view),
     }
     if verify and not registered.view.equals_fresh_evaluation(document):

@@ -2,10 +2,11 @@
 
 Deletion terms read the **old** canonical relations: the difference
 expression of Section 4.1 has ``R`` everywhere except the term's
-Δ−-set, and view keys carry pre-delete val/cont.  The batch engine
-applies the document first and evaluates the terms over reconstructed
-pre-batch relations (live survivors plus the detached net-removed
-nodes); the PDMT val/cont refresh is shared with insertion
+Δ−-set.  The batch engine applies the document first and evaluates the
+terms over reconstructed pre-batch relations (live survivors plus the
+detached net-removed nodes); a Δ− row finds its stored tuple by its ID
+cells, whatever val/cont it carries.  The PDMT val/cont refresh is
+shared with insertion
 (:func:`repro.maintenance.insert.collect_attribute_refreshes`).
 
 Counting semantics: doomed embeddings (bindings with at least one

@@ -12,7 +12,8 @@ five phases reported throughout Section 6:
 * **Get Update Expression** -- developing the 2^k − 1 terms and pruning
   them (Props. 3.3/3.6/3.8 resp. 4.2/4.3/4.7);
 * **Execute Update** -- evaluating surviving terms and applying tuple
-  additions / derivation-count decrements / val-cont rewrites;
+  additions / derivation-count decrements (the val/cont rewrites run
+  when the extent is next read; ``repro.bench`` times that read here);
 * **Update Lattice** -- maintaining the materialized snowcaps.
 
 Exactness note (beyond the paper): an update can flip the σ value
@@ -26,8 +27,10 @@ admissions the Δ+ store pass, and the snowcap lattice gets a
 column-aware flip pass -- all in the same batch round, byte-identical
 to recomputation.  Similarly, a net-removed node whose val/cont
 drifted before its removal (*dirty subtree*) has its first-seen
-snapshots restored into its memo caches, so every batch is repaired in
-place and no view is ever recomputed to absorb it.
+``val`` snapshot restored into its memo cache, so the Δ− side's σ
+filters see pre-batch values, every batch is repaired in place and no
+view is ever recomputed to absorb it.  A drifted ``cont`` needs no
+snapshot: Δ− rows match stored tuples by their IDs.
 
 Every term reads its canonical relations from one source builder,
 :meth:`MaintenanceEngine._sources`: the live relation with the batch's
@@ -46,7 +49,9 @@ views they own.
 
 from __future__ import annotations
 
+import threading
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.maintenance.delete import (
@@ -59,6 +64,7 @@ from repro.maintenance.insert import (
     AffectedIDs,
     collect_attribute_refreshes,
     insert_side,
+    refresh_anchors,
 )
 from repro.maintenance.plan import ViewPlan
 from repro.maintenance.repair import (
@@ -235,19 +241,17 @@ class ViewReport:
         self.terms_developed = 0
         self.terms_surviving = 0
         self.derivations_added = 0
-        self.tuples_modified = 0
         self.tuples_removed = 0
         self.derivations_removed = 0
         self.term_eval_seconds = 0.0
 
     def __repr__(self) -> str:
         return (
-            "ViewReport(%s: +%d der, -%d der, mod %d, terms %d/%d, %.4fs)"
+            "ViewReport(%s: +%d der, -%d der, terms %d/%d, %.4fs)"
             % (
                 self.name,
                 self.derivations_added,
                 self.derivations_removed,
-                self.tuples_modified,
                 self.terms_surviving,
                 self.terms_developed,
                 self.phases.total(),
@@ -338,26 +342,21 @@ class RegisteredView:
     def __init__(self, name: str, view: MaterializedView, lattice: SnowcapLattice,
                  definition: Optional[ViewDefinition] = None):
         self.name = name
-        self._view = view
+        #: the extent; its reads read through
+        #: (:meth:`MaintenanceEngine._read_through`), so they are current
+        #: whenever ``apply_batch`` (in-process or a session's) returned.
+        self.view = view
         self.lattice = lattice
         self.definition = definition
         self.plan = ViewPlan(view.pattern)
         #: set by a :class:`~repro.sharding.ShardSession` while a replica
         #: party's batches have moved this extent past the owner's copy;
-        #: reading :attr:`view` calls it first, and it clears itself.
+        #: the extent's read-through calls it first, and it clears itself.
         self.pull: Optional[Callable[[], None]] = None
 
     @property
-    def view(self) -> MaterializedView:
-        """The extent, read through: current whenever ``apply_batch``
-        (in-process or a session's) has returned."""
-        if self.pull is not None:
-            self.pull()
-        return self._view
-
-    @property
     def pattern(self) -> Pattern:
-        return self._view.pattern
+        return self.view.pattern
 
     def __repr__(self) -> str:
         return "RegisteredView(%s, %d tuples, %s lattice)" % (
@@ -374,13 +373,11 @@ class _ViewRound:
         "name",
         "registered",
         "report",
-        "refresh_due",
         "minus_due",
         "plus_due",
         "minus_live",
         "removals",
         "additions",
-        "rewrites",
         "snowcap",
         "minus_sets",
         "plus_sets",
@@ -392,15 +389,12 @@ class _ViewRound:
         self.name = name
         self.registered = registered
         self.report = report
-        #: which sides this view runs this batch (refresh, Δ−, Δ+).
-        self.refresh_due = False
+        #: which sides this view runs this batch (Δ−, Δ+).
         self.minus_due = False
         self.plus_due = False
         self.minus_live = False
         self.removals: Dict[tuple, int] = {}
         self.additions: Dict[tuple, int] = {}
-        #: PIMT/PDMT ``(old row, new row)`` pairs for the store pass.
-        self.rewrites: List[Tuple[tuple, tuple]] = []
         self.snowcap: Optional[dict] = None
         #: this batch's σ flips bucketed under the view's σ nodes
         #: (flipped false resp. true).
@@ -492,6 +486,16 @@ class MaintenanceEngine:
         self._propagation_histogram = metrics.histogram(
             "repro_propagation_seconds", "per-batch view-side propagation seconds"
         )
+        self._refresh_rows_counter = metrics.counter(
+            "repro_view_refresh_rows_total",
+            "extent rows the read-time val/cont refresh rewrote",
+            ("view",),
+        )
+        #: held by ``apply_batch`` (and a session's) and by every extent
+        #: read-through, so a reader beside a queue worker waits for the
+        #: batch in flight; re-entrant, because a periodic checkpoint
+        #: reads session extents through from inside a batch.
+        self.lock = threading.RLock()
         self.prune_even_terms = prune_even_terms
         self.use_data_pruning = use_data_pruning
         self.use_id_pruning = use_id_pruning
@@ -534,8 +538,7 @@ class MaintenanceEngine:
         lattice = SnowcapLattice(pattern, strategy=strategy, update_profile=update_profile)
         view = MaterializedView.materialize(pattern, self.document, name=name)
         lattice.materialize(self.document)
-        registered = RegisteredView(name, view, lattice, definition)
-        self.views[name] = registered
+        registered = self._install(name, view, lattice, definition)
         if self.backend is not None:
             # Registration checkpoints the new view at the current
             # version: a reopen adopts the freshly materialized extent
@@ -554,11 +557,11 @@ class MaintenanceEngine:
         """Recovery seam: install a view from the durable backend.
 
         The extent is read from the view's checkpoint record (no
-        pattern evaluation): its rows are ID projections, whose
-        ``val``/``cont`` cells are filled from this engine's document
-        (replayed to the record's version).  The lattice is never
-        stored: a ``"snowcaps"`` lattice is materialized from the same
-        document.
+        pattern evaluation): its rows are ID projections, resolved on
+        this engine's document (replayed to the record's version), whose
+        ``val``/``cont`` cells the extent's first read fills.  The
+        lattice is never stored: a ``"snowcaps"`` lattice is
+        materialized from the same document.
         """
         self._check_no_active_session()
         if self.backend is None:
@@ -568,14 +571,44 @@ class MaintenanceEngine:
             raise ValueError("a view named %r is already registered" % name)
         lattice = SnowcapLattice(pattern, strategy=strategy, update_profile=update_profile)
         view = MaterializedView(pattern, name=name)
-        view._store.load_sorted(
-            self.backend.load_extent(name, view.derived, self.document)
-        )
+        rows = self.backend.load_extent(name, view.derived, self.document)
+        view._store.load_sorted(rows)
+        if view.derived:  # every derived cell is pending until a read
+            view.defer_refresh(
+                {self.document.root.id: None},
+                {row[column] for row, _count in rows for _c, column, _a in view.derived},
+            )
         self.backend.track(name, view)
         lattice.materialize(self.document)
+        return self._install(name, view, lattice, definition)
+
+    def _install(self, name, view, lattice, definition) -> RegisteredView:
         registered = RegisteredView(name, view, lattice, definition)
+        view.refresh = partial(self._read_through, registered)
         self.views[name] = registered
         return registered
+
+    def _read_through(self, registered: RegisteredView) -> int:
+        """Bring one extent current before a read: a session's pull,
+        then the val/cont refresh its batches left pending (traced as a
+        ``view_refresh`` span).  Returns the rows rewritten.  Under
+        :attr:`lock`, so it waits for a batch in flight."""
+        with self.lock:
+            if registered.pull is not None:
+                registered.pull()
+            view = registered.view
+            anchors, ids = view.take_stale()
+            if not anchors:
+                return 0
+            with self.obs.span("view_refresh", view=registered.name) as span:
+                pairs = collect_attribute_refreshes(
+                    registered.plan, view, self.document, anchors, ids
+                )
+                view.rewrite_rows(new_row for _old_row, new_row in pairs)
+            if self.obs.enabled:
+                span.attrs["rows"] = len(pairs)
+                self._refresh_rows_counter.inc(len(pairs), labels=(registered.name,))
+            return len(pairs)
 
     def sync_durability(self) -> None:
         """Checkpoint every view (no-op without a backend;
@@ -742,10 +775,11 @@ class MaintenanceEngine:
         sequential application), but the view side runs once on the
         batch's *net* effects: one label-bucketed Δ+/Δ− extraction
         shared across views, one term development + evaluation, one
-        affected-ID bucketing for the val/cont refresh, one store pass
-        (Δ± and refresh rewrites folded) and one lattice pass per view.
-        Nodes inserted and deleted within the batch cancel out of both
-        Δ sets.
+        affected-ID bucketing for the val/cont refresh, whose anchors
+        each view records for its next read, one store pass (Δ± netted
+        by the tuples' IDs) and one lattice pass per view.  Nodes
+        inserted and deleted within the batch cancel out of both Δ
+        sets.  The whole batch runs under :attr:`lock`.
 
         The view-side round runs in-process, view by view in
         registration order; to spread views over resident worker
@@ -754,19 +788,20 @@ class MaintenanceEngine:
         Exactness: embeddings built purely from surviving pre-batch
         nodes are state-independent unless a σ predicate flipped
         (caught by the merged watchlists, repaired in place) or a
-        net-removed node's stored attributes drifted before its removal
+        net-removed node's σ-filtered val drifted before its removal
         (restored from first-seen snapshots), so the final extents
         always equal sequential application.
         """
-        self._check_no_active_session()
-        # Coalesced once: the list the WAL records is the list applied.
-        statements, submitted = coalesce(batch)
-        batch_id = self._durability_begin(statements)
-        try:
-            with self.obs.span("batch") as span:
-                report = self._apply_batch_impl(statements)
-        finally:
-            self._durability_commit(batch_id)
+        with self.lock:
+            self._check_no_active_session()
+            # Coalesced once: the list the WAL records is the list applied.
+            statements, submitted = coalesce(batch)
+            batch_id = self._durability_begin(statements)
+            try:
+                with self.obs.span("batch") as span:
+                    report = self._apply_batch_impl(statements)
+            finally:
+                self._durability_commit(batch_id)
         report.statements_submitted = submitted
         if self.obs.enabled:
             span.attrs["statements"] = report.statements_applied
@@ -816,30 +851,21 @@ class MaintenanceEngine:
         }
         any_sigma = any(sigma_by_view.values())
 
-        # Labels whose val/cont any registered view reads through value
-        # semantics (σ filters and projection read val, stored cont
-        # reads cont); a net-removed node of another label cannot drift
-        # observably.  Taken over every registered view, not just
-        # ``views``, so a session's party 0 counts the dirty nodes
-        # serial propagation would.
+        # Labels whose val any registered view filters on (σ); a
+        # net-removed node of another label cannot drift observably:
+        # stored cells never decide a match, the tuples' IDs do.  Taken
+        # over every registered view, not just ``views``, so a session's
+        # party 0 counts the dirty nodes serial propagation would.
         val_sensitive = set().union(
             *(registered.plan.val_labels for registered in self.views.values())
-        )
-        cont_sensitive = set().union(
-            *(registered.plan.cont_labels for registered in self.views.values())
         )
         # First-seen pre-batch snapshots powering dirty-subtree repair.
         # Only delete-bearing batches can net-remove a node, so
         # insert-only batches never pay the capture (or repair) cost.
         has_deletes = any(isinstance(s, DeleteUpdate) for s in statements)
-        capture = bool(has_deletes and (val_sensitive or cont_sensitive))
+        capture = bool(has_deletes and val_sensitive)
         val_snapshots: Dict[DeweyID, Optional[str]] = {}
-        cont_snapshots: Dict[DeweyID, Optional[str]] = {}
-
-        def _captures_label(sensitive: set, node: Node) -> bool:
-            return node.label in sensitive or (
-                "*" in sensitive and node.kind == "element"
-            )
+        captures_any = "*" in val_sensitive
 
         def before_apply(index: int, statement: UpdateStatement, pul) -> None:
             if not pul.operations or not (any_sigma or capture):
@@ -870,12 +896,11 @@ class MaintenanceEngine:
             if not capture:
                 return
             for node in chain:
-                if _captures_label(val_sensitive, node):
+                if node.label in val_sensitive or (
+                    captures_any and node.kind == "element"
+                ):
                     if node.id not in val_snapshots:
                         val_snapshots[node.id] = node.val
-                if _captures_label(cont_sensitive, node):
-                    if node.id not in cont_snapshots:
-                        cont_snapshots[node.id] = node.cont
 
         application = BatchApplication(self.document, statements)
         try:
@@ -900,14 +925,10 @@ class MaintenanceEngine:
         report.net_removed = len(removed_candidates)
         report.cancelled = application.cancelled_count()
         if removed_candidates.nodes:
-            # Restore the detached subtrees' pre-batch val/cont from the
+            # Restore the detached subtrees' pre-batch σ val from the
             # first-seen snapshots.
             report.dirty_restored = self._restore_dirty_snapshots(
-                application.dirty_removed_nodes(),
-                val_snapshots,
-                cont_snapshots,
-                val_sensitive,
-                cont_sensitive,
+                application.dirty_removed_nodes(), val_snapshots, val_sensitive
             )
         insert_target_ids = application.insert_target_ids
         delete_target_ids = application.delete_target_ids
@@ -972,21 +993,21 @@ class MaintenanceEngine:
     ) -> None:
         """The batch's view-side round over ``views``, run in-process.
 
-        1. if any view has a live Δ− side, a first round runs the
-           refresh probes and the Δ− evaluations -- both read pre-batch
-           state -- and the doomed lattice rows are dropped;
+        1. if any view has a live Δ− side, a first round runs the Δ−
+           evaluations, which read pre-batch state, and the doomed
+           lattice rows are dropped;
         2. a second round (the only one for insert-only batches) runs
            the Δ+ evaluations, snowcap additions and σ repairs over
            survivor relations;
-        3. each view's collected Δ± is merged and applied with its
-           refresh rewrites: one store pass and one lattice extend per
-           view.
+        3. each view's collected Δ± is merged and applied: one store
+           pass and one lattice extend per view; a view that stores
+           val/cont records the batch's refresh anchors for its next
+           read.
 
         Within a round the views run in registration order; the merge
         and the store pass sort, so the order cannot change a result.
         """
         tracer = self.obs.tracer
-        any_targets = bool(insert_target_ids or delete_target_ids)
 
         contexts: List[_ViewRound] = []
         for name, registered in views.items():
@@ -1000,7 +1021,6 @@ class MaintenanceEngine:
             plan = registered.plan
             view_report.delta_sizes = dict.fromkeys(plan.names, 0)
             ctx = _ViewRound(name, registered, view_report)
-            ctx.refresh_due = any_targets and bool(plan.content_nodes)
             ctx.minus_due = bool(touched_labels(plan, removed_candidates))
             ctx.plus_due = bool(touched_labels(plan, inserted_candidates))
             flips = self._batch_flips(watch[name], application.inserted_ids)
@@ -1019,16 +1039,6 @@ class MaintenanceEngine:
 
         # Bucketed on the first view whose refresh is due, then shared.
         affected = AffectedIDs(insert_target_ids, delete_target_ids)
-
-        def refresh(ctx: _ViewRound) -> int:
-            if not ctx.refresh_due:
-                return 0
-            with _PhaseTimer(tracer, ctx.report.phases, "execute_update", ctx.name):
-                ctx.rewrites = collect_attribute_refreshes(
-                    ctx.registered.plan, ctx.registered.view, self.document, affected
-                )
-            ctx.report.tuples_modified = len(ctx.rewrites)
-            return 1
 
         def minus(ctx: _ViewRound) -> int:
             if not ctx.minus_due:
@@ -1120,16 +1130,13 @@ class MaintenanceEngine:
         # -- one round when the batch is insert-only, two when a Δ−
         # side must read the lattice before its doomed rows drop --
         if any(ctx.minus_due for ctx in contexts):
-            run_round(refresh, minus)
+            run_round(minus)
             for ctx in contexts:
                 if ctx.minus_live:
                     with _PhaseTimer(
                         tracer, ctx.report.phases, "update_lattice", ctx.name
                     ):
                         ctx.registered.lattice.apply_batch(removed_by_label, {})
-            second_round = (plus, repair)
-        else:
-            second_round = (refresh, plus, repair)
         # σ-flip lattice upkeep sits between the rounds: the Δ− sides
         # must read the *pre-batch* lattice (their R-part seeds), while
         # the Δ+ sides' ET-INS and snowcap recurrences seed from the
@@ -1157,7 +1164,7 @@ class MaintenanceEngine:
                 entry["lattice_added"] = sum(
                     len(relation.rows) for relation in flip_additions.values()
                 )
-        run_round(*second_round)
+        run_round(plus, repair)
 
         # -- merge + apply: one store pass and one lattice extend ------
         for ctx in contexts:
@@ -1166,11 +1173,14 @@ class MaintenanceEngine:
             if ctx.addition_fragments:
                 ctx.additions = merge_addition_fragments(ctx.addition_fragments)
             with _PhaseTimer(tracer, ctx.report.phases, "execute_update", ctx.name):
-                added, tuples_removed, derivations_removed = (
-                    ctx.registered.view.apply_batch_delta(
-                        ctx.additions, ctx.removals, ctx.rewrites
-                    )
+                view = ctx.registered.view
+                added, tuples_removed, derivations_removed = view.apply_batch_delta(
+                    ctx.additions, ctx.removals
                 )
+                plan = ctx.registered.plan
+                anchors = refresh_anchors(plan, affected)
+                if anchors:
+                    view.defer_refresh(anchors, affected.with_labels(plan.refresh_labels))
             crash_point("mid_bulk_apply")
             ctx.report.derivations_added = added
             ctx.report.tuples_removed = tuples_removed
@@ -1218,39 +1228,29 @@ class MaintenanceEngine:
         self,
         dirty_nodes: Sequence[Node],
         val_snapshots: Dict[DeweyID, Optional[str]],
-        cont_snapshots: Dict[DeweyID, Optional[str]],
         val_sensitive: set,
-        cont_sensitive: set,
     ) -> int:
-        """Restore pre-batch val/cont onto drifted detached subtrees.
+        """Restore pre-batch val onto drifted detached subtrees.
 
-        Every val/cont change puts the node on a ``before_apply``
-        chain, so a sensitive-labeled dirty node with *no* snapshot
-        provably never drifted -- it is clean.  A node whose snapshot
-        equals its current (detached) value is clean too, and so is
-        every text or attribute node, whose val/cont is its own string.
-        Genuine drift is repaired by installing the snapshot into the
-        element's memo caches, which every downstream reader (Δ−
-        σ-filtering, R_old reconstruction, removal projection)
-        consults.  Returns how many nodes were restored.
+        Every val change puts the node on a ``before_apply`` chain, so
+        a sensitive-labeled dirty node with *no* snapshot provably never
+        drifted -- it is clean.  A node whose snapshot equals its
+        current (detached) value is clean too, and so is every text or
+        attribute node, whose val is its own string.  Genuine drift is
+        repaired by installing the snapshot into the element's memo
+        cache, which every downstream σ reader (Δ− σ-filtering, R_old
+        reconstruction) consults.  Returns how many nodes were
+        restored.
         """
         restored = 0
         for node in dirty_nodes:
             if node.kind != "element":
                 continue
-            repaired = False
             if node.label in val_sensitive or "*" in val_sensitive:
                 snapshot = val_snapshots.get(node.id, _MISSING)
                 if snapshot is not _MISSING and snapshot != node.val:
                     node._val_cache = snapshot
-                    repaired = True
-            if node.label in cont_sensitive or "*" in cont_sensitive:
-                snapshot = cont_snapshots.get(node.id, _MISSING)
-                if snapshot is not _MISSING and snapshot != node.cont:
-                    node._cont_cache = snapshot
-                    repaired = True
-            if repaired:
-                restored += 1
+                    restored += 1
         return restored
 
     def _batch_flips(

@@ -8,10 +8,11 @@ contains the view-side work:
 * :func:`collect_insert_additions` -- evaluate the surviving union
   terms into projected tuples with derivation counts (the two loops of
   Algorithm 3); the engine merges them into the view in one store pass;
-* :func:`collect_attribute_refreshes` -- the PIMT/PDMT rewrites of the
-  ``val`` / ``cont`` attributes of existing view tuples whose stored
-  nodes gained or lost descendants (Algorithm 4), reading only the
-  extent runs under each affected node's *anchor* (see there);
+* :func:`refresh_anchors` / :func:`collect_attribute_refreshes` -- the
+  PIMT/PDMT rewrites of ``val`` / ``cont`` in existing view tuples
+  whose stored nodes gained or lost descendants (Algorithm 4): a batch
+  records each affected node's *anchor*, and the extent's next read
+  rewrites the rows in the runs under every anchor since the last read;
 * :func:`snowcap_additions` -- incremental upkeep of the materialized
   snowcaps (Prop. 3.13): each snowcap is itself a view whose surviving
   terms are evaluated from smaller snowcaps, the leaves, and Δ+.
@@ -173,6 +174,14 @@ class AffectedIDs:
                 ids.update(target_id.ancestor_ids())
         return ids
 
+    def with_labels(self, labels: AbstractSet[str]) -> AbstractSet[DeweyID]:
+        """The affected IDs labeled one of ``labels`` (all for ``*``):
+        the ones a view's refresh columns can store."""
+        if "*" in labels:
+            return self.ids
+        by_label = self.by_label
+        return {node_id for label in labels for node_id in by_label.get(label, ())}
+
     @cached_property
     def by_label(self) -> Dict[str, List[DeweyID]]:
         buckets: Dict[str, List[DeweyID]] = {}
@@ -181,13 +190,8 @@ class AffectedIDs:
         return buckets
 
 
-def collect_attribute_refreshes(
-    plan: ViewPlan,
-    view: MaterializedView,
-    document: Document,
-    affected: AffectedIDs,
-) -> List[Tuple[tuple, tuple]]:
-    """The read-only half of the PIMT/PDMT rewrite loop.
+def refresh_anchors(plan: ViewPlan, affected: AffectedIDs) -> Dict[DeweyID, None]:
+    """Where the PIMT/PDMT rewrite loop must read a batch's rows.
 
     Column 0 is always an ID (val/cont nodes store their ID, and ID is
     a node's first annotation); let ``lead`` own it, and ``meet`` be
@@ -197,18 +201,13 @@ def collect_attribute_refreshes(
     affected ``x`` at ``n`` is led from inside one *anchor* subtree:
     ``x``'s own when ``meet`` is ``n``, else that of ``x``'s outermost
     proper ancestor labeled like ``meet`` (none: ``x`` is stored
-    nowhere here).  A subtree is one key run of the extent, so only
-    those bisected runs are read, merged, in store order, under the
-    scan's per-row test: the pairs are the scan's, in the same order,
-    for affected IDs x (depth + log|extent|) plus the rows in the runs.
-
-    Returns the ``(old row, new row)`` rewrite pairs without touching
-    the view; :meth:`MaterializedView.apply_batch_delta` folds them
-    into the store pass, and session replicas ship them to the owner.
+    nowhere here).  Costs affected IDs x depth and reads no row: a
+    batch records these (:meth:`MaterializedView.defer_refresh`) and
+    the next read runs :func:`collect_attribute_refreshes` over them.
     """
-    if not plan.refresh or not affected.ids:
-        return []
     anchors: Dict[DeweyID, None] = {}
+    if not plan.refresh or not affected.ids:
+        return anchors
     for label, at_node, meet_label in plan.refresh:
         if label == "*":
             candidates = affected.ids  # anchor order is immaterial: runs are sorted
@@ -222,14 +221,38 @@ def collect_attribute_refreshes(
                 if meet_label in ("*", ancestor_id.label):
                     anchors[ancestor_id] = None
                     break
+    return anchors
+
+
+def collect_attribute_refreshes(
+    plan: ViewPlan,
+    view: MaterializedView,
+    document: Document,
+    anchors: Dict[DeweyID, None],
+    affected_ids: AbstractSet[DeweyID],
+) -> List[Tuple[tuple, tuple]]:
+    """The read-only half of the PIMT/PDMT rewrite loop.
+
+    Reads only the extent runs under ``anchors`` (see
+    :func:`refresh_anchors`; a subtree is one key run of the extent),
+    merged, in store order, and rewrites a row's cells at the stored
+    IDs in ``affected_ids`` from ``document``: affected IDs x (depth +
+    log|extent|) plus the rows in the runs.  The anchors and IDs may be
+    the union of several batches': the cells are read from the current
+    document, so one pass settles them all.
+
+    Returns the ``(old row, new row)`` rewrite pairs without touching
+    the view; the new rows keep the old ones' IDs, so
+    :meth:`MaterializedView.rewrite_rows` installs them in place.
+    """
     if not anchors:
         return []  # no stored node can have changed: the extent is not read
-    affected_ids = affected.ids  # a stored ID has its node's label: no cut
     replacements: List[Tuple[tuple, tuple]] = []
     for row in view.rows_led_by(anchors):
         new_row = None
         for id_index, val_index, cont_index in plan.refresh_columns:
             stored_id = row[id_index]
+            # a stored ID has its node's label: no cut
             if stored_id not in affected_ids:
                 continue
             doc_node = document.node_by_id(stored_id)

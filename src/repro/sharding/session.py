@@ -26,18 +26,23 @@ Design (replicated state machines):
   ``apply_batch`` over its views, which keeps its extents *and*
   lattices current for the next batch;
 * a replica owns its views' extents, and its reply carries only
-  per-view counters (terms, Δ± derivations, rewrites, repairs,
-  seconds).  The owner folds them into the batch report and marks
+  per-view counters (terms, Δ± derivations, repairs, seconds).  The owner folds them into the batch report and marks
   those views *behind*; party 0's views never cross a pipe;
-* ``RegisteredView.view`` reads through: the first read of a behind
-  view sends one ``("extents", names)`` request per replica party,
-  covering every behind view, and installs the replies with
-  ``reload_content`` (the owner's store objects never change), so an
-  extent is current whenever ``apply_batch`` has returned.
-  Checkpoints, migrations into party 0 and :meth:`ShardSession.close`
-  read through first.  One re-entrant lock holds every pipe
-  conversation, so a reader thread beside an ``ApplyQueue(session)``
-  worker waits for the batch in flight;
+* an extent's reads read through: the first read of a behind view
+  sends one ``("extents", names)`` request per replica party, covering
+  every behind view, and installs the replies with ``reload_content``
+  (the owner's store objects never change), so an extent is current
+  whenever ``apply_batch`` has returned.  A replica reads its own
+  extents through before it replies, so the pairs carry current
+  ``val``/``cont`` cells.  Checkpoints and migrations into party 0
+  pull first; :meth:`ShardSession.close` pulls view by view, so a
+  reply pickles one extent at a time;
+* the engine's one re-entrant lock (``engine.lock``) holds every pipe
+  conversation as well as the engine's batches and extent reads, so a
+  reader thread beside an ``ApplyQueue(session)`` worker waits for the
+  batch in flight.  One lock, because a reader (refresh, then pull)
+  and a checkpoint inside a batch (pull, then refresh) would take two
+  in opposite orders;
 * σ-flip repair runs wherever the view is maintained;
 * the owner keeps current lattices only for party 0's views.  The rest
   would only go stale, so it drops them once the replicas have forked
@@ -351,10 +356,9 @@ class ShardSession:
             "views through",
             ("worker",),
         )
-        #: held over every pipe conversation (batch, pull, migration,
-        #: close); re-entrant, because a periodic checkpoint reads
-        #: extents through from inside apply_batch.
-        self._lock = threading.RLock()
+        #: the engine's lock, held over every pipe conversation (batch,
+        #: pull, migration, close); see the module docstring.
+        self._lock = engine.lock
         #: views whose owner-side extent a replica's batches have moved
         #: past; reading any of them pulls them all (see _read_through).
         self._behind: set = set()
@@ -414,7 +418,7 @@ class ShardSession:
             if self.weights is not None and name in self.weights:
                 return max(1e-9, float(self.weights[name]))
             return float(
-                max(1, len(registered.view) + registered.lattice.stored_tuples())
+                max(1, registered.view.stored_size() + registered.lattice.stored_tuples())
             )
 
         weights = {
@@ -695,16 +699,17 @@ class ShardSession:
 
     # -- read-through -----------------------------------------------------
 
-    def _read_through(self) -> None:
-        """The pull hook of every behind view: pull them all.  A pull
-        that fails degrades like a dead replica (see the module
-        docstring), with a :class:`RuntimeWarning`, so the read returns
-        the recomputed extent."""
+    def _read_through(self, names: Optional[Sequence[str]] = None) -> None:
+        """The pull hook of every behind view: pull them all (or those
+        of ``names``).  A pull that fails degrades like a dead replica
+        (see the module docstring), with a :class:`RuntimeWarning`, so
+        the read returns the recomputed extent."""
         with self._lock:
-            if not self._behind:
+            behind = self._behind if names is None else self._behind.intersection(names)
+            if not behind:
                 return  # another reader pulled them while this one waited
             try:
-                self._pull(sorted(self._behind))
+                self._pull(sorted(behind))
             except BaseException as exc:
                 self.close(force=True)
                 if not isinstance(exc, Exception):
@@ -888,7 +893,10 @@ class ShardSession:
         """
         with self._lock:
             if not force:
-                self._read_through()
+                # View by view: a reply pickles one extent, not all of a
+                # party's (a failed pull force-closes and empties _behind).
+                for name in sorted(self._behind):
+                    self._read_through([name])
             if self._closed:
                 return
             if force:

@@ -69,7 +69,7 @@ class ViewSnapshotUnit(ShardWorkUnit):
         """Extent tuples -- the shipped row count the migration
         ship-vs-recompute criterion compares (identical on every
         replica, so the decision is too)."""
-        return len(self.registered.view)
+        return self.registered.view.stored_size()
 
     def execute(self) -> List[Tuple[tuple, int]]:
         return self.registered.view.content()

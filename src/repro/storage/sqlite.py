@@ -39,7 +39,6 @@ backend is refused outright.
 
 from __future__ import annotations
 
-import operator
 import os
 import pickle
 import sqlite3
@@ -254,31 +253,28 @@ class SqliteExtentBackend:
         return pickle.loads(row[0])
 
     def load_extent(self, view_name: str, derived, document) -> List[Tuple[Any, int]]:
-        """The durable rows of one view with their derived cells filled
-        from ``document``, in store order, ready to load.
+        """The durable rows of one view with every ID that derives a
+        cell resolved on ``document``, in store order, ready to load.
 
         ``derived`` is the view's ``(column, ID column, annotation)``
         plan; each ID column it names is resolved once per row through
-        ``node_by_id``, and its cell becomes the node's own ID object (adopted rows
-        share IDs with the document, as live rows do).  Raises
-        :class:`KeyError` when the view has no durable extent and
-        :class:`RecoveryError` when a stored ID is absent from the
+        ``node_by_id`` and becomes the node's own ID object (adopted
+        rows share IDs with the document, as live rows do).  The
+        derived cells stay ``None``: the extent's first read fills
+        them.
+        Raises :class:`KeyError` when the view has no durable extent
+        and :class:`RecoveryError` when a stored ID is absent from the
         document (the database and the log disagree).
         """
         rows = self.stored_extent(view_name)
-        fills: Dict[int, list] = {}
-        for column, id_column, annotation in derived:
-            fills.setdefault(id_column, []).append(
-                (column, operator.attrgetter(annotation))
-            )
-        if not fills:
+        id_columns = sorted({id_column for _column, id_column, _annotation in derived})
+        if not id_columns:
             return rows
-        plan = sorted(fills.items())
         node_by_id = document.node_by_id
         resolved = []
         for projection, count in rows:
             cells = list(projection)
-            for id_column, targets in plan:
+            for id_column in id_columns:
                 node = node_by_id(cells[id_column])
                 if node is None:
                     raise RecoveryError(
@@ -286,8 +282,6 @@ class SqliteExtentBackend:
                         "replayed document lacks" % (view_name, cells[id_column])
                     )
                 cells[id_column] = node.id
-                for column, read in targets:
-                    cells[column] = read(node)
             resolved.append((tuple(cells), count))
         return resolved
 

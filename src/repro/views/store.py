@@ -4,20 +4,21 @@ The paper's prototype keeps view data in BerkeleyDB: an ordered
 key/value store scanned in key order and updated in place.  This module
 provides the same contract in pure Python: sorted keys, point get/put/
 delete, range scans, one merge of signed count shifts per batch
-(:meth:`OrderedTupleStore.merge_shifts`) and optional file persistence.
+(:meth:`OrderedTupleStore.merge_shifts`), in-place key replacement and
+optional file persistence.
 
 View tuples are the keys (they sort by their leading ID columns, i.e.,
 document order), derivation counts are the values.
 
 An optional ``order_key`` callable maps stored keys to the comparison
-keys the B-tree actually orders by.  It must induce exactly the same
-total order as comparing the keys directly (so it is injective, and
-equal order keys mean equal keys) -- the point is speed, not
-semantics: view tuples contain :class:`~repro.xmldom.dewey.DeweyID`
-cells whose rich comparisons are Python calls, while their precomputed
-``sort_key`` byte strings are compared by memcmp, so the store keeps a
-parallel list of mapped keys (tuples whose ID cells are those bytes)
-and runs every bisect against it.
+keys the B-tree actually orders by, and the store *matches* keys by it
+too: a key whose order key equals a stored one's finds that entry, and
+a write through it replaces the stored key.  A view maps each tuple to
+its :class:`~repro.xmldom.dewey.DeweyID` cells' ``sort_key`` byte
+strings (compared by memcmp, not by Python-level rich comparisons), so
+a tuple is found by its IDs whatever its derived ``val``/``cont`` cells
+hold.  The store keeps a parallel list of mapped keys and runs every
+bisect against it.
 """
 
 from __future__ import annotations
@@ -52,16 +53,28 @@ class OrderedTupleStore:
 
     # -- point operations ------------------------------------------------
 
+    def _find(self, mapped: Any) -> int:
+        """The index of the entry whose order key is ``mapped``, or -1."""
+        order = self._order
+        index = bisect.bisect_left(order, mapped)
+        if index < len(order) and order[index] == mapped:
+            return index
+        return -1
+
     def get(self, key: Any, default: Any = None) -> Any:
-        index = bisect.bisect_left(self._order, self._mapped(key))
-        if index < len(self._keys) and self._keys[index] == key:
-            return self._values[index]
-        return default
+        index = self._find(self._mapped(key))
+        return default if index < 0 else self._values[index]
+
+    def stored(self, key: Any) -> Optional[Tuple[Any, Any]]:
+        """``(stored key, value)`` of the entry ``key`` matches, or None."""
+        index = self._find(self._mapped(key))
+        return None if index < 0 else (self._keys[index], self._values[index])
 
     def put(self, key: Any, value: Any) -> None:
         mapped = self._mapped(key)
         index = bisect.bisect_left(self._order, mapped)
-        if index < len(self._keys) and self._keys[index] == key:
+        if index < len(self._order) and self._order[index] == mapped:
+            self._keys[index] = key
             self._values[index] = value
         else:
             self._keys.insert(index, key)
@@ -70,18 +83,27 @@ class OrderedTupleStore:
                 self._order.insert(index, mapped)
 
     def delete(self, key: Any) -> bool:
-        index = bisect.bisect_left(self._order, self._mapped(key))
-        if index < len(self._keys) and self._keys[index] == key:
-            self._keys.pop(index)
-            self._values.pop(index)
-            if self._order_key is not None:
-                self._order.pop(index)
-            return True
-        return False
+        index = self._find(self._mapped(key))
+        if index < 0:
+            return False
+        self._keys.pop(index)
+        self._values.pop(index)
+        if self._order_key is not None:
+            self._order.pop(index)
+        return True
+
+    def replace_keys(self, keys: Iterable[Any]) -> None:
+        """Swap each of ``keys`` in for the stored key it matches, in
+        place (counts and order untouched); unmatched keys are skipped.
+        A bisect each, no list shift."""
+        stored = self._keys
+        for key in keys:
+            index = self._find(self._mapped(key))
+            if index >= 0:
+                stored[index] = key
 
     def __contains__(self, key: Any) -> bool:
-        index = bisect.bisect_left(self._order, self._mapped(key))
-        return index < len(self._keys) and self._keys[index] == key
+        return self._find(self._mapped(key)) >= 0
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -131,12 +153,13 @@ class OrderedTupleStore:
     # -- bulk / persistence -----------------------------------------------------
 
     def merge_shifts(self, shifts: Dict[Any, int]) -> List[Tuple[Any, int, Any]]:
-        """Fold signed derivation-count shifts into the store: the one
-        write primitive of the batch pipeline's store pass.
+        """Fold signed derivation-count shifts into the store: the
+        batch pipeline's store pass (through :meth:`merge_keyed`).
 
-        ``shifts`` maps keys to a signed change of their count (an
-        absent key counts 0; zero shifts are skipped).  Each key is
-        mapped to its order key once, the shifts are sorted once by it,
+        ``shifts`` maps keys, distinct by order key, to a signed change
+        of their count (an absent key counts 0; zero shifts are
+        skipped).  Each key is mapped to its order key once, the shifts
+        are sorted once by it,
         and one O(n + k) merge rebuilds the parallel lists, reading each
         current count at its merge position.  Returns one ``(key,
         previous, new)`` triple per changed key, in key order, with
@@ -152,13 +175,22 @@ class OrderedTupleStore:
             decorated = [
                 (order_key(key), key, shift) for key, shift in shifts.items() if shift
             ]
+        decorated.sort(key=itemgetter(0))
+        return self.merge_keyed(decorated)
+
+    def merge_keyed(
+        self, decorated: List[Tuple[Any, Any, int]]
+    ) -> List[Tuple[Any, int, Any]]:
+        """:meth:`merge_shifts` over ``(order key, key, shift)`` entries
+        already sorted by order key, one per order key.  A zero shift
+        replaces a present key (its count unchanged, nothing reported)
+        and skips an absent one."""
         if not decorated:
             return []
-        decorated.sort(key=itemgetter(0))
         keys = self._keys
         values = self._values
         order = self._order
-        separate_order = order_key is not None
+        separate_order = self._order_key is not None
         new_keys: List[Any] = []
         new_values: List[Any] = []
         new_order: List[Any] = new_keys if not separate_order else []
@@ -173,23 +205,27 @@ class OrderedTupleStore:
                 new_values += values[index:position]
                 if separate_order:
                     new_order += order[index:position]
-            # order_key is injective, so equal order keys mean the key
-            # is present (compared in C, not through the key's cells).
+            # Keys match by order key (compared in C, not through the
+            # key's cells).
             if position < size and order[position] == mapped:
                 previous = values[position]
                 index = position + 1
             elif shift < 0:
                 raise KeyError("key %r is not in the store" % (key,))
-            else:
+            elif shift:
                 previous = 0
                 index = position
+            else:
+                index = position
+                continue
             count = previous + shift
             if count > 0:
                 new_keys.append(key)
                 new_values.append(count)
                 if separate_order:
                     new_order.append(mapped)
-                changed.append((key, previous, count))
+                if shift:
+                    changed.append((key, previous, count))
             elif count == 0:
                 changed.append((key, previous, DELETED))
             else:

@@ -5,11 +5,23 @@ the stored attributes; its *derivation count* (Section 2.2, after
 [Gupta et al. 1993]) is the number of embeddings producing it.
 Counts are what make deletions incremental: a tuple leaves the view
 only when its count reaches zero (Example 4.8).
+
+A tuple is stored whole, but ordered and matched by its ID cells alone:
+every ``val``/``cont`` cell is a function of the ID cell before it
+(:func:`derived_columns`), so that is the same order, and a Δ row finds
+its stored tuple whatever derived cells either carries.  The derived
+cells are brought current on *read*: a batch records which stored rows
+the PIMT/PDMT refresh may have to rewrite (``defer_refresh``), and the
+first read after it -- ``content()``, ``rows()``, ``count()``, ``in``,
+``len()`` -- calls ``refresh``, which the maintaining engine installs,
+to rewrite them in place.  Write paths and checkpoints read the store
+as it stands.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.pattern.evaluate import evaluate_view, view_columns
 from repro.pattern.tree_pattern import Pattern
@@ -48,6 +60,26 @@ def derived_columns(pattern: Pattern) -> Tuple[DerivedColumn, ...]:
     return tuple(plan)
 
 
+def id_sort_key(derived: Tuple[DerivedColumn, ...], width: int) -> Callable[[ViewTuple], tuple]:
+    """The key a view's store orders and matches tuples by:
+    :func:`row_sort_key` of the ID cells alone (every column the
+    ``derived`` plan does not name).  A derived cell follows its ID
+    column, so on consistent tuples this is the same order."""
+    blank = {column for column, _id_column, _annotation in derived}
+    if not blank:
+        return row_sort_key
+    keep = [column for column in range(width) if column not in blank]
+    if len(keep) == 1:
+        (only,) = keep
+        return lambda row: (row[only].sort_key,)
+    ids = itemgetter(*keep)
+    return lambda row: tuple([cell.sort_key for cell in ids(row)])
+
+
+def _no_refresh() -> int:
+    return 0
+
+
 class MaterializedView:
     """The stored extent of a tree-pattern view."""
 
@@ -61,7 +93,14 @@ class MaterializedView:
         self.derived = derived_columns(pattern)
         # C-comparable ordering keys keep the hot store bisects off
         # DeweyID's Python-level rich comparisons.
-        self._store = OrderedTupleStore(order_key=row_sort_key)
+        self._row_key = id_sort_key(self.derived, len(self.columns))
+        self._store = OrderedTupleStore(order_key=self._row_key)
+        #: brings the extent current before a read and returns the tuples
+        #: the pending refresh rewrote; the engine that maintains it
+        #: installs it (a session pull, then the refresh).
+        self.refresh: Callable[[], int] = _no_refresh
+        #: the refresh pending since the last read (:meth:`defer_refresh`).
+        self._stale: Tuple[Dict[DeweyID, None], Set[DeweyID]] = ({}, set())
 
     # -- construction ------------------------------------------------------
 
@@ -75,7 +114,7 @@ class MaterializedView:
         # Distinct rows sorted by key: bulk-load in one pass instead of
         # O(n²) per-row sorted inserts.
         view._store.load_sorted(
-            sorted(content, key=lambda item: row_sort_key(item[0]))
+            sorted(content, key=lambda item: view._row_key(item[0]))
         )
         return view
 
@@ -85,22 +124,51 @@ class MaterializedView:
         The engine's poison-batch recomputation, a session's extent
         pull and resync and a replica's view adoption use this instead
         of swapping the ``_store`` object, so the store's identity stays
-        intact."""
-        self._store.load_sorted(sorted(pairs, key=lambda item: row_sort_key(item[0])))
+        intact.  The pairs are current: nothing is left pending."""
+        self._store.load_sorted(sorted(pairs, key=lambda item: self._row_key(item[0])))
+        self.take_stale()
+
+    # -- the pending refresh ---------------------------------------------------
+
+    def defer_refresh(self, anchors: Dict[DeweyID, None], ids: Set[DeweyID]) -> None:
+        """Record a refresh for the next read: rows led from inside the
+        ``anchors``' subtrees may hold stale cells at ``ids``."""
+        stale_anchors, stale_ids = self._stale
+        stale_anchors.update(anchors)
+        stale_ids |= ids
+
+    def take_stale(self) -> Tuple[Dict[DeweyID, None], Set[DeweyID]]:
+        """The ``(anchors, ids)`` recorded since the last read, cleared."""
+        stale, self._stale = self._stale, ({}, set())
+        return stale
+
+    def rewrite_rows(self, rows: Iterable[ViewTuple]) -> None:
+        """Install refreshed forms of stored tuples (same IDs, new
+        derived cells) in place: counts and order are untouched."""
+        self._store.replace_keys(rows)
 
     # -- reads ----------------------------------------------------------------
 
     def count(self, row: ViewTuple) -> int:
-        return self._store.get(row, 0)
+        self.refresh()
+        entry = self._store.stored(row)
+        return entry[1] if entry is not None and entry[0] == row else 0
 
     def __contains__(self, row: ViewTuple) -> bool:
-        return row in self._store
+        return self.count(row) > 0
 
     def __len__(self) -> int:
         """Number of distinct tuples."""
+        self.refresh()
+        return len(self._store)
+
+    def stored_size(self) -> int:
+        """Number of distinct tuples, without reading through (a write
+        path's weight: it neither pulls nor refreshes)."""
         return len(self._store)
 
     def total_derivations(self) -> int:
+        self.refresh()
         return sum(count for _, count in self._store.items())
 
     def content(self) -> List[Tuple[ViewTuple, int]]:
@@ -108,18 +176,21 @@ class MaterializedView:
 
         A snapshot: safe to iterate while mutating the view.
         """
+        self.refresh()
         return self._store.snapshot()
+
+    def rows(self) -> List[ViewTuple]:
+        self.refresh()
+        return self._store.keys()
 
     def rows_led_by(self, anchors: Iterable[DeweyID]) -> List[ViewTuple]:
         """Stored tuples led by an ID in the subtree of any of
-        ``anchors``, each once, in key order: tuples sort by their
-        leading ID and a Dewey subtree is one key range."""
+        ``anchors``, each once, in key order, as they stand (the refresh
+        reads through this): tuples sort by their leading ID and a Dewey
+        subtree is one key range."""
         return self._store.keys_in_runs(
             ((anchor.sort_key,), (anchor.subtree_end_key,)) for anchor in anchors
         )
-
-    def rows(self) -> List[ViewTuple]:
-        return self._store.keys()
 
     # -- writes (used by the maintenance algorithms) -----------------------------
 
@@ -159,40 +230,43 @@ class MaterializedView:
         self,
         additions: Dict[ViewTuple, int],
         removals: Dict[ViewTuple, int],
-        rewrites: Sequence[Tuple[ViewTuple, ViewTuple]] = (),
     ) -> Tuple[int, int, int]:
-        """Apply a batch's merged Δ+ / Δ− and PIMT/PDMT rewrites in one
-        store pass.
+        """Apply a batch's merged Δ+ / Δ− in one store pass.
 
         ``additions`` maps tuples to fresh derivations, ``removals`` to
-        doomed ones; tuples in both are adjusted by the net, so a
-        derivation removed and re-derived within one batch never
-        transits through an absent state.  Each ``(old, new)`` rewrite
-        moves every derivation of ``old`` to ``new`` (Δ rows carry final
-        attribute values, so the inputs compose).  Returns
-        ``(derivations added, tuples removed, derivations removed)``,
-        net of the rewrite churn.  Like :meth:`decrement`, removing
-        underivable tuples is an error.
+        doomed ones.  Shifts net by the tuples' IDs, so a derivation
+        removed and re-derived within one batch never transits through
+        an absent state even when its derived cells changed; the stored
+        tuple takes the Δ+ form (whose cells are final).  Returns
+        ``(derivations added, tuples removed, derivations removed)``.
+        Like :meth:`decrement`, removing underivable tuples is an error.
         """
-        delta: Dict[ViewTuple, int] = dict(additions)
+        row_key = self._row_key
+        delta: Dict[tuple, list] = {}
         for row, count in removals.items():
-            delta[row] = delta.get(row, 0) - count
-        for old_row, new_row in rewrites:
-            count = self._store.get(old_row)
-            if count is None:
-                raise KeyError("tuple %r is not in view %s" % (old_row, self.name))
-            delta[old_row] = delta.get(old_row, 0) - count
-            delta[new_row] = delta.get(new_row, 0) + count
-        changed = self._store.merge_shifts(delta)
-        tuples_removed = sum(count is DELETED for _row, _previous, count in changed)
-        for _old_row, new_row in rewrites:
-            # Each old form dropped; the tuple left only if its new form
-            # is absent too, which a positive net shift rules out.
-            if delta[new_row] > 0 or new_row in self._store:
-                tuples_removed -= 1
+            key = row_key(row)
+            entry = delta.get(key)
+            if entry is None:
+                delta[key] = [row, -count]
+            else:
+                entry[1] -= count
+        for row, count in additions.items():
+            key = row_key(row)
+            entry = delta.get(key)
+            if entry is None:
+                delta[key] = [row, count]
+            else:
+                entry[0] = row
+                entry[1] += count
+        changed = self._store.merge_keyed(
+            sorted(
+                ((key, row, shift) for key, (row, shift) in delta.items()),
+                key=itemgetter(0),
+            )
+        )
         return (
             sum(additions.values()),
-            tuples_removed,
+            sum(count is DELETED for _row, _previous, count in changed),
             sum(removals.values()),
         )
 

@@ -39,6 +39,7 @@ from repro.maintenance.insert import (
     AffectedIDs,
     collect_attribute_refreshes,
     collect_insert_additions,
+    refresh_anchors,
     snowcap_additions,
     surviving_insert_terms,
 )
@@ -116,8 +117,9 @@ def refresh_stored_attributes(
 ) -> int:
     """The shared PIMT/PDMT rewrite loop: collect, then rewrite each
     tuple in place, its derivations moving to the new form."""
+    affected = AffectedIDs(insert_target_ids, delete_target_ids)
     pairs = collect_attribute_refreshes(
-        plan, view, document, AffectedIDs(insert_target_ids, delete_target_ids)
+        plan, view, document, refresh_anchors(plan, affected), affected.ids
     )
     for old_row, new_row in pairs:
         count = view.count(old_row)

@@ -450,16 +450,21 @@ class TestReductionRules:
 
 
 def _dirty_batch(document):
-    # Q1 stores name.val, so drift matters only on removed *name*
-    # nodes: insert under an existing name, then delete its whole
-    # ancestor chain via a *path* (a resolved delete would just void
-    # the insert per O3) -- the removed name's val/cont drifted before
-    # its removal.
-    name = parse_update("delete /site/people/person/name").target.evaluate(document)[0]
+    # Q3 filters increase.val on "4.50", so drift matters only on
+    # removed *increase* nodes: insert under a stored 4.50 increase,
+    # then delete its whole ancestor chain via a *path* (a resolved
+    # delete would just void the insert per O3) -- the removed
+    # increase's val drifted before its removal, and only its pre-batch
+    # val says the view stored it.
+    increase = next(
+        node for node in document.nodes_with_label("increase") if node.val == "4.50"
+    )
     return UpdateBatch(
         [
-            ResolvedInsertUpdate([name.id], insert_update("X1_L").forest, name="ins"),
-            parse_update("delete /site/people", name="del"),
+            ResolvedInsertUpdate(
+                [increase.id], insert_update("X1_L").forest, name="ins"
+            ),
+            parse_update("delete /site/open_auctions", name="del"),
         ]
     )
 
@@ -491,10 +496,11 @@ class TestFallbackReasons:
     def test_dirty_subtree_restores_snapshots(self):
         document = generate_document(scale=1)
         engine = MaintenanceEngine(document)
-        registered = engine.register_view(view_pattern("Q1"), "Q1")
+        registered = engine.register_view(view_pattern("Q3"), "Q3")
+        assert len(registered.view)
         report = engine.apply_batch(_dirty_batch(document))
         assert report.fallbacks == {}
-        assert report.dirty_restored >= 1
+        assert report.dirty_restored == 1
         assert registered.view.equals_fresh_evaluation(document)
 
     def test_clean_batches_report_no_fallbacks(self):

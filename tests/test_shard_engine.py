@@ -140,16 +140,16 @@ class TestShardedPropagation:
 
     def test_dirty_batch_restores_on_shards(self):
         # A dirty removed subtree is restored in place wherever its view
-        # is maintained.  The weights put Q1, the view the drift
+        # is maintained.  The weights put Q3, the view the drift
         # reaches, on the replica: the owner still counts the restored
         # nodes the serial engine does, and no view falls back.
         _, serial, serial_views = _engines()
         serial_report = serial.apply_batch(_dirty_batch(serial.document))
         document, engine, views = _engines()
         with engine.session(
-            workers=2, weights={"Q1": 1, "Q3": 100, "Q6": 1}
+            workers=2, weights={"Q1": 100, "Q3": 1, "Q6": 1}
         ) as session:
-            assert session.assignment["Q1"] == 1
+            assert session.assignment["Q3"] == 1
             report = session.apply_batch(_dirty_batch(document))
         assert serial_report.dirty_restored == 1
         assert report.dirty_restored == serial_report.dirty_restored
@@ -350,7 +350,7 @@ class TestShardedPropagation:
                 return reply(party)
 
             session._reply = counted
-            store = views["Q3"]._view  # not read through
+            store = views["Q3"].view  # fetching the extent reads nothing
 
             def fail_once(pairs):
                 del store.reload_content  # later calls reach the method

@@ -211,12 +211,17 @@ class TestMaterializedView:
             view.add(view.rows()[0], 0)
 
     def test_replace_merges_counts(self, fig2_document):
-        view = MaterializedView.materialize(chain_pattern("a", "b"), fig2_document)
+        view = MaterializedView.materialize(
+            chain_pattern("a", "b", annotate="ID cont"), fig2_document
+        )
         first, second = view.rows()
-        # A refresh rewrite folded into the store pass moves every
-        # derivation of the old form; the counters stay net of it.
-        assert view.apply_batch_delta({}, {}, [(first, second)]) == (0, 0, 0)
-        assert view.count(second) == 2
+        # A tuple removed and re-derived in one batch with a changed
+        # cont nets by its IDs: one store entry, its count unchanged,
+        # carrying the re-derived (final) form; the counters are gross.
+        changed = first[:-1] + ("<b>new</b>",)
+        assert view.apply_batch_delta({changed: 1}, {first: 1}) == (1, 0, 1)
+        assert view.rows() == [changed, second]
+        assert view.count(changed) == 1
         assert first not in view
 
     def test_equals_fresh_evaluation(self, fig2_document):
