@@ -8,12 +8,9 @@ of Figures 18/19 (or one matrix cell of Figures 20/21).
 Every run also *verifies* the maintained extent against recomputation,
 so benchmark numbers can never come from an incorrect propagation.
 
-The engine rewrites stored ``val``/``cont`` cells when an extent is
-next read; the paper's PIMT/PDMT refresh is eager.  So every timed
-update here is followed by a read-through of the view inside the timed
-region, its seconds credited to Execute Update
-and its rewritten rows reported as ``tuples_modified``: the figures
-keep measuring the paper's eager algorithm.
+The paper's PIMT/PDMT refresh is eager, the engine's runs on the next
+read: each timed update reads the view inside the timed region, its
+seconds credited to Execute Update and its rows to ``tuples_modified``.
 
 The harness reproduces the paper, so it registers views with the
 ``"snowcaps"`` lattice (Section 3.5) unless a caller passes

@@ -342,9 +342,7 @@ class RegisteredView:
     def __init__(self, name: str, view: MaterializedView, lattice: SnowcapLattice,
                  definition: Optional[ViewDefinition] = None):
         self.name = name
-        #: the extent; its reads read through
-        #: (:meth:`MaintenanceEngine._read_through`), so they are current
-        #: whenever ``apply_batch`` (in-process or a session's) returned.
+        #: the extent; its reads read through (current once a batch returned).
         self.view = view
         self.lattice = lattice
         self.definition = definition
@@ -491,10 +489,9 @@ class MaintenanceEngine:
             "extent rows the read-time val/cont refresh rewrote",
             ("view",),
         )
-        #: held by ``apply_batch`` (and a session's) and by every extent
-        #: read-through, so a reader beside a queue worker waits for the
-        #: batch in flight; re-entrant, because a periodic checkpoint
-        #: reads session extents through from inside a batch.
+        #: held by batches and extent reads, so a reader beside a queue
+        #: worker waits for the batch in flight; re-entrant, as a
+        #: checkpoint inside a batch reads session extents through.
         self.lock = threading.RLock()
         self.prune_even_terms = prune_even_terms
         self.use_data_pruning = use_data_pruning
@@ -573,11 +570,7 @@ class MaintenanceEngine:
         view = MaterializedView(pattern, name=name)
         rows = self.backend.load_extent(name, view.derived, self.document)
         view._store.load_sorted(rows)
-        if view.derived:  # every derived cell is pending until a read
-            view.defer_refresh(
-                {self.document.root.id: None},
-                {row[column] for row, _count in rows for _c, column, _a in view.derived},
-            )
+        view.defer_refresh(None)  # the derived cells fill on the first read
         self.backend.track(name, view)
         lattice.materialize(self.document)
         return self._install(name, view, lattice, definition)
@@ -589,20 +582,19 @@ class MaintenanceEngine:
         return registered
 
     def _read_through(self, registered: RegisteredView) -> int:
-        """Bring one extent current before a read: a session's pull,
-        then the val/cont refresh its batches left pending (traced as a
-        ``view_refresh`` span).  Returns the rows rewritten.  Under
-        :attr:`lock`, so it waits for a batch in flight."""
+        """Bring one extent current before a read, under :attr:`lock`: a
+        session's pull, then the pending val/cont refresh (a
+        ``view_refresh`` span).  Returns the rows rewritten."""
         with self.lock:
             if registered.pull is not None:
                 registered.pull()
             view = registered.view
-            anchors, ids = view.take_stale()
-            if not anchors:
+            anchors = view.take_stale()
+            if anchors == {}:
                 return 0
             with self.obs.span("view_refresh", view=registered.name) as span:
                 pairs = collect_attribute_refreshes(
-                    registered.plan, view, self.document, anchors, ids
+                    registered.plan, view, self.document, anchors
                 )
                 view.rewrite_rows(new_row for _old_row, new_row in pairs)
             if self.obs.enabled:
@@ -1177,10 +1169,7 @@ class MaintenanceEngine:
                 added, tuples_removed, derivations_removed = view.apply_batch_delta(
                     ctx.additions, ctx.removals
                 )
-                plan = ctx.registered.plan
-                anchors = refresh_anchors(plan, affected)
-                if anchors:
-                    view.defer_refresh(anchors, affected.with_labels(plan.refresh_labels))
+                view.defer_refresh(refresh_anchors(ctx.registered.plan, affected))
             crash_point("mid_bulk_apply")
             ctx.report.derivations_added = added
             ctx.report.tuples_removed = tuples_removed

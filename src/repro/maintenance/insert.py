@@ -10,9 +10,8 @@ contains the view-side work:
   Algorithm 3); the engine merges them into the view in one store pass;
 * :func:`refresh_anchors` / :func:`collect_attribute_refreshes` -- the
   PIMT/PDMT rewrites of ``val`` / ``cont`` in existing view tuples
-  whose stored nodes gained or lost descendants (Algorithm 4): a batch
-  records each affected node's *anchor*, and the extent's next read
-  rewrites the rows in the runs under every anchor since the last read;
+  whose stored nodes gained or lost descendants (Algorithm 4): batches
+  record *anchors*, the extent's next read rewrites the rows under them;
 * :func:`snowcap_additions` -- incremental upkeep of the materialized
   snowcaps (Prop. 3.13): each snowcap is itself a view whose surviving
   terms are evaluated from smaller snowcaps, the leaves, and Δ+.
@@ -174,14 +173,6 @@ class AffectedIDs:
                 ids.update(target_id.ancestor_ids())
         return ids
 
-    def with_labels(self, labels: AbstractSet[str]) -> AbstractSet[DeweyID]:
-        """The affected IDs labeled one of ``labels`` (all for ``*``):
-        the ones a view's refresh columns can store."""
-        if "*" in labels:
-            return self.ids
-        by_label = self.by_label
-        return {node_id for label in labels for node_id in by_label.get(label, ())}
-
     @cached_property
     def by_label(self) -> Dict[str, List[DeweyID]]:
         buckets: Dict[str, List[DeweyID]] = {}
@@ -202,8 +193,7 @@ def refresh_anchors(plan: ViewPlan, affected: AffectedIDs) -> Dict[DeweyID, None
     ``x``'s own when ``meet`` is ``n``, else that of ``x``'s outermost
     proper ancestor labeled like ``meet`` (none: ``x`` is stored
     nowhere here).  Costs affected IDs x depth and reads no row: a
-    batch records these (:meth:`MaterializedView.defer_refresh`) and
-    the next read runs :func:`collect_attribute_refreshes` over them.
+    batch records these for the next read.
     """
     anchors: Dict[DeweyID, None] = {}
     if not plan.refresh or not affected.ids:
@@ -228,34 +218,36 @@ def collect_attribute_refreshes(
     plan: ViewPlan,
     view: MaterializedView,
     document: Document,
-    anchors: Dict[DeweyID, None],
-    affected_ids: AbstractSet[DeweyID],
+    anchors: Optional[Dict[DeweyID, None]],
 ) -> List[Tuple[tuple, tuple]]:
     """The read-only half of the PIMT/PDMT rewrite loop.
 
     Reads only the extent runs under ``anchors`` (see
-    :func:`refresh_anchors`; a subtree is one key run of the extent),
-    merged, in store order, and rewrites a row's cells at the stored
-    IDs in ``affected_ids`` from ``document``: affected IDs x (depth +
-    log|extent|) plus the rows in the runs.  The anchors and IDs may be
-    the union of several batches': the cells are read from the current
-    document, so one pass settles them all.
-
-    Returns the ``(old row, new row)`` rewrite pairs without touching
-    the view; the new rows keep the old ones' IDs, so
-    :meth:`MaterializedView.rewrite_rows` installs them in place.
+    :func:`refresh_anchors`; None reads every row), merged, in store
+    order, and recomputes each row's derived cells from ``document``
+    (memoized on the nodes): rows in the runs x log|document|.  A
+    content node anchored at itself has every affected ID of its label
+    among the anchors, so only those of its cells are recomputed.  The
+    anchors may be several batches' union: one pass settles them all.
+    Returns the ``(old row, new row)`` pairs whose cells changed, for
+    :meth:`MaterializedView.rewrite_rows` (the IDs are the same).
     """
-    if not anchors:
-        return []  # no stored node can have changed: the extent is not read
+    anchor_keys = set() if anchors is None else {anchor.sort_key for anchor in anchors}
+    probes = [
+        (at_node and anchors is not None, id_index, val_index, cont_index)
+        for (_label, at_node, _meet), (id_index, val_index, cont_index) in zip(
+            plan.refresh, plan.refresh_columns
+        )
+    ]
     replacements: List[Tuple[tuple, tuple]] = []
+    node_by_id = document.node_by_id
     for row in view.rows_led_by(anchors):
         new_row = None
-        for id_index, val_index, cont_index in plan.refresh_columns:
+        for filtered, id_index, val_index, cont_index in probes:
             stored_id = row[id_index]
-            # a stored ID has its node's label: no cut
-            if stored_id not in affected_ids:
-                continue
-            doc_node = document.node_by_id(stored_id)
+            if filtered and stored_id.sort_key not in anchor_keys:
+                continue  # affected by no batch since the last read
+            doc_node = node_by_id(stored_id)
             if doc_node is None:
                 continue  # removed with its subtree; Δ− handles the tuple
             if new_row is None:

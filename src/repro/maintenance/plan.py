@@ -79,13 +79,12 @@ class ViewPlan:
       None)``: a node with no σ and no ``*`` shares the batch's label
       bucket as it is, any other is filtered;
     * ``projection`` -- π (:class:`~repro.pattern.evaluate.ProjectionPlan`);
-    * ``content_nodes``, ``refresh``, ``refresh_columns`` and
-      ``refresh_labels`` -- per content node, where the val/cont refresh
-      anchors its reads (``(label, anchored at the node itself, meet
-      label)``, see :func:`~repro.maintenance.insert.refresh_anchors`)
-      and its ``(ID, val, cont)`` return-column indices (see
-      :func:`~repro.maintenance.insert.collect_attribute_refreshes`),
-      and the content nodes' labels;
+    * ``content_nodes``, ``refresh`` and ``refresh_columns`` -- per
+      content node, where the val/cont refresh anchors its reads
+      (``(label, anchored at the node itself, meet label)``, see
+      :func:`~repro.maintenance.insert.refresh_anchors`) and its
+      ``(ID, val, cont)`` return-column indices (see
+      :func:`~repro.maintenance.insert.collect_attribute_refreshes`);
     * ``sigma_nodes``, ``val_labels`` -- the σ watchlist nodes and the
       labels whose val the view filters on, for the engine's flip and
       dirty-snapshot capture;
@@ -125,7 +124,6 @@ class ViewPlan:
         self.val_labels = frozenset(node.label for node in self.sigma_nodes)
         self.content_nodes: Tuple[PatternNode, ...] = tuple(pattern.content_nodes())
         self.refresh, self.refresh_columns = self._refresh_probes()
-        self.refresh_labels = frozenset(label for label, _at, _meet in self.refresh)
         self._join_orders: Dict[Tuple[NodeSet, Tuple[str, ...]], Tuple[JoinStep, ...]] = {}
         self._boundaries: Dict[NodeSet, Tuple[Tuple[str, str], ...]] = {}
         self._sub_plans: Dict[NodeSet, "ViewPlan"] = {}

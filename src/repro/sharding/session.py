@@ -26,23 +26,22 @@ Design (replicated state machines):
   ``apply_batch`` over its views, which keeps its extents *and*
   lattices current for the next batch;
 * a replica owns its views' extents, and its reply carries only
-  per-view counters (terms, Δ± derivations, repairs, seconds).  The owner folds them into the batch report and marks
-  those views *behind*; party 0's views never cross a pipe;
+  per-view counters (terms, Δ± derivations, repairs, seconds).  The
+  owner folds them into the batch report and marks those views
+  *behind*; party 0's views never cross a pipe;
 * an extent's reads read through: the first read of a behind view
   sends one ``("extents", names)`` request per replica party, covering
   every behind view, and installs the replies with ``reload_content``
   (the owner's store objects never change), so an extent is current
-  whenever ``apply_batch`` has returned.  A replica reads its own
-  extents through before it replies, so the pairs carry current
-  ``val``/``cont`` cells.  Checkpoints and migrations into party 0
-  pull first; :meth:`ShardSession.close` pulls view by view, so a
-  reply pickles one extent at a time;
-* the engine's one re-entrant lock (``engine.lock``) holds every pipe
-  conversation as well as the engine's batches and extent reads, so a
-  reader thread beside an ``ApplyQueue(session)`` worker waits for the
-  batch in flight.  One lock, because a reader (refresh, then pull)
-  and a checkpoint inside a batch (pull, then refresh) would take two
-  in opposite orders;
+  whenever ``apply_batch`` has returned; the replica's reply is read
+  through too, so its cells are current.  Checkpoints and migrations
+  into party 0 pull first; :meth:`ShardSession.close` pulls view by
+  view, so a reply pickles one extent;
+* the engine's one re-entrant lock (``engine.lock``, which a replica
+  renews) holds every pipe conversation, fork, batch and extent read,
+  so a reader thread beside an ``ApplyQueue(session)`` worker waits
+  for the batch in flight.  One lock, as a reader (refresh, pull) and
+  a checkpoint in a batch (pull, refresh) would take two in turn;
 * σ-flip repair runs wherever the view is maintained;
 * the owner keeps current lattices only for party 0's views.  The rest
   would only go stale, so it drops them once the replicas have forked
@@ -210,6 +209,7 @@ def _session_worker_main(conn, owned_names: List[str]) -> None:
     from repro.obs import NULL_OBS, Observability
 
     engine = _FORK_STATE["engine"]
+    engine.lock = threading.RLock()  # the forking thread's hold stays behind
     # Non-owned views stay resident in an idle stash instead of being
     # dropped: a later migration may hand one over, and adoption reuses
     # the registration (pattern, lattice selection) this replica
@@ -356,8 +356,7 @@ class ShardSession:
             "views through",
             ("worker",),
         )
-        #: the engine's lock, held over every pipe conversation (batch,
-        #: pull, migration, close); see the module docstring.
+        #: the engine's lock (see the module docstring).
         self._lock = engine.lock
         #: views whose owner-side extent a replica's batches have moved
         #: past; reading any of them pulls them all (see _read_through).
@@ -371,7 +370,7 @@ class ShardSession:
         #: replica processes and pipes; party ``p`` is index ``p - 1``.
         self._processes = []
         self._connections = []
-        with _FORK_LOCK:
+        with engine.lock, _FORK_LOCK:  # no refresh forks half done
             # Frozen, the inherited heap is invisible to the replicas'
             # collections (see the module docstring for the cost).
             gc.freeze()
@@ -893,8 +892,7 @@ class ShardSession:
         """
         with self._lock:
             if not force:
-                # View by view: a reply pickles one extent, not all of a
-                # party's (a failed pull force-closes and empties _behind).
+                # One extent a reply (a failed pull empties _behind).
                 for name in sorted(self._behind):
                     self._read_through([name])
             if self._closed:

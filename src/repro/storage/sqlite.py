@@ -259,12 +259,11 @@ class SqliteExtentBackend:
         ``derived`` is the view's ``(column, ID column, annotation)``
         plan; each ID column it names is resolved once per row through
         ``node_by_id`` and becomes the node's own ID object (adopted
-        rows share IDs with the document, as live rows do).  The
-        derived cells stay ``None``: the extent's first read fills
-        them.
-        Raises :class:`KeyError` when the view has no durable extent
-        and :class:`RecoveryError` when a stored ID is absent from the
-        document (the database and the log disagree).
+        rows share IDs with the document, as live rows do); the extent's
+        first read fills the derived cells.  Raises :class:`KeyError`
+        when the view has no durable extent and :class:`RecoveryError`
+        when a stored ID is absent from the document (the database and
+        the log disagree).
         """
         rows = self.stored_extent(view_name)
         id_columns = sorted({id_column for _column, id_column, _annotation in derived})

@@ -11,14 +11,13 @@ View tuples are the keys (they sort by their leading ID columns, i.e.,
 document order), derivation counts are the values.
 
 An optional ``order_key`` callable maps stored keys to the comparison
-keys the B-tree actually orders by, and the store *matches* keys by it
-too: a key whose order key equals a stored one's finds that entry, and
-a write through it replaces the stored key.  A view maps each tuple to
-its :class:`~repro.xmldom.dewey.DeweyID` cells' ``sort_key`` byte
-strings (compared by memcmp, not by Python-level rich comparisons), so
-a tuple is found by its IDs whatever its derived ``val``/``cont`` cells
-hold.  The store keeps a parallel list of mapped keys and runs every
-bisect against it.
+keys the B-tree actually orders and *matches* by: writes through a
+matching key change the entry's value, never its stored key (only
+:meth:`OrderedTupleStore.replace_keys` does).  A view maps each tuple
+to its :class:`~repro.xmldom.dewey.DeweyID` cells' ``sort_key`` bytes
+(compared by memcmp, not by Python-level rich comparisons), so a tuple
+is found by its IDs whatever its derived cells hold.  The store keeps
+a parallel list of mapped keys and runs every bisect against it.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ class OrderedTupleStore:
         mapped = self._mapped(key)
         index = bisect.bisect_left(self._order, mapped)
         if index < len(self._order) and self._order[index] == mapped:
-            self._keys[index] = key
             self._values[index] = value
         else:
             self._keys.insert(index, key)
@@ -93,9 +91,8 @@ class OrderedTupleStore:
         return True
 
     def replace_keys(self, keys: Iterable[Any]) -> None:
-        """Swap each of ``keys`` in for the stored key it matches, in
-        place (counts and order untouched); unmatched keys are skipped.
-        A bisect each, no list shift."""
+        """Swap each of ``keys`` in for the stored key it matches (a
+        bisect each; counts and order untouched, unmatched skipped)."""
         stored = self._keys
         for key in keys:
             index = self._find(self._mapped(key))
@@ -153,13 +150,13 @@ class OrderedTupleStore:
     # -- bulk / persistence -----------------------------------------------------
 
     def merge_shifts(self, shifts: Dict[Any, int]) -> List[Tuple[Any, int, Any]]:
-        """Fold signed derivation-count shifts into the store: the
-        batch pipeline's store pass (through :meth:`merge_keyed`).
+        """Fold signed derivation-count shifts into the store: the one
+        write primitive of the batch pipeline's store pass.
 
         ``shifts`` maps keys, distinct by order key, to a signed change
         of their count (an absent key counts 0; zero shifts are
-        skipped).  Each key is mapped to its order key once, the shifts
-        are sorted once by it,
+        skipped); a matched entry keeps its stored key.  Each key is
+        mapped to its order key once, the shifts are sorted once by it,
         and one O(n + k) merge rebuilds the parallel lists, reading each
         current count at its merge position.  Returns one ``(key,
         previous, new)`` triple per changed key, in key order, with
@@ -175,22 +172,13 @@ class OrderedTupleStore:
             decorated = [
                 (order_key(key), key, shift) for key, shift in shifts.items() if shift
             ]
-        decorated.sort(key=itemgetter(0))
-        return self.merge_keyed(decorated)
-
-    def merge_keyed(
-        self, decorated: List[Tuple[Any, Any, int]]
-    ) -> List[Tuple[Any, int, Any]]:
-        """:meth:`merge_shifts` over ``(order key, key, shift)`` entries
-        already sorted by order key, one per order key.  A zero shift
-        replaces a present key (its count unchanged, nothing reported)
-        and skips an absent one."""
         if not decorated:
             return []
+        decorated.sort(key=itemgetter(0))
         keys = self._keys
         values = self._values
         order = self._order
-        separate_order = self._order_key is not None
+        separate_order = order_key is not None
         new_keys: List[Any] = []
         new_values: List[Any] = []
         new_order: List[Any] = new_keys if not separate_order else []
@@ -208,24 +196,21 @@ class OrderedTupleStore:
             # Keys match by order key (compared in C, not through the
             # key's cells).
             if position < size and order[position] == mapped:
+                key = keys[position]
                 previous = values[position]
                 index = position + 1
             elif shift < 0:
                 raise KeyError("key %r is not in the store" % (key,))
-            elif shift:
+            else:
                 previous = 0
                 index = position
-            else:
-                index = position
-                continue
             count = previous + shift
             if count > 0:
                 new_keys.append(key)
                 new_values.append(count)
                 if separate_order:
                     new_order.append(mapped)
-                if shift:
-                    changed.append((key, previous, count))
+                changed.append((key, previous, count))
             elif count == 0:
                 changed.append((key, previous, DELETED))
             else:

@@ -6,22 +6,18 @@ the stored attributes; its *derivation count* (Section 2.2, after
 Counts are what make deletions incremental: a tuple leaves the view
 only when its count reaches zero (Example 4.8).
 
-A tuple is stored whole, but ordered and matched by its ID cells alone:
-every ``val``/``cont`` cell is a function of the ID cell before it
-(:func:`derived_columns`), so that is the same order, and a Δ row finds
-its stored tuple whatever derived cells either carries.  The derived
-cells are brought current on *read*: a batch records which stored rows
-the PIMT/PDMT refresh may have to rewrite (``defer_refresh``), and the
-first read after it -- ``content()``, ``rows()``, ``count()``, ``in``,
-``len()`` -- calls ``refresh``, which the maintaining engine installs,
-to rewrite them in place.  Write paths and checkpoints read the store
-as it stands.
+A tuple is stored whole but ordered and matched by its ID cells, whose
+functions its ``val``/``cont`` cells are (:func:`derived_columns`).
+Those cells are brought current on *read*: batches record where the
+PIMT/PDMT refresh must look (``defer_refresh``), and every read calls
+the ``refresh`` hook the maintaining engine installs; write paths and
+checkpoints read the store as it stands.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.pattern.evaluate import evaluate_view, view_columns
 from repro.pattern.tree_pattern import Pattern
@@ -61,10 +57,8 @@ def derived_columns(pattern: Pattern) -> Tuple[DerivedColumn, ...]:
 
 
 def id_sort_key(derived: Tuple[DerivedColumn, ...], width: int) -> Callable[[ViewTuple], tuple]:
-    """The key a view's store orders and matches tuples by:
-    :func:`row_sort_key` of the ID cells alone (every column the
-    ``derived`` plan does not name).  A derived cell follows its ID
-    column, so on consistent tuples this is the same order."""
+    """:func:`row_sort_key` of the ID cells alone: the same order, as a
+    derived cell follows its ID column, and a view's store key."""
     blank = {column for column, _id_column, _annotation in derived}
     if not blank:
         return row_sort_key
@@ -95,12 +89,11 @@ class MaterializedView:
         # DeweyID's Python-level rich comparisons.
         self._row_key = id_sort_key(self.derived, len(self.columns))
         self._store = OrderedTupleStore(order_key=self._row_key)
-        #: brings the extent current before a read and returns the tuples
-        #: the pending refresh rewrote; the engine that maintains it
-        #: installs it (a session pull, then the refresh).
+        #: brings the extent current before a read, returning the tuples
+        #: it rewrote; installed by the maintaining engine.
         self.refresh: Callable[[], int] = _no_refresh
-        #: the refresh pending since the last read (:meth:`defer_refresh`).
-        self._stale: Tuple[Dict[DeweyID, None], Set[DeweyID]] = ({}, set())
+        #: anchors pending since the last read (None: every row).
+        self._stale: Optional[Dict[DeweyID, None]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -124,22 +117,27 @@ class MaterializedView:
         The engine's poison-batch recomputation, a session's extent
         pull and resync and a replica's view adoption use this instead
         of swapping the ``_store`` object, so the store's identity stays
-        intact.  The pairs are current: nothing is left pending."""
+        intact.  The pairs are current: nothing stays pending."""
         self._store.load_sorted(sorted(pairs, key=lambda item: self._row_key(item[0])))
         self.take_stale()
 
     # -- the pending refresh ---------------------------------------------------
 
-    def defer_refresh(self, anchors: Dict[DeweyID, None], ids: Set[DeweyID]) -> None:
+    def defer_refresh(self, anchors: Optional[Iterable[DeweyID]]) -> None:
         """Record a refresh for the next read: rows led from inside the
-        ``anchors``' subtrees may hold stale cells at ``ids``."""
-        stale_anchors, stale_ids = self._stale
-        stale_anchors.update(anchors)
-        stale_ids |= ids
+        ``anchors``' subtrees (every row for None) may hold stale derived
+        cells.  Anchors that outnumber the stored tuples give way to the
+        whole extent, so the pending state stays within the extent's size
+        and the read costs one pass over it, no more than the runs would."""
+        if self._stale is not None and anchors is not None:
+            self._stale.update(dict.fromkeys(anchors))
+            if len(self._stale) <= len(self._store):
+                return
+        self._stale = None
 
-    def take_stale(self) -> Tuple[Dict[DeweyID, None], Set[DeweyID]]:
-        """The ``(anchors, ids)`` recorded since the last read, cleared."""
-        stale, self._stale = self._stale, ({}, set())
+    def take_stale(self) -> Optional[Dict[DeweyID, None]]:
+        """The pending anchors (None: every row), cleared."""
+        stale, self._stale = self._stale, {}
         return stale
 
     def rewrite_rows(self, rows: Iterable[ViewTuple]) -> None:
@@ -163,8 +161,7 @@ class MaterializedView:
         return len(self._store)
 
     def stored_size(self) -> int:
-        """Number of distinct tuples, without reading through (a write
-        path's weight: it neither pulls nor refreshes)."""
+        """Number of distinct tuples, read neither through nor fresh."""
         return len(self._store)
 
     def total_derivations(self) -> int:
@@ -183,11 +180,13 @@ class MaterializedView:
         self.refresh()
         return self._store.keys()
 
-    def rows_led_by(self, anchors: Iterable[DeweyID]) -> List[ViewTuple]:
-        """Stored tuples led by an ID in the subtree of any of
-        ``anchors``, each once, in key order, as they stand (the refresh
-        reads through this): tuples sort by their leading ID and a Dewey
-        subtree is one key range."""
+    def rows_led_by(self, anchors: Optional[Iterable[DeweyID]]) -> List[ViewTuple]:
+        """Stored tuples (as they stand) led by an ID in the subtree of
+        any of ``anchors`` (every tuple for None), each once, in key
+        order: tuples sort by their leading ID and a Dewey subtree is one
+        key range."""
+        if anchors is None:
+            return self._store.keys()
         return self._store.keys_in_runs(
             ((anchor.sort_key,), (anchor.subtree_end_key,)) for anchor in anchors
         )
@@ -236,34 +235,20 @@ class MaterializedView:
         ``additions`` maps tuples to fresh derivations, ``removals`` to
         doomed ones.  Shifts net by the tuples' IDs, so a derivation
         removed and re-derived within one batch never transits through
-        an absent state even when its derived cells changed; the stored
-        tuple takes the Δ+ form (whose cells are final).  Returns
+        an absent state, whatever its derived cells; a stored tuple keeps
+        its cells, a new one enters in its Δ+ form.  Returns
         ``(derivations added, tuples removed, derivations removed)``.
         Like :meth:`decrement`, removing underivable tuples is an error.
         """
         row_key = self._row_key
-        delta: Dict[tuple, list] = {}
+        net: Dict[tuple, list] = {}
         for row, count in removals.items():
-            key = row_key(row)
-            entry = delta.get(key)
-            if entry is None:
-                delta[key] = [row, -count]
-            else:
-                entry[1] -= count
+            net.setdefault(row_key(row), [row, 0])[1] -= count
         for row, count in additions.items():
-            key = row_key(row)
-            entry = delta.get(key)
-            if entry is None:
-                delta[key] = [row, count]
-            else:
-                entry[0] = row
-                entry[1] += count
-        changed = self._store.merge_keyed(
-            sorted(
-                ((key, row, shift) for key, (row, shift) in delta.items()),
-                key=itemgetter(0),
-            )
-        )
+            entry = net.setdefault(row_key(row), [row, 0])
+            entry[0] = row
+            entry[1] += count
+        changed = self._store.merge_shifts(dict(net.values()))
         return (
             sum(additions.values()),
             sum(count is DELETED for _row, _previous, count in changed),

@@ -1,13 +1,16 @@
 """Apply and read seconds of an XMark insert stream at three read cadences.
 
-    PYTHONPATH=src python tests/harness/read_refresh.py [--scale 4] [--batches 48] [--seed 1]
+    PYTHONPATH=src python tests/harness/read_refresh.py [--scale 4] [--batches 48]
+        [--seed 1] [--repeats 3]
 
 Applies one stream of 64-statement insert batches to the seven XMark
-views of Appendix A.6 three times, a fresh engine each, reading every
-view's ``content()`` (a read point) after every batch, after every 8th
-batch, or at the end only.  Prints a markdown table: apply and read
-seconds, their sum, and read-point p50/p95 ms.  Public calls only, so
-it also times an engine that refreshes stored val/cont on every batch.
+views of Appendix A.6, a fresh engine per run, reading every view's
+``content()`` (a read point) after every batch, after every 8th batch,
+or at the end only.  Each cadence runs ``--repeats`` times, the
+cadences taking turns, and its fastest run (apply plus read) is
+printed as a markdown row: apply and read seconds, their sum, and
+read-point p50/p95 ms.  Public calls only, so it also times an engine
+that refreshes stored val/cont on every batch.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ BATCH = 64
 CADENCES = (("every batch", 1), ("every 8th batch", 8), ("end only", None))
 
 
-def run(scale: int, batches: int, seed: int, every) -> dict:
+def run(scale: int, batches: int, seed: int, every) -> tuple:
+    """``(apply s, read s, apply+read s, p50 ms, p95 ms, read points)``."""
     document = generate_document(scale=scale)
     engine = MaintenanceEngine(document)
     for name in sorted(VIEW_TEXTS):
@@ -41,8 +45,7 @@ def run(scale: int, batches: int, seed: int, every) -> dict:
             started = time.perf_counter()
             engine.apply_batch(UpdateBatch(stream[index * BATCH : (index + 1) * BATCH]))
             apply_s += time.perf_counter() - started
-            last = index == batches - 1
-            if last or (every is not None and (index + 1) % every == 0):
+            if index == batches - 1 or (every is not None and (index + 1) % every == 0):
                 started = time.perf_counter()
                 for registered in engine.views.values():
                     registered.view.content()
@@ -50,13 +53,9 @@ def run(scale: int, batches: int, seed: int, every) -> dict:
     finally:
         gc.enable()
     ordered = sorted(reads)
-    return {
-        "apply_s": apply_s,
-        "read_s": sum(reads),
-        "p50_ms": 1000.0 * statistics.median(ordered),
-        "p95_ms": 1000.0 * ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))],
-        "reads": len(reads),
-    }
+    p95 = ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
+    return (apply_s, sum(reads), apply_s + sum(reads),
+            1000.0 * statistics.median(ordered), 1000.0 * p95, len(reads))
 
 
 def main() -> None:
@@ -64,18 +63,21 @@ def main() -> None:
     parser.add_argument("--scale", type=int, default=4)
     parser.add_argument("--batches", type=int, default=48)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
-    print("Read-time refresh, XMark %d, %d insert batches of %d, 7 views, seed %d"
-          % (args.scale, args.batches, BATCH, args.seed))
+    print("Read-time refresh, XMark %d, %d insert batches of %d, 7 views, seed %d, "
+          "best of %d" % (args.scale, args.batches, BATCH, args.seed, args.repeats))
     print()
     run(args.scale, min(args.batches, 8), args.seed, None)  # warm-up, untimed
+    best = {}
+    for _ in range(args.repeats):
+        for label, every in CADENCES:
+            row = run(args.scale, args.batches, args.seed, every)
+            best[label] = min(best.get(label, row), row, key=lambda row: row[2])
     print("| reads | apply s | read s | apply+read s | read p50 ms | read p95 ms | read points |")
     print("|---|---|---|---|---|---|---|")
-    for label, every in CADENCES:
-        row = run(args.scale, args.batches, args.seed, every)
-        print("| %s | %.3f | %.3f | %.3f | %.2f | %.2f | %d |" % (
-            label, row["apply_s"], row["read_s"], row["apply_s"] + row["read_s"],
-            row["p50_ms"], row["p95_ms"], row["reads"]))
+    for label, _every in CADENCES:
+        print("| %s | %.3f | %.3f | %.3f | %.2f | %.2f | %d |" % ((label,) + best[label]))
 
 
 if __name__ == "__main__":

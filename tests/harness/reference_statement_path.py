@@ -119,7 +119,7 @@ def refresh_stored_attributes(
     tuple in place, its derivations moving to the new form."""
     affected = AffectedIDs(insert_target_ids, delete_target_ids)
     pairs = collect_attribute_refreshes(
-        plan, view, document, refresh_anchors(plan, affected), affected.ids
+        plan, view, document, refresh_anchors(plan, affected)
     )
     for old_row, new_row in pairs:
         count = view.count(old_row)

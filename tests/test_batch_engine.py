@@ -469,6 +469,20 @@ def _dirty_batch(document):
     )
 
 
+def _drifted_name_batch(document):
+    # Q1 stores name.val: insert under an existing name, then delete its
+    # whole ancestor chain via a *path* -- the removed name's val/cont
+    # drifted before its removal.  Its Δ− rows carry the drifted val and
+    # still match the stored tuples, by their IDs: nothing is restored.
+    name = parse_update("delete /site/people/person/name").target.evaluate(document)[0]
+    return UpdateBatch(
+        [
+            ResolvedInsertUpdate([name.id], insert_update("X1_L").forest, name="ins"),
+            parse_update("delete /site/people", name="del"),
+        ]
+    )
+
+
 class TestFallbackReasons:
     """σ flips and dirty subtrees repair in place; no batch falls back."""
 
@@ -501,6 +515,16 @@ class TestFallbackReasons:
         report = engine.apply_batch(_dirty_batch(document))
         assert report.fallbacks == {}
         assert report.dirty_restored == 1
+        assert registered.view.equals_fresh_evaluation(document)
+
+    def test_drifted_stored_val_needs_no_snapshot(self):
+        document = generate_document(scale=1)
+        engine = MaintenanceEngine(document)
+        registered = engine.register_view(view_pattern("Q1"), "Q1")
+        stored = len(registered.view)
+        report = engine.apply_batch(_drifted_name_batch(document))
+        assert report.fallbacks == {} and report.dirty_restored == 0
+        assert report.report_for("Q1").tuples_removed == stored > 0
         assert registered.view.equals_fresh_evaluation(document)
 
     def test_clean_batches_report_no_fallbacks(self):

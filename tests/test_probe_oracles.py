@@ -190,7 +190,7 @@ def _refresh_checked(views, document, application) -> int:
     for view in views:
         plan = ViewPlan(view.pattern)
         probed = collect_attribute_refreshes(
-            plan, view, document, refresh_anchors(plan, affected), affected.ids
+            plan, view, document, refresh_anchors(plan, affected)
         )
         assert probed == scan_attribute_refreshes(
             view, document, insert_targets, delete_targets

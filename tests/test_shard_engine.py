@@ -28,7 +28,7 @@ from repro.workloads.xmark import generate_document
 from repro.xmldom.dewey import DeweyID
 from repro.xmldom.parser import parse_document
 from repro.xmldom.serializer import serialize
-from tests.test_batch_engine import _dirty_batch
+from tests.test_batch_engine import _dirty_batch, _drifted_name_batch
 
 VIEWS = ("Q1", "Q3", "Q6")
 
@@ -154,6 +154,21 @@ class TestShardedPropagation:
         assert serial_report.dirty_restored == 1
         assert report.dirty_restored == serial_report.dirty_restored
         assert report.fallbacks == {} and serial_report.fallbacks == {}
+        for name in VIEWS:
+            assert views[name].view.content() == serial_views[name].view.content()
+            assert views[name].view.equals_fresh_evaluation(document), name
+
+    def test_drifted_stored_val_needs_no_snapshot_on_shards(self):
+        # Q1's removed names drifted before removal; on the replica too,
+        # its Δ− rows match the stored tuples by their IDs.
+        _, serial, serial_views = _engines()
+        serial_report = serial.apply_batch(_drifted_name_batch(serial.document))
+        document, engine, views = _engines()
+        with engine.session(workers=2, weights={"Q1": 1, "Q3": 100, "Q6": 1}) as session:
+            assert session.assignment["Q1"] == 1
+            report = session.apply_batch(_drifted_name_batch(document))
+        assert report.dirty_restored == serial_report.dirty_restored == 0
+        assert report.fallbacks == {}
         for name in VIEWS:
             assert views[name].view.content() == serial_views[name].view.content()
             assert views[name].view.equals_fresh_evaluation(document), name

@@ -216,10 +216,13 @@ class TestMaterializedView:
         )
         first, second = view.rows()
         # A tuple removed and re-derived in one batch with a changed
-        # cont nets by its IDs: one store entry, its count unchanged,
-        # carrying the re-derived (final) form; the counters are gross.
+        # cont nets by its IDs: one store entry, its count unchanged and
+        # its stored cells kept until rewrite_rows (the read-time
+        # refresh) installs the new form; the counters are gross.
         changed = first[:-1] + ("<b>new</b>",)
         assert view.apply_batch_delta({changed: 1}, {first: 1}) == (1, 0, 1)
+        assert view.rows() == [first, second]
+        view.rewrite_rows([changed])
         assert view.rows() == [changed, second]
         assert view.count(changed) == 1
         assert first not in view
