@@ -57,8 +57,8 @@ SCALE = 48
 PROFILE_BATCHES = 4
 #: gated drift stream: PHASES equal phases, hot family rotating
 #: auctions -> regions -> auctions.  Phases are long relative to the
-#: migration protocol's cost (shipping a hot trio is ~10^2 ms of real
-#: snapshot/pickle/install work) so a rebalanced assignment has room to
+#: migration protocol's cost (moving a hot trio is ~10^2 ms of real
+#: pull/pickle/install work) so a rebalanced assignment has room to
 #: amortize -- the regime drifting workloads actually live in.
 GATE_BATCHES = 72
 BATCH_SIZE = 96
@@ -92,9 +92,7 @@ def _policy() -> RebalancePolicy:
     supply the anti-thrash hysteresis, so the cooldown can drop to
     zero: every over-trigger batch is repaired in the *same* batch,
     which keeps the audited post-decision imbalance ratio bounded by
-    the trigger (no drift window where repair is blocked).  The ship
-    budget covers every view's state so migrations ship rather than
-    recompute."""
+    the trigger (no drift window where repair is blocked)."""
     return RebalancePolicy(
         trigger_ratio=1.2,
         target_ratio=1.1,
@@ -102,7 +100,6 @@ def _policy() -> RebalancePolicy:
         cooldown=0,
         budget=6,
         alpha=0.3,
-        ship_rows=50_000,
     )
 
 
@@ -284,6 +281,9 @@ def run_gate(workers: int) -> dict:
 
         frozen_prop = sum(frozen_props[PROFILE_BATCHES:])
         adaptive_prop = sum(adaptive_props[PROFILE_BATCHES:])
+        gated_rounds = adaptive_rounds[PROFILE_BATCHES:]
+        live_migrations = sum(len(entry["migrations"]) for entry in gated_rounds)
+        migration_s = sum(entry["migration_s"] for entry in gated_rounds)
         candidate = {
             "statements": GATE_BATCHES * BATCH_SIZE,
             "batches": GATE_BATCHES,
@@ -292,10 +292,9 @@ def run_gate(workers: int) -> dict:
             "workers": parties,
             "frozen_propagation_s": round(frozen_prop, 6),
             "adaptive_propagation_s": round(adaptive_prop, 6),
-            "live_migrations": sum(
-                len(shard_round["migrations"])
-                for shard_round in adaptive_rounds[PROFILE_BATCHES:]
-            ),
+            "live_migrations": live_migrations,
+            "migration_s": round(migration_s, 6),
+            "migration_s_per_move": round(migration_s / max(1, live_migrations), 6),
             "speedup": round(frozen_prop / adaptive_prop, 3),
             "floor": MIN_SPEEDUP,
             "imbalance_high_water": round(
@@ -336,11 +335,13 @@ def _summary(row: dict) -> str:
                 row["workers"],
             ),
             "  frozen session propagation %8.2fms, adaptive %8.2fms "
-            "(%d live migrations)"
+            "(%d live migrations, %.2fms migrating, %.2fms per move)"
             % (
                 row["frozen_propagation_s"] * 1000,
                 row["adaptive_propagation_s"] * 1000,
                 row["live_migrations"],
+                row["migration_s"] * 1000,
+                row["migration_s_per_move"] * 1000,
             ),
             "  extents: byte-identical to serial for both sessions, verified "
             "against fresh evaluation",
@@ -375,6 +376,8 @@ def _write_step_summary(row: dict, passed: bool) -> None:
         % (row["frozen_high_water"],),
         "| live migrations / %d drift batches | %d | recorded |"
         % (row["batches"], row["live_migrations"]),
+        "| migration seconds, total / mean per move | %.4f / %.4f | recorded |"
+        % (row["migration_s"], row["migration_s_per_move"]),
         "| extents vs serial | %s | identical |"
         % ("identical" if row["extents_identical"] else "DIVERGED"),
         "| result | %s | |" % ("PASS" if passed else "FAIL"),

@@ -363,7 +363,6 @@ def _collect_session_metrics() -> dict:
         cooldown=0,
         budget=4,
         alpha=0.5,
-        ship_rows=50_000,
     )
     session = engine.session(workers=2, weights=weights, rebalance=policy)
     try:

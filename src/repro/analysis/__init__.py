@@ -11,7 +11,6 @@ family                protects
                       dependence in ordered outputs
 ``fork-safety``       globals read-only in forked workers; no locks,
                       files or generators across fork/pickle
-``purity``            work units return fragments, never write state
 ``picklability``      fragments carry scalars/containers/DeweyID only
 ``layering``          the import DAG has no upward edge
 ====================  ==================================================

@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-level checks for the engine's determinism, fork-safety, "
-            "unit-purity, picklability and layering invariants."
+            "picklability, layering and hot-path invariants."
         ),
     )
     parser.add_argument(

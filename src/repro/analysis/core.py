@@ -140,7 +140,7 @@ class ModuleInfo:
         self.suppressions = Suppressions(source)
         #: dotted parts after the last ``repro`` path component, module
         #: stem last and ``__init__`` dropped -- e.g.
-        #: ``src/repro/sharding/units.py`` -> ``("sharding", "units")``.
+        #: ``src/repro/sharding/session.py`` -> ``("sharding", "session")``.
         #: Files outside a ``repro`` tree get their bare stem.
         self.package = _package_of(path)
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None

@@ -1,6 +1,6 @@
 """Rule modules; importing this package registers every rule.
 
-Six families, one module each:
+Five families, one module each:
 
 * :mod:`~repro.analysis.rules.determinism` -- hash-seed / wall-clock /
   randomness hazards in packages whose iteration feeds ordered output,
@@ -8,8 +8,6 @@ Six families, one module each:
   ``obs/export.py`` alone; spans carry monotonic readings);
 * :mod:`~repro.analysis.rules.forksafety` -- module-global writes in
   fork-worker entry points and fork-hostile captures;
-* :mod:`~repro.analysis.rules.purity` -- shard work units must return
-  fragments, never write engine state through ``self``;
 * :mod:`~repro.analysis.rules.fragments` -- fragment/stats classes
   carry only pickle-lean allowlisted field types;
 * :mod:`~repro.analysis.rules.layering` -- the import DAG
@@ -25,5 +23,4 @@ from repro.analysis.rules import (  # noqa: F401 (registration side effects)
     fragments,
     hotpath,
     layering,
-    purity,
 )

@@ -4,11 +4,9 @@ Session workers are forked (COW) and talk to the parent over pipes or
 pickled fragments.  Two contracts keep that sound:
 
 * worker entry points -- functions handed to ``Process(target=...)``
-  or a pool ``map``/``apply_async``, and the ``execute`` methods of
-  shard work units -- must treat module globals as read-only.  The
-  parent publishes state *before* forking (``_FORK_STATE``); a
-  worker-side write would silently diverge from the parent and from
-  sibling workers.
+  -- must treat module globals as read-only.  The parent publishes
+  state *before* forking (``_FORK_STATE``); a worker-side write would
+  silently diverge from the parent and from sibling workers.
 * objects that cross the fork/pickle boundary must not capture
   fork-hostile resources: held locks deadlock in the child, shared
   file descriptors interleave writes, generators don't pickle at all.
@@ -22,15 +20,6 @@ from typing import Iterator, List, Optional, Set
 from repro.analysis.core import Finding, ModuleInfo, Rule, register
 from repro.analysis.rules._util import chain_root, dotted_name, walk_shallow
 
-_POOL_DISPATCH_METHODS = {
-    "map",
-    "imap",
-    "imap_unordered",
-    "starmap",
-    "apply_async",
-    "map_async",
-    "starmap_async",
-}
 _MUTATING_METHODS = {
     "append",
     "extend",
@@ -46,7 +35,6 @@ _MUTATING_METHODS = {
     "sort",
     "reverse",
 }
-_WORK_UNIT_BASES = {"ShardWorkUnit"}
 
 
 def module_level_names(tree: ast.Module) -> Set[str]:
@@ -70,29 +58,8 @@ def module_level_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-def work_unit_classes(tree: ast.Module) -> Set[str]:
-    """Class names reachable (within the module) from ShardWorkUnit."""
-    bases = {}
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            bases[node.name] = {
-                dotted_name(base) or "" for base in node.bases
-            }
-    known = set(_WORK_UNIT_BASES)
-    changed = True
-    while changed:
-        changed = False
-        for name, parents in bases.items():
-            if name in known:
-                continue
-            if any(parent.split(".")[-1] in known for parent in parents):
-                known.add(name)
-                changed = True
-    return known - _WORK_UNIT_BASES
-
-
 def worker_entry_functions(tree: ast.Module) -> Set[str]:
-    """Function names dispatched into child processes in this module."""
+    """Function names handed to ``Process(target=...)`` in this module."""
     entries: Set[str] = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -105,31 +72,15 @@ def worker_entry_functions(tree: ast.Module) -> Set[str]:
             for keyword in node.keywords:
                 if keyword.arg == "target" and isinstance(keyword.value, ast.Name):
                     entries.add(keyword.value.id)
-        elif (
-            isinstance(func, ast.Attribute)
-            and func.attr in _POOL_DISPATCH_METHODS
-            and node.args
-            and isinstance(node.args[0], ast.Name)
-        ):
-            entries.add(node.args[0].id)
     return entries
 
 
 def _worker_bodies(tree: ast.Module) -> Iterator[ast.FunctionDef]:
     """Every function body that runs inside a forked worker."""
     entries = worker_entry_functions(tree)
-    units = work_unit_classes(tree)
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name in entries:
-                yield node
-        elif isinstance(node, ast.ClassDef) and node.name in units:
-            for item in node.body:
-                if (
-                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item.name == "execute"
-                ):
-                    yield item
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in entries:
+            yield node
 
 
 @register

@@ -8,18 +8,13 @@ replying with counters; the owner pulls a replica view's extent when it
 is read, so extents stay byte-identical to in-process propagation.
 View ownership is planned by :mod:`repro.sharding.planner` (LPT) and
 adapted by :mod:`repro.sharding.rebalance` (EWMA cost model,
-hysteretic migration policy); migrations move views through the pure
-units of :mod:`repro.sharding.units`.
+hysteretic migration policy); a migration moves a view's extent pairs
+through the owner in one round.
 """
 
 from repro.sharding.planner import imbalance_ratio, lpt_assignment
 from repro.sharding.rebalance import RebalancePolicy, ViewCostModel
 from repro.sharding.session import ShardSession
-from repro.sharding.units import (
-    ExtentRecomputeUnit,
-    ShardWorkUnit,
-    ViewSnapshotUnit,
-)
 
 # Dependency inversion: maintenance sits below sharding in the layer
 # DAG and must not import this package, so ``engine.session()`` looks
@@ -33,12 +28,9 @@ from repro.maintenance.engine import register_shard_backend as _register_shard_b
 _register_shard_backend(_sys.modules[__name__])
 
 __all__ = [
-    "ExtentRecomputeUnit",
     "RebalancePolicy",
     "ShardSession",
-    "ShardWorkUnit",
     "ViewCostModel",
-    "ViewSnapshotUnit",
     "imbalance_ratio",
     "lpt_assignment",
 ]

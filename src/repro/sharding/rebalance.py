@@ -132,7 +132,6 @@ class RebalancePolicy:
         cooldown: int = 2,
         budget: int = 2,
         alpha: float = 0.3,
-        ship_rows: int = 4096,
     ):
         if trigger_ratio < target_ratio:
             raise ValueError(
@@ -153,9 +152,6 @@ class RebalancePolicy:
         self.cooldown = cooldown
         self.budget = budget
         self.model = ViewCostModel(alpha)
-        #: when a migrating view's extent rows fit under this, the
-        #: source ships them instead of the target recomputing.
-        self.ship_rows = ship_rows
         self._over_trigger = 0
         self._cooldown_left = 0
         #: total moves decided over the policy's lifetime (telemetry).
@@ -219,9 +215,9 @@ class RebalancePolicy:
         (ties on load broken by worker index, ties on cost by view
         name), stopping at ``budget`` moves or once the planned ratio
         reaches ``target_ratio``.  Each view moves at most one hop per
-        round: the migration protocol ships every move from its
-        pre-round owner, so a chained double-move would be both invalid
-        there and a wasted second ship.  Working on model costs only,
+        round: the session rejects a view that moves twice in one
+        migration, and a chained double-move would ship its extent
+        twice.  Working on model costs only,
         the same model state always plans the same moves.
         """
         buckets = [list(owned) for owned in assignment]

@@ -35,8 +35,8 @@ Design (replicated state machines):
   (the owner's store objects never change), so an extent is current
   whenever ``apply_batch`` has returned; the replica's reply is read
   through too, so its cells are current.  Checkpoints and migrations
-  into party 0 pull first; :meth:`ShardSession.close` pulls view by
-  view, so a reply pickles one extent;
+  pull first; :meth:`ShardSession.close` pulls view by view, so a
+  reply pickles one extent;
 * the engine's one re-entrant lock (``engine.lock``, which a replica
   renews) holds every pipe conversation, fork, batch and extent read,
   so a reader thread beside an ``ApplyQueue(session)`` worker waits
@@ -87,20 +87,19 @@ Adaptive rebalancing (opt-in via ``rebalance=``): the per-view
 :class:`~repro.sharding.rebalance.RebalancePolicy`; when the observed
 imbalance ratio stays over its trigger long enough, the policy plans
 ownership moves and the session executes them at the next batch
-boundary *without re-forking*.  Every replica holds a byte-identical
-document (idle views stay registered, just unmaintained), so the
-target can rematerialize an adopted view's extent against its own
-replica -- or install the source's shipped extent pairs when the view
-is small -- through the pure units of :mod:`repro.sharding.units`, and
-materializes its lattice from that replica either way; the source
-drops the view, and the assignment map flips only after both sides
-acked.  Party 0 serves the same release/adopt steps in-process: it
-ships its extent pairs and drops the lattice, and on adopting it pulls
-the extent if it is behind, then only **materializes the lattice** --
-its extent store is what a durable engine checkpoints, so it is never
-replaced.
-Extents stay byte-identical to serial propagation throughout, and a
-failure mid-migration degrades exactly like a dead replica.
+boundary *without re-forking*, in one round.  The owner first pulls
+every moving view that is behind, so it holds each moving extent
+current, then sends each replica party in the move one ``("migrate",
+released names, {adopted name: extent pairs})`` message.  A replica
+parks the views it releases in its idle stash (idle views stay
+registered, just unmaintained), installs each view it adopts from the
+owner's pairs and materializes its lattice from its own document,
+which is byte-identical to the owner's.  Party 0 drops or
+materializes its lattices in-process; its extent store is what a
+durable engine checkpoints, so it is never replaced.  The assignment
+map flips only after every party acked.  Extents stay byte-identical
+to serial propagation throughout, and a failure mid-migration, the
+pull included, degrades exactly like a dead replica.
 """
 
 from __future__ import annotations
@@ -115,50 +114,24 @@ from repro.obs import fragments_to_spans, spans_to_fragments
 from repro.updates.language import UpdateBatch, UpdateStatement, coalesce
 
 
-def _release_payload(registered, ship_rows: int) -> Optional[List[Tuple[tuple, int]]]:
-    """What releasing a view ships: its stored extent pairs when they
-    fit ``ship_rows``, else None (the target rebuilds them)."""
-    from repro.sharding.units import ViewSnapshotUnit
+def _serve_migration(engine, idle_views: Dict, message: tuple) -> None:
+    """Handle one ``("migrate", released, adopted)`` message on a replica.
 
-    unit = ViewSnapshotUnit(registered.name, registered=registered)
-    return unit.execute() if unit.size() <= ship_rows else None
-
-
-def _serve_migration(engine, idle_views: Dict, message: tuple):
-    """Handle one ``migrate_out``/``migrate_in`` message on a worker.
-
-    Releasing a view moves it from the maintained set into the idle
-    stash (shipping its extent pairs when they fit the ship budget);
-    adopting pulls it back, installing the shipped pairs or
-    rematerializing the extent against this replica's own document --
-    which is byte-identical to the source's, so either route yields the
-    same bytes -- and materializing its lattice from that document
-    (lattices never cross the pipe).
+    Released views move from the maintained set into the idle stash;
+    adopted ones come back out of it with the owner's extent pairs
+    installed and their lattices materialized from this replica's own
+    document (lattices never cross the pipe).
     """
-    from repro.sharding.units import ExtentRecomputeUnit
-
-    if message[0] == "migrate_out":
-        _tag, names, ship_rows = message
-        shipped: Dict[str, Optional[List]] = {}
-        for name in names:
-            registered = engine.views.pop(name)
-            idle_views[name] = registered
-            shipped[name] = _release_payload(registered, ship_rows)
-        return shipped
-    if message[0] == "migrate_in":
-        _tag, payloads = message
-        for name in sorted(payloads):
-            registered = idle_views.pop(name)
-            pairs = payloads[name]
-            if pairs is None:
-                pairs = ExtentRecomputeUnit(
-                    name, pattern=registered.pattern, document=engine.document
-                ).execute()
-            registered.view.reload_content(pairs)
-            registered.lattice.materialize(engine.document)
-            engine.views[name] = registered
-        return None
-    raise RuntimeError("unknown session control message %r" % (message[0],))
+    tag, released, adopted = message
+    if tag != "migrate":
+        raise RuntimeError("unknown session control message %r" % (tag,))
+    for name in released:
+        idle_views[name] = engine.views.pop(name)
+    for name in sorted(adopted):
+        registered = idle_views.pop(name)
+        registered.view.reload_content(adopted[name])
+        registered.lattice.materialize(engine.document)
+        engine.views[name] = registered
 
 
 def _collect_due_garbage() -> None:
@@ -249,7 +222,8 @@ def _session_worker_main(conn, owned_names: List[str]) -> None:
                 )
             elif isinstance(message, tuple):
                 # Migration; batches arrive as raw lists.
-                reply = ("ok", _serve_migration(engine, idle_views, message))
+                _serve_migration(engine, idle_views, message)
+                reply = ("ok", None)
             else:
                 reply = ("ok", _serve_batch(engine, message, ship_spans))
         except BaseException as exc:  # ship the poison, stay alive
@@ -290,13 +264,11 @@ class ShardSession:
         engine,
         workers: int = 4,
         weights=None,
-        obs=None,
         rebalance=None,
     ):
         import multiprocessing
 
         from repro.maintenance.engine import MaintenanceEngine
-        from repro.obs import NULL_OBS
         from repro.sharding.rebalance import RebalancePolicy
 
         if not isinstance(engine, MaintenanceEngine):
@@ -320,16 +292,9 @@ class ShardSession:
         #: adaptive rebalancing policy (None keeps the fork-time
         #: assignment frozen, today's default; True means defaults).
         self.rebalance = RebalancePolicy.coerce(rebalance)
-        #: shipped-row budget of the migration protocol: a migrating
-        #: view with at most this many extent rows travels as stored
-        #: pairs, a bigger one is rematerialized by the target.
-        self.migration_ship_rows = (
-            self.rebalance.ship_rows if self.rebalance is not None else 4096
-        )
-        #: telemetry facade: explicit ``obs`` wins, else the engine's
-        #: own (one registry across engine, queue and session), else the
-        #: shared null facade.
-        self.obs = obs if obs is not None else getattr(engine, "obs", None) or NULL_OBS
+        #: the engine's telemetry facade (one registry across engine,
+        #: queue and session).
+        self.obs = engine.obs
         metrics = self.obs.metrics
         self._makespan_gauge = metrics.gauge(
             "repro_session_worker_makespan_seconds",
@@ -759,25 +724,25 @@ class ShardSession:
         """Move view ownership between parties (batch boundary).
 
         ``moves`` is ``(view name, source party, target party)``
-        triples, normally planned by the rebalance policy.  Behind
-        views moving into party 0 are pulled first.  Then two
-        half-rounds: every source releases its outgoing views (shipping
-        extent pairs for views within ``migration_ship_rows``), then
-        every target adopts them -- installing the shipped pairs or
-        rematerializing against its own document.  Party 0 takes both
-        steps in-process (see the module docstring).  The assignment
-        map flips only after every ack, so a completed migration is
-        atomic with respect to batches; any failure mid-protocol
-        degrades exactly like a dead replica mid-batch (recompute owner
-        extents, close the session).
+        triples, normally planned by the rebalance policy; a view moves
+        at most once per call.  The owner pulls every moving view that
+        is behind, then sends each replica party in the move one
+        ``("migrate", released, adopted pairs)`` message and reads one
+        reply from each; party 0 takes its steps in-process (see the
+        module docstring).  The assignment map flips only after every
+        ack, so a completed migration is atomic with respect to
+        batches; any failure, the pull included, degrades exactly like
+        a dead replica mid-batch (recompute owner extents, close the
+        session).
         """
         with self._lock:
             if not moves:
                 return
             if self._closed:
                 raise RuntimeError("shard session is closed")
-            by_source: Dict[int, List[str]] = {}
-            by_target: Dict[int, List[str]] = {}
+            released: Dict[int, List[str]] = {}
+            adopted: Dict[int, List[str]] = {}
+            moved = set()
             for name, source, target in moves:
                 if source == target:
                     raise ValueError("move of %r has source == target %d" % (name, source))
@@ -785,49 +750,30 @@ class ShardSession:
                     raise ValueError(
                         "view %r is not owned by worker %d" % (name, source)
                     )
-                by_source.setdefault(source, []).append(name)
-                by_target.setdefault(target, []).append(name)
+                if name in moved:
+                    raise ValueError("view %r moves twice in one round" % (name,))
+                moved.add(name)
+                released.setdefault(source, []).append(name)
+                adopted.setdefault(target, []).append(name)
+            replicas = sorted((set(released) | set(adopted)) - {0})
             started = time.perf_counter()
-            shipped: Dict[str, Optional[List]] = {}
             try:
                 with self.obs.span("session_migration", moves=len(moves)):
-                    # Party 0 maintains what it adopts from the next batch
-                    # on, and its source releases it below: pull it now.
-                    adopted = self._behind.intersection(by_target.get(0, ()))
-                    if adopted:
-                        self._pull(sorted(adopted))
-                    for source in sorted(by_source):
-                        if source:
-                            self._connections[source - 1].send(
-                                (
-                                    "migrate_out",
-                                    sorted(by_source[source]),
-                                    self.migration_ship_rows,
-                                )
-                            )
-                    for source in sorted(by_source):
-                        names = sorted(by_source[source])
-                        if source:
-                            shipped.update(self._reply(source))
-                            continue
-                        for name in names:
-                            shipped[name] = _release_payload(
-                                self.engine.views[name], self.migration_ship_rows
-                            )
-                        self._drop_lattices(names)
-                    for target in sorted(by_target):
-                        if target:
-                            self._connections[target - 1].send(
-                                (
-                                    "migrate_in",
-                                    {name: shipped[name] for name in sorted(by_target[target])},
-                                )
-                            )
-                    for target in sorted(by_target):
-                        if target:
-                            self._reply(target)
-                        else:
-                            self._materialize_lattices(by_target[0])
+                    behind = self._behind & moved
+                    if behind:
+                        self._pull(sorted(behind))
+                    for party in replicas:
+                        pairs = {
+                            name: self.engine.views[name].view.content()
+                            for name in sorted(adopted.get(party, ()))
+                        }
+                        self._connections[party - 1].send(
+                            ("migrate", sorted(released.get(party, ())), pairs)
+                        )
+                    for party in replicas:
+                        self._reply(party)
+                    self._drop_lattices(released.get(0, ()))
+                    self._materialize_lattices(adopted.get(0, ()))
             except BaseException as exc:
                 # A replica died or failed mid-protocol; ownership state
                 # across parties is no longer trustworthy.  Same degradation

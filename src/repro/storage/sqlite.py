@@ -22,9 +22,9 @@ A checkpoint is one sqlite transaction, written one view at a time:
 
 * ``register_view`` writes the new view's record at the current
   version;
-* :meth:`SqliteExtentBackend.sync` and ``close`` rewrite every view at
-  the current version (a sync inside an open batch waits for its
-  commit);
+* :meth:`SqliteExtentBackend.sync` rewrites every view at the current
+  version (a sync inside an open batch waits for its commit), and so
+  does ``close`` unless the last full checkpoint is already there;
 * ``commit_batch`` does so every :data:`CHECKPOINT_BATCHES` batches.
 
 A crash leaves each record at its last committed checkpoint, never
@@ -328,10 +328,13 @@ class SqliteExtentBackend:
         self._replay_until = last_committed
 
     def close(self) -> None:
-        """Checkpoint every view, then release the handles."""
+        """Checkpoint every view unless the last full checkpoint is at
+        the current version with no sync pending (a clean close after
+        ``sync`` writes once), then release the handles."""
         if self._closed or not self.writable:
             return
-        self.checkpoint()
+        if self._sync_pending or self._checkpointed != self._version:
+            self.checkpoint()
         self._closed = True
         self._conn.close()
         self.wal.close()

@@ -4,8 +4,7 @@ The paper's prototype keeps view data in BerkeleyDB: an ordered
 key/value store scanned in key order and updated in place.  This module
 provides the same contract in pure Python: sorted keys, point get/put/
 delete, range scans, one merge of signed count shifts per batch
-(:meth:`OrderedTupleStore.merge_shifts`), in-place key replacement and
-optional file persistence.
+(:meth:`OrderedTupleStore.merge_shifts`) and in-place key replacement.
 
 View tuples are the keys (they sort by their leading ID columns, i.e.,
 document order), derivation counts are the values.
@@ -23,7 +22,6 @@ a parallel list of mapped keys and runs every bisect against it.
 from __future__ import annotations
 
 import bisect
-import pickle
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -147,7 +145,7 @@ class OrderedTupleStore:
         if self._order_key is not None:
             self._order.clear()
 
-    # -- bulk / persistence -----------------------------------------------------
+    # -- bulk -------------------------------------------------------------------
 
     def merge_shifts(self, shifts: Dict[Any, int]) -> List[Tuple[Any, int, Any]]:
         """Fold signed derivation-count shifts into the store: the one
@@ -242,15 +240,3 @@ class OrderedTupleStore:
             if self._order_key is not None:
                 self._order.append(mapped)
             previous = mapped
-
-    def dump(self, path: str) -> None:
-        with open(path, "wb") as handle:
-            pickle.dump(list(zip(self._keys, self._values)), handle)
-
-    @classmethod
-    def load(cls, path: str) -> "OrderedTupleStore":
-        store = cls()
-        with open(path, "rb") as handle:
-            items = pickle.load(handle)
-        store.load_sorted(items)
-        return store

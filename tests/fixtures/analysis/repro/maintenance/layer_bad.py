@@ -11,9 +11,9 @@ from repro.updates.pul import PendingUpdateList  # fine: downward
 
 
 def lazy_edge():
-    import repro.sharding.units  # finding: deferred upward import
+    import repro.sharding.session  # finding: deferred upward import
 
-    return repro.sharding.units
+    return repro.sharding.session
 
 
 def aliased_edge():

@@ -114,12 +114,6 @@ def test_fork_capture_boundary_dunder_exempts():
     assert findings_for(fixture("storage", "durable_clean.py")) == []
 
 
-def test_unit_purity_fixture_fires():
-    findings = findings_for(fixture("sharding", "unit_impure_bad.py"))
-    assert [f.rule for f in findings] == ["unit-impure-write"] * 3
-    assert all("LeakyUnit" in f.message for f in findings)
-
-
 def test_fragment_fixture_fires():
     assert lines_for(
         fixture("sharding", "fragment_bad.py"), "fragment-unpicklable-field"
@@ -193,16 +187,15 @@ def test_source_tree_is_clean():
     assert report.files_checked > 60
 
 
-def test_rule_registry_covers_six_families():
+def test_rule_registry_covers_five_families():
     families = {rule.family for rule in all_rules()}
     assert {
         "determinism",
         "fork-safety",
-        "purity",
         "picklability",
         "layering",
         "hot-path",
-    } <= families
+    } == families
 
 
 # -- suppressions -------------------------------------------------------------

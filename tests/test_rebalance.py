@@ -8,10 +8,9 @@ Three layers, mirroring the module split:
   hysteresis (trigger/patience/cooldown/budget) and greedy planning,
   including the one-hop-per-round invariant the live migration
   protocol depends on;
-* :class:`repro.sharding.session.ShardSession` live migration -- ship
-  and recompute paths both leave extents byte-identical to serial,
-  poison batches and dead workers degrade exactly as without
-  rebalancing, and a hypothesis property ties serial, frozen and
+* :class:`repro.sharding.session.ShardSession` live migration -- moved
+  extents stay byte-identical to serial, poison batches and dead
+  workers degrade exactly as without rebalancing, and a hypothesis property ties serial, frozen and
   adaptive sessions together over drift streams (extents *and*
   lattices).
 """
@@ -78,7 +77,6 @@ def _eager_policy(**overrides):
         cooldown=0,
         budget=4,
         alpha=0.5,
-        ship_rows=50_000,
     )
     kwargs.update(overrides)
     return RebalancePolicy(**kwargs)
@@ -320,20 +318,9 @@ class TestSessionMigration:
         batches = _drift_stream(batches=6, seed=3)
         serial_doc, serial_views = self._serial_reference(batches)
         document, registered, migrations = self._run_adaptive(
-            batches, _eager_policy(ship_rows=50_000)
+            batches, _eager_policy()
         )
         assert migrations > 0  # the stranded hot family forced moves
-        self._assert_matches_serial(serial_views, registered, document)
-
-    def test_recompute_path_migrates_and_stays_identical(self):
-        batches = _drift_stream(batches=6, seed=3)
-        serial_doc, serial_views = self._serial_reference(batches)
-        # ship_rows=0: every migrated view rematerializes on the target
-        # replica instead of shipping state -- same extents either way.
-        document, registered, migrations = self._run_adaptive(
-            batches, _eager_policy(ship_rows=0)
-        )
-        assert migrations > 0
         self._assert_matches_serial(serial_views, registered, document)
 
     def test_poison_batch_with_rebalancing_keeps_serving(self):
@@ -392,6 +379,9 @@ class TestSessionMigration:
                 session._migrate([("Q2", not_owner, 1 - not_owner)])
             with pytest.raises(ValueError, match="source == target"):
                 session._migrate([("Q2", 1 - not_owner, 1 - not_owner)])
+            with pytest.raises(ValueError, match="moves twice"):
+                session._migrate([("Q2", 1 - not_owner, not_owner)] * 2)
+            assert not session._closed
         finally:
             session.close()
 
@@ -437,32 +427,26 @@ class TestDriftWorkload:
 # -- serial == frozen == adaptive, property-tested --------------------------
 
 
-@st.composite
-def _drift_cases(draw):
-    seed = draw(st.integers(min_value=0, max_value=2**16))
-    batches = draw(st.integers(min_value=2, max_value=5))
-    ship_rows = draw(st.sampled_from([0, 50_000]))
-    return seed, batches, ship_rows
-
-
 class TestAdaptiveEquivalenceProperty:
     @settings(
         max_examples=5,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    @given(_drift_cases())
-    def test_serial_frozen_adaptive_agree(self, case):
-        seed, batch_count, ship_rows = case
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        batch_count=st.integers(min_value=2, max_value=5),
+    )
+    def test_serial_frozen_adaptive_agree(self, seed, batch_count):
         batches = _drift_stream(batches=batch_count, seed=seed)
         if not batches:
             return
         # Every example runs under both strategies, so neither loses examples.
         for strategy in ("snowcaps", "leaves"):
-            self._check_agreement(batches, ship_rows, strategy)
+            self._check_agreement(batches, strategy)
 
     @staticmethod
-    def _check_agreement(batches, ship_rows, strategy):
+    def _check_agreement(batches, strategy):
         serial_doc, serial_engine, serial_views = _engine(strategy=strategy)
         for batch in batches:
             serial_engine.apply_batch(batch)
@@ -480,9 +464,7 @@ class TestAdaptiveEquivalenceProperty:
             return document, registered
 
         frozen_doc, frozen_views = run_session(None)
-        adaptive_doc, adaptive_views = run_session(
-            _eager_policy(ship_rows=ship_rows)
-        )
+        adaptive_doc, adaptive_views = run_session(_eager_policy())
         for name in VIEWS:
             serial_content = serial_views[name].view.content()
             assert serial_content == frozen_views[name].view.content(), name

@@ -33,9 +33,9 @@ from tests.test_batch_engine import _dirty_batch, _drifted_name_batch
 VIEWS = ("Q1", "Q3", "Q6")
 
 
-def _engines(scale=1, views=VIEWS):
+def _engines(scale=1, views=VIEWS, obs=None):
     document = generate_document(scale=scale)
-    engine = MaintenanceEngine(document)
+    engine = MaintenanceEngine(document, obs=obs)
     registered = {name: engine.register_view(view_pattern(name), name) for name in views}
     return document, engine, registered
 
@@ -437,6 +437,34 @@ class TestShardedPropagation:
             assert views[other].view.content() == serial_views[other].view.content()
             assert views[other].view.equals_fresh_evaluation(document), other
 
+    def test_replica_to_replica_migration_passes_through_the_owner(self):
+        # Nobody reads Q3 before it moves from party 1 to party 2: the
+        # migration pulls it once, ships the owner's copy (equal to
+        # serial propagation) to party 2, which maintains it from there.
+        from repro.obs import Observability
+
+        stream = statement_stream(generate_document(scale=1), 16, seed=9, insert_ratio=0.7)
+        _, serial, serial_views = _engines()
+        document, engine, views = _engines(obs=Observability())
+        session = ShardSession(engine, workers=3, weights={"Q1": 3.0, "Q3": 2.0, "Q6": 1.0})
+        pulls = engine.obs.metrics.get("repro_session_pulls_total")
+        try:
+            for target in (serial, session):
+                target.apply_batch(stream[:8])
+            assert session.assignment["Q3"] == 1 and "Q3" in session._behind
+            session._migrate([("Q3", 1, 2)])
+            assert "Q3" not in session._behind and session.assignment["Q3"] == 2
+            assert views["Q3"].view.content() == serial_views["Q3"].view.content()
+            assert [pulls.value((party,)) for party in ("1", "2")] == [1, 0]
+            for target in (serial, session):
+                target.apply_batch(stream[8:])
+            assert "Q3" in session._behind and not session._closed
+        finally:
+            session.close()
+        for other in VIEWS:
+            assert views[other].view.content() == serial_views[other].view.content()
+            assert views[other].view.equals_fresh_evaluation(document), other
+
     def test_session_feeds_apply_queue(self):
         stream = statement_stream(
             generate_document(scale=1), 24, seed=31, insert_ratio=0.8
@@ -492,8 +520,8 @@ class TestOwnerParty:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_party_sweep_matches_serial_and_fresh(self, workers, backend, tmp_path):
         # A mixed stream with σ flips and dirty pairs, a poison batch,
-        # and forced migrations out of and into party 0 (shipped and
-        # rematerialized): after every batch the owner's extents equal
+        # and forced migrations out of, into and (at three parties)
+        # around party 0: after every batch the owner's extents equal
         # serial propagation and fresh evaluation; after close() every
         # lattice equals fresh materialization, and no migration ever
         # replaced the owner's extent store.
@@ -515,9 +543,8 @@ class TestOwnerParty:
         session = engine.session(workers=workers)
         assert len(session._processes) == workers - 1
 
-        def move(source, target, ship_rows):
+        def move(source, target):
             name = session._assignment[source][0]
-            session.migration_ship_rows = ship_rows
             session._migrate([(name, source, target)])
             assert session.assignment[name] == target
 
@@ -525,11 +552,13 @@ class TestOwnerParty:
         try:
             for index, batch in enumerate(batches):
                 if workers > 1 and index == 1:
-                    move(0, workers - 1, 4096)  # out of party 0, shipped
+                    move(0, workers - 1)  # out of party 0
                 if workers > 1 and index == 2:
-                    move(1, 0, 4096)  # into party 0, extent pairs shipped
+                    move(1, 0)  # into party 0
+                if workers > 2 and index == 3:
+                    move(2, 1)  # replica to replica
                 if workers > 1 and index == 4:
-                    move(workers - 1, 0, 0)  # into party 0, rematerialized
+                    move(workers - 1, 0)  # into party 0 again
                 if index == 3:
                     with pytest.raises(ValueError):
                         serial.apply_batch([bad])
@@ -562,12 +591,11 @@ class TestOwnerParty:
         if engine.backend is not None:
             engine.backend.close()
 
-    @pytest.mark.parametrize("ship_rows", [4096, 0])
-    def test_replica_adoption_rebuilds_the_lattice(self, ship_rows):
+    def test_replica_adoption_rebuilds_the_lattice(self):
         # The replica side of a migration, in-process: release every
-        # view, then adopt them back from shipped extent pairs (or, over
-        # the budget, by recomputing them).  Lattices never travel, so
-        # each dropped one must come back as a fresh materialization.
+        # view, then adopt them back from the owner's extent pairs.
+        # Lattices never travel, so each dropped one must come back as
+        # a fresh materialization.
         from repro.sharding.session import _serve_migration
 
         document = generate_document(scale=1)
@@ -577,11 +605,11 @@ class TestOwnerParty:
         engine.apply_batch(list(churn_batches(generate_document(scale=1), 1, seed=11)[0]))
         before = {name: r.view.content() for name, r in engine.views.items()}
         idle = {}
-        shipped = _serve_migration(engine, idle, ("migrate_out", list(VIEWS), ship_rows))
-        assert all((pairs is None) == (ship_rows == 0) for pairs in shipped.values())
+        _serve_migration(engine, idle, ("migrate", list(VIEWS), {}))
+        assert not engine.views
         for registered in idle.values():
             registered.lattice.drop()
-        _serve_migration(engine, idle, ("migrate_in", shipped))
+        _serve_migration(engine, idle, ("migrate", [], before))
         assert not idle
         assert {name: r.view.content() for name, r in engine.views.items()} == before
         assert crashkit.lattice_digest(engine.views) == crashkit.fresh_lattice_digest(

@@ -197,9 +197,11 @@ class TestSqliteStore:
         path = str(tmp_path / "db")
         backend = SqliteExtentBackend(path)
         store = _tracked(backend, "v")._store
+        batch_id = backend.begin_batch(["s"])
         store.load_sorted([((1,), 10), ((2,), 20)])
         store.delete((2,))
-        backend.close()  # checkpoints
+        backend.commit_batch(batch_id)
+        backend.close()  # checkpoints the batch
         fresh = SqliteExtentBackend(path)
         assert fresh.stored_extent("v") == [((1,), 10)]
         fresh.close()
@@ -521,6 +523,37 @@ def test_cont_refresh_journals_nothing(tmp_path):
     assert engine.backend._conn.execute(record).fetchone() == stored
     assert engine.backend.checkpoint_versions() == {"Q6": 1}
     engine.backend.close()
+
+
+def test_clean_close_checkpoints_once(tmp_path, monkeypatch):
+    # ApplyQueue.close() checkpoints through sync_durability; the
+    # backend's close after it finds that checkpoint at the current
+    # version and writes nothing more.
+    import sqlite3
+
+    from repro.maintenance.engine import MaintenanceEngine
+    from repro.maintenance.queue import ApplyQueue
+    from repro.workloads.queries import view_pattern
+    from repro.workloads.updates import statement_stream
+    from repro.workloads.xmark import generate_document
+
+    path = str(tmp_path / "engine.db")
+    engine = MaintenanceEngine(generate_document(scale=1), backend=path)
+    for name in ("Q1", "Q6"):
+        engine.register_view(view_pattern(name), name)
+    backend, checkpoints = engine.backend, []
+    checkpoint = backend.checkpoint
+    monkeypatch.setattr(
+        backend, "checkpoint", lambda *names: checkpoints.append(names) or checkpoint(*names)
+    )
+    with ApplyQueue(engine, max_batch_size=4) as queue:
+        queue.extend_async(statement_stream(generate_document(scale=1), 12, seed=5))
+    record = "SELECT view, version, rows FROM checkpoints ORDER BY view"
+    stored = backend._conn.execute(record).fetchall()
+    backend.close()
+    assert checkpoints == [()] and backend.version > 0  # the queue's, not close's
+    with sqlite3.connect(path) as conn:
+        assert conn.execute(record).fetchall() == stored
 
 
 def test_rewrite_with_changed_count_is_journaled(tmp_path):

@@ -105,15 +105,6 @@ class TestOrderedTupleStore:
             store.merge_shifts(shifts)
         assert list(store.items()) == [((0,), 1), ((2,), 1)]
 
-    def test_persistence_roundtrip(self, tmp_path):
-        store = OrderedTupleStore()
-        store.put(("a", 1), 2)
-        store.put(("b", 2), 3)
-        path = str(tmp_path / "view.db")
-        store.dump(path)
-        loaded = OrderedTupleStore.load(path)
-        assert list(loaded.items()) == list(store.items())
-
 
 #: one step's shift of a key: a signed count change, or "drop" (exactly
 #: its current count removed, so the key leaves the store).
