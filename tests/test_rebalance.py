@@ -279,8 +279,8 @@ class TestLptStranding:
 
 
 class TestSessionMigration:
-    def _serial_reference(self, batches, scale=1):
-        document, engine, registered = _engine(scale=scale)
+    def _serial_reference(self, batches, scale=1, strategy="snowcaps"):
+        document, engine, registered = _engine(scale=scale, strategy=strategy)
         for batch in batches:
             engine.apply_batch(batch)
         return document, registered
@@ -293,10 +293,10 @@ class TestSessionMigration:
             assert views[name].view.equals_fresh_evaluation(document), name
         assert crashkit.lattice_digest(serial_views) == crashkit.lattice_digest(views)
 
-    def _run_adaptive(self, batches, policy):
+    def _run_adaptive(self, batches, policy, strategy="snowcaps"):
         # A real Observability so repro_session_migrations_total counts
         # (the default registry is a no-op).
-        document, engine, registered = _engine(obs=Observability())
+        document, engine, registered = _engine(obs=Observability(), strategy=strategy)
         session = engine.session(
             workers=2, weights=STRAND_WEIGHTS, rebalance=policy
         )
@@ -321,6 +321,18 @@ class TestSessionMigration:
             batches, _eager_policy()
         )
         assert migrations > 0  # the stranded hot family forced moves
+        self._assert_matches_serial(serial_views, registered, document)
+
+    def test_recompute_path_migrates_and_stays_identical(self):
+        batches = _drift_stream(batches=6, seed=3)
+        serial_doc, serial_views = self._serial_reference(batches, strategy="leaves")
+        # A "leaves" lattice materializes nothing: a moved view's R-parts
+        # are recomputed on its new party, with no lattice to rebuild --
+        # same extents either way.
+        document, registered, migrations = self._run_adaptive(
+            batches, _eager_policy(), strategy="leaves"
+        )
+        assert migrations > 0
         self._assert_matches_serial(serial_views, registered, document)
 
     def test_poison_batch_with_rebalancing_keeps_serving(self):

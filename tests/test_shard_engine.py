@@ -591,18 +591,20 @@ class TestOwnerParty:
         if engine.backend is not None:
             engine.backend.close()
 
-    def test_replica_adoption_rebuilds_the_lattice(self):
+    @pytest.mark.parametrize("seed", [0, 4096])
+    def test_replica_adoption_rebuilds_the_lattice(self, seed):
         # The replica side of a migration, in-process: release every
-        # view, then adopt them back from the owner's extent pairs.
-        # Lattices never travel, so each dropped one must come back as
-        # a fresh materialization.
+        # view, then adopt them back from the owner's extent pairs,
+        # after a churn batch drawn from ``seed``.  Lattices never
+        # travel, so each dropped one must come back as a fresh
+        # materialization.
         from repro.sharding.session import _serve_migration
 
         document = generate_document(scale=1)
         engine = MaintenanceEngine(document)
         for name in VIEWS:
             engine.register_view(view_pattern(name), name, strategy="snowcaps")
-        engine.apply_batch(list(churn_batches(generate_document(scale=1), 1, seed=11)[0]))
+        engine.apply_batch(list(churn_batches(generate_document(scale=1), 1, seed=seed)[0]))
         before = {name: r.view.content() for name, r in engine.views.items()}
         idle = {}
         _serve_migration(engine, idle, ("migrate", list(VIEWS), {}))
